@@ -533,8 +533,8 @@ let scale_cmd =
   in
   cmd "scale"
     "Scale tier: run the balancer to convergence at 32k/65k/131k nodes \
-     (distance accounting off — the hot paths, not the Dijkstra oracle, \
-     are under test) and report rounds, residual heavies, moved load."
+     and report rounds, residual heavies, moved load and mean transfer \
+     hops."
     Term.(const run_scale $ seed_arg $ sizes_arg $ rounds_arg $ jobs_arg $ sink_arg)
 
 let ablations_cmd =

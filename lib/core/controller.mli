@@ -39,9 +39,8 @@ type config = {
       (** charge Chord routing hops for tree construction *)
   account_distance : bool;
       (** price committed transfers in underlay hops via the distance
-          oracle (default).  The scale tier turns this off: per-source
-          Dijkstra vectors over a 100k-vertex underlay would dominate
-          the run, and the balance metrics do not need them. *)
+          oracle (default).  Off, every transfer is booked at distance
+          0 and the oracle is never queried. *)
 }
 
 val default : config

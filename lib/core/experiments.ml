@@ -190,10 +190,11 @@ let proximity_run ?(pool = Par.sequential) ?obs ~seed ~graphs ~n_nodes ~topology
   (* One task per graph instance, running the aware then the ignorant
      mode (the historical iteration order) over one shared underlay:
      the topology, distance oracle and landmark space are built once
-     and donated to the second build, so each graph pays one Dijkstra
-     per distinct transfer source across both modes.  Results are
-     folded back in task-index order so histogram merges and the
-     ceiling sum accumulate exactly as the sequential loop did. *)
+     and donated to the second build, so each graph pays for one
+     oracle decomposition and one set of memoised rows across both
+     modes.  Results are folded back in task-index order so histogram
+     merges and the ceiling sum accumulate exactly as the sequential
+     loop did. *)
   let results =
     Par.run pool ?obs ~n:graphs (fun g obs ->
         let config = { Scenario.default with n_nodes; topology } in
@@ -847,6 +848,7 @@ type scale_row = {
   sc_converged : bool;
   sc_fixed_point : bool;
   sc_moved_fraction : float;
+  sc_mean_hops : float;
   sc_tree_depth : int;
 }
 
@@ -879,16 +881,11 @@ let scale_run ?(pool = Par.sequential) ?obs ?(seed = 1)
           }
         in
         let s = Scenario.build ~seed:(seed + (17 * i)) config in
-        (* Underlay-hop pricing is off at this tier: per-source
-           Dijkstra vectors over a >100k-vertex graph would dominate
-           the run without informing the balance metrics. *)
-        let cc =
-          { Controller.default with Controller.account_distance = false }
-        in
         let heavy_before = ref 0 in
         let heavy_after = ref 0 in
         let depth = ref 0 in
         let moved = ref 0.0 in
+        let moved_load = ref 0.0 and hop_load = ref 0.0 in
         let n_rounds = ref 0 in
         let converged = ref false in
         let fixed_point = ref false in
@@ -898,7 +895,7 @@ let scale_run ?(pool = Par.sequential) ?obs ?(seed = 1)
            near-zero fair target, which VS transfer alone cannot fix),
            or the round budget runs out. *)
         while (not !converged) && (not !fixed_point) && !n_rounds < rounds do
-          let o = Controller.run ~config:cc ?obs s in
+          let o = Controller.run ?obs s in
           let hb, _, _ = o.Controller.census_before in
           let ha, _, _ = o.Controller.census_after in
           if !n_rounds = 0 then heavy_before := hb;
@@ -906,6 +903,10 @@ let scale_run ?(pool = Par.sequential) ?obs ?(seed = 1)
           depth := o.Controller.tree_depth;
           let moved_round = Controller.moved_fraction o in
           moved := !moved +. moved_round;
+          let v = o.Controller.vst in
+          moved_load := !moved_load +. v.Vst.moved_load;
+          hop_load :=
+            !hop_load +. (Vst.mean_transfer_distance v *. v.Vst.moved_load);
           incr n_rounds;
           if ha = 0 then converged := true
           else if moved_round = 0.0 then fixed_point := true
@@ -919,6 +920,8 @@ let scale_run ?(pool = Par.sequential) ?obs ?(seed = 1)
           sc_converged = !converged;
           sc_fixed_point = !fixed_point;
           sc_moved_fraction = !moved;
+          sc_mean_hops =
+            (if !moved_load > 0.0 then !hop_load /. !moved_load else 0.0);
           sc_tree_depth = !depth;
         })
   in
@@ -929,12 +932,12 @@ let render_scale rows =
     ~title:
       "Scale tier: rounds to convergence (no heavy node remains) far \
        beyond the paper's 4096 nodes\n\
-       (moved = cumulative per-round moved-load fractions; underlay-hop \
-       pricing off)"
+       (moved = cumulative per-round moved-load fractions; mean hops = \
+       load-weighted underlay hops per transfer)"
     ~header:
       [
         "nodes"; "workload"; "heavy before"; "heavy after"; "rounds";
-        "converged"; "moved"; "tree depth";
+        "converged"; "moved"; "mean hops"; "tree depth";
       ]
     (List.map
        (fun r ->
@@ -948,6 +951,7 @@ let render_scale rows =
             else if r.sc_fixed_point then "fixed point"
             else "no");
            Report.percent_cell r.sc_moved_fraction;
+           Report.float_cell r.sc_mean_hops;
            string_of_int r.sc_tree_depth;
          ])
        rows)

@@ -271,6 +271,9 @@ type scale_row = {
           fix it — the known granularity limit of the paper's scheme *)
   sc_moved_fraction : float;
       (** cumulative per-round moved-load fractions *)
+  sc_mean_hops : float;
+      (** load-weighted mean underlay hops of every transfer across
+          the rounds run; 0 when nothing moved *)
   sc_tree_depth : int;
 }
 
@@ -287,11 +290,8 @@ val scale_run :
     full LB rounds on the mutating DHT until convergence (no heavy
     node remains), a fixed point (a round moves nothing — see
     [sc_fixed_point]), or [rounds] (default 8) rounds have run.
-    Underlay-hop transfer pricing is disabled
-    ({!Controller.config.account_distance}): per-source Dijkstra
-    vectors over a >100k-vertex underlay would dominate the run
-    without informing the balance metrics.  Tasks fan out over
-    [pool]; results are in task order (sizes major, workloads
-    minor). *)
+    Transfers are priced in underlay hops, as at paper scale.  Tasks
+    fan out over [pool]; results are in task order (sizes major,
+    workloads minor). *)
 
 val render_scale : scale_row list -> string

@@ -45,9 +45,9 @@ let build ?base ~seed config =
      [seed] and [config] (each on its own split stream), so a caller
      re-building the same scenario — e.g. the proximity experiments
      running aware and ignorant modes over one graph instance — can
-     donate them from a previous build.  The oracle's memoised
-     Dijkstra vectors then carry across runs: one probe per distinct
-     source per graph, not per mode. *)
+     donate them from a previous build.  The oracle's bridge
+     decomposition and memoised rows then carry across runs: built
+     once per graph, not per mode. *)
   let topo, oracle, base_space =
     match base with
     | Some b -> (b.topo, b.oracle, Some b.space)

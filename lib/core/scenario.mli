@@ -43,9 +43,9 @@ val build : ?base:t -> seed:int -> config -> t
     same [seed] and [config], where those parts are identical anyway
     (each derives from its own split of the master stream).  Skipping
     their reconstruction does not perturb the membership, load or
-    load-balancing streams, and the shared oracle keeps its memoised
-    Dijkstra vectors across runs: one probe per distinct source per
-    graph instance, not per re-build. *)
+    load-balancing streams, and the shared oracle keeps its bridge
+    decomposition and memoised rows across runs: built once per graph
+    instance, not per re-build. *)
 
 val join_nodes : t -> int -> unit
 (** Churn: [join_nodes t n] adds [n] fresh nodes on random stub

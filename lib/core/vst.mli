@@ -103,9 +103,7 @@ val apply :
 
     [oracle] prices each committed transfer in underlay hops for the
     distance histogram.  Omitting it skips the shortest-path queries
-    and books every transfer at distance 0 — the scale tier runs this
-    way, where per-source Dijkstra vectors over a 100k-vertex underlay
-    would dominate the run.
+    and books every transfer at distance 0.
 
     [faults] supplies the transfer-path fault draws; the transactional
     protocol only engages when {!Faults.transfer_protocol} holds.

@@ -38,20 +38,52 @@ val distance : t -> src:int -> dst:int -> int
 
 val is_connected : t -> bool
 
-(** Memoising distance oracle: one Dijkstra per distinct source,
-    cached.  Use when querying many pairs grouped by source. *)
+(** Exact distance oracle built on the graph's bridge decomposition.
+
+    A bridge is an edge whose removal disconnects its endpoints.  The
+    2-edge-connected components ("comps") that remain when every
+    bridge is removed form a forest whose edges are the bridges; each
+    tree is rooted at the comp of its lowest-numbered vertex.  Two
+    facts make the decomposition exact for any non-negative weights:
+    every [u]–[v] path crosses every bridge on the forest path between
+    the comps of [u] and [v], and a shortest path between two vertices
+    of one comp never leaves that comp (leaving it means crossing a
+    bridge, which must then be crossed back).  So with [L] the lowest
+    common ancestor of the two comps, [x_u] and [x_v] the vertices
+    where the root paths of [u] and [v] enter [L], and [up.(w)] the
+    distance from [w] up to its tree's root comp,
+
+    {v d(u, v) = (up u - up x_u) + d_L(x_u, x_v) + (up v - up x_v) v}
+
+    where [d_L] is the distance within [L].  Vertices in different
+    trees are [max_int] apart.
+
+    {!create} does no work; the first {!distance} call builds the
+    decomposition: an iterative Tarjan pass (stack depth independent of
+    the vertex count) finds the bridges and comps, then one Dijkstra
+    restricted to each non-root comp fills [up].  [d_L] rows are
+    computed on demand, one Dijkstra restricted to [L] per distinct
+    entry vertex [x_u], and memoised.  A bridgeless connected graph is
+    a single comp, where [x_u = u] and the oracle runs one Dijkstra per
+    distinct source as a plain per-source cache would.  [Transit_stub]
+    underlays attach every stub domain by one bridge, so cross-domain
+    queries price against rows over comps of the transit core only. *)
 module Oracle : sig
   type graph := t
   type t
 
   val create : graph -> t
   val distance : t -> src:int -> dst:int -> int
+  (** Exact shortest-path distance, [max_int] when unreachable.
+      @raise Invalid_argument when a vertex is out of range. *)
 
   val sources_computed : t -> int
-  (** Distinct sources with a cached distance vector. *)
+  (** Memoised [d_L] rows: distinct entry vertices [x_u] queried so
+      far.  On a bridgeless graph, the distinct sources queried. *)
 
   val probes : t -> int
-  (** Dijkstra runs actually performed — repeated queries from one
-      source cost exactly one probe, which is the memoisation claim
-      the oracle unit tests pin. *)
+  (** Restricted Dijkstra runs made to answer queries — one per
+      memoised row, so repeated queries that enter [L] at one vertex
+      cost exactly one probe.  The build's per-comp runs for [up] are
+      not counted.  On a bridgeless graph, one per distinct source. *)
 end

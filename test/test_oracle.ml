@@ -1,9 +1,11 @@
 (* Graph.Oracle: the memoising distance oracle.
 
    Two claims under test: agreement (the oracle returns exactly what a
-   fresh Dijkstra returns, on random graphs and random pairs) and
-   memoisation (repeated queries from one source cost exactly one
-   Dijkstra, observed through the probe counter). *)
+   fresh Dijkstra returns, on random graphs and random pairs — both
+   bridgeless ones and ones with bridges, where the answer is
+   assembled across the bridge decomposition) and memoisation
+   (repeated queries from one source cost exactly one Dijkstra,
+   observed through the probe counter). *)
 
 module Prng = P2plb_prng.Prng
 module Graph = P2plb_topology.Graph
@@ -123,6 +125,105 @@ let test_shared_base_probe_bound () =
   check Alcotest.int "cache holds exactly the probed sources" probes_both
     (Graph.Oracle.sources_computed s.Scenario.oracle)
 
+(* A sparse graph with bridges.  Blocks — random trees, cycles,
+   cliques, single vertices — are joined to an earlier block by one
+   edge (a bridge), sometimes by a second edge (so the join is not a
+   bridge), or not at all (several components, [max_int] distances).
+   Weights are 0–3, so zero-weight edges occur, and vertex labels are
+   shuffled so the DFS root lands anywhere in the bridge forest. *)
+let bridged_graph rng =
+  let blocks = 1 + Prng.int rng 7 in
+  let sizes = Array.init blocks (fun _ -> 1 + Prng.int rng 6) in
+  let first = Array.make blocks 0 in
+  for k = 1 to blocks - 1 do
+    first.(k) <- first.(k - 1) + sizes.(k - 1)
+  done;
+  let n = first.(blocks - 1) + sizes.(blocks - 1) in
+  let label = Array.init n Fun.id in
+  Prng.shuffle rng label;
+  let b = Graph.create_builder ~n in
+  let edge u v = Graph.add_edge b label.(u) label.(v) ~weight:(Prng.int rng 4) in
+  Array.iteri
+    (fun k size ->
+      let v i = first.(k) + i in
+      match Prng.int rng 3 with
+      | 0 ->
+        for i = 1 to size - 1 do
+          edge (v i) (v (Prng.int rng i))
+        done
+      | 1 when size >= 3 ->
+        for i = 0 to size - 1 do
+          edge (v i) (v ((i + 1) mod size))
+        done
+      | _ ->
+        for i = 0 to size - 1 do
+          for j = i + 1 to size - 1 do
+            edge (v i) (v j)
+          done
+        done)
+    sizes;
+  let member k = first.(k) + Prng.int rng sizes.(k) in
+  for k = 1 to blocks - 1 do
+    let j = Prng.int rng k in
+    match Prng.int rng 4 with
+    | 0 -> ()
+    | 1 ->
+      edge (member k) (member j);
+      edge (member k) (member j)
+    | _ -> edge (member k) (member j)
+  done;
+  Graph.freeze b
+
+let test_bridged_all_pairs () =
+  let rng = Prng.create ~seed:0x0b1d in
+  for case = 1 to 250 do
+    let g = bridged_graph rng in
+    let n = Graph.n_vertices g in
+    let o = Graph.Oracle.create g in
+    for src = 0 to n - 1 do
+      let expect = Graph.dijkstra g ~src in
+      for dst = 0 to n - 1 do
+        check Alcotest.int
+          (Printf.sprintf "case %d: distance %d -> %d" case src dst)
+          expect.(dst)
+          (Graph.Oracle.distance o ~src ~dst)
+      done
+    done
+  done
+
+(* The underlays the experiments price transfers on: both weightings
+   of each transit-stub family, 40 sources x 200 destinations. *)
+let test_transit_stub_pairs () =
+  let module TS = P2plb_topology.Transit_stub in
+  List.iter
+    (fun (name, params) ->
+      for seed = 1 to 5 do
+        let topo = TS.generate (Prng.create ~seed) params in
+        List.iter
+          (fun (weights, g) ->
+            let n = Graph.n_vertices g in
+            let rng = Prng.create ~seed:(seed + 77) in
+            let o = Graph.Oracle.create g in
+            for _ = 1 to 40 do
+              let src = Prng.int rng n in
+              let expect = Graph.dijkstra g ~src in
+              for _ = 1 to 200 do
+                let dst = Prng.int rng n in
+                check Alcotest.int
+                  (Printf.sprintf "%s/%s seed %d: %d -> %d" name weights seed
+                     src dst)
+                  expect.(dst)
+                  (Graph.Oracle.distance o ~src ~dst)
+              done
+            done)
+          [ ("hop", topo.TS.graph); ("latency", topo.TS.latency_graph) ]
+      done)
+    [
+      ("ts5k_large", TS.ts5k_large);
+      ("ts5k_small", TS.ts5k_small);
+      ("scaled-4096", TS.scaled ~n:4096);
+    ]
+
 let () =
   Alcotest.run "oracle"
     [
@@ -136,5 +237,9 @@ let () =
             test_probes_match_sources;
           Alcotest.test_case "shared base: one Dijkstra per source" `Quick
             test_shared_base_probe_bound;
+          Alcotest.test_case "bridged graphs: all pairs" `Quick
+            test_bridged_all_pairs;
+          Alcotest.test_case "transit-stub underlays" `Quick
+            test_transit_stub_pairs;
         ] );
     ]
