@@ -42,6 +42,8 @@ type 'a t = {
   mutable snap_ids : int array;
   mutable snap_vss : vs array;
   mutable snap_n : int;
+  (* Bumped whenever the set of ring ids changes (insert/delete). *)
+  mutable ring_version : int;
 }
 
 let create ~seed =
@@ -60,6 +62,7 @@ let create ~seed =
     snap_ids = [||];
     snap_vss = [||];
     snap_n = -1;
+    ring_version = 0;
   }
 
 let node t id =
@@ -73,6 +76,8 @@ let is_alive t id =
 let n_nodes t = t.n_alive
 
 let n_vs t = Ring_map.cardinal t.ring
+
+let ring_version t = t.ring_version
 
 (* --- Alive-node cache ------------------------------------------------- *)
 
@@ -275,6 +280,7 @@ let insert_vs t v =
     end
   | _ -> ());
   t.ring <- Ring_map.add v.vs_id v t.ring;
+  t.ring_version <- t.ring_version + 1;
   snap_invalidate t
 
 let join t ~capacity ~underlay ~n_vs =
@@ -299,6 +305,7 @@ let delete_vs_absorb t v =
   if Ring_map.cardinal t.ring <= 1 then
     invalid_arg "Dht.remove_vs: cannot remove the last VS";
   t.ring <- Ring_map.remove v.vs_id t.ring;
+  t.ring_version <- t.ring_version + 1;
   snap_invalidate t;
   (match Ring_map.successor v.vs_id t.ring with
   | Some (_, succ) -> succ.load <- succ.load +. v.load

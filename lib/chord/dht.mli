@@ -65,6 +65,15 @@ val n_nodes : 'a t -> int
 
 val n_vs : 'a t -> int
 
+val ring_version : 'a t -> int
+(** A counter that moves exactly when the set of ring ids changes:
+    every VS inserted ({!join}) or deleted ({!leave}, {!crash},
+    {!remove_vs}) bumps it by one.  It does not move for
+    {!transfer_vs} (the VS keeps its id and region), load changes
+    ({!set_vs_load}, {!add_vs_load}) or storage ({!put},
+    {!clear_items}).  Structures keyed by VS ids and regions — the
+    K-nary tree — stay valid while it is unchanged. *)
+
 val fold_nodes : 'a t -> init:'acc -> f:('acc -> node -> 'acc) -> 'acc
 (** Over alive nodes, in increasing [node_id] order (deterministic). *)
 

@@ -76,19 +76,6 @@ let apply ?tree ?obs ?faults ?oracle dht assignments =
   let applied : (P2plb_idspace.Id.t * int, unit) Hashtbl.t =
     Hashtbl.create 64
   in
-  (* KT nodes planted per VS, for lazy-migration accounting. *)
-  let kt_per_vs : (P2plb_idspace.Id.t, int) Hashtbl.t = Hashtbl.create 256 in
-  (match tree with
-  | None -> ()
-  | Some t ->
-    ignore
-      (Ktree.fold_nodes t ~init:() ~f:(fun () n ->
-           let cur =
-             match Hashtbl.find_opt kt_per_vs n.Ktree.host with
-             | Some c -> c
-             | None -> 0
-           in
-           Hashtbl.replace kt_per_vs n.Ktree.host (cur + 1))));
   (* Mid-window fail-stop, mirroring the multiround crash guard: never
      empty the ring, never strand every VS on the victim.  [false]
      when the victim was shielded (the transaction then proceeds). *)
@@ -108,6 +95,21 @@ let apply ?tree ?obs ?faults ?oracle dht assignments =
         ("cause", P2plb_obs.Trace.Str cause); ("seq", P2plb_obs.Trace.Int !seq);
       ]
   in
+  (* The light node's TRANSFER handler: installs the VS once per
+     (vs, seq) transaction and drops any replay of it.  [true] when
+     this delivery was installed. *)
+  let receive_transfer (a : Types.assignment) seq =
+    if Hashtbl.mem applied (a.a_vs_id, seq) then begin
+      incr deduped;
+      trace_point "vst/dedup" [ ("seq", P2plb_obs.Trace.Int seq) ];
+      false
+    end
+    else begin
+      Dht.transfer_vs dht ~vs_id:a.a_vs_id ~to_node:a.a_to;
+      Hashtbl.replace applied (a.a_vs_id, seq) ();
+      true
+    end
+  in
   (* A committed transfer's accounting (shared by both paths). *)
   let commit (a : Types.assignment) (v : Dht.vs) ~hops =
     Histogram.add hist ~bin:hops ~weight:v.Dht.load;
@@ -126,12 +128,9 @@ let apply ?tree ?obs ?faults ?oracle dht assignments =
     match tree with
     | None -> ()
     | Some t ->
-      let kt_count =
-        match Hashtbl.find_opt kt_per_vs a.a_vs_id with
-        | Some c -> c
-        | None -> 0
-      in
-      restructure := !restructure + (kt_count * (Ktree.k t + 1))
+      (* Lazy migration re-homes every KT node planted in the VS. *)
+      restructure :=
+        !restructure + (Ktree.host_nodes t a.a_vs_id * (Ktree.k t + 1))
   in
   List.iter
     (fun (a : Types.assignment) ->
@@ -185,29 +184,29 @@ let apply ?tree ?obs ?faults ?oracle dht assignments =
             in
             if not crashed then begin
               advance pstate Transfer;
-              (* TRANSFER: the VS moves; a duplicated delivery carries
-                 the same sequence number and is dropped idempotently
-                 instead of re-applying. *)
-              Dht.transfer_vs dht ~vs_id:a.a_vs_id ~to_node:a.a_to;
-              Hashtbl.replace applied (a.a_vs_id, !seq) ();
-              if Faults.duplicated f && Hashtbl.mem applied (a.a_vs_id, !seq)
-              then begin
-                incr deduped;
-                trace_point "vst/dedup"
-                  [ ("seq", P2plb_obs.Trace.Int !seq) ]
-              end;
-              (* COMMIT: the light node acknowledges; until it lands
-                 the heavy owner keeps the right to reclaim, so a lost
-                 ack rolls the VS back instead of stranding it. *)
-              match Faults.send_between f ~src:a.a_to ~dst:a.a_from with
-              | Faults.Delivered _ ->
-                advance pstate Commit;
-                commit a v ~hops
-              | Faults.Lost ->
-                Dht.transfer_vs dht ~vs_id:a.a_vs_id ~to_node:a.a_from;
-                if Faults.cut f ~a:a.a_from ~b:a.a_to then
-                  abort aborted_partitioned "partitioned"
-                else abort aborted_commit_lost "commit_lost"
+              (* TRANSFER: the VS moves.  A duplicated delivery carries
+                 the same sequence number and reaches the same handler,
+                 whose seq table drops it instead of re-applying. *)
+              let deliveries = if Faults.duplicated f then 2 else 1 in
+              let installed = ref 0 in
+              for _ = 1 to deliveries do
+                if receive_transfer a !seq then incr installed
+              done;
+              (* COMMIT: the light node acknowledges each TRANSFER it
+                 installed; until the ack lands the heavy owner keeps
+                 the right to reclaim, so a lost ack rolls the VS back
+                 instead of stranding it. *)
+              for _ = 1 to !installed do
+                match Faults.send_between f ~src:a.a_to ~dst:a.a_from with
+                | Faults.Delivered _ ->
+                  advance pstate Commit;
+                  commit a v ~hops
+                | Faults.Lost ->
+                  Dht.transfer_vs dht ~vs_id:a.a_vs_id ~to_node:a.a_from;
+                  if Faults.cut f ~a:a.a_from ~b:a.a_to then
+                    abort aborted_partitioned "partitioned"
+                  else abort aborted_commit_lost "commit_lost"
+              done
             end)))
       | None ->
         incr skipped_vs_gone;

@@ -14,6 +14,19 @@ type kt_node = {
   mutable tag : int;
 }
 
+(* Everything a whole-tree traversal can tell, gathered by one pass
+   (see [summarize]) and cached until the next structural mutation. *)
+type summary = {
+  s_nodes : int;
+  s_depth : int;
+  s_leaves : int;
+  (* host -> deepest-first leaf planted in it *)
+  s_assignment : (Id.t, kt_node) Hashtbl.t;
+  s_slots : int;
+  (* host -> number of KT nodes planted in it *)
+  s_per_host : (Id.t, int) Hashtbl.t;
+}
+
 type t = {
   k : int;
   mutable root : kt_node;
@@ -22,11 +35,13 @@ type t = {
   mutable repaired : int;
   mutable repair_msg : int;
   mutable obs : P2plb_obs.Obs.t option;
-  (* Lazily built host->deepest-leaf table, shared by every
-     leaf_assignment caller in a round; invalidated at each structural
-     mutation (plant / prune / re-host). *)
-  mutable assignment : (Id.t, kt_node) Hashtbl.t option;
-  mutable n_slots : int;
+  (* Lazily built by [summarize], shared by every caller in a round;
+     cleared at each structural mutation (plant / prune / re-host). *)
+  mutable summary : summary option;
+  (* [Dht.ring_version] at which the tree was last made consistent
+     with the ring (by [build] or a full [repair]/[refresh] walk).
+     While the ring keeps that version, both walks are no-ops. *)
+  mutable stamp : int;
 }
 
 let set_obs t obs = t.obs <- Some obs
@@ -40,11 +55,7 @@ let obs_event t name attrs =
       (P2plb_obs.Registry.counter (P2plb_obs.Obs.metrics o) name)
       1
 
-let invalidate_assignment t =
-  if t.assignment <> None then begin
-    t.assignment <- None;
-    t.n_slots <- 0
-  end
+let invalidate_summary t = t.summary <- None
 
 let k t = t.k
 let root t = t.root
@@ -99,7 +110,7 @@ let rec grow ~route_messages t dht n =
           in
           t.msg <- t.msg + 1;
           n.children.(i) <- Some child;
-          invalidate_assignment t;
+          invalidate_summary t;
           grow ~route_messages t dht child
         end
         else
@@ -135,31 +146,80 @@ let build ?(route_messages = false) ~k dht =
       repaired = 0;
       repair_msg = 0;
       obs = None;
-      assignment = None;
-      n_slots = 0;
+      summary = None;
+      stamp = Dht.ring_version dht;
     }
   in
   grow ~route_messages t dht root;
   t
 
+(* Preorder; a loop over [children], so a walk allocates nothing per
+   node. *)
 let rec iter_nodes f n =
   f n;
-  Array.iter (function Some c -> iter_nodes f c | None -> ()) n.children
+  let ch = n.children in
+  for i = 0 to Array.length ch - 1 do
+    match ch.(i) with Some c -> iter_nodes f c | None -> ()
+  done
 
-let depth t =
-  let d = ref 0 in
-  iter_nodes (fun n -> if n.depth > !d then d := n.depth) t.root;
-  !d
+(* One preorder pass: sizes, the host -> deepest-leaf table and the
+   per-host node counts.  A leaf that currently wins its host is tagged
+   with its preorder leaf index, every other node with -1; the winners
+   are then renumbered 0 .. n_slots - 1 in that order (ordinals back
+   the array-indexed rendezvous in Vsa/Lbi). *)
+let summarize t =
+  let assignment : (Id.t, kt_node) Hashtbl.t = Hashtbl.create 256 in
+  let per_host : (Id.t, int) Hashtbl.t = Hashtbl.create 256 in
+  let nodes = ref 0 and depth = ref 0 and n_leaves = ref 0 in
+  iter_nodes
+    (fun n ->
+      incr nodes;
+      if n.depth > !depth then depth := n.depth;
+      (match Hashtbl.find per_host n.host with
+      | c -> Hashtbl.replace per_host n.host (c + 1)
+      | exception Not_found -> Hashtbl.replace per_host n.host 1);
+      if is_leaf n then begin
+        (match Hashtbl.find assignment n.host with
+        | existing when existing.depth >= n.depth -> n.tag <- -1
+        | existing ->
+          existing.tag <- -1;
+          n.tag <- !n_leaves;
+          Hashtbl.replace assignment n.host n
+        | exception Not_found ->
+          n.tag <- !n_leaves;
+          Hashtbl.replace assignment n.host n);
+        incr n_leaves
+      end
+      else n.tag <- -1)
+    t.root;
+  (* Filled in table order, then sorted by the distinct preorder
+     indices: the result does not depend on hashing. *)
+  let winners = Array.make (Hashtbl.length assignment) t.root in
+  let i = ref 0 in
+  Hashtbl.iter
+    (fun _ n ->
+      winners.(!i) <- n;
+      incr i)
+    assignment;
+  Array.sort (fun a b -> Int.compare a.tag b.tag) winners;
+  Array.iteri (fun slot n -> n.tag <- slot) winners;
+  let s =
+    {
+      s_nodes = !nodes;
+      s_depth = !depth;
+      s_leaves = !n_leaves;
+      s_assignment = assignment;
+      s_slots = Array.length winners;
+      s_per_host = per_host;
+    }
+  in
+  t.summary <- Some s;
+  s
 
-let n_nodes t =
-  let c = ref 0 in
-  iter_nodes (fun _ -> incr c) t.root;
-  !c
-
-let n_leaves t =
-  let c = ref 0 in
-  iter_nodes (fun n -> if is_leaf n then incr c) t.root;
-  !c
+let summary t = match t.summary with Some s -> s | None -> summarize t
+let depth t = (summary t).s_depth
+let n_nodes t = (summary t).s_nodes
+let n_leaves t = (summary t).s_leaves
 
 let leaves t =
   let acc = ref [] in
@@ -168,7 +228,7 @@ let leaves t =
     (fun a b -> Id.compare (Region.start a.region) (Region.start b.region))
     !acc
 
-let refresh ?(route_messages = false) t dht =
+let refresh_walk ~route_messages t dht =
   (* One level of {!grow}: plant the missing children of [n] but do
      not descend into existing subtrees — [visit] below recurses and
      grows each level as it reaches it.  Full [grow] here would make
@@ -185,7 +245,7 @@ let refresh ?(route_messages = false) t dht =
           in
           t.msg <- t.msg + 1;
           n.children.(i) <- Some child;
-          invalidate_assignment t
+          invalidate_summary t
         end)
       parts
   in
@@ -209,7 +269,7 @@ let refresh ?(route_messages = false) t dht =
     in
     if new_host.Dht.vs_id <> n.host then begin
       n.host <- new_host.Dht.vs_id;
-      invalidate_assignment t;
+      invalidate_summary t;
       (* Re-planting notifies parent and children: at most K+1 msgs. *)
       t.msg <- t.msg + t.k + 1;
       obs_event t "kt/rehost" [ ("depth", P2plb_obs.Trace.Int n.depth) ]
@@ -239,7 +299,7 @@ let refresh ?(route_messages = false) t dht =
               in
               t.msg <- t.msg + 1;
               n.children.(i) <- Some child;
-              invalidate_assignment t;
+              invalidate_summary t;
               grow ~route_messages t dht child
             end
             else
@@ -255,7 +315,7 @@ let refresh ?(route_messages = false) t dht =
           | Some _ ->
             t.msg <- t.msg + 1;
             n.children.(i) <- None;
-            invalidate_assignment t
+            invalidate_summary t
           | None -> ())
         n.children
     end
@@ -272,7 +332,18 @@ let refresh ?(route_messages = false) t dht =
   in
   (* The root's host may have changed; it is re-located determin-
      istically at the centre of the whole space. *)
-  visit t.root
+  visit t.root;
+  t.stamp <- Dht.ring_version dht
+
+let refresh ?(route_messages = false) t dht =
+  if (not route_messages) && t.stamp = Dht.ring_version dht then
+    (* The tree is consistent with this very ring: [refresh_walk]
+       would re-resolve every host to itself, grow and prune nothing,
+       and only exchange its heartbeats, one per parent-child edge.
+       (With [route_messages] the walk's lookups are charged, so it
+       runs.) *)
+    t.msg <- t.msg + n_nodes t - 1
+  else refresh_walk ~route_messages t dht
 
 (* A KT node is broken when its hosting VS left the ring (its owner
    died) or still exists but no longer owns the node's centre key (the
@@ -282,7 +353,7 @@ let broken dht n =
   | None -> true
   | Some _ -> (Dht.owner_of_key dht n.key).Dht.vs_id <> n.host
 
-let repair ?(route_messages = false) t dht =
+let repair_walk ~route_messages t dht =
   let repaired_now = ref 0 in
   (* Re-plant one broken node.  [from] is a VS known to be live (the
      nearest live ancestor's host) that issues the recovery lookup; if
@@ -304,7 +375,7 @@ let repair ?(route_messages = false) t dht =
       else Dht.owner_of_key dht n.key
     in
     n.host <- host.Dht.vs_id;
-    invalidate_assignment t;
+    invalidate_summary t;
     (* Re-planting notifies parent and children: at most K+1 msgs. *)
     t.msg <- t.msg + t.k + 1;
     t.repair_msg <- t.repair_msg + t.k + 1;
@@ -324,7 +395,7 @@ let repair ?(route_messages = false) t dht =
             t.msg <- t.msg + 1;
             t.repair_msg <- t.repair_msg + 1;
             n.children.(i) <- None;
-            invalidate_assignment t
+            invalidate_summary t
           | None -> ())
         n.children
     else begin
@@ -342,7 +413,7 @@ let repair ?(route_messages = false) t dht =
             t.msg <- t.msg + 1;
             t.repair_msg <- t.repair_msg + (t.msg - m0);
             n.children.(i) <- Some child;
-            invalidate_assignment t;
+            invalidate_summary t;
             visit ~from:n.host child
           end
           else
@@ -353,7 +424,14 @@ let repair ?(route_messages = false) t dht =
     end
   in
   visit ~from:t.root.host t.root;
+  t.stamp <- Dht.ring_version dht;
   !repaired_now
+
+let repair ?(route_messages = false) t dht =
+  (* Nothing can be broken while the ring has not changed since the
+     tree was last made consistent with it. *)
+  if t.stamp = Dht.ring_version dht then 0
+  else repair_walk ~route_messages t dht
 
 let check_consistent t dht =
   let error = ref None in
@@ -379,19 +457,18 @@ let check_consistent t dht =
       if leaf then Hashtbl.replace seen_leaf_vs n.host ());
     if not (is_leaf n) then begin
       let parts = Region.split n.region t.k in
-      Array.iteri
-        (fun i c ->
-          match c with
-          | Some child ->
-            if not (Region.equal child.region parts.(i)) then
-              fail "child %d of node at %a has wrong region" i Id.pp n.key;
-            if child.depth <> n.depth + 1 then
-              fail "child depth mismatch under %a" Id.pp n.key;
-            visit child
-          | None ->
-            if not (Region.is_empty parts.(i)) then
-              fail "missing child %d (non-empty region) under %a" i Id.pp n.key)
-        n.children
+      for i = 0 to t.k - 1 do
+        match n.children.(i) with
+        | Some child ->
+          if not (Region.equal child.region parts.(i)) then
+            fail "child %d of node at %a has wrong region" i Id.pp n.key;
+          if child.depth <> n.depth + 1 then
+            fail "child depth mismatch under %a" Id.pp n.key;
+          visit child
+        | None ->
+          if not (Region.is_empty parts.(i)) then
+            fail "missing child %d (non-empty region) under %a" i Id.pp n.key
+      done
     end
   in
   visit t.root;
@@ -406,41 +483,14 @@ let fold_nodes t ~init ~f =
   iter_nodes (fun n -> acc := f !acc n) t.root;
   !acc
 
-let leaf_assignment t =
-  match t.assignment with
-  | Some table -> table
-  | None ->
-    let table : (Id.t, kt_node) Hashtbl.t = Hashtbl.create 256 in
-    iter_nodes
-      (fun n ->
-        if is_leaf n then
-          match Hashtbl.find_opt table n.host with
-          | Some existing when existing.depth >= n.depth -> ()
-          | _ -> Hashtbl.replace table n.host n)
-      t.root;
-    (* Second deterministic pass: number the assigned leaves in tree
-       order (ordinals back the array-indexed rendezvous in Vsa/Lbi)
-       and clear stale tags everywhere else. *)
-    let next = ref 0 in
-    iter_nodes
-      (fun n ->
-        if
-          is_leaf n
-          && match Hashtbl.find_opt table n.host with
-             | Some winner -> winner == n
-             | None -> false
-        then begin
-          n.tag <- !next;
-          incr next
-        end
-        else n.tag <- -1)
-      t.root;
-    t.assignment <- Some table;
-    t.n_slots <- !next;
-    table
-
+let leaf_assignment t = (summary t).s_assignment
 let leaf_slot n = n.tag
-let n_leaf_slots t = t.n_slots
+let n_leaf_slots t = (summary t).s_slots
+
+let host_nodes t host =
+  match Hashtbl.find (summary t).s_per_host host with
+  | c -> c
+  | exception Not_found -> 0
 
 let sweep_up t ~at_leaf ~combine =
   let max_depth = ref 0 in

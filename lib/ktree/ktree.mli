@@ -15,6 +15,16 @@ module Dht = P2plb_chord.Dht
     The tree is soft state: {!refresh} re-runs the periodic grow /
     prune / re-plant checks against the current ring, which is how the
     tree self-repairs after joins, leaves, crashes and VS transfers.
+    The tree remembers the {!Dht.ring_version} at which it was last
+    made consistent with the ring ({!build}, or a full {!repair} /
+    {!refresh} walk); while the ring keeps that version, upkeep is
+    O(1).
+
+    Whole-tree figures ({!depth}, {!n_nodes}, {!n_leaves},
+    {!leaf_assignment}, {!host_nodes}) come from one cached
+    traversal, redone only after the tree's structure or planting
+    changed: the first call after a change costs O(nodes), the rest
+    O(1).
 
     Message accounting: child-creation plants cost a DHT lookup
     (counted in overlay hops when [route_messages] is on) plus one
@@ -53,10 +63,18 @@ val is_leaf : kt_node -> bool
 
 val depth : t -> int
 (** Maximum depth over all current KT nodes — the bound on
-    aggregation / dissemination rounds, O(log_K N). *)
+    aggregation / dissemination rounds, O(log_K N).  Cached (see
+    above). *)
 
 val n_nodes : t -> int
+(** Cached (see above). *)
+
 val n_leaves : t -> int
+(** Cached (see above). *)
+
+val host_nodes : t -> Id.t -> int
+(** Number of KT nodes planted in the VS with this id (0 for none) —
+    what a VS transfer must re-home.  Cached (see above). *)
 
 val leaves : t -> kt_node list
 (** In identifier-space order. *)
@@ -64,17 +82,25 @@ val leaves : t -> kt_node list
 val refresh : ?route_messages:bool -> t -> 'a Dht.t -> unit
 (** One periodic maintenance pass: re-resolve every KT node's hosting
     VS, prune children of nodes that became leaves, grow children that
-    became necessary.  Idempotent once the ring is stable. *)
+    became necessary.  Idempotent once the ring is stable.
+
+    Costs O(nodes) when the ring version moved since the tree was last
+    consistent (or with [route_messages], whose lookups are charged);
+    otherwise O(1): it charges the walk's heartbeats,
+    [n_nodes - 1] messages, and changes nothing else. *)
 
 val repair : ?route_messages:bool -> t -> 'a Dht.t -> int
 (** Reactive self-repair, run before a sweep traverses the tree under
     churn: detect KT nodes whose hosting VS is dead or no longer owns
     the node's centre key, re-plant each via a DHT lookup issued from
     the nearest live ancestor, then prune/grow the affected subtrees
-    against the current ring.  Unlike {!refresh} it touches only
-    broken nodes, so it is free (and counts nothing) on a healthy
-    ring.  Returns the number of KT nodes re-planted this pass;
-    cumulative costs are exposed by {!repairs} / {!repair_messages}. *)
+    against the current ring.  Unlike {!refresh} it charges messages
+    only for broken nodes, so it counts nothing on a healthy ring.
+    Returns the number of KT nodes re-planted this pass; cumulative
+    costs are exposed by {!repairs} / {!repair_messages}.
+
+    Walks the whole tree, O(nodes), when the ring version moved since
+    the tree was last consistent; otherwise returns 0 in O(1). *)
 
 val check_consistent : t -> 'a Dht.t -> (unit, string) result
 (** Structural invariants: root covers the ring, children partition
@@ -91,20 +117,21 @@ val leaf_assignment : t -> (Id.t, kt_node) Hashtbl.t
     several leaves reports through exactly one to avoid redundant
     information (§3.2, §4.3).  The table is cached on the tree and
     shared by every caller until the next structural mutation
-    (plant / prune / re-host), so repeated per-round calls cost one
-    traversal. *)
+    (plant / prune / re-host): O(nodes) on the first call after one,
+    O(1) after that. *)
 
 val leaf_slot : kt_node -> int
 (** The node's slot ordinal in the current {!leaf_assignment}: assigned
     leaves are numbered [0 .. n_leaf_slots - 1] in preorder; any other
-    node answers -1.  Only meaningful after a {!leaf_assignment} call
-    on the owning tree, until the next structural mutation.  Backs the
+    node answers -1.  Only meaningful after a cached figure
+    ({!leaf_assignment}, {!n_nodes}, ...) was read from the owning
+    tree, until the next structural mutation.  Backs the
     array-indexed (counting-sort) rendezvous in the VSA/LBI hot
     paths. *)
 
 val n_leaf_slots : t -> int
-(** Number of assigned leaves numbered by the cached assignment; 0 when
-    no assignment is cached. *)
+(** Number of assigned leaves numbered by the cached assignment.
+    Cached (see above). *)
 
 (** {1 Sweeps}
 

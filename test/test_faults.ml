@@ -286,6 +286,61 @@ let test_duplicate_dedup_conserves_vs () =
   | Ok () -> ()
   | Error e -> Alcotest.fail ("VS conservation under duplication: " ^ e)
 
+(* A duplicated TRANSFER reaches the light node's handler twice and
+   the (vs, seq) table must drop the replay.  Were it installed, the
+   light node would acknowledge it a second time and the transfer
+   would commit twice: counted twice in [transfers] and [moved_load]
+   (or refused as an illegal second COMMIT). *)
+let test_duplicate_transfer_applied_once () =
+  let dht = Dht.create ~seed:3 in
+  let ids =
+    Array.init 8 (fun _ -> Dht.join dht ~capacity:1.0 ~underlay:0 ~n_vs:2)
+  in
+  Dht.fold_vs dht ~init:1.0 ~f:(fun l v ->
+      Dht.set_vs_load dht v l;
+      l +. 1.0)
+  |> ignore;
+  let assignments =
+    Array.to_list
+      (Array.mapi
+         (fun i id ->
+           let v = List.hd (Dht.node dht id).Dht.vss in
+           {
+             Types.a_vs_id = v.Dht.vs_id;
+             a_load = v.Dht.load;
+             a_from = id;
+             a_to = ids.((i + 1) mod Array.length ids);
+             a_depth = 0;
+           })
+         ids)
+  in
+  let faults =
+    Faults.create ~seed:3
+      (Faults.churn ~crash_fraction:0.0 ~message_loss:0.0 ~duplicate_prob:0.9
+         ())
+  in
+  let r =
+    match Vst.apply ~faults dht assignments with
+    | r -> r
+    | exception Invalid_argument e ->
+      Alcotest.fail ("a replayed TRANSFER was applied: " ^ e)
+  in
+  check Alcotest.bool "some TRANSFERs duplicated" true
+    (Faults.duplicates faults > 0);
+  check Alcotest.int "every replay dropped" (Faults.duplicates faults)
+    r.Vst.deduped;
+  check Alcotest.int "each transfer committed once"
+    (List.length assignments) r.Vst.transfers;
+  close "moved load counted once"
+    (List.fold_left (fun acc a -> acc +. a.Types.a_load) 0.0 assignments)
+    r.Vst.moved_load;
+  List.iter
+    (fun (a : Types.assignment) ->
+      match Dht.vs_of_id dht a.a_vs_id with
+      | Some v -> check Alcotest.int "VS at its target" a.a_to v.Dht.owner
+      | None -> Alcotest.fail "VS lost")
+    assignments
+
 (* Mid-transfer crash windows on nearly every transaction: aborts are
    attributed per cause, rollbacks leave every surviving VS exactly
    once, and crash absorption accounts for the disappearances. *)
@@ -383,5 +438,7 @@ let () =
             test_transfer_crash_rollback;
           Alcotest.test_case "zero-config digests pinned" `Quick
             test_no_perturbation_digest_pins;
+          Alcotest.test_case "duplicated TRANSFER applied once" `Quick
+            test_duplicate_transfer_applied_once;
         ] );
     ]

@@ -12,6 +12,10 @@ module Region = P2plb_idspace.Region
 module Excess = P2plb.Excess
 module Pairing = P2plb.Pairing
 module Types = P2plb.Types
+module Dht = P2plb_chord.Dht
+module Ktree = P2plb_ktree.Ktree
+module Obs = P2plb_obs.Obs
+module Registry = P2plb_obs.Registry
 
 (* ---- Region: wrap-around interval algebra ------------------------------- *)
 
@@ -363,6 +367,204 @@ let test_vsa_grouping_agrees () =
   Prop.run ~seed:0x5eed08 ~name:"VSA slice grouping = list reference"
     vsa_record_case prop_vsa_grouping_agrees
 
+(* ---- Ktree: the ring-version contract ----------------------------------- *)
+
+(* Ring mutations and ring-neutral updates; [arg] picks the node, VS,
+   load or key the operation touches. *)
+type ring_op =
+  | Join of int
+  | Crash of int
+  | Leave of int
+  | Remove_vs of int
+  | Transfer_vs of int
+  | Set_vs_load of int
+  | Put of int
+
+let ring_op_name = function
+  | Join a -> Printf.sprintf "Join %d" a
+  | Crash a -> Printf.sprintf "Crash %d" a
+  | Leave a -> Printf.sprintf "Leave %d" a
+  | Remove_vs a -> Printf.sprintf "Remove_vs %d" a
+  | Transfer_vs a -> Printf.sprintf "Transfer_vs %d" a
+  | Set_vs_load a -> Printf.sprintf "Set_vs_load %d" a
+  | Put a -> Printf.sprintf "Put %d" a
+
+let ring_op =
+  let of_pair (kind, a) =
+    match kind with
+    | 0 -> Join a
+    | 1 -> Crash a
+    | 2 -> Leave a
+    | 3 -> Remove_vs a
+    | 4 -> Transfer_vs a
+    | 5 -> Set_vs_load a
+    | _ -> Put a
+  in
+  let to_pair = function
+    | Join a -> (0, a)
+    | Crash a -> (1, a)
+    | Leave a -> (2, a)
+    | Remove_vs a -> (3, a)
+    | Transfer_vs a -> (4, a)
+    | Set_vs_load a -> (5, a)
+    | Put a -> (6, a)
+  in
+  let p = Prop.pair (Prop.int_in 0 6) (Prop.int_in 0 1_000_000) in
+  Prop.make ~print:ring_op_name
+    ~shrink:(fun op -> List.map of_pair (p.Prop.shrink (to_pair op)))
+    (fun rng -> of_pair (p.Prop.gen rng))
+
+(* (physical nodes, K = 2 or 8, operations). *)
+let ktree_case =
+  Prop.triple (Prop.int_in 16 512) (Prop.int_in 0 1)
+    (Prop.list_of ~max_len:10 ring_op)
+
+let ring_ids dht = Dht.fold_vs dht ~init:[] ~f:(fun acc v -> v.Dht.vs_id :: acc)
+
+let nth_vs dht a =
+  let n = Dht.n_vs dht in
+  let i = a mod n in
+  fst
+    (Dht.fold_vs dht ~init:(None, 0) ~f:(fun (found, j) v ->
+         ((if j = i then Some v else found), j + 1)))
+  |> Option.get
+
+let apply_ring_op dht op =
+  let node a = Dht.alive_nth dht (a mod Dht.n_nodes dht) in
+  (* A departure that would empty the ring is skipped. *)
+  let can_depart (n : Dht.node) = List.length n.Dht.vss < Dht.n_vs dht in
+  match op with
+  | Join a ->
+    ignore
+      (Dht.join dht ~capacity:1.0 ~underlay:0 ~n_vs:(1 + (a mod 3)))
+  | Crash a ->
+    let n = node a in
+    if Dht.n_nodes dht > 1 && can_depart n then Dht.crash dht n.Dht.node_id
+  | Leave a ->
+    let n = node a in
+    if Dht.n_nodes dht > 1 && can_depart n then Dht.leave dht n.Dht.node_id
+  | Remove_vs a ->
+    if Dht.n_vs dht > 1 then Dht.remove_vs dht ~vs_id:(nth_vs dht a).Dht.vs_id
+  | Transfer_vs a ->
+    Dht.transfer_vs dht ~vs_id:(nth_vs dht a).Dht.vs_id
+      ~to_node:(node (a / 7)).Dht.node_id
+  | Set_vs_load a ->
+    Dht.set_vs_load dht (nth_vs dht a) (float_of_int (a mod 1000) /. 100.0)
+  | Put a ->
+    ignore
+      (Dht.put dht ~from:(nth_vs dht a).Dht.vs_id ~key:(Id.of_int a) ())
+
+(* The cached whole-tree figures against a fresh preorder fold: sizes,
+   per-host node counts, and the deepest-first leaf table numbered in
+   preorder. *)
+let summary_matches_fold tree dht =
+  (* Slots are numbered when the summary is built. *)
+  let assignment = Ktree.leaf_assignment tree in
+  let nodes, depth, leaves =
+    Ktree.fold_nodes tree ~init:(0, 0, 0) ~f:(fun (n, d, l) kn ->
+        (n + 1, Int.max d kn.Ktree.depth, if Ktree.is_leaf kn then l + 1 else l))
+  in
+  let per_host = Hashtbl.create 64 in
+  let deepest = Hashtbl.create 64 in
+  Ktree.fold_nodes tree ~init:() ~f:(fun () kn ->
+      let h = kn.Ktree.host in
+      Hashtbl.replace per_host h
+        (1 + Option.value ~default:0 (Hashtbl.find_opt per_host h));
+      if Ktree.is_leaf kn then
+        match Hashtbl.find_opt deepest h with
+        | Some e when e.Ktree.depth >= kn.Ktree.depth -> ()
+        | _ -> Hashtbl.replace deepest h kn);
+  let slots_ok, n_slots =
+    Ktree.fold_nodes tree ~init:(true, 0) ~f:(fun (ok, next) kn ->
+        let winner =
+          Ktree.is_leaf kn
+          && (match Hashtbl.find_opt deepest kn.Ktree.host with
+             | Some w -> w == kn
+             | None -> false)
+        in
+        if winner then (ok && Ktree.leaf_slot kn = next, next + 1)
+        else (ok && Ktree.leaf_slot kn = -1, next))
+  in
+  Ktree.n_nodes tree = nodes
+  && Ktree.depth tree = depth
+  && Ktree.n_leaves tree = leaves
+  && Hashtbl.length assignment = Hashtbl.length deepest
+  && slots_ok
+  && Ktree.n_leaf_slots tree = n_slots
+  (* Every KT host is a live VS on a consistent tree. *)
+  && Dht.fold_vs dht ~init:true ~f:(fun ok v ->
+         let id = v.Dht.vs_id in
+         ok
+         && Ktree.host_nodes tree id
+            = Option.value ~default:0 (Hashtbl.find_opt per_host id)
+         &&
+         match (Hashtbl.find_opt assignment id, Hashtbl.find_opt deepest id) with
+         | Some a, Some w -> a == w
+         | None, None -> true
+         | _ -> false)
+
+let prop_ktree_version_contract (n_nodes, k_sel, ops) =
+  let dht = Dht.create ~seed:n_nodes in
+  for i = 0 to n_nodes - 1 do
+    let nid = Dht.join dht ~capacity:1.0 ~underlay:0 ~n_vs:(1 + (i mod 3)) in
+    List.iter
+      (fun v -> Dht.set_vs_load dht v (float_of_int ((i * 7) mod 11)))
+      (Dht.node dht nid).Dht.vss
+  done;
+  let tree = Ktree.build ~k:(if k_sel = 0 then 2 else 8) dht in
+  let obs = Obs.create () in
+  Ktree.set_obs tree obs;
+  let rehosts () =
+    Option.value ~default:0 (Registry.find_counter (Obs.metrics obs) "kt/rehost")
+  in
+  let consistent () = Result.is_ok (Ktree.check_consistent tree dht) in
+  (* At an unchanged ring version both walks are no-ops apart from
+     refresh's heartbeats. *)
+  let noop_repair () =
+    let m = Ktree.messages tree and r = Ktree.repairs tree in
+    let rm = Ktree.repair_messages tree in
+    Ktree.repair tree dht = 0
+    && Ktree.messages tree = m
+    && Ktree.repairs tree = r
+    && Ktree.repair_messages tree = rm
+  in
+  let noop_refresh () =
+    let m = Ktree.messages tree and h = rehosts () in
+    Ktree.refresh tree dht;
+    Ktree.messages tree = m + Ktree.n_nodes tree - 1 && rehosts () = h
+  in
+  consistent () && summary_matches_fold tree dht
+  && List.for_all
+       (fun (i, op) ->
+         let v0 = Dht.ring_version dht and ids0 = ring_ids dht in
+         apply_ring_op dht op;
+         let changed = ring_ids dht <> ids0 in
+         let version_ok =
+           if changed then Dht.ring_version dht <> v0
+           else Dht.ring_version dht = v0
+         in
+         (* Odd steps repair first, even steps refresh first: the first
+            walk meets the op's ring, the second an unchanged one. *)
+         let walked_ok =
+           (if i mod 2 = 1 then (
+              let r = Ktree.repair tree dht in
+              (changed || r = 0) && consistent () && noop_refresh ())
+            else (
+              let m = Ktree.messages tree in
+              Ktree.refresh tree dht;
+              (changed || Ktree.messages tree = m + Ktree.n_nodes tree - 1)
+              && consistent () && noop_repair ()))
+          && noop_repair () && noop_refresh ()
+         in
+         version_ok && walked_ok && consistent ()
+         && summary_matches_fold tree dht)
+       (List.mapi (fun i op -> (i, op)) ops)
+
+let test_ktree_version_contract () =
+  Prop.run ~count:40 ~seed:0x5eed09
+    ~name:"ring version gates KT repair/refresh; cached summary = fold"
+    ktree_case prop_ktree_version_contract
+
 let () =
   Alcotest.run "prop"
     [
@@ -389,5 +591,10 @@ let () =
             test_merge_agrees_with_reference;
           Alcotest.test_case "VSA grouping agrees with list path" `Quick
             test_vsa_grouping_agrees;
+        ] );
+      ( "ktree",
+        [
+          Alcotest.test_case "ring-version contract" `Quick
+            test_ktree_version_contract;
         ] );
     ]
