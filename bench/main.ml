@@ -25,6 +25,7 @@ module Dht = P2plb_chord.Dht
 module Ktree = P2plb_ktree.Ktree
 module Graph = P2plb_topology.Graph
 module TS = P2plb_topology.Transit_stub
+module Landmark = P2plb_landmark.Landmark
 module Hilbert = P2plb_hilbert.Hilbert
 module Workload = P2plb_workload.Workload
 module Prng = P2plb_prng.Prng
@@ -278,6 +279,8 @@ let fresh_scenario () =
   in
   Scenario.build ~seed:123 config
 
+let ts5k_large = lazy (TS.generate (Prng.create ~seed:8) TS.ts5k_large)
+
 let pairing_fixture =
   lazy
     (let rng = Prng.create ~seed:5 in
@@ -364,6 +367,18 @@ let tests =
          (let s = Lazy.force fixture in
           let g = s.Scenario.topo.TS.graph in
           fun () -> ignore (Graph.dijkstra g ~src:0)));
+    (* Scenario build: the paper's underlay and its landmark space. *)
+    Test.make ~name:"kernel/ts5k_generate"
+      (Staged.stage (fun () ->
+           ignore (TS.generate (Prng.create ~seed:8) TS.ts5k_large)));
+    Test.make ~name:"kernel/landmark_space_ts5k"
+      (Staged.stage
+         (let g = (Lazy.force ts5k_large).TS.latency_graph in
+          let landmarks =
+            Landmark.select_spread (Prng.create ~seed:9) g
+              ~m:Scenario.default.Scenario.landmark_m
+          in
+          fun () -> ignore (Landmark.make_space g ~landmarks)));
   ]
 
 let run_bechamel () =

@@ -20,27 +20,41 @@ let select_spread rng g ~m =
   if m < 1 then invalid_arg "Landmark.select_spread: m < 1";
   let n = Graph.n_vertices g in
   if m > n then invalid_arg "Landmark.select_spread: m > vertices";
-  let chosen = Array.make m 0 in
+  let chosen = Array.make m 0 and is_chosen = Array.make n false in
   chosen.(0) <- Prng.int rng n;
+  is_chosen.(chosen.(0)) <- true;
   (* min distance from each vertex to the chosen set so far *)
   let min_dist = Graph.dijkstra g ~src:chosen.(0) in
-  let min_dist = Array.copy min_dist in
   for i = 1 to m - 1 do
     (* Farthest vertex from the current set (ignoring unreachable). *)
     let best = ref 0 and best_d = ref (-1) in
     Array.iteri
       (fun v d ->
-        if d <> max_int && d > !best_d && not (Array.exists (Int.equal v) (Array.sub chosen 0 i))
-        then begin
+        if d <> max_int && d > !best_d && not is_chosen.(v) then begin
           best := v;
           best_d := d
         end)
       min_dist;
     chosen.(i) <- !best;
+    is_chosen.(!best) <- true;
     let d_new = Graph.dijkstra g ~src:!best in
     Array.iteri (fun v d -> if d < min_dist.(v) then min_dist.(v) <- d) d_new
   done;
   chosen
+
+(* [row] in ascending order, unreachable ([max_int]) entries last, by
+   counting sort over [0, d_max] with the caller's [counts] scratch. *)
+let counting_sort counts ~d_max row =
+  Array.fill counts 0 (d_max + 1) 0;
+  Array.iter (fun d -> if d <> max_int then counts.(d) <- counts.(d) + 1) row;
+  let s = Array.make (Array.length row) max_int and j = ref 0 in
+  for d = 0 to d_max do
+    for _ = 1 to counts.(d) do
+      s.(!j) <- d;
+      incr j
+    done
+  done;
+  s
 
 let make_space g ~landmarks =
   if Array.length landmarks = 0 then invalid_arg "Landmark.make_space: no landmarks";
@@ -51,19 +65,27 @@ let make_space g ~landmarks =
         Array.fold_left (fun acc d -> if d <> max_int && d > acc then d else acc) acc row)
       0 dists
   in
+  (* Edge weights are arbitrary, so distances can dwarf the vertex
+     count; counters stay within a few per vertex, else a comparison
+     sort is the cheaper one. *)
   let sorted_dists =
-    Array.map
-      (fun row ->
-        let s = Array.copy row in
-        Array.sort Int.compare s;
-        s)
-      dists
+    if d_max <= 4 * Graph.n_vertices g then
+      let counts = Array.make (d_max + 1) 0 in
+      Array.map (counting_sort counts ~d_max) dists
+    else
+      Array.map
+        (fun row ->
+          let s = Array.copy row in
+          Array.sort Int.compare s;
+          s)
+        dists
   in
   { landmark_vertices = Array.copy landmarks; dists; d_max; sorted_dists }
 
 let m s = Array.length s.landmark_vertices
 let landmarks s = Array.copy s.landmark_vertices
 let max_distance s = s.d_max
+let sorted_distances s l = Array.copy s.sorted_dists.(l)
 
 let vector s v = Array.map (fun row -> row.(v)) s.dists
 

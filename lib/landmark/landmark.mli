@@ -28,7 +28,10 @@ val select_spread : Prng.t -> Graph.t -> m:int -> int array
     better-conditioned landmark spaces on clustered topologies. *)
 
 val make_space : Graph.t -> landmarks:int array -> space
-(** Runs one Dijkstra per landmark. *)
+(** Runs one Dijkstra per landmark, then sorts each landmark's
+    distances for {!Quantile} binning: a counting sort over
+    [\[0, max_distance\]] while that range is at most four times the
+    vertex count, a comparison sort otherwise. *)
 
 val m : space -> int
 val landmarks : space -> int array
@@ -39,6 +42,11 @@ val vector : space -> int -> int array
 
 val max_distance : space -> int
 (** Largest finite landmark–vertex distance; defines grid scaling. *)
+
+val sorted_distances : space -> int -> int array
+(** [sorted_distances s l]: landmark [l]'s distances to every vertex in
+    ascending order, unreachable ([max_int]) last — the axis whose
+    quantiles bound {!Quantile} cells.  A fresh copy. *)
 
 type binning =
   | Equal_width  (** cells of equal size over [\[0, max_distance\]] *)

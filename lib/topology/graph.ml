@@ -1,93 +1,182 @@
-type builder = {
-  bn : int;
-  adj : (int * int) list array; (* neighbor, weight *)
-  edges : (int * int, unit) Hashtbl.t; (* canonical (min, max) pairs *)
-  mutable m : int;
-}
-
+(* Compressed sparse rows: vertex [v]'s neighbours are [dst.(i)], at
+   weight [wt.(i)], for [off.(v) <= i < off.(v + 1)].  Each undirected
+   edge appears once in the row of each endpoint.  [dst] and [wt] are
+   sized for every edge added, so a tail past [off.(n)] is unused: the
+   dropped duplicates. *)
 type t = {
   n : int;
-  nbr : (int * int) array array;
-  m_frozen : int;
+  m : int;
+  off : int array;
+  dst : int array;
+  wt : int array;
 }
+
+(* Edge records in insertion order, duplicates included: (u, v, weight)
+   triples packed into chunks, so growing never copies and leaves no
+   garbage behind.  [cur] is filled up to [fill]; [full] holds the
+   earlier chunks, newest first. *)
+type builder = {
+  bn : int;
+  mutable full : int array list;
+  mutable cur : int array;
+  mutable fill : int;
+  mutable k : int;
+}
+
+let chunk_edges = 4096
 
 let create_builder ~n =
   if n < 0 then invalid_arg "Graph.create_builder: n < 0";
-  { bn = n; adj = Array.make n []; edges = Hashtbl.create (4 * n); m = 0 }
-
-let canon u v = if u < v then (u, v) else (v, u)
-
-let has_edge b u v = Hashtbl.mem b.edges (canon u v)
+  let first = Int.min chunk_edges (Int.max 16 n) in
+  { bn = n; full = []; cur = Array.make (3 * first) 0; fill = 0; k = 0 }
 
 let add_edge b u v ~weight =
   if u < 0 || u >= b.bn || v < 0 || v >= b.bn then
     invalid_arg "Graph.add_edge: vertex out of range";
   if u = v then invalid_arg "Graph.add_edge: self loop";
   if weight < 0 then invalid_arg "Graph.add_edge: negative weight";
-  if not (has_edge b u v) then begin
-    Hashtbl.add b.edges (canon u v) ();
-    b.adj.(u) <- (v, weight) :: b.adj.(u);
-    b.adj.(v) <- (u, weight) :: b.adj.(v);
-    b.m <- b.m + 1
-  end
+  if b.fill = Array.length b.cur then begin
+    b.full <- b.cur :: b.full;
+    b.cur <- Array.make (3 * chunk_edges) 0;
+    b.fill <- 0
+  end;
+  b.cur.(b.fill) <- u;
+  b.cur.(b.fill + 1) <- v;
+  b.cur.(b.fill + 2) <- weight;
+  b.fill <- b.fill + 3;
+  b.k <- b.k + 1
+
+(* [f u v weight] for every edge added, in insertion order. *)
+let iter_edges b f =
+  let scan chunk len =
+    for e = 0 to (len / 3) - 1 do
+      f chunk.(3 * e) chunk.((3 * e) + 1) chunk.((3 * e) + 2)
+    done
+  in
+  List.iter (fun chunk -> scan chunk (Array.length chunk)) (List.rev b.full);
+  scan b.cur b.fill
 
 let freeze b =
-  { n = b.bn; nbr = Array.map Array.of_list b.adj; m_frozen = b.m }
+  let n = b.bn and k = b.k in
+  (* Count each edge into the row of both endpoints, then place them in
+     insertion order: every row lists its edges in the order they were
+     added, repeats included. *)
+  let off = Array.make (n + 1) 0 in
+  iter_edges b (fun u v _ ->
+      off.(u + 1) <- off.(u + 1) + 1;
+      off.(v + 1) <- off.(v + 1) + 1);
+  for v = 1 to n do
+    off.(v) <- off.(v) + off.(v - 1)
+  done;
+  let next = Array.sub off 0 n in
+  let dst = Array.make (2 * k) 0 and wt = Array.make (2 * k) 0 in
+  let place u v w =
+    let i = next.(u) in
+    dst.(i) <- v;
+    wt.(i) <- w;
+    next.(u) <- i + 1
+  in
+  iter_edges b (fun u v w ->
+      place u v w;
+      place v u w);
+  (* Compact each row in place, keeping a neighbour's first entry only.
+     Row [u] and row [v] both meet the pair's first-added edge first,
+     so both directions keep its weight.  [seen.(v) = u] marks [v]
+     already kept in row [u]. *)
+  let seen = next in
+  Array.fill seen 0 n (-1);
+  let j = ref 0 and lo = ref 0 in
+  for u = 0 to n - 1 do
+    let hi = off.(u + 1) in
+    off.(u) <- !j;
+    for i = !lo to hi - 1 do
+      let v = dst.(i) in
+      if seen.(v) <> u then begin
+        seen.(v) <- u;
+        dst.(!j) <- v;
+        wt.(!j) <- wt.(i);
+        incr j
+      end
+    done;
+    lo := hi
+  done;
+  off.(n) <- !j;
+  { n; m = !j / 2; off; dst; wt }
 
 let n_vertices g = g.n
-let n_edges g = g.m_frozen
-let neighbors g v = g.nbr.(v)
-let degree g v = Array.length g.nbr.(v)
+let n_edges g = g.m
+let degree g v = g.off.(v + 1) - g.off.(v)
 
-(* Binary min-heap of (dist, vertex), array-based. *)
+let iter_neighbors g v f =
+  for i = g.off.(v) to g.off.(v + 1) - 1 do
+    f g.dst.(i) g.wt.(i)
+  done
+
+(* Binary min-heap of (key, vertex) entries held in two parallel int
+   arrays, so a push allocates nothing until the arrays fill up (they
+   then double).  Each Dijkstra run creates its own: Oracle rows are
+   computed concurrently on several domains.  The arrays start small:
+   sized to the graph, every run would put two vertex-count arrays
+   straight on the major heap, which raised peak RSS by a few MB. *)
 module Heap = struct
   type t = {
-    mutable a : (int * int) array;
+    mutable key : int array;
+    mutable vtx : int array;
     mutable size : int;
   }
 
-  let create () = { a = Array.make 64 (0, 0); size = 0 }
+  let create () = { key = Array.make 64 0; vtx = Array.make 64 0; size = 0 }
 
-  let swap h i j =
-    let tmp = h.a.(i) in
-    h.a.(i) <- h.a.(j);
-    h.a.(j) <- tmp
-
-  let push h x =
-    if h.size = Array.length h.a then begin
-      let bigger = Array.make (2 * h.size) (0, 0) in
-      Array.blit h.a 0 bigger 0 h.size;
-      h.a <- bigger
+  let push h k v =
+    if h.size = Array.length h.key then begin
+      let grow a =
+        let bigger = Array.make (2 * h.size) 0 in
+        Array.blit a 0 bigger 0 h.size;
+        bigger
+      in
+      h.key <- grow h.key;
+      h.vtx <- grow h.vtx
     end;
-    h.a.(h.size) <- x;
+    let i = ref h.size in
     h.size <- h.size + 1;
-    let i = ref (h.size - 1) in
-    while !i > 0 && fst h.a.((!i - 1) / 2) > fst h.a.(!i) do
-      swap h ((!i - 1) / 2) !i;
-      i := (!i - 1) / 2
-    done
-
-  let pop h =
-    if h.size = 0 then invalid_arg "Heap.pop: empty";
-    let top = h.a.(0) in
-    h.size <- h.size - 1;
-    h.a.(0) <- h.a.(h.size);
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let smallest = ref !i in
-      if l < h.size && fst h.a.(l) < fst h.a.(!smallest) then smallest := l;
-      if r < h.size && fst h.a.(r) < fst h.a.(!smallest) then smallest := r;
-      if !smallest <> !i then begin
-        swap h !i !smallest;
-        i := !smallest
-      end
-      else continue := false
+    while !i > 0 && h.key.((!i - 1) / 2) > k do
+      let p = (!i - 1) / 2 in
+      h.key.(!i) <- h.key.(p);
+      h.vtx.(!i) <- h.vtx.(p);
+      i := p
     done;
-    top
+    h.key.(!i) <- k;
+    h.vtx.(!i) <- v
 
   let is_empty h = h.size = 0
+  let min_key h = h.key.(0)
+
+  (* Removes the minimum entry and returns its vertex. *)
+  let pop h =
+    if h.size = 0 then invalid_arg "Heap.pop: empty";
+    let top = h.vtx.(0) in
+    h.size <- h.size - 1;
+    let n = h.size in
+    if n > 0 then begin
+      let k = h.key.(n) and x = h.vtx.(n) in
+      let i = ref 0 and sifting = ref true in
+      while !sifting do
+        let l = (2 * !i) + 1 in
+        if l >= n then sifting := false
+        else begin
+          let c = if l + 1 < n && h.key.(l + 1) < h.key.(l) then l + 1 else l in
+          if h.key.(c) < k then begin
+            h.key.(!i) <- h.key.(c);
+            h.vtx.(!i) <- h.vtx.(c);
+            i := c
+          end
+          else sifting := false
+        end
+      done;
+      h.key.(!i) <- k;
+      h.vtx.(!i) <- x
+    end;
+    top
 end
 
 (* Dijkstra from [src] over the vertices [v] with [comp.(v) = c] only;
@@ -100,20 +189,21 @@ let dijkstra_within g ~comp ~c ~local ~size ~src =
   let dist = Array.make size max_int in
   dist.(local.(src)) <- 0;
   let heap = Heap.create () in
-  Heap.push heap (0, src);
+  Heap.push heap 0 src;
   while not (Heap.is_empty heap) do
-    let d, u = Heap.pop heap in
+    let d = Heap.min_key heap in
+    let u = Heap.pop heap in
     if d = dist.(local.(u)) then
-      Array.iter
-        (fun (v, w) ->
-          if comp.(v) = c then begin
-            let nd = d + w in
-            if nd < dist.(local.(v)) then begin
-              dist.(local.(v)) <- nd;
-              Heap.push heap (nd, v)
-            end
-          end)
-        g.nbr.(u)
+      for i = g.off.(u) to g.off.(u + 1) - 1 do
+        let v = g.dst.(i) in
+        if comp.(v) = c then begin
+          let nd = d + g.wt.(i) in
+          if nd < dist.(local.(v)) then begin
+            dist.(local.(v)) <- nd;
+            Heap.push heap nd v
+          end
+        end
+      done
   done;
   dist
 
@@ -122,18 +212,19 @@ let dijkstra g ~src =
   let dist = Array.make g.n max_int in
   dist.(src) <- 0;
   let heap = Heap.create () in
-  Heap.push heap (0, src);
+  Heap.push heap 0 src;
   while not (Heap.is_empty heap) do
-    let d, u = Heap.pop heap in
+    let d = Heap.min_key heap in
+    let u = Heap.pop heap in
     if d = dist.(u) then
-      Array.iter
-        (fun (v, w) ->
-          let nd = d + w in
-          if nd < dist.(v) then begin
-            dist.(v) <- nd;
-            Heap.push heap (nd, v)
-          end)
-        g.nbr.(u)
+      for i = g.off.(u) to g.off.(u + 1) - 1 do
+        let v = g.dst.(i) in
+        let nd = d + g.wt.(i) in
+        if nd < dist.(v) then begin
+          dist.(v) <- nd;
+          Heap.push heap nd v
+        end
+      done
   done;
   dist
 
@@ -143,25 +234,23 @@ let is_connected g =
   if g.n = 0 then true
   else begin
     let seen = Array.make g.n false in
-    let stack = ref [ 0 ] in
+    (* Each vertex is pushed once; vertex 0 starts on the stack. *)
+    let stack = Array.make g.n 0 and top = ref 1 in
     seen.(0) <- true;
     let count = ref 1 in
-    let rec walk () =
-      match !stack with
-      | [] -> ()
-      | u :: rest ->
-        stack := rest;
-        Array.iter
-          (fun (v, _) ->
-            if not seen.(v) then begin
-              seen.(v) <- true;
-              incr count;
-              stack := v :: !stack
-            end)
-          g.nbr.(u);
-        walk ()
-    in
-    walk ();
+    while !top > 0 do
+      decr top;
+      let u = stack.(!top) in
+      for i = g.off.(u) to g.off.(u + 1) - 1 do
+        let v = g.dst.(i) in
+        if not seen.(v) then begin
+          seen.(v) <- true;
+          incr count;
+          stack.(!top) <- v;
+          incr top
+        end
+      done
+    done;
     !count = g.n
   end
 
@@ -198,7 +287,7 @@ module Oracle = struct
     let n = g.n in
     let disc = Array.make n (-1) and low = Array.make n 0 in
     let tree_parent = Array.make n (-1) and tree_w = Array.make n 0 in
-    let next = Array.make n 0 in
+    let next = Array.sub g.off 0 n in
     let calls = Array.make n 0 and n_calls = ref 0 in
     let unassigned = Array.make n 0 and n_unassigned = ref 0 in
     let comp = Array.make n (-1) and local = Array.make n 0 in
@@ -234,16 +323,17 @@ module Oracle = struct
         stop := x = v
       done
     in
-    (* Iterative Tarjan: [calls] is the DFS path, [next.(u)] the next
-       neighbour of [u] to scan.  Graphs have no parallel edges, so
-       skipping the tree parent skips exactly the tree edge. *)
+    (* Iterative Tarjan: [calls] is the DFS path, [next.(u)] the CSR
+       index of the next neighbour of [u] to scan.  Graphs have no
+       parallel edges, so skipping the tree parent skips exactly the
+       tree edge. *)
     for s = 0 to n - 1 do
       if disc.(s) < 0 then begin
         visit s;
         while !n_calls > 0 do
           let u = calls.(!n_calls - 1) in
-          if next.(u) < Array.length g.nbr.(u) then begin
-            let v, w = g.nbr.(u).(next.(u)) in
+          if next.(u) < g.off.(u + 1) then begin
+            let v = g.dst.(next.(u)) and w = g.wt.(next.(u)) in
             next.(u) <- next.(u) + 1;
             if disc.(v) < 0 then begin
               tree_parent.(v) <- u;

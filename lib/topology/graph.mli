@@ -5,33 +5,50 @@
     hop as 1 unit (§5.1). *)
 
 type t
+(** Compressed sparse rows: one offset array over the vertices and two
+    flat int arrays (neighbour, weight) holding each undirected edge
+    once in the row of each endpoint.  No pair is boxed, so a traversal
+    reads three int arrays and allocates nothing. *)
 
 type builder
 
 val create_builder : n:int -> builder
-(** A mutable builder for a graph on vertices [0 .. n-1]. *)
+(** A mutable builder for a graph on vertices [0 .. n-1]: flat
+    [(u, v, weight)] records in insertion order, packed into
+    fixed-size int-array chunks, so growing it never copies. *)
 
 val add_edge : builder -> int -> int -> weight:int -> unit
 (** Adds an undirected edge ([weight >= 0]; zero-latency links are
-    allowed).  Duplicate edges are ignored (the first weight wins);
-    self-loops are rejected. *)
-
-val has_edge : builder -> int -> int -> bool
+    allowed) in O(1), without hashing or any duplicate
+    check.  Self-loops, negative weights and vertices out of range are
+    rejected.  Duplicates — the same pair in either orientation — are
+    dropped by {!freeze}, which keeps the first one added: its weight
+    wins. *)
 
 val freeze : builder -> t
-(** Immutable adjacency-array form. *)
+(** The immutable CSR form, in O(n + m) where [m] counts every edge
+    added, duplicates included: edges are bucketed into the rows of
+    both endpoints, then each row is compacted keeping a neighbour's
+    first entry (a per-vertex mark array, no hashing).  Row [v] lists
+    [v]'s neighbours in the order their edges were first added.  The
+    builder is left unchanged; the graph shares no array with it. *)
 
 val n_vertices : t -> int
-val n_edges : t -> int
 
-val neighbors : t -> int -> (int * int) array
-(** [(vertex, weight)] pairs. *)
+val n_edges : t -> int
+(** Distinct vertex pairs joined by an edge. *)
+
+val iter_neighbors : t -> int -> (int -> int -> unit) -> unit
+(** [iter_neighbors g v f] calls [f u w] for each neighbour [u] of
+    [v], joined at weight [w], in row order (see {!freeze}). *)
 
 val degree : t -> int -> int
 
 val dijkstra : t -> src:int -> int array
 (** Single-source shortest path distances in latency units.
-    Unreachable vertices get [max_int]. *)
+    Unreachable vertices get [max_int].  Besides the result, a run
+    allocates only its binary heap: two parallel int arrays (key,
+    vertex) that double when full, so a push allocates nothing. *)
 
 val distance : t -> src:int -> dst:int -> int
 (** Convenience single-pair distance (runs a full Dijkstra). *)

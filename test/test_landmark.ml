@@ -38,7 +38,31 @@ let test_select_spread_spreads () =
         (fun j b -> if i < j then min_gap := Int.min !min_gap (abs (a - b)))
         lms)
     lms;
-  check Alcotest.bool "pairwise separated" true (!min_gap >= 20)
+  check Alcotest.bool "pairwise separated" true (!min_gap >= 20);
+  (* Brute force on a ts5k-small latency graph: every pick is the
+     lowest-numbered unchosen vertex farthest from the picks before it. *)
+  let g = (TS.generate (Prng.create ~seed:3) TS.ts5k_small).TS.latency_graph in
+  let n = Graph.n_vertices g in
+  let lms = Landmark.select_spread (Prng.create ~seed:4) g ~m:15 in
+  let rows = Array.map (fun l -> Graph.dijkstra g ~src:l) lms in
+  for i = 1 to Array.length lms - 1 do
+    let to_set v =
+      let d = ref max_int in
+      for j = 0 to i - 1 do
+        d := Int.min !d rows.(j).(v)
+      done;
+      !d
+    in
+    let chosen v = Array.exists (Int.equal v) (Array.sub lms 0 i) in
+    let best = ref (-1) in
+    for v = n - 1 downto 0 do
+      let d = to_set v in
+      if (not (chosen v)) && d <> max_int
+         && (!best < 0 || d >= to_set !best)
+      then best := v
+    done;
+    check Alcotest.int (Printf.sprintf "pick %d is the farthest" i) !best lms.(i)
+  done
 
 let test_vector_matches_dijkstra () =
   let g = line_graph 20 in

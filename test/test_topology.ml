@@ -1,5 +1,6 @@
 module Graph = P2plb_topology.Graph
 module TS = P2plb_topology.Transit_stub
+module Landmark = P2plb_landmark.Landmark
 module Prng = P2plb_prng.Prng
 
 let check = Alcotest.check
@@ -104,10 +105,12 @@ let prop_dijkstra_matches_bellman_ford =
       let n = 2 + Prng.int rng 12 in
       let b = Graph.create_builder ~n in
       let edges = ref [] in
+      let seen = Hashtbl.create 16 in
       let n_edges = Prng.int rng (2 * n) in
       for _ = 1 to n_edges do
         let u = Prng.int rng n and v = Prng.int rng n in
-        if u <> v && not (Graph.has_edge b u v) then begin
+        if u <> v && not (Hashtbl.mem seen (Int.min u v, Int.max u v)) then begin
+          Hashtbl.add seen (Int.min u v, Int.max u v) ();
           let w = Prng.int rng 10 in
           Graph.add_edge b u v ~weight:w;
           edges := (u, v, w) :: !edges
@@ -116,6 +119,96 @@ let prop_dijkstra_matches_bellman_ford =
       let g = Graph.freeze b in
       let src = Prng.int rng n in
       Graph.dijkstra g ~src = bellman_ford !edges n src)
+
+(* Independent reference for [freeze] and the CSR kernels: random graphs
+   with repeated pairs in both orientations at differing weights, zero
+   weights, isolated vertices and several components, checked against
+   a first-weight-wins adjacency matrix and Floyd–Warshall over it. *)
+let test_against_floyd_warshall () =
+  for seed = 1 to 300 do
+    let rng = Prng.create ~seed in
+    let n = 1 + Prng.int rng 40 in
+    (* Vertices fall into up to 4 groups (edges stay within a group);
+       group -1 is isolated.  Every fourth graph is one group spanned
+       by a random tree, so connected graphs are covered too. *)
+    let spanned = seed mod 4 = 0 in
+    let groups = if spanned then 1 else 1 + Prng.int rng 4 in
+    let group =
+      Array.init n (fun _ ->
+          if (not spanned) && Prng.int rng 8 = 0 then -1 else Prng.int rng groups)
+    in
+    let first = Array.make_matrix n n (-1) in
+    let b = Graph.create_builder ~n in
+    let add u v w =
+      Graph.add_edge b u v ~weight:w;
+      if first.(u).(v) < 0 then begin
+        first.(u).(v) <- w;
+        first.(v).(u) <- w
+      end
+    in
+    let added = ref [] in
+    let add_new u v =
+      add u v (Prng.int rng 6);
+      added := (u, v) :: !added
+    in
+    if spanned then
+      for v = 1 to n - 1 do
+        add_new v (Prng.int rng v)
+      done;
+    for _ = 1 to Prng.int rng (3 * n) do
+      let u = Prng.int rng n and v = Prng.int rng n in
+      if u <> v && group.(u) >= 0 && group.(u) = group.(v) then add_new u v
+    done;
+    (* Repeats of added pairs, either orientation, other weights. *)
+    List.iter
+      (fun (u, v) ->
+        if Prng.bool rng then
+          if Prng.bool rng then add v u (6 + Prng.int rng 6)
+          else add u v (6 + Prng.int rng 6))
+      !added;
+    let g = Graph.freeze b in
+    let pairs = ref 0 in
+    for u = 0 to n - 1 do
+      for v = u + 1 to n - 1 do
+        if first.(u).(v) >= 0 then incr pairs
+      done
+    done;
+    let ctx = Printf.sprintf "seed %d" seed in
+    check Alcotest.int (ctx ^ ": n_edges") !pairs (Graph.n_edges g);
+    let degree_sum = ref 0 in
+    for u = 0 to n - 1 do
+      degree_sum := !degree_sum + Graph.degree g u;
+      let count = ref 0 in
+      Graph.iter_neighbors g u (fun v w ->
+          incr count;
+          check Alcotest.int (ctx ^ ": first weight wins") first.(u).(v) w);
+      check Alcotest.int (ctx ^ ": one entry per neighbour")
+        (Array.fold_left (fun c w -> if w >= 0 then c + 1 else c) 0 first.(u))
+        !count
+    done;
+    check Alcotest.int (ctx ^ ": degree sum") (2 * Graph.n_edges g) !degree_sum;
+    let fw =
+      Array.init n (fun u ->
+          Array.init n (fun v ->
+              if u = v then 0 else if first.(u).(v) >= 0 then first.(u).(v) else max_int))
+    in
+    for k = 0 to n - 1 do
+      for i = 0 to n - 1 do
+        for j = 0 to n - 1 do
+          if fw.(i).(k) <> max_int && fw.(k).(j) <> max_int
+             && fw.(i).(k) + fw.(k).(j) < fw.(i).(j)
+          then fw.(i).(j) <- fw.(i).(k) + fw.(k).(j)
+        done
+      done
+    done;
+    for src = 0 to n - 1 do
+      check Alcotest.(array int) (ctx ^ ": dijkstra row") fw.(src)
+        (Graph.dijkstra g ~src)
+    done;
+    let connected = Array.for_all (fun d -> d <> max_int) fw.(0) in
+    if spanned then check Alcotest.bool (ctx ^ ": spanned") true connected;
+    check Alcotest.bool (ctx ^ ": is_connected") connected (Graph.is_connected g)
+  done
 
 (* ---- Transit-stub ------------------------------------------------------ *)
 
@@ -185,10 +278,8 @@ let test_ts_weights () =
   let t = TS.generate rng small_params in
   (* hop-metric weights are only 1 (intra) or 3 (inter) *)
   for v = 0 to Graph.n_vertices t.TS.graph - 1 do
-    Array.iter
-      (fun (_, w) ->
+    Graph.iter_neighbors t.TS.graph v (fun _ w ->
         check Alcotest.bool "hop weight is 1 or 3" true (w = 1 || w = 3))
-      (Graph.neighbors t.TS.graph v)
   done
 
 let test_ts_same_domain_short_distance () =
@@ -238,6 +329,89 @@ let prop_ts_always_connected =
       let t = TS.generate rng small_params in
       Graph.is_connected t.TS.graph && Graph.is_connected t.TS.latency_graph)
 
+(* ---- Pins --------------------------------------------------------------- *)
+
+(* The sorted [(min, max, hop_w, lat_w)] edge list of a generated
+   topology, as n, m and an MD5 digest.  Sorting makes the digest blind
+   to neighbour order, which nothing downstream depends on. *)
+let edge_digest t =
+  let edges g =
+    let acc = ref [] in
+    for u = 0 to Graph.n_vertices g - 1 do
+      Graph.iter_neighbors g u (fun v w -> if u < v then acc := (u, v, w) :: !acc)
+    done;
+    (* Pairs are distinct, so (u, v) orders the list completely. *)
+    List.sort
+      (fun (u, v, _) (u', v', _) ->
+        if u <> u' then Int.compare u u' else Int.compare v v')
+      !acc
+  in
+  let buf = Buffer.create 4096 in
+  List.iter2
+    (fun (u, v, hop_w) (u', v', lat_w) ->
+      if u <> u' || v <> v' then Alcotest.fail "hop and latency graphs differ";
+      Buffer.add_string buf (Printf.sprintf "%d %d %d %d\n" u v hop_w lat_w))
+    (edges t.TS.graph) (edges t.TS.latency_graph);
+  ( Graph.n_vertices t.TS.graph,
+    Graph.n_edges t.TS.graph,
+    Digest.to_hex (Digest.string (Buffer.contents buf)) )
+
+(* Recorded from the hash-table generator that preceded the flat
+   builder; any change to the PRNG draw order or the dedup rule
+   (first copy of a pair wins) moves them. *)
+let topology_pins =
+  [
+    ("ts5k_large", TS.ts5k_large, 1, (4140, 70282, "bb9e59933cabd00e16712c1356fc650c"));
+    ("ts5k_large", TS.ts5k_large, 2, (4490, 77092, "9e37df06ccc391f509c67959b4000e3c"));
+    ("ts5k_small", TS.ts5k_small, 1, (5342, 6228, "40818c65cc9426697c9d1a741d409141"));
+    ("ts5k_small", TS.ts5k_small, 2, (5382, 6284, "c6c6ac977c4e757e5f6bf5688ad77734"));
+    ("scaled 4096", TS.scaled ~n:4096, 1, (5234, 15801, "7d4aa655bfa2ce8fe511960abfafd145"));
+    ("scaled 4096", TS.scaled ~n:4096, 2, (5457, 17192, "955bda8c631f37d177661ed32bac33fc"));
+  ]
+
+let test_topology_pins () =
+  List.iter
+    (fun (name, params, seed, expect) ->
+      check
+        Alcotest.(triple int int string)
+        (Printf.sprintf "%s seed %d: n, m, edge digest" name seed)
+        expect
+        (edge_digest (TS.generate (Prng.create ~seed) params)))
+    topology_pins;
+  (* Landmark axes sorted for quantile binning match [Array.sort] of
+     each row, unreachable vertices last: once on a ts5k-small latency
+     graph plus an isolated vertex and a detached pair (counting sort),
+     once on a small graph whose weights dwarf its vertex count
+     (comparison sort). *)
+  let sorted_rows g ~landmarks =
+    let sp = Landmark.make_space g ~landmarks in
+    Array.iteri
+      (fun l _ ->
+        let row =
+          Array.init (Graph.n_vertices g) (fun v -> (Landmark.vector sp v).(l))
+        in
+        check Alcotest.bool "has unreachable" true (Array.mem max_int row);
+        Array.sort Int.compare row;
+        check Alcotest.(array int)
+          (Printf.sprintf "sorted axis %d" l)
+          row
+          (Landmark.sorted_distances sp l))
+      landmarks
+  in
+  let base = (TS.generate (Prng.create ~seed:1) TS.ts5k_small).TS.latency_graph in
+  let n = Graph.n_vertices base in
+  let b = Graph.create_builder ~n:(n + 3) in
+  for u = 0 to n - 1 do
+    Graph.iter_neighbors base u (fun v w -> if u < v then Graph.add_edge b u v ~weight:w)
+  done;
+  Graph.add_edge b (n + 1) (n + 2) ~weight:4;
+  sorted_rows (Graph.freeze b) ~landmarks:[| 0; 17; n - 1; n + 1 |];
+  let b = Graph.create_builder ~n:5 in
+  Graph.add_edge b 0 1 ~weight:1_000_000;
+  Graph.add_edge b 1 2 ~weight:7;
+  Graph.add_edge b 3 4 ~weight:0;
+  sorted_rows (Graph.freeze b) ~landmarks:[| 0; 2; 4 |]
+
 let () =
   Alcotest.run "topology"
     [
@@ -251,6 +425,8 @@ let () =
           Alcotest.test_case "zero weights" `Quick test_dijkstra_zero_weights;
           Alcotest.test_case "connectivity" `Quick test_connectivity;
           Alcotest.test_case "oracle" `Quick test_oracle_caches;
+          Alcotest.test_case "floyd-warshall reference" `Quick
+            test_against_floyd_warshall;
         ] );
       ( "transit-stub",
         [
@@ -263,6 +439,7 @@ let () =
             test_ts_same_domain_short_distance;
           Alcotest.test_case "determinism" `Quick test_ts_determinism;
         ] );
+      ("pins", [ Alcotest.test_case "topology pins" `Quick test_topology_pins ]);
       ( "properties",
         [ qtest prop_dijkstra_matches_bellman_ford; qtest prop_ts_always_connected ]
       );
