@@ -14,8 +14,9 @@ type kt_node = {
   mutable tag : int;
 }
 
-(* Everything a whole-tree traversal can tell, gathered by one pass
-   (see [summarize]) and cached until the next structural mutation. *)
+(* Everything a whole-tree traversal can tell, gathered while [build]
+   plants the tree (or by [summarize]'s one pass after a mutation) and
+   cached until the next structural mutation. *)
 type summary = {
   s_nodes : int;
   s_depth : int;
@@ -35,8 +36,9 @@ type t = {
   mutable repaired : int;
   mutable repair_msg : int;
   mutable obs : P2plb_obs.Obs.t option;
-  (* Lazily built by [summarize], shared by every caller in a round;
-     cleared at each structural mutation (plant / prune / re-host). *)
+  (* Filled by [build], rebuilt lazily by [summarize]; shared by every
+     caller in a round; cleared at each structural mutation (plant /
+     prune / re-host). *)
   mutable summary : summary option;
   (* [Dht.ring_version] at which the tree was last made consistent
      with the ring (by [build] or a full [repair]/[refresh] walk).
@@ -120,38 +122,131 @@ let rec grow ~route_messages t dht n =
       parts
   end
 
+(* First index in [lo, hi) of the sorted [ids] whose id is >= [x];
+   [hi] when there is none. *)
+let rec lower_bound ids x lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) lsr 1 in
+    if ids.(mid) < x then lower_bound ids x (mid + 1) hi
+    else lower_bound ids x lo mid
+
+(* The tree's shape is a function of the sorted VS ids alone, so
+   [build] recurses over index ranges of them instead of asking the
+   DHT about every node.  A region [start, start + len) below the root
+   never wraps, and its ids form a slice [lo, hi) of [ids].
+   - Host: successor of the centre, the first id >= it.  Searching the
+     slice gives an index in [lo, hi]; [hi] is the first id past the
+     region, and index n (past the last id) wraps to 0.
+   - Leaf: the host's arc (pred, host] covers the region exactly when
+     no id lies in [start, last), i.e. the slice is empty or holds only
+     [last].  The root covers the whole ring, so it is a leaf exactly
+     when there is one VS.
+   - Children: [Region.split]'s parts, each slice cut off by a search
+     for the part's end.
+   The same preorder pass gathers what [summarize] would: per ring
+   position, the KT nodes planted there and the deepest-first leaf. *)
 let build ?(route_messages = false) ~k dht =
   if k < 2 then invalid_arg "Ktree.build: k < 2";
-  if Dht.n_vs dht = 0 then invalid_arg "Ktree.build: empty ring";
+  let n = Dht.n_vs dht in
+  if n = 0 then invalid_arg "Ktree.build: empty ring";
+  let ids = Array.make n Id.zero in
+  ignore
+    (Dht.fold_vs dht ~init:0 ~f:(fun i v ->
+         ids.(i) <- v.Dht.vs_id;
+         i + 1));
+  let per_host = Array.make n 0 in
+  let best = Array.make n None in
+  let msg = ref 1 and nodes = ref 0 and max_depth = ref 0 in
+  let n_leaves = ref 0 in
+  let rec plant_slice ~from start len depth lo hi =
+    let key = start + (len / 2) in
+    let j = lower_bound ids key lo hi in
+    let h = if j = n then 0 else j in
+    if route_messages && depth > 0 then
+      msg := !msg + snd (Dht.lookup dht ~from ~key);
+    let node =
+      {
+        region = Region.make ~start ~len;
+        key;
+        depth;
+        host = ids.(h);
+        children = Array.make k None;
+        tag = -1;
+      }
+    in
+    incr nodes;
+    if depth > !max_depth then max_depth := depth;
+    per_host.(h) <- per_host.(h) + 1;
+    let leaf =
+      if depth = 0 then n = 1
+      else hi = lo || (hi = lo + 1 && ids.(lo) = start + len - 1)
+    in
+    if leaf then begin
+      (match best.(h) with
+      | Some b when b.depth >= depth -> ()
+      | prev ->
+        Option.iter (fun b -> b.tag <- -1) prev;
+        node.tag <- !n_leaves;
+        best.(h) <- Some node);
+      incr n_leaves
+    end
+    else begin
+      let base = len / k and extra = len mod k in
+      let pos = ref start and clo = ref lo in
+      for i = 0 to k - 1 do
+        let li = if i < extra then base + 1 else base in
+        if li > 0 then begin
+          let chi = lower_bound ids (!pos + li) !clo hi in
+          incr msg;
+          node.children.(i) <-
+            Some (plant_slice ~from:node.host !pos li (depth + 1) !clo chi);
+          clo := chi
+        end;
+        pos := !pos + li
+      done
+    end;
+    node
+  in
   (* The root is hosted by the VS owning the centre of the whole
      space, located deterministically (§3.1.1). *)
-  let root_key = Region.center Region.whole in
-  let root_host = Dht.owner_of_key dht root_key in
-  let root =
-    {
-      region = Region.whole;
-      key = root_key;
-      depth = 0;
-      host = root_host.Dht.vs_id;
-      children = Array.make k None;
-      tag = -1;
-    }
-  in
-  let t =
-    {
-      k;
-      root;
-      msg = 1;
-      last_rounds = 0;
-      repaired = 0;
-      repair_msg = 0;
-      obs = None;
-      summary = None;
-      stamp = Dht.ring_version dht;
-    }
-  in
-  grow ~route_messages t dht root;
-  t
+  let root = plant_slice ~from:Id.zero Id.zero Id.space_size 0 0 n in
+  (* Tables filled in ring order from the per-position arrays; winners
+     renumbered 0 .. n_slots - 1 by their preorder leaf index. *)
+  let assignment = Hashtbl.create n and per_host_tbl = Hashtbl.create n in
+  let winners = Array.make n root and n_slots = ref 0 in
+  for h = 0 to n - 1 do
+    if per_host.(h) > 0 then Hashtbl.add per_host_tbl ids.(h) per_host.(h);
+    match best.(h) with
+    | Some w ->
+      Hashtbl.add assignment ids.(h) w;
+      winners.(!n_slots) <- w;
+      incr n_slots
+    | None -> ()
+  done;
+  let winners = Array.sub winners 0 !n_slots in
+  Array.sort (fun a b -> Int.compare a.tag b.tag) winners;
+  Array.iteri (fun slot w -> w.tag <- slot) winners;
+  {
+    k;
+    root;
+    msg = !msg;
+    last_rounds = 0;
+    repaired = 0;
+    repair_msg = 0;
+    obs = None;
+    summary =
+      Some
+        {
+          s_nodes = !nodes;
+          s_depth = !max_depth;
+          s_leaves = !n_leaves;
+          s_assignment = assignment;
+          s_slots = Array.length winners;
+          s_per_host = per_host_tbl;
+        };
+    stamp = Dht.ring_version dht;
+  }
 
 (* Preorder; a loop over [children], so a walk allocates nothing per
    node. *)

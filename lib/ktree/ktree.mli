@@ -55,7 +55,14 @@ val build : ?route_messages:bool -> k:int -> 'a Dht.t -> t
 (** Constructs the tree top-down against the current ring.  Requires a
     non-empty ring.  [route_messages] (default false) additionally
     routes each planting lookup through Chord to charge realistic hop
-    counts to the message counter. *)
+    counts to the message counter.
+
+    Cost: one O(#VS) pass to read the sorted VS ids, then one binary
+    search bounded by the parent's slice of ids per KT node (its host),
+    plus one per created child (its slice); no DHT query unless
+    [route_messages].  The cached whole-tree figures (see above) are
+    filled in the same pass, so the first {!depth} or
+    {!leaf_assignment} after a build is O(1). *)
 
 val k : t -> int
 val root : t -> kt_node

@@ -65,12 +65,83 @@ let test_leaves_partition_ring () =
   in
   check Alcotest.int "leaf regions partition the ring" Id.space_size total
 
-let test_depth_bounded () =
-  let dht = build_dht ~seed:7 ~nodes:50 ~vs:4 in
-  let t2 = Ktree.build ~k:2 dht in
-  check Alcotest.bool "k=2 depth <= 32" true (Ktree.depth t2 <= Id.bits);
-  let t8 = Ktree.build ~k:8 dht in
-  check Alcotest.bool "k=8 shallower" true (Ktree.depth t8 < Ktree.depth t2)
+(* Splits from the whole ring until [x] is the last point of the
+   region holding it: the leaf test refines every region that holds an
+   id anywhere but on its last point, so each id forces a chain of
+   internal KT nodes this long, and nothing else does. *)
+let splits_to_last ~k x =
+  let rec go r d =
+    if Region.last r = x then d
+    else
+      let parts = Region.split r k in
+      let i = ref 0 in
+      while not (Region.contains parts.(!i) x) do
+        incr i
+      done;
+      go parts.(!i) (d + 1)
+  in
+  go Region.whole 0
+
+let exact_depth ~k dht =
+  if Dht.n_vs dht = 1 then 0
+  else
+    Dht.fold_vs dht ~init:0 ~f:(fun d v ->
+        Int.max d (splits_to_last ~k v.Dht.vs_id))
+
+let test_depth_exact () =
+  (* 180 generated rings, a single VS among them (seed 0). *)
+  for seed = 0 to 59 do
+    let nodes = 1 + (seed * 37 mod 64) and vs = 1 + (seed mod 8) in
+    let dht = build_dht ~seed ~nodes ~vs in
+    List.iter
+      (fun k ->
+        check Alcotest.int
+          (Printf.sprintf "seed %d k=%d depth" seed k)
+          (exact_depth ~k dht)
+          (Ktree.depth (Ktree.build ~k dht)))
+      [ 2; 3; 8 ]
+  done
+
+(* Preorder (region, key, depth, host, child slots): the tree's
+   structure as comparable data. *)
+let shape tree =
+  List.rev
+    (Ktree.fold_nodes tree ~init:[] ~f:(fun acc n ->
+         ( Region.start n.Ktree.region,
+           Region.len n.Ktree.region,
+           n.Ktree.key,
+           n.Ktree.depth,
+           n.Ktree.host,
+           Array.map Option.is_some n.Ktree.children )
+         :: acc))
+
+let test_routed_build_matches () =
+  (* The routed build plants the same tree and charges each child's
+     Chord lookup exactly as the DHT-driven reference builder does. *)
+  List.iter
+    (fun k ->
+      let dht = build_dht ~seed:17 ~nodes:40 ~vs:3 in
+      let plain = Ktree.build ~k dht in
+      let counters () = (Dht.lookups_performed dht, Dht.hops_used dht) in
+      let l0, h0 = counters () in
+      let reference = Ktree_reference.build ~route_messages:true ~k dht in
+      let l1, h1 = counters () in
+      let routed = Ktree.build ~route_messages:true ~k dht in
+      let l2, h2 = counters () in
+      let label s = Printf.sprintf "k=%d %s" k s in
+      check Alcotest.bool (label "same tree") true (shape routed = shape plain);
+      check Alcotest.int (label "depth") (Ktree.depth plain)
+        (Ktree.depth routed);
+      check Alcotest.int (label "messages") reference.Ktree_reference.msg
+        (Ktree.messages routed);
+      check Alcotest.bool (label "hops charged") true
+        (Ktree.messages routed > Ktree.messages plain);
+      check Alcotest.int (label "lookups") (l1 - l0) (l2 - l1);
+      check Alcotest.int (label "one lookup per child")
+        (Ktree.n_nodes plain - 1) (l2 - l1);
+      check Alcotest.int (label "hops") (h1 - h0) (h2 - h1);
+      expect_consistent routed dht)
+    [ 2; 8 ]
 
 let test_sweep_up_counts_leaves () =
   let dht = build_dht ~seed:8 ~nodes:15 ~vs:3 in
@@ -187,7 +258,9 @@ let () =
           Alcotest.test_case "leaf per VS" `Quick test_every_vs_hosts_a_leaf;
           Alcotest.test_case "leaves partition" `Quick
             test_leaves_partition_ring;
-          Alcotest.test_case "depth bounded" `Quick test_depth_bounded;
+          Alcotest.test_case "depth exact" `Quick test_depth_exact;
+          Alcotest.test_case "routed = unrouted" `Quick
+            test_routed_build_matches;
         ] );
       ( "sweeps",
         [

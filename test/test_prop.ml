@@ -565,6 +565,74 @@ let test_ktree_version_contract () =
     ~name:"ring version gates KT repair/refresh; cached summary = fold"
     ktree_case prop_ktree_version_contract
 
+(* ---- Ktree: slice builder = DHT-driven reference ------------------------ *)
+
+module Kref = Ktree_reference
+
+(* (physical nodes, VSs per node, K = 2 / 3 / 8, operations). *)
+let ktree_ref_case =
+  Prop.pair
+    (Prop.triple (Prop.int_in 1 512) (Prop.int_in 1 8) (Prop.int_in 0 2))
+    (Prop.list_of ~max_len:10 ring_op)
+
+let rec same_node (r : Kref.node) (n : Ktree.kt_node) =
+  Region.equal r.Kref.region n.Ktree.region
+  && r.Kref.key = n.Ktree.key
+  && r.Kref.depth = n.Ktree.depth
+  && r.Kref.host = n.Ktree.host
+  && r.Kref.tag = Ktree.leaf_slot n
+  && Array.length r.Kref.children = Array.length n.Ktree.children
+  && Array.for_all2
+       (fun a b ->
+         match (a, b) with
+         | None, None -> true
+         | Some a, Some b -> same_node a b
+         | _ -> false)
+       r.Kref.children n.Ktree.children
+
+(* Both builders on the current ring: structure, message count,
+   summary figures, and per-VS leaf assignment and node counts. *)
+let builders_agree ~k dht =
+  let r = Kref.build ~k dht and t = Ktree.build ~k dht in
+  let assignment = Ktree.leaf_assignment t in
+  same_node r.Kref.root (Ktree.root t)
+  && Ktree.messages t = r.Kref.msg
+  && Ktree.depth t = r.Kref.depth
+  && Ktree.n_nodes t = r.Kref.n_nodes
+  && Ktree.n_leaves t = r.Kref.n_leaves
+  && Ktree.n_leaf_slots t = r.Kref.n_slots
+  && Hashtbl.length assignment = Hashtbl.length r.Kref.assignment
+  && Dht.fold_vs dht ~init:true ~f:(fun ok v ->
+         let id = v.Dht.vs_id in
+         ok
+         && Ktree.host_nodes t id = Kref.host_nodes r id
+         &&
+         match
+           ( Hashtbl.find_opt assignment id,
+             Hashtbl.find_opt r.Kref.assignment id )
+         with
+         | Some a, Some b ->
+           Region.equal a.Ktree.region b.Kref.region
+           && a.Ktree.depth = b.Kref.depth
+           && Ktree.leaf_slot a = b.Kref.tag
+         | None, None -> true
+         | _ -> false)
+
+let prop_ktree_matches_reference ((n_nodes, vs, k_sel), ops) =
+  let k = [| 2; 3; 8 |].(k_sel) in
+  let dht = Dht.create ~seed:((n_nodes * 8) + vs) in
+  for i = 0 to n_nodes - 1 do
+    ignore (Dht.join dht ~capacity:1.0 ~underlay:i ~n_vs:vs)
+  done;
+  let before = builders_agree ~k dht in
+  List.iter (apply_ring_op dht) ops;
+  before && builders_agree ~k dht
+
+let test_ktree_matches_reference () =
+  Prop.run ~count:40 ~seed:0x5eed0a
+    ~name:"slice-built KT = DHT-driven reference builder"
+    ktree_ref_case prop_ktree_matches_reference
+
 let () =
   Alcotest.run "prop"
     [
@@ -596,5 +664,7 @@ let () =
         [
           Alcotest.test_case "ring-version contract" `Quick
             test_ktree_version_contract;
+          Alcotest.test_case "build = reference builder" `Quick
+            test_ktree_matches_reference;
         ] );
     ]
