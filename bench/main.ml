@@ -314,6 +314,19 @@ let tests =
       (Staged.stage (fun () ->
            let s = Lazy.force fixture in
            ignore (Ktree.build ~k:8 s.Scenario.dht)));
+    Test.make ~name:"tvsa/ktree_sweeps_k2"
+      (Staged.stage
+         (let s = Lazy.force fixture in
+          let tree = Ktree.build ~k:2 s.Scenario.dht in
+          fun () ->
+            ignore
+              (Ktree.sweep_up tree
+                 ~at_leaf:(fun _ -> 1)
+                 ~empty:0 ~merge:( + )
+                 ~at_node:(fun _ n -> n));
+            Ktree.sweep_down tree ~at_root:0
+              ~split:(fun _ v -> v)
+              ~at_leaf:(fun _ _ -> ())));
     Test.make ~name:"tvsa/lbi_round"
       (Staged.stage
          (let s = Lazy.force fixture in

@@ -43,7 +43,7 @@ let aggregate ~rng ?faults ?(route_messages = false) tree dht =
         match Hashtbl.find_opt assignment v.Dht.vs_id with
         | None -> () (* cannot happen: every VS hosts a leaf *)
         | Some leaf ->
-          let slot = Ktree.leaf_slot leaf in
+          let slot = Ktree.leaf_slot tree leaf in
           if slot >= 0 then begin
             let r = node_lbi n in
             if !n_reports = !cap then begin
@@ -83,7 +83,7 @@ let aggregate ~rng ?faults ?(route_messages = false) tree dht =
   in
   Ktree.sweep_up tree
     ~at_leaf:(fun leaf ->
-      let slot = Ktree.leaf_slot leaf in
+      let slot = Ktree.leaf_slot tree leaf in
       if slot < 0 then zero_lbi
       else begin
         (* The Hashtbl path folded the reverse-arrival report list, so
@@ -95,12 +95,8 @@ let aggregate ~rng ?faults ?(route_messages = false) tree dht =
         done;
         !acc
       end)
-    ~combine:(fun node children ->
-      (* An internal node's own leaf reports, if any (a KT node's key
-         may coincide with a designated leaf only for leaves, so this
-         is normally [zero_lbi]). *)
-      ignore node;
-      List.fold_left Types.lbi_combine zero_lbi children)
+    ~empty:zero_lbi ~merge:Types.lbi_combine
+    ~at_node:(fun _ lbi -> lbi)
 
 let disseminate ?faults ?(route_messages = false) tree dht lbi =
   (* Nodes may have died during aggregation; re-plant before pushing

@@ -133,7 +133,7 @@ let run ?(threshold = default_threshold) ?(epsilon = 0.0) ?faults
   in
   let slot_of_vs vs_id =
     match Hashtbl.find_opt assignment vs_id with
-    | Some leaf -> Ktree.leaf_slot leaf
+    | Some leaf -> Ktree.leaf_slot tree leaf
     | None -> -1
   in
   (* Classify every node, collect its records and route each to a KT
@@ -283,7 +283,7 @@ let run ?(threshold = default_threshold) ?(epsilon = 0.0) ?faults
   let root_pool =
     Ktree.sweep_up tree
       ~at_leaf:(fun leaf ->
-        let slot = Ktree.leaf_slot leaf in
+        let slot = Ktree.leaf_slot tree leaf in
         if slot < 0 then Pairing.empty
         else begin
           let lo = starts.(slot) and hi = starts.(slot + 1) in
@@ -291,14 +291,15 @@ let run ?(threshold = default_threshold) ?(epsilon = 0.0) ?faults
           else begin
             let pool = fresh_pool_slice lo hi in
             if Pairing.size pool >= threshold then
-              pair_here leaf.Ktree.depth pool
+              pair_here (Ktree.node_depth tree leaf) pool
             else pool
           end
         end)
-      ~combine:(fun node children ->
-        let pool = List.fold_left Pairing.merge Pairing.empty children in
-        if node.Ktree.depth = 0 || Pairing.size pool >= threshold then
-          pair_here node.Ktree.depth pool
+      ~empty:Pairing.empty ~merge:Pairing.merge
+      ~at_node:(fun node pool ->
+        let depth = Ktree.node_depth tree node in
+        if depth = 0 || Pairing.size pool >= threshold then
+          pair_here depth pool
         else pool)
   in
   {

@@ -2,35 +2,40 @@ module Id = P2plb_idspace.Id
 module Region = P2plb_idspace.Region
 module Dht = P2plb_chord.Dht
 
-type kt_node = {
-  region : Region.t;
-  key : Id.t;
-  depth : int;
-  mutable host : Id.t;
-  mutable children : kt_node option array;
-  (* Slot ordinal of this node in the current leaf assignment (see
-     {!leaf_assignment}); -1 when the node is not an assigned leaf.
-     Scratch state rebuilt with the assignment cache. *)
-  mutable tag : int;
-}
+type node = int
 
 (* Everything a whole-tree traversal can tell, gathered while [build]
-   plants the tree (or by [summarize]'s one pass after a mutation) and
+   plants the tree (or by [summarize]'s pass after a mutation) and
    cached until the next structural mutation. *)
 type summary = {
   s_nodes : int;
   s_depth : int;
   s_leaves : int;
   (* host -> deepest-first leaf planted in it *)
-  s_assignment : (Id.t, kt_node) Hashtbl.t;
+  s_assignment : (Id.t, node) Hashtbl.t;
   s_slots : int;
   (* host -> number of KT nodes planted in it *)
   s_per_host : (Id.t, int) Hashtbl.t;
 }
 
+(* Node n is index n into the six node arrays.  The root is 0.  The
+   children of an internal node n fill the K-block
+   [first.(n), first.(n) + k): slot i is the i-th part of n's region,
+   and a slot whose part is empty has [len] 0.  Blocks come from the
+   end of the used range ([size]) or from [free], where a prune returns
+   the blocks of the subtrees it drops. *)
 type t = {
   k : int;
-  mutable root : kt_node;
+  mutable start : int array;  (* region start *)
+  mutable len : int array;  (* region length *)
+  mutable depth_of : int array;  (* root = 0 *)
+  mutable host : int array;  (* id of the hosting VS *)
+  mutable first : int array;  (* first child's index; -1 for a leaf *)
+  (* Slot ordinal in the current leaf assignment; -1 when not an
+     assigned leaf.  Scratch state rebuilt with the summary. *)
+  mutable tag : int array;
+  mutable size : int;
+  mutable free : int list;
   mutable msg : int;
   mutable last_rounds : int;
   mutable repaired : int;
@@ -60,8 +65,26 @@ let obs_event t name attrs =
 let invalidate_summary t = t.summary <- None
 
 let k t = t.k
-let root t = t.root
-let is_leaf n = Array.for_all (fun c -> c = None) n.children
+let root _ = 0
+let is_leaf t n = t.first.(n) < 0
+let node_depth t n = t.depth_of.(n)
+let host t n = t.host.(n)
+let region t n = Region.make ~start:t.start.(n) ~len:t.len.(n)
+
+(* The region's centre, [Region.center]: a region below the root never
+   wraps, and the root's centre is 2^31. *)
+let key t n = t.start.(n) + (t.len.(n) / 2)
+
+(* Child [i] of [n], or -1 when that slot holds none. *)
+let child t n i =
+  let b = t.first.(n) in
+  if b >= 0 && t.len.(b + i) > 0 then b + i else -1
+
+let children t n =
+  Array.init t.k (fun i ->
+      let c = child t n i in
+      if c < 0 then None else Some c)
+
 let messages t = t.msg
 let rounds_last_sweep t = t.last_rounds
 let repairs t = t.repaired
@@ -73,15 +96,96 @@ let reset_counters t =
   t.repaired <- 0;
   t.repair_msg <- 0
 
-(* The VS hosting a KT node covers the KT node's whole region: the KT
-   node needs no children (§3.1's leaf test). *)
-let covered_by_host dht n =
-  match Dht.vs_of_id dht n.host with
-  | None -> false
-  | Some v -> Region.covers ~outer:(Dht.region_of_vs dht v) ~inner:n.region
+(* ---- storage ----------------------------------------------------------- *)
 
-let plant ~route_messages t dht ~from region depth =
-  let key = Region.center region in
+(* A K-block of fresh leaf slots, all empty until planted.  The node
+   arrays grow by half when full: a doubling builder raised peak RSS. *)
+let alloc_block t =
+  let b =
+    match t.free with
+    | b :: rest ->
+      t.free <- rest;
+      b
+    | [] ->
+      let b = t.size in
+      let cap = Array.length t.len in
+      if b + t.k > cap then begin
+        let cap' = Int.max (b + t.k) (cap + (cap / 2)) in
+        let extend a =
+          let a' = Array.make cap' (-1) in
+          Array.blit a 0 a' 0 b;
+          a'
+        in
+        t.start <- extend t.start;
+        t.len <- extend t.len;
+        t.depth_of <- extend t.depth_of;
+        t.host <- extend t.host;
+        t.first <- extend t.first;
+        t.tag <- extend t.tag
+      end;
+      t.size <- b + t.k;
+      b
+  in
+  for c = b to b + t.k - 1 do
+    t.len.(c) <- 0;
+    t.first.(c) <- -1;
+    t.tag.(c) <- -1
+  done;
+  b
+
+(* The K-block of [n]'s children, allocated if [n] is a leaf. *)
+let child_block t n =
+  if t.first.(n) >= 0 then t.first.(n)
+  else begin
+    let b = alloc_block t in
+    t.first.(n) <- b;
+    b
+  end
+
+(* Returns the block at [b] and every block below it to the free list. *)
+let rec release t b =
+  for c = b to b + t.k - 1 do
+    if t.len.(c) > 0 && t.first.(c) >= 0 then release t t.first.(c)
+  done;
+  t.free <- b :: t.free
+
+(* Drops [n]'s children, calling [charge] once per child. *)
+let prune t n ~charge =
+  let b = t.first.(n) in
+  if b >= 0 then begin
+    for c = b to b + t.k - 1 do
+      if t.len.(c) > 0 then charge ()
+    done;
+    release t b;
+    t.first.(n) <- -1;
+    invalidate_summary t
+  end
+
+(* [f i start len] for each part of [n]'s region, in order:
+   [Region.split]'s arithmetic, the first [len mod k] parts one point
+   longer. *)
+let iter_parts t n f =
+  let len = t.len.(n) in
+  let base = len / t.k and extra = len mod t.k in
+  let pos = ref t.start.(n) in
+  for i = 0 to t.k - 1 do
+    let li = if i < extra then base + 1 else base in
+    f i !pos li;
+    pos := !pos + li
+  done
+
+(* ---- planting and growth ----------------------------------------------- *)
+
+(* The VS [host] covers [n]'s whole region: [n] needs no children
+   (§3.1's leaf test). *)
+let covered_by dht host t n =
+  match Dht.vs_of_id dht host with
+  | None -> false
+  | Some v -> Region.covers ~outer:(Dht.region_of_vs dht v) ~inner:(region t n)
+
+(* Plants the KT node for part [start, start + len) at slot [c]. *)
+let plant ~route_messages t dht ~from c start len depth =
+  let key = start + (len / 2) in
   let host =
     if route_messages then begin
       let v, hops = Dht.lookup dht ~from ~key in
@@ -90,37 +194,36 @@ let plant ~route_messages t dht ~from region depth =
     end
     else Dht.owner_of_key dht key
   in
-  {
-    region;
-    key;
-    depth;
-    host = host.Dht.vs_id;
-    children = Array.make t.k None;
-    tag = -1;
-  }
+  t.start.(c) <- start;
+  t.len.(c) <- len;
+  t.depth_of.(c) <- depth;
+  t.host.(c) <- host.Dht.vs_id;
+  t.first.(c) <- -1;
+  t.tag.(c) <- -1
+
+(* Plants [n]'s missing child [i] from [from], charging its message. *)
+let plant_child ~route_messages t dht ~from n i start len =
+  let c = child_block t n + i in
+  plant ~route_messages t dht ~from c start len (t.depth_of.(n) + 1);
+  t.msg <- t.msg + 1;
+  invalidate_summary t;
+  c
 
 (* Grow the subtree under [n] until every branch bottoms out in a
    covered (leaf) node.  One message per created child. *)
 let rec grow ~route_messages t dht n =
-  if not (covered_by_host dht n) then begin
-    let parts = Region.split n.region t.k in
-    Array.iteri
-      (fun i part ->
-        if (not (Region.is_empty part)) && n.children.(i) = None then begin
-          let child =
-            plant ~route_messages t dht ~from:n.host part (n.depth + 1)
-          in
-          t.msg <- t.msg + 1;
-          n.children.(i) <- Some child;
-          invalidate_summary t;
-          grow ~route_messages t dht child
-        end
-        else
-          match n.children.(i) with
-          | Some child -> grow ~route_messages t dht child
-          | None -> ())
-      parts
-  end
+  if not (covered_by dht t.host.(n) t n) then
+    iter_parts t n (fun i start len ->
+        grow_part ~route_messages t dht ~from:t.host.(n) n i start len)
+
+(* [grow]'s step for part [i] of [n]: plant the child if missing, then
+   grow it. *)
+and grow_part ~route_messages t dht ~from n i start len =
+  let c = child t n i in
+  if len > 0 && c < 0 then
+    grow ~route_messages t dht
+      (plant_child ~route_messages t dht ~from n i start len)
+  else if c >= 0 then grow ~route_messages t dht c
 
 (* First index in [lo, hi) of the sorted [ids] whose id is >= [x];
    [hi] when there is none. *)
@@ -130,6 +233,16 @@ let rec lower_bound ids x lo hi =
     let mid = (lo + hi) lsr 1 in
     if ids.(mid) < x then lower_bound ids x (mid + 1) hi
     else lower_bound ids x lo mid
+
+(* Node count of a tree over [n] VSs (DESIGN.md §2): the top ≈ log_K n
+   levels are shared, and below them each VS's id forces its own chain
+   of K-ary splits, ≈ n·K·(log_K 2^32 − log_K n) nodes. *)
+let estimated_nodes ~k n =
+  let log_k x = Float.log x /. Float.log (float_of_int k) in
+  let levels =
+    Float.max 1.0 (log_k (float_of_int Id.space_size) -. log_k (float_of_int n))
+  in
+  1 + (k * int_of_float (Float.ceil (float_of_int n *. levels)))
 
 (* The tree's shape is a function of the sorted VS ids alone, so
    [build] recurses over index ranges of them instead of asking the
@@ -155,27 +268,40 @@ let build ?(route_messages = false) ~k dht =
     (Dht.fold_vs dht ~init:0 ~f:(fun i v ->
          ids.(i) <- v.Dht.vs_id;
          i + 1));
+  let cap = estimated_nodes ~k n in
+  let t =
+    {
+      k;
+      start = Array.make cap 0;
+      len = Array.make cap 0;
+      depth_of = Array.make cap 0;
+      host = Array.make cap 0;
+      first = Array.make cap (-1);
+      tag = Array.make cap (-1);
+      size = 1;
+      free = [];
+      msg = 1;
+      last_rounds = 0;
+      repaired = 0;
+      repair_msg = 0;
+      obs = None;
+      summary = None;
+      stamp = Dht.ring_version dht;
+    }
+  in
   let per_host = Array.make n 0 in
-  let best = Array.make n None in
-  let msg = ref 1 and nodes = ref 0 and max_depth = ref 0 in
-  let n_leaves = ref 0 in
-  let rec plant_slice ~from start len depth lo hi =
+  let best = Array.make n (-1) in
+  let max_depth = ref 0 and n_leaves = ref 0 in
+  let rec plant_slice ~from c start len depth lo hi =
     let key = start + (len / 2) in
     let j = lower_bound ids key lo hi in
     let h = if j = n then 0 else j in
     if route_messages && depth > 0 then
-      msg := !msg + snd (Dht.lookup dht ~from ~key);
-    let node =
-      {
-        region = Region.make ~start ~len;
-        key;
-        depth;
-        host = ids.(h);
-        children = Array.make k None;
-        tag = -1;
-      }
-    in
-    incr nodes;
+      t.msg <- t.msg + snd (Dht.lookup dht ~from ~key);
+    t.start.(c) <- start;
+    t.len.(c) <- len;
+    t.depth_of.(c) <- depth;
+    t.host.(c) <- ids.(h);
     if depth > !max_depth then max_depth := depth;
     per_host.(h) <- per_host.(h) + 1;
     let leaf =
@@ -183,128 +309,118 @@ let build ?(route_messages = false) ~k dht =
       else hi = lo || (hi = lo + 1 && ids.(lo) = start + len - 1)
     in
     if leaf then begin
-      (match best.(h) with
-      | Some b when b.depth >= depth -> ()
-      | prev ->
-        Option.iter (fun b -> b.tag <- -1) prev;
-        node.tag <- !n_leaves;
-        best.(h) <- Some node);
+      let b = best.(h) in
+      if b < 0 || t.depth_of.(b) < depth then begin
+        if b >= 0 then t.tag.(b) <- -1;
+        t.tag.(c) <- !n_leaves;
+        best.(h) <- c
+      end;
       incr n_leaves
     end
     else begin
+      let b = alloc_block t in
+      t.first.(c) <- b;
       let base = len / k and extra = len mod k in
       let pos = ref start and clo = ref lo in
       for i = 0 to k - 1 do
         let li = if i < extra then base + 1 else base in
         if li > 0 then begin
           let chi = lower_bound ids (!pos + li) !clo hi in
-          incr msg;
-          node.children.(i) <-
-            Some (plant_slice ~from:node.host !pos li (depth + 1) !clo chi);
+          t.msg <- t.msg + 1;
+          plant_slice ~from:ids.(h) (b + i) !pos li (depth + 1) !clo chi;
           clo := chi
         end;
         pos := !pos + li
       done
-    end;
-    node
+    end
   in
   (* The root is hosted by the VS owning the centre of the whole
      space, located deterministically (§3.1.1). *)
-  let root = plant_slice ~from:Id.zero Id.zero Id.space_size 0 0 n in
+  plant_slice ~from:Id.zero 0 Id.zero Id.space_size 0 0 n;
   (* Tables filled in ring order from the per-position arrays; winners
      renumbered 0 .. n_slots - 1 by their preorder leaf index. *)
   let assignment = Hashtbl.create n and per_host_tbl = Hashtbl.create n in
-  let winners = Array.make n root and n_slots = ref 0 in
+  let winners = Array.make n 0 and n_slots = ref 0 and nodes = ref 0 in
   for h = 0 to n - 1 do
     if per_host.(h) > 0 then Hashtbl.add per_host_tbl ids.(h) per_host.(h);
-    match best.(h) with
-    | Some w ->
+    nodes := !nodes + per_host.(h);
+    let w = best.(h) in
+    if w >= 0 then begin
       Hashtbl.add assignment ids.(h) w;
       winners.(!n_slots) <- w;
       incr n_slots
-    | None -> ()
+    end
   done;
   let winners = Array.sub winners 0 !n_slots in
-  Array.sort (fun a b -> Int.compare a.tag b.tag) winners;
-  Array.iteri (fun slot w -> w.tag <- slot) winners;
-  {
-    k;
-    root;
-    msg = !msg;
-    last_rounds = 0;
-    repaired = 0;
-    repair_msg = 0;
-    obs = None;
-    summary =
-      Some
-        {
-          s_nodes = !nodes;
-          s_depth = !max_depth;
-          s_leaves = !n_leaves;
-          s_assignment = assignment;
-          s_slots = Array.length winners;
-          s_per_host = per_host_tbl;
-        };
-    stamp = Dht.ring_version dht;
-  }
+  Array.sort (fun a b -> Int.compare t.tag.(a) t.tag.(b)) winners;
+  Array.iteri (fun slot w -> t.tag.(w) <- slot) winners;
+  t.summary <-
+    Some
+      {
+        s_nodes = !nodes;
+        s_depth = !max_depth;
+        s_leaves = !n_leaves;
+        s_assignment = assignment;
+        s_slots = !n_slots;
+        s_per_host = per_host_tbl;
+      };
+  t
 
-(* Preorder; a loop over [children], so a walk allocates nothing per
-   node. *)
-let rec iter_nodes f n =
+(* Preorder from [n]. *)
+let rec iter_from t f n =
   f n;
-  let ch = n.children in
-  for i = 0 to Array.length ch - 1 do
-    match ch.(i) with Some c -> iter_nodes f c | None -> ()
-  done
+  let b = t.first.(n) in
+  if b >= 0 then
+    for c = b to b + t.k - 1 do
+      if t.len.(c) > 0 then iter_from t f c
+    done
 
 (* One preorder pass: sizes, the host -> deepest-leaf table and the
    per-host node counts.  A leaf that currently wins its host is tagged
-   with its preorder leaf index, every other node with -1; the winners
-   are then renumbered 0 .. n_slots - 1 in that order (ordinals back
-   the array-indexed rendezvous in Vsa/Lbi). *)
+   with its preorder leaf index, every other node with -1; a second
+   preorder pass renumbers the winners 0 .. n_slots - 1 in that order
+   (ordinals back the array-indexed rendezvous in Vsa/Lbi). *)
 let summarize t =
-  let assignment : (Id.t, kt_node) Hashtbl.t = Hashtbl.create 256 in
+  let assignment : (Id.t, node) Hashtbl.t = Hashtbl.create 256 in
   let per_host : (Id.t, int) Hashtbl.t = Hashtbl.create 256 in
   let nodes = ref 0 and depth = ref 0 and n_leaves = ref 0 in
-  iter_nodes
+  iter_from t
     (fun n ->
+      let h = t.host.(n) and d = t.depth_of.(n) in
       incr nodes;
-      if n.depth > !depth then depth := n.depth;
-      (match Hashtbl.find per_host n.host with
-      | c -> Hashtbl.replace per_host n.host (c + 1)
-      | exception Not_found -> Hashtbl.replace per_host n.host 1);
-      if is_leaf n then begin
-        (match Hashtbl.find assignment n.host with
-        | existing when existing.depth >= n.depth -> n.tag <- -1
+      if d > !depth then depth := d;
+      (match Hashtbl.find per_host h with
+      | c -> Hashtbl.replace per_host h (c + 1)
+      | exception Not_found -> Hashtbl.replace per_host h 1);
+      if is_leaf t n then begin
+        (match Hashtbl.find assignment h with
+        | existing when t.depth_of.(existing) >= d -> t.tag.(n) <- -1
         | existing ->
-          existing.tag <- -1;
-          n.tag <- !n_leaves;
-          Hashtbl.replace assignment n.host n
+          t.tag.(existing) <- -1;
+          t.tag.(n) <- !n_leaves;
+          Hashtbl.replace assignment h n
         | exception Not_found ->
-          n.tag <- !n_leaves;
-          Hashtbl.replace assignment n.host n);
+          t.tag.(n) <- !n_leaves;
+          Hashtbl.replace assignment h n);
         incr n_leaves
       end
-      else n.tag <- -1)
-    t.root;
-  (* Filled in table order, then sorted by the distinct preorder
-     indices: the result does not depend on hashing. *)
-  let winners = Array.make (Hashtbl.length assignment) t.root in
-  let i = ref 0 in
-  Hashtbl.iter
-    (fun _ n ->
-      winners.(!i) <- n;
-      incr i)
-    assignment;
-  Array.sort (fun a b -> Int.compare a.tag b.tag) winners;
-  Array.iteri (fun slot n -> n.tag <- slot) winners;
+      else t.tag.(n) <- -1)
+    0;
+  let slots = ref 0 in
+  iter_from t
+    (fun n ->
+      if t.tag.(n) >= 0 then begin
+        t.tag.(n) <- !slots;
+        incr slots
+      end)
+    0;
   let s =
     {
       s_nodes = !nodes;
       s_depth = !depth;
       s_leaves = !n_leaves;
       s_assignment = assignment;
-      s_slots = Array.length winners;
+      s_slots = !slots;
       s_per_host = per_host;
     }
   in
@@ -316,12 +432,14 @@ let depth t = (summary t).s_depth
 let n_nodes t = (summary t).s_nodes
 let n_leaves t = (summary t).s_leaves
 
+(* Preorder meets the leaves in identifier order: below the root no
+   region wraps, and children follow their parent's region in order. *)
 let leaves t =
   let acc = ref [] in
-  iter_nodes (fun n -> if is_leaf n then acc := n :: !acc) t.root;
-  List.sort
-    (fun a b -> Id.compare (Region.start a.region) (Region.start b.region))
-    !acc
+  iter_from t (fun n -> if is_leaf t n then acc := n :: !acc) 0;
+  List.rev !acc
+
+(* ---- upkeep ------------------------------------------------------------ *)
 
 let refresh_walk ~route_messages t dht =
   (* One level of {!grow}: plant the missing children of [n] but do
@@ -331,45 +449,31 @@ let refresh_walk ~route_messages t dht =
      subtree.  Message accounting is unchanged (one message per
      created child; descent heartbeats are visit's). *)
   let grow_level n =
-    let parts = Region.split n.region t.k in
-    Array.iteri
-      (fun i part ->
-        if (not (Region.is_empty part)) && n.children.(i) = None then begin
-          let child =
-            plant ~route_messages t dht ~from:n.host part (n.depth + 1)
-          in
-          t.msg <- t.msg + 1;
-          n.children.(i) <- Some child;
-          invalidate_summary t
-        end)
-      parts
-  in
-  (* Coverage of [n]'s region by an explicit (possibly stale) host. *)
-  let covered_by host n =
-    match Dht.vs_of_id dht host with
-    | None -> false
-    | Some v -> Region.covers ~outer:(Dht.region_of_vs dht v) ~inner:n.region
+    iter_parts t n (fun i start len ->
+        if len > 0 && child t n i < 0 then
+          ignore
+            (plant_child ~route_messages t dht ~from:t.host.(n) n i start len))
   in
   let rec visit n =
-    let old_host = n.host in
+    let old_host = t.host.(n) in
     (* Re-resolve the hosting VS (the old one may be gone or may no
        longer own the centre key after churn / VS transfer). *)
     let new_host =
       if route_messages then begin
-        let v, hops = Dht.lookup dht ~from:n.host ~key:n.key in
+        let v, hops = Dht.lookup dht ~from:old_host ~key:(key t n) in
         t.msg <- t.msg + hops;
-        v
+        v.Dht.vs_id
       end
-      else Dht.owner_of_key dht n.key
+      else (Dht.owner_of_key dht (key t n)).Dht.vs_id
     in
-    if new_host.Dht.vs_id <> n.host then begin
-      n.host <- new_host.Dht.vs_id;
+    if new_host <> old_host then begin
+      t.host.(n) <- new_host;
       invalidate_summary t;
       (* Re-planting notifies parent and children: at most K+1 msgs. *)
       t.msg <- t.msg + t.k + 1;
-      obs_event t "kt/rehost" [ ("depth", P2plb_obs.Trace.Int n.depth) ]
+      obs_event t "kt/rehost" [ ("depth", P2plb_obs.Trace.Int t.depth_of.(n)) ]
     end;
-    if covered_by_host dht n then begin
+    if covered_by dht new_host t n then begin
       (* A non-root node whose re-host just flipped it to covered was
          still uncovered when its parent's refresh pass grew the tree,
          so that pass planted its missing children (lookups issued
@@ -377,57 +481,34 @@ let refresh_walk ~route_messages t dht =
          again.  Replay that transient plant so message accounting —
          and with it the digest-pinned traces — is identical to the
          historical whole-subtree regrow. *)
-      if n.depth > 0 && old_host <> n.host && not (covered_by old_host n)
-      then begin
+      if t.depth_of.(n) > 0 && old_host <> new_host
+         && not (covered_by dht old_host t n)
+      then
         (* Exactly {!grow}'s body with [n] forced uncovered: plant the
            missing slots (from the stale host) and regrow the existing
            children too — their hosts are still the pre-rehost ones the
            historical pass saw, since visit is top-down and has not
            descended here yet.  The whole subtree is discarded by the
            prune below; only the message count survives. *)
-        let parts = Region.split n.region t.k in
-        Array.iteri
-          (fun i part ->
-            if (not (Region.is_empty part)) && n.children.(i) = None then begin
-              let child =
-                plant ~route_messages t dht ~from:old_host part (n.depth + 1)
-              in
-              t.msg <- t.msg + 1;
-              n.children.(i) <- Some child;
-              invalidate_summary t;
-              grow ~route_messages t dht child
-            end
-            else
-              match n.children.(i) with
-              | Some child -> grow ~route_messages t dht child
-              | None -> ())
-          parts
-      end;
+        iter_parts t n (fun i start len ->
+            grow_part ~route_messages t dht ~from:old_host n i start len);
       (* Became a leaf: prune redundant children. *)
-      Array.iteri
-        (fun i c ->
-          match c with
-          | Some _ ->
-            t.msg <- t.msg + 1;
-            n.children.(i) <- None;
-            invalidate_summary t
-          | None -> ())
-        n.children
+      prune t n ~charge:(fun () -> t.msg <- t.msg + 1)
     end
     else begin
       grow_level n;
-      Array.iter
-        (function
-          | Some c ->
-            t.msg <- t.msg + 1 (* heartbeat *);
-            visit c
-          | None -> ())
-        n.children
+      for i = 0 to t.k - 1 do
+        let c = child t n i in
+        if c >= 0 then begin
+          t.msg <- t.msg + 1 (* heartbeat *);
+          visit c
+        end
+      done
     end
   in
   (* The root's host may have changed; it is re-located determin-
      istically at the centre of the whole space. *)
-  visit t.root;
+  visit 0;
   t.stamp <- Dht.ring_version dht
 
 let refresh ?(route_messages = false) t dht =
@@ -443,10 +524,10 @@ let refresh ?(route_messages = false) t dht =
 (* A KT node is broken when its hosting VS left the ring (its owner
    died) or still exists but no longer owns the node's centre key (the
    region boundary moved under churn). *)
-let broken dht n =
-  match Dht.vs_of_id dht n.host with
+let broken dht t n =
+  match Dht.vs_of_id dht t.host.(n) with
   | None -> true
-  | Some _ -> (Dht.owner_of_key dht n.key).Dht.vs_id <> n.host
+  | Some _ -> (Dht.owner_of_key dht (key t n)).Dht.vs_id <> t.host.(n)
 
 let repair_walk ~route_messages t dht =
   let repaired_now = ref 0 in
@@ -455,70 +536,54 @@ let repair_walk ~route_messages t dht =
      even that is gone, the key's new owner discovers the orphan
      locally (zero hops). *)
   let replant ~from n =
+    let key = key t n in
     let host =
       if route_messages then begin
         let from =
           match Dht.vs_of_id dht from with
           | Some _ -> from
-          | None -> (Dht.owner_of_key dht n.key).Dht.vs_id
+          | None -> (Dht.owner_of_key dht key).Dht.vs_id
         in
-        let v, hops = Dht.lookup dht ~from ~key:n.key in
+        let v, hops = Dht.lookup dht ~from ~key in
         t.msg <- t.msg + hops;
         t.repair_msg <- t.repair_msg + hops;
         v
       end
-      else Dht.owner_of_key dht n.key
+      else Dht.owner_of_key dht key
     in
-    n.host <- host.Dht.vs_id;
+    t.host.(n) <- host.Dht.vs_id;
     invalidate_summary t;
     (* Re-planting notifies parent and children: at most K+1 msgs. *)
     t.msg <- t.msg + t.k + 1;
     t.repair_msg <- t.repair_msg + t.k + 1;
     t.repaired <- t.repaired + 1;
-    obs_event t "kt/replant" [ ("depth", P2plb_obs.Trace.Int n.depth) ];
+    obs_event t "kt/replant" [ ("depth", P2plb_obs.Trace.Int t.depth_of.(n)) ];
     incr repaired_now
   in
   let rec visit ~from n =
-    if broken dht n then replant ~from n;
-    if covered_by_host dht n then
+    if broken dht t n then replant ~from n;
+    if covered_by dht t.host.(n) t n then
       (* Became a leaf (e.g. its host absorbed a dead neighbour's
          region): prune now-redundant children. *)
-      Array.iteri
-        (fun i c ->
-          match c with
-          | Some _ ->
-            t.msg <- t.msg + 1;
-            t.repair_msg <- t.repair_msg + 1;
-            n.children.(i) <- None;
-            invalidate_summary t
-          | None -> ())
-        n.children
-    else begin
+      prune t n ~charge:(fun () ->
+          t.msg <- t.msg + 1;
+          t.repair_msg <- t.repair_msg + 1)
+    else
       (* Like {!grow}, but heal every child before descending so
          recovery lookups are never issued from a dead VS, and charge
          the re-grown subtree to the repair budget. *)
-      let parts = Region.split n.region t.k in
-      Array.iteri
-        (fun i part ->
-          if (not (Region.is_empty part)) && n.children.(i) = None then begin
+      iter_parts t n (fun i start len ->
+          let from = t.host.(n) in
+          let c = child t n i in
+          if len > 0 && c < 0 then begin
             let m0 = t.msg in
-            let child =
-              plant ~route_messages t dht ~from:n.host part (n.depth + 1)
-            in
-            t.msg <- t.msg + 1;
+            let c = plant_child ~route_messages t dht ~from n i start len in
             t.repair_msg <- t.repair_msg + (t.msg - m0);
-            n.children.(i) <- Some child;
-            invalidate_summary t;
-            visit ~from:n.host child
+            visit ~from c
           end
-          else
-            match n.children.(i) with
-            | Some child -> visit ~from:n.host child
-            | None -> ())
-        parts
-    end
+          else if c >= 0 then visit ~from c)
   in
-  visit ~from:t.root.host t.root;
+  visit ~from:t.host.(0) 0;
   t.stamp <- Dht.ring_version dht;
   !repaired_now
 
@@ -531,42 +596,40 @@ let repair ?(route_messages = false) t dht =
 let check_consistent t dht =
   let error = ref None in
   let fail fmt = Format.kasprintf (fun s -> if !error = None then error := Some s) fmt in
-  if not (Region.is_whole t.root.region) then fail "root region is not the whole ring";
+  if not (Region.is_whole (region t 0)) then fail "root region is not the whole ring";
   let seen_leaf_vs = Hashtbl.create 256 in
   let rec visit n =
-    if n.key <> Region.center n.region then
-      fail "KT node key %a is not its region centre" Id.pp n.key;
-    (match Dht.vs_of_id dht n.host with
-    | None -> fail "KT node at %a planted in missing VS %a" Id.pp n.key Id.pp n.host
+    let key = key t n and host = t.host.(n) in
+    if key <> Region.center (region t n) then
+      fail "KT node key %a is not its region centre" Id.pp key;
+    (match Dht.vs_of_id dht host with
+    | None -> fail "KT node at %a planted in missing VS %a" Id.pp key Id.pp host
     | Some v ->
-      let owner = Dht.owner_of_key dht n.key in
+      let owner = Dht.owner_of_key dht key in
       if owner.Dht.vs_id <> v.Dht.vs_id then
-        fail "KT node at %a planted in VS %a but key owned by %a" Id.pp n.key
-          Id.pp n.host Id.pp owner.Dht.vs_id;
-      let leaf = is_leaf n in
-      let cov = Region.covers ~outer:(Dht.region_of_vs dht v) ~inner:n.region in
+        fail "KT node at %a planted in VS %a but key owned by %a" Id.pp key
+          Id.pp host Id.pp owner.Dht.vs_id;
+      let leaf = is_leaf t n in
+      let cov = Region.covers ~outer:(Dht.region_of_vs dht v) ~inner:(region t n) in
       if leaf && not cov then
-        fail "leaf at %a not covered by its hosting VS" Id.pp n.key;
+        fail "leaf at %a not covered by its hosting VS" Id.pp key;
       if (not leaf) && cov then
-        fail "covered node at %a still has children" Id.pp n.key;
-      if leaf then Hashtbl.replace seen_leaf_vs n.host ());
-    if not (is_leaf n) then begin
-      let parts = Region.split n.region t.k in
-      for i = 0 to t.k - 1 do
-        match n.children.(i) with
-        | Some child ->
-          if not (Region.equal child.region parts.(i)) then
-            fail "child %d of node at %a has wrong region" i Id.pp n.key;
-          if child.depth <> n.depth + 1 then
-            fail "child depth mismatch under %a" Id.pp n.key;
-          visit child
-        | None ->
-          if not (Region.is_empty parts.(i)) then
-            fail "missing child %d (non-empty region) under %a" i Id.pp n.key
-      done
-    end
+        fail "covered node at %a still has children" Id.pp key;
+      if leaf then Hashtbl.replace seen_leaf_vs host ());
+    if not (is_leaf t n) then
+      iter_parts t n (fun i start len ->
+          let c = child t n i in
+          if c >= 0 then begin
+            if t.start.(c) <> start || t.len.(c) <> len then
+              fail "child %d of node at %a has wrong region" i Id.pp key;
+            if t.depth_of.(c) <> t.depth_of.(n) + 1 then
+              fail "child depth mismatch under %a" Id.pp key;
+            visit c
+          end
+          else if len > 0 then
+            fail "missing child %d (non-empty region) under %a" i Id.pp key)
   in
-  visit t.root;
+  visit 0;
   (* Every VS must host at least one leaf (§3.1). *)
   Dht.fold_vs dht ~init:() ~f:(fun () v ->
       if not (Hashtbl.mem seen_leaf_vs v.Dht.vs_id) then
@@ -575,11 +638,11 @@ let check_consistent t dht =
 
 let fold_nodes t ~init ~f =
   let acc = ref init in
-  iter_nodes (fun n -> acc := f !acc n) t.root;
+  iter_from t (fun n -> acc := f !acc n) 0;
   !acc
 
 let leaf_assignment t = (summary t).s_assignment
-let leaf_slot n = n.tag
+let leaf_slot t n = t.tag.(n)
 let n_leaf_slots t = (summary t).s_slots
 
 let host_nodes t host =
@@ -587,42 +650,48 @@ let host_nodes t host =
   | c -> c
   | exception Not_found -> 0
 
-let sweep_up t ~at_leaf ~combine =
+(* ---- sweeps ------------------------------------------------------------ *)
+
+(* Both sweeps read the node arrays directly: they do not mutate the
+   tree, so no block is allocated (and no array replaced) under them. *)
+
+let sweep_up t ~at_leaf ~empty ~merge ~at_node =
+  let len = t.len and first = t.first and k = t.k in
   let max_depth = ref 0 in
-  let rec visit n =
-    if n.depth > !max_depth then max_depth := n.depth;
-    if is_leaf n then at_leaf n
+  let rec visit n d =
+    if d > !max_depth then max_depth := d;
+    let b = first.(n) in
+    if b < 0 then at_leaf n
     else begin
-      let child_results =
-        Array.fold_left
-          (fun acc c ->
-            match c with
-            | Some child ->
-              t.msg <- t.msg + 1;
-              visit child :: acc
-            | None -> acc)
-          [] n.children
-      in
-      combine n (List.rev child_results)
+      let acc = ref empty in
+      for c = b to b + k - 1 do
+        if len.(c) > 0 then begin
+          t.msg <- t.msg + 1;
+          let r = visit c (d + 1) in
+          acc := merge !acc r
+        end
+      done;
+      at_node n !acc
     end
   in
-  let result = visit t.root in
+  let result = visit 0 0 in
   t.last_rounds <- !max_depth + 1;
   result
 
 let sweep_down t ~at_root ~split ~at_leaf =
+  let len = t.len and first = t.first and k = t.k in
   let max_depth = ref 0 in
-  let rec visit n value =
-    if n.depth > !max_depth then max_depth := n.depth;
-    if is_leaf n then at_leaf n value
+  let rec visit n d value =
+    if d > !max_depth then max_depth := d;
+    let b = first.(n) in
+    if b < 0 then at_leaf n value
     else
-      Array.iter
-        (function
-          | Some child ->
-            t.msg <- t.msg + 1;
-            visit child (split child value)
-          | None -> ())
-        n.children
+      for c = b to b + k - 1 do
+        if len.(c) > 0 then begin
+          t.msg <- t.msg + 1;
+          visit c (d + 1) (split c value)
+        end
+      done
   in
-  visit t.root at_root;
+  visit 0 0 at_root;
   t.last_rounds <- !max_depth + 1

@@ -31,16 +31,30 @@ module Dht = P2plb_chord.Dht
     message; refresh heartbeats cost one message per parent–child
     edge; sweeps cost one message per edge traversed. *)
 
-type kt_node = private {
-  region : Region.t;
-  key : Id.t;  (** centre of [region]: the DHT key it is planted at *)
-  depth : int; (** root = 0 *)
-  mutable host : Id.t;  (** id of the hosting virtual server *)
-  mutable children : kt_node option array;  (** length K *)
-  mutable tag : int;
-      (** leaf-slot ordinal under the current {!leaf_assignment}
-          (see {!leaf_slot}); -1 otherwise *)
-}
+(** {1 Layout}
+
+    The tree is flat: a node is an index into six int arrays (region
+    start, region length, depth, host VS id, first-child index and
+    leaf-slot tag), so it needs no record and no box, and walking it
+    chases no pointers.  The root is index 0.  The children of an
+    internal node occupy one contiguous {e K-block} of indices, slot
+    [i] holding the [i]-th part of the parent's region; a slot whose
+    part is empty has length 0 and is not a child.  A leaf's first-child
+    index is -1.
+
+    [build] sizes the arrays from the ≈ #VS·K·(log_K 2{^32} − log_K #VS)
+    node count of DESIGN.md §2 and grows them by half when full.  A
+    prune in {!refresh} or {!repair} returns the K-blocks of the
+    subtrees it drops to a free list, which later plants reuse, so a
+    long-lived tree under churn stays the size of a fresh one.
+
+    Costs: the accessors below are O(1) and allocate nothing, apart
+    from {!region} (one [Region.t]) and {!children} (an array).  A
+    sweep is O(nodes) and allocates only what its callbacks do. *)
+
+type node = private int
+(** A KT node of one tree: valid until that tree's next {!refresh} or
+    {!repair}, which may prune it. *)
 
 type t
 
@@ -65,8 +79,26 @@ val build : ?route_messages:bool -> k:int -> 'a Dht.t -> t
     {!leaf_assignment} after a build is O(1). *)
 
 val k : t -> int
-val root : t -> kt_node
-val is_leaf : kt_node -> bool
+val root : t -> node
+
+val is_leaf : t -> node -> bool
+(** No children: the node's region is covered by its host. *)
+
+val region : t -> node -> Region.t
+
+val key : t -> node -> Id.t
+(** Centre of {!region}: the DHT key the node is planted at. *)
+
+val node_depth : t -> node -> int
+(** Root = 0. *)
+
+val host : t -> node -> Id.t
+(** Id of the hosting virtual server. *)
+
+val children : t -> node -> node option array
+(** Length K; slot [i] is the child responsible for the [i]-th part of
+    the node's region, [None] for an empty part or a leaf.  Allocates
+    the array: meant for inspection, not for sweeps. *)
 
 val depth : t -> int
 (** Maximum depth over all current KT nodes — the bound on
@@ -83,7 +115,7 @@ val host_nodes : t -> Id.t -> int
 (** Number of KT nodes planted in the VS with this id (0 for none) —
     what a VS transfer must re-home.  Cached (see above). *)
 
-val leaves : t -> kt_node list
+val leaves : t -> node list
 (** In identifier-space order. *)
 
 val refresh : ?route_messages:bool -> t -> 'a Dht.t -> unit
@@ -115,10 +147,10 @@ val check_consistent : t -> 'a Dht.t -> (unit, string) result
     centre in the correct VS, leaves are exactly the covered nodes,
     and every VS hosts at least one leaf.  Used by tests. *)
 
-val fold_nodes : t -> init:'a -> f:('a -> kt_node -> 'a) -> 'a
-(** Over all KT nodes, preorder. *)
+val fold_nodes : t -> init:'a -> f:('a -> node -> 'a) -> 'a
+(** Over all KT nodes, preorder; O(nodes). *)
 
-val leaf_assignment : t -> (Id.t, kt_node) Hashtbl.t
+val leaf_assignment : t -> (Id.t, node) Hashtbl.t
 (** For every VS (keyed by VS id), the designated leaf it reports
     through — the deepest-first leaf planted in it.  A VS hosting
     several leaves reports through exactly one to avoid redundant
@@ -127,7 +159,7 @@ val leaf_assignment : t -> (Id.t, kt_node) Hashtbl.t
     (plant / prune / re-host): O(nodes) on the first call after one,
     O(1) after that. *)
 
-val leaf_slot : kt_node -> int
+val leaf_slot : t -> node -> int
 (** The node's slot ordinal in the current {!leaf_assignment}: assigned
     leaves are numbered [0 .. n_leaf_slots - 1] in preorder; any other
     node answers -1.  Only meaningful after a cached figure
@@ -147,18 +179,28 @@ val n_leaf_slots : t -> int
     counts as one message; the number of rounds equals the tree depth. *)
 
 val sweep_up :
-  t -> at_leaf:(kt_node -> 'a) -> combine:(kt_node -> 'a list -> 'a) -> 'a
-(** [combine] is applied at every internal node to the results of its
-    (present) children, deepest first; returns the root's value. *)
+  t ->
+  at_leaf:(node -> 'a) ->
+  empty:'a ->
+  merge:('a -> 'a -> 'a) ->
+  at_node:(node -> 'a -> 'a) ->
+  'a
+(** Postorder.  [at_leaf] gives a leaf's value.  An internal node's
+    value is [at_node n acc], where [acc] is [merge] folded left from
+    [empty] over its children's values in child order, each child
+    merged as soon as its subtree returns.  [merge] must be pure: only
+    the sequence of [at_leaf] / [at_node] calls, and the operands of
+    each node's merges, are specified.  Returns the root's value. *)
 
 val sweep_down :
   t ->
   at_root:'a ->
-  split:(kt_node -> 'a -> 'a) ->
-  at_leaf:(kt_node -> 'a -> unit) ->
+  split:(node -> 'a -> 'a) ->
+  at_leaf:(node -> 'a -> unit) ->
   unit
-(** Pushes a value down from the root; [split] transforms the value as
-    it crosses each edge (identity for LBI dissemination). *)
+(** Preorder: pushes a value down from the root; [split] transforms
+    the value as it crosses each edge into the given child (identity
+    for LBI dissemination). *)
 
 (** {1 Cost accounting} *)
 

@@ -34,10 +34,10 @@ let test_kt_repair_after_host_death () =
         match acc with
         | Some _ -> acc
         | None ->
-          if Array.exists Option.is_some n.Ktree.children then Some n else None)
+          if Ktree.is_leaf tree n then None else Some n)
   in
   let n = Option.get interior in
-  let owner = (Option.get (Dht.vs_of_id dht n.Ktree.host)).Dht.owner in
+  let owner = (Option.get (Dht.vs_of_id dht (Ktree.host tree n))).Dht.owner in
   Dht.crash dht owner;
   let repaired = Ktree.repair tree dht in
   check Alcotest.bool "orphaned KT nodes re-planted" true (repaired > 0);

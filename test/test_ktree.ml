@@ -33,7 +33,7 @@ let test_build_k8_consistent () =
 let test_single_vs_is_root_leaf () =
   let dht = build_dht ~seed:3 ~nodes:1 ~vs:1 in
   let tree = Ktree.build ~k:2 dht in
-  check Alcotest.bool "root is leaf" true (Ktree.is_leaf (Ktree.root tree));
+  check Alcotest.bool "root is leaf" true (Ktree.is_leaf tree (Ktree.root tree));
   check Alcotest.int "one node" 1 (Ktree.n_nodes tree);
   expect_consistent tree dht
 
@@ -41,7 +41,7 @@ let test_root_region_whole () =
   let dht = build_dht ~seed:4 ~nodes:10 ~vs:2 in
   let tree = Ktree.build ~k:2 dht in
   check Alcotest.bool "root owns everything" true
-    (Region.is_whole (Ktree.root tree).Ktree.region)
+    (Region.is_whole (Ktree.region tree (Ktree.root tree)))
 
 let test_every_vs_hosts_a_leaf () =
   (* The §3.1 guarantee; check_consistent verifies it, but assert the
@@ -53,7 +53,7 @@ let test_every_vs_hosts_a_leaf () =
       match Hashtbl.find_opt table v.Dht.vs_id with
       | Some leaf ->
         check Alcotest.int "designated leaf hosted by the VS" v.Dht.vs_id
-          leaf.Ktree.host
+          (Ktree.host tree leaf)
       | None -> Alcotest.fail "VS without designated leaf")
 
 let test_leaves_partition_ring () =
@@ -61,7 +61,9 @@ let test_leaves_partition_ring () =
   let tree = Ktree.build ~k:2 dht in
   let leaves = Ktree.leaves tree in
   let total =
-    List.fold_left (fun acc l -> acc + Region.len l.Ktree.region) 0 leaves
+    List.fold_left
+      (fun acc l -> acc + Region.len (Ktree.region tree l))
+      0 leaves
   in
   check Alcotest.int "leaf regions partition the ring" Id.space_size total
 
@@ -107,12 +109,12 @@ let test_depth_exact () =
 let shape tree =
   List.rev
     (Ktree.fold_nodes tree ~init:[] ~f:(fun acc n ->
-         ( Region.start n.Ktree.region,
-           Region.len n.Ktree.region,
-           n.Ktree.key,
-           n.Ktree.depth,
-           n.Ktree.host,
-           Array.map Option.is_some n.Ktree.children )
+         ( Region.start (Ktree.region tree n),
+           Region.len (Ktree.region tree n),
+           Ktree.key tree n,
+           Ktree.node_depth tree n,
+           Ktree.host tree n,
+           Array.map Option.is_some (Ktree.children tree n) )
          :: acc))
 
 let test_routed_build_matches () =
@@ -149,7 +151,8 @@ let test_sweep_up_counts_leaves () =
   let total =
     Ktree.sweep_up tree
       ~at_leaf:(fun _ -> 1)
-      ~combine:(fun _ children -> List.fold_left ( + ) 0 children)
+      ~empty:0 ~merge:( + )
+      ~at_node:(fun _ n -> n)
   in
   check Alcotest.int "sweep_up visits every leaf" (Ktree.n_leaves tree) total;
   check Alcotest.bool "rounds recorded" true (Ktree.rounds_last_sweep tree > 0)
@@ -170,7 +173,8 @@ let test_sweep_messages_counted () =
   let tree = Ktree.build ~k:2 dht in
   Ktree.reset_counters tree;
   ignore
-    (Ktree.sweep_up tree ~at_leaf:(fun _ -> ()) ~combine:(fun _ _ -> ()));
+    (Ktree.sweep_up tree ~at_leaf:ignore ~empty:() ~merge:(fun () () -> ())
+       ~at_node:(fun _ () -> ()));
   (* one message per edge = n_nodes - 1 *)
   check Alcotest.int "edges traversed" (Ktree.n_nodes tree - 1)
     (Ktree.messages tree)
@@ -230,6 +234,121 @@ let test_fold_nodes_count () =
   let count = Ktree.fold_nodes tree ~init:0 ~f:(fun acc _ -> acc + 1) in
   check Alcotest.int "fold visits all" (Ktree.n_nodes tree) count
 
+(* ---- sweep callback order ---------------------------------------------- *)
+
+(* What a sweep shows its callbacks: each [at_leaf] / [at_node] /
+   [split] call with the node's depth and region start, and each
+   [merge] with its operands.  A node's value is the region starts of
+   the leaves below it, so merge operands name the subtrees merged. *)
+type call =
+  | Leaf of int * int
+  | Node of int * int
+  | Merge of int list * int list
+  | Split of int * int * int
+
+(* The same recorder over either tree, given how to read a node. *)
+let record_up sweep ~depth ~start =
+  let log = ref [] in
+  let push c = log := c :: !log in
+  let v =
+    sweep
+      ~at_leaf:(fun n ->
+        push (Leaf (depth n, start n));
+        [ start n ])
+      ~empty:[]
+      ~merge:(fun a b ->
+        push (Merge (a, b));
+        a @ b)
+      ~at_node:(fun n acc ->
+        push (Node (depth n, start n));
+        acc)
+  in
+  (List.rev !log, v)
+
+let record_down sweep ~depth ~start =
+  let log = ref [] in
+  let push c = log := c :: !log in
+  sweep
+    ~split:(fun n v ->
+      push (Split (depth n, start n, v));
+      v + 1)
+    ~at_leaf:(fun n v -> push (Leaf (depth n, start n + v)));
+  List.rev !log
+
+(* The order the sweeps promise is the pointer tree's recursive
+   postorder (up) and preorder (down): it fixes VSA's notify and fault
+   draws and LBI's float summation order. *)
+let prop_sweep_order =
+  QCheck.Test.make ~name:"sweep callbacks in reference order" ~count:30
+    QCheck.(quad small_int (int_range 1 60) (int_range 1 6) (int_range 0 2))
+    (fun (seed, nodes, vs, k_sel) ->
+      let k = [| 2; 3; 8 |].(k_sel) in
+      let dht = build_dht ~seed ~nodes ~vs in
+      let tree = Ktree.build ~k dht and r = Ktree_reference.build ~k dht in
+      let depth n = Ktree.node_depth tree n
+      and start n = Region.start (Ktree.region tree n) in
+      let rdepth (n : Ktree_reference.node) = n.Ktree_reference.depth
+      and rstart (n : Ktree_reference.node) =
+        Region.start n.Ktree_reference.region
+      in
+      let up =
+        record_up
+          (fun ~at_leaf ~empty ~merge ~at_node ->
+            Ktree.sweep_up tree ~at_leaf ~empty ~merge ~at_node)
+          ~depth ~start
+      and rup =
+        record_up
+          (fun ~at_leaf ~empty ~merge ~at_node ->
+            Ktree_reference.sweep_up r.Ktree_reference.root ~at_leaf ~empty
+              ~merge ~at_node)
+          ~depth:rdepth ~start:rstart
+      in
+      let down =
+        record_down
+          (fun ~split ~at_leaf ->
+            Ktree.sweep_down tree ~at_root:0 ~split ~at_leaf)
+          ~depth ~start
+      and rdown =
+        record_down
+          (fun ~split ~at_leaf ->
+            Ktree_reference.sweep_down r.Ktree_reference.root 0 ~split
+              ~at_leaf)
+          ~depth:rdepth ~start:rstart
+      in
+      up = rup && down = rdown
+      && Ktree.rounds_last_sweep tree = Ktree.depth tree + 1)
+
+(* ---- storage under churn ----------------------------------------------- *)
+
+let test_storage_bounded_under_churn () =
+  (* A long-lived tree through 500 churn + refresh steps: the K-blocks
+     its prunes free are reused, so it stays within twice the size of
+     a fresh build on the final ring, and equals that build. *)
+  let dht = build_dht ~seed:18 ~nodes:40 ~vs:3 in
+  let tree = Ktree.build ~k:2 dht in
+  let rng = Prng.create ~seed:78 in
+  for step = 1 to 500 do
+    let alive = Dht.n_nodes dht in
+    if alive > 20 && (alive > 60 || Prng.bool rng) then begin
+      let n = Prng.choose rng (Array.of_list (Dht.alive_nodes dht)) in
+      if step mod 3 = 0 then Dht.leave dht n.Dht.node_id
+      else Dht.crash dht n.Dht.node_id
+    end
+    else ignore (Dht.join dht ~capacity:1.0 ~underlay:step ~n_vs:3);
+    Ktree.refresh tree dht
+  done;
+  expect_consistent tree dht;
+  let fresh = Ktree.build ~k:2 dht in
+  check Alcotest.bool "same tree as a fresh build" true
+    (shape tree = shape fresh);
+  (* Both summaries filled, so both carry the same tables. *)
+  check Alcotest.int "nodes" (Ktree.n_nodes fresh) (Ktree.n_nodes tree);
+  let words = Obj.reachable_words (Obj.repr tree)
+  and fresh_words = Obj.reachable_words (Obj.repr fresh) in
+  if words > 2 * fresh_words then
+    Alcotest.failf "long-lived tree holds %d words, a fresh build %d" words
+      fresh_words
+
 let prop_tree_consistent_for_any_ring =
   QCheck.Test.make ~name:"tree consistent on random rings" ~count:25
     QCheck.(triple small_int (int_range 1 25) (int_range 1 5))
@@ -281,8 +400,14 @@ let () =
           Alcotest.test_case "after transfer" `Quick
             test_refresh_after_vs_transfer;
           Alcotest.test_case "fold_nodes" `Quick test_fold_nodes_count;
+          Alcotest.test_case "storage bounded under churn" `Quick
+            test_storage_bounded_under_churn;
         ] );
       ( "properties",
-        [ qtest prop_tree_consistent_for_any_ring; qtest prop_k8_consistent ]
+        [
+          qtest prop_tree_consistent_for_any_ring;
+          qtest prop_k8_consistent;
+          qtest prop_sweep_order;
+        ]
       );
     ]

@@ -16,6 +16,7 @@ module Dht = P2plb_chord.Dht
 module Ktree = P2plb_ktree.Ktree
 module Obs = P2plb_obs.Obs
 module Registry = P2plb_obs.Registry
+module Trace = P2plb_obs.Trace
 
 (* ---- Region: wrap-around interval algebra ------------------------------- *)
 
@@ -462,28 +463,30 @@ let summary_matches_fold tree dht =
   let assignment = Ktree.leaf_assignment tree in
   let nodes, depth, leaves =
     Ktree.fold_nodes tree ~init:(0, 0, 0) ~f:(fun (n, d, l) kn ->
-        (n + 1, Int.max d kn.Ktree.depth, if Ktree.is_leaf kn then l + 1 else l))
+        ( n + 1,
+          Int.max d (Ktree.node_depth tree kn),
+          if Ktree.is_leaf tree kn then l + 1 else l ))
   in
   let per_host = Hashtbl.create 64 in
   let deepest = Hashtbl.create 64 in
   Ktree.fold_nodes tree ~init:() ~f:(fun () kn ->
-      let h = kn.Ktree.host in
+      let h = Ktree.host tree kn in
       Hashtbl.replace per_host h
         (1 + Option.value ~default:0 (Hashtbl.find_opt per_host h));
-      if Ktree.is_leaf kn then
+      if Ktree.is_leaf tree kn then
         match Hashtbl.find_opt deepest h with
-        | Some e when e.Ktree.depth >= kn.Ktree.depth -> ()
+        | Some e when Ktree.node_depth tree e >= Ktree.node_depth tree kn -> ()
         | _ -> Hashtbl.replace deepest h kn);
   let slots_ok, n_slots =
     Ktree.fold_nodes tree ~init:(true, 0) ~f:(fun (ok, next) kn ->
         let winner =
-          Ktree.is_leaf kn
-          && (match Hashtbl.find_opt deepest kn.Ktree.host with
-             | Some w -> w == kn
+          Ktree.is_leaf tree kn
+          && (match Hashtbl.find_opt deepest (Ktree.host tree kn) with
+             | Some w -> w = kn
              | None -> false)
         in
-        if winner then (ok && Ktree.leaf_slot kn = next, next + 1)
-        else (ok && Ktree.leaf_slot kn = -1, next))
+        if winner then (ok && Ktree.leaf_slot tree kn = next, next + 1)
+        else (ok && Ktree.leaf_slot tree kn = -1, next))
   in
   Ktree.n_nodes tree = nodes
   && Ktree.depth tree = depth
@@ -499,7 +502,7 @@ let summary_matches_fold tree dht =
             = Option.value ~default:0 (Hashtbl.find_opt per_host id)
          &&
          match (Hashtbl.find_opt assignment id, Hashtbl.find_opt deepest id) with
-         | Some a, Some w -> a == w
+         | Some a, Some w -> a = w
          | None, None -> true
          | _ -> false)
 
@@ -575,28 +578,28 @@ let ktree_ref_case =
     (Prop.triple (Prop.int_in 1 512) (Prop.int_in 1 8) (Prop.int_in 0 2))
     (Prop.list_of ~max_len:10 ring_op)
 
-let rec same_node (r : Kref.node) (n : Ktree.kt_node) =
-  Region.equal r.Kref.region n.Ktree.region
-  && r.Kref.key = n.Ktree.key
-  && r.Kref.depth = n.Ktree.depth
-  && r.Kref.host = n.Ktree.host
-  && r.Kref.tag = Ktree.leaf_slot n
-  && Array.length r.Kref.children = Array.length n.Ktree.children
+(* [r]'s subtree and [n]'s: region, key, depth, host, leaf slot and
+   children, recursively. *)
+let rec same_node (r : Kref.node) t (n : Ktree.node) =
+  Region.equal r.Kref.region (Ktree.region t n)
+  && r.Kref.key = Ktree.key t n
+  && r.Kref.depth = Ktree.node_depth t n
+  && r.Kref.host = Ktree.host t n
+  && r.Kref.tag = Ktree.leaf_slot t n
   && Array.for_all2
        (fun a b ->
          match (a, b) with
          | None, None -> true
-         | Some a, Some b -> same_node a b
+         | Some a, Some b -> same_node a t b
          | _ -> false)
-       r.Kref.children n.Ktree.children
+       r.Kref.children (Ktree.children t n)
 
-(* Both builders on the current ring: structure, message count,
-   summary figures, and per-VS leaf assignment and node counts. *)
-let builders_agree ~k dht =
-  let r = Kref.build ~k dht and t = Ktree.build ~k dht in
+(* Structure, summary figures, and per-VS leaf assignment and node
+   counts; [r]'s summary must be current. *)
+let trees_agree r t dht =
+  (* Leaf slots are numbered when the summary is built. *)
   let assignment = Ktree.leaf_assignment t in
-  same_node r.Kref.root (Ktree.root t)
-  && Ktree.messages t = r.Kref.msg
+  same_node r.Kref.root t (Ktree.root t)
   && Ktree.depth t = r.Kref.depth
   && Ktree.n_nodes t = r.Kref.n_nodes
   && Ktree.n_leaves t = r.Kref.n_leaves
@@ -612,11 +615,16 @@ let builders_agree ~k dht =
              Hashtbl.find_opt r.Kref.assignment id )
          with
          | Some a, Some b ->
-           Region.equal a.Ktree.region b.Kref.region
-           && a.Ktree.depth = b.Kref.depth
-           && Ktree.leaf_slot a = b.Kref.tag
+           Region.equal (Ktree.region t a) b.Kref.region
+           && Ktree.node_depth t a = b.Kref.depth
+           && Ktree.leaf_slot t a = b.Kref.tag
          | None, None -> true
          | _ -> false)
+
+(* Both builders on the current ring. *)
+let builders_agree ~k dht =
+  let r = Kref.build ~k dht and t = Ktree.build ~k dht in
+  trees_agree r t dht && Ktree.messages t = r.Kref.msg
 
 let prop_ktree_matches_reference ((n_nodes, vs, k_sel), ops) =
   let k = [| 2; 3; 8 |].(k_sel) in
@@ -632,6 +640,77 @@ let test_ktree_matches_reference () =
   Prop.run ~count:40 ~seed:0x5eed0a
     ~name:"slice-built KT = DHT-driven reference builder"
     ktree_ref_case prop_ktree_matches_reference
+
+(* ---- Ktree: flat upkeep = pointer reference walks ----------------------- *)
+
+(* ((physical nodes, VSs per node, K = 2 / 3 / 8),
+    (route_messages off / on, operations)). *)
+let ktree_upkeep_case =
+  Prop.pair
+    (Prop.triple (Prop.int_in 1 512) (Prop.int_in 1 8) (Prop.int_in 0 2))
+    (Prop.pair (Prop.int_in 0 1) (Prop.list_of ~max_len:10 ring_op))
+
+(* The kt/rehost and kt/replant points in recording order, with their
+   depth attributes. *)
+let kt_events obs =
+  List.filter_map
+    (fun (e : Trace.ev) ->
+      match (e.Trace.kind, e.Trace.name) with
+      | Trace.Point, (("kt/rehost" | "kt/replant") as name) -> (
+        match List.assoc_opt "depth" e.Trace.attrs with
+        | Some (Trace.Int d) -> Some (name, d)
+        | _ -> Some (name, -1))
+      | _ -> None)
+    (Trace.events (Obs.trace obs))
+
+(* One long-lived tree of each kind on the same ring.  Each op is
+   followed by refresh then repair, repair then refresh, or nothing
+   (so the next walks meet two ops of churn).  A routed refresh issues
+   its lookups from each node's current host, so it only runs after a
+   repair has re-planted the nodes of departed VSs.  After every step the
+   trees, their summaries, message / repair counters, [repair]'s
+   return values and the ordered kt events must agree. *)
+let prop_ktree_upkeep_matches_reference ((n_nodes, vs, k_sel), (routed, ops)) =
+  let k = [| 2; 3; 8 |].(k_sel) and route_messages = routed = 1 in
+  let dht = Dht.create ~seed:((n_nodes * 8) + vs) in
+  for i = 0 to n_nodes - 1 do
+    ignore (Dht.join dht ~capacity:1.0 ~underlay:i ~n_vs:vs)
+  done;
+  let r = Kref.build ~route_messages ~k dht in
+  let t = Ktree.build ~route_messages ~k dht in
+  let obs = Obs.create () in
+  Ktree.set_obs t obs;
+  let agree () =
+    Kref.summarize r;
+    trees_agree r t dht
+    && Ktree.messages t = r.Kref.msg
+    && Ktree.repairs t = r.Kref.repaired
+    && Ktree.repair_messages t = r.Kref.repair_msg
+    && kt_events obs = Kref.events r
+  in
+  let repair () =
+    let a = Ktree.repair ~route_messages t dht in
+    a = Kref.repair ~route_messages r dht && agree ()
+  in
+  let refresh () =
+    Ktree.refresh ~route_messages t dht;
+    Kref.refresh ~route_messages r dht;
+    agree ()
+  in
+  agree ()
+  && List.for_all
+       (fun (i, op) ->
+         apply_ring_op dht op;
+         match i mod 3 with
+         | 0 when not route_messages -> refresh () && repair ()
+         | 0 | 1 -> repair () && refresh ()
+         | _ -> true)
+       (List.mapi (fun i op -> (i, op)) ops)
+
+let test_ktree_upkeep_matches_reference () =
+  Prop.run ~count:30 ~seed:0x5eed0b
+    ~name:"flat KT upkeep = pointer reference walks"
+    ktree_upkeep_case prop_ktree_upkeep_matches_reference
 
 let () =
   Alcotest.run "prop"
@@ -666,5 +745,7 @@ let () =
             test_ktree_version_contract;
           Alcotest.test_case "build = reference builder" `Quick
             test_ktree_matches_reference;
+          Alcotest.test_case "upkeep = reference walks" `Quick
+            test_ktree_upkeep_matches_reference;
         ] );
     ]
