@@ -48,6 +48,31 @@ let test_balance_round_twice () =
     (Digest.to_hex (Digest.string (run ())))
     (Digest.to_hex (Digest.string (run ())))
 
+(* ---- paper-output pins -------------------------------------------------- *)
+
+(* Hard digests of the paper-facing reports at small N.  The double-run
+   cases above only compare a run against itself; these pins prove that
+   a refactor leaves the figures where they were.  A change that moves
+   one of them moved a paper number and must say so. *)
+
+let digest s = Digest.to_hex (Digest.string s)
+
+let test_paper_output_pins () =
+  let fig4 = E.render_fig4 (E.fig4 ~seed:7 ~n_nodes:128 ()) in
+  let fig7, fig7_csv = fig7_artifacts 42 in
+  let tvsa = E.render_tvsa [ E.tvsa ~k:8 () ] in
+  let baselines = E.render_baselines (E.baselines ~n_nodes:256 ()) in
+  check Alcotest.string "fig4 report" "108e47174a8ba98c2fa5c439ea14e94b"
+    (digest fig4);
+  check Alcotest.string "fig7 report" "454ce2b2fffbc111426a41034dc8c0ce"
+    (digest fig7);
+  check Alcotest.string "fig7 csv" "a8884ad315163623fea8ec12a49fbb0a"
+    (digest fig7_csv);
+  check Alcotest.string "T-vsa report" "5130d9c2b966b792812abb7c147a85ad"
+    (digest tvsa);
+  check Alcotest.string "baselines report" "68c3dff5102d5b8b0097139a0c8d77a4"
+    (digest baselines)
+
 (* ---- observability ------------------------------------------------------ *)
 
 (* The obs bundle is part of the determinism contract: the JSONL trace
@@ -117,6 +142,8 @@ let () =
           Alcotest.test_case "fig4 byte-identical" `Quick
             test_balance_round_twice;
         ] );
+      ( "paper-output",
+        [ Alcotest.test_case "pinned digests" `Quick test_paper_output_pins ] );
       ( "observability",
         [
           Alcotest.test_case "obs digests byte-identical" `Quick
