@@ -94,9 +94,7 @@ let sinked f (trace_out, metrics_out, series_out) =
   match (trace_out, metrics_out, series_out) with
   | None, None, None -> f None
   | _ ->
-    (* CLI-recorded traces speak schema v2 (parent ids + round spans);
-       trace-summary and trace-analyze accept both versions. *)
-    let obs = Obs.create ~trace_version:2 () in
+    let obs = Obs.create () in
     Fun.protect
       ~finally:(fun () ->
         let flush_to path write =
@@ -408,7 +406,7 @@ let run_convergence seed n_nodes max_rounds epsilon_rel chaos_seed json
   let module Controller = P2plb.Controller in
   let module Multiround = P2plb.Multiround in
   let module Faults = P2plb_sim.Faults in
-  let obs = Obs.create ~trace_version:2 () in
+  let obs = Obs.create () in
   let config = { Controller.default with Controller.epsilon_rel } in
   let faults =
     Option.map

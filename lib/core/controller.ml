@@ -208,22 +208,14 @@ let run ?(config = default) ?faults ?engine ?obs (s : Scenario.t) =
     P2plb_obs.Trace.set_time (P2plb_obs.Obs.trace o) (round_start +. 1.0)
   | _ -> ());
   end_phase sp ~events0:ev0
-    ([
-       ("messages", P2plb_obs.Trace.Int (Ktree.messages tree - msg0));
-       ("transfers", P2plb_obs.Trace.Int vst.Vst.transfers);
-       ("skipped", P2plb_obs.Trace.Int vst.Vst.skipped);
-       ("moved_load", P2plb_obs.Trace.Float vst.Vst.moved_load);
-     ]
-    (* transactional attributes appear only when the protocol ran, so
-       zero-fault (and legacy-fault) traces are unchanged *)
-    @
-    match faults with
-    | Some f when Faults.transfer_protocol f ->
-      [
-        ("aborted", P2plb_obs.Trace.Int vst.Vst.aborted);
-        ("deduped", P2plb_obs.Trace.Int vst.Vst.deduped);
-      ]
-    | _ -> []);
+    [
+      ("messages", P2plb_obs.Trace.Int (Ktree.messages tree - msg0));
+      ("transfers", P2plb_obs.Trace.Int vst.Vst.transfers);
+      ("skipped", P2plb_obs.Trace.Int vst.Vst.skipped);
+      ("moved_load", P2plb_obs.Trace.Float vst.Vst.moved_load);
+      ("aborted", P2plb_obs.Trace.Int vst.Vst.aborted);
+      ("deduped", P2plb_obs.Trace.Int vst.Vst.deduped);
+    ];
   let unit_loads_after = Scenario.unit_loads s in
   (* Round-level registry series, the per-round load snapshot for the
      convergence time-series, and the engine profiling snapshot.  The

@@ -76,17 +76,14 @@ let run ?(config = Controller.default) ?faults ?obs ?(max_rounds = 10) ?check
     | None -> (0, 0, 0)
   in
   (* Round spans wrap each controller round so the span forest groups
-     phases under their round.  Gated on trace schema v2: v1 traces
-     stay byte-identical to their digest pins. *)
+     phases under their round. *)
   let begin_round index =
-    match obs with
-    | Some o
-      when P2plb_obs.Trace.version (P2plb_obs.Obs.trace o) >= 2 ->
-      Some
-        (P2plb_obs.Trace.begin_span (P2plb_obs.Obs.trace o)
-           ~attrs:[ ("index", P2plb_obs.Trace.Int index) ]
-           "round")
-    | _ -> None
+    Option.map
+      (fun o ->
+        P2plb_obs.Trace.begin_span (P2plb_obs.Obs.trace o)
+          ~attrs:[ ("index", P2plb_obs.Trace.Int index) ]
+          "round")
+      obs
   in
   let end_round sp (r : round) =
     match (obs, sp) with

@@ -62,20 +62,12 @@ let apply ?tree ?obs ?faults ?oracle dht assignments =
   let aborted_commit_lost = ref 0 in
   let deduped = ref 0 in
   let restructure = ref 0 in
-  (* The transactional path only engages for plans that carry
-     transfer-path faults; otherwise transfers stay atomic and the
-     round consumes no extra randomness (byte-identical legacy path). *)
-  let txn =
-    match faults with
-    | Some f when Faults.transfer_protocol f -> Some f
-    | _ -> None
-  in
   (* Per-assignment sequence numbers: the pair (vs id, seq) names one
-     transaction, so a replayed TRANSFER is recognised and dropped. *)
+     transaction, so a replayed TRANSFER is recognised and dropped.  A
+     replay arrives right behind its original, so the handler only has
+     to remember the last transaction it installed. *)
   let seq = ref 0 in
-  let applied : (P2plb_idspace.Id.t * int, unit) Hashtbl.t =
-    Hashtbl.create 64
-  in
+  let installed_seq = ref 0 in
   (* Mid-window fail-stop, mirroring the multiround crash guard: never
      empty the ring, never strand every VS on the victim.  [false]
      when the victim was shielded (the transaction then proceeds). *)
@@ -95,22 +87,48 @@ let apply ?tree ?obs ?faults ?oracle dht assignments =
         ("cause", P2plb_obs.Trace.Str cause); ("seq", P2plb_obs.Trace.Int !seq);
       ]
   in
+  (* The fault plan's hooks.  Without a plan every message is
+     delivered, no crash window fires and nothing is duplicated; a plan
+     whose rates are zero draws no randomness, so both run the protocol
+     below to the same result.  [send] is one protocol message: a loss
+     aborts the transaction, blamed on the partition cut when one
+     separates the endpoints and on [counter] otherwise. *)
+  let send ~src ~dst counter cause =
+    match faults with
+    | None -> true
+    | Some f -> (
+      match Faults.send_between f ~src ~dst with
+      | Faults.Delivered _ -> true
+      | Faults.Lost ->
+        if Faults.cut f ~a:src ~b:dst then
+          abort aborted_partitioned "partitioned"
+        else abort counter cause;
+        false)
+  in
+  let window_crash () =
+    match faults with
+    | None -> Faults.No_crash
+    | Some f -> Faults.crash_in_window f
+  in
+  let duplicated () =
+    match faults with None -> false | Some f -> Faults.duplicated f
+  in
   (* The light node's TRANSFER handler: installs the VS once per
      (vs, seq) transaction and drops any replay of it.  [true] when
      this delivery was installed. *)
   let receive_transfer (a : Types.assignment) seq =
-    if Hashtbl.mem applied (a.a_vs_id, seq) then begin
+    if !installed_seq = seq then begin
       incr deduped;
       trace_point "vst/dedup" [ ("seq", P2plb_obs.Trace.Int seq) ];
       false
     end
     else begin
       Dht.transfer_vs dht ~vs_id:a.a_vs_id ~to_node:a.a_to;
-      Hashtbl.replace applied (a.a_vs_id, seq) ();
+      installed_seq := seq;
       true
     end
   in
-  (* A committed transfer's accounting (shared by both paths). *)
+  (* A committed transfer's accounting. *)
   let commit (a : Types.assignment) (v : Dht.vs) ~hops =
     Histogram.add hist ~bin:hops ~weight:v.Dht.load;
     trace_point "vst/transfer"
@@ -144,70 +162,58 @@ let apply ?tree ?obs ?faults ?oracle dht assignments =
               ~dst:dst.Dht.underlay
           | None -> 0
         in
-        match txn with
-        | None ->
-          (* atomic legacy transfer *)
-          Dht.transfer_vs dht ~vs_id:a.a_vs_id ~to_node:a.a_to;
-          commit a v ~hops
-        | Some f -> (
-          incr seq;
-          let pstate = ref None in
-          advance pstate Prepare;
-          (* PREPARE: the heavy owner proposes (vs, seq) to the light
-             node; nothing has moved yet, so a drop aborts cleanly. *)
-          match Faults.send_between f ~src:a.a_from ~dst:a.a_to with
-          | Faults.Lost ->
-            if Faults.cut f ~a:a.a_from ~b:a.a_to then
-              abort aborted_partitioned "partitioned"
-            else abort aborted_prepare_lost "prepare_lost"
-          | Faults.Delivered _ -> (
-            (* mid-transfer crash window: a fail-stop between PREPARE
-               and COMMIT must leave the VS either safely home (dst
-               died: nothing moved) or absorbed by the ring's crash
-               handling (src died with the VS still home) — never
-               half-transferred. *)
-            let crashed =
-              match Faults.crash_in_window f with
-              | Faults.No_crash -> false
-              | Faults.Crash_dst ->
-                if crash_endpoint a.a_to then begin
-                  abort aborted_dest_crashed "dest_crashed";
-                  true
-                end
-                else false
-              | Faults.Crash_src ->
-                if crash_endpoint a.a_from then begin
-                  abort aborted_src_crashed "src_crashed";
-                  true
-                end
-                else false
-            in
-            if not crashed then begin
-              advance pstate Transfer;
-              (* TRANSFER: the VS moves.  A duplicated delivery carries
-                 the same sequence number and reaches the same handler,
-                 whose seq table drops it instead of re-applying. *)
-              let deliveries = if Faults.duplicated f then 2 else 1 in
-              let installed = ref 0 in
-              for _ = 1 to deliveries do
-                if receive_transfer a !seq then incr installed
-              done;
-              (* COMMIT: the light node acknowledges each TRANSFER it
-                 installed; until the ack lands the heavy owner keeps
-                 the right to reclaim, so a lost ack rolls the VS back
-                 instead of stranding it. *)
-              for _ = 1 to !installed do
-                match Faults.send_between f ~src:a.a_to ~dst:a.a_from with
-                | Faults.Delivered _ ->
-                  advance pstate Commit;
-                  commit a v ~hops
-                | Faults.Lost ->
-                  Dht.transfer_vs dht ~vs_id:a.a_vs_id ~to_node:a.a_from;
-                  if Faults.cut f ~a:a.a_from ~b:a.a_to then
-                    abort aborted_partitioned "partitioned"
-                  else abort aborted_commit_lost "commit_lost"
-              done
-            end)))
+        incr seq;
+        let pstate = ref None in
+        advance pstate Prepare;
+        (* PREPARE: the heavy owner proposes (vs, seq) to the light
+           node; nothing has moved yet, so a drop aborts cleanly. *)
+        if send ~src:a.a_from ~dst:a.a_to aborted_prepare_lost "prepare_lost"
+        then
+          (* mid-transfer crash window: a fail-stop between PREPARE and
+             COMMIT must leave the VS either safely home (dst died:
+             nothing moved) or absorbed by the ring's crash handling
+             (src died with the VS still home) — never
+             half-transferred. *)
+          let crashed =
+            match window_crash () with
+            | Faults.No_crash -> false
+            | Faults.Crash_dst ->
+              if crash_endpoint a.a_to then begin
+                abort aborted_dest_crashed "dest_crashed";
+                true
+              end
+              else false
+            | Faults.Crash_src ->
+              if crash_endpoint a.a_from then begin
+                abort aborted_src_crashed "src_crashed";
+                true
+              end
+              else false
+          in
+          if not crashed then begin
+            advance pstate Transfer;
+            (* TRANSFER: the VS moves.  A duplicated delivery carries
+               the same sequence number and reaches the same handler,
+               whose seq check drops it instead of re-applying. *)
+            let deliveries = if duplicated () then 2 else 1 in
+            let installed = ref 0 in
+            for _ = 1 to deliveries do
+              if receive_transfer a !seq then incr installed
+            done;
+            (* COMMIT: the light node acknowledges each TRANSFER it
+               installed; until the ack lands the heavy owner keeps the
+               right to reclaim, so a lost ack rolls the VS back
+               instead of stranding it. *)
+            for _ = 1 to !installed do
+              if send ~src:a.a_to ~dst:a.a_from aborted_commit_lost
+                   "commit_lost"
+              then begin
+                advance pstate Commit;
+                commit a v ~hops
+              end
+              else Dht.transfer_vs dht ~vs_id:a.a_vs_id ~to_node:a.a_from
+            done
+          end)
       | None ->
         incr skipped_vs_gone;
         trace_point "vst/skip" [ ("cause", P2plb_obs.Trace.Str "vs_gone") ]
@@ -237,15 +243,10 @@ let apply ?tree ?obs ?faults ?oracle dht assignments =
       (!skipped_vs_gone + !skipped_owner_changed + !skipped_dest_dead);
     P2plb_obs.Registry.accum (P2plb_obs.Registry.gauge m "vst/moved_load")
       !moved_load;
-    (* Transactional series exist only when the protocol ran, so
-       zero-fault (and legacy-fault) registry dumps are unchanged. *)
-    match txn with
-    | None -> ()
-    | Some _ ->
-      P2plb_obs.Registry.add (P2plb_obs.Registry.counter m "vst/aborted")
-        aborted;
-      P2plb_obs.Registry.add (P2plb_obs.Registry.counter m "vst/deduped")
-        !deduped);
+    P2plb_obs.Registry.add (P2plb_obs.Registry.counter m "vst/aborted")
+      aborted;
+    P2plb_obs.Registry.add (P2plb_obs.Registry.counter m "vst/deduped")
+      !deduped);
   {
     hist;
     moved_load = !moved_load;

@@ -15,10 +15,8 @@ module Faults = P2plb_sim.Faults
 
     {2 Transactional transfers}
 
-    When the fault plan carries transfer-path faults
-    ({!Faults.transfer_protocol}), each assignment runs as a
-    PREPARE -> TRANSFER -> COMMIT transaction with a per-assignment
-    sequence number:
+    Each assignment runs as a PREPARE -> TRANSFER -> COMMIT transaction
+    with a per-assignment sequence number.  Under a fault plan:
 
     - a PREPARE lost to message loss or a partition cut aborts before
       anything moves;
@@ -31,10 +29,11 @@ module Faults = P2plb_sim.Faults
     - a lost COMMIT acknowledgement rolls the VS back to its heavy
       owner rather than stranding it mid-handoff.
 
-    Plans without transfer-path faults (including [None]) take the
-    atomic legacy path, which consumes no extra randomness — runs with
-    the new fault fields at zero are byte-identical to older
-    releases. *)
+    PREPARE and COMMIT are sends between the two physical nodes, so
+    they draw from the plan's loss stream like every other message.
+    Without a plan every send is delivered, no crash window fires and
+    nothing is duplicated; a plan whose rates are all zero draws no
+    randomness and gives the same result. *)
 
 type phase = Prepare | Transfer | Commit
 (** The transactional protocol's steps, reified so each has an
@@ -47,8 +46,7 @@ val phase_name : phase -> string
 val advance : phase option ref -> phase -> unit
 (** Per-assignment protocol-state guard: legal transitions are
     [None -> Prepare -> Transfer -> Commit].  Raises [Invalid_argument]
-    on any other transition; emits nothing (trace output is
-    unchanged).  Aborted/rolled-back transactions simply never
+    on any other transition; emits nothing.  Aborted/rolled-back transactions simply never
     advance past their last completed phase. *)
 
 type result = {
@@ -67,9 +65,8 @@ type result = {
   skipped_dest_dead : int;
       (** the assigned light node died before the transfer landed *)
   aborted : int;
-      (** transactions rolled back by transfer-path faults — the sum
-          of the five per-cause counters below; always 0 on the
-          legacy path *)
+      (** transactions rolled back by faults — the sum of the five
+          per-cause counters below; always 0 without a fault plan *)
   aborted_prepare_lost : int;  (** PREPARE timed out; nothing moved *)
   aborted_partitioned : int;
       (** a partition cut separated the endpoints; the VS stayed (or
@@ -105,17 +102,16 @@ val apply :
     distance histogram.  Omitting it skips the shortest-path queries
     and books every transfer at distance 0.
 
-    [faults] supplies the transfer-path fault draws; the transactional
-    protocol only engages when {!Faults.transfer_protocol} holds.
-    Mid-window crashes respect the multiround guard (never empty the
-    ring, never kill a node hosting every VS; a shielded victim lets
-    the transaction proceed).
+    [faults] supplies message loss, partition cuts, duplication and
+    mid-window crashes.  Mid-window crashes respect the multiround
+    guard (never empty the ring, never kill a node hosting every VS; a
+    shielded victim lets the transaction proceed).
 
     [obs] records one ["vst/transfer"] trace point per committed
     assignment (attributes [hops], [load] — Figures 7–8 are derivable
     from the trace alone), a cause-tagged ["vst/skip"] per dropped
-    one, and — transactional path only — cause-tagged ["vst/abort"]
-    and ["vst/dedup"] points, plus registry series [vst/transfers],
+    one, cause-tagged ["vst/abort"] and ["vst/dedup"] points, and
+    registry series [vst/transfers],
     [vst/skipped], [vst/moved_load], [vst/aborted], [vst/deduped] and
     the [vst/hop_cost] histogram. *)
 

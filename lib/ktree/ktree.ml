@@ -209,22 +209,6 @@ let plant_child ~route_messages t dht ~from n i start len =
   invalidate_summary t;
   c
 
-(* Grow the subtree under [n] until every branch bottoms out in a
-   covered (leaf) node.  One message per created child. *)
-let rec grow ~route_messages t dht n =
-  if not (covered_by dht t.host.(n) t n) then
-    iter_parts t n (fun i start len ->
-        grow_part ~route_messages t dht ~from:t.host.(n) n i start len)
-
-(* [grow]'s step for part [i] of [n]: plant the child if missing, then
-   grow it. *)
-and grow_part ~route_messages t dht ~from n i start len =
-  let c = child t n i in
-  if len > 0 && c < 0 then
-    grow ~route_messages t dht
-      (plant_child ~route_messages t dht ~from n i start len)
-  else if c >= 0 then grow ~route_messages t dht c
-
 (* First index in [lo, hi) of the sorted [ids] whose id is >= [x];
    [hi] when there is none. *)
 let rec lower_bound ids x lo hi =
@@ -442,12 +426,11 @@ let leaves t =
 (* ---- upkeep ------------------------------------------------------------ *)
 
 let refresh_walk ~route_messages t dht =
-  (* One level of {!grow}: plant the missing children of [n] but do
+  (* One level of growth: plant the missing children of [n] but do
      not descend into existing subtrees — [visit] below recurses and
-     grows each level as it reaches it.  Full [grow] here would make
-     the refresh O(nodes * depth): every ancestor re-walks the whole
-     subtree.  Message accounting is unchanged (one message per
-     created child; descent heartbeats are visit's). *)
+     grows each level as it reaches it, so the refresh stays
+     O(nodes).  One message per created child; descent heartbeats
+     are visit's. *)
   let grow_level n =
     iter_parts t n (fun i start len ->
         if len > 0 && child t n i < 0 then
@@ -473,28 +456,9 @@ let refresh_walk ~route_messages t dht =
       t.msg <- t.msg + t.k + 1;
       obs_event t "kt/rehost" [ ("depth", P2plb_obs.Trace.Int t.depth_of.(n)) ]
     end;
-    if covered_by dht new_host t n then begin
-      (* A non-root node whose re-host just flipped it to covered was
-         still uncovered when its parent's refresh pass grew the tree,
-         so that pass planted its missing children (lookups issued
-         from the stale host) and the prune below then removed them
-         again.  Replay that transient plant so message accounting —
-         and with it the digest-pinned traces — is identical to the
-         historical whole-subtree regrow. *)
-      if t.depth_of.(n) > 0 && old_host <> new_host
-         && not (covered_by dht old_host t n)
-      then
-        (* Exactly {!grow}'s body with [n] forced uncovered: plant the
-           missing slots (from the stale host) and regrow the existing
-           children too — their hosts are still the pre-rehost ones the
-           historical pass saw, since visit is top-down and has not
-           descended here yet.  The whole subtree is discarded by the
-           prune below; only the message count survives. *)
-        iter_parts t n (fun i start len ->
-            grow_part ~route_messages t dht ~from:old_host n i start len);
+    if covered_by dht new_host t n then
       (* Became a leaf: prune redundant children. *)
       prune t n ~charge:(fun () -> t.msg <- t.msg + 1)
-    end
     else begin
       grow_level n;
       for i = 0 to t.k - 1 do
@@ -569,9 +533,9 @@ let repair_walk ~route_messages t dht =
           t.msg <- t.msg + 1;
           t.repair_msg <- t.repair_msg + 1)
     else
-      (* Like {!grow}, but heal every child before descending so
-         recovery lookups are never issued from a dead VS, and charge
-         the re-grown subtree to the repair budget. *)
+      (* Grow the missing children, healing every child before
+         descending so recovery lookups are never issued from a dead
+         VS, and charge the re-grown subtree to the repair budget. *)
       iter_parts t n (fun i start len ->
           let from = t.host.(n) in
           let c = child t n i in

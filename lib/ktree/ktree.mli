@@ -123,6 +123,12 @@ val refresh : ?route_messages:bool -> t -> 'a Dht.t -> unit
     VS, prune children of nodes that became leaves, grow children that
     became necessary.  Idempotent once the ring is stable.
 
+    Messages: one heartbeat per parent–child edge the walk descends,
+    [K + 1] per re-hosted node, one per planted child and one per
+    pruned child, plus the lookup hops with [route_messages].  A node
+    that becomes a leaf only prunes: nothing is planted below it
+    first.
+
     Costs O(nodes) when the ring version moved since the tree was last
     consistent (or with [route_messages], whose lookups are charged);
     otherwise O(1): it charges the walk's heartbeats,

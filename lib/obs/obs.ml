@@ -1,19 +1,18 @@
 type t = { trace : Trace.t; metrics : Registry.t; series : Timeseries.t }
 
-let create ?trace_version () =
-  let trace = Trace.create () in
-  (match trace_version with
-  | Some v -> Trace.set_version trace v
-  | None -> ());
-  { trace; metrics = Registry.create (); series = Timeseries.create () }
+let create () =
+  {
+    trace = Trace.create ();
+    metrics = Registry.create ();
+    series = Timeseries.create ();
+  }
 
 let trace t = t.trace
 let metrics t = t.metrics
 let series t = t.series
 
-let create_task parent ~start_time =
+let create_task ~start_time =
   let trace = Trace.create () in
-  Trace.set_version trace (Trace.version parent.trace);
   Trace.preset_time trace start_time;
   { trace; metrics = Registry.create ~journal:true (); series = Timeseries.create () }
 

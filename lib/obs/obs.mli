@@ -9,9 +9,7 @@
 
 type t = { trace : Trace.t; metrics : Registry.t; series : Timeseries.t }
 
-val create : ?trace_version:int -> unit -> t
-(** [?trace_version] selects the trace sink schema (see
-    {!Trace.set_version}); the default is the digest-pinned v1. *)
+val create : unit -> t
 
 val trace : t -> Trace.t
 val metrics : t -> Registry.t
@@ -27,10 +25,9 @@ val series : t -> Timeseries.t
     the fold reproduces the sequential recording byte-for-byte, which
     is why [--jobs N] cannot move any digest pin. *)
 
-val create_task : t -> start_time:float -> t
-(** A private bundle for one task: same trace schema version as the
-    parent, manual clock at [start_time], journaled registry, fresh
-    series. *)
+val create_task : start_time:float -> t
+(** A private bundle for one task: manual clock at [start_time],
+    journaled registry, fresh series. *)
 
 val merge : into:t -> t -> unit
 (** {!Trace.merge}, {!Registry.merge} and {!Timeseries.merge} of the

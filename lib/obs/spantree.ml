@@ -1,11 +1,10 @@
 module Report = P2plb_metrics.Report
 
 (* Span-forest reconstruction and critical-path analytics over a
-   trace's event list.  Works on both schema versions: v2 events carry
-   explicit parent ids (validated against the replayed open-span set);
-   v1 events derive parents by replaying the begin/end stack exactly as
-   Trace recorded it.  All outputs are deterministic — ordering comes
-   from event order, never from hash-table traversal. *)
+   trace's event list.  Begin events carry explicit parent ids, each
+   validated against the replayed open-span set.  All outputs are
+   deterministic — ordering comes from event order, never from
+   hash-table traversal. *)
 
 type node = {
   nd_id : int;
@@ -40,26 +39,19 @@ let of_events evs =
   let on_begin (e : Trace.ev) =
     if Hashtbl.mem by_id e.span then
       fail (Printf.sprintf "span %d ('%s') begins twice" e.span e.name)
+    else if e.parent >= 0 && not (List.exists (Int.equal e.parent) !stack)
+    then
+      fail
+        (Printf.sprintf
+           "span %d ('%s') declares parent %d, which is not an open span \
+            (orphan parent)"
+           e.span e.name e.parent)
     else begin
-      let derived = match !stack with [] -> -1 | id :: _ -> id in
-      let parent =
-        if e.parent >= 0 then
-          if List.exists (fun id -> Int.equal id e.parent) !stack then e.parent
-          else begin
-            fail
-              (Printf.sprintf
-                 "span %d ('%s') declares parent %d, which is not an open \
-                  span (orphan parent)"
-                 e.span e.name e.parent);
-            derived
-          end
-        else derived
-      in
       let b =
         {
           b_id = e.span;
           b_name = e.name;
-          b_parent = parent;
+          b_parent = e.parent;
           b_t0 = e.time;
           b_t1 = e.time;
           b_closed = false;
@@ -70,7 +62,7 @@ let of_events evs =
       in
       Hashtbl.replace by_id e.span b;
       all := b :: !all;
-      (match (if parent >= 0 then Hashtbl.find_opt by_id parent else None) with
+      (match Hashtbl.find_opt by_id e.parent with
       | Some p -> p.b_children <- b :: p.b_children
       | None -> roots := b :: !roots);
       stack := e.span :: !stack
@@ -164,10 +156,10 @@ let critical_path root =
   go root []
 
 (* Round grouping: a root span named "round" carries its index as the
-   "index" attr; any other root (v1 traces: the bare phase spans) is
-   attributed to the round containing its start time — phases occupy
-   one unit of simulated time per round, so [int_of_float t0] is the
-   round index. *)
+   "index" attr; any other root (the bare phase spans of a single
+   controller round run outside {!Multiround}) is attributed to the
+   round containing its start time — phases occupy one unit of
+   simulated time per round, so [int_of_float t0] is the round index. *)
 let round_of_root n =
   match List.assoc_opt "index" n.nd_attrs with
   | Some (Trace.Int i) when String.equal n.nd_name "round" -> i

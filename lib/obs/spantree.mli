@@ -1,8 +1,8 @@
 (** Span-forest reconstruction and critical-path analytics.
 
-    Rebuilds the tree of spans from a trace's event list — explicit
-    parent ids for schema-v2 traces (validated against the replayed
-    open-span set), stack replay for v1 traces — then answers the
+    Rebuilds the tree of spans from a trace's event list — from the
+    explicit parent id on every [Begin] event, validated against the
+    replayed open-span set — then answers the
     convergence-profiling questions the flat {!Summary} tables cannot:
     which phase dominates a round's critical path, and how simulated
     time splits between a span and its children.
@@ -51,7 +51,8 @@ type round = { r_index : int; r_roots : node list }
 val rounds : node list -> round list
 (** Roots grouped into balancing rounds, sorted by index.  A root span
     named ["round"] is placed by its ["index"] attr; any other root
-    (v1 traces expose the bare phase spans) by [int_of_float t0],
+    (the bare phase spans of a single controller round) by
+    [int_of_float t0],
     which matches the controller's one-unit-of-simulated-time-per-round
     layout. *)
 

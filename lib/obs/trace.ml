@@ -14,13 +14,6 @@ type ev = {
 
 type span = { sp_id : int; sp_name : string }
 
-(* Schema versions the JSONL sink can speak.  v1 is the original
-   encoding, byte-identical to the pre-parent-id sink (digest-pinned
-   by test_faults).  v2 prepends a {"v":2} header line and adds a
-   "parent" field to Begin events. *)
-let min_version = 1
-let max_version = 2
-
 type t = {
   mutable clock : (unit -> float) option;
   mutable manual : float;
@@ -28,7 +21,6 @@ type t = {
   mutable n : int;
   mutable next_span : int;
   mutable stack : span list; (* innermost open span first *)
-  mutable version : int;
   mutable touched : bool; (* any set_clock/set_time since creation *)
   mutable n_preset : int; (* events recorded before the first touch *)
 }
@@ -41,17 +33,9 @@ let create () =
     n = 0;
     next_span = 0;
     stack = [];
-    version = 1;
     touched = false;
     n_preset = 0;
   }
-
-let version t = t.version
-
-let set_version t v =
-  if v < min_version || v > max_version then
-    invalid_arg (Printf.sprintf "Trace.set_version: unsupported version %d" v);
-  t.version <- v
 
 let set_clock t f =
   t.touched <- true;
@@ -173,7 +157,7 @@ let kind_to_string = function
   | Begin -> "begin"
   | End -> "end"
 
-let add_event buf ~version e =
+let add_event buf e =
   Buffer.add_string buf "{\"t\":";
   Buffer.add_string buf (float_to_string e.time);
   Buffer.add_string buf ",\"seq\":";
@@ -185,10 +169,10 @@ let add_event buf ~version e =
   Buffer.add_string buf ",\"span\":";
   Buffer.add_string buf (string_of_int e.span);
   (match e.kind with
-  | Begin when version >= 2 ->
+  | Begin ->
     Buffer.add_string buf ",\"parent\":";
     Buffer.add_string buf (string_of_int e.parent)
-  | Begin | Point | End -> ());
+  | Point | End -> ());
   Buffer.add_string buf ",\"attrs\":{";
   List.iteri
     (fun i (k, v) ->
@@ -199,17 +183,17 @@ let add_event buf ~version e =
     e.attrs;
   Buffer.add_string buf "}}\n"
 
-let jsonl_of_events ~version evs =
-  if version < min_version || version > max_version then
-    invalid_arg
-      (Printf.sprintf "Trace.jsonl_of_events: unsupported version %d" version);
+(* The schema header, the first line of every trace. *)
+let header = "{\"v\":2}"
+
+let jsonl_of_events evs =
   let buf = Buffer.create (256 * (List.length evs + 1)) in
-  if version >= 2 then
-    Buffer.add_string buf (Printf.sprintf "{\"v\":%d}\n" version);
-  List.iter (add_event buf ~version) evs;
+  Buffer.add_string buf header;
+  Buffer.add_char buf '\n';
+  List.iter (add_event buf) evs;
   Buffer.contents buf
 
-let to_jsonl t = jsonl_of_events ~version:t.version (events t)
+let to_jsonl t = jsonl_of_events (events t)
 
 let write_jsonl t ~path =
   let oc = open_out path in
@@ -413,36 +397,37 @@ let ev_of_json = function
     }
   | _ -> raise (Bad "line is not an object")
 
-let parse_jsonl_full source =
-  let lines = String.split_on_char '\n' source in
+let parse_jsonl source =
   let lineno = ref 0 in
-  let version = ref 1 in
-  let saw_content = ref false in
+  let saw_header = ref false in
   match
     List.filter_map
       (fun line ->
         incr lineno;
         if String.length line = 0 then None
         else
-          let j = parse_line line in
-          match j with
-          | J_obj [ ("v", v) ] when not !saw_content ->
-            saw_content := true;
+          match parse_line line with
+          | J_obj [ ("v", v) ] when not !saw_header ->
             let v = int_of_float (num_of_json "v" v) in
-            if v < min_version || v > max_version then
-              raise (Bad (Printf.sprintf "unsupported trace version %d" v));
-            version := v;
+            if v <> 2 then
+              raise
+                (Bad
+                   (Printf.sprintf "unsupported trace version %d (expected %s)"
+                      v header));
+            saw_header := true;
             None
-          | _ ->
-            saw_content := true;
-            Some (ev_of_json j))
-      lines
+          | _ when not !saw_header ->
+            raise
+              (Bad
+                 (Printf.sprintf
+                    "missing the %s header (v1 traces are no longer read)"
+                    header))
+          | j -> Some (ev_of_json j))
+      (String.split_on_char '\n' source)
   with
-  | evs -> Ok (!version, evs)
+  | evs -> Ok evs
   | exception Bad msg -> Error (Printf.sprintf "line %d: %s" !lineno msg)
   | exception Failure msg -> Error (Printf.sprintf "line %d: %s" !lineno msg)
-
-let parse_jsonl source = Result.map snd (parse_jsonl_full source)
 
 let read_file path =
   match open_in_bin path with
@@ -453,5 +438,4 @@ let read_file path =
          (fun () -> really_input_string ic (in_channel_length ic)))
   | exception Sys_error msg -> Error msg
 
-let load_jsonl_full path = Result.join (Result.map parse_jsonl_full (read_file path))
-let load_jsonl path = Result.map snd (load_jsonl_full path)
+let load_jsonl path = Result.bind (read_file path) parse_jsonl

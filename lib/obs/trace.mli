@@ -30,9 +30,7 @@ type ev = {
   parent : int;
       (** [Begin]: the id of the enclosing open span at the moment the
           span was opened, or [-1] for a root span.  [Point]/[End]
-          carry [-1] (a point's enclosing span is already in [span]).
-          Traces parsed from v1 JSONL carry [-1] everywhere; the span
-          forest is then recovered by stack replay (see {!Spantree}). *)
+          carry [-1] (a point's enclosing span is already in [span]). *)
   attrs : (string * value) list;  (** in recording order *)
 }
 
@@ -42,19 +40,7 @@ type span
 type t
 
 val create : unit -> t
-(** A fresh trace with a manual clock at time 0, encoding at schema
-    version 1. *)
-
-val version : t -> int
-(** The JSONL schema version {!to_jsonl} will emit (1 or 2). *)
-
-val set_version : t -> int -> unit
-(** Selects the sink schema.  Version 1 (the default) is byte-identical
-    to the historical encoding, so existing digest pins keep holding;
-    version 2 prepends a [{"v":2}] header line and records ["parent"]
-    on [Begin] events.  Raises [Invalid_argument] on an unsupported
-    version.  In-memory recording is unaffected — parent ids are always
-    tracked; the version only governs whether the sink writes them. *)
+(** A fresh trace with a manual clock at time 0. *)
 
 val set_clock : t -> (unit -> float) -> unit
 (** Installs a clock — always the simulation engine's [Engine.now],
@@ -112,18 +98,16 @@ val float_to_string : float -> string
     dump. *)
 
 val to_jsonl : t -> string
-(** One JSON object per event:
+(** The [{"v":2}] schema header line, then one JSON object per event:
     [{"t":0.2,"seq":5,"kind":"point","name":"vst/transfer","span":3,
-      "attrs":{"hops":2,"load":1.5}}].
-    Floats use the shortest round-tripping decimal form, so the output
-    is byte-stable and {!parse_jsonl} recovers exact values.  At
-    version 2 the first line is the [{"v":2}] header and [Begin]
-    events gain [,"parent":N] after ["span"]. *)
+      "attrs":{"hops":2,"load":1.5}}].  [Begin] events carry
+    [,"parent":N] after ["span"].  Floats use the shortest
+    round-tripping decimal form, so the output is byte-stable and
+    {!parse_jsonl} recovers exact values. *)
 
-val jsonl_of_events : version:int -> ev list -> string
+val jsonl_of_events : ev list -> string
 (** {!to_jsonl} over an explicit event list — the re-emission half of
-    the byte-identical round-trip (parse then re-encode at the parsed
-    version).  Raises [Invalid_argument] on an unsupported version. *)
+    the byte-identical round-trip. *)
 
 val write_jsonl : t -> path:string -> unit
 
@@ -131,19 +115,15 @@ val digest : t -> string
 (** Hex digest of {!to_jsonl} — the replay-equality check. *)
 
 val parse_jsonl : string -> (ev list, string) result
-(** Inverse of {!to_jsonl} (empty lines skipped, version header
-    consumed when present). *)
-
-val parse_jsonl_full : string -> (int * ev list, string) result
-(** Like {!parse_jsonl} but also returns the schema version the
-    source declared (1 when no header is present). *)
+(** Inverse of {!to_jsonl} (empty lines skipped).  A non-empty source
+    must open with the [{"v":2}] header: a headerless (v1) trace or
+    any other version is an [Error] naming the header. *)
 
 val load_jsonl : string -> (ev list, string) result
 (** {!parse_jsonl} on a file's contents.  [Error] carries a one-line
-    diagnostic (missing file, or the offending line number) — callers
-    such as [lb_sim trace-summary] turn it into exit code 1. *)
-
-val load_jsonl_full : string -> (int * ev list, string) result
+    diagnostic (missing file, missing header, or the offending line
+    number) — callers such as [lb_sim trace-summary] turn it into
+    exit code 1. *)
 
 (** {1 Flat-line JSON view}
 

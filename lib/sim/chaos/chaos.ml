@@ -161,7 +161,7 @@ let soak ?(pool = P2plb_sim.Par.sequential) ?obs ?(n_nodes = 256)
         | Some parent ->
           let t0 = P2plb_obs.Trace.now (P2plb_obs.Obs.trace parent) in
           Array.init seeds (fun _ ->
-              P2plb_obs.Obs.create_task parent ~start_time:t0)
+              P2plb_obs.Obs.create_task ~start_time:t0)
       in
       let task_obs i =
         if Array.length children = 0 then None else Some children.(i)

@@ -135,16 +135,13 @@ let obs_event t name attrs =
 
 let config t = t.config
 
-let transfer_protocol t =
-  t.config.duplicate_prob > 0.0
-  || t.config.transfer_crash > 0.0
-  || t.config.partitions > 0
-
 let enabled t =
   t.config.crash_fraction > 0.0
   || t.config.message_loss > 0.0
   || t.config.landmark_failures > 0
-  || transfer_protocol t
+  || t.config.duplicate_prob > 0.0
+  || t.config.transfer_crash > 0.0
+  || t.config.partitions > 0
 
 type send_outcome = Delivered of int | Lost
 

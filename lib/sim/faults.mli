@@ -70,8 +70,8 @@ val churn :
 (** [churn ()] is the standard churn plan: 10% crashes, 1% message
     loss, 4 attempts, exponential backoff (0.01 base, doubling, capped
     at 1.0 — non-binding for 4 attempts).  The network-fault fields
-    default to zero/off, keeping default plans byte-identical to older
-    releases. *)
+    default to zero/off.  The loss applies to every message, the VST
+    PREPARE and COMMIT included. *)
 
 type t
 
@@ -82,13 +82,6 @@ val config : t -> config
 
 val enabled : t -> bool
 (** Whether the plan can inject anything at all. *)
-
-val transfer_protocol : t -> bool
-(** Whether the plan carries transfer-path faults (duplication,
-    mid-transfer crash windows, or partitions) — when [true], {!Vst}
-    runs its transactional PREPARE/TRANSFER/COMMIT protocol; when
-    [false] it takes the atomic legacy path, which consumes no
-    additional randomness. *)
 
 val attach_obs : t -> P2plb_obs.Obs.t -> unit
 (** Routes injected faults to an observability bundle: every drop,

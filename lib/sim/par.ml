@@ -43,7 +43,7 @@ let run_parallel pool ?obs ~task_time ~n f =
       for i = 1 to n - 1 do
         starts.(i) <- starts.(i - 1) +. task_time (i - 1)
       done;
-      Array.init n (fun i -> Obs.create_task parent ~start_time:starts.(i))
+      Array.init n (fun i -> Obs.create_task ~start_time:starts.(i))
   in
   let task_obs i = if Array.length children = 0 then None else Some children.(i) in
   let results = Array.make n None in

@@ -201,7 +201,6 @@ let refresh ?(route_messages = false) t dht =
       (Region.split n.region t.k)
   in
   let rec visit n =
-    let old_host = n.host in
     let new_host =
       if route_messages then begin
         let v, hops = Dht.lookup dht ~from:n.host ~key:n.key in
@@ -215,28 +214,8 @@ let refresh ?(route_messages = false) t dht =
       t.msg <- t.msg + t.k + 1;
       event t "kt/rehost" n
     end;
-    if covered_by_host dht n then begin
-      (* The transient plant: [grow]'s body with [n] forced uncovered,
-         planting from the stale host; the prune below discards it. *)
-      if n.depth > 0 && old_host <> n.host && not (covered_by dht old_host n)
-      then
-        Array.iteri
-          (fun i part ->
-            if (not (Region.is_empty part)) && n.children.(i) = None then begin
-              let child =
-                plant ~route_messages t dht ~from:old_host part (n.depth + 1)
-              in
-              t.msg <- t.msg + 1;
-              n.children.(i) <- Some child;
-              grow ~route_messages t dht child
-            end
-            else
-              match n.children.(i) with
-              | Some child -> grow ~route_messages t dht child
-              | None -> ())
-          (Region.split n.region t.k);
+    if covered_by_host dht n then
       prune n ~charge:(fun () -> t.msg <- t.msg + 1)
-    end
     else begin
       grow_level n;
       Array.iter

