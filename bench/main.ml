@@ -371,10 +371,11 @@ let tests =
          (let s = Lazy.force fixture in
           let dht = s.Scenario.dht in
           let rng = Prng.create ~seed:7 in
+          let point () = Prng.int rng P2plb_idspace.Id.space_size in
           fun () ->
-            let from = (Dht.owner_of_key dht (Prng.int rng 1000000)).Dht.vs_id in
-            ignore
-              (Dht.lookup dht ~from ~key:(Prng.int rng P2plb_idspace.Id.space_size))));
+            (* Sources as well as keys spread over the whole ring. *)
+            let from = (Dht.owner_of_key dht (point ())).Dht.vs_id in
+            ignore (Dht.lookup dht ~from ~key:(point ()))));
     Test.make ~name:"kernel/dijkstra_ts5k"
       (Staged.stage
          (let s = Lazy.force fixture in

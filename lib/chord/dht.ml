@@ -346,61 +346,45 @@ let transfer_vs t ~vs_id ~to_node =
 
 (* --- Routing ---------------------------------------------------------- *)
 
-(* Greedy Chord routing evaluated against the current ring: from VS
-   [cur], the closest preceding finger of [key] is the largest
-   successor(cur + 2^k) lying strictly inside (cur, key).  Runs on the
-   ring snapshot (caller refreshes); returns -1 when no finger
-   qualifies, avoiding an option allocation per probe. *)
-let closest_preceding_finger t ~cur ~key =
-  let best = ref (-1) in
-  let k = ref (Id.bits - 1) in
-  while !best < 0 && !k >= 0 do
-    let target = Id.add cur (1 lsl !k) in
-    let fid = t.snap_ids.(snap_successor_idx t target) in
-    if Id.in_range_excl_excl fid ~lo:cur ~hi:key then best := fid;
-    decr k
-  done;
-  !best
+(* floor(log2 d) for d >= 1. *)
+let log2_floor d =
+  let rec go k d = if d <= 1 then k else go (k + 1) (d lsr 1) in
+  go 0 d
 
+(* Greedy Chord routing on the ring snapshot, tracking the current hop
+   by its index [ci].  Let [pi] be the index of p, the last id strictly
+   before [key]; its successor owns the key, so routing ends with the
+   hop from p.  Otherwise Chord's closest preceding finger — the
+   largest successor(cur + 2^k) strictly inside (cur, key) — is the
+   finger of the largest k with 2^k <= dist_cw(cur, p): every smaller
+   target lies in (cur, p], so its successor does too, and every larger
+   one lies past p, where no id precedes the key.  One binary search
+   per hop finds it. *)
 let lookup t ~from ~key =
-  if Ring_map.is_empty t.ring then invalid_arg "Dht.lookup: empty ring";
-  if not (Ring_map.mem from t.ring) then
+  snap_refresh t;
+  let n = t.snap_n in
+  if n = 0 then invalid_arg "Dht.lookup: empty ring";
+  let ids = t.snap_ids in
+  let fi = snap_lower_bound t from in
+  if fi = n || ids.(fi) <> from then
     invalid_arg "Dht.lookup: unknown source VS";
   t.lookup_count <- t.lookup_count + 1;
-  snap_refresh t;
-  let from_vs () = t.snap_vss.(snap_successor_idx t from) in
-  let pred_from = predecessor_id t from in
-  if Id.in_range_excl_incl key ~lo:pred_from ~hi:from
-     && (pred_from <> from || key = from)
-  then (from_vs (), 0)
-  else if pred_from = from then (* single VS owns everything *)
-    (from_vs (), 0)
+  let pi = snap_predecessor_strict_idx t key in
+  let oi = if pi = n - 1 then 0 else pi + 1 in
+  if oi = fi then (t.snap_vss.(fi), 0)
   else begin
-    let hops = ref 0 in
-    let cur = ref from in
-    let result = ref (-1) in
-    while !result < 0 do
-      let si = snap_successor_idx t (!cur + 1) in
-      let succ_id = t.snap_ids.(si) in
-      if Id.in_range_excl_incl key ~lo:!cur ~hi:succ_id then begin
-        incr hops;
-        result := si
-      end
-      else begin
-        let next = closest_preceding_finger t ~cur:!cur ~key in
-        if next >= 0 then begin
-          incr hops;
-          cur := next
-        end
-        else begin
-          (* No finger strictly precedes the key: hand to successor. *)
-          incr hops;
-          cur := succ_id
-        end
-      end
+    let ci = ref fi and hops = ref 1 in
+    while !ci <> pi do
+      let cur = ids.(!ci) in
+      let k = log2_floor (Id.distance_cw cur ids.(pi)) in
+      ci := snap_successor_idx t (Id.add cur (1 lsl k));
+      incr hops;
+      (* Every hop moves clockwise without passing p, so the hops
+         visit distinct VSs. *)
+      assert (!hops <= n)
     done;
     t.hop_count <- t.hop_count + !hops;
-    (t.snap_vss.(!result), !hops)
+    (t.snap_vss.(oi), !hops)
   end
 
 let put t ~from ~key payload =
@@ -426,7 +410,31 @@ let items_in_region t region =
         List.fold_left (fun acc p -> (k, p) :: acc) acc payloads)
       t.items []
 
-let clear_items t = t.items <- Ring_map.empty
+(* One pass over the store: each key meets its owner by one binary
+   search.  [items_in_region] lists a region's keys counter-clockwise
+   from its last point, so sorting by (owner index, distance to the
+   last point of the owner's region) reproduces it per owner. *)
+let drain_items t ~f =
+  if not (Ring_map.is_empty t.items) then begin
+    snap_refresh t;
+    let keyed =
+      Ring_map.fold
+        (fun k payloads acc ->
+          let oi = snap_successor_idx t k in
+          let last = Region.last (region_of_vs t t.snap_vss.(oi)) in
+          (oi, Id.distance_cw k last, k, payloads) :: acc)
+        t.items []
+    in
+    t.items <- Ring_map.empty;
+    List.iter
+      (fun (oi, _, k, payloads) ->
+        let v = t.snap_vss.(oi) in
+        List.iter (fun p -> f v k p) (List.rev payloads))
+      (List.sort
+         (fun (o1, d1, _, _) (o2, d2, _, _) ->
+           match Int.compare o1 o2 with 0 -> Int.compare d1 d2 | c -> c)
+         keyed)
+  end
 
 let lookups_performed t = t.lookup_count
 let hops_used t = t.hop_count

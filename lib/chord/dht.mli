@@ -71,7 +71,7 @@ val ring_version : 'a t -> int
     {!remove_vs}) bumps it by one.  It does not move for
     {!transfer_vs} (the VS keeps its id and region), load changes
     ({!set_vs_load}, {!add_vs_load}) or storage ({!put},
-    {!clear_items}).  Structures keyed by VS ids and regions — the
+    {!drain_items}).  Structures keyed by VS ids and regions — the
     K-nary tree — stay valid while it is unchanged. *)
 
 val fold_nodes : 'a t -> init:'acc -> f:('acc -> node -> 'acc) -> 'acc
@@ -134,9 +134,14 @@ val remove_vs : 'a t -> vs_id:Id.t -> unit
 
 val lookup : 'a t -> from:Id.t -> key:Id.t -> vs * int
 (** [lookup t ~from ~key] routes from the VS [from] to the VS
-    responsible for [key] using greedy finger routing; returns the
-    responsible VS and the overlay hop count (0 if [from] is itself
-    responsible). *)
+    responsible for [key]; returns the responsible VS and the overlay
+    hop count (0 if [from] is itself responsible).  The hop count is
+    that of Chord's greedy finger routing: every hop goes to the
+    closest finger [successor(cur + 2^k)] strictly preceding the key,
+    and the last hop to the owner.  The simulator finds that finger
+    with one binary search over the ring per hop, so a lookup costs
+    O(hops · log #VS).  Raises [Invalid_argument] on an empty ring or
+    when [from] is not a VS id. *)
 
 val put : 'a t -> from:Id.t -> key:Id.t -> 'a -> int
 (** Stores a payload under a key (appending to any existing ones);
@@ -148,7 +153,14 @@ val items_in_region : 'a t -> Region.t -> (Id.t * 'a) list
 (** All stored payloads whose key lies in the region — what the VS
     owning that region can see locally. *)
 
-val clear_items : 'a t -> unit
+val drain_items : 'a t -> f:(vs -> Id.t -> 'a -> unit) -> unit
+(** Hands every stored payload to the VS that owns its key, then
+    empties the store: [f v key payload].  Owners come in ring order,
+    and each owner [v] receives exactly the sequence
+    [items_in_region t (region_of_vs t v)]: keys counter-clockwise
+    from the end of its region (its id, wrapping past 0), payloads
+    under one key in put order.  One pass over the stored keys, not
+    one range query per VS. *)
 
 (** {1 Cost accounting} *)
 

@@ -1,54 +1,47 @@
 (* Rendezvous pairing pools as flat sorted arrays.
 
-   Entries carry a sequence number assigned at insertion; collections
-   are kept sorted by (load desc, seq asc) for sheds and
-   (deficit asc, seq asc) for light slots.  Seqs are unique within a
-   pool, so those orders are total.  This is the array-backed
-   replacement for the original Set.Make pools: every observable order
-   (iteration heaviest-first, smallest-sufficient-deficit probing,
-   merge re-sequencing, leftover re-adds) reproduces the Set semantics
-   exactly — test/pairing_reference.ml retains a list-based port of
-   the original implementation and test_prop checks agreement. *)
+   Sheds are kept sorted by load descending and light slots by deficit
+   ascending; equal keys stay in insertion order, so array position is
+   the tie-break the original Set.Make pools drew from a per-pool
+   sequence number.  Every observable order (iteration heaviest-first,
+   smallest-sufficient-deficit probing, merges, leftover re-adds)
+   reproduces the Set semantics exactly — test/pairing_reference.ml
+   retains a port of the original implementation and test_prop checks
+   agreement. *)
 
 type pool = {
-  (* shed VSs, sorted by (load desc, seq asc); arrays are exact-size *)
+  (* shed VSs, sorted by load desc; arrays are exact-size *)
   s_load : floatarray;
-  s_seq : int array;
   s_rec : Types.shed_vs array;
-  (* light slots, sorted by (deficit asc, seq asc) *)
+  (* light slots, sorted by deficit asc *)
   l_def : floatarray;
-  l_seq : int array;
   l_node : int array;
-  next_seq : int;
 }
 
 let empty =
   {
     s_load = Float.Array.create 0;
-    s_seq = [||];
     s_rec = [||];
     l_def = Float.Array.create 0;
-    l_seq = [||];
     l_node = [||];
-    next_seq = 0;
   }
 
-let n_shed p = Array.length p.s_seq
-let n_lights p = Array.length p.l_seq
+let n_shed p = Array.length p.s_rec
+let n_lights p = Array.length p.l_node
 let size p = n_shed p + n_lights p
 let is_empty p = n_shed p = 0 && n_lights p = 0
 
 (* Sort a fresh index permutation of [0, n) with [cmp], used to order
-   entries by (key, seq) — a total order, so Array.sort suffices. *)
+   entries by (key, insertion index) — a total order, so Array.sort
+   suffices. *)
 let sorted_perm n cmp =
   let perm = Array.init n (fun i -> i) in
   Array.sort cmp perm;
   perm
 
-(* Build the shed side from [n] entries in insertion order, entry [i]
-   getting seq [seq0 + i]. *)
-let build_sheds n ~load ~entry ~seq0 =
-  if n = 0 then (Float.Array.create 0, [||], [||])
+(* Build the shed side from [n] entries in insertion order. *)
+let build_sheds n ~load ~entry =
+  if n = 0 then (Float.Array.create 0, [||])
   else begin
     let perm =
       sorted_perm n (fun i j ->
@@ -57,19 +50,17 @@ let build_sheds n ~load ~entry ~seq0 =
           | c -> c)
     in
     let s_load = Float.Array.create n in
-    let s_seq = Array.make n 0 in
     let s_rec = Array.make n (entry perm.(0)) in
     for k = 0 to n - 1 do
       let i = perm.(k) in
       Float.Array.set s_load k (load i);
-      s_seq.(k) <- seq0 + i;
       s_rec.(k) <- entry i
     done;
-    (s_load, s_seq, s_rec)
+    (s_load, s_rec)
   end
 
-let build_lights n ~deficit ~node ~seq0 =
-  if n = 0 then (Float.Array.create 0, [||], [||])
+let build_lights n ~deficit ~node =
+  if n = 0 then (Float.Array.create 0, [||])
   else begin
     let perm =
       sorted_perm n (fun i j ->
@@ -78,48 +69,43 @@ let build_lights n ~deficit ~node ~seq0 =
           | c -> c)
     in
     let l_def = Float.Array.create n in
-    let l_seq = Array.make n 0 in
     let l_node = Array.make n 0 in
     for k = 0 to n - 1 do
       let i = perm.(k) in
       Float.Array.set l_def k (deficit i);
-      l_seq.(k) <- seq0 + i;
       l_node.(k) <- node i
     done;
-    (l_def, l_seq, l_node)
+    (l_def, l_node)
   end
 
 let of_slices sheds ns lights nl =
-  let s_load, s_seq, s_rec =
+  let s_load, s_rec =
     build_sheds ns
       ~load:(fun i -> sheds.(i).Types.vs_load)
       ~entry:(fun i -> sheds.(i))
-      ~seq0:0
   in
-  let l_def, l_seq, l_node =
+  let l_def, l_node =
     build_lights nl
       ~deficit:(fun i -> lights.(i).Types.deficit)
       ~node:(fun i -> lights.(i).Types.light_node)
-      ~seq0:ns
   in
-  { s_load; s_seq; s_rec; l_def; l_seq; l_node; next_seq = ns + nl }
+  { s_load; s_rec; l_def; l_node }
 
 let of_entries sheds lights =
   let sheds = Array.of_list sheds and lights = Array.of_list lights in
   of_slices sheds (Array.length sheds) lights (Array.length lights)
 
-(* Re-sequence [b]'s entries above [a]'s (sheds first, then lights, each
-   in sorted order — matching one add per entry in that order), then
-   merge the sorted runs.  On equal keys [a]'s entry precedes (its seq
-   is smaller). *)
+(* Merge the sorted runs; on equal keys [a]'s entry precedes, as if
+   [b]'s entries were added after [a]'s in sorted order.  Merging with
+   an empty pool returns the other one unchanged. *)
 let merge a b =
-  let bs = n_shed b and bl = n_lights b in
-  if bs = 0 && bl = 0 then a
+  if is_empty b then a
+  else if is_empty a then b
   else begin
     let as_ = n_shed a and al = n_lights a in
+    let bs = n_shed b and bl = n_lights b in
     let ns = as_ + bs and nl = al + bl in
     let s_load = Float.Array.create ns in
-    let s_seq = Array.make ns 0 in
     let s_rec =
       if ns = 0 then [||]
       else Array.make ns (if as_ > 0 then a.s_rec.(0) else b.s_rec.(0))
@@ -135,19 +121,16 @@ let merge a b =
       in
       if take_a then begin
         Float.Array.set s_load k (Float.Array.get a.s_load !i);
-        s_seq.(k) <- a.s_seq.(!i);
         s_rec.(k) <- a.s_rec.(!i);
         incr i
       end
       else begin
         Float.Array.set s_load k (Float.Array.get b.s_load !j);
-        s_seq.(k) <- a.next_seq + !j;
         s_rec.(k) <- b.s_rec.(!j);
         incr j
       end
     done;
     let l_def = Float.Array.create nl in
-    let l_seq = Array.make nl 0 in
     let l_node = Array.make nl 0 in
     let i = ref 0 and j = ref 0 in
     for k = 0 to nl - 1 do
@@ -160,19 +143,16 @@ let merge a b =
       in
       if take_a then begin
         Float.Array.set l_def k (Float.Array.get a.l_def !i);
-        l_seq.(k) <- a.l_seq.(!i);
         l_node.(k) <- a.l_node.(!i);
         incr i
       end
       else begin
         Float.Array.set l_def k (Float.Array.get b.l_def !j);
-        l_seq.(k) <- a.next_seq + bs + !j;
         l_node.(k) <- b.l_node.(!j);
         incr j
       end
     done;
-    { s_load; s_seq; s_rec; l_def; l_seq; l_node;
-      next_seq = a.next_seq + bs + bl }
+    { s_load; s_rec; l_def; l_node }
   end
 
 let shed_entries p = Array.to_list p.s_rec
@@ -192,9 +172,7 @@ let pair ?(depth = 0) ~l_min p =
     let ln = ref (n_lights p) in
     let w_def = Float.Array.create !ln in
     Float.Array.blit p.l_def 0 w_def 0 !ln;
-    let w_seq = Array.sub p.l_seq 0 !ln in
     let w_node = Array.sub p.l_node 0 !ln in
-    let next_seq = ref p.next_seq in
     (* First working slot with deficit >= [x] ([upper]: > [x]). *)
     let lower_bound x =
       let lo = ref 0 and hi = ref !ln in
@@ -217,17 +195,14 @@ let pair ?(depth = 0) ~l_min p =
     let remove_at i =
       let tail = !ln - i - 1 in
       Float.Array.blit w_def (i + 1) w_def i tail;
-      Array.blit w_seq (i + 1) w_seq i tail;
       Array.blit w_node (i + 1) w_node i tail;
       decr ln
     in
-    let insert_at i d sq node =
+    let insert_at i d node =
       let tail = !ln - i in
       Float.Array.blit w_def i w_def (i + 1) tail;
-      Array.blit w_seq i w_seq (i + 1) tail;
       Array.blit w_node i w_node (i + 1) tail;
       Float.Array.set w_def i d;
-      w_seq.(i) <- sq;
       w_node.(i) <- node;
       incr ln
     in
@@ -241,7 +216,7 @@ let pair ?(depth = 0) ~l_min p =
       (* Smallest light deficit that still fits this VS, skipping slots
          of the shedding node itself (the Set implementation re-probes
          past each skipped slot, which is exactly a forward scan in
-         (deficit, seq) order). *)
+         (deficit, position) order). *)
       let i = ref (lower_bound load) in
       while !i < !ln && w_node.(!i) = s.Types.heavy_node do
         incr i
@@ -261,12 +236,10 @@ let pair ?(depth = 0) ~l_min p =
           :: !assignments;
         remove_at !i;
         let residual = deficit -. load in
-        if residual >= l_min then begin
-          (* The fresh seq is larger than every working seq, so the
-             insertion point is the strict upper bound of [residual]. *)
-          insert_at (upper_bound residual) residual !next_seq light_node;
-          incr next_seq
-        end
+        (* The residual is the newest entry, so it goes after every
+           equal deficit: the strict upper bound of [residual]. *)
+        if residual >= l_min then
+          insert_at (upper_bound residual) residual light_node
       end
       else begin
         unpaired.(!n_unpaired) <- s;
@@ -277,24 +250,13 @@ let pair ?(depth = 0) ~l_min p =
        in reverse encounter order (the Set implementation folds over the
        prepend-accumulated list), which reverses equal-load ties. *)
     let u = !n_unpaired in
-    let s_load, s_seq, s_rec =
+    let s_load, s_rec =
       build_sheds u
         ~load:(fun i -> unpaired.(u - 1 - i).Types.vs_load)
         ~entry:(fun i -> unpaired.(u - 1 - i))
-        ~seq0:!next_seq
     in
     let l_def = Float.Array.create !ln in
     Float.Array.blit w_def 0 l_def 0 !ln;
-    let leftover =
-      {
-        s_load;
-        s_seq;
-        s_rec;
-        l_def;
-        l_seq = Array.sub w_seq 0 !ln;
-        l_node = Array.sub w_node 0 !ln;
-        next_seq = !next_seq + u;
-      }
-    in
+    let leftover = { s_load; s_rec; l_def; l_node = Array.sub w_node 0 !ln } in
     (List.rev !assignments, leftover)
   end

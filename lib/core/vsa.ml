@@ -189,15 +189,9 @@ let run ?(threshold = default_threshold) ?(epsilon = 0.0) ?faults
   (match mode with
   | Ignorant -> ()
   | Aware _ ->
-    Dht.fold_vs dht ~init:() ~f:(fun () v ->
+    Dht.drain_items dht ~f:(fun v _ r ->
         let slot = slot_of_vs v.Dht.vs_id in
-        if slot >= 0 then begin
-          let region = Dht.region_of_vs dht v in
-          List.iter
-            (fun (_, r) -> push_report slot r)
-            (Dht.items_in_region dht region)
-        end);
-    Dht.clear_items dht);
+        if slot >= 0 then push_report slot r));
   (* Group the reports per leaf slot: counts, prefix sums, then a stable
      scatter, so each slot's slice keeps arrival order. *)
   let n_slots = Ktree.n_leaf_slots tree in

@@ -216,9 +216,9 @@ let test_items_in_region () =
       in
       check Alcotest.int "exactly one region" 1 owners)
     keys;
-  Dht.clear_items dht;
+  Dht.drain_items dht ~f:(fun _ _ _ -> ());
   let values, _ = Dht.get dht ~from ~key:100 in
-  check Alcotest.(list int) "cleared" [] values
+  check Alcotest.(list int) "drained" [] values
 
 let test_counters () =
   let dht = build_dht ~seed:16 ~nodes:20 ~vs:3 in

@@ -309,6 +309,32 @@ let prop_merge_agrees_with_reference ((s1, d1), (s2, d2)) =
   let ra, rl = Pairing_reference.pair ~l_min:0.125 ref_ in
   assignments_equal pa ra && pools_agree pl rl
 
+(* Merging with an empty pool, on either side, returns the other pool
+   as it is; equal loads and deficits make any reordering visible, and
+   a pairing after the merge must still agree. *)
+let ref_merge_empty_case =
+  Prop.pair
+    (Prop.list_of ~min_len:2 ~max_len:8 discrete_load)
+    (Prop.list_of ~min_len:2 ~max_len:8 discrete_load)
+
+let prop_merge_empty_agrees (loads, deficits) =
+  let sheds = mk_sheds 0 loads and lights = mk_lights 50 deficits in
+  let prod = Pairing.of_entries sheds lights in
+  let ref_ = Pairing_reference.of_entries sheds lights in
+  List.for_all
+    (fun (p, r) ->
+      pools_agree p r
+      &&
+      let pa, pl = Pairing.pair ~l_min:0.125 p in
+      let ra, rl = Pairing_reference.pair ~l_min:0.125 r in
+      assignments_equal pa ra && pools_agree pl rl)
+    [
+      (Pairing.merge Pairing.empty prod,
+       Pairing_reference.merge Pairing_reference.empty ref_);
+      (Pairing.merge prod Pairing.empty,
+       Pairing_reference.merge ref_ Pairing_reference.empty);
+    ]
+
 (* The VSA hot path partitions each leaf's arrival-ordered record slice
    into shed/light scratch buffers and calls Pairing.of_slices; the
    retained list path (Vsa.pool_of_records) folds the same records
@@ -363,6 +389,10 @@ let test_pair_agrees_with_reference () =
 let test_merge_agrees_with_reference () =
   Prop.run ~seed:0x5eed07 ~name:"array pairing = Set reference (merge)"
     ref_merge_case prop_merge_agrees_with_reference
+
+let test_merge_empty_agrees () =
+  Prop.run ~seed:0x5eed0c ~name:"array pairing = Set reference (merge empty)"
+    ref_merge_empty_case prop_merge_empty_agrees
 
 let test_vsa_grouping_agrees () =
   Prop.run ~seed:0x5eed08 ~name:"VSA slice grouping = list reference"
@@ -712,6 +742,156 @@ let test_ktree_upkeep_matches_reference () =
     ~name:"flat KT upkeep = pointer reference walks"
     ktree_upkeep_case prop_ktree_upkeep_matches_reference
 
+(* ---- Chord: one-search routing = greedy finger scan --------------------- *)
+
+(* Chord's greedy router written on the public API alone: from [cur],
+   either the successor owns the key, or the next hop is the first
+   finger successor(cur + 2^k), k from 31 down, strictly inside
+   (cur, key) — the 32-way scan [Dht.lookup] replaced. *)
+let reference_lookup dht ~from ~key =
+  let owner = Dht.owner_of_key dht key in
+  if Id.equal owner.Dht.vs_id from then (owner.Dht.vs_id, 0)
+  else
+    let rec route cur hops =
+      let succ = (Dht.owner_of_key dht (Id.add cur 1)).Dht.vs_id in
+      if Id.in_range_excl_incl key ~lo:cur ~hi:succ then (succ, hops + 1)
+      else
+        let rec finger k =
+          if k < 0 then succ
+          else
+            let f = (Dht.owner_of_key dht (Id.add cur (1 lsl k))).Dht.vs_id in
+            if Id.in_range_excl_excl f ~lo:cur ~hi:key then f
+            else finger (k - 1)
+        in
+        route (finger (Id.bits - 1)) (hops + 1)
+    in
+    route from 0
+
+(* From every VS, look up a VS id, that id + 1, that id - 1 and a
+   random key; owner, hops and the hop counter must match the
+   reference. *)
+let lookups_agree ~seed dht =
+  let rng = P2plb_prng.Prng.create ~seed in
+  let ids = Array.of_list (List.rev (ring_ids dht)) in
+  let n = Array.length ids in
+  let hops0 = Dht.hops_used dht in
+  let total = ref 0 in
+  let ok =
+    Array.for_all
+      (fun from ->
+        let id = ids.(P2plb_prng.Prng.int rng n) in
+        List.for_all
+          (fun key ->
+            let v, hops = Dht.lookup dht ~from ~key in
+            let ref_owner, ref_hops = reference_lookup dht ~from ~key in
+            total := !total + hops;
+            Id.equal v.Dht.vs_id ref_owner && Int.equal hops ref_hops)
+          [ id; Id.add id 1; Id.sub id 1;
+            P2plb_prng.Prng.int rng Id.space_size ])
+      ids
+  in
+  ok && Dht.hops_used dht - hops0 = !total
+
+(* ((physical nodes, VSs per node), operations): the ring as built,
+   then after the churn (joins, crashes, leaves, VS removals and
+   transfers). *)
+let lookup_case =
+  Prop.pair
+    (Prop.pair (Prop.int_in 1 96) (Prop.int_in 1 4))
+    (Prop.list_of ~max_len:12 ring_op)
+
+let prop_lookup_matches_reference ((n_nodes, vs), ops) =
+  let dht = Dht.create ~seed:((n_nodes * 8) + vs) in
+  for i = 0 to n_nodes - 1 do
+    ignore (Dht.join dht ~capacity:1.0 ~underlay:i ~n_vs:vs)
+  done;
+  let before = lookups_agree ~seed:n_nodes dht in
+  List.iter (apply_ring_op dht) ops;
+  before && lookups_agree ~seed:(n_nodes + 1) dht
+
+let test_lookup_matches_reference () =
+  Prop.run ~count:60 ~seed:0x5eed0d
+    ~name:"one-search lookup = greedy finger scan"
+    lookup_case prop_lookup_matches_reference
+
+(* Rings of one, two and three VSs, built directly and by shrinking a
+   larger ring with remove_vs. *)
+let test_lookup_small_rings () =
+  for seed = 0 to 19 do
+    for n_vs = 1 to 3 do
+      let direct : unit Dht.t = Dht.create ~seed in
+      ignore (Dht.join direct ~capacity:1.0 ~underlay:0 ~n_vs);
+      let shrunk : unit Dht.t = Dht.create ~seed in
+      for i = 0 to 3 do
+        ignore (Dht.join shrunk ~capacity:1.0 ~underlay:i ~n_vs:2)
+      done;
+      while Dht.n_vs shrunk > n_vs do
+        Dht.remove_vs shrunk ~vs_id:(nth_vs shrunk seed).Dht.vs_id
+      done;
+      List.iter
+        (fun dht ->
+          Alcotest.(check bool)
+            (Printf.sprintf "seed %d, %d VSs" seed n_vs)
+            true (lookups_agree ~seed dht))
+        [ direct; shrunk ]
+    done
+  done
+
+(* ---- Chord: one-pass handoff = per-VS region queries --------------------- *)
+
+(* ((physical nodes, VSs per node, ring cut to 1-3 VSs, else kept),
+   puts).  A put's key is a VS id, that id + 1, a key in the first VS's
+   wrapping region (past the largest id or at most the smallest), one
+   of three fixed keys (so keys repeat), or a random point. *)
+let handoff_case =
+  Prop.pair
+    (Prop.triple (Prop.int_in 1 48) (Prop.int_in 1 4) (Prop.int_in 0 5))
+    (Prop.list_of ~max_len:40
+       (Prop.pair (Prop.int_in 0 4) (Prop.int_in 0 (Id.space_size - 1))))
+
+let prop_handoff_matches_regions ((n_nodes, vs, cut), puts) =
+  let dht : int Dht.t = Dht.create ~seed:((n_nodes * 8) + vs) in
+  for i = 0 to n_nodes - 1 do
+    ignore (Dht.join dht ~capacity:1.0 ~underlay:i ~n_vs:vs)
+  done;
+  if cut >= 1 && cut <= 3 then
+    while Dht.n_vs dht > cut do
+      Dht.remove_vs dht ~vs_id:(nth_vs dht n_nodes).Dht.vs_id
+    done;
+  let ids = Array.of_list (List.rev (ring_ids dht)) in
+  let n = Array.length ids in
+  let lo = ids.(0) and hi = ids.(n - 1) in
+  let key (kind, a) =
+    match kind with
+    | 0 -> ids.(a mod n)
+    | 1 -> Id.add ids.(a mod n) 1
+    | 2 -> Id.add hi (1 + (a mod Int.max 1 (Id.distance_cw hi lo)))
+    | 3 -> [| 0; 12345; Id.space_size - 1 |].(a mod 3)
+    | _ -> a
+  in
+  List.iteri
+    (fun i p -> ignore (Dht.put dht ~from:lo ~key:(key p) i))
+    puts;
+  let expected =
+    List.concat_map
+      (fun (v : Dht.vs) ->
+        List.map
+          (fun (k, p) -> (v.Dht.vs_id, k, p))
+          (Dht.items_in_region dht (Dht.region_of_vs dht v)))
+      (List.rev (Dht.fold_vs dht ~init:[] ~f:(fun acc v -> v :: acc)))
+  in
+  let drained = ref [] in
+  Dht.drain_items dht ~f:(fun v k p ->
+      drained := (v.Dht.vs_id, k, p) :: !drained);
+  List.rev !drained = expected
+  && List.length expected = List.length puts
+  && Dht.items_in_region dht Region.whole = []
+
+let test_handoff_matches_regions () =
+  Prop.run ~count:150 ~seed:0x5eed0e
+    ~name:"drain_items = items_in_region per owner, then empty"
+    handoff_case prop_handoff_matches_regions
+
 let () =
   Alcotest.run "prop"
     [
@@ -736,8 +916,19 @@ let () =
             test_pair_agrees_with_reference;
           Alcotest.test_case "agrees with Set reference: merge" `Quick
             test_merge_agrees_with_reference;
+          Alcotest.test_case "agrees with Set reference: merge empty" `Quick
+            test_merge_empty_agrees;
           Alcotest.test_case "VSA grouping agrees with list path" `Quick
             test_vsa_grouping_agrees;
+        ] );
+      ( "chord",
+        [
+          Alcotest.test_case "lookup = greedy finger scan" `Quick
+            test_lookup_matches_reference;
+          Alcotest.test_case "lookup on 1-3 VS rings" `Quick
+            test_lookup_small_rings;
+          Alcotest.test_case "handoff = per-VS region queries" `Quick
+            test_handoff_matches_regions;
         ] );
       ( "ktree",
         [
