@@ -186,6 +186,10 @@ let snap_predecessor_strict_idx t k =
 let fold_vs t ~init ~f =
   Ring_map.fold (fun _ v acc -> f acc v) t.ring init
 
+let vs_ids t =
+  snap_refresh t;
+  Array.sub t.snap_ids 0 t.snap_n
+
 let vs_of_id t id = Ring_map.find_opt id t.ring
 
 (* Map-based predecessor/region, for use while the ring is mid-mutation

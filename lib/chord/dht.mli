@@ -80,6 +80,10 @@ val fold_nodes : 'a t -> init:'acc -> f:('acc -> node -> 'acc) -> 'acc
 val fold_vs : 'a t -> init:'acc -> f:('acc -> vs -> 'acc) -> 'acc
 (** Over all virtual servers in ring order. *)
 
+val vs_ids : 'a t -> Id.t array
+(** The ids of all virtual servers in ring order, as a fresh array:
+    one O(#VS) copy of the ring snapshot. *)
+
 val alive_nodes : 'a t -> node list
 (** In increasing [node_id] order. *)
 

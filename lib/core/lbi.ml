@@ -30,7 +30,6 @@ let aggregate ~rng ?faults ?(route_messages = false) tree dht =
   (* Each node reports through one randomly chosen VS (to avoid
      redundant per-node reports); the VS hands the report to its
      designated KT leaf. *)
-  let assignment = Ktree.leaf_assignment tree in
   (* Arrival-ordered (leaf slot, report) pairs, grouped per leaf slot
      by a stable counting sort — replaces the per-leaf Hashtbl of
      reverse-arrival report lists. *)
@@ -39,26 +38,25 @@ let aggregate ~rng ?faults ?(route_messages = false) tree dht =
   let rep_lbi = ref ([||] : Types.lbi array) in
   Dht.fold_nodes dht ~init:() ~f:(fun () n ->
       let v = Dht.report_vs dht rng n in
-      if reliable faults then
-        match Hashtbl.find_opt assignment v.Dht.vs_id with
-        | None -> () (* cannot happen: every VS hosts a leaf *)
-        | Some leaf ->
-          let slot = Ktree.leaf_slot tree leaf in
-          if slot >= 0 then begin
-            let r = node_lbi n in
-            if !n_reports = !cap then begin
-              let c = if !cap = 0 then 1024 else 2 * !cap in
-              let slots = Array.make c 0 and lbis = Array.make c r in
-              Array.blit !rep_slot 0 slots 0 !n_reports;
-              Array.blit !rep_lbi 0 lbis 0 !n_reports;
-              cap := c;
-              rep_slot := slots;
-              rep_lbi := lbis
-            end;
-            !rep_slot.(!n_reports) <- slot;
-            !rep_lbi.(!n_reports) <- r;
-            incr n_reports
-          end);
+      if reliable faults then begin
+        (* -1 cannot happen: every VS hosts a leaf. *)
+        let slot = Ktree.vs_slot tree v.Dht.vs_id in
+        if slot >= 0 then begin
+          let r = node_lbi n in
+          if !n_reports = !cap then begin
+            let c = if !cap = 0 then 1024 else 2 * !cap in
+            let slots = Array.make c 0 and lbis = Array.make c r in
+            Array.blit !rep_slot 0 slots 0 !n_reports;
+            Array.blit !rep_lbi 0 lbis 0 !n_reports;
+            cap := c;
+            rep_slot := slots;
+            rep_lbi := lbis
+          end;
+          !rep_slot.(!n_reports) <- slot;
+          !rep_lbi.(!n_reports) <- r;
+          incr n_reports
+        end
+      end);
   let n_slots = Ktree.n_leaf_slots tree in
   let starts = Array.make (n_slots + 1) 0 in
   for i = 0 to !n_reports - 1 do

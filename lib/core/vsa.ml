@@ -109,7 +109,6 @@ let run ?(threshold = default_threshold) ?(epsilon = 0.0) ?faults
   let n_heavy = ref 0 and n_light = ref 0 and n_neutral = ref 0 in
   let publish_hops = ref 0 in
   let shed_offered = ref 0 and load_offered = ref 0.0 in
-  let assignment = Ktree.leaf_assignment tree in
   (* Arrival-ordered (leaf slot, record) reports, grouped per leaf by a
      single stable counting sort below — replaces the per-leaf
      Hashtbl of reverse-arrival lists. *)
@@ -131,11 +130,6 @@ let run ?(threshold = default_threshold) ?(epsilon = 0.0) ?faults
     !rep_rec.(!n_reports) <- r;
     incr n_reports
   in
-  let slot_of_vs vs_id =
-    match Hashtbl.find_opt assignment vs_id with
-    | Some leaf -> Ktree.leaf_slot tree leaf
-    | None -> -1
-  in
   (* Classify every node, collect its records and route each to a KT
      leaf according to the mode — one fused pass in alive-node order
      (classification draws no randomness, so collection and routing
@@ -155,7 +149,7 @@ let run ?(threshold = default_threshold) ?(epsilon = 0.0) ?faults
       match send () with
       | None -> incr records_lost
       | Some _ ->
-        let slot = slot_of_vs v.Dht.vs_id in
+        let slot = Ktree.vs_slot tree v.Dht.vs_id in
         if slot >= 0 then push_report slot r)
     | Aware { space; order; curve; binning } -> (
       let key =
@@ -190,7 +184,7 @@ let run ?(threshold = default_threshold) ?(epsilon = 0.0) ?faults
   | Ignorant -> ()
   | Aware _ ->
     Dht.drain_items dht ~f:(fun v _ r ->
-        let slot = slot_of_vs v.Dht.vs_id in
+        let slot = Ktree.vs_slot tree v.Dht.vs_id in
         if slot >= 0 then push_report slot r));
   (* Group the reports per leaf slot: counts, prefix sums, then a stable
      scatter, so each slot's slice keeps arrival order. *)

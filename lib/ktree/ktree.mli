@@ -21,40 +21,45 @@ module Dht = P2plb_chord.Dht
     O(1).
 
     Whole-tree figures ({!depth}, {!n_nodes}, {!n_leaves},
-    {!leaf_assignment}, {!host_nodes}) come from one cached
-    traversal, redone only after the tree's structure or planting
-    changed: the first call after a change costs O(nodes), the rest
-    O(1).
+    {!host_nodes}, {!vs_slot}) are computed by the walk that makes the
+    tree consistent with a ring and read in O(1) after it (O(log #VS)
+    for the per-VS ones).
 
     Message accounting: child-creation plants cost a DHT lookup
     (counted in overlay hops when [route_messages] is on) plus one
     message; refresh heartbeats cost one message per parent–child
     edge; sweeps cost one message per edge traversed. *)
 
-(** {1 Layout}
+(** {1:layout Layout}
 
-    The tree is flat: a node is an index into six int arrays (region
-    start, region length, depth, host VS id, first-child index and
-    leaf-slot tag), so it needs no record and no box, and walking it
-    chases no pointers.  The root is index 0.  The children of an
-    internal node occupy one contiguous {e K-block} of indices, slot
-    [i] holding the [i]-th part of the parent's region; a slot whose
-    part is empty has length 0 and is not a child.  A leaf's first-child
-    index is -1.
+    A KT node's region, host and leafness are a function of the sorted
+    VS ids alone (§3.1; DESIGN.md §2), and {!build}, {!refresh} and
+    {!repair} each leave exactly the tree that function gives for the
+    ring they saw.  So the tree stores only a copy of those ids and an
+    O(#VS) summary indexed by ring position: per-VS node counts, each
+    VS's assigned leaf and slot, the depth and the counts.  Every node
+    is derived on the fly by walks over index slices of the ids; a
+    slice of one id (a single-VS chain, most of the tree) needs no
+    search.  Storage is O(#VS) words whatever the node count.
 
-    [build] sizes the arrays from the ≈ #VS·K·(log_K 2{^32} − log_K #VS)
-    node count of DESIGN.md §2 and grows them by half when full.  A
-    prune in {!refresh} or {!repair} returns the K-blocks of the
-    subtrees it drops to a free list, which later plants reuse, so a
-    long-lived tree under churn stays the size of a fresh one.
+    A {!node} is one int: its region start, its depth, one bit for its
+    region length and, for an assigned leaf, its slot; so
+    {!node_depth}, {!leaf_slot}, {!region} and {!key} are O(1) and
+    allocate nothing beyond {!region}'s [Region.t].  {!host} and
+    {!is_leaf} are one binary search over the ids, {!children} K of
+    them plus its array.
 
-    Costs: the accessors below are O(1) and allocate nothing, apart
-    from {!region} (one [Region.t]) and {!children} (an array).  A
-    sweep is O(nodes) and allocates only what its callbacks do. *)
+    Costs: {!build} is one O(#VS) copy of the ids plus one summary
+    walk, which steps down each chain a level at a time without
+    visiting its leaves: O(#VS · depth · K) with searches only at the
+    forks.  A sweep is O(nodes) and allocates only what its callbacks
+    do.  {!refresh} and {!repair} on a moved ring walk the old and the
+    new tree together, O(nodes), then redo the summary. *)
 
 type node = private int
-(** A KT node of one tree: valid until that tree's next {!refresh} or
-    {!repair}, which may prune it. *)
+(** A KT node of one tree, as that tree stood when the node was
+    produced: valid until the tree's next {!refresh} or {!repair},
+    after which it may name a pruned node or a stale slot. *)
 
 type t
 
@@ -66,23 +71,22 @@ val set_obs : t -> P2plb_obs.Obs.t -> unit
     Without an attachment the tree stays silent. *)
 
 val build : ?route_messages:bool -> k:int -> 'a Dht.t -> t
-(** Constructs the tree top-down against the current ring.  Requires a
+(** Constructs the tree against the current ring.  Requires a
     non-empty ring.  [route_messages] (default false) additionally
-    routes each planting lookup through Chord to charge realistic hop
-    counts to the message counter.
+    routes each planting lookup through Chord, from the parent's host
+    in preorder, to charge realistic hop counts to the message
+    counter.
 
-    Cost: one O(#VS) pass to read the sorted VS ids, then one binary
-    search bounded by the parent's slice of ids per KT node (its host),
-    plus one per created child (its slice); no DHT query unless
-    [route_messages].  The cached whole-tree figures (see above) are
-    filled in the same pass, so the first {!depth} or
-    {!leaf_assignment} after a build is O(1). *)
+    Cost: one O(#VS) copy of the sorted VS ids and one summary walk
+    (see {!section-layout}); no DHT query unless [route_messages],
+    which adds one walk over every node. *)
 
 val k : t -> int
 val root : t -> node
 
 val is_leaf : t -> node -> bool
-(** No children: the node's region is covered by its host. *)
+(** No children: the node's region is covered by its host.
+    O(log #VS). *)
 
 val region : t -> node -> Region.t
 
@@ -93,7 +97,7 @@ val node_depth : t -> node -> int
 (** Root = 0. *)
 
 val host : t -> node -> Id.t
-(** Id of the hosting virtual server. *)
+(** Id of the hosting virtual server.  O(log #VS). *)
 
 val children : t -> node -> node option array
 (** Length K; slot [i] is the child responsible for the [i]-th part of
@@ -102,18 +106,14 @@ val children : t -> node -> node option array
 
 val depth : t -> int
 (** Maximum depth over all current KT nodes — the bound on
-    aggregation / dissemination rounds, O(log_K N).  Cached (see
-    above). *)
+    aggregation / dissemination rounds, O(log_K N). *)
 
 val n_nodes : t -> int
-(** Cached (see above). *)
-
 val n_leaves : t -> int
-(** Cached (see above). *)
 
 val host_nodes : t -> Id.t -> int
 (** Number of KT nodes planted in the VS with this id (0 for none) —
-    what a VS transfer must re-home.  Cached (see above). *)
+    what a VS transfer must re-home. *)
 
 val leaves : t -> node list
 (** In identifier-space order. *)
@@ -130,8 +130,9 @@ val refresh : ?route_messages:bool -> t -> 'a Dht.t -> unit
     first.
 
     Costs O(nodes) when the ring version moved since the tree was last
-    consistent (or with [route_messages], whose lookups are charged);
-    otherwise O(1): it charges the walk's heartbeats,
+    consistent (or with [route_messages], whose lookups are charged):
+    one walk over the old tree and the new one together, in the new
+    one's preorder.  Otherwise O(1): it charges the walk's heartbeats,
     [n_nodes - 1] messages, and changes nothing else. *)
 
 val repair : ?route_messages:bool -> t -> 'a Dht.t -> int
@@ -144,8 +145,9 @@ val repair : ?route_messages:bool -> t -> 'a Dht.t -> int
     Returns the number of KT nodes re-planted this pass; cumulative
     costs are exposed by {!repairs} / {!repair_messages}.
 
-    Walks the whole tree, O(nodes), when the ring version moved since
-    the tree was last consistent; otherwise returns 0 in O(1). *)
+    Walks the old tree and the new one together, O(nodes), when the
+    ring version moved since the tree was last consistent; otherwise
+    returns 0 in O(1). *)
 
 val check_consistent : t -> 'a Dht.t -> (unit, string) result
 (** Structural invariants: root covers the ring, children partition
@@ -160,23 +162,22 @@ val leaf_assignment : t -> (Id.t, node) Hashtbl.t
 (** For every VS (keyed by VS id), the designated leaf it reports
     through — the deepest-first leaf planted in it.  A VS hosting
     several leaves reports through exactly one to avoid redundant
-    information (§3.2, §4.3).  The table is cached on the tree and
-    shared by every caller until the next structural mutation
-    (plant / prune / re-host): O(nodes) on the first call after one,
-    O(1) after that. *)
+    information (§3.2, §4.3).  A fresh table, built in O(#VS) from the
+    summary; {!vs_slot} answers for one VS without it. *)
+
+val vs_slot : t -> Id.t -> int
+(** The {!leaf_slot} of the VS's designated leaf; -1 for an id that
+    is not on the tree's ring.  O(log #VS). *)
 
 val leaf_slot : t -> node -> int
 (** The node's slot ordinal in the current {!leaf_assignment}: assigned
     leaves are numbered [0 .. n_leaf_slots - 1] in preorder; any other
-    node answers -1.  Only meaningful after a cached figure
-    ({!leaf_assignment}, {!n_nodes}, ...) was read from the owning
-    tree, until the next structural mutation.  Backs the
+    node answers -1.  O(1): the slot is part of the node.  Backs the
     array-indexed (counting-sort) rendezvous in the VSA/LBI hot
     paths. *)
 
 val n_leaf_slots : t -> int
-(** Number of assigned leaves numbered by the cached assignment.
-    Cached (see above). *)
+(** Number of assigned leaves: one per VS. *)
 
 (** {1 Sweeps}
 

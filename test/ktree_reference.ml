@@ -1,14 +1,15 @@
 (* The original pointer K-nary tree, retained as the reference for
    lib/ktree/ktree.ml.
 
-   Production [Ktree] stores its nodes in flat arrays, builds them by
-   recursing over index ranges of the sorted VS ids and fills the
-   whole-tree summary in the same pass.  This is the implementation it
-   replaced: one heap record per node with an option array of
-   children; [build] plants every node through [Dht.owner_of_key] (or a
-   routed [Dht.lookup]) and tests it for leafness against its host's
-   region, then [summarize] computes the summary in a preorder pass;
-   [refresh] and [repair] are the pointer walks, visit for visit.
+   Production [Ktree] stores no nodes: it keeps the sorted VS ids and
+   an O(#VS) summary, derives every node from index slices of the ids
+   as it walks, and computes [refresh] and [repair] from the old and
+   the new ids together.  This is the tree as the paper describes it:
+   one heap record per node with an option array of children; [build]
+   plants every node through [Dht.owner_of_key] (or a routed
+   [Dht.lookup]) and tests it for leafness against its host's region,
+   then [summarize] computes the summary in a preorder pass; [refresh]
+   and [repair] are the pointer walks, visit for visit.
 
    Its contract is that every observable — regions, keys, depths,
    hosts, children, message counts, repair counts and messages, the

@@ -106,6 +106,23 @@ let test_regions_partition_after_churn () =
   in
   check Alcotest.int "still a partition" Id.space_size total
 
+let test_vs_ids_follow_ring () =
+  (* The ring's ids in fold_vs order, as a fresh copy each call, before
+     and after churn. *)
+  let dht = build_dht ~seed:6 ~nodes:15 ~vs:3 in
+  let ring () =
+    List.rev (Dht.fold_vs dht ~init:[] ~f:(fun acc v -> v.Dht.vs_id :: acc))
+  in
+  let ids = Dht.vs_ids dht in
+  check Alcotest.(list int) "joined ring" (ring ()) (Array.to_list ids);
+  ids.(0) <- -1;
+  check Alcotest.(list int) "a fresh copy" (ring ())
+    (Array.to_list (Dht.vs_ids dht));
+  Dht.crash dht 7;
+  ignore (Dht.join dht ~capacity:5.0 ~underlay:1 ~n_vs:4);
+  check Alcotest.(list int) "after churn" (ring ())
+    (Array.to_list (Dht.vs_ids dht))
+
 (* ---- transfer / removal ------------------------------------------------ *)
 
 let test_transfer_vs () =
@@ -272,6 +289,8 @@ let () =
             test_load_conserved_by_leave;
           Alcotest.test_case "partition after churn" `Quick
             test_regions_partition_after_churn;
+          Alcotest.test_case "vs_ids follow the ring" `Quick
+            test_vs_ids_follow_ring;
         ] );
       ( "transfer",
         [

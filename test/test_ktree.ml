@@ -237,93 +237,103 @@ let test_fold_nodes_count () =
 (* ---- sweep callback order ---------------------------------------------- *)
 
 (* What a sweep shows its callbacks: each [at_leaf] / [at_node] /
-   [split] call with the node's depth and region start, and each
-   [merge] with its operands.  A node's value is the region starts of
-   the leaves below it, so merge operands name the subtrees merged. *)
+   [split] call with the node's depth, region start and leaf slot, and
+   each [merge] with its operands.  A node's value is the region starts
+   of the leaves below it, so merge operands name the subtrees
+   merged. *)
 type call =
-  | Leaf of int * int
-  | Node of int * int
+  | Leaf of int * int * int
+  | Node of int * int * int
   | Merge of int list * int list
-  | Split of int * int * int
+  | Split of int * int * int * int
 
 (* The same recorder over either tree, given how to read a node. *)
-let record_up sweep ~depth ~start =
+let record_up sweep ~depth ~start ~slot =
   let log = ref [] in
   let push c = log := c :: !log in
   let v =
     sweep
       ~at_leaf:(fun n ->
-        push (Leaf (depth n, start n));
+        push (Leaf (depth n, start n, slot n));
         [ start n ])
       ~empty:[]
       ~merge:(fun a b ->
         push (Merge (a, b));
         a @ b)
       ~at_node:(fun n acc ->
-        push (Node (depth n, start n));
+        push (Node (depth n, start n, slot n));
         acc)
   in
   (List.rev !log, v)
 
-let record_down sweep ~depth ~start =
+let record_down sweep ~depth ~start ~slot =
   let log = ref [] in
   let push c = log := c :: !log in
   sweep
     ~split:(fun n v ->
-      push (Split (depth n, start n, v));
+      push (Split (depth n, start n, slot n, v));
       v + 1)
-    ~at_leaf:(fun n v -> push (Leaf (depth n, start n + v)));
+    ~at_leaf:(fun n v -> push (Leaf (depth n, start n + v, slot n)));
   List.rev !log
+
+(* Both sweeps of [Ktree] and of the pointer reference on one ring
+   record the same calls. *)
+let sweeps_match_reference ~k dht =
+  let tree = Ktree.build ~k dht and r = Ktree_reference.build ~k dht in
+  let depth n = Ktree.node_depth tree n
+  and start n = Region.start (Ktree.region tree n)
+  and slot n = Ktree.leaf_slot tree n in
+  let rdepth (n : Ktree_reference.node) = n.Ktree_reference.depth
+  and rstart (n : Ktree_reference.node) = Region.start n.Ktree_reference.region
+  and rslot (n : Ktree_reference.node) = n.Ktree_reference.tag in
+  let up =
+    record_up
+      (fun ~at_leaf ~empty ~merge ~at_node ->
+        Ktree.sweep_up tree ~at_leaf ~empty ~merge ~at_node)
+      ~depth ~start ~slot
+  and rup =
+    record_up
+      (fun ~at_leaf ~empty ~merge ~at_node ->
+        Ktree_reference.sweep_up r.Ktree_reference.root ~at_leaf ~empty ~merge
+          ~at_node)
+      ~depth:rdepth ~start:rstart ~slot:rslot
+  in
+  let down =
+    record_down
+      (fun ~split ~at_leaf -> Ktree.sweep_down tree ~at_root:0 ~split ~at_leaf)
+      ~depth ~start ~slot
+  and rdown =
+    record_down
+      (fun ~split ~at_leaf ->
+        Ktree_reference.sweep_down r.Ktree_reference.root 0 ~split ~at_leaf)
+      ~depth:rdepth ~start:rstart ~slot:rslot
+  in
+  up = rup && down = rdown
+  && Ktree.rounds_last_sweep tree = Ktree.depth tree + 1
 
 (* The order the sweeps promise is the pointer tree's recursive
    postorder (up) and preorder (down): it fixes VSA's notify and fault
-   draws and LBI's float summation order. *)
+   draws and LBI's float summation order.  Each case also sweeps rings
+   of 1-3 VSs at K = 2, 3 and 8, where the root is a leaf or chains
+   start at depth 1. *)
 let prop_sweep_order =
   QCheck.Test.make ~name:"sweep callbacks in reference order" ~count:30
     QCheck.(quad small_int (int_range 1 60) (int_range 1 6) (int_range 0 2))
     (fun (seed, nodes, vs, k_sel) ->
-      let k = [| 2; 3; 8 |].(k_sel) in
-      let dht = build_dht ~seed ~nodes ~vs in
-      let tree = Ktree.build ~k dht and r = Ktree_reference.build ~k dht in
-      let depth n = Ktree.node_depth tree n
-      and start n = Region.start (Ktree.region tree n) in
-      let rdepth (n : Ktree_reference.node) = n.Ktree_reference.depth
-      and rstart (n : Ktree_reference.node) =
-        Region.start n.Ktree_reference.region
-      in
-      let up =
-        record_up
-          (fun ~at_leaf ~empty ~merge ~at_node ->
-            Ktree.sweep_up tree ~at_leaf ~empty ~merge ~at_node)
-          ~depth ~start
-      and rup =
-        record_up
-          (fun ~at_leaf ~empty ~merge ~at_node ->
-            Ktree_reference.sweep_up r.Ktree_reference.root ~at_leaf ~empty
-              ~merge ~at_node)
-          ~depth:rdepth ~start:rstart
-      in
-      let down =
-        record_down
-          (fun ~split ~at_leaf ->
-            Ktree.sweep_down tree ~at_root:0 ~split ~at_leaf)
-          ~depth ~start
-      and rdown =
-        record_down
-          (fun ~split ~at_leaf ->
-            Ktree_reference.sweep_down r.Ktree_reference.root 0 ~split
-              ~at_leaf)
-          ~depth:rdepth ~start:rstart
-      in
-      up = rup && down = rdown
-      && Ktree.rounds_last_sweep tree = Ktree.depth tree + 1)
+      sweeps_match_reference ~k:[| 2; 3; 8 |].(k_sel)
+        (build_dht ~seed ~nodes ~vs)
+      && List.for_all
+           (fun (k, n_vs) ->
+             sweeps_match_reference ~k (build_dht ~seed ~nodes:1 ~vs:n_vs)
+             && sweeps_match_reference ~k (build_dht ~seed ~nodes:n_vs ~vs:1))
+           [ (2, 1); (2, 2); (2, 3); (3, 1); (3, 2); (3, 3); (8, 1); (8, 2); (8, 3) ])
 
 (* ---- storage under churn ----------------------------------------------- *)
 
 let test_storage_bounded_under_churn () =
-  (* A long-lived tree through 500 churn + refresh steps: the K-blocks
-     its prunes free are reused, so it stays within twice the size of
-     a fresh build on the final ring, and equals that build. *)
+  (* A long-lived tree through 500 churn + refresh steps stays within
+     twice the size of a fresh build on the final ring, and equals that
+     build. *)
   let dht = build_dht ~seed:18 ~nodes:40 ~vs:3 in
   let tree = Ktree.build ~k:2 dht in
   let rng = Prng.create ~seed:78 in
@@ -348,6 +358,17 @@ let test_storage_bounded_under_churn () =
   if words > 2 * fresh_words then
     Alcotest.failf "long-lived tree holds %d words, a fresh build %d" words
       fresh_words
+
+let test_storage_linear_in_vs () =
+  (* A tree stores its ring's ids and an O(#VS) summary, not its
+     nodes: 688,911 of them on this 20,480-VS ring, held in 61,494
+     words (3.0 per VS; three int arrays over the ring). *)
+  let dht = build_dht ~seed:19 ~nodes:4096 ~vs:5 in
+  let tree = Ktree.build ~k:2 dht in
+  let words = Obj.reachable_words (Obj.repr tree) and n_vs = Dht.n_vs dht in
+  if words > 4 * n_vs then
+    Alcotest.failf "tree over %d VSs holds %d words (bound %d)" n_vs words
+      (4 * n_vs)
 
 let prop_tree_consistent_for_any_ring =
   QCheck.Test.make ~name:"tree consistent on random rings" ~count:25
@@ -402,6 +423,8 @@ let () =
           Alcotest.test_case "fold_nodes" `Quick test_fold_nodes_count;
           Alcotest.test_case "storage bounded under churn" `Quick
             test_storage_bounded_under_churn;
+          Alcotest.test_case "storage linear in #VS" `Quick
+            test_storage_linear_in_vs;
         ] );
       ( "properties",
         [

@@ -671,7 +671,7 @@ let test_ktree_matches_reference () =
     ~name:"slice-built KT = DHT-driven reference builder"
     ktree_ref_case prop_ktree_matches_reference
 
-(* ---- Ktree: flat upkeep = pointer reference walks ----------------------- *)
+(* ---- Ktree: derived upkeep = pointer reference walks -------------------- *)
 
 (* ((physical nodes, VSs per node, K = 2 / 3 / 8),
     (route_messages off / on, operations)). *)
@@ -693,21 +693,30 @@ let kt_events obs =
       | _ -> None)
     (Trace.events (Obs.trace obs))
 
+(* [f ()] with the routed lookups and hops it spent on [dht]. *)
+let routed dht f =
+  let l0 = Dht.lookups_performed dht and h0 = Dht.hops_used dht in
+  let x = f () in
+  (x, (Dht.lookups_performed dht - l0, Dht.hops_used dht - h0))
+
 (* One long-lived tree of each kind on the same ring.  Each op is
    followed by refresh then repair, repair then refresh, or nothing
    (so the next walks meet two ops of churn).  A routed refresh issues
    its lookups from each node's current host, so it only runs after a
    repair has re-planted the nodes of departed VSs.  After every step the
    trees, their summaries, message / repair counters, [repair]'s
-   return values and the ordered kt events must agree. *)
-let prop_ktree_upkeep_matches_reference ((n_nodes, vs, k_sel), (routed, ops)) =
-  let k = [| 2; 3; 8 |].(k_sel) and route_messages = routed = 1 in
+   return values and the ordered kt events must agree, and each build,
+   refresh and repair must issue as many routed lookups, over as many
+   hops, as its reference counterpart. *)
+let prop_ktree_upkeep_matches_reference ((n_nodes, vs, k_sel), (routed_sel, ops))
+    =
+  let k = [| 2; 3; 8 |].(k_sel) and route_messages = routed_sel = 1 in
   let dht = Dht.create ~seed:((n_nodes * 8) + vs) in
   for i = 0 to n_nodes - 1 do
     ignore (Dht.join dht ~capacity:1.0 ~underlay:i ~n_vs:vs)
   done;
-  let r = Kref.build ~route_messages ~k dht in
-  let t = Ktree.build ~route_messages ~k dht in
+  let r, r_built = routed dht (fun () -> Kref.build ~route_messages ~k dht) in
+  let t, t_built = routed dht (fun () -> Ktree.build ~route_messages ~k dht) in
   let obs = Obs.create () in
   Ktree.set_obs t obs;
   let agree () =
@@ -719,15 +728,20 @@ let prop_ktree_upkeep_matches_reference ((n_nodes, vs, k_sel), (routed, ops)) =
     && kt_events obs = Kref.events r
   in
   let repair () =
-    let a = Ktree.repair ~route_messages t dht in
-    a = Kref.repair ~route_messages r dht && agree ()
+    let a, t_spent = routed dht (fun () -> Ktree.repair ~route_messages t dht) in
+    let b, r_spent = routed dht (fun () -> Kref.repair ~route_messages r dht) in
+    a = b && t_spent = r_spent && agree ()
   in
   let refresh () =
-    Ktree.refresh ~route_messages t dht;
-    Kref.refresh ~route_messages r dht;
-    agree ()
+    let (), t_spent =
+      routed dht (fun () -> Ktree.refresh ~route_messages t dht)
+    in
+    let (), r_spent =
+      routed dht (fun () -> Kref.refresh ~route_messages r dht)
+    in
+    t_spent = r_spent && agree ()
   in
-  agree ()
+  t_built = r_built && agree ()
   && List.for_all
        (fun (i, op) ->
          apply_ring_op dht op;
@@ -739,8 +753,81 @@ let prop_ktree_upkeep_matches_reference ((n_nodes, vs, k_sel), (routed, ops)) =
 
 let test_ktree_upkeep_matches_reference () =
   Prop.run ~count:30 ~seed:0x5eed0b
-    ~name:"flat KT upkeep = pointer reference walks"
+    ~name:"derived KT upkeep = pointer reference walks"
     ktree_upkeep_case prop_ktree_upkeep_matches_reference
+
+(* ---- Ktree: upkeep leaves the canonical tree ---------------------------- *)
+
+(* Preorder (region start, length, depth, host, leafness, slot) of
+   each kind of tree; [r]'s slots must be current. *)
+let ktree_nodes t =
+  List.rev
+    (Ktree.fold_nodes t ~init:[] ~f:(fun acc n ->
+         let region = Ktree.region t n in
+         ( Region.start region,
+           Region.len region,
+           Ktree.node_depth t n,
+           Ktree.host t n,
+           Ktree.is_leaf t n,
+           Ktree.leaf_slot t n )
+         :: acc))
+
+let kref_nodes r =
+  let acc = ref [] in
+  Kref.iter_nodes
+    (fun (n : Kref.node) ->
+      acc :=
+        ( Region.start n.Kref.region,
+          Region.len n.Kref.region,
+          n.Kref.depth,
+          n.Kref.host,
+          Kref.is_leaf n,
+          n.Kref.tag )
+        :: !acc)
+    r.Kref.root;
+  List.rev !acc
+
+(* A long-lived tree of each kind through churn: after every refresh
+   or repair its nodes equal a fresh build's on the same ring.  For the
+   reference this is what lets [Ktree] derive upkeep from the old and
+   new id snapshots alone; for [Ktree] it holds by construction. *)
+let prop_ktree_stays_canonical ((n_nodes, vs, k_sel), ops) =
+  let k = [| 2; 3; 8 |].(k_sel) in
+  let dht = Dht.create ~seed:((n_nodes * 8) + vs) in
+  for i = 0 to n_nodes - 1 do
+    ignore (Dht.join dht ~capacity:1.0 ~underlay:i ~n_vs:vs)
+  done;
+  let t = Ktree.build ~k dht and r = Kref.build ~k dht in
+  let canonical () =
+    Kref.summarize r;
+    ktree_nodes t = ktree_nodes (Ktree.build ~k dht)
+    && kref_nodes r = kref_nodes (Kref.build ~k dht)
+  in
+  List.for_all
+    (fun (i, op) ->
+      apply_ring_op dht op;
+      if i mod 2 = 0 then begin
+        Ktree.refresh t dht;
+        Kref.refresh r dht
+      end
+      else begin
+        ignore (Ktree.repair t dht);
+        ignore (Kref.repair r dht)
+      end;
+      canonical ())
+    (List.mapi (fun i op -> (i, op)) ops)
+
+(* (physical nodes, VSs per node, K = 2 / 3 / 8), operations: smaller
+   rings than [ktree_ref_case], as every step builds two fresh trees. *)
+let ktree_canon_case =
+  Prop.pair
+    (Prop.triple (Prop.int_in 1 128) (Prop.int_in 1 4) (Prop.int_in 0 2))
+    (Prop.list_of ~max_len:10 ring_op)
+
+let test_ktree_stays_canonical () =
+  Prop.run ~count:30 ~seed:0x5eed0d
+    ~name:"refresh / repair leave a fresh build's tree"
+    ktree_canon_case prop_ktree_stays_canonical
 
 (* ---- Chord: one-search routing = greedy finger scan --------------------- *)
 
@@ -938,5 +1025,7 @@ let () =
             test_ktree_matches_reference;
           Alcotest.test_case "upkeep = reference walks" `Quick
             test_ktree_upkeep_matches_reference;
+          Alcotest.test_case "upkeep leaves the canonical tree" `Quick
+            test_ktree_stays_canonical;
         ] );
     ]
