@@ -2,13 +2,14 @@
 
    Two parts, one exe:
 
-   1. {b Figure regeneration} — for every table/figure of the paper's
-      evaluation (Figs. 4–8, the T-vsa timing claim, plus the baseline
-      and ablation tables), print the same rows/series the paper
-      reports, via {!P2plb.Experiments}.  Scale is controlled by the
-      [P2PLB_NODES] / [P2PLB_GRAPHS] environment variables (defaults
-      2048 / 3 keep a full run to minutes; the paper's scale is
-      4096 / 10 — see EXPERIMENTS.md for full-scale numbers).
+   1. {b Figure regeneration} — runs every experiment of
+      {!P2plb.Experiments.suite} (Figs. 4–8, the T-vsa timing claim,
+      the baselines, churn, resilience, overhead, durability, drift
+      and the ablations) once, observed, and prints its report.  Scale
+      is controlled by the [P2PLB_NODES] / [P2PLB_GRAPHS] environment
+      variables (defaults 2048 / 3 keep a full run to minutes; the
+      paper's scale is 4096 / 10 — see EXPERIMENTS.md for full-scale
+      numbers).
 
    2. {b Bechamel micro-benchmarks} — one [Test.make] per
       figure/table, timing the computational kernel that experiment
@@ -41,30 +42,49 @@ module Multiround = P2plb.Multiround
 module Histogram = P2plb_metrics.Histogram
 module Report = P2plb_metrics.Report
 
-let env_int name default =
+(* Malformed input is an error, never a silent default. *)
+let fail fmt =
+  Printf.ksprintf
+    (fun m ->
+      prerr_endline ("bench: " ^ m);
+      exit 2)
+    fmt
+
+let int_of ~positive what v =
+  match int_of_string_opt v with
+  | Some i when i >= 1 || not positive -> i
+  | Some _ | None ->
+    fail "%s: expected %s, got %S" what
+      (if positive then "a positive integer" else "an integer")
+      v
+
+let env_int ?(positive = true) name default =
   match Sys.getenv_opt name with
-  | Some v -> ( match int_of_string_opt v with Some i -> i | None -> default)
+  | Some v -> int_of ~positive name v
   | None -> default
 
 let n_nodes = env_int "P2PLB_NODES" 2048
 let graphs = env_int "P2PLB_GRAPHS" 3
-let seed = env_int "P2PLB_SEED" 1
+let seed = env_int ~positive:false "P2PLB_SEED" 1
+
+(* Value of a "--name VALUE" argument. *)
+let arg_value names =
+  let rec go i =
+    if i >= Array.length Sys.argv then None
+    else if List.mem Sys.argv.(i) names then
+      if i + 1 < Array.length Sys.argv then Some Sys.argv.(i + 1)
+      else fail "%s needs a value" Sys.argv.(i)
+    else go (i + 1)
+  in
+  go 1
 
 (* --jobs N / -j N: domain count for the experiments that fan their
    independent tasks out over Par.run.  Every table and the sim digest
    are byte-identical for any job count; only wall clock changes. *)
 let jobs =
-  let rec from_argv i =
-    if i + 1 >= Array.length Sys.argv then env_int "P2PLB_JOBS" 1
-    else if
-      String.equal Sys.argv.(i) "--jobs" || String.equal Sys.argv.(i) "-j"
-    then
-      match int_of_string_opt Sys.argv.(i + 1) with
-      | Some j when j >= 1 -> j
-      | Some _ | None -> 1
-    else from_argv (i + 1)
-  in
-  from_argv 1
+  match arg_value [ "--jobs"; "-j" ] with
+  | Some v -> int_of ~positive:true "--jobs" v
+  | None -> env_int "P2PLB_JOBS" 1
 
 let pool = Par.create ~jobs
 
@@ -142,111 +162,15 @@ let metrics_table () =
     (List.map row (List.rev !metrics_acc))
 
 let figures () =
-  section "Figure 4 (unit load before/after, Gaussian)";
-  observed "fig4" (fun obs ->
-      print_string (E.render_fig4 (E.fig4 ~obs ~seed ~n_nodes ())));
-  section "Figure 5 (load vs capacity, Gaussian)";
-  observed "fig5" (fun obs ->
-      print_string
-        (E.render_capacity_alignment
-           ~title:"load/capacity alignment after LB (Gaussian)"
-           (E.fig5 ~obs ~seed ~n_nodes ())));
-  section "Figure 6 (load vs capacity, Pareto)";
-  observed "fig6" (fun obs ->
-      print_string
-        (E.render_capacity_alignment
-           ~title:"load/capacity alignment after LB (Pareto 1.5)"
-           (E.fig6 ~obs ~seed ~n_nodes ())));
-  section "Figure 7 (moved load vs distance, ts5k-large)";
-  observed "fig7" (fun obs ->
-      print_string
-        (E.render_proximity
-           ~title:
-             "paper: aware 67%@2 hops, 86%@10; ignorant 13%@10 (10 graphs, \
-              4096 nodes)"
-           (E.fig7 ~pool ~obs ~seed ~graphs ~n_nodes ())));
-  section "Figure 8 (moved load vs distance, ts5k-small)";
-  observed "fig8" (fun obs ->
-      print_string
-        (E.render_proximity
-           ~title:"paper: aware well ahead of ignorant on a scattered overlay"
-           (E.fig8 ~pool ~obs ~seed ~graphs ~n_nodes ())));
-  section "T-vsa (VSA rounds vs N, K = 2 and 8)";
-  observed "tvsa" (fun obs ->
-      print_string
-        (E.render_tvsa
-           [ E.tvsa ~pool ~obs ~seed ~k:2 (); E.tvsa ~pool ~obs ~seed ~k:8 () ]));
-  section "Baselines (CFS, Rao et al.)";
-  observed "baselines" (fun obs ->
-      print_string
-        (E.render_baselines (E.baselines ~pool ~obs ~seed ~n_nodes ())));
-  section "Churn / self-repair";
-  observed "churn" (fun obs ->
-      print_string
-        (E.render_churn (E.churn ~obs ~seed ~n_nodes:(Int.min n_nodes 1024) ())));
-  section "Mid-round churn resilience (fault injection)";
-  observed "resilience" (fun obs ->
-      print_string
-        (E.render_resilience
-           (E.resilience ~pool ~obs ~seed ~n_nodes:(Int.min n_nodes 1024) ())));
-  section "Replicated-store durability under churn";
-  print_string (E.render_durability (E.durability ~pool ~seed ()));
-  section "Periodic balancing under load drift";
-  observed "drift" (fun obs ->
-      print_string (E.render_load_drift (E.load_drift ~obs ~seed ())));
-  section "Message overhead per phase";
-  observed "overhead" (fun obs ->
-      print_string (E.render_overhead (E.overhead ~pool ~obs ~seed ())));
-  section "Ablations";
-  observed "ablations" (fun obs ->
-  print_string
-    (E.render_sweep ~title:"epsilon_rel sweep"
-       ~header:[ "epsilon_rel"; "heavy after"; "moved" ]
-       (List.map
-          (fun (e, h, m) ->
-            [
-              Printf.sprintf "%.2f" e;
-              string_of_int h;
-              Printf.sprintf "%.1f%%" (100.0 *. m);
-            ])
-          (E.ablation_epsilon ~pool ~obs ~seed ~n_nodes:(Int.min n_nodes 2048) ())));
-  print_newline ();
-  print_string
-    (E.render_sweep ~title:"rendezvous threshold sweep"
-       ~header:[ "threshold"; "CDF@2"; "CDF@10" ]
-       (List.map
-          (fun (t, a, b) ->
-            [ string_of_int t; Printf.sprintf "%.3f" a; Printf.sprintf "%.3f" b ])
-          (E.ablation_threshold ~pool ~obs ~seed ~n_nodes:(Int.min n_nodes 2048) ())));
-  print_newline ();
-  print_string
-    (E.render_sweep ~title:"space-filling curve sweep"
-       ~header:[ "curve"; "CDF@2"; "CDF@10" ]
-       (List.map
-          (fun (c, a, b) ->
-            [ c; Printf.sprintf "%.3f" a; Printf.sprintf "%.3f" b ])
-          (E.ablation_curve ~pool ~obs ~seed ~n_nodes:(Int.min n_nodes 2048) ())));
-  print_newline ();
-  print_string
-    (E.render_sweep ~title:"K-nary degree sweep"
-       ~header:[ "K"; "depth"; "KT nodes"; "messages" ]
-       (List.map
-          (fun (k, d, n, m) ->
-            [ string_of_int k; string_of_int d; string_of_int n; string_of_int m ])
-          (E.ablation_k ~pool ~obs ~seed ~n_nodes:(Int.min n_nodes 2048) ())));
-  print_newline ();
-  print_string
-    (E.render_sweep ~title:"landmark count sweep"
-       ~header:[ "m"; "order"; "CDF@2"; "CDF@10" ]
-       (List.map
-          (fun (m, o, a, b) ->
-            [
-              string_of_int m;
-              string_of_int o;
-              Printf.sprintf "%.3f" a;
-              Printf.sprintf "%.3f" b;
-            ])
-          (E.ablation_landmarks ~pool ~obs ~seed ~n_nodes:(Int.min n_nodes 2048) ()))));
+  let p =
+    { E.defaults with E.p_seed = seed; p_nodes = n_nodes; p_graphs = graphs }
+  in
+  List.iter
+    (fun (e : E.entry) ->
+      section (Printf.sprintf "%s: %s" e.E.name e.E.doc);
+      observed e.E.name (fun obs ->
+          print_string (e.E.run ~pool ~obs (E.suite_params p e)).E.text))
+    E.suite;
   section "Per-experiment registry metrics";
   print_string (metrics_table ())
 
@@ -442,28 +366,36 @@ let run_bechamel () =
    ring) — enough to populate every field of the bench record so
    @bench-smoke can validate the schema and pin the sim digest across
    two runs without paying for the full figure sweep. *)
-let smoke_nodes = env_int "P2PLB_SMOKE_NODES" 256
+let smoke_nodes = 256
 
-(* Scale-tier rows (--scale): one observed row per size, covering the
-   Gaussian + Pareto convergence pair of Experiments.scale_run.  The
-   default gate size is the smallest tier (32768) so @bench-gate stays
-   minutes, not hours; P2PLB_SCALE_NODES (comma-separated) widens it. *)
+(* Scale-tier rows (--scale): one observed row per size of each entry
+   sized by --sizes (the Gaussian + Pareto convergence pair of
+   Experiments.scale_run).  The default gate size is the smallest tier
+   (32768) so @bench-gate stays minutes, not hours; P2PLB_SCALE_NODES
+   (comma-separated) widens it. *)
 let scale_sizes =
   match Sys.getenv_opt "P2PLB_SCALE_NODES" with
   | None -> [ 32768 ]
   | Some s ->
-    List.filter_map int_of_string_opt (String.split_on_char ',' s)
+    List.map (int_of ~positive:true "P2PLB_SCALE_NODES")
+      (String.split_on_char ',' s)
 
 let scale () =
   List.iter
-    (fun n ->
-      section (Printf.sprintf "Scale tier (%d nodes, Gaussian + Pareto)" n);
-      observed
-        (Printf.sprintf "scale/%d" n)
-        (fun obs ->
-          print_string
-            (E.render_scale (E.scale_run ~pool ~obs ~seed ~sizes:[ n ] ()))))
-    scale_sizes
+    (fun (e : E.entry) ->
+      match e.E.size with
+      | E.Sizes ->
+        List.iter
+          (fun n ->
+            section (Printf.sprintf "%s (%d nodes)" e.E.name n);
+            observed
+              (Printf.sprintf "%s/%d" e.E.name n)
+              (fun obs ->
+                let p = { E.defaults with E.p_seed = seed; p_sizes = [ n ] } in
+                print_string (e.E.run ~pool ~obs p).E.text))
+          scale_sizes
+      | E.Unsized | E.Nodes _ | E.Nodes_graphs _ -> ())
+    E.registry
 
 let smoke () =
   section (Printf.sprintf "Smoke (multi-round convergence, %d nodes)" smoke_nodes);
@@ -528,15 +460,7 @@ let emit_json ~smoke path =
     jobs wall_s speedup
     (Benchgate.sim_digest file)
 
-(* Value-taking flag: "--json-out PATH"; flags: --smoke, --no-json. *)
-let arg_value name =
-  let rec go i =
-    if i + 1 >= Array.length Sys.argv then None
-    else if String.equal Sys.argv.(i) name then Some Sys.argv.(i + 1)
-    else go (i + 1)
-  in
-  go 1
-
+(* Flags: --smoke, --scale, --no-json, --bench-only, --figures-only. *)
 let () =
   let flag name = Array.exists (String.equal name) Sys.argv in
   let skip_figures = flag "--bench-only" in
@@ -545,7 +469,7 @@ let () =
   let with_scale = flag "--scale" in
   let no_json = flag "--no-json" in
   let json_path =
-    match arg_value "--json-out" with
+    match arg_value [ "--json-out" ] with
     | Some p -> p
     | None -> Printf.sprintf "BENCH_%s.json" rev
   in

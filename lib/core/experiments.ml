@@ -9,6 +9,7 @@ module Report = P2plb_metrics.Report
 module Workload = P2plb_workload.Workload
 module Store = P2plb_chord.Store
 module Par = P2plb_sim.Par
+module Csv = P2plb_metrics.Csv
 
 (* ---- common ----------------------------------------------------------- *)
 
@@ -91,6 +92,8 @@ let render_fig4 r =
        ());
   Buffer.contents buf
 
+(* Per-capacity-category mean load versus the capacity-proportional
+   fair share — the alignment Figs. 5–6 demonstrate. *)
 let render_capacity_alignment ~title r =
   let cats = Array.length Workload.capacity_levels in
   let sums = Array.make cats 0.0 and counts = Array.make cats 0 in
@@ -196,7 +199,8 @@ let proximity_run ?(pool = Par.sequential) ?obs ~seed ~graphs ~n_nodes ~topology
      merges and the ceiling sum accumulate exactly as the sequential
      loop did. *)
   let results =
-    Par.run pool ?obs ~n:graphs (fun g obs ->
+    (* Each task runs two rounds, so it advances a traced clock by 2.0. *)
+    Par.run pool ?obs ~task_time:(fun _ -> 2.0) ~n:graphs (fun g obs ->
         let config = { Scenario.default with n_nodes; topology } in
         let seed = seed + (1000 * g) in
         let s = Scenario.build ~seed config in
@@ -630,61 +634,69 @@ let sweep ?pool ?obs params run =
        ?obs ~n:(Array.length params)
        (fun i obs -> run params.(i) obs))
 
-let ablation_epsilon ?pool ?obs ?(seed = 1) ?(n_nodes = 2048) () =
-  sweep ?pool ?obs
-    [ 0.0; 0.01; 0.02; 0.05; 0.1; 0.2 ]
-    (fun epsilon_rel obs ->
-      let config = { Scenario.default with n_nodes } in
-      let s = Scenario.build ~seed config in
-      let cc = { Controller.default with Controller.epsilon_rel } in
-      let o = Controller.run ~config:cc ?obs s in
-      let ha, _, _ = o.Controller.census_after in
-      (epsilon_rel, ha, Controller.moved_fraction o))
-
-let ablation_threshold ?pool ?obs ?(seed = 1) ?(n_nodes = 2048) () =
-  sweep ?pool ?obs
-    [ 5; 10; 30; 100; 300; 1000 ]
-    (fun threshold obs ->
-      let config = { Scenario.default with n_nodes } in
-      let s = Scenario.build ~seed config in
-      let cc = { Controller.default with Controller.threshold } in
-      let o = Controller.run ~config:cc ?obs s in
-      ( threshold,
-        Controller.cdf_at o ~hops:2,
-        Controller.cdf_at o ~hops:10 ))
-
-let ablation_curve ?pool ?obs ?(seed = 1) ?(n_nodes = 2048) () =
-  sweep ?pool ?obs
-    [ Hilbert.Hilbert; Hilbert.Morton; Hilbert.Row_major ]
-    (fun curve obs ->
-      let config = { Scenario.default with n_nodes } in
-      let s = Scenario.build ~seed config in
-      let cc = { Controller.default with Controller.curve } in
-      let o = Controller.run ~config:cc ?obs s in
-      ( Hilbert.curve_to_string curve,
-        Controller.cdf_at o ~hops:2,
-        Controller.cdf_at o ~hops:10 ))
-
-let ablation_k ?pool ?obs ?(seed = 1) ?(n_nodes = 2048) () =
-  sweep ?pool ?obs [ 2; 4; 8 ] (fun k obs ->
-      let config = { Scenario.default with n_nodes } in
-      let s = Scenario.build ~seed config in
-      let cc = { Controller.default with Controller.k } in
-      let o = Controller.run ~config:cc ?obs s in
-      (k, o.Controller.tree_depth, o.Controller.tree_nodes, o.Controller.tree_messages))
-
-let ablation_landmarks ?pool ?obs ?(seed = 1) ?(n_nodes = 2048) () =
-  sweep ?pool ?obs
-    [ (4, 8); (6, 5); (8, 4); (15, 2); (15, 4); (30, 1) ]
-    (fun (landmark_m, hilbert_order) obs ->
-      let config = { Scenario.default with n_nodes; landmark_m } in
-      let s = Scenario.build ~seed config in
-      let cc = { Controller.default with Controller.hilbert_order } in
-      let o = Controller.run ~config:cc ?obs s in
-      ( landmark_m,
-        hilbert_order,
-        Controller.cdf_at o ~hops:2,
-        Controller.cdf_at o ~hops:10 ))
+(* The five design-choice sweeps, each one traced round per parameter
+   value on its own scenario, rendered as one table each.  The sweeps
+   run in table order, so a shared [obs] records them in that order. *)
+let ablations ?pool ?obs ~seed ~n_nodes () =
+  let table ~title ~header values configure row =
+    Report.table ~title ~header
+      (sweep ?pool ?obs values (fun v obs ->
+           let config, cc = configure v in
+           let s = Scenario.build ~seed { config with Scenario.n_nodes } in
+           row v (Controller.run ~config:cc ?obs s)))
+  in
+  let base cc = (Scenario.default, cc) in
+  let f3 = Printf.sprintf "%.3f" in
+  let cdfs o =
+    [ f3 (Controller.cdf_at o ~hops:2); f3 (Controller.cdf_at o ~hops:10) ]
+  in
+  let epsilon =
+    table ~title:"Ablation — epsilon_rel (balance slack vs residual heavies)"
+      ~header:[ "epsilon_rel"; "heavy after"; "moved" ]
+      [ 0.0; 0.01; 0.02; 0.05; 0.1; 0.2 ]
+      (fun epsilon_rel -> base { Controller.default with epsilon_rel })
+      (fun e o ->
+        let ha, _, _ = o.Controller.census_after in
+        [
+          Printf.sprintf "%.2f" e;
+          string_of_int ha;
+          Printf.sprintf "%.1f%%" (100.0 *. Controller.moved_fraction o);
+        ])
+  in
+  let threshold =
+    table ~title:"Ablation — rendezvous threshold"
+      ~header:[ "threshold"; "CDF@2"; "CDF@10" ]
+      [ 5; 10; 30; 100; 300; 1000 ]
+      (fun threshold -> base { Controller.default with threshold })
+      (fun t o -> string_of_int t :: cdfs o)
+  in
+  let curve =
+    table ~title:"Ablation — space-filling curve for VSA keys"
+      ~header:[ "curve"; "CDF@2"; "CDF@10" ]
+      [ Hilbert.Hilbert; Hilbert.Morton; Hilbert.Row_major ]
+      (fun curve -> base { Controller.default with curve })
+      (fun c o -> Hilbert.curve_to_string c :: cdfs o)
+  in
+  let k =
+    table ~title:"Ablation — K-nary tree degree"
+      ~header:[ "K"; "depth"; "KT nodes"; "messages" ]
+      [ 2; 4; 8 ]
+      (fun k -> base { Controller.default with k })
+      (fun k o ->
+        List.map string_of_int
+          [ k; o.Controller.tree_depth; o.Controller.tree_nodes;
+            o.Controller.tree_messages ])
+  in
+  let landmarks =
+    table ~title:"Ablation — landmark count vs per-axis key resolution"
+      ~header:[ "m"; "order"; "CDF@2"; "CDF@10" ]
+      [ (4, 8); (6, 5); (8, 4); (15, 2); (15, 4); (30, 1) ]
+      (fun (landmark_m, hilbert_order) ->
+        ( { Scenario.default with landmark_m },
+          { Controller.default with hilbert_order } ))
+      (fun (m, order) o -> string_of_int m :: string_of_int order :: cdfs o)
+  in
+  String.concat "\n" [ epsilon; threshold; curve; k; landmarks ]
 
 type overhead_row = {
   o_nodes : int;
@@ -835,8 +847,6 @@ let render_load_drift rows =
          ])
        rows)
 
-let render_sweep ~title ~header rows = Report.table ~title ~header rows
-
 (* ---- the scale tier --------------------------------------------------- *)
 
 type scale_row = {
@@ -860,8 +870,10 @@ let scale_workloads =
     ("pareto", Workload.default_pareto);
   ]
 
+let scale_rounds = 8
+
 let scale_run ?(pool = Par.sequential) ?obs ?(seed = 1)
-    ?(sizes = scale_sizes) ?(rounds = 8) () =
+    ?(sizes = scale_sizes) ?(rounds = scale_rounds) () =
   if rounds < 1 then invalid_arg "Experiments.scale_run: rounds < 1";
   let tasks =
     Array.of_list
@@ -869,8 +881,18 @@ let scale_run ?(pool = Par.sequential) ?obs ?(seed = 1)
          (fun n -> List.map (fun w -> (n, w)) scale_workloads)
          sizes)
   in
+  (* A task stops as soon as it converges, so the simulated time it
+     takes is not known before it runs.  Each task is therefore its own
+     simulation: it restarts a traced clock at the time the sweep
+     started, and a pooled run records exactly what a sequential run
+     does. *)
+  let clock o = P2plb_obs.Obs.trace o in
+  let t0 =
+    match obs with Some o -> P2plb_obs.Trace.now (clock o) | None -> 0.0
+  in
   let results =
     Par.run pool ?obs ~n:(Array.length tasks) (fun i obs ->
+        Option.iter (fun o -> P2plb_obs.Trace.set_time (clock o) t0) obs;
         let n, (wname, workload) = tasks.(i) in
         let config =
           {
@@ -955,3 +977,223 @@ let render_scale rows =
            string_of_int r.sc_tree_depth;
          ])
        rows)
+
+(* ---- the experiment registry ------------------------------------------ *)
+
+type size = Unsized | Nodes of int | Nodes_graphs of int | Sizes
+
+type params = {
+  p_seed : int;
+  p_nodes : int;
+  p_graphs : int;
+  p_sizes : int list;
+  p_rounds : int;
+}
+
+let defaults =
+  {
+    p_seed = 1;
+    p_nodes = 4096;
+    p_graphs = 10;
+    p_sizes = scale_sizes;
+    p_rounds = scale_rounds;
+  }
+
+type report = { text : string; csv : (string * string) list }
+
+type entry = {
+  name : string;
+  doc : string;
+  size : size;
+  pooled : bool;
+  run : pool:Par.t -> ?obs:P2plb_obs.Obs.t -> params -> report;
+}
+
+let text s = { text = s; csv = [] }
+
+let proximity_report name ~title r =
+  {
+    text = render_proximity ~title r;
+    csv =
+      [
+        (name ^ "_aware", Csv.of_histogram r.aware);
+        (name ^ "_ignorant", Csv.of_histogram r.ignorant);
+      ];
+  }
+
+let registry =
+  [
+    {
+      name = "fig4";
+      doc = "Unit-load scatter before/after load balancing (Gaussian).";
+      size = Nodes 4096;
+      pooled = false;
+      run =
+        (fun ~pool:_ ?obs p ->
+          text (render_fig4 (fig4 ?obs ~seed:p.p_seed ~n_nodes:p.p_nodes ())));
+    };
+    {
+      name = "fig5";
+      doc = "Load vs capacity category after LB (Gaussian).";
+      size = Nodes 4096;
+      pooled = false;
+      run =
+        (fun ~pool:_ ?obs p ->
+          text
+            (render_capacity_alignment
+               ~title:"Figure 5 — load vs capacity after LB (Gaussian loads)"
+               (fig5 ?obs ~seed:p.p_seed ~n_nodes:p.p_nodes ())));
+    };
+    {
+      name = "fig6";
+      doc = "Load vs capacity category after LB (Pareto).";
+      size = Nodes 4096;
+      pooled = false;
+      run =
+        (fun ~pool:_ ?obs p ->
+          text
+            (render_capacity_alignment
+               ~title:"Figure 6 — load vs capacity after LB (Pareto loads)"
+               (fig6 ?obs ~seed:p.p_seed ~n_nodes:p.p_nodes ())));
+    };
+    {
+      name = "fig7";
+      doc = "Moved-load distance distribution and CDF on ts5k-large.";
+      size = Nodes_graphs 4096;
+      pooled = true;
+      run =
+        (fun ~pool ?obs p ->
+          proximity_report "fig7"
+            ~title:
+              "Figure 7 — moved load vs transfer distance, ts5k-large\n\
+               (paper: aware 67% within 2 hops, 86% within 10; ignorant \
+               13% within 10)"
+            (fig7 ~pool ?obs ~seed:p.p_seed ~graphs:p.p_graphs
+               ~n_nodes:p.p_nodes ()));
+    };
+    {
+      name = "fig8";
+      doc = "Moved-load distance distribution and CDF on ts5k-small.";
+      size = Nodes_graphs 4096;
+      pooled = true;
+      run =
+        (fun ~pool ?obs p ->
+          proximity_report "fig8"
+            ~title:
+              "Figure 8 — moved load vs transfer distance, ts5k-small\n\
+               (paper: aware still clearly ahead of ignorant with nodes \
+               scattered Internet-wide)"
+            (fig8 ~pool ?obs ~seed:p.p_seed ~graphs:p.p_graphs
+               ~n_nodes:p.p_nodes ()));
+    };
+    {
+      name = "tvsa";
+      doc = "VSA rounds vs network size for K = 2 and K = 8.";
+      size = Unsized;
+      pooled = true;
+      run =
+        (fun ~pool ?obs p ->
+          let seed = p.p_seed in
+          text
+            (render_tvsa
+               [ tvsa ~pool ?obs ~seed ~k:2 (); tvsa ~pool ?obs ~seed ~k:8 () ]));
+    };
+    {
+      name = "baselines";
+      doc = "Compare against CFS shedding and the Rao et al. schemes.";
+      size = Nodes 4096;
+      pooled = true;
+      run =
+        (fun ~pool ?obs p ->
+          text
+            (render_baselines
+               (baselines ~pool ?obs ~seed:p.p_seed ~n_nodes:p.p_nodes ())));
+    };
+    {
+      name = "churn";
+      doc = "Self-repair: crash/join nodes, refresh the KT tree, rebalance.";
+      size = Nodes 1024;
+      pooled = false;
+      run =
+        (fun ~pool:_ ?obs p ->
+          text
+            (render_churn (churn ?obs ~seed:p.p_seed ~n_nodes:p.p_nodes ())));
+    };
+    {
+      name = "resilience";
+      doc =
+        "Fault injection: mid-round crashes + message loss, KT repair, \
+         retries.";
+      size = Nodes 1024;
+      pooled = true;
+      run =
+        (fun ~pool ?obs p ->
+          text
+            (render_resilience
+               (resilience ~pool ?obs ~seed:p.p_seed ~n_nodes:p.p_nodes ())));
+    };
+    {
+      name = "overhead";
+      doc = "Per-phase message cost of one LB round vs network size.";
+      size = Unsized;
+      pooled = true;
+      run =
+        (fun ~pool ?obs p ->
+          text (render_overhead (overhead ~pool ?obs ~seed:p.p_seed ())));
+    };
+    {
+      name = "durability";
+      doc = "Replicated-store availability and loss under churn.";
+      size = Nodes 512;
+      pooled = true;
+      run =
+        (fun ~pool ?obs:_ p ->
+          text
+            (render_durability
+               (durability ~pool ~seed:p.p_seed ~n_nodes:p.p_nodes ())));
+    };
+    {
+      name = "drift";
+      doc = "Periodic balancing under load drift.";
+      size = Nodes 1024;
+      pooled = false;
+      run =
+        (fun ~pool:_ ?obs p ->
+          text
+            (render_load_drift
+               (load_drift ?obs ~seed:p.p_seed ~n_nodes:p.p_nodes ())));
+    };
+    {
+      name = "ablations";
+      doc = "Design-choice sweeps: epsilon, threshold, curve, K.";
+      size = Nodes 2048;
+      pooled = true;
+      run =
+        (fun ~pool ?obs p ->
+          text (ablations ~pool ?obs ~seed:p.p_seed ~n_nodes:p.p_nodes ()));
+    };
+    {
+      name = "scale";
+      doc =
+        "Scale tier: run the balancer to convergence at 32k/65k/131k nodes \
+         and report rounds, residual heavies, moved load and mean transfer \
+         hops.";
+      size = Sizes;
+      pooled = true;
+      run =
+        (fun ~pool ?obs p ->
+          text
+            (render_scale
+               (scale_run ~pool ?obs ~seed:p.p_seed ~sizes:p.p_sizes
+                  ~rounds:p.p_rounds ())));
+    };
+  ]
+
+let suite =
+  List.filter (fun e -> match e.size with Sizes -> false | _ -> true) registry
+
+let suite_params p e =
+  match e.size with
+  | (Nodes d | Nodes_graphs d) when d < defaults.p_nodes ->
+    { p with p_nodes = Int.min p.p_nodes d }
+  | Unsized | Nodes _ | Nodes_graphs _ | Sizes -> p

@@ -2,12 +2,18 @@ module Histogram = P2plb_metrics.Histogram
 module Workload = P2plb_workload.Workload
 module Transit_stub = P2plb_topology.Transit_stub
 
-(** One entry point per table/figure of the paper's evaluation
-    (§5.2), shared by the [lb_sim] CLI and the bench harness.  Each
-    [figN] function runs the experiment at the paper's parameters
-    (4096 nodes x 5 VSs, K = 2, Gnutella capacities, 15 landmarks)
-    and returns structured results; each [render_figN] formats them
-    as the table/plot the paper shows.
+(** The paper's evaluation (§5.2) and the registry that runs it.
+
+    Each experiment function ([fig4] … [scale_run]) runs at the paper's
+    parameters by default (4096 nodes x 5 VSs, K = 2, Gnutella
+    capacities, 15 landmarks) and returns structured results; each
+    [render_*] formats them as the table or plot the paper shows.
+
+    {!registry} lists every experiment once: its name, a one-line doc,
+    its size knobs and a [run] that returns the rendered report.  The
+    [lb_sim] subcommands, [lb_sim all], the bench figure rows and the
+    seq-vs-pool parity tests all iterate it, so a title, a default size
+    or a table layout exists in one place.
 
     Every experiment that drives load-balancing rounds accepts
     [?obs:P2plb_obs.Obs.t] and threads it into each round (see
@@ -47,10 +53,6 @@ val fig5 : ?obs:P2plb_obs.Obs.t -> ?seed:int -> ?n_nodes:int -> unit -> balance_
 
 val fig6 : ?obs:P2plb_obs.Obs.t -> ?seed:int -> ?n_nodes:int -> unit -> balance_result
 (** Figure 6: same as Fig. 5 with Pareto(1.5) loads. *)
-
-val render_capacity_alignment : title:string -> balance_result -> string
-(** Per-capacity-category mean load versus the capacity-proportional
-    fair share — the alignment Figs. 5–6 demonstrate. *)
 
 type proximity_result = {
   aware : Histogram.t;   (** moved load by underlay hop distance *)
@@ -128,8 +130,6 @@ val churn :
     refresh the KT tree, check structural consistency, then run one
     LB round on the churned network. *)
 
-val render_churn : churn_result -> string
-
 type resilience_row = {
   z_crash_fraction : float;  (** fault-plan crash fraction *)
   z_message_loss : float;    (** per-send loss probability *)
@@ -165,43 +165,6 @@ val resilience :
     zero-perturbation control: it must match the fault-free numbers
     exactly. *)
 
-val render_resilience : resilience_row list -> string
-
-(** {1 Ablations} *)
-
-val ablation_epsilon :
-  ?pool:P2plb_sim.Par.t ->
-  ?obs:P2plb_obs.Obs.t ->
-  ?seed:int -> ?n_nodes:int -> unit -> (float * int * float) list
-(** epsilon_rel sweep: (epsilon_rel, heavy_after, moved_fraction) —
-    the trade-off §3.3 describes. *)
-
-val ablation_threshold :
-  ?pool:P2plb_sim.Par.t ->
-  ?obs:P2plb_obs.Obs.t ->
-  ?seed:int -> ?n_nodes:int -> unit -> (int * float * float) list
-(** Rendezvous-threshold sweep: (threshold, cdf@2, cdf@10). *)
-
-val ablation_curve :
-  ?pool:P2plb_sim.Par.t ->
-  ?obs:P2plb_obs.Obs.t ->
-  ?seed:int -> ?n_nodes:int -> unit -> (string * float * float) list
-(** Hilbert vs Morton vs row-major keys: (curve, cdf@2, cdf@10). *)
-
-val ablation_k :
-  ?pool:P2plb_sim.Par.t ->
-  ?obs:P2plb_obs.Obs.t ->
-  ?seed:int -> ?n_nodes:int -> unit -> (int * int * int * int) list
-(** Tree degree sweep: (K, depth, tree nodes, messages). *)
-
-val ablation_landmarks :
-  ?pool:P2plb_sim.Par.t ->
-  ?obs:P2plb_obs.Obs.t ->
-  ?seed:int -> ?n_nodes:int -> unit -> (int * int * float * float) list
-(** Landmark-count sweep (m, order, cdf@2, cdf@10): trades per-axis
-    key resolution (the 32-bit ring caps [m * order] useful bits)
-    against false-clustering robustness. *)
-
 type overhead_row = {
   o_nodes : int;
   o_tree_messages : int;      (** build + sweeps + refresh *)
@@ -217,8 +180,6 @@ val overhead :
 (** The load-balancing {e cost} the paper argues about: message counts
     of each phase as the network grows (N in 512..4096). *)
 
-val render_overhead : overhead_row list -> string
-
 type durability_row = {
   d_replication : int;
   d_crashed_fraction : float;
@@ -232,8 +193,6 @@ val durability :
   ?seed:int -> ?n_nodes:int -> ?n_objects:int -> unit -> durability_row list
 (** The replicated-store substrate under churn: availability and loss
     for replication factors 1..4 when 20% of nodes crash at once. *)
-
-val render_durability : durability_row list -> string
 
 type drift_row = {
   t_epoch : int;
@@ -249,11 +208,6 @@ val load_drift :
     virtual servers' loads (object churn), then runs one LB round.
     After the initial alignment, per-epoch moved load stays small —
     the steady-state cost of keeping a live system balanced. *)
-
-val render_load_drift : drift_row list -> string
-
-val render_sweep :
-  title:string -> header:string list -> string list list -> string
 
 (** {1 The scale tier} *)
 
@@ -277,10 +231,6 @@ type scale_row = {
   sc_tree_depth : int;
 }
 
-val scale_sizes : int list
-(** [32768; 65536; 131072] — the default sweep, 8–32x the paper's
-    4096. *)
-
 val scale_run :
   ?pool:P2plb_sim.Par.t ->
   ?obs:P2plb_obs.Obs.t ->
@@ -294,4 +244,52 @@ val scale_run :
     fan out over [pool]; results are in task order (sizes major,
     workloads minor). *)
 
-val render_scale : scale_row list -> string
+(** {1 The experiment registry} *)
+
+type size =
+  | Unsized  (** sweeps its own network sizes (tvsa, overhead) *)
+  | Nodes of int  (** sized by [--nodes], with this default *)
+  | Nodes_graphs of int
+      (** sized by [--nodes] (this default) and [--graphs]; the report
+          carries CSV series *)
+  | Sizes  (** the scale tier: sized by [--sizes] and [--rounds] *)
+
+type params = {
+  p_seed : int;
+  p_nodes : int;  (** read by [Nodes] and [Nodes_graphs] entries *)
+  p_graphs : int;  (** read by [Nodes_graphs] entries *)
+  p_sizes : int list;  (** read by [Sizes] entries *)
+  p_rounds : int;  (** read by [Sizes] entries *)
+}
+
+val defaults : params
+(** Seed 1, the paper's 4096 nodes and 10 graphs, and the scale tier's
+    sweep: sizes 32768, 65536 and 131072 (8–32x the paper's 4096),
+    8 rounds each. *)
+
+type report = {
+  text : string;  (** the rendered tables *)
+  csv : (string * string) list;
+      (** (file stem, CSV) series; empty unless the entry is
+          [Nodes_graphs] *)
+}
+
+type entry = {
+  name : string;  (** the [lb_sim] subcommand and the bench row *)
+  doc : string;  (** one line: the subcommand's help *)
+  size : size;
+  pooled : bool;  (** fans its tasks out over [pool] (takes [--jobs]) *)
+  run : pool:P2plb_sim.Par.t -> ?obs:P2plb_obs.Obs.t -> params -> report;
+}
+
+val registry : entry list
+(** Every experiment of the evaluation: {!suite}, then the scale tier. *)
+
+val suite : entry list
+(** {!registry} without the [Sizes] entries, in the order [lb_sim all]
+    and the bench figure rows run them. *)
+
+val suite_params : params -> entry -> params
+(** The parameters [entry] runs with when a whole suite runs at [p]:
+    an entry whose default is below the paper's 4096 nodes (the slower
+    sweeps and epoch chains) runs at no more than that default. *)

@@ -2,8 +2,9 @@
 
    Two kinds of coverage: the pool's own contract (ordering, empty
    input, exception propagation) and the headline determinism claim —
-   running a real experiment and a chaos soak at --jobs 4 produces
-   byte-identical reports, traces, metrics and timeseries to --jobs 1.
+   running every registry experiment and a chaos soak at --jobs 4
+   produces byte-identical reports, traces, metrics and timeseries to
+   --jobs 1.
    The parity cases are what the @par-smoke alias runs in tier-1. *)
 
 module Par = P2plb_sim.Par
@@ -70,21 +71,34 @@ let assert_obs_parity ~what seq par =
     (Timeseries.digest (Obs.series seq))
     (Timeseries.digest (Obs.series par))
 
-let test_resilience_parity () =
-  let obs_seq = Obs.create () in
-  let rows_seq =
-    E.resilience ~obs:obs_seq ~seed:1 ~n_nodes:128 ~max_rounds:2 ()
-  in
-  let obs_par = Obs.create () in
-  let rows_par =
-    E.resilience
-      ~pool:(Par.create ~jobs:4)
-      ~obs:obs_par ~seed:1 ~n_nodes:128 ~max_rounds:2 ()
-  in
-  check Alcotest.string "resilience: report byte-identical"
-    (E.render_resilience rows_seq)
-    (E.render_resilience rows_par);
-  assert_obs_parity ~what:"resilience" obs_seq obs_par
+(* Every registry entry at small N, on a 1- and a 4-worker pool. *)
+let small =
+  {
+    E.defaults with
+    E.p_nodes = 64;
+    p_graphs = 2;
+    p_sizes = [ 256; 512 ];
+    p_rounds = 2;
+  }
+
+let test_registry_parity () =
+  List.iter
+    (fun (e : E.entry) ->
+      let run jobs =
+        let obs = Obs.create () in
+        (e.E.run ~pool:(Par.create ~jobs) ~obs small, obs)
+      in
+      let seq, obs_seq = run 1 in
+      let par, obs_par = run 4 in
+      check Alcotest.string
+        (e.E.name ^ ": report byte-identical")
+        seq.E.text par.E.text;
+      check
+        Alcotest.(list (pair string string))
+        (e.E.name ^ ": CSV byte-identical")
+        seq.E.csv par.E.csv;
+      assert_obs_parity ~what:e.E.name obs_seq obs_par)
+    E.registry
 
 let test_chaos_parity () =
   let obs_seq = Obs.create () in
@@ -116,8 +130,8 @@ let () =
         ] );
       ( "parity",
         [
-          Alcotest.test_case "resilience seq vs 4 workers" `Quick
-            test_resilience_parity;
+          Alcotest.test_case "registry entries seq vs 4 workers" `Quick
+            test_registry_parity;
           Alcotest.test_case "chaos soak seq vs 4 workers" `Quick
             test_chaos_parity;
         ] );
