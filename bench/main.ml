@@ -31,6 +31,7 @@ module Hilbert = P2plb_hilbert.Hilbert
 module Workload = P2plb_workload.Workload
 module Prng = P2plb_prng.Prng
 module Par = P2plb_sim.Par
+module Faults = P2plb_sim.Faults
 
 (* Raw monotonic clock (ns) from bechamel's stubs; aliased before
    [open Toolkit] shadows the name with the MEASURE wrapper. *)
@@ -242,15 +243,18 @@ let tests =
       (Staged.stage
          (let s = Lazy.force fixture in
           let tree = Ktree.build ~k:2 s.Scenario.dht in
+          (* LBI's dissemination: one send per leaf under a plan. *)
+          let plan = Faults.create ~seed:0 Faults.none in
           fun () ->
             ignore
-              (Ktree.sweep_up tree
-                 ~at_leaf:(fun _ -> 1)
-                 ~empty:0 ~merge:( + )
-                 ~at_node:(fun _ n -> n));
-            Ktree.sweep_down tree ~at_root:0
-              ~split:(fun _ v -> v)
-              ~at_leaf:(fun _ _ -> ())));
+              (Ktree.sweep tree
+                 ~at_leaf:(fun ~slot:_ ~depth:_ -> 1)
+                 ~merge:( + )
+                 ~lift:(fun ~hi:_ ~lo:_ n -> n));
+            Ktree.broadcast tree;
+            for _ = 1 to Ktree.n_leaves tree do
+              ignore (Faults.send plan)
+            done));
     Test.make ~name:"tvsa/lbi_round"
       (Staged.stage
          (let s = Lazy.force fixture in

@@ -12,16 +12,16 @@ let node_lbi (n : Dht.node) : Types.lbi =
 
 let zero_lbi : Types.lbi = { l = 0.0; c = 0.0; l_min = infinity }
 
-(* A report/disseminate send under fault injection: retried with
-   bounded backoff; [false] means the sender timed out and the message
-   is lost for this round (the round degrades gracefully rather than
-   stalling).  Without a fault plan every send succeeds untouched. *)
+(* A report send under fault injection: retried with bounded backoff;
+   [false] means the sender timed out and the message is lost for this
+   round (the round degrades gracefully rather than stalling).  Without
+   a fault plan every send succeeds untouched. *)
 let reliable faults =
   match faults with
   | None -> true
   | Some f -> ( match Faults.send f with Faults.Delivered _ -> true | Faults.Lost -> false)
 
-let aggregate ~rng ?faults ?(route_messages = false) tree dht =
+let aggregate ~rng ?faults ?(route_messages = false) ?sweep tree dht =
   if Dht.n_nodes dht = 0 then invalid_arg "Lbi.aggregate: no alive nodes";
   (* Heal the tree before sweeping: KT nodes whose hosting VS died (or
      lost its key) since the tree was built are re-planted, so reports
@@ -79,33 +79,36 @@ let aggregate ~rng ?faults ?(route_messages = false) tree dht =
       g
     end
   in
-  Ktree.sweep_up tree
-    ~at_leaf:(fun leaf ->
-      let slot = Ktree.leaf_slot tree leaf in
-      if slot < 0 then zero_lbi
-      else begin
-        (* The Hashtbl path folded the reverse-arrival report list, so
-           the float sums ran newest-first; iterate the arrival-ordered
-           slice backwards to keep the exact summation order. *)
-        let acc = ref zero_lbi in
-        for i = starts.(slot + 1) - 1 downto starts.(slot) do
-          acc := Types.lbi_combine !acc grouped.(i)
-        done;
-        !acc
-      end)
-    ~empty:zero_lbi ~merge:Types.lbi_combine
-    ~at_node:(fun _ lbi -> lbi)
+  let sweep = match sweep with Some f -> f | None -> Ktree.sweep tree in
+  (* Combining is all the KT nodes do: the lift is the identity. *)
+  sweep
+    ~at_leaf:(fun ~slot ~depth:_ ->
+      (* The Hashtbl path folded the reverse-arrival report list, so
+         the float sums ran newest-first; iterate the arrival-ordered
+         slice backwards to keep the exact summation order. *)
+      let acc = ref zero_lbi in
+      for i = starts.(slot + 1) - 1 downto starts.(slot) do
+        acc := Types.lbi_combine !acc grouped.(i)
+      done;
+      !acc)
+    ~merge:Types.lbi_combine
+    ~lift:(fun ~hi:_ ~lo:_ lbi -> lbi)
 
-let disseminate ?faults ?(route_messages = false) tree dht lbi =
+let disseminate ?faults ?(route_messages = false) tree dht (_ : Types.lbi) =
   (* Nodes may have died during aggregation; re-plant before pushing
      the root value back down. *)
   ignore (Ktree.repair ~route_messages tree dht);
-  (* The final hop, leaf -> reporting VS, rides the same lossy links
-     as the reports; losses are retried and, at worst, counted as
-     timeouts (the stale-LBI node re-reads it next round). *)
-  Ktree.sweep_down tree ~at_root:lbi
-    ~split:(fun _ v -> v)
-    ~at_leaf:(fun _ _ -> ignore (reliable faults))
+  (* The value reaches every leaf unchanged.  The final hop, leaf ->
+     reporting VS, rides the same lossy links as the reports: one
+     reliable send per leaf, whose losses are retried and, at worst,
+     counted as timeouts (the stale-LBI node re-reads it next round). *)
+  Ktree.broadcast tree;
+  Option.iter
+    (fun f ->
+      for _ = 1 to Ktree.n_leaves tree do
+        ignore (Faults.send f)
+      done)
+    faults
 
 let run ~rng ?faults ?route_messages tree dht =
   let lbi = aggregate ~rng ?faults ?route_messages tree dht in

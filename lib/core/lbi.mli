@@ -26,14 +26,20 @@ val node_lbi : Dht.node -> Types.lbi
 
 val aggregate :
   rng:Prng.t -> ?faults:Faults.t -> ?route_messages:bool ->
-  Ktree.t -> 'a Dht.t -> Types.lbi
+  ?sweep:Types.lbi Ktree.sweep -> Ktree.t -> 'a Dht.t -> Types.lbi
 (** Bottom-up aggregation over the current tree; returns the root's
-    view.  Raises [Invalid_argument] if the DHT has no alive nodes. *)
+    view.  Raises [Invalid_argument] if the DHT has no alive nodes.
+    The sweep is [sweep] (default [Ktree.sweep tree]), whose lift is
+    the identity; a test may pass a full walk of a reference tree
+    instead. *)
 
 val disseminate :
   ?faults:Faults.t -> ?route_messages:bool ->
   Ktree.t -> 'a Dht.t -> Types.lbi -> unit
-(** Top-down push of the root LBI (message-counted on the tree). *)
+(** Top-down push of the root LBI: {!Ktree.broadcast} charges its
+    messages and rounds, and under a fault plan each of the
+    [Ktree.n_leaves] leaves makes one reliable send to its reporting
+    VS, in a loop; without a plan nothing is sent. *)
 
 val run :
   rng:Prng.t -> ?faults:Faults.t -> ?route_messages:bool ->

@@ -91,7 +91,7 @@ let record_fresh dht = function
   | Types.Light l -> Dht.is_alive dht l.Types.light_node
 
 let run ?(threshold = default_threshold) ?(epsilon = 0.0) ?faults
-    ?(route_messages = false) ~mode ~rng ~lbi tree dht =
+    ?(route_messages = false) ?sweep ~mode ~rng ~lbi tree dht =
   (* Heal KT nodes orphaned by churn since the last sweep, so record
      injection and the rendezvous sweep run against live hosts. *)
   ignore (Ktree.repair ~route_messages tree dht);
@@ -268,27 +268,28 @@ let run ?(threshold = default_threshold) ?(epsilon = 0.0) ?faults
     List.iter notify made;
     leftover
   in
+  let sweep = match sweep with Some f -> f | None -> Ktree.sweep tree in
   let root_pool =
-    Ktree.sweep_up tree
-      ~at_leaf:(fun leaf ->
-        let slot = Ktree.leaf_slot tree leaf in
-        if slot < 0 then Pairing.empty
+    sweep
+      ~at_leaf:(fun ~slot ~depth ->
+        let lo = starts.(slot) and hi = starts.(slot + 1) in
+        if lo = hi then Pairing.empty
         else begin
-          let lo = starts.(slot) and hi = starts.(slot + 1) in
-          if lo = hi then Pairing.empty
-          else begin
-            let pool = fresh_pool_slice lo hi in
-            if Pairing.size pool >= threshold then
-              pair_here (Ktree.node_depth tree leaf) pool
-            else pool
-          end
+          let pool = fresh_pool_slice lo hi in
+          if Pairing.size pool >= threshold then pair_here depth pool
+          else pool
         end)
-      ~empty:Pairing.empty ~merge:Pairing.merge
-      ~at_node:(fun node pool ->
-        let depth = Ktree.node_depth tree node in
-        if depth = 0 || Pairing.size pool >= threshold then
-          pair_here depth pool
-        else pool)
+      ~merge:Pairing.merge
+      ~lift:(fun ~hi ~lo pool ->
+        (* A KT node pairs its pool once it reaches [threshold], the
+           root always.  Pairing never grows a pool, so once one is
+           below [threshold] no level above pairs it but the root. *)
+        let pool = ref pool and d = ref lo in
+        while !d >= hi && Pairing.size !pool >= threshold do
+          pool := pair_here !d !pool;
+          decr d
+        done;
+        if hi = 0 && !d >= 0 then pair_here 0 !pool else !pool)
   in
   {
     assignments = List.rev !assignments;

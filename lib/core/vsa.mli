@@ -69,6 +69,7 @@ val run :
   ?epsilon:float ->
   ?faults:Faults.t ->
   ?route_messages:bool ->
+  ?sweep:Pairing.pool Ktree.sweep ->
   mode:mode ->
   rng:Prng.t ->
   lbi:Types.lbi ->
@@ -83,4 +84,10 @@ val run :
     fault plan's retry/timeout wrapper; stale records from dead
     reporters are dropped at the rendezvous instead of producing
     doomed transfers; failed landmarks degrade the proximity signal
-    of the affected axes only. *)
+    of the affected axes only.
+
+    The rendezvous is one bottom-up sweep, [sweep] (default
+    [Ktree.sweep tree]): a leaf's pool is its fresh records, and a KT
+    node at depth [d] pairs its pool when it holds at least
+    [threshold] entries, or when [d = 0].  A test may pass a full walk
+    of a reference tree instead. *)

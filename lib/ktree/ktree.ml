@@ -155,9 +155,9 @@ let[@inline] node_of ~lens win start len depth h =
    successor, and x's part is a leaf exactly when x is its last point,
    so nothing is searched below the last fork.  A leaf's slice is
    empty or holds only its last point, so its host is the id at the
-   slice's start.  They are two rather than one fold with both a pushed
-   value and merges, which cost each sweep an extra closure call per
-   node (DESIGN.md §13.7). *)
+   slice's start.  They serve [check_consistent], [fold_nodes],
+   [leaves] and the routed build; the sweeps visit only the skeleton
+   ([sweep]). *)
 
 (* Postorder: [at_leaf c] at a leaf; at an internal node [at_node c
    acc], [acc] being [merge] folded left from [empty] over its
@@ -642,17 +642,91 @@ let repair ?(route_messages = false) t dht =
 
 (* ---- sweeps --------------------------------------------------------------- *)
 
-(* Both sweeps traverse every node, so each charges one message per
-   edge and takes depth + 1 rounds. *)
+(* Each direction traverses every edge once, so each charges one
+   message per edge and takes depth + 1 rounds. *)
 let swept t =
   t.msg <- t.msg + t.snap.nodes - 1;
   t.last_rounds <- t.snap.depth + 1
 
-let sweep_up t ~at_leaf ~empty ~merge ~at_node =
-  let r = fold_up t ~at_leaf ~empty ~merge ~at_node in
-  swept t;
-  r
+type 'a sweep =
+  at_leaf:(slot:int -> depth:int -> 'a) ->
+  merge:('a -> 'a -> 'a) ->
+  lift:(hi:int -> lo:int -> 'a -> 'a) ->
+  'a
 
-let sweep_down t ~at_root ~split ~at_leaf =
-  fold_down t ~down:split ~at_leaf at_root;
-  swept t
+(* The skeleton of the assigned leaves, in slot order: slot [s] is the
+   leaf of ids.((first + s) mod n) ([summarize]).  Consecutive leaves
+   fork at their deepest common ancestor: regions nest and the earlier
+   leaf lies before the later one's start [x], so it is the deepest
+   ancestor of the earlier leaf whose region ends past [x].  [starts]
+   and [ends] hold the regions of the previous leaf's ancestors, by
+   depth; below the fork, the new leaf's are found by descending
+   towards [x] one part at a time.  The open skeleton nodes form a
+   stack of strictly increasing depths: for each, [sd] is its depth,
+   [slo] the deepest level not yet lifted (a leaf's parent's, a fork's
+   own) and [sv] its value so far. *)
+let sweep t ~at_leaf ~merge ~lift =
+  let k = t.k and lens = t.lens and ids = t.snap.ids and win = t.snap.win in
+  let n = Array.length ids and depth = t.snap.depth in
+  let first = if leaf_slot t win.(0) = 0 then 0 else 1 in
+  let starts = Array.make (depth + 1) 0
+  and ends = Array.make (depth + 1) Id.space_size in
+  let sd = Array.make (depth + 2) 0 and slo = Array.make (depth + 2) 0 in
+  let sv = ref [||] and sp = ref 0 in
+  let push d lo v =
+    sd.(!sp) <- d;
+    slo.(!sp) <- lo;
+    !sv.(!sp) <- v;
+    incr sp
+  in
+  (* Complete every open node deeper than [a]: lift it to just below
+     its skeleton parent and merge it there.  That parent is the open
+     node beneath it unless that one lies above [a]; then it is a new
+     fork at depth [a] (-1 past the last leaf, above the root). *)
+  let close a =
+    while sd.(!sp - 1) > a do
+      decr sp;
+      let i = !sp in
+      let into_open = i > 0 && sd.(i - 1) >= a in
+      let p = if into_open then sd.(i - 1) else a in
+      let v =
+        if slo.(i) > p then lift ~hi:(p + 1) ~lo:slo.(i) !sv.(i) else !sv.(i)
+      in
+      if into_open then !sv.(i - 1) <- merge !sv.(i - 1) v else push a a v
+    done
+  in
+  let prev = ref 0 in
+  for s = 0 to n - 1 do
+    let leaf = win.((first + s) mod n) in
+    let d = depth_of leaf and x = start_of leaf in
+    let a = ref (if s = 0 then 0 else !prev - 1) in
+    if s > 0 then begin
+      while ends.(!a) <= x do
+        decr a
+      done;
+      close !a
+    end;
+    for c = !a + 1 to d - 1 do
+      let start = starts.(c - 1) in
+      let len = ends.(c - 1) - start in
+      let base = part_base ~k ~lens len c and extra = part_extra ~k ~lens len c in
+      (* The first [extra] parts are one point longer. *)
+      let big = extra * (base + 1) and off = x - start in
+      let part = if off < big then base + 1 else base in
+      let cs =
+        if off < big then start + (off / part * part)
+        else start + big + ((off - big) / part * part)
+      in
+      starts.(c) <- cs;
+      ends.(c) <- cs + part
+    done;
+    let v = at_leaf ~slot:s ~depth:d in
+    if s = 0 then sv := Array.make (depth + 2) v;
+    push d (d - 1) v;
+    prev := d
+  done;
+  close (-1);
+  swept t;
+  !sv.(0)
+
+let broadcast t = swept t

@@ -52,8 +52,10 @@ module Dht = P2plb_chord.Dht
     Costs: {!build} is one O(#VS) copy of the ids plus one summary
     walk, which steps down each chain a level at a time without
     visiting its leaves: O(#VS · depth · K) with searches only at the
-    forks.  A sweep is O(nodes) and allocates only what its callbacks
-    do.  {!refresh} and {!repair} on a moved ring walk the old and the
+    forks.  A sweep visits only the skeleton of the assigned leaves
+    (see {!section-sweeps}): O(#VS · (depth − fork depth)) arithmetic
+    steps with O(depth) scratch, one callback per assigned leaf, fork
+    merge and lifted run, whatever the node count.  {!refresh} and {!repair} on a moved ring walk the old and the
     new tree together, O(nodes), then redo the summary. *)
 
 type node = private int
@@ -179,35 +181,56 @@ val leaf_slot : t -> node -> int
 val n_leaf_slots : t -> int
 (** Number of assigned leaves: one per VS. *)
 
-(** {1 Sweeps}
+(** {1:sweeps Sweeps}
 
-    The communication patterns of LBI aggregation (bottom-up),
-    dissemination (top-down) and VSA (bottom-up).  Each traversed edge
-    counts as one message; the number of rounds equals the tree depth. *)
+    The communication patterns of LBI aggregation (bottom-up, §3.2),
+    dissemination (top-down, §3.3) and VSA (bottom-up, §3.4).  Each
+    charges one message per edge, [n_nodes - 1], and [depth + 1]
+    rounds, one per level: the protocol's cost, whatever the simulator
+    walks.
 
-val sweep_up :
-  t ->
-  at_leaf:(node -> 'a) ->
-  empty:'a ->
+    The bottom-up sweep is the full postorder walk in which an
+    assigned leaf's value is [at_leaf], any other leaf's is [empty],
+    an internal node at depth [d] gives [lift ~hi:d ~lo:d] of its
+    children's values [merge]d left to right from [empty].  It walks
+    only the {e skeleton}: the assigned leaves, and the forks where
+    two subtrees holding assigned leaves meet.  It skips the calls on
+    subtrees without an assigned leaf and the merges of their values,
+    and gives the same value when these laws hold:
+    - [merge] has [empty] as a bitwise identity on both sides;
+    - [lift] of [empty] is [empty] ([at_node n empty = empty]);
+    - lifting level by level is one lift over the levels' range.
+    A caller's lift may also rely on its sizes being non-increasing up
+    a run (VSA: pairing never grows a pool) to stop early. *)
+
+type 'a sweep =
+  at_leaf:(slot:int -> depth:int -> 'a) ->
   merge:('a -> 'a -> 'a) ->
-  at_node:(node -> 'a -> 'a) ->
+  lift:(hi:int -> lo:int -> 'a -> 'a) ->
   'a
-(** Postorder.  [at_leaf] gives a leaf's value.  An internal node's
-    value is [at_node n acc], where [acc] is [merge] folded left from
-    [empty] over its children's values in child order, each child
-    merged as soon as its subtree returns.  [merge] must be pure: only
-    the sequence of [at_leaf] / [at_node] calls, and the operands of
-    each node's merges, are specified.  Returns the root's value. *)
+(** A bottom-up sweep run with its callbacks; returns the root's value.
+    {!sweep} is the tree's; a test may drive the same callbacks through
+    a full walk of a reference tree. *)
 
-val sweep_down :
-  t ->
-  at_root:'a ->
-  split:(node -> 'a -> 'a) ->
-  at_leaf:(node -> 'a -> unit) ->
-  unit
-(** Preorder: pushes a value down from the root; [split] transforms
-    the value as it crosses each edge into the given child (identity
-    for LBI dissemination). *)
+val sweep : t -> 'a sweep
+(** The skeleton sweep.  [at_leaf ~slot ~depth] is called once per
+    assigned leaf, in slot order ([0 .. n_leaf_slots - 1], identifier
+    order).  Consecutive leaves are merged at their deepest common
+    ancestor, earlier operand first, in the full postorder's order.  A
+    skeleton node at depth [c] whose skeleton parent is at depth [p]
+    is lifted once, [lift ~hi:(p + 1) ~lo v], over the levels in
+    between: [lo = c - 1] for a leaf, [c] for a fork (its own level
+    comes first), and [hi = 0] for the topmost fork, the root being
+    above it.  Empty ranges are skipped, so with one VS (the root a
+    leaf) nothing is lifted.  Callbacks run in the postorder's order:
+    each lift right after the value it lifts is complete, each merge
+    as soon as its right operand is lifted. *)
+
+val broadcast : t -> unit
+(** Top-down dissemination of one value, unchanged, from the root to
+    every leaf.  Every leaf receives the root's value, so nothing is
+    walked: it charges the sweep's messages and rounds.  A caller that
+    acts once per leaf loops over {!n_leaves}. *)
 
 (** {1 Cost accounting} *)
 
@@ -215,7 +238,8 @@ val messages : t -> int
 (** Messages spent so far on building, refreshing and sweeping. *)
 
 val rounds_last_sweep : t -> int
-(** Rounds (tree levels traversed) of the most recent sweep. *)
+(** Rounds of the most recent sweep, {!sweep} or {!broadcast}: one per
+    level, [depth + 1]. *)
 
 val repairs : t -> int
 (** KT nodes re-planted by {!repair} so far. *)

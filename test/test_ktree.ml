@@ -145,38 +145,60 @@ let test_routed_build_matches () =
       expect_consistent routed dht)
     [ 2; 8 ]
 
+(* The sweep visits each assigned leaf once, in slot order, at the
+   depth of the VS's designated leaf. *)
 let test_sweep_up_counts_leaves () =
   let dht = build_dht ~seed:8 ~nodes:15 ~vs:3 in
   let tree = Ktree.build ~k:2 dht in
+  let depth_of_slot = Array.make (Ktree.n_leaf_slots tree) (-1) in
+  (* p2plint: allow-unordered — each entry writes its own slot *)
+  Hashtbl.iter
+    (fun _ leaf ->
+      depth_of_slot.(Ktree.leaf_slot tree leaf) <- Ktree.node_depth tree leaf)
+    (Ktree.leaf_assignment tree);
+  let visited = ref [] in
   let total =
-    Ktree.sweep_up tree
-      ~at_leaf:(fun _ -> 1)
-      ~empty:0 ~merge:( + )
-      ~at_node:(fun _ n -> n)
+    Ktree.sweep tree
+      ~at_leaf:(fun ~slot ~depth ->
+        visited := (slot, depth) :: !visited;
+        1)
+      ~merge:( + )
+      ~lift:(fun ~hi:_ ~lo:_ n -> n)
   in
-  check Alcotest.int "sweep_up visits every leaf" (Ktree.n_leaves tree) total;
-  check Alcotest.bool "rounds recorded" true (Ktree.rounds_last_sweep tree > 0)
+  check Alcotest.int "one value per slot" (Ktree.n_leaf_slots tree) total;
+  check
+    Alcotest.(list (pair int int))
+    "slots in order, at their leaves' depths"
+    (List.init (Ktree.n_leaf_slots tree) (fun s -> (s, depth_of_slot.(s))))
+    (List.rev !visited);
+  check Alcotest.int "rounds" (Ktree.depth tree + 1)
+    (Ktree.rounds_last_sweep tree)
 
 let test_sweep_down_reaches_leaves () =
   let dht = build_dht ~seed:9 ~nodes:15 ~vs:3 in
   let tree = Ktree.build ~k:2 dht in
-  let hits = ref 0 in
-  Ktree.sweep_down tree ~at_root:42
-    ~split:(fun _ v -> v)
-    ~at_leaf:(fun _ v ->
-      check Alcotest.int "value propagated" 42 v;
-      incr hits);
-  check Alcotest.int "all leaves reached" (Ktree.n_leaves tree) !hits
+  Ktree.reset_counters tree;
+  Ktree.broadcast tree;
+  check Alcotest.int "one message per edge" (Ktree.n_nodes tree - 1)
+    (Ktree.messages tree);
+  check Alcotest.int "rounds" (Ktree.depth tree + 1)
+    (Ktree.rounds_last_sweep tree)
 
 let test_sweep_messages_counted () =
   let dht = build_dht ~seed:10 ~nodes:10 ~vs:2 in
   let tree = Ktree.build ~k:2 dht in
   Ktree.reset_counters tree;
-  ignore
-    (Ktree.sweep_up tree ~at_leaf:ignore ~empty:() ~merge:(fun () () -> ())
-       ~at_node:(fun _ () -> ()));
-  (* one message per edge = n_nodes - 1 *)
+  Ktree.sweep tree
+    ~at_leaf:(fun ~slot:_ ~depth:_ -> ())
+    ~merge:(fun () () -> ())
+    ~lift:(fun ~hi:_ ~lo:_ () -> ());
+  (* one message per edge = n_nodes - 1, whatever the sweep visits *)
   check Alcotest.int "edges traversed" (Ktree.n_nodes tree - 1)
+    (Ktree.messages tree);
+  check Alcotest.int "rounds" (Ktree.depth tree + 1)
+    (Ktree.rounds_last_sweep tree);
+  Ktree.broadcast tree;
+  check Alcotest.int "both directions" (2 * (Ktree.n_nodes tree - 1))
     (Ktree.messages tree)
 
 let test_refresh_idempotent_on_stable_ring () =
@@ -236,86 +258,97 @@ let test_fold_nodes_count () =
 
 (* ---- sweep callback order ---------------------------------------------- *)
 
-(* What a sweep shows its callbacks: each [at_leaf] / [at_node] /
-   [split] call with the node's depth, region start and leaf slot, and
-   each [merge] with its operands.  A node's value is the region starts
-   of the leaves below it, so merge operands name the subtrees
-   merged. *)
+(* What a sweep shows its callbacks: each assigned leaf with its depth
+   and slot, each internal node's level, and each [merge] with its
+   operands.  A value is the slots of the assigned leaves below, so
+   merge operands name the subtrees merged, and an internal node on no
+   assigned leaf's path holds []. *)
 type call =
-  | Leaf of int * int * int
-  | Node of int * int * int
+  | Leaf of int * int
+  | Node of int
   | Merge of int list * int list
-  | Split of int * int * int * int
 
-(* The same recorder over either tree, given how to read a node. *)
-let record_up sweep ~depth ~start ~slot =
-  let log = ref [] in
+(* The skeleton sweep, with each lift written out a level at a time;
+   a lift over an empty range or of [] is recorded as a failure. *)
+let record_skeleton tree =
+  let log = ref [] and ok = ref true in
   let push c = log := c :: !log in
   let v =
-    sweep
-      ~at_leaf:(fun n ->
-        push (Leaf (depth n, start n, slot n));
-        [ start n ])
-      ~empty:[]
+    Ktree.sweep tree
+      ~at_leaf:(fun ~slot ~depth ->
+        push (Leaf (depth, slot));
+        [ slot ])
       ~merge:(fun a b ->
         push (Merge (a, b));
         a @ b)
-      ~at_node:(fun n acc ->
-        push (Node (depth n, start n, slot n));
-        acc)
+      ~lift:(fun ~hi ~lo v ->
+        if hi > lo || v = [] then ok := false;
+        for d = lo downto hi do
+          push (Node d)
+        done;
+        v)
+  in
+  (!ok, List.rev !log, v)
+
+(* The reference's full postorder restricted to the skeleton: assigned
+   leaves, merges of two non-empty values (at forks) and internal
+   nodes holding an assigned leaf. *)
+let record_reference (r : Ktree_reference.t) =
+  let log = ref [] in
+  let push c = log := c :: !log in
+  let v =
+    Ktree_reference.sweep_up r.Ktree_reference.root
+      ~at_leaf:(fun n ->
+        let slot = n.Ktree_reference.tag in
+        if slot < 0 then []
+        else begin
+          push (Leaf (n.Ktree_reference.depth, slot));
+          [ slot ]
+        end)
+      ~empty:[]
+      ~merge:(fun a b ->
+        if a <> [] && b <> [] then push (Merge (a, b));
+        a @ b)
+      ~at_node:(fun n v ->
+        if v <> [] then push (Node n.Ktree_reference.depth);
+        v)
   in
   (List.rev !log, v)
 
-let record_down sweep ~depth ~start ~slot =
-  let log = ref [] in
-  let push c = log := c :: !log in
-  sweep
-    ~split:(fun n v ->
-      push (Split (depth n, start n, slot n, v));
-      v + 1)
-    ~at_leaf:(fun n v -> push (Leaf (depth n, start n + v, slot n)));
-  List.rev !log
+(* The full walks left, [fold_nodes] and [leaves], in the reference's
+   preorder. *)
+let preorder_matches_reference tree (r : Ktree_reference.t) =
+  let view n =
+    (Ktree.node_depth tree n, Region.start (Ktree.region tree n),
+     Ktree.leaf_slot tree n)
+  and rview (n : Ktree_reference.node) =
+    (n.Ktree_reference.depth, Region.start n.Ktree_reference.region,
+     n.Ktree_reference.tag)
+  in
+  let rnodes = ref [] in
+  Ktree_reference.iter_nodes (fun n -> rnodes := n :: !rnodes)
+    r.Ktree_reference.root;
+  let rnodes = List.rev !rnodes in
+  List.rev (Ktree.fold_nodes tree ~init:[] ~f:(fun acc n -> view n :: acc))
+  = List.map rview rnodes
+  && List.map view (Ktree.leaves tree)
+     = List.map rview (List.filter Ktree_reference.is_leaf rnodes)
 
-(* Both sweeps of [Ktree] and of the pointer reference on one ring
-   record the same calls. *)
+(* On one ring, the skeleton sweep records the reference's restricted
+   postorder and root value, and charges the full sweep's rounds. *)
 let sweeps_match_reference ~k dht =
   let tree = Ktree.build ~k dht and r = Ktree_reference.build ~k dht in
-  let depth n = Ktree.node_depth tree n
-  and start n = Region.start (Ktree.region tree n)
-  and slot n = Ktree.leaf_slot tree n in
-  let rdepth (n : Ktree_reference.node) = n.Ktree_reference.depth
-  and rstart (n : Ktree_reference.node) = Region.start n.Ktree_reference.region
-  and rslot (n : Ktree_reference.node) = n.Ktree_reference.tag in
-  let up =
-    record_up
-      (fun ~at_leaf ~empty ~merge ~at_node ->
-        Ktree.sweep_up tree ~at_leaf ~empty ~merge ~at_node)
-      ~depth ~start ~slot
-  and rup =
-    record_up
-      (fun ~at_leaf ~empty ~merge ~at_node ->
-        Ktree_reference.sweep_up r.Ktree_reference.root ~at_leaf ~empty ~merge
-          ~at_node)
-      ~depth:rdepth ~start:rstart ~slot:rslot
-  in
-  let down =
-    record_down
-      (fun ~split ~at_leaf -> Ktree.sweep_down tree ~at_root:0 ~split ~at_leaf)
-      ~depth ~start ~slot
-  and rdown =
-    record_down
-      (fun ~split ~at_leaf ->
-        Ktree_reference.sweep_down r.Ktree_reference.root 0 ~split ~at_leaf)
-      ~depth:rdepth ~start:rstart ~slot:rslot
-  in
-  up = rup && down = rdown
+  let ok, log, v = record_skeleton tree in
+  let rlog, rv = record_reference r in
+  ok && log = rlog && v = rv
+  && preorder_matches_reference tree r
   && Ktree.rounds_last_sweep tree = Ktree.depth tree + 1
 
-(* The order the sweeps promise is the pointer tree's recursive
-   postorder (up) and preorder (down): it fixes VSA's notify and fault
-   draws and LBI's float summation order.  Each case also sweeps rings
-   of 1-3 VSs at K = 2, 3 and 8, where the root is a leaf or chains
-   start at depth 1. *)
+(* The order the sweep promises is the pointer tree's recursive
+   postorder restricted to the skeleton: it fixes VSA's notify and
+   fault draws and LBI's float summation order.  Each case also sweeps
+   rings of 1-3 VSs at K = 2, 3 and 8, where the root is a leaf (and
+   nothing is lifted) or chains start at depth 1. *)
 let prop_sweep_order =
   QCheck.Test.make ~name:"sweep callbacks in reference order" ~count:30
     QCheck.(quad small_int (int_range 1 60) (int_range 1 6) (int_range 0 2))

@@ -460,7 +460,8 @@ let nth_vs dht a =
          ((if j = i then Some v else found), j + 1)))
   |> Option.get
 
-let apply_ring_op dht op =
+(* [item] is what a [Put] stores. *)
+let apply_ring_op_with ~item dht op =
   let node a = Dht.alive_nth dht (a mod Dht.n_nodes dht) in
   (* A departure that would empty the ring is skipped. *)
   let can_depart (n : Dht.node) = List.length n.Dht.vss < Dht.n_vs dht in
@@ -483,7 +484,9 @@ let apply_ring_op dht op =
     Dht.set_vs_load dht (nth_vs dht a) (float_of_int (a mod 1000) /. 100.0)
   | Put a ->
     ignore
-      (Dht.put dht ~from:(nth_vs dht a).Dht.vs_id ~key:(Id.of_int a) ())
+      (Dht.put dht ~from:(nth_vs dht a).Dht.vs_id ~key:(Id.of_int a) item)
+
+let apply_ring_op dht op = apply_ring_op_with ~item:() dht op
 
 (* The cached whole-tree figures against a fresh preorder fold: sizes,
    per-host node counts, and the deepest-first leaf table numbered in
@@ -979,6 +982,107 @@ let test_handoff_matches_regions () =
     ~name:"drain_items = items_in_region per owner, then empty"
     handoff_case prop_handoff_matches_regions
 
+(* ---- Ktree: skeleton sweeps = reference full walks ---------------------- *)
+
+module Lbi = P2plb.Lbi
+module Vsa = P2plb.Vsa
+module Faults = P2plb_sim.Faults
+module Prng = P2plb_prng.Prng
+
+(* ((physical nodes, VSs per node, K = 2 / 3 / 8),
+    (fault plan off / on, threshold 1 / 2 / 5 / 30, operations)). *)
+let skeleton_case =
+  Prop.pair
+    (Prop.triple (Prop.int_in 1 256) (Prop.int_in 1 6) (Prop.int_in 0 2))
+    (Prop.triple (Prop.int_in 0 1) (Prop.int_in 0 3)
+       (Prop.list_of ~max_len:10 ring_op))
+
+(* A full postorder walk of the reference tree of the current ring,
+   driven by a skeleton sweep's callbacks: an unassigned leaf holds
+   [empty] and each internal node lifts over its own level alone. *)
+let full_walk ~k dht ~empty ~at_leaf ~merge ~lift =
+  let r = Kref.build ~k dht in
+  Kref.sweep_up r.Kref.root
+    ~at_leaf:(fun n ->
+      if n.Kref.tag < 0 then empty
+      else at_leaf ~slot:n.Kref.tag ~depth:n.Kref.depth)
+    ~empty ~merge
+    ~at_node:(fun n v -> lift ~hi:n.Kref.depth ~lo:n.Kref.depth v)
+
+(* One LBI round then one ignorant VSA round on a loaded ring whose
+   tree was built before the churn, through the skeleton sweeps or,
+   with [reference], through the reference full walks (dissemination:
+   one send per leaf of a reference [sweep_down]).  Returns the root
+   LBI, the VSA result less its rounds (not charged by the reference),
+   the fault plan's counters and its next sends. *)
+let skeleton_world ~reference ((n_nodes, vs, k_sel), (faulty, thr_sel, ops)) =
+  let k = [| 2; 3; 8 |].(k_sel) and threshold = [| 1; 2; 5; 30 |].(thr_sel) in
+  let seed = (n_nodes * 8) + vs in
+  let dht : Types.vsa_record Dht.t = Dht.create ~seed in
+  for i = 0 to n_nodes - 1 do
+    ignore
+      (Dht.join dht
+         ~capacity:(float_of_int (1 + (i mod 4)))
+         ~underlay:i ~n_vs:vs)
+  done;
+  (* Whole loads, so that sheds tie and the order of pairings and
+     merges shows in the result. *)
+  let loads = Prng.create ~seed in
+  Dht.fold_vs dht ~init:() ~f:(fun () v ->
+      Dht.set_vs_load dht v (float_of_int (Prng.int loads 10)));
+  let tree = Ktree.build ~k dht in
+  let item : Types.vsa_record = Light { deficit = 1.0; light_node = 0 } in
+  List.iter (apply_ring_op_with ~item dht) ops;
+  let faults =
+    if faulty = 1 then
+      Some (Faults.create ~seed (Faults.churn ~message_loss:0.3 ()))
+    else None
+  in
+  let rng = Prng.create ~seed:(seed + 1) in
+  let lbi =
+    if reference then begin
+      let zero = { Types.l = 0.0; c = 0.0; l_min = infinity } in
+      let lbi =
+        Lbi.aggregate ~rng ?faults ~sweep:(full_walk ~k dht ~empty:zero) tree
+          dht
+      in
+      ignore (Ktree.repair tree dht);
+      Kref.sweep_down (Kref.build ~k dht).Kref.root lbi
+        ~split:(fun _ v -> v)
+        ~at_leaf:(fun _ _ ->
+          Option.iter (fun f -> ignore (Faults.send f)) faults);
+      lbi
+    end
+    else Lbi.run ~rng ?faults tree dht
+  in
+  let sweep =
+    if reference then Some (full_walk ~k dht ~empty:Pairing.empty) else None
+  in
+  let v =
+    Vsa.run ~threshold ?faults ?sweep ~mode:Vsa.Ignorant ~rng ~lbi tree dht
+  in
+  let bits x = Int64.bits_of_float x in
+  ( (bits lbi.Types.l, bits lbi.Types.c, bits lbi.Types.l_min),
+    ( v.Vsa.assignments,
+      Pairing.shed_entries v.Vsa.unassigned,
+      Pairing.light_entries v.Vsa.unassigned,
+      { v with Vsa.assignments = []; unassigned = Pairing.empty; rounds = 0 } ),
+    Option.map
+      (fun f ->
+        ( (Faults.retries f, Faults.timeouts f, Faults.drops f),
+          List.init 8 (fun _ -> Faults.send f) ))
+      faults )
+
+(* The skeleton sweeps against the full walks they replace: the LBI
+   root bit for bit, VSA's assignments (in order), leftover pool and
+   counters, and the fault stream's position, across K, churn, fault
+   plans and thresholds. *)
+let test_skeleton_matches_full_walk () =
+  Prop.run ~count:40 ~seed:0x5eed0d
+    ~name:"skeleton sweeps = reference full walks (LBI, VSA, faults)"
+    skeleton_case (fun case ->
+      skeleton_world ~reference:false case = skeleton_world ~reference:true case)
+
 let () =
   Alcotest.run "prop"
     [
@@ -1027,5 +1131,7 @@ let () =
             test_ktree_upkeep_matches_reference;
           Alcotest.test_case "upkeep leaves the canonical tree" `Quick
             test_ktree_stays_canonical;
+          Alcotest.test_case "skeleton sweeps = reference full walks" `Quick
+            test_skeleton_matches_full_walk;
         ] );
     ]
