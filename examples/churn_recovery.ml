@@ -65,8 +65,10 @@ let () =
   Printf.printf
     "\nafter 100 time units: %d crashes, %d joins, %d maintenance passes\n"
     !crashes !joins !repairs;
-  (match Ktree.check_consistent tree dht with
+  let consistent = Ktree.check_consistent tree dht in
+  (match consistent with
   | Ok () -> print_endline "KT tree structurally consistent: yes"
-  | Error e -> Printf.printf "KT tree inconsistent: %s\n" e);
+  | Error e -> Printf.eprintf "KT tree inconsistent: %s\n" e);
   Printf.printf "alive nodes: %d, virtual servers: %d\n" (Dht.n_nodes dht)
-    (Dht.n_vs dht)
+    (Dht.n_vs dht);
+  if Result.is_error consistent then exit 1

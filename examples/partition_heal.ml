@@ -72,4 +72,6 @@ let () =
     r.Multiround.final_heavy r.Multiround.final_live;
   match r.Multiround.violation with
   | None -> print_endline "every round passed the full invariant battery"
-  | Some (i, msg) -> Printf.printf "VIOLATION in round %d: %s\n" i msg
+  | Some (i, msg) ->
+    Printf.eprintf "VIOLATION in round %d: %s\n" i msg;
+    exit 1

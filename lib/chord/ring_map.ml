@@ -30,7 +30,6 @@ let predecessor_strict k m =
 
 let fold = M.fold
 let iter = M.iter
-let bindings = M.bindings
 
 let fold_range ~lo_incl ~len f m acc =
   if len < 0 || len > Id.space_size then invalid_arg "Ring_map.fold_range";

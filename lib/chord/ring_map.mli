@@ -26,7 +26,6 @@ val predecessor_strict : Id.t -> 'a t -> (Id.t * 'a) option
 
 val fold : (Id.t -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
 val iter : (Id.t -> 'a -> unit) -> 'a t -> unit
-val bindings : 'a t -> (Id.t * 'a) list
 
 val fold_range :
   lo_incl:Id.t -> len:int -> (Id.t -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc

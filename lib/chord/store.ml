@@ -61,18 +61,6 @@ let insert t dht ~key ~size =
   t.count <- t.count + 1;
   t.bytes <- t.bytes +. size
 
-let remove t ~key =
-  match Ring_map.find_opt key t.objects with
-  | None -> 0
-  | Some versions ->
-    t.objects <- Ring_map.remove key t.objects;
-    List.iter
-      (fun o ->
-        t.count <- t.count - 1;
-        t.bytes <- t.bytes -. o.size)
-      versions;
-    List.length versions
-
 let holders t ~key =
   match Ring_map.find_opt key t.objects with
   | None -> []

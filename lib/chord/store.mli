@@ -29,10 +29,6 @@ val insert : t -> 'a Dht.t -> key:Id.t -> size:float -> unit
 (** Places a fresh object.  [size >= 0].  Re-inserting a key adds a
     distinct object version under the same key. *)
 
-val remove : t -> key:Id.t -> int
-(** Deletes every version stored under [key]; returns how many were
-    removed (0 if the key is unknown). *)
-
 val holders : t -> key:Id.t -> Dht.node_id list list
 (** Current holder sets of the object versions under [key] (possibly
     stale until {!repair}); [[]] if unknown. *)

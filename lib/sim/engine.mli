@@ -1,9 +1,12 @@
 (** A small discrete-event simulation engine.
 
-    Drives the time-based behaviours of the system: the K-nary tree's
-    periodic grow/prune checks and heartbeats, churn injection, and
-    round-counting experiments.  Events at equal timestamps fire in
-    scheduling order (deterministic). *)
+    Drives the fault plan's crash and partition events: {!Faults.arm}
+    schedules them (from [Multiround.run], one unit of simulated time
+    per round) and they fire at [Controller.run]'s phase barriers,
+    between the phases of a round.  The balancer's K-nary tree upkeep
+    does not use it: [Ktree.refresh]/[Ktree.repair] run once per round.
+    Events at equal timestamps fire in scheduling order
+    (deterministic). *)
 
 type t
 

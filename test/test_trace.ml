@@ -1,103 +1,28 @@
-module Dht = P2plb_chord.Dht
+module Prng = P2plb_prng.Prng
+module Dist = P2plb_prng.Dist
+module Id = P2plb_idspace.Id
 module Store = P2plb_chord.Store
-module Arrivals = P2plb_workload.Arrivals
 module Trace = P2plb_obs.Trace
 
 let check = Alcotest.check
 
-let build_dht ~seed ~nodes =
-  let dht : unit Dht.t = Dht.create ~seed in
-  for i = 0 to nodes - 1 do
-    ignore (Dht.join dht ~capacity:1.0 ~underlay:i ~n_vs:3)
+(* A seeded object workload: publishes [n] objects keyed [first ..
+   first + n - 1], each an exponential size scaled down by its Zipf
+   popularity rank (as in examples/storage_cluster.ml), then sets every
+   VS's load to the bytes it primarily stores. *)
+let publish rng store dht ~first ~n =
+  for i = first to first + n - 1 do
+    let size = Dist.exponential rng ~mean:4.0 in
+    let rank = Dist.zipf rng ~n:1000 ~s:0.9 in
+    Store.insert store dht
+      ~key:(Id.hash_key i "trace-obj")
+      ~size:(size /. float_of_int rank)
   done;
-  dht
+  Store.apply_primary_loads store dht
 
-let test_validation () =
-  Alcotest.check_raises "negative arrivals"
-    (Invalid_argument "Arrivals.create: negative arrival rate") (fun () ->
-      ignore
-        (Arrivals.create ~seed:1
-           { Arrivals.default with Arrivals.arrivals_per_epoch = -1.0 }));
-  Alcotest.check_raises "bad departure prob"
-    (Invalid_argument "Arrivals.create: departure_prob out of [0,1]") (fun () ->
-      ignore
-        (Arrivals.create ~seed:1 { Arrivals.default with Arrivals.departure_prob = 1.5 }))
-
-let test_epoch_populates_store () =
-  let dht = build_dht ~seed:1 ~nodes:20 in
-  let store = Store.create ~replication:2 () in
-  let tr = Arrivals.create ~seed:2 Arrivals.default in
-  let stats = Arrivals.epoch tr dht store in
-  check Alcotest.bool "objects arrived" true (stats.Arrivals.arrived > 100);
-  check Alcotest.int "store matches trace" (Arrivals.live_objects tr)
-    (Store.n_objects store);
-  check Alcotest.bool "loads applied" true (Dht.total_load dht > 0.0);
-  check Alcotest.bool "load = stored bytes" true
-    (abs_float (Dht.total_load dht -. Store.total_bytes store) < 1e-6)
-
-let test_departures_shrink () =
-  let dht = build_dht ~seed:3 ~nodes:20 in
-  let store = Store.create ~replication:2 () in
-  let tr =
-    Arrivals.create ~seed:4
-      {
-        Arrivals.default with
-        Arrivals.arrivals_per_epoch = 500.0;
-        departure_prob = 0.0;
-      }
-  in
-  ignore (Arrivals.epoch tr dht store);
-  let n1 = Arrivals.live_objects tr in
-  (* now pure departures *)
-  let tr2 =
-    Arrivals.create ~seed:5
-      { Arrivals.default with Arrivals.arrivals_per_epoch = 0.0; departure_prob = 0.5 }
-  in
-  ignore tr2;
-  (* same trace object continues: flip its config via a fresh trace is
-     not possible (config is immutable), so instead run many epochs of
-     the default and check steady state below *)
-  check Alcotest.bool "populated" true (n1 > 300)
-
-let test_steady_state () =
-  (* live count converges toward arrivals / departure_prob *)
-  let dht = build_dht ~seed:6 ~nodes:20 in
-  let store = Store.create ~replication:1 () in
-  let config =
-    {
-      Arrivals.default with
-      Arrivals.arrivals_per_epoch = 100.0;
-      departure_prob = 0.2;
-    }
-  in
-  let tr = Arrivals.create ~seed:7 config in
-  for _ = 1 to 40 do
-    ignore (Arrivals.epoch tr dht store)
-  done;
-  let expected = 100.0 /. 0.2 in
-  let live = float_of_int (Arrivals.live_objects tr) in
-  check Alcotest.bool
-    (Printf.sprintf "steady state ~%g (got %g)" expected live)
-    true
-    (live > 0.6 *. expected && live < 1.4 *. expected)
-
-let test_accounting () =
-  let dht = build_dht ~seed:8 ~nodes:20 in
-  let store = Store.create ~replication:2 () in
-  let tr = Arrivals.create ~seed:9 Arrivals.default in
-  let total_in = ref 0.0 and total_out = ref 0.0 in
-  for _ = 1 to 10 do
-    let s = Arrivals.epoch tr dht store in
-    total_in := !total_in +. s.Arrivals.bytes_in;
-    total_out := !total_out +. s.Arrivals.bytes_out;
-    check Alcotest.bool "non-negative flows" true
-      (s.Arrivals.bytes_in >= 0.0 && s.Arrivals.bytes_out >= 0.0)
-  done;
-  check Alcotest.bool "conservation" true
-    (abs_float (Store.total_bytes store -. (!total_in -. !total_out)) < 1e-6)
-
-let test_balancing_keeps_up_with_trace () =
-  (* the full loop: trace drives loads, periodic LB keeps heavy at 0 *)
+let test_balancing_keeps_up () =
+  (* the full loop: a growing object catalogue drives loads, periodic
+     LB keeps heavy near 0 *)
   let module TS = P2plb_topology.Transit_stub in
   let module Scenario = P2plb.Scenario in
   let config =
@@ -116,9 +41,9 @@ let test_balancing_keeps_up_with_trace () =
   in
   let s = Scenario.build ~seed:10 config in
   let store = Store.create ~replication:2 () in
-  let tr = Arrivals.create ~seed:11 Arrivals.default in
+  let rng = Prng.create ~seed:11 in
   for e = 1 to 5 do
-    ignore (Arrivals.epoch tr s.Scenario.dht store);
+    publish rng store s.Scenario.dht ~first:((e - 1) * 200) ~n:200;
     (* Zipf tails make some single objects exceed every deficit: a
        node holding one cannot shed it to anyone, so a small residual
        of stuck-heavy nodes is correct behaviour (an object is the
@@ -205,14 +130,8 @@ let () =
     [
       ( "trace",
         [
-          Alcotest.test_case "validation" `Quick test_validation;
-          Alcotest.test_case "epoch populates" `Quick
-            test_epoch_populates_store;
-          Alcotest.test_case "arrivals grow" `Quick test_departures_shrink;
-          Alcotest.test_case "steady state" `Quick test_steady_state;
-          Alcotest.test_case "accounting" `Quick test_accounting;
           Alcotest.test_case "LB keeps up" `Quick
-            test_balancing_keeps_up_with_trace;
+            test_balancing_keeps_up;
         ] );
       ( "loader",
         [
