@@ -16,7 +16,13 @@ module Prng = P2plb_prng.Prng
 
     Routing uses Chord's greedy finger algorithm evaluated against the
     current ring, counting overlay hops; lookup and message counters
-    support the cost accounting in the experiments. *)
+    support the cost accounting in the experiments.
+
+    The ring is one sorted array of VS ids with the VS records in a
+    parallel array, always current.  Reads ({!vs_of_id}, {!owner_of_key},
+    {!region_of_vs}, each {!lookup} hop) are binary searches, {!n_vs} is
+    O(1), and inserting or deleting one VS shifts the arrays: O(#VS).
+    A fresh ring is built with one sort by {!join_all}. *)
 
 type node_id = int
 
@@ -45,7 +51,18 @@ val join : 'a t -> capacity:float -> underlay:int -> n_vs:int -> node_id
     pseudo-random identifiers.  When a VS lands inside an existing
     VS's region it takes over the sub-arc up to its own id, and
     inherits the proportional share of that VS's load (so total system
-    load is invariant under joins). *)
+    load is invariant under joins).  Costs O(#VS) per VS inserted: this
+    is the churn path; build a fresh ring with {!join_all}.  Raises
+    [Invalid_argument] if [capacity <= 0] or [n_vs < 1]. *)
+
+val join_all : 'a t -> (float * int) array -> n_vs:int -> unit
+(** [join_all t nodes ~n_vs] joins every [(capacity, underlay)] of
+    [nodes] to an empty ring, in array order, each hosting [n_vs]
+    virtual servers: the same node ids, VS ids, per-node VS order,
+    loads and {!ring_version} as calling {!join} on each in turn, in
+    O(#VS log #VS) instead of O(#VS²).  Raises [Invalid_argument] on a
+    non-empty ring, any [capacity <= 0] or [n_vs < 1], before changing
+    anything. *)
 
 val leave : 'a t -> node_id -> unit
 (** Graceful departure: each VS's region and load are absorbed by its
@@ -64,11 +81,12 @@ val n_nodes : 'a t -> int
 (** Number of alive nodes. *)
 
 val n_vs : 'a t -> int
+(** Number of virtual servers on the ring; O(1). *)
 
 val ring_version : 'a t -> int
 (** A counter that moves exactly when the set of ring ids changes:
-    every VS inserted ({!join}) or deleted ({!leave}, {!crash},
-    {!remove_vs}) bumps it by one.  It does not move for
+    every VS inserted ({!join}, {!join_all}) or deleted ({!leave},
+    {!crash}, {!remove_vs}) bumps it by one.  It does not move for
     {!transfer_vs} (the VS keeps its id and region), load changes
     ({!set_vs_load}, {!add_vs_load}) or storage ({!put},
     {!drain_items}).  Structures keyed by VS ids and regions — the
@@ -78,11 +96,12 @@ val fold_nodes : 'a t -> init:'acc -> f:('acc -> node -> 'acc) -> 'acc
 (** Over alive nodes, in increasing [node_id] order (deterministic). *)
 
 val fold_vs : 'a t -> init:'acc -> f:('acc -> vs -> 'acc) -> 'acc
-(** Over all virtual servers in ring order. *)
+(** Over all virtual servers in ring order.  [f] must not insert or
+    delete VSs. *)
 
 val vs_ids : 'a t -> Id.t array
 (** The ids of all virtual servers in ring order, as a fresh array:
-    one O(#VS) copy of the ring snapshot. *)
+    one O(#VS) copy of the ring. *)
 
 val alive_nodes : 'a t -> node list
 (** In increasing [node_id] order. *)

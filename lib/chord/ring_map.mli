@@ -1,29 +1,14 @@
 module Id = P2plb_idspace.Id
 
-(** Ordered map over ring identifiers with wrap-around successor and
-    predecessor queries — the data structure behind the simulated
-    Chord ring and its key-indexed storage. *)
+(** Ordered map over ring identifiers with wrap-around range folds —
+    the key store behind {!Dht}'s items and {!Store}. *)
 
 type 'a t
 
 val empty : 'a t
 val is_empty : 'a t -> bool
-val cardinal : 'a t -> int
 val add : Id.t -> 'a -> 'a t -> 'a t
-val remove : Id.t -> 'a t -> 'a t
 val find_opt : Id.t -> 'a t -> 'a option
-val mem : Id.t -> 'a t -> bool
-
-val successor : Id.t -> 'a t -> (Id.t * 'a) option
-(** First binding at or clockwise-after the key, wrapping; [None] only
-    when empty.  This is Chord's [successor(k)]: the owner of key [k]. *)
-
-val successor_strict : Id.t -> 'a t -> (Id.t * 'a) option
-(** First binding strictly clockwise-after the key, wrapping. *)
-
-val predecessor_strict : Id.t -> 'a t -> (Id.t * 'a) option
-(** First binding strictly clockwise-before the key, wrapping. *)
-
 val fold : (Id.t -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
 val iter : (Id.t -> 'a -> unit) -> 'a t -> unit
 

@@ -64,12 +64,10 @@ let build ?base ~seed config =
       ~universe:(Array.length stubs)
   in
   let dht = Dht.create ~seed:(seed lxor 0x5bd1e995) in
-  Array.iter
-    (fun i ->
-      let capacity = Workload.sample_capacity member_rng in
-      ignore
-        (Dht.join dht ~capacity ~underlay:stubs.(i) ~n_vs:config.vs_per_node))
-    picks;
+  Dht.join_all dht
+    (Array.init config.n_nodes (fun j ->
+         (Workload.sample_capacity member_rng, stubs.(picks.(j)))))
+    ~n_vs:config.vs_per_node;
   Workload.assign_loads load_rng config.workload dht;
   (* Landmark vectors are measured on the latency graph — what real
      RTT probes would see; transfer costs stay on the hop graph. *)
@@ -100,13 +98,10 @@ let join_nodes t n =
 
 let crash_nodes t n =
   for _ = 1 to n do
-    let alive = Dht.alive_nodes t.dht in
-    match alive with
-    | [] | [ _ ] -> ()
-    | _ :: _ ->
-      let arr = Array.of_list alive in
-      let victim = arr.(Prng.int t.rng (Array.length arr)) in
-      Dht.crash t.dht victim.Dht.node_id
+    let alive = Dht.n_nodes t.dht in
+    if alive >= 2 then
+      Dht.crash t.dht
+        (Dht.alive_nth t.dht (Prng.int t.rng alive)).Dht.node_id
   done
 
 let reassign_loads t =

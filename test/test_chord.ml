@@ -16,21 +16,6 @@ let build_dht ~seed ~nodes ~vs =
 
 (* ---- Ring_map ---------------------------------------------------------- *)
 
-let test_ring_map_successor () =
-  let m = Ring_map.empty |> Ring_map.add 10 "a" |> Ring_map.add 100 "b" in
-  check Alcotest.(option (pair int string)) "exact" (Some (10, "a"))
-    (Ring_map.successor 10 m);
-  check Alcotest.(option (pair int string)) "between" (Some (100, "b"))
-    (Ring_map.successor 11 m);
-  check Alcotest.(option (pair int string)) "wraps" (Some (10, "a"))
-    (Ring_map.successor 101 m);
-  check Alcotest.(option (pair int string)) "strict skips" (Some (100, "b"))
-    (Ring_map.successor_strict 10 m);
-  check Alcotest.(option (pair int string)) "pred" (Some (10, "a"))
-    (Ring_map.predecessor_strict 100 m);
-  check Alcotest.(option (pair int string)) "pred wraps" (Some (100, "b"))
-    (Ring_map.predecessor_strict 5 m)
-
 let test_ring_map_fold_range () =
   let m =
     List.fold_left
@@ -105,6 +90,25 @@ let test_regions_partition_after_churn () =
         acc + Region.len (Dht.region_of_vs dht v))
   in
   check Alcotest.int "still a partition" Id.space_size total
+
+(* successor(k) and the predecessor both wrap: keys past the largest id
+   belong to the smallest VS, whose region starts just after the
+   largest id. *)
+let test_ring_wraps () =
+  let dht = build_dht ~seed:17 ~nodes:4 ~vs:2 in
+  let ids = Dht.vs_ids dht in
+  let n = Array.length ids in
+  let owner k = (Dht.owner_of_key dht k).Dht.vs_id in
+  let region i = Dht.region_of_vs dht (Option.get (Dht.vs_of_id dht ids.(i))) in
+  check Alcotest.int "exact" ids.(0) (owner ids.(0));
+  check Alcotest.int "between" ids.(1) (owner (Id.add ids.(0) 1));
+  check Alcotest.int "wraps" ids.(0) (owner (Id.add ids.(n - 1) 1));
+  check Alcotest.int "pred" (Id.add ids.(0) 1) (Region.start (region 1));
+  check Alcotest.int "pred wraps" (Id.add ids.(n - 1) 1)
+    (Region.start (region 0));
+  check Alcotest.int "wrapping region length"
+    (Id.distance_cw ids.(n - 1) ids.(0))
+    (Region.len (region 0))
 
 let test_vs_ids_follow_ring () =
   (* The ring's ids in fold_vs order, as a fresh copy each call, before
@@ -273,7 +277,6 @@ let () =
     [
       ( "ring_map",
         [
-          Alcotest.test_case "successor" `Quick test_ring_map_successor;
           Alcotest.test_case "fold_range" `Quick test_ring_map_fold_range;
         ] );
       ( "membership",
@@ -291,6 +294,8 @@ let () =
             test_regions_partition_after_churn;
           Alcotest.test_case "vs_ids follow the ring" `Quick
             test_vs_ids_follow_ring;
+          Alcotest.test_case "ring wraps past the largest id" `Quick
+            test_ring_wraps;
         ] );
       ( "transfer",
         [

@@ -420,7 +420,8 @@ let ring_op_name = function
   | Set_vs_load a -> Printf.sprintf "Set_vs_load %d" a
   | Put a -> Printf.sprintf "Put %d" a
 
-let ring_op =
+(* Operations of the first [kinds] kinds, in the order above. *)
+let ring_op_in ~kinds =
   let of_pair (kind, a) =
     match kind with
     | 0 -> Join a
@@ -440,10 +441,12 @@ let ring_op =
     | Set_vs_load a -> (5, a)
     | Put a -> (6, a)
   in
-  let p = Prop.pair (Prop.int_in 0 6) (Prop.int_in 0 1_000_000) in
+  let p = Prop.pair (Prop.int_in 0 (kinds - 1)) (Prop.int_in 0 1_000_000) in
   Prop.make ~print:ring_op_name
     ~shrink:(fun op -> List.map of_pair (p.Prop.shrink (to_pair op)))
     (fun rng -> of_pair (p.Prop.gen rng))
+
+let ring_op = ring_op_in ~kinds:7
 
 (* (physical nodes, K = 2 or 8, operations). *)
 let ktree_case =
@@ -982,6 +985,232 @@ let test_handoff_matches_regions () =
     ~name:"drain_items = items_in_region per owner, then empty"
     handoff_case prop_handoff_matches_regions
 
+(* ---- Chord: bulk join = join by join ------------------------------------ *)
+
+(* ((physical nodes, VSs per node, salt path), churn after the build).
+   When the third component is 0 the case is 2-4 nodes of 132-139 VSs:
+   node 0's VS 131 and node 1's VS 0 then hash the same input, so the
+   collision salt has to move one of them. *)
+let bulk_case =
+  Prop.pair
+    (Prop.triple (Prop.int_in 1 512) (Prop.int_in 1 8) (Prop.int_in 0 4))
+    (Prop.list_of ~max_len:6 ring_op)
+
+let ring_state (dht : unit Dht.t) =
+  ( Dht.vs_ids dht,
+    List.rev
+      (Dht.fold_vs dht ~init:[] ~f:(fun acc v ->
+           (v.Dht.vs_id, v.Dht.owner, v.Dht.load) :: acc)),
+    List.map
+      (fun (n : Dht.node) ->
+        ( n.Dht.node_id,
+          n.Dht.underlay,
+          n.Dht.capacity,
+          List.map (fun v -> v.Dht.vs_id) n.Dht.vss ))
+      (Dht.alive_nodes dht),
+    Dht.ring_version dht )
+
+(* Owner and hops of 64 lookups between random VSs and keys. *)
+let sample_lookups ~seed (dht : unit Dht.t) =
+  let rng = P2plb_prng.Prng.create ~seed in
+  let ids = Dht.vs_ids dht in
+  Prop.init_in_order 64 (fun _ ->
+      let from = ids.(P2plb_prng.Prng.int rng (Array.length ids)) in
+      let key = P2plb_prng.Prng.int rng Id.space_size in
+      let v, hops = Dht.lookup dht ~from ~key in
+      (v.Dht.vs_id, hops))
+
+let prop_bulk_matches_joins ((n_nodes, vs, salt_sel), ops) =
+  let n_nodes, vs =
+    if salt_sel = 0 then (2 + (n_nodes mod 3), 131 + vs) else (n_nodes, vs)
+  in
+  let nodes =
+    Array.init n_nodes (fun i -> (float_of_int (1 + (i mod 3)), 7 * i))
+  in
+  let joined : unit Dht.t = Dht.create ~seed:n_nodes in
+  Array.iter
+    (fun (capacity, underlay) ->
+      ignore (Dht.join joined ~capacity ~underlay ~n_vs:vs))
+    nodes;
+  let bulk : unit Dht.t = Dht.create ~seed:n_nodes in
+  Dht.join_all bulk nodes ~n_vs:vs;
+  (* A VS whose id is not its unsalted hash took the salt path; a
+     node's [vss] runs from index [vs - 1] down to 0. *)
+  let unsalted (n : Dht.node) index =
+    Id.hash_key ((n.Dht.node_id * 131) + index) "vs"
+  in
+  let salted =
+    Dht.fold_nodes bulk ~init:0 ~f:(fun acc n ->
+        acc
+        + List.length
+            (List.filteri
+               (fun i v -> not (Id.equal v.Dht.vs_id (unsalted n (vs - 1 - i))))
+               n.Dht.vss))
+  in
+  let agree () =
+    ring_state joined = ring_state bulk
+    && sample_lookups ~seed:n_nodes joined = sample_lookups ~seed:n_nodes bulk
+  in
+  let built = agree () in
+  List.iter (fun op -> apply_ring_op joined op; apply_ring_op bulk op) ops;
+  built && agree () && (salt_sel <> 0 || salted > 0)
+
+let test_bulk_matches_joins () =
+  Prop.run ~count:60 ~seed:0x5eed10
+    ~name:"join_all = join node by node" bulk_case prop_bulk_matches_joins
+
+let test_bulk_rejects () =
+  let raises name f =
+    Alcotest.(check bool) name true
+      (match f () with () -> false | exception Invalid_argument _ -> true)
+  in
+  let fresh () : unit Dht.t = Dht.create ~seed:1 in
+  let empty = fresh () in
+  raises "capacity 0" (fun () ->
+      Dht.join_all empty [| (1.0, 0); (0.0, 1) |] ~n_vs:2);
+  raises "negative capacity" (fun () ->
+      Dht.join_all empty [| (-1.0, 0) |] ~n_vs:2);
+  raises "n_vs 0" (fun () -> Dht.join_all empty [| (1.0, 0) |] ~n_vs:0);
+  Alcotest.(check int) "a rejected call joins nothing" 0 (Dht.n_nodes empty);
+  Alcotest.(check int) "and inserts no VS" 0 (Dht.n_vs empty);
+  let joined = fresh () in
+  ignore (Dht.join joined ~capacity:1.0 ~underlay:0 ~n_vs:1);
+  raises "non-empty ring" (fun () ->
+      Dht.join_all joined [| (1.0, 1) |] ~n_vs:1);
+  raises "join: capacity 0" (fun () ->
+      ignore (Dht.join joined ~capacity:0.0 ~underlay:0 ~n_vs:1));
+  raises "join: n_vs 0" (fun () ->
+      ignore (Dht.join joined ~capacity:1.0 ~underlay:0 ~n_vs:0))
+
+(* ---- Chord: the ring against a sorted-list model ------------------------ *)
+
+(* ((physical nodes, VSs per node), churn): joins, crashes, leaves, VS
+   removals and transfers. *)
+let model_case =
+  Prop.pair
+    (Prop.pair (Prop.int_in 1 64) (Prop.int_in 1 4))
+    (Prop.list_of ~max_len:24 (ring_op_in ~kinds:5))
+
+let by_id (a, _) (b, _) = Int.compare a b
+
+(* After every operation the ring must match a brute-force model, the
+   (VS id, owner) list in ascending id order: ids strictly sorted and
+   folded in ring order, successor(k) for owners, regions from the
+   model's predecessors, total load, the VS count, and one ring version
+   per VS inserted or deleted. *)
+let prop_ring_matches_model ((n_nodes, vs), ops) =
+  let dht : unit Dht.t = Dht.create ~seed:n_nodes in
+  for i = 0 to n_nodes - 1 do
+    ignore (Dht.join dht ~capacity:1.0 ~underlay:i ~n_vs:vs)
+  done;
+  let model =
+    ref
+      (List.sort by_id
+         (List.concat_map
+            (fun (n : Dht.node) ->
+              List.map (fun v -> (v.Dht.vs_id, n.Dht.node_id)) n.Dht.vss)
+            (Dht.alive_nodes dht)))
+  in
+  Dht.fold_vs dht ~init:() ~f:(fun () v ->
+      Dht.set_vs_load dht v (float_of_int (1 + (v.Dht.vs_id mod 97))));
+  let total = Dht.total_load dht in
+  let version = ref (Dht.ring_version dht) in
+  let rng = P2plb_prng.Prng.create ~seed:n_nodes in
+  let check () =
+    let m = !model in
+    let ids = List.map fst m in
+    let n = List.length m in
+    let successor k =
+      match List.find_opt (fun id -> id >= k) ids with
+      | Some id -> id
+      | None -> List.hd ids
+    in
+    let predecessor id =
+      match List.rev (List.filter (fun x -> x < id) ids) with
+      | p :: _ -> p
+      | [] -> List.nth ids (n - 1)
+    in
+    let rec strictly_sorted = function
+      | a :: (b :: _ as rest) -> a < b && strictly_sorted rest
+      | [ _ ] | [] -> true
+    in
+    let keys =
+      List.concat_map (fun id -> [ id; Id.add id 1; Id.sub id 1 ]) ids
+      @ Prop.init_in_order 16 (fun _ -> P2plb_prng.Prng.int rng Id.space_size)
+    in
+    let ring =
+      List.rev
+        (Dht.fold_vs dht ~init:[] ~f:(fun acc v ->
+             (v.Dht.vs_id, v.Dht.owner) :: acc))
+    in
+    strictly_sorted (Array.to_list (Dht.vs_ids dht))
+    && List.equal (fun (a, o) (b, p) -> a = b && o = p) ring m
+    && Array.to_list (Dht.vs_ids dht) = ids
+    && List.for_all
+         (fun k -> (Dht.owner_of_key dht k).Dht.vs_id = successor k)
+         keys
+    && List.for_all
+         (fun id ->
+           Region.equal
+             (Dht.region_of_vs dht (Option.get (Dht.vs_of_id dht id)))
+             (Region.between_excl_incl ~lo:(predecessor id) ~hi:id))
+         ids
+    && Dht.fold_vs dht ~init:0 ~f:(fun acc v ->
+           acc + Region.len (Dht.region_of_vs dht v))
+       = Id.space_size
+    && Float.abs (Dht.total_load dht -. total) <= 1e-9 *. total
+    && Dht.n_vs dht = n
+    && Dht.ring_version dht = !version
+  in
+  let node a = Dht.alive_nth dht (a mod Dht.n_nodes dht) in
+  let drop gone =
+    model := List.filter (fun (id, _) -> not (List.mem id gone)) !model;
+    version := !version + List.length gone
+  in
+  let depart f (n : Dht.node) =
+    if Dht.n_nodes dht > 1 && List.length n.Dht.vss < Dht.n_vs dht then begin
+      let gone = List.map (fun v -> v.Dht.vs_id) n.Dht.vss in
+      f dht n.Dht.node_id;
+      drop gone
+    end
+  in
+  let apply op =
+    let m = !model in
+    let nth a = fst (List.nth m (a mod List.length m)) in
+    match op with
+    | Join a ->
+      let nid = Dht.join dht ~capacity:1.0 ~underlay:0 ~n_vs:(1 + (a mod 3)) in
+      let added =
+        List.map (fun v -> (v.Dht.vs_id, nid)) (Dht.node dht nid).Dht.vss
+      in
+      model := List.sort by_id (added @ m);
+      version := !version + List.length added
+    | Crash a -> depart Dht.crash (node a)
+    | Leave a -> depart Dht.leave (node a)
+    | Remove_vs a ->
+      if List.length m > 1 then begin
+        let id = nth a in
+        Dht.remove_vs dht ~vs_id:id;
+        drop [ id ]
+      end
+    | Transfer_vs a ->
+      let id = nth a and dst = (node (a / 7)).Dht.node_id in
+      Dht.transfer_vs dht ~vs_id:id ~to_node:dst;
+      model := List.map (fun (i, o) -> if i = id then (i, dst) else (i, o)) m
+    | Set_vs_load _ | Put _ -> ()
+  in
+  check ()
+  && List.for_all
+       (fun op ->
+         apply op;
+         check ())
+       ops
+
+let test_ring_matches_model () =
+  Prop.run ~count:80 ~seed:0x5eed11
+    ~name:"ring = sorted-list model under churn" model_case
+    prop_ring_matches_model
+
 (* ---- Ktree: skeleton sweeps = reference full walks ---------------------- *)
 
 module Lbi = P2plb.Lbi
@@ -1120,6 +1349,12 @@ let () =
             test_lookup_small_rings;
           Alcotest.test_case "handoff = per-VS region queries" `Quick
             test_handoff_matches_regions;
+          Alcotest.test_case "join_all = join node by node" `Quick
+            test_bulk_matches_joins;
+          Alcotest.test_case "join_all rejects what join rejects" `Quick
+            test_bulk_rejects;
+          Alcotest.test_case "ring = sorted-list model" `Quick
+            test_ring_matches_model;
         ] );
       ( "ktree",
         [
