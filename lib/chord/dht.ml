@@ -308,9 +308,13 @@ let delete_vs_absorb t v =
   let owner = node t v.owner in
   owner.vss <- List.filter (fun x -> x.vs_id <> v.vs_id) owner.vss
 
+let can_depart t id = is_alive t id && List.length t.nodes.(id).vss < t.ring_n
+
 let depart t id =
   let n = node t id in
   if n.alive then begin
+    if not (can_depart t id) then
+      invalid_arg "Dht.depart: the node hosts every VS; the ring would empty";
     List.iter (fun v -> delete_vs_absorb t v) n.vss;
     n.vss <- [];
     n.alive <- false;

@@ -66,12 +66,20 @@ val join_all : 'a t -> (float * int) array -> n_vs:int -> unit
 
 val leave : 'a t -> node_id -> unit
 (** Graceful departure: each VS's region and load are absorbed by its
-    successor VS, as a Chord leave hands off its keys. *)
+    successor VS, as a Chord leave hands off its keys.  A no-op on a
+    departed node.  Raises [Invalid_argument], before changing
+    anything, when the node hosts every VS (see {!can_depart}). *)
 
 val crash : 'a t -> node_id -> unit
 (** Fail-stop departure.  Ring-level effect equals {!leave} after
     repair (successors take over regions; we model post-repair state,
-    assuming replication preserved the objects and hence the load). *)
+    assuming replication preserved the objects and hence the load).
+    Raises like {!leave}. *)
+
+val can_depart : 'a t -> node_id -> bool
+(** Whether [id] is alive and some other node hosts a VS, so that its
+    departure leaves the ring non-empty.  Every crash the simulator
+    injects checks it first: a node hosting every VS is never killed. *)
 
 val node : 'a t -> node_id -> node
 (** Raises [Not_found] for unknown ids. *)

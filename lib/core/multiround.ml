@@ -39,15 +39,14 @@ type result = {
 (* Fault-plan crash events pick a victim by rank in [0,1) over the
    nodes alive at firing time, so the same plan yields the same
    victims regardless of how earlier rounds moved load.  A crash is
-   skipped (not retried) when it would empty the ring: the victim is
-   the last alive node, or hosts every remaining VS. *)
+   skipped (not retried) when it would empty the ring
+   ({!Dht.can_depart}). *)
 let crash_by_rank dht ~rank =
   let n = Dht.n_nodes dht in
   if n > 1 then begin
     let idx = Int.min (n - 1) (int_of_float (rank *. float_of_int n)) in
-    let victim = Dht.alive_nth dht idx in
-    if List.length victim.Dht.vss < Dht.n_vs dht then
-      Dht.crash dht victim.Dht.node_id
+    let victim = (Dht.alive_nth dht idx).Dht.node_id in
+    if Dht.can_depart dht victim then Dht.crash dht victim
   end
 
 let run ?(config = Controller.default) ?faults ?obs ?(max_rounds = 10) ?check

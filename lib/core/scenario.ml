@@ -99,9 +99,10 @@ let join_nodes t n =
 let crash_nodes t n =
   for _ = 1 to n do
     let alive = Dht.n_nodes t.dht in
-    if alive >= 2 then
-      Dht.crash t.dht
-        (Dht.alive_nth t.dht (Prng.int t.rng alive)).Dht.node_id
+    if alive >= 2 then begin
+      let victim = (Dht.alive_nth t.dht (Prng.int t.rng alive)).Dht.node_id in
+      if Dht.can_depart t.dht victim then Dht.crash t.dht victim
+    end
   done
 
 let reassign_loads t =

@@ -54,8 +54,8 @@ val join_nodes : t -> int -> unit
     the proportional share of load, so total load is preserved. *)
 
 val crash_nodes : t -> int -> unit
-(** Churn: fail-stop [n] random alive nodes (at least one node always
-    survives). *)
+(** Churn: fail-stop [n] random alive nodes.  A victim that fails
+    {!Dht.can_depart} is spared, so the ring never empties. *)
 
 val reassign_loads : t -> unit
 (** Redraws all VS loads from the workload config (fresh experiment on

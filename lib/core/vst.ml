@@ -4,27 +4,6 @@ module Graph = P2plb_topology.Graph
 module Histogram = P2plb_metrics.Histogram
 module Faults = P2plb_sim.Faults
 
-(* The transactional protocol's phases, reified so each step has an
-   explicit construction site: the runtime guard below and the R8 lint
-   both key off these constructors.  Ordering is per assignment —
-   Prepare from a fresh state, Transfer after Prepare, Commit after
-   Transfer — and the aborted/rollback paths simply never advance. *)
-type phase = Prepare | Transfer | Commit
-
-let phase_name p =
-  match p with Prepare -> "PREPARE" | Transfer -> "TRANSFER" | Commit -> "COMMIT"
-
-let advance state p =
-  let legal =
-    match (!state, p) with
-    | None, Prepare | Some Prepare, Transfer | Some Transfer, Commit -> true
-    | (None | Some _), _ -> false
-  in
-  if not legal then
-    invalid_arg
-      (Printf.sprintf "Vst.advance: illegal transition to %s" (phase_name p));
-  state := Some p
-
 type result = {
   hist : Histogram.t;
   moved_load : float;
@@ -43,48 +22,87 @@ type result = {
   restructure_messages : int;
 }
 
+(* Why an assignment was skipped (the first three) or its transaction
+   aborted (the rest).  The type is not exported, so a cause that no
+   code path raises is a build error (warning 37, "never used to build
+   values"); [tally] matches every cause, so one without a result field
+   does not compile either. *)
+type cause =
+  | Vs_gone
+  | Owner_changed
+  | Dest_dead
+  | Prepare_lost
+  | Partitioned
+  | Src_crashed
+  | Dest_crashed
+  | Commit_lost
+
+let cause_name = function
+  | Vs_gone -> "vs_gone"
+  | Owner_changed -> "owner_changed"
+  | Dest_dead -> "dest_dead"
+  | Prepare_lost -> "prepare_lost"
+  | Partitioned -> "partitioned"
+  | Src_crashed -> "src_crashed"
+  | Dest_crashed -> "dest_crashed"
+  | Commit_lost -> "commit_lost"
+
+(* [r] with the counter of [c] bumped. *)
+let tally r = function
+  | Vs_gone -> { r with skipped_vs_gone = r.skipped_vs_gone + 1 }
+  | Owner_changed ->
+    { r with skipped_owner_changed = r.skipped_owner_changed + 1 }
+  | Dest_dead -> { r with skipped_dest_dead = r.skipped_dest_dead + 1 }
+  | Prepare_lost ->
+    { r with aborted_prepare_lost = r.aborted_prepare_lost + 1 }
+  | Partitioned -> { r with aborted_partitioned = r.aborted_partitioned + 1 }
+  | Src_crashed -> { r with aborted_src_crashed = r.aborted_src_crashed + 1 }
+  | Dest_crashed ->
+    { r with aborted_dest_crashed = r.aborted_dest_crashed + 1 }
+  | Commit_lost -> { r with aborted_commit_lost = r.aborted_commit_lost + 1 }
+
 let apply ?tree ?obs ?faults ?oracle dht assignments =
   let trace_point name attrs =
     match obs with
     | None -> ()
     | Some o -> P2plb_obs.Trace.point (P2plb_obs.Obs.trace o) name ~attrs
   in
-  let hist = Histogram.create () in
-  let moved_load = ref 0.0 in
-  let transfers = ref 0 in
-  let skipped_vs_gone = ref 0 in
-  let skipped_owner_changed = ref 0 in
-  let skipped_dest_dead = ref 0 in
-  let aborted_prepare_lost = ref 0 in
-  let aborted_partitioned = ref 0 in
-  let aborted_src_crashed = ref 0 in
-  let aborted_dest_crashed = ref 0 in
-  let aborted_commit_lost = ref 0 in
-  let deduped = ref 0 in
-  let restructure = ref 0 in
+  let r =
+    ref
+      {
+        hist = Histogram.create ();
+        moved_load = 0.0;
+        transfers = 0;
+        skipped = 0;
+        skipped_vs_gone = 0;
+        skipped_owner_changed = 0;
+        skipped_dest_dead = 0;
+        aborted = 0;
+        aborted_prepare_lost = 0;
+        aborted_partitioned = 0;
+        aborted_src_crashed = 0;
+        aborted_dest_crashed = 0;
+        aborted_commit_lost = 0;
+        deduped = 0;
+        restructure_messages = 0;
+      }
+  in
   (* Per-assignment sequence numbers: the pair (vs id, seq) names one
      transaction, so a replayed TRANSFER is recognised and dropped.  A
      replay arrives right behind its original, so the handler only has
      to remember the last transaction it installed. *)
   let seq = ref 0 in
   let installed_seq = ref 0 in
-  (* Mid-window fail-stop, mirroring the multiround crash guard: never
-     empty the ring, never strand every VS on the victim.  [false]
-     when the victim was shielded (the transaction then proceeds). *)
-  let crash_endpoint id =
-    Dht.is_alive dht id
-    && Dht.n_nodes dht > 1
-    && List.length (Dht.node dht id).Dht.vss < Dht.n_vs dht
-    && begin
-         Dht.crash dht id;
-         true
-       end
+  let skip cause =
+    r := tally !r cause;
+    trace_point "vst/skip" [ ("cause", P2plb_obs.Trace.Str (cause_name cause)) ]
   in
-  let abort counter cause =
-    incr counter;
+  let abort cause =
+    r := tally !r cause;
     trace_point "vst/abort"
       [
-        ("cause", P2plb_obs.Trace.Str cause); ("seq", P2plb_obs.Trace.Int !seq);
+        ("cause", P2plb_obs.Trace.Str (cause_name cause));
+        ("seq", P2plb_obs.Trace.Int !seq);
       ]
   in
   (* The fault plan's hooks.  Without a plan every message is
@@ -92,178 +110,167 @@ let apply ?tree ?obs ?faults ?oracle dht assignments =
      whose rates are zero draws no randomness, so both run the protocol
      below to the same result.  [send] is one protocol message: a loss
      aborts the transaction, blamed on the partition cut when one
-     separates the endpoints and on [counter] otherwise. *)
-  let send ~src ~dst counter cause =
+     separates the endpoints and on [cause] otherwise. *)
+  let send ~src ~dst cause =
     match faults with
     | None -> true
     | Some f -> (
       match Faults.send_between f ~src ~dst with
       | Faults.Delivered _ -> true
       | Faults.Lost ->
-        if Faults.cut f ~a:src ~b:dst then
-          abort aborted_partitioned "partitioned"
-        else abort counter cause;
+        abort (if Faults.cut f ~a:src ~b:dst then Partitioned else cause);
         false)
   in
-  let window_crash () =
-    match faults with
-    | None -> Faults.No_crash
-    | Some f -> Faults.crash_in_window f
-  in
-  let duplicated () =
-    match faults with None -> false | Some f -> Faults.duplicated f
+  (* Mid-window fail-stop of one endpoint, shielded like every other
+     crash (see {!Dht.can_depart}).  [false] when the victim was
+     shielded; the transaction then proceeds. *)
+  let crash_endpoint id cause =
+    Dht.can_depart dht id
+    && begin
+         Dht.crash dht id;
+         abort cause;
+         true
+       end
   in
   (* The light node's TRANSFER handler: installs the VS once per
-     (vs, seq) transaction and drops any replay of it.  [true] when
-     this delivery was installed. *)
-  let receive_transfer (a : Types.assignment) seq =
-    if !installed_seq = seq then begin
-      incr deduped;
-      trace_point "vst/dedup" [ ("seq", P2plb_obs.Trace.Int seq) ];
-      false
+     (vs, seq) transaction and drops any replay of it. *)
+  let receive_transfer (a : Types.assignment) =
+    if !installed_seq = !seq then begin
+      r := { !r with deduped = !r.deduped + 1 };
+      trace_point "vst/dedup" [ ("seq", P2plb_obs.Trace.Int !seq) ]
     end
     else begin
       Dht.transfer_vs dht ~vs_id:a.a_vs_id ~to_node:a.a_to;
-      installed_seq := seq;
-      true
+      installed_seq := !seq
     end
   in
-  (* A committed transfer's accounting. *)
-  let commit (a : Types.assignment) (v : Dht.vs) ~hops =
-    Histogram.add hist ~bin:hops ~weight:v.Dht.load;
-    trace_point "vst/transfer"
-      [
-        ("hops", P2plb_obs.Trace.Int hops);
-        ("load", P2plb_obs.Trace.Float v.Dht.load);
-      ];
-    (match obs with
-    | None -> ()
-    | Some o ->
-      P2plb_obs.Registry.hist_add (P2plb_obs.Obs.metrics o) "vst/hop_cost"
-        ~bin:hops ~weight:v.Dht.load);
-    moved_load := !moved_load +. v.Dht.load;
-    incr transfers;
-    match tree with
-    | None -> ()
-    | Some t ->
-      (* Lazy migration re-homes every KT node planted in the VS. *)
-      restructure :=
-        !restructure + (Ktree.host_nodes t a.a_vs_id * (Ktree.k t + 1))
-  in
+  (* One assignment's transaction as three steps.  The witness types
+     are abstract, so the steps only compose in protocol order:
+     TRANSFER needs a [prepared] and COMMIT a [transferred]. *)
+  let module Txn : sig
+    type prepared
+    type transferred
+
+    val prepare : Types.assignment -> Dht.vs -> prepared option
+    val transfer : prepared -> transferred option
+    val commit : transferred -> unit
+  end = struct
+    type prepared = { a : Types.assignment; v : Dht.vs; hops : int }
+    type transferred = prepared
+
+    (* PREPARE: the heavy owner proposes (vs, seq) to the light node;
+       nothing has moved yet, so a drop aborts cleanly. *)
+    let prepare (a : Types.assignment) v =
+      let hops =
+        match oracle with
+        | Some o ->
+          Graph.Oracle.distance o
+            ~src:(Dht.node dht a.a_from).Dht.underlay
+            ~dst:(Dht.node dht a.a_to).Dht.underlay
+        | None -> 0
+      in
+      incr seq;
+      if send ~src:a.a_from ~dst:a.a_to Prepare_lost then Some { a; v; hops }
+      else None
+
+    (* The crash window, then TRANSFER.  A fail-stop between PREPARE
+       and COMMIT leaves the VS either safely home (dst died: nothing
+       moved) or absorbed by the ring's crash handling (src died with
+       the VS still home) — never half-transferred.  A duplicated
+       delivery carries the same sequence number and reaches the same
+       handler, whose seq check drops it instead of re-applying. *)
+    let transfer p =
+      let crashed =
+        match faults with
+        | None -> false
+        | Some f -> (
+          match Faults.crash_in_window f with
+          | Faults.No_crash -> false
+          | Faults.Crash_dst -> crash_endpoint p.a.a_to Dest_crashed
+          | Faults.Crash_src -> crash_endpoint p.a.a_from Src_crashed)
+      in
+      if crashed then None
+      else begin
+        let duplicated =
+          match faults with None -> false | Some f -> Faults.duplicated f
+        in
+        receive_transfer p.a;
+        if duplicated then receive_transfer p.a;
+        Some p
+      end
+
+    (* COMMIT: the light node acknowledges the TRANSFER it installed;
+       until the ack lands the heavy owner keeps the right to reclaim,
+       so a lost ack rolls the VS back instead of stranding it. *)
+    let commit { a; v; hops } =
+      if send ~src:a.a_to ~dst:a.a_from Commit_lost then begin
+        let load = v.Dht.load in
+        Histogram.add !r.hist ~bin:hops ~weight:load;
+        trace_point "vst/transfer"
+          [
+            ("hops", P2plb_obs.Trace.Int hops);
+            ("load", P2plb_obs.Trace.Float load);
+          ];
+        (match obs with
+        | None -> ()
+        | Some o ->
+          P2plb_obs.Registry.hist_add (P2plb_obs.Obs.metrics o)
+            "vst/hop_cost" ~bin:hops ~weight:load);
+        (* Lazy migration re-homes every KT node planted in the VS. *)
+        let migrated =
+          match tree with
+          | None -> 0
+          | Some t -> Ktree.host_nodes t a.a_vs_id * (Ktree.k t + 1)
+        in
+        r :=
+          {
+            !r with
+            moved_load = !r.moved_load +. load;
+            transfers = !r.transfers + 1;
+            restructure_messages = !r.restructure_messages + migrated;
+          }
+      end
+      else Dht.transfer_vs dht ~vs_id:a.a_vs_id ~to_node:a.a_from
+  end in
   List.iter
     (fun (a : Types.assignment) ->
       match Dht.vs_of_id dht a.a_vs_id with
-      | Some v when v.Dht.owner = a.a_from && Dht.is_alive dht a.a_to -> (
-        let src = Dht.node dht a.a_from and dst = Dht.node dht a.a_to in
-        let hops =
-          match oracle with
-          | Some o ->
-            Graph.Oracle.distance o ~src:src.Dht.underlay
-              ~dst:dst.Dht.underlay
-          | None -> 0
-        in
-        incr seq;
-        let pstate = ref None in
-        advance pstate Prepare;
-        (* PREPARE: the heavy owner proposes (vs, seq) to the light
-           node; nothing has moved yet, so a drop aborts cleanly. *)
-        if send ~src:a.a_from ~dst:a.a_to aborted_prepare_lost "prepare_lost"
-        then
-          (* mid-transfer crash window: a fail-stop between PREPARE and
-             COMMIT must leave the VS either safely home (dst died:
-             nothing moved) or absorbed by the ring's crash handling
-             (src died with the VS still home) — never
-             half-transferred. *)
-          let crashed =
-            match window_crash () with
-            | Faults.No_crash -> false
-            | Faults.Crash_dst ->
-              if crash_endpoint a.a_to then begin
-                abort aborted_dest_crashed "dest_crashed";
-                true
-              end
-              else false
-            | Faults.Crash_src ->
-              if crash_endpoint a.a_from then begin
-                abort aborted_src_crashed "src_crashed";
-                true
-              end
-              else false
-          in
-          if not crashed then begin
-            advance pstate Transfer;
-            (* TRANSFER: the VS moves.  A duplicated delivery carries
-               the same sequence number and reaches the same handler,
-               whose seq check drops it instead of re-applying. *)
-            let deliveries = if duplicated () then 2 else 1 in
-            let installed = ref 0 in
-            for _ = 1 to deliveries do
-              if receive_transfer a !seq then incr installed
-            done;
-            (* COMMIT: the light node acknowledges each TRANSFER it
-               installed; until the ack lands the heavy owner keeps the
-               right to reclaim, so a lost ack rolls the VS back
-               instead of stranding it. *)
-            for _ = 1 to !installed do
-              if send ~src:a.a_to ~dst:a.a_from aborted_commit_lost
-                   "commit_lost"
-              then begin
-                advance pstate Commit;
-                commit a v ~hops
-              end
-              else Dht.transfer_vs dht ~vs_id:a.a_vs_id ~to_node:a.a_from
-            done
-          end)
-      | None ->
-        incr skipped_vs_gone;
-        trace_point "vst/skip" [ ("cause", P2plb_obs.Trace.Str "vs_gone") ]
-      | Some v when v.Dht.owner <> a.a_from ->
-        incr skipped_owner_changed;
-        trace_point "vst/skip"
-          [ ("cause", P2plb_obs.Trace.Str "owner_changed") ]
-      | Some _ ->
-        incr skipped_dest_dead;
-        trace_point "vst/skip" [ ("cause", P2plb_obs.Trace.Str "dest_dead") ])
+      | None -> skip Vs_gone
+      | Some v when v.Dht.owner <> a.a_from -> skip Owner_changed
+      | Some _ when not (Dht.is_alive dht a.a_to) -> skip Dest_dead
+      | Some v ->
+        Option.iter Txn.commit (Option.bind (Txn.prepare a v) Txn.transfer))
     assignments;
   (* Lazy migration: the tree re-checks its planting after the whole
      VSA/VST round (hosts are VS ids, so structure is unchanged; this
      re-validates coverage after ring-state changes). *)
   (match tree with None -> () | Some t -> Ktree.refresh t dht);
-  let aborted =
-    !aborted_prepare_lost + !aborted_partitioned + !aborted_src_crashed
-    + !aborted_dest_crashed + !aborted_commit_lost
+  let r =
+    {
+      !r with
+      skipped =
+        !r.skipped_vs_gone + !r.skipped_owner_changed + !r.skipped_dest_dead;
+      aborted =
+        !r.aborted_prepare_lost + !r.aborted_partitioned
+        + !r.aborted_src_crashed + !r.aborted_dest_crashed
+        + !r.aborted_commit_lost;
+    }
   in
   (match obs with
   | None -> ()
   | Some o ->
     let m = P2plb_obs.Obs.metrics o in
     P2plb_obs.Registry.add (P2plb_obs.Registry.counter m "vst/transfers")
-      !transfers;
+      r.transfers;
     P2plb_obs.Registry.add (P2plb_obs.Registry.counter m "vst/skipped")
-      (!skipped_vs_gone + !skipped_owner_changed + !skipped_dest_dead);
+      r.skipped;
     P2plb_obs.Registry.accum (P2plb_obs.Registry.gauge m "vst/moved_load")
-      !moved_load;
+      r.moved_load;
     P2plb_obs.Registry.add (P2plb_obs.Registry.counter m "vst/aborted")
-      aborted;
+      r.aborted;
     P2plb_obs.Registry.add (P2plb_obs.Registry.counter m "vst/deduped")
-      !deduped);
-  {
-    hist;
-    moved_load = !moved_load;
-    transfers = !transfers;
-    skipped = !skipped_vs_gone + !skipped_owner_changed + !skipped_dest_dead;
-    skipped_vs_gone = !skipped_vs_gone;
-    skipped_owner_changed = !skipped_owner_changed;
-    skipped_dest_dead = !skipped_dest_dead;
-    aborted;
-    aborted_prepare_lost = !aborted_prepare_lost;
-    aborted_partitioned = !aborted_partitioned;
-    aborted_src_crashed = !aborted_src_crashed;
-    aborted_dest_crashed = !aborted_dest_crashed;
-    aborted_commit_lost = !aborted_commit_lost;
-    deduped = !deduped;
-    restructure_messages = !restructure;
-  }
+      r.deduped);
+  r
 
 let mean_transfer_distance r =
   if r.moved_load <= 0.0 then 0.0

@@ -16,7 +16,10 @@ module Faults = P2plb_sim.Faults
     {2 Transactional transfers}
 
     Each assignment runs as a PREPARE -> TRANSFER -> COMMIT transaction
-    with a per-assignment sequence number.  Under a fault plan:
+    with a per-assignment sequence number.  The order is carried by
+    types: each step returns an abstract witness that only the next
+    step accepts, so out-of-order code does not compile.  Under a
+    fault plan:
 
     - a PREPARE lost to message loss or a partition cut aborts before
       anything moves;
@@ -34,20 +37,6 @@ module Faults = P2plb_sim.Faults
     Without a plan every send is delivered, no crash window fires and
     nothing is duplicated; a plan whose rates are all zero draws no
     randomness and gives the same result. *)
-
-type phase = Prepare | Transfer | Commit
-(** The transactional protocol's steps, reified so each has an
-    explicit construction site (checked statically by p2plint rule R8
-    and dynamically by {!advance}). *)
-
-val phase_name : phase -> string
-(** ["PREPARE"] / ["TRANSFER"] / ["COMMIT"]. *)
-
-val advance : phase option ref -> phase -> unit
-(** Per-assignment protocol-state guard: legal transitions are
-    [None -> Prepare -> Transfer -> Commit].  Raises [Invalid_argument]
-    on any other transition; emits nothing.  Aborted/rolled-back transactions simply never
-    advance past their last completed phase. *)
 
 type result = {
   hist : Histogram.t;  (** moved load, binned by underlay hop distance *)
@@ -103,9 +92,9 @@ val apply :
     and books every transfer at distance 0.
 
     [faults] supplies message loss, partition cuts, duplication and
-    mid-window crashes.  Mid-window crashes respect the multiround
-    guard (never empty the ring, never kill a node hosting every VS; a
-    shielded victim lets the transaction proceed).
+    mid-window crashes.  A mid-window crash strikes only an endpoint
+    that {!Dht.can_depart}; a shielded victim lets the transaction
+    proceed.
 
     [obs] records one ["vst/transfer"] trace point per committed
     assignment (attributes [hops], [load] — Figures 7–8 are derivable

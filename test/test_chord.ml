@@ -162,6 +162,35 @@ let test_remove_vs_absorbs () =
   check Alcotest.bool "load conserved" true
     (abs_float (before -. Dht.total_load dht) < 1e-9)
 
+(* A node hosting every VS cannot depart: the ring would empty.  The
+   refusal comes before anything changes, so the node keeps all its
+   VSs and stays alive. *)
+let test_depart_refuses_to_empty_ring () =
+  let dht = build_dht ~seed:10 ~nodes:2 ~vs:3 in
+  List.iter
+    (fun v -> Dht.transfer_vs dht ~vs_id:v.Dht.vs_id ~to_node:0)
+    (Dht.node dht 1).Dht.vss;
+  let version = Dht.ring_version dht in
+  check Alcotest.bool "the host of every VS cannot depart" false
+    (Dht.can_depart dht 0);
+  check Alcotest.bool "an empty node can" true (Dht.can_depart dht 1);
+  List.iter
+    (fun depart ->
+      Alcotest.check_raises "refused"
+        (Invalid_argument
+           "Dht.depart: the node hosts every VS; the ring would empty")
+        (fun () -> depart dht 0);
+      check Alcotest.bool "still alive" true (Dht.is_alive dht 0);
+      check Alcotest.int "keeps every VS" 6
+        (List.length (Dht.node dht 0).Dht.vss);
+      check Alcotest.int "ring untouched" 6 (Dht.n_vs dht);
+      check Alcotest.int "ring version untouched" version
+        (Dht.ring_version dht))
+    [ Dht.crash; Dht.leave ];
+  Dht.crash dht 1;
+  check Alcotest.int "the empty node departs" 1 (Dht.n_nodes dht);
+  check Alcotest.bool "a dead node cannot depart" false (Dht.can_depart dht 1)
+
 let test_report_vs_fallback () =
   let dht = build_dht ~seed:10 ~nodes:3 ~vs:2 in
   let rng = Prng.create ~seed:1 in
@@ -303,6 +332,8 @@ let () =
           Alcotest.test_case "transfer to dead" `Quick
             test_transfer_to_dead_fails;
           Alcotest.test_case "remove_vs absorbs" `Quick test_remove_vs_absorbs;
+          Alcotest.test_case "depart never empties the ring" `Quick
+            test_depart_refuses_to_empty_ring;
           Alcotest.test_case "report_vs fallback" `Quick
             test_report_vs_fallback;
         ] );

@@ -288,8 +288,7 @@ let test_duplicate_dedup_conserves_vs () =
 (* A duplicated TRANSFER reaches the light node's handler twice and
    the (vs, seq) table must drop the replay.  Were it installed, the
    light node would acknowledge it a second time and the transfer
-   would commit twice: counted twice in [transfers] and [moved_load]
-   (or refused as an illegal second COMMIT). *)
+   would commit twice: counted twice in [transfers] and [moved_load]. *)
 let test_duplicate_transfer_applied_once () =
   let dht = Dht.create ~seed:3 in
   let ids =
@@ -318,12 +317,7 @@ let test_duplicate_transfer_applied_once () =
       (Faults.churn ~crash_fraction:0.0 ~message_loss:0.0 ~duplicate_prob:0.9
          ())
   in
-  let r =
-    match Vst.apply ~faults dht assignments with
-    | r -> r
-    | exception Invalid_argument e ->
-      Alcotest.fail ("a replayed TRANSFER was applied: " ^ e)
-  in
+  let r = Vst.apply ~faults dht assignments in
   check Alcotest.bool "some TRANSFERs duplicated" true
     (Faults.duplicates faults > 0);
   check Alcotest.int "every replay dropped" (Faults.duplicates faults)
@@ -394,6 +388,101 @@ let test_loss_only_aborts_conserve_vs () =
   | Ok () -> ()
   | Error e -> Alcotest.fail ("VS conservation under loss: " ^ e)
 
+(* Every skip and abort cause of VST, each reached on purpose: a
+   counter must be positive and equal the number of vst/skip or
+   vst/abort trace points tagged with its cause.  Hand-built
+   assignments give the skips; loss, a partition cut and mid-window
+   crashes give the aborts. *)
+let test_every_vst_cause () =
+  let ring () =
+    let dht = Dht.create ~seed:5 in
+    let ids =
+      Array.init 32 (fun _ -> Dht.join dht ~capacity:1.0 ~underlay:0 ~n_vs:2)
+    in
+    (dht, ids)
+  in
+  let first_vs dht id = (List.hd (Dht.node dht id).Dht.vss).Dht.vs_id in
+  let assign vs_id ~from ~to_ =
+    {
+      Types.a_vs_id = vs_id;
+      a_load = 0.0;
+      a_from = from;
+      a_to = to_;
+      a_depth = 0;
+    }
+  in
+  let skips obs =
+    let dht, ids = ring () in
+    let gone = first_vs dht ids.(0) in
+    Dht.remove_vs dht ~vs_id:gone;
+    Dht.crash dht ids.(3);
+    Vst.apply ~obs dht
+      [
+        assign gone ~from:ids.(0) ~to_:ids.(1);
+        assign (first_vs dht ids.(1)) ~from:ids.(2) ~to_:ids.(0);
+        assign (first_vs dht ids.(2)) ~from:ids.(2) ~to_:ids.(3);
+      ]
+  in
+  (* each node's first VS to the next node, under [config] *)
+  let faulty ?(cut = false) config obs =
+    let dht, ids = ring () in
+    let f = Faults.create ~seed:7 config in
+    if cut then begin
+      let e = Engine.create () in
+      Faults.arm f e ~horizon:1.0 ~population:(Array.length ids)
+        ~crash:(fun ~rank:_ -> ());
+      let t = ref 0.0 in
+      while (not (Faults.partition_active f)) && !t < 1.0 do
+        t := !t +. 0.01;
+        Engine.run_until e ~time:!t
+      done
+    end;
+    let n = Array.length ids in
+    Vst.apply ~obs ~faults:f dht
+      (List.init n (fun i ->
+           assign (first_vs dht ids.(i)) ~from:ids.(i)
+             ~to_:ids.((i + 1) mod n)))
+  in
+  let quiet = Faults.churn ~crash_fraction:0.0 ~message_loss:0.0 in
+  let loss = faulty (Faults.churn ~crash_fraction:0.0 ~message_loss:0.8 ()) in
+  let cut =
+    faulty ~cut:true (quiet ~partitions:1 ~partition_duration:10.0 ())
+  in
+  let window = faulty (quiet ~transfer_crash:0.9 ()) in
+  List.iter
+    (fun (cause, run, count) ->
+      let obs = Obs.create () in
+      let r = run obs in
+      let tagged (ev : Trace.ev) =
+        (String.equal ev.name "vst/skip" || String.equal ev.name "vst/abort")
+        && List.exists
+             (function
+               | "cause", Trace.Str c -> String.equal c cause | _ -> false)
+             ev.attrs
+      in
+      let points =
+        List.length (List.filter tagged (Trace.events (Obs.trace obs)))
+      in
+      check Alcotest.bool (cause ^ " reached") true (count r > 0);
+      check Alcotest.int (cause ^ " counter = trace points") points (count r);
+      check Alcotest.int "skipped is the sum of its causes" r.Vst.skipped
+        (r.Vst.skipped_vs_gone + r.Vst.skipped_owner_changed
+       + r.Vst.skipped_dest_dead);
+      check Alcotest.int "aborted is the sum of its causes" r.Vst.aborted
+        (r.Vst.aborted_prepare_lost + r.Vst.aborted_partitioned
+       + r.Vst.aborted_src_crashed + r.Vst.aborted_dest_crashed
+       + r.Vst.aborted_commit_lost))
+    [
+      ("vs_gone", skips, fun r -> r.Vst.skipped_vs_gone);
+      ("owner_changed", skips, fun r -> r.Vst.skipped_owner_changed);
+      ("dest_dead", skips, fun r -> r.Vst.skipped_dest_dead);
+      ("prepare_lost", loss, fun r -> r.Vst.aborted_prepare_lost);
+      ("commit_lost", loss, fun r -> r.Vst.aborted_commit_lost);
+      ("partitioned", cut, fun r -> r.Vst.aborted_partitioned);
+      ("src_crashed", window, fun r -> r.Vst.aborted_src_crashed);
+      ("dest_crashed", window, fun r -> r.Vst.aborted_dest_crashed);
+    ]
+
 (* ---- no-perturbation digest pins ---------------------------------------- *)
 
 (* Observability digests of a balancing run: a fault plan whose rates
@@ -462,5 +551,7 @@ let () =
             test_no_perturbation_digest_pins;
           Alcotest.test_case "duplicated TRANSFER applied once" `Quick
             test_duplicate_transfer_applied_once;
+          Alcotest.test_case "every skip and abort cause counted" `Quick
+            test_every_vst_cause;
         ] );
     ]

@@ -161,26 +161,6 @@ let test_r7_invisible_per_file () =
   check Alcotest.int "per-file pass misses the lib/sim source" 0
     (List.length (lint "taintprog/lib/sim/ambient.ml"))
 
-(* ---- R8: protocol state machine ---------------------------------------- *)
-
-let test_r8 () =
-  let vs = Protocol.analyze (Callgraph.load [ fixture "protocol" ]) in
-  check Alcotest.int "orderings + counter findings" 4 (List.length vs);
-  check Alcotest.bool "all are R8" true (all_rule "R8" vs);
-  let in_file base =
-    List.filter
-      (fun v -> String.equal (Filename.basename v.Lint.v_file) base)
-      vs
-  in
-  check Alcotest.int "well-ordered protocol is clean" 0
-    (List.length (in_file "proto_ok.ml"));
-  check Alcotest.int "Transfer-sans-Prepare and Commit-sans-Transfer" 2
-    (List.length (in_file "proto_bad.ml"));
-  check Alcotest.int "qualified stray COMMIT flagged anywhere" 1
-    (List.length (in_file "proto_qualified.ml"));
-  check Alcotest.int "unrecorded counter variant" 1
-    (List.length (in_file "proto_counter.ml"))
-
 (* ---- R9: obs discipline ------------------------------------------------- *)
 
 let test_r9 () =
@@ -253,7 +233,7 @@ let test_diagnostic_format () =
     @ lint (Filename.concat "lib" "r6_bad.ml")
     @ lint "r10_bad.ml"
     @ Taint.analyze (taintprog ())
-    @ Protocol.analyze (Callgraph.load [ fixture "protocol" ])
+    @ Protocol.analyze (Callgraph.load [ fixture "obsdisc" ])
   in
   List.iter
     (fun v ->
@@ -320,8 +300,6 @@ let () =
           Alcotest.test_case "invisible to per-file pass" `Quick
             test_r7_invisible_per_file;
         ] );
-      ( "r8-protocol",
-        [ Alcotest.test_case "phase order + counters" `Quick test_r8 ] );
       ( "r9-obs",
         [ Alcotest.test_case "?obs threading + spans" `Quick test_r9 ] );
       ( "report",

@@ -17,8 +17,8 @@
    There is no type checking, so value-level shadowing of a top-level
    name inside a function body can produce a spurious edge, and calls
    through functors or first-class modules produce none.  Both are
-   acceptable for the lint rules built on top (R7 taint, R8 protocol,
-   R9 obs discipline): edges feed path *reporting* and reachability,
+   acceptable for the lint rules built on top (R7 taint, R9 obs
+   discipline): edges feed path *reporting* and reachability,
    and every rule has a per-line suppression for the residue. *)
 
 module SM = Map.Make (String)

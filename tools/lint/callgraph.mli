@@ -9,8 +9,8 @@
 
     The analysis is syntactic (no type checking): value shadowing can
     produce a spurious edge, functor- or first-class-module-mediated
-    calls produce none.  The rules built on top (R7 taint, R8
-    protocol, R9 obs discipline) treat the graph as best-effort and
+    calls produce none.  The rules built on top (R7 taint, R9 obs
+    discipline) treat the graph as best-effort and
     offer per-line suppressions for the residue. *)
 
 module SM : Map.S with type key = string

@@ -47,7 +47,6 @@ let rule_of_keyword = function
   | "allow-catchall" -> Some "R4"
   | "allow-r6" -> Some "R6"
   | "allow-taint" -> Some "R7"
-  | "allow-protocol" -> Some "R8"
   | "allow-obs" -> Some "R9"
   | "allow-r10" -> Some "R10"
   | _ -> None
@@ -105,7 +104,7 @@ let scan_suppressions source =
          | None -> ());
   List.rev !out
 
-(* Shared by the whole-program analyses (R7-R9, tools/lint/taint.ml and
+(* Shared by the whole-program analyses (R7 and R9, tools/lint/taint.ml and
    protocol.ml), whose violations are produced outside [lint_source]
    and therefore filter themselves.  A violation is suppressed by a
    reasoned comment for the same rule on its own line or the line

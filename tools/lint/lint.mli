@@ -69,7 +69,7 @@ val scan_suppressions : string -> suppression list
 (** All [(* p2plint: allow-... *)] comments in a source, in line
     order.  Keywords: [allow-polycompare] (R1), [allow-unordered]
     (R2), [allow-impure] (R3), [allow-catchall] (R4), [allow-r6] (R6),
-    [allow-taint] (R7), [allow-protocol] (R8), [allow-obs] (R9). *)
+    [allow-taint] (R7), [allow-obs] (R9), [allow-r10] (R10). *)
 
 val filter_suppressed : source:string -> violation list -> violation list
 (** Drops violations covered by a reasoned suppression for the same

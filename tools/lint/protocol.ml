@@ -1,108 +1,14 @@
-(* R8 — transfer-protocol state machine; R9 — obs discipline.
-
-   R8 guards the PREPARE -> TRANSFER -> COMMIT shape of transactional
-   VS transfers (lib/core/vst.ml).  [Vst.phase] gives each step an
-   explicit construction site; this pass checks, per top-level
-   binding and in traversal order, that a [Transfer] construction is
-   preceded by a [Prepare] and a [Commit] by a [Transfer].  Bare
-   constructor names are only checked in files that themselves define
-   a variant with all three constructors (vst.ml and fixtures);
-   [Vst.]-qualified constructions are checked everywhere, so a future
-   caller emitting a stray COMMIT is caught at its construction site.
-   The check is a linear approximation of control flow: exclusive
-   branches are traversed in source order, which matches how the
-   protocol is written (each phase's code block follows the
-   previous phase's) and errs toward silence, never toward noise on
-   the legal shape.
-
-   R8 also pins the accounting: in a phase-defining file, every
-   [aborted_*]/[skipped_*] record label must have a recording site —
-   an application like [incr aborted_x] or [abort aborted_x "..."]
-   mentioning the name as a bare argument — so a counter variant
-   added to the result type cannot silently stay at zero.
+(* R9 — obs discipline.
 
    R9 keeps observability lossless in lib/: a function taking [?obs]
    must pass [?obs] (or [~obs]) to every callee that accepts it, and
    a [Trace.begin_span] in a function body must be matched by at
    least one [Trace.end_span] (or replaced by [Trace.with_span]).
 
-   Suppressions: [allow-protocol] (R8), [allow-obs] (R9). *)
+   Suppression: [allow-obs]. *)
 
 module SM = Callgraph.SM
 open Parsetree
-
-let phase_names = [ "Prepare"; "Transfer"; "Commit" ]
-
-(* ---- R8: phase machine ------------------------------------------------- *)
-
-let defines_phase_type ast =
-  List.exists
-    (fun item ->
-      match item.pstr_desc with
-      | Pstr_type (_, decls) ->
-        List.exists
-          (fun d ->
-            match d.ptype_kind with
-            | Ptype_variant ctors ->
-              let names = List.map (fun c -> c.pcd_name.Location.txt) ctors in
-              List.for_all (fun p -> List.mem p names) phase_names
-            | _ -> false)
-          decls
-      | _ -> false)
-    ast
-
-(* [aborted_*]/[skipped_*] labels of record declarations, with locs. *)
-let counter_labels ast =
-  let prefixed name =
-    let has p =
-      let lp = String.length p in
-      String.length name > lp && String.equal (String.sub name 0 lp) p
-    in
-    has "aborted_" || has "skipped_"
-  in
-  List.concat_map
-    (fun item ->
-      match item.pstr_desc with
-      | Pstr_type (_, decls) ->
-        List.concat_map
-          (fun d ->
-            match d.ptype_kind with
-            | Ptype_record labels ->
-              List.filter_map
-                (fun l ->
-                  let name = l.pld_name.Location.txt in
-                  if prefixed name then Some (name, l.pld_loc) else None)
-                labels
-            | _ -> [])
-          decls
-      | _ -> [])
-    ast
-
-(* Idents appearing as bare arguments of a named-function application
-   ([incr x], [abort x "cause"]) — the recording sites.  The deref in
-   a record build ([{ aborted_x = !aborted_x }]) does not count: [!]
-   is an operator, not a lowercase named function. *)
-let recorded_idents ast =
-  let out = ref [] in
-  let super = Ast_iterator.default_iterator in
-  let expr (iter : Ast_iterator.iterator) e =
-    (match e.pexp_desc with
-    | Pexp_apply
-        ({ pexp_desc = Pexp_ident { txt = Longident.Lident fn; _ }; _ }, args)
-      when String.length fn > 0
-           && (match fn.[0] with 'a' .. 'z' | '_' -> true | _ -> false) ->
-      List.iter
-        (fun (_, a) ->
-          match a.pexp_desc with
-          | Pexp_ident { txt = Longident.Lident id; _ } -> out := id :: !out
-          | _ -> ())
-        args
-    | _ -> ());
-    super.expr iter e
-  in
-  let iter = { super with expr } in
-  iter.structure iter ast;
-  !out
 
 let add_viol acc ~file (loc : Location.t) rule msg =
   let p = loc.loc_start in
@@ -114,78 +20,6 @@ let add_viol acc ~file (loc : Location.t) rule msg =
     v_msg = msg;
   }
   :: acc
-
-(* Phase constructions in one top-level binding, checked in traversal
-   order against the established-phase flags. *)
-let check_phase_order ~file ~bare_ok body acc =
-  let acc = ref acc in
-  let seen_prepare = ref false and seen_transfer = ref false in
-  let relevant_phase lid =
-    match Lint.flatten_lid lid with
-    | [ n ] when bare_ok && List.mem n phase_names -> Some n
-    | path -> (
-      match List.rev path with
-      | n :: m :: _ when String.equal m "Vst" && List.mem n phase_names ->
-        Some n
-      | _ -> None)
-  in
-  let super = Ast_iterator.default_iterator in
-  let expr (iter : Ast_iterator.iterator) e =
-    (match e.pexp_desc with
-    | Pexp_construct ({ txt; loc }, _) -> (
-      match relevant_phase txt with
-      | Some "Prepare" -> seen_prepare := true
-      | Some "Transfer" ->
-        if not !seen_prepare then
-          acc :=
-            add_viol !acc ~file loc "R8"
-              "TRANSFER step constructed with no preceding PREPARE in this \
-               binding: the transfer protocol is PREPARE -> TRANSFER -> \
-               COMMIT";
-        seen_transfer := true
-      | Some "Commit" ->
-        if not !seen_transfer then
-          acc :=
-            add_viol !acc ~file loc "R8"
-              "COMMIT step constructed with no preceding TRANSFER in this \
-               binding: the transfer protocol is PREPARE -> TRANSFER -> \
-               COMMIT"
-      | Some _ | None -> ())
-    | _ -> ());
-    super.expr iter e
-  in
-  let iter = { super with expr } in
-  iter.expr iter body;
-  !acc
-
-let analyze_protocol (u : Callgraph.unit_info) acc =
-  let bare_ok = defines_phase_type u.u_ast in
-  let acc =
-    List.fold_left
-      (fun acc item ->
-        match item.pstr_desc with
-        | Pstr_value (_, vbs) ->
-          List.fold_left
-            (fun acc vb ->
-              check_phase_order ~file:u.u_file ~bare_ok vb.pvb_expr acc)
-            acc vbs
-        | _ -> acc)
-      acc u.u_ast
-  in
-  if not bare_ok then acc
-  else begin
-    let recorded = recorded_idents u.u_ast in
-    List.fold_left
-      (fun acc (name, loc) ->
-        if List.mem name recorded then acc
-        else
-          add_viol acc ~file:u.u_file loc "R8"
-            (Printf.sprintf
-               "counter variant '%s' has no recording site: wire an \
-                incr/abort-style call for it (or drop the field)"
-               name))
-      acc (counter_labels u.u_ast)
-  end
 
 (* ---- R9: obs discipline ------------------------------------------------ *)
 
@@ -272,9 +106,8 @@ let analyze_obs (prog : Callgraph.t) (u : Callgraph.unit_info) acc =
 let analyze (prog : Callgraph.t) =
   List.concat_map
     (fun (u : Callgraph.unit_info) ->
-      let viols = analyze_protocol u [] in
       let viols =
-        if Lint.in_lib_file u.u_file then analyze_obs prog u viols else viols
+        if Lint.in_lib_file u.u_file then analyze_obs prog u [] else []
       in
       Lint.filter_suppressed ~source:u.u_source (List.rev viols))
     prog.units

@@ -1,19 +1,10 @@
-(** R8 — transfer-protocol state machine; R9 — obs discipline.
+(** R9 — obs discipline (lib/ only): a function taking [?obs] must
+    pass [?obs] to every callee that accepts it, and any [begin_span]
+    in a function body must be matched by an [end_span] (or replaced
+    by [with_span]).
 
-    R8: per top-level binding, in traversal order, a [Transfer]
-    construction must be preceded by a [Prepare] and a [Commit] by a
-    [Transfer].  Bare constructor names are checked only in files
-    defining a variant with all three constructors; [Vst.]-qualified
-    constructions are checked everywhere.  In phase-defining files,
-    every [aborted_*]/[skipped_*] record label additionally needs a
-    recording site ([incr x] / [abort x "..."]-style application).
-
-    R9 (lib/ only): a function taking [?obs] must pass [?obs] to every
-    callee that accepts it, and any [begin_span] in a function body
-    must be matched by an [end_span] (or replaced by [with_span]).
-
-    Suppressions: [allow-protocol] (R8), [allow-obs] (R9) — reasoned,
-    on the offending line or the line above. *)
+    Suppression: [allow-obs] — reasoned, on the offending line or the
+    line above. *)
 
 val analyze : Callgraph.t -> Lint.violation list
-(** Sorted R8 + R9 violations over the whole program. *)
+(** Sorted R9 violations over the whole program. *)

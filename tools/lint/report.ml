@@ -201,14 +201,6 @@ let explain rule =
        full call path from the entry to the source.  Fix at the \
        source; a reasoned allow-impure (shared with R3) or allow-taint \
        comment there kills every path through it."
-  | "R8" ->
-    Some
-      "R8 — transfer-protocol state machine.  Transactional VS \
-       transfers are PREPARE -> TRANSFER -> COMMIT; constructing a \
-       phase without its predecessor established earlier in the same \
-       top-level binding is out of order.  Every aborted_*/skipped_* \
-       counter in a phase-defining file also needs a recording site.  \
-       Suppress: (* p2plint: allow-protocol — <reason> *)."
   | "R9" ->
     Some
       "R9 — obs discipline (lib/ only).  A function taking ?obs must \
@@ -234,7 +226,7 @@ let explain rule =
   | _ -> None
 
 let all_rules =
-  [ "R1"; "R2"; "R3"; "R4"; "R5"; "R6"; "R7"; "R8"; "R9"; "R10"; "PARSE" ]
+  [ "R1"; "R2"; "R3"; "R4"; "R5"; "R6"; "R7"; "R9"; "R10"; "PARSE" ]
 
 (* ---- whole-program driver ---------------------------------------------- *)
 

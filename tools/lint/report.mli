@@ -30,5 +30,5 @@ val all_rules : string list
 
 val run_all : string list -> Lint.violation list
 (** Per-file rules (R1–R6, via {!Lint.run}) plus the whole-program
-    passes (R7 taint, R8 protocol, R9 obs) over the same paths; sorted
+    passes (R7 taint, R9 obs) over the same paths; sorted
     with {!Lint.compare_violation}. *)
