@@ -10,7 +10,6 @@ module Par = P2plb_sim.Par
 module Obs = P2plb_obs.Obs
 module Trace = P2plb_obs.Trace
 module Registry = P2plb_obs.Registry
-module Summary = P2plb_obs.Summary
 module Spantree = P2plb_obs.Spantree
 module Timeseries = P2plb_obs.Timeseries
 
@@ -69,7 +68,7 @@ let trace_out_arg =
   let doc =
     "Write the run's structured trace to $(docv) as JSONL: one event per \
      line, stamped with simulated time, byte-identical across same-seed \
-     runs.  Render it with $(b,lb_sim trace-summary)."
+     runs.  Read it with $(b,lb_sim trace-analyze)."
   in
   Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
 
@@ -346,25 +345,6 @@ let trace_file_arg =
   let doc = "Trace to render (JSONL, as written by $(b,--trace-out))." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc)
 
-let load_trace cmd file =
-  match Trace.load_jsonl file with
-  | Ok evs -> evs
-  | Error e ->
-    prerr_endline (cmd ^ ": " ^ e);
-    exit 1
-
-let trace_summary =
-  Cmd.v
-    (Cmd.info "trace-summary"
-       ~doc:
-         "Render a recorded trace: per-phase span tables, point-event \
-          counts, and the hop-cost distribution reconstructed from \
-          vst/transfer events.")
-    Term.(
-      const (fun file ->
-          print_string (Summary.render (load_trace "trace-summary" file)))
-      $ trace_file_arg)
-
 let trace_analyze =
   let phase_arg =
     let doc = "Keep only spans named $(docv) (e.g. $(b,phase/vst))." in
@@ -383,19 +363,21 @@ let trace_analyze =
     Arg.(value & flag & info [ "json" ] ~doc)
   in
   let run file phase round json =
-    match Spantree.of_events (load_trace "trace-analyze" file) with
+    match Result.bind (Trace.load_jsonl file) Spantree.of_events with
     | Error e ->
       prerr_endline ("trace-analyze: " ^ e);
       exit 1
-    | Ok forest ->
-      if json then print_string (Spantree.to_jsonl ?phase ?round forest)
-      else print_string (Spantree.render ?phase ?round forest)
+    | Ok t ->
+      if json then print_string (Spantree.to_jsonl ?phase ?round t)
+      else print_string (Spantree.render ?phase ?round t)
   in
   Cmd.v
     (Cmd.info "trace-analyze"
        ~doc:
          "Reconstruct the span forest from a recorded trace and report \
-          per-round critical paths and per-phase simulated-time breakdowns.")
+          per-round critical paths and per-phase simulated-time \
+          breakdowns, whole-trace span totals, point-event counts, and the \
+          hop-cost distribution reconstructed from vst/transfer events.")
     Term.(const run $ trace_file_arg $ phase_arg $ round_arg $ json_arg)
 
 let () =
@@ -409,4 +391,4 @@ let () =
     (Cmd.eval
        (Cmd.group info
           (List.map entry_cmd E.registry
-          @ [ all; chaos; verify; convergence; trace_summary; trace_analyze ])))
+          @ [ all; chaos; verify; convergence; trace_analyze ])))

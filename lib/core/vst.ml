@@ -25,8 +25,8 @@ type result = {
 (* Why an assignment was skipped (the first three) or its transaction
    aborted (the rest).  The type is not exported, so a cause that no
    code path raises is a build error (warning 37, "never used to build
-   values"); [tally] matches every cause, so one without a result field
-   does not compile either. *)
+   values"); [tally] matches every cause, so one without a counter does
+   not compile either. *)
 type cause =
   | Vs_gone
   | Owner_changed
@@ -47,19 +47,33 @@ let cause_name = function
   | Dest_crashed -> "dest_crashed"
   | Commit_lost -> "commit_lost"
 
-(* [r] with the counter of [c] bumped. *)
-let tally r = function
-  | Vs_gone -> { r with skipped_vs_gone = r.skipped_vs_gone + 1 }
-  | Owner_changed ->
-    { r with skipped_owner_changed = r.skipped_owner_changed + 1 }
-  | Dest_dead -> { r with skipped_dest_dead = r.skipped_dest_dead + 1 }
-  | Prepare_lost ->
-    { r with aborted_prepare_lost = r.aborted_prepare_lost + 1 }
-  | Partitioned -> { r with aborted_partitioned = r.aborted_partitioned + 1 }
-  | Src_crashed -> { r with aborted_src_crashed = r.aborted_src_crashed + 1 }
-  | Dest_crashed ->
-    { r with aborted_dest_crashed = r.aborted_dest_crashed + 1 }
-  | Commit_lost -> { r with aborted_commit_lost = r.aborted_commit_lost + 1 }
+(* The counters [apply] bumps as it goes; the [result] record is built
+   from them once, at the end, instead of copied at every step. *)
+type counts = {
+  mutable moved_load : float;
+  mutable transfers : int;
+  mutable vs_gone : int;
+  mutable owner_changed : int;
+  mutable dest_dead : int;
+  mutable prepare_lost : int;
+  mutable partitioned : int;
+  mutable src_crashed : int;
+  mutable dest_crashed : int;
+  mutable commit_lost : int;
+  mutable deduped : int;
+  mutable restructure_messages : int;
+}
+
+(* Bumps the counter of [c]. *)
+let tally n = function
+  | Vs_gone -> n.vs_gone <- n.vs_gone + 1
+  | Owner_changed -> n.owner_changed <- n.owner_changed + 1
+  | Dest_dead -> n.dest_dead <- n.dest_dead + 1
+  | Prepare_lost -> n.prepare_lost <- n.prepare_lost + 1
+  | Partitioned -> n.partitioned <- n.partitioned + 1
+  | Src_crashed -> n.src_crashed <- n.src_crashed + 1
+  | Dest_crashed -> n.dest_crashed <- n.dest_crashed + 1
+  | Commit_lost -> n.commit_lost <- n.commit_lost + 1
 
 let apply ?tree ?obs ?faults ?oracle dht assignments =
   let trace_point name attrs =
@@ -67,25 +81,22 @@ let apply ?tree ?obs ?faults ?oracle dht assignments =
     | None -> ()
     | Some o -> P2plb_obs.Trace.point (P2plb_obs.Obs.trace o) name ~attrs
   in
-  let r =
-    ref
-      {
-        hist = Histogram.create ();
-        moved_load = 0.0;
-        transfers = 0;
-        skipped = 0;
-        skipped_vs_gone = 0;
-        skipped_owner_changed = 0;
-        skipped_dest_dead = 0;
-        aborted = 0;
-        aborted_prepare_lost = 0;
-        aborted_partitioned = 0;
-        aborted_src_crashed = 0;
-        aborted_dest_crashed = 0;
-        aborted_commit_lost = 0;
-        deduped = 0;
-        restructure_messages = 0;
-      }
+  let hist = Histogram.create () in
+  let n =
+    {
+      moved_load = 0.0;
+      transfers = 0;
+      vs_gone = 0;
+      owner_changed = 0;
+      dest_dead = 0;
+      prepare_lost = 0;
+      partitioned = 0;
+      src_crashed = 0;
+      dest_crashed = 0;
+      commit_lost = 0;
+      deduped = 0;
+      restructure_messages = 0;
+    }
   in
   (* Per-assignment sequence numbers: the pair (vs id, seq) names one
      transaction, so a replayed TRANSFER is recognised and dropped.  A
@@ -94,11 +105,11 @@ let apply ?tree ?obs ?faults ?oracle dht assignments =
   let seq = ref 0 in
   let installed_seq = ref 0 in
   let skip cause =
-    r := tally !r cause;
+    tally n cause;
     trace_point "vst/skip" [ ("cause", P2plb_obs.Trace.Str (cause_name cause)) ]
   in
   let abort cause =
-    r := tally !r cause;
+    tally n cause;
     trace_point "vst/abort"
       [
         ("cause", P2plb_obs.Trace.Str (cause_name cause));
@@ -136,7 +147,7 @@ let apply ?tree ?obs ?faults ?oracle dht assignments =
      (vs, seq) transaction and drops any replay of it. *)
   let receive_transfer (a : Types.assignment) =
     if !installed_seq = !seq then begin
-      r := { !r with deduped = !r.deduped + 1 };
+      n.deduped <- n.deduped + 1;
       trace_point "vst/dedup" [ ("seq", P2plb_obs.Trace.Int !seq) ]
     end
     else begin
@@ -205,7 +216,7 @@ let apply ?tree ?obs ?faults ?oracle dht assignments =
     let commit { a; v; hops } =
       if send ~src:a.a_to ~dst:a.a_from Commit_lost then begin
         let load = v.Dht.load in
-        Histogram.add !r.hist ~bin:hops ~weight:load;
+        Histogram.add hist ~bin:hops ~weight:load;
         trace_point "vst/transfer"
           [
             ("hops", P2plb_obs.Trace.Int hops);
@@ -222,13 +233,9 @@ let apply ?tree ?obs ?faults ?oracle dht assignments =
           | None -> 0
           | Some t -> Ktree.host_nodes t a.a_vs_id * (Ktree.k t + 1)
         in
-        r :=
-          {
-            !r with
-            moved_load = !r.moved_load +. load;
-            transfers = !r.transfers + 1;
-            restructure_messages = !r.restructure_messages + migrated;
-          }
+        n.moved_load <- n.moved_load +. load;
+        n.transfers <- n.transfers + 1;
+        n.restructure_messages <- n.restructure_messages + migrated
       end
       else Dht.transfer_vs dht ~vs_id:a.a_vs_id ~to_node:a.a_from
   end in
@@ -247,13 +254,23 @@ let apply ?tree ?obs ?faults ?oracle dht assignments =
   (match tree with None -> () | Some t -> Ktree.refresh t dht);
   let r =
     {
-      !r with
-      skipped =
-        !r.skipped_vs_gone + !r.skipped_owner_changed + !r.skipped_dest_dead;
+      hist;
+      moved_load = n.moved_load;
+      transfers = n.transfers;
+      skipped = n.vs_gone + n.owner_changed + n.dest_dead;
+      skipped_vs_gone = n.vs_gone;
+      skipped_owner_changed = n.owner_changed;
+      skipped_dest_dead = n.dest_dead;
       aborted =
-        !r.aborted_prepare_lost + !r.aborted_partitioned
-        + !r.aborted_src_crashed + !r.aborted_dest_crashed
-        + !r.aborted_commit_lost;
+        n.prepare_lost + n.partitioned + n.src_crashed + n.dest_crashed
+        + n.commit_lost;
+      aborted_prepare_lost = n.prepare_lost;
+      aborted_partitioned = n.partitioned;
+      aborted_src_crashed = n.src_crashed;
+      aborted_dest_crashed = n.dest_crashed;
+      aborted_commit_lost = n.commit_lost;
+      deduped = n.deduped;
+      restructure_messages = n.restructure_messages;
     }
   in
   (match obs with
@@ -272,7 +289,7 @@ let apply ?tree ?obs ?faults ?oracle dht assignments =
       r.deduped);
   r
 
-let mean_transfer_distance r =
+let mean_transfer_distance (r : result) =
   if r.moved_load <= 0.0 then 0.0
   else
     List.fold_left

@@ -1,10 +1,12 @@
+module Histogram = P2plb_metrics.Histogram
 module Report = P2plb_metrics.Report
 
 (* Span-forest reconstruction and critical-path analytics over a
    trace's event list.  Begin events carry explicit parent ids, each
-   validated against the replayed open-span set.  All outputs are
-   deterministic — ordering comes from event order, never from
-   hash-table traversal. *)
+   validated against the replayed open-span set.  The same pass counts
+   point events per name and rebuilds the Fig. 7 hop histograms from
+   vst/transfer points.  All outputs are deterministic — ordering comes
+   from event order and typed sorts, never from hash-table traversal. *)
 
 type node = {
   nd_id : int;
@@ -17,6 +19,12 @@ type node = {
   nd_children : node list;
 }
 
+type t = {
+  roots : node list;
+  point_counts : (string * int) list;
+  hop_histograms : (string * Histogram.t) list;
+}
+
 type builder = {
   b_id : int;
   b_name : string;
@@ -27,13 +35,33 @@ type builder = {
   mutable b_attrs : (string * Trace.value) list; (* reversed *)
   mutable b_children : builder list; (* reversed, begin order *)
   mutable b_points : int;
+  b_mode : string; (* the begin event's "mode" attr, "all" without one *)
 }
+
+let attr_float = function
+  | Trace.Float f -> Some f
+  | Trace.Int i -> Some (float_of_int i)
+  | Trace.Bool _ | Trace.Str _ -> None
+
+(* The cell of [key] in an association list of mutable cells, added
+   with [init ()] on first sight; the list stays in first-seen order. *)
+let cell cells key init =
+  match List.assoc_opt key !cells with
+  | Some c -> c
+  | None ->
+    let c = init () in
+    cells := (key, c) :: !cells;
+    c
+
+let by_key l = List.sort (fun (a, _) (b, _) -> String.compare a b) l
 
 let of_events evs =
   let by_id : (int, builder) Hashtbl.t = Hashtbl.create 64 in
   let all = ref [] (* reversed creation order *) in
   let roots = ref [] (* reversed *) in
   let stack = ref [] (* open span ids, innermost first *) in
+  let points = ref [] (* point name -> count *) in
+  let hops = ref [] (* enclosing span's mode -> histogram *) in
   let err = ref None in
   let fail msg = if Option.is_none !err then err := Some msg in
   let on_begin (e : Trace.ev) =
@@ -58,6 +86,11 @@ let of_events evs =
           b_attrs = List.rev e.attrs;
           b_children = [];
           b_points = 0;
+          b_mode =
+            (match List.assoc_opt "mode" e.attrs with
+            | Some (Trace.Str m) -> m
+            | Some (Trace.Bool _ | Trace.Int _ | Trace.Float _) | None ->
+              "all");
         }
       in
       Hashtbl.replace by_id e.span b;
@@ -83,11 +116,21 @@ let of_events evs =
            "end of span %d ('%s') with no matching begin (unbalanced trace)"
            e.span e.name)
   in
+  (* A point counts toward its span and its name; a vst/transfer point
+     also adds its load at its hop distance to the histogram of its
+     span's mode. *)
   let on_point (e : Trace.ev) =
-    if e.span >= 0 then
-      match Hashtbl.find_opt by_id e.span with
-      | Some b -> b.b_points <- b.b_points + 1
-      | None -> ()
+    let span = if e.span >= 0 then Hashtbl.find_opt by_id e.span else None in
+    Option.iter (fun b -> b.b_points <- b.b_points + 1) span;
+    incr (cell points e.name (fun () -> ref 0));
+    if String.equal e.name "vst/transfer" then
+      let num k = Option.bind (List.assoc_opt k e.attrs) attr_float in
+      match (num "hops", num "load") with
+      | Some bin, Some weight ->
+        let mode = match span with Some b -> b.b_mode | None -> "all" in
+        Histogram.add (cell hops mode Histogram.create) ~bin:(int_of_float bin)
+          ~weight
+      | _ -> ()
   in
   List.iter
     (fun (e : Trace.ev) ->
@@ -122,7 +165,12 @@ let of_events evs =
         nd_children = List.rev_map freeze b.b_children |> List.rev;
       }
     in
-    Ok (List.rev_map freeze !roots |> List.rev)
+    Ok
+      {
+        roots = List.rev_map freeze !roots |> List.rev;
+        point_counts = by_key (List.map (fun (k, n) -> (k, !n)) !points);
+        hop_histograms = by_key !hops;
+      }
 
 (* ---- analytics --------------------------------------------------------- *)
 
@@ -179,21 +227,51 @@ let rounds forest =
   List.map (fun (i, acc) -> { r_index = i; r_roots = List.rev !acc }) !tbl
   |> List.sort (fun a b -> Int.compare a.r_index b.r_index)
 
-(* Per-name aggregate over every span in the trees: name, count, total
-   extent, total self-time.  Sorted by name. *)
+type phase_row = {
+  p_name : string;
+  p_count : int;
+  p_time : float;
+  p_self : float;
+  p_totals : (string * float) list;
+}
+
+(* How a span's numeric attr folds into its name's total: counts add
+   up, a tree depth is a high-water mark, and a round's index is its
+   key, not a figure. *)
+let add_attr totals (k, v) =
+  match (k, attr_float v) with
+  | "index", _ | _, None -> totals
+  | _, Some x -> (
+    let combine = if String.equal k "depth" then Float.max else ( +. ) in
+    match List.assoc_opt k totals with
+    | Some cur -> (k, combine cur x) :: List.remove_assoc k totals
+    | None -> (k, x) :: totals)
+
+(* Per-name aggregate over every span in the trees.  Sorted by name. *)
 let phase_rows roots =
-  let acc = ref [] in
+  let rows = ref [] in
   let rec visit n =
-    (match List.assoc_opt n.nd_name !acc with
-    | Some cell ->
-      let c, e, s = !cell in
-      cell := (c + 1, e +. extent n, s +. self_time n)
-    | None -> acc := (n.nd_name, ref (1, extent n, self_time n)) :: !acc);
+    let row = cell rows n.nd_name (fun () -> ref (0, 0.0, 0.0, [])) in
+    let c, e, s, totals = !row in
+    row :=
+      ( c + 1,
+        e +. extent n,
+        s +. self_time n,
+        List.fold_left add_attr totals n.nd_attrs );
     List.iter visit n.nd_children
   in
   List.iter visit roots;
-  List.map (fun (name, cell) -> let c, e, s = !cell in (name, c, e, s)) !acc
-  |> List.sort (fun (a, _, _, _) (b, _, _, _) -> String.compare a b)
+  List.map
+    (fun (name, row) ->
+      let c, e, s, totals = !row in
+      {
+        p_name = name;
+        p_count = c;
+        p_time = e;
+        p_self = s;
+        p_totals = by_key totals;
+      })
+    (by_key !rows)
 
 let round_extent r =
   List.fold_left (fun acc n -> acc +. extent n) 0.0 r.r_roots
@@ -211,8 +289,14 @@ let round_critical_path r =
     in
     critical_path best
 
-let matches_phase phase (name, _, _, _) =
-  match phase with None -> true | Some p -> String.equal p name
+let matches_phase phase row =
+  match phase with None -> true | Some p -> String.equal p row.p_name
+
+let select_rounds round forest =
+  let rs = rounds forest in
+  match round with
+  | None -> rs
+  | Some i -> List.filter (fun r -> Int.equal r.r_index i) rs
 
 (* ---- rendering --------------------------------------------------------- *)
 
@@ -222,14 +306,57 @@ let path_to_string path =
        (fun n -> Printf.sprintf "%s[%s]" n.nd_name (Report.float_cell (extent n)))
        path)
 
-let render ?phase ?round forest =
-  let buf = Buffer.create 1024 in
-  let rs = rounds forest in
-  let rs =
-    match round with
-    | None -> rs
-    | Some i -> List.filter (fun r -> Int.equal r.r_index i) rs
+let totals_to_string totals =
+  String.concat " "
+    (List.map
+       (fun (k, v) ->
+         if Float.is_integer v && Float.abs v < 1e15 then
+           Printf.sprintf "%s=%.0f" k v
+         else Printf.sprintf "%s=%.4g" k v)
+       totals)
+
+let render_hops named =
+  let max_bin =
+    List.fold_left (fun m (_, h) -> Int.max m (Histogram.max_bin h)) (-1) named
   in
+  let rows =
+    List.filter_map
+      (fun b ->
+        if List.for_all (fun (_, h) -> Histogram.weight_at h b = 0.0) named
+        then None
+        else
+          Some
+            (string_of_int b
+            :: List.concat_map
+                 (fun (_, h) ->
+                   [
+                     Report.percent_cell (Histogram.fraction_at h b);
+                     Report.percent_cell (Histogram.cumulative_fraction h b);
+                   ])
+                 named))
+      (List.init (max_bin + 1) Fun.id)
+  in
+  let cdf_series h =
+    List.map (fun (b, f) -> (float_of_int b, f)) (Histogram.to_cdf h)
+  in
+  Report.table
+    ~title:
+      "Hop-cost of transferred load, reconstructed from vst/transfer \
+       events (grouped by the enclosing span's mode)"
+    ~header:
+      ("hops"
+      :: List.concat_map (fun (m, _) -> [ m ^ " %"; m ^ " CDF" ]) named)
+    rows
+  ^ "\n"
+  ^ Report.ascii_plot ~title:"CDF of moved load vs transfer distance"
+      ~x_label:"hops" ~y_label:"CDF"
+      ~series:(List.map (fun (m, h) -> (m, cdf_series h)) named)
+      ()
+
+let render ?phase ?round t =
+  let buf = Buffer.create 1024 in
+  let forest = t.roots in
+  let rs = select_rounds round forest in
   Buffer.add_string buf
     (Printf.sprintf "span forest: %d spans, %d rounds, depth %d\n"
        (n_spans forest) (List.length rs) (depth forest));
@@ -238,14 +365,14 @@ let render ?phase ?round forest =
       let total = round_extent r in
       let rows =
         List.filter (matches_phase phase) (phase_rows r.r_roots)
-        |> List.map (fun (name, count, ext, self) ->
+        |> List.map (fun p ->
                [
-                 name;
-                 string_of_int count;
-                 Report.float_cell ext;
-                 Report.float_cell self;
+                 p.p_name;
+                 string_of_int p.p_count;
+                 Report.float_cell p.p_time;
+                 Report.float_cell p.p_self;
                  (if Float.compare total 0.0 > 0 then
-                    Report.percent_cell (ext /. total)
+                    Report.percent_cell (p.p_time /. total)
                   else "-");
                ])
       in
@@ -263,18 +390,45 @@ let render ?phase ?round forest =
         Buffer.add_string buf
           (Printf.sprintf "critical path: %s\n" (path_to_string path)))
     rs;
+  (* The whole-trace sections cover every round; [?phase] still narrows
+     the span table. *)
+  (match List.filter (matches_phase phase) (phase_rows forest) with
+  | [] -> ()
+  | rows ->
+    Buffer.add_char buf '\n';
+    Buffer.add_string buf
+      (Report.table ~title:"whole trace (attrs summed; depth is the max)"
+         ~header:[ "span"; "count"; "time"; "self"; "totals" ]
+         (List.map
+            (fun p ->
+              [
+                p.p_name;
+                string_of_int p.p_count;
+                Report.float_cell p.p_time;
+                Report.float_cell p.p_self;
+                totals_to_string p.p_totals;
+              ])
+            rows)));
+  (match t.point_counts with
+  | [] -> ()
+  | points ->
+    Buffer.add_char buf '\n';
+    Buffer.add_string buf
+      (Report.table ~title:"Point events" ~header:[ "event"; "count" ]
+         (List.map (fun (name, n) -> [ name; string_of_int n ]) points)));
+  (match t.hop_histograms with
+  | [] -> ()
+  | named ->
+    Buffer.add_char buf '\n';
+    Buffer.add_string buf (render_hops named));
   Buffer.contents buf
 
 (* Machine-readable report: one flat JSON object per line, floats in
    the canonical round-tripping spelling so the output is byte-stable. *)
-let to_jsonl ?phase ?round forest =
+let to_jsonl ?phase ?round t =
   let buf = Buffer.create 1024 in
-  let rs = rounds forest in
-  let rs =
-    match round with
-    | None -> rs
-    | Some i -> List.filter (fun r -> Int.equal r.r_index i) rs
-  in
+  let forest = t.roots in
+  let rs = select_rounds round forest in
   Buffer.add_string buf
     (Printf.sprintf "{\"k\":\"forest\",\"spans\":%d,\"rounds\":%d,\"depth\":%d}\n"
        (n_spans forest) (List.length rs) (depth forest));
@@ -295,13 +449,30 @@ let to_jsonl ?phase ?round forest =
            crit
            (Trace.float_to_string crit_time));
       List.iter
-        (fun (name, count, ext, self) ->
+        (fun p ->
           Buffer.add_string buf
             (Printf.sprintf
                "{\"k\":\"phase\",\"round\":%d,\"name\":\"%s\",\"count\":%d,\"time\":%s,\"self\":%s}\n"
-               r.r_index name count
-               (Trace.float_to_string ext)
-               (Trace.float_to_string self)))
+               r.r_index p.p_name p.p_count
+               (Trace.float_to_string p.p_time)
+               (Trace.float_to_string p.p_self)))
         (List.filter (matches_phase phase) (phase_rows r.r_roots)))
     rs;
+  List.iter
+    (fun (name, n) ->
+      Buffer.add_string buf
+        (Printf.sprintf "{\"k\":\"point\",\"name\":\"%s\",\"count\":%d}\n"
+           name n))
+    t.point_counts;
+  List.iter
+    (fun (mode, h) ->
+      List.iter
+        (fun (bin, load) ->
+          Buffer.add_string buf
+            (Printf.sprintf
+               "{\"k\":\"hops\",\"mode\":\"%s\",\"bin\":%d,\"load\":%s}\n"
+               mode bin
+               (Trace.float_to_string load)))
+        (Histogram.bins h))
+    t.hop_histograms;
   Buffer.contents buf

@@ -1,11 +1,18 @@
-(** Span-forest reconstruction and critical-path analytics.
+module Histogram = P2plb_metrics.Histogram
+
+(** Offline trace reading: span forest, per-round and whole-trace
+    tables, point counts and the Fig. 7 hop histograms — the
+    [lb_sim trace-analyze FILE] backend.
 
     Rebuilds the tree of spans from a trace's event list — from the
     explicit parent id on every [Begin] event, validated against the
-    replayed open-span set — then answers the
-    convergence-profiling questions the flat {!Summary} tables cannot:
-    which phase dominates a round's critical path, and how simulated
-    time splits between a span and its children.
+    replayed open-span set — and answers which phase dominates a
+    round's critical path and how simulated time splits between a span
+    and its children.  The same pass counts point events per name and
+    rebuilds the paper's Figure 7/8 histogram (moved load by underlay
+    hop distance) from ["vst/transfer"] points, grouped by the ["mode"]
+    attribute of the enclosing ["phase/vst"] span, without re-running
+    the experiment.
 
     Everything is deterministic: ordering derives from event order and
     typed sorts only, so the JSONL report is byte-identical across
@@ -23,8 +30,18 @@ type node = {
   nd_children : node list;  (** in begin order *)
 }
 
-val of_events : Trace.ev list -> (node list, string) result
-(** The span forest (roots in begin order).  [Error] carries a
+type t = {
+  roots : node list;  (** the span forest, roots in begin order *)
+  point_counts : (string * int) list;
+      (** point events per name, sorted by name *)
+  hop_histograms : (string * Histogram.t) list;
+      (** load-weighted hop histograms rebuilt from ["vst/transfer"]
+          points ([hops] bin, [load] weight), one per enclosing span's
+          ["mode"] (["all"] when untagged), sorted by mode *)
+}
+
+val of_events : Trace.ev list -> (t, string) result
+(** The trace read in one pass.  [Error] carries a
     diagnostic for malformed traces: a span that begins twice, ends
     twice, ends without beginning, never ends (unbalanced), or
     declares a parent id that is not an open span (orphan parent). *)
@@ -59,17 +76,34 @@ val rounds : node list -> round list
 val round_extent : round -> float
 val round_critical_path : round -> node list
 
-val phase_rows : node list -> (string * int * float * float) list
-(** Per-name aggregates over every span under the given roots:
-    (name, count, total extent, total self-time), sorted by name. *)
+type phase_row = {
+  p_name : string;
+  p_count : int;
+  p_time : float;  (** total extent *)
+  p_self : float;  (** total self-time *)
+  p_totals : (string * float) list;
+      (** numeric attrs by key, sorted: summed, except ["depth"], which
+          is the max, and ["index"] (the round key), which is dropped *)
+}
+
+val phase_rows : node list -> phase_row list
+(** Per-name aggregates over every span under the given roots, sorted
+    by name. *)
 
 (** {1 Reports} *)
 
-val render : ?phase:string -> ?round:int -> node list -> string
-(** Human-readable report: per-round phase tables plus the critical
-    path.  [?round] keeps one round, [?phase] one span name. *)
+val render : ?phase:string -> ?round:int -> t -> string
+(** Human-readable report: per-round phase tables with their critical
+    paths, then the whole-trace sections — one span table over every
+    root with attr totals, the point-event counts, and the hop-cost
+    table with its ASCII CDF plot.  [?round] keeps one round's table;
+    [?phase] keeps one span name in both span tables.  The point
+    counts and hop-cost section always cover the whole trace. *)
 
-val to_jsonl : ?phase:string -> ?round:int -> node list -> string
+val to_jsonl : ?phase:string -> ?round:int -> t -> string
 (** Machine-readable report, one flat JSON object per line
-    ([{"k":"forest",...}], [{"k":"round",...}], [{"k":"phase",...}])
-    with canonical float spellings — byte-stable across runs. *)
+    ([{"k":"forest",...}], [{"k":"round",...}], [{"k":"phase",...}],
+    then [{"k":"point","name":...,"count":...}] per point name and
+    [{"k":"hops","mode":...,"bin":...,"load":...}] per non-empty bin)
+    with canonical float spellings — byte-stable across runs.  The
+    filters act as in {!render}. *)

@@ -12,7 +12,7 @@
     ["phase/<name>"] (e.g. ["phase/vsa"]), point events are
     ["<subsystem>/<event>"] (e.g. ["vst/transfer"], ["fault/drop"],
     ["kt/replant"]).  Point events are attributed to the innermost
-    open span, which is how {!Summary} groups per-transfer hop costs
+    open span, which is how {!Spantree} groups per-transfer hop costs
     by the round mode recorded on the enclosing ["phase/vst"] span. *)
 
 type value = Bool of bool | Int of int | Float of float | Str of string
@@ -122,7 +122,7 @@ val parse_jsonl : string -> (ev list, string) result
 val load_jsonl : string -> (ev list, string) result
 (** {!parse_jsonl} on a file's contents.  [Error] carries a one-line
     diagnostic (missing file, missing header, or the offending line
-    number) — callers such as [lb_sim trace-summary] turn it into
+    number) — callers such as [lb_sim trace-analyze] turn it into
     exit code 1. *)
 
 (** {1 Flat-line JSON view}

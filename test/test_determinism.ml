@@ -10,7 +10,7 @@ module Csv = P2plb_metrics.Csv
 module Obs = P2plb_obs.Obs
 module Trace = P2plb_obs.Trace
 module Registry = P2plb_obs.Registry
-module Summary = P2plb_obs.Summary
+module Spantree = P2plb_obs.Spantree
 module Histogram = P2plb_metrics.Histogram
 
 let check = Alcotest.check
@@ -110,11 +110,15 @@ let test_observation_does_not_perturb () =
 
 let test_trace_rebuilds_fig7_histogram () =
   (* Fig. 7 from the trace alone: the load-weighted hop histogram the
-     summary derives from vst/transfer events must match the one the
-     experiment computed natively — exact bins, weights to summation
-     order. *)
+     trace reader derives from vst/transfer events must match the one
+     the experiment computed natively — exact bins, weights to
+     summation order. *)
   let r, o = observed_fig7 42 in
-  let hists = Summary.hop_histograms (Trace.events (Obs.trace o)) in
+  let hists =
+    match Spantree.of_events (Trace.events (Obs.trace o)) with
+    | Ok t -> t.Spantree.hop_histograms
+    | Error e -> Alcotest.fail ("trace does not read back: " ^ e)
+  in
   match List.assoc_opt "aware" hists with
   | None -> Alcotest.fail "trace has no aware hop histogram"
   | Some h ->

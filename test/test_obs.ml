@@ -1,10 +1,10 @@
 (* lib/obs unit tests: trace event recording (span stack, point
    attribution, clocks), the JSONL sink and its inverse, digest
-   stability, the metrics registry, and the trace-summary tables. *)
+   stability, the metrics registry, and the offline trace reader
+   (Spantree: span forest, whole-trace tables, hop histograms). *)
 
 module Trace = P2plb_obs.Trace
 module Registry = P2plb_obs.Registry
-module Summary = P2plb_obs.Summary
 module Obs = P2plb_obs.Obs
 module Spantree = P2plb_obs.Spantree
 module Timeseries = P2plb_obs.Timeseries
@@ -225,7 +225,7 @@ let test_spantree_forest () =
   let t = build_v2_trace () in
   match Spantree.of_events (Trace.events t) with
   | Error e -> Alcotest.fail ("of_events failed: " ^ e)
-  | Ok roots ->
+  | Ok { Spantree.roots; _ } ->
     check Alcotest.int "one root" 1 (List.length roots);
     check Alcotest.int "three spans" 3 (Spantree.n_spans roots);
     check Alcotest.int "depth two" 2 (Spantree.depth roots);
@@ -250,22 +250,19 @@ let test_spantree_forest () =
       check Alcotest.int "round index from the attr" 0 r.Spantree.r_index;
       check feq9 "round extent via grouping" 1.0 (Spantree.round_extent r)
     | rs -> Alcotest.fail (Printf.sprintf "%d rounds" (List.length rs)));
-    (match Spantree.phase_rows roots with
-    | [ (n1, 1, _, _); (n2, 1, _, _); (n3, 1, _, _) ] ->
-      check
-        Alcotest.(list string)
-        "phase rows sorted by name"
-        [ "phase/kt"; "phase/vst"; "round" ]
-        [ n1; n2; n3 ]
-    | rows ->
-      Alcotest.fail (Printf.sprintf "%d phase rows" (List.length rows)))
+    let rows = Spantree.phase_rows roots in
+    check
+      Alcotest.(list (pair string int))
+      "phase rows sorted by name, one span each"
+      [ ("phase/kt", 1); ("phase/vst", 1); ("round", 1) ]
+      (List.map (fun p -> (p.Spantree.p_name, p.Spantree.p_count)) rows)
 
 let test_spantree_jsonl_deterministic () =
   let render_once () =
     let t = build_v2_trace () in
     match Spantree.of_events (Trace.events t) with
     | Error e -> Alcotest.fail e
-    | Ok roots -> Spantree.to_jsonl roots
+    | Ok t -> Spantree.to_jsonl t
   in
   let a = render_once () in
   check Alcotest.string "byte-identical across builds" a (render_once ());
@@ -554,7 +551,7 @@ let test_registry_dump_sorted_and_stable () =
     Alcotest.(list string)
     "rows sorted by name" (List.sort String.compare names) names
 
-(* ---- summary ------------------------------------------------------------ *)
+(* ---- whole-trace tables and hop histograms ----------------------------- *)
 
 let synthetic_vst_trace () =
   let t = Trace.create () in
@@ -577,13 +574,18 @@ let synthetic_vst_trace () =
   Trace.end_span t sp;
   Trace.events t
 
-let test_summary_tables () =
-  let evs = synthetic_vst_trace () in
-  (match Summary.span_table evs with
-  | [ (name, count, extent, _) ] ->
-    check Alcotest.string "span name" "phase/vst" name;
-    check Alcotest.int "two vst phases" 2 count;
-    check feq "summed extent" 2.0 extent
+let read evs =
+  match Spantree.of_events evs with
+  | Ok t -> t
+  | Error e -> Alcotest.fail ("of_events failed: " ^ e)
+
+let test_spantree_tables () =
+  let t = read (synthetic_vst_trace ()) in
+  (match Spantree.phase_rows t.Spantree.roots with
+  | [ p ] ->
+    check Alcotest.string "span name" "phase/vst" p.Spantree.p_name;
+    check Alcotest.int "two vst phases" 2 p.Spantree.p_count;
+    check feq "summed extent" 2.0 p.Spantree.p_time
   | rows ->
     Alcotest.fail (Printf.sprintf "expected one span row, got %d"
                      (List.length rows)));
@@ -591,11 +593,10 @@ let test_summary_tables () =
     Alcotest.(list (pair string int))
     "point counts"
     [ ("vst/transfer", 3) ]
-    (Summary.point_counts evs)
+    t.Spantree.point_counts
 
-let test_summary_hop_histograms () =
-  let evs = synthetic_vst_trace () in
-  let hists = Summary.hop_histograms evs in
+let test_spantree_hop_histograms () =
+  let hists = (read (synthetic_vst_trace ())).Spantree.hop_histograms in
   check
     Alcotest.(list string)
     "one histogram per mode, sorted" [ "aware"; "ignorant" ]
@@ -607,20 +608,68 @@ let test_summary_hop_histograms () =
   check feq "ignorant load at 5 hops" 2.0 (Histogram.weight_at ignorant 5);
   check Alcotest.int "ignorant max bin" 5 (Histogram.max_bin ignorant)
 
-let test_summary_render_mentions_everything () =
-  let out = Summary.render (synthetic_vst_trace ()) in
-  let contains sub =
-    let n = String.length out and m = String.length sub in
-    let rec go i =
-      i + m <= n && (String.equal (String.sub out i m) sub || go (i + 1))
-    in
-    go 0
-  in
+let test_spantree_render_mentions_everything () =
+  let out = Spantree.render (read (synthetic_vst_trace ())) in
   List.iter
     (fun sub ->
       check Alcotest.bool (Printf.sprintf "render mentions %S" sub) true
-        (contains sub))
+        (str_contains out sub))
     [ "phase/vst"; "vst/transfer"; "aware"; "ignorant" ]
+
+(* Three Multiround-shaped rounds: a round span keyed by its index, a
+   KT build reporting its depth, and a VST phase counting transfers. *)
+let three_round_trace () =
+  let t = Trace.create () in
+  for i = 0 to 2 do
+    Trace.set_time t (float_of_int i);
+    let round = Trace.begin_span t "round" ~attrs:[ ("index", Trace.Int i) ] in
+    let kt = Trace.begin_span t "phase/kt_build" in
+    Trace.set_time t (float_of_int i +. 0.5);
+    Trace.end_span t kt
+      ~attrs:[ ("depth", Trace.Int (30 + i)); ("messages", Trace.Int 10) ];
+    let vst = Trace.begin_span t "phase/vst" in
+    Trace.point t "vst/transfer"
+      ~attrs:[ ("hops", Trace.Int i); ("load", Trace.Float 1.0) ];
+    Trace.set_time t (float_of_int i +. 1.0);
+    Trace.end_span t vst ~attrs:[ ("transfers", Trace.Int 1) ];
+    Trace.end_span t round ~attrs:[ ("transfers", Trace.Int 1) ]
+  done;
+  Trace.events t
+
+let test_spantree_totals_fold_attrs () =
+  let t = read (three_round_trace ()) in
+  let totals name =
+    (List.find
+       (fun p -> String.equal p.Spantree.p_name name)
+       (Spantree.phase_rows t.Spantree.roots))
+      .Spantree.p_totals
+  in
+  check
+    Alcotest.(list (pair string feq))
+    "the round's index is its key, not a total"
+    [ ("transfers", 3.0) ]
+    (totals "round");
+  check
+    Alcotest.(list (pair string feq))
+    "depth is the deepest build, messages are summed"
+    [ ("depth", 32.0); ("messages", 30.0) ]
+    (totals "phase/kt_build");
+  let out = Spantree.render t in
+  check Alcotest.bool "whole-trace table shows the max depth" true
+    (str_contains out "depth=32 messages=30");
+  check Alcotest.bool "no summed index" false (str_contains out "index=")
+
+let test_spantree_jsonl_points_and_hops () =
+  let out = Spantree.to_jsonl (read (three_round_trace ())) in
+  List.iter
+    (fun line ->
+      check Alcotest.bool (Printf.sprintf "jsonl has %s" line) true
+        (str_contains out (line ^ "\n")))
+    [
+      "{\"k\":\"point\",\"name\":\"vst/transfer\",\"count\":3}";
+      "{\"k\":\"hops\",\"mode\":\"all\",\"bin\":0,\"load\":1}";
+      "{\"k\":\"hops\",\"mode\":\"all\",\"bin\":2,\"load\":1}";
+    ]
 
 (* ---- bundle ------------------------------------------------------------- *)
 
@@ -671,6 +720,16 @@ let () =
             test_spantree_rejects_unbalanced;
           Alcotest.test_case "orphan parent rejected" `Quick
             test_spantree_rejects_orphan_parent;
+          Alcotest.test_case "span and point tables" `Quick
+            test_spantree_tables;
+          Alcotest.test_case "hop histograms by mode" `Quick
+            test_spantree_hop_histograms;
+          Alcotest.test_case "render" `Quick
+            test_spantree_render_mentions_everything;
+          Alcotest.test_case "totals drop index, max depth"
+            `Quick test_spantree_totals_fold_attrs;
+          Alcotest.test_case "jsonl point and hops lines" `Quick
+            test_spantree_jsonl_points_and_hops;
         ] );
       ( "timeseries",
         [
@@ -702,15 +761,6 @@ let () =
             test_registry_histogram_percentile_total;
           Alcotest.test_case "dump sorted and stable" `Quick
             test_registry_dump_sorted_and_stable;
-        ] );
-      ( "summary",
-        [
-          Alcotest.test_case "span and point tables" `Quick
-            test_summary_tables;
-          Alcotest.test_case "hop histograms by mode" `Quick
-            test_summary_hop_histograms;
-          Alcotest.test_case "render" `Quick
-            test_summary_render_mentions_everything;
         ] );
       ("bundle", [ Alcotest.test_case "obs bundle" `Quick test_obs_bundle ]);
     ]

@@ -60,10 +60,10 @@ let test_balancing_keeps_up () =
          <= Int.max 1 (first.P2plb.Multiround.heavy_before / 2))
   done
 
-(* ---- trace-summary input failures ---------------------------------------
-   `lb_sim trace-summary` (and trace-analyze) fail through
-   Trace.load_jsonl; these pin the loader's contract so the CLI's
-   exit-1 paths have something concrete to stand on. *)
+(* ---- trace-analyze input failures ---------------------------------------
+   `lb_sim trace-analyze` fails through Trace.load_jsonl; these pin the
+   loader's contract so the CLI's exit-1 paths have something concrete
+   to stand on. *)
 
 let contains s sub =
   let n = String.length s and m = String.length sub in
