@@ -134,15 +134,18 @@ let alive_nth t i =
 
 (* --- The ring --------------------------------------------------------- *)
 
-(* Index of the first ring id >= k, or ring_n if none. *)
-let lower_bound t k =
-  let ids = t.ring_ids in
-  let lo = ref 0 and hi = ref t.ring_n in
+(* Index of the first id >= k in [lo, hi) of the sorted [ids], or hi
+   if none. *)
+let lower_bound_in (ids : int array) k lo hi =
+  let lo = ref lo and hi = ref hi in
   while !lo < !hi do
     let mid = (!lo + !hi) lsr 1 in
     if ids.(mid) >= k then hi := mid else lo := mid + 1
   done;
   !lo
+
+(* Index of the first ring id >= k, or ring_n if none. *)
+let lower_bound t k = lower_bound_in t.ring_ids k 0 t.ring_n
 
 (* successor(k): first id >= k, wrapping to the smallest. *)
 let successor_idx t k =
@@ -345,10 +348,15 @@ let transfer_vs t ~vs_id ~to_node =
 
 (* --- Routing ---------------------------------------------------------- *)
 
-(* floor(log2 d) for d >= 1. *)
-let log2_floor d =
-  let rec go k d = if d <= 1 then k else go (k + 1) (d lsr 1) in
-  go 0 d
+(* The largest power of two <= d, for 1 <= d < 2^32: smear the top
+   bit rightwards, then keep it. *)
+let top_bit d =
+  let d = d lor (d lsr 1) in
+  let d = d lor (d lsr 2) in
+  let d = d lor (d lsr 4) in
+  let d = d lor (d lsr 8) in
+  let d = d lor (d lsr 16) in
+  d - (d lsr 1)
 
 (* Greedy Chord routing on the ring, tracking the current hop by its
    index [ci].  Let [pi] be the index of p, the last id strictly before
@@ -357,8 +365,9 @@ let log2_floor d =
    largest successor(cur + 2^k) strictly inside (cur, key) — is the
    finger of the largest k with 2^k <= dist_cw(cur, p): every smaller
    target lies in (cur, p], so its successor does too, and every larger
-   one lies past p, where no id precedes the key.  One binary search
-   per hop finds it. *)
+   one lies past p, where no id precedes the key.  So each hop is one
+   binary search, over the indices (ci, pi] alone: below 2^32 when the
+   target did not wrap, from 0 when it did. *)
 let lookup t ~from ~key =
   let n = t.ring_n in
   if n = 0 then invalid_arg "Dht.lookup: empty ring";
@@ -371,11 +380,17 @@ let lookup t ~from ~key =
   let oi = if pi = n - 1 then 0 else pi + 1 in
   if oi = fi then (t.ring_vss.(fi), 0)
   else begin
+    let p = ids.(pi) in
     let ci = ref fi and hops = ref 1 in
     while !ci <> pi do
       let cur = ids.(!ci) in
-      let k = log2_floor (Id.distance_cw cur ids.(pi)) in
-      ci := successor_idx t (Id.add cur (1 lsl k));
+      let target = Id.add cur (top_bit (Id.distance_cw cur p)) in
+      (ci :=
+         if target < cur then lower_bound_in ids target 0 (pi + 1)
+         else
+           let hi = if pi > !ci then pi + 1 else n in
+           let i = lower_bound_in ids target (!ci + 1) hi in
+           if i = n then 0 else i);
       incr hops;
       (* Every hop moves clockwise without passing p, so the hops
          visit distinct VSs. *)

@@ -170,7 +170,8 @@ val lookup : 'a t -> from:Id.t -> key:Id.t -> vs * int
     that of Chord's greedy finger routing: every hop goes to the
     closest finger [successor(cur + 2^k)] strictly preceding the key,
     and the last hop to the owner.  The simulator finds that finger
-    with one binary search over the ring per hop, so a lookup costs
+    with one binary search per hop, over the ring positions between
+    the hop and the key's predecessor, so a lookup costs
     O(hops · log #VS).  Raises [Invalid_argument] on an empty ring or
     when [from] is not a VS id. *)
 

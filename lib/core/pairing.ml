@@ -16,6 +16,9 @@ type pool = {
   (* light slots, sorted by deficit asc *)
   l_def : floatarray;
   l_node : int array;
+  (* The leftover of [pair], not merged with a non-empty pool since:
+     pairing it again makes no assignment (see [pair]). *)
+  settled : bool;
 }
 
 let empty =
@@ -24,6 +27,7 @@ let empty =
     s_rec = [||];
     l_def = Float.Array.create 0;
     l_node = [||];
+    settled = false;
   }
 
 let n_shed p = Array.length p.s_rec
@@ -89,7 +93,7 @@ let of_slices sheds ns lights nl =
       ~deficit:(fun i -> lights.(i).Types.deficit)
       ~node:(fun i -> lights.(i).Types.light_node)
   in
-  { s_load; s_rec; l_def; l_node }
+  { s_load; s_rec; l_def; l_node; settled = false }
 
 let of_entries sheds lights =
   let sheds = Array.of_list sheds and lights = Array.of_list lights in
@@ -152,7 +156,7 @@ let merge a b =
         incr j
       end
     done;
-    { s_load; s_rec; l_def; l_node }
+    { s_load; s_rec; l_def; l_node; settled = false }
   end
 
 let shed_entries p = Array.to_list p.s_rec
@@ -162,9 +166,41 @@ let light_entries p =
       Types.
         { deficit = Float.Array.get p.l_def i; light_node = p.l_node.(i) })
 
+(* [p] with each run of equal-load sheds reversed. *)
+let reverse_ties p =
+  let n = n_shed p in
+  let s_load = Float.Array.copy p.s_load and s_rec = Array.copy p.s_rec in
+  let i = ref 0 in
+  while !i < n do
+    let l = Float.Array.get s_load !i in
+    let j = ref (!i + 1) in
+    while !j < n && Float.compare (Float.Array.get s_load !j) l = 0 do
+      incr j
+    done;
+    for a = 0 to ((!j - !i) / 2) - 1 do
+      let x = !i + a and y = !j - 1 - a in
+      let lx = Float.Array.get s_load x and rx = s_rec.(x) in
+      Float.Array.set s_load x (Float.Array.get s_load y);
+      s_rec.(x) <- s_rec.(y);
+      Float.Array.set s_load y lx;
+      s_rec.(y) <- rx
+    done;
+    i := !j
+  done;
+  { p with s_load; s_rec }
+
+(* A settled pool pairs nothing.  Each shed [s] left unpaired found
+   only slots of its own node [h] at deficit >= its load [L], and every
+   later slot at deficit >= [L] is the residual of a slot at least as
+   large (loads are >= 0), so also [h]'s: when the pass ends, every
+   slot that fits [s] is [h]'s, and a second pass skips them all.  So
+   that pass makes no assignment, keeps the lights and re-adds the
+   sheds in reverse, as the leftover below does: its equal-load runs
+   come back reversed, which [reverse_ties] does without the pass. *)
 let pair ?(depth = 0) ~l_min p =
   let sn = n_shed p in
   if sn = 0 then ([], p)
+  else if p.settled then ([], reverse_ties p)
   else begin
     (* Mutable working copy of the light side; each assignment removes
        one slot and re-inserts at most one residual, so capacity never
@@ -257,6 +293,8 @@ let pair ?(depth = 0) ~l_min p =
     in
     let l_def = Float.Array.create !ln in
     Float.Array.blit w_def 0 l_def 0 !ln;
-    let leftover = { s_load; s_rec; l_def; l_node = Array.sub w_node 0 !ln } in
+    let leftover =
+      { s_load; s_rec; l_def; l_node = Array.sub w_node 0 !ln; settled = true }
+    in
     (List.rev !assignments, leftover)
   end

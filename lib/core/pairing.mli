@@ -45,4 +45,11 @@ val pair : ?depth:int -> l_min:float -> pool -> Types.assignment list * pool
 (** Runs the pairing loop to exhaustion; returns the assignments made
     and the pool of unmatched entries.  [l_min] is the system-wide
     minimum VS load from the LBI phase; [depth] (default 0) stamps the
-    assignments with the rendezvous KT depth. *)
+    assignments with the rendezvous KT depth.
+
+    The leftover is {e settled} until it is merged with a non-empty
+    pool: pairing it again cannot match anything, because every light
+    slot that fits one of its sheds belongs to the shed's own node.
+    Such a pass returns no assignment and the pool with each run of
+    equal-load sheds reversed, exactly what the full loop would leave,
+    in O(#sheds) without copying the light side. *)

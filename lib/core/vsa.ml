@@ -33,51 +33,6 @@ type result = {
 
 let default_threshold = 30
 
-(* Per-node VSA records: what a heavy node offers, or a light node's
-   spare capacity. *)
-let node_records ~epsilon ~(lbi : Types.lbi) (n : Dht.node) :
-    Types.vsa_record list =
-  match
-    Classify.classify ~lbi ~epsilon ~load:(Dht.node_load n)
-      ~capacity:n.Dht.capacity
-  with
-  | Types.Neutral -> []
-  | Types.Light ->
-    let target =
-      Classify.target_load ~lbi ~epsilon ~capacity:n.Dht.capacity
-    in
-    [ Types.Light { deficit = target -. Dht.node_load n; light_node = n.Dht.node_id } ]
-  | Types.Heavy ->
-    let target =
-      Classify.target_load ~lbi ~epsilon ~capacity:n.Dht.capacity
-    in
-    let need = Dht.node_load n -. target in
-    let loads =
-      Array.of_list (List.map (fun v -> (v.Dht.vs_id, v.Dht.load)) n.Dht.vss)
-    in
-    let shed = Excess.choose_shed ~keep_at_least:0 ~loads need in
-    List.map
-      (fun (vs_id, vs_load) ->
-        Types.Shed { vs_load; vs_id; heavy_node = n.Dht.node_id })
-      shed
-
-(* Retained list-based reference: builds a leaf pool from the
-   reverse-arrival record list exactly as the original implementation
-   did (fold splitting sheds/lights, reversing each category back to
-   arrival order, then of_entries).  The production path below feeds
-   {!Pairing.of_slices} from scratch buffers; test_prop pins their
-   agreement. *)
-let pool_of_records records =
-  let sheds, lights =
-    List.fold_left
-      (fun (ss, ls) r ->
-        match r with
-        | Types.Shed s -> (s :: ss, ls)
-        | Types.Light l -> (ss, l :: ls))
-      ([], []) records
-  in
-  Pairing.of_entries sheds lights
-
 (* A record is stale when its reporter died (or a shed VS was absorbed
    or re-owned) between reporting and rendezvous; pairing it would only
    produce a doomed transfer, so the rendezvous drops it. *)
@@ -130,8 +85,8 @@ let run ?(threshold = default_threshold) ?(epsilon = 0.0) ?faults
     !rep_rec.(!n_reports) <- r;
     incr n_reports
   in
-  (* Classify every node, collect its records and route each to a KT
-     leaf according to the mode — one fused pass in alive-node order
+  (* Classify every node once, collect its records and route each to a
+     KT leaf according to the mode — one fused pass in alive-node order
      (classification draws no randomness, so collection and routing
      interleave without perturbing the per-record PRNG/fault stream). *)
   let failed =
@@ -142,42 +97,64 @@ let run ?(threshold = default_threshold) ?(epsilon = 0.0) ?faults
       | None -> []
       | Some f -> Faults.failed_landmarks f ~m:(Landmark.m space))
   in
-  let route_record (n : Dht.node) r =
-    match mode with
-    | Ignorant -> (
-      let v = Dht.report_vs dht rng n in
-      match send () with
-      | None -> incr records_lost
-      | Some _ ->
-        let slot = Ktree.vs_slot tree v.Dht.vs_id in
-        if slot >= 0 then push_report slot r)
-    | Aware { space; order; curve; binning } -> (
+  (* One node's records, in order, each through its own report_vs
+     draw and send. *)
+  let route (n : Dht.node) records =
+    match (mode, records) with
+    | _, [] -> ()
+    | Ignorant, _ ->
+      List.iter
+        (fun r ->
+          let v = Dht.report_vs dht rng n in
+          match send () with
+          | None -> incr records_lost
+          | Some _ ->
+            let slot = Ktree.vs_slot tree v.Dht.vs_id in
+            if slot >= 0 then push_report slot r)
+        records
+    | Aware { space; order; curve; binning }, _ ->
+      (* The key depends only on the node's underlay vertex, the space
+         and the failed landmarks: one per node. *)
       let key =
         Landmark.dht_key ~curve ~binning ~failed space ~order n.Dht.underlay
       in
-      let from = (Dht.report_vs dht rng n).Dht.vs_id in
-      match send () with
-      | None -> incr records_lost
-      | Some _ -> publish_hops := !publish_hops + Dht.put dht ~from ~key r)
-  in
-  Dht.fold_nodes dht ~init:() ~f:(fun () n ->
-      let records = node_records ~epsilon ~lbi n in
-      (match
-         Classify.classify ~lbi ~epsilon ~load:(Dht.node_load n)
-           ~capacity:n.Dht.capacity
-       with
-      | Types.Heavy -> incr n_heavy
-      | Types.Light -> incr n_light
-      | Types.Neutral -> incr n_neutral);
       List.iter
         (fun r ->
-          (match r with
-          | Types.Shed s ->
+          let from = (Dht.report_vs dht rng n).Dht.vs_id in
+          match send () with
+          | None -> incr records_lost
+          | Some _ -> publish_hops := !publish_hops + Dht.put dht ~from ~key r)
+        records
+  in
+  Dht.fold_nodes dht ~init:() ~f:(fun () n ->
+      let load = Dht.node_load n and capacity = n.Dht.capacity in
+      match Classify.classify ~lbi ~epsilon ~load ~capacity with
+      | Types.Neutral -> incr n_neutral
+      | Types.Light ->
+        incr n_light;
+        let target = Classify.target_load ~lbi ~epsilon ~capacity in
+        let deficit = target -. load in
+        route n [ Types.Light { deficit; light_node = n.Dht.node_id } ]
+      | Types.Heavy ->
+        incr n_heavy;
+        let target = Classify.target_load ~lbi ~epsilon ~capacity in
+        let loads =
+          Array.of_list
+            (List.map (fun v -> (v.Dht.vs_id, v.Dht.load)) n.Dht.vss)
+        in
+        let shed =
+          Excess.choose_shed ~keep_at_least:0 ~loads (load -. target)
+        in
+        List.iter
+          (fun (_, vs_load) ->
             incr shed_offered;
-            load_offered := !load_offered +. s.Types.vs_load
-          | Types.Light _ -> ());
-          route_record n r)
-        records);
+            load_offered := !load_offered +. vs_load)
+          shed;
+        route n
+          (List.map
+             (fun (vs_id, vs_load) ->
+               Types.Shed { vs_load; vs_id; heavy_node = n.Dht.node_id })
+             shed));
   (* Aware mode published into the DHT: every VS now reports what
      landed in its region to its designated leaf. *)
   (match mode with
@@ -187,14 +164,23 @@ let run ?(threshold = default_threshold) ?(epsilon = 0.0) ?faults
         let slot = Ktree.vs_slot tree v.Dht.vs_id in
         if slot >= 0 then push_report slot r));
   (* Group the reports per leaf slot: counts, prefix sums, then a stable
-     scatter, so each slot's slice keeps arrival order. *)
+     scatter, so each slot's slice keeps arrival order.  The sweep
+     visits only the [occupied] slots, those that received a report. *)
   let n_slots = Ktree.n_leaf_slots tree in
   let starts = Array.make (n_slots + 1) 0 in
+  let n_occupied = ref 0 in
   for i = 0 to !n_reports - 1 do
     let s = !rep_slot.(i) in
+    if starts.(s + 1) = 0 then incr n_occupied;
     starts.(s + 1) <- starts.(s + 1) + 1
   done;
+  let occupied = Array.make !n_occupied 0 in
+  n_occupied := 0;
   for s = 1 to n_slots do
+    if starts.(s) > 0 then begin
+      occupied.(!n_occupied) <- s - 1;
+      incr n_occupied
+    end;
     starts.(s) <- starts.(s) + starts.(s - 1)
   done;
   let grouped =
@@ -268,7 +254,11 @@ let run ?(threshold = default_threshold) ?(epsilon = 0.0) ?faults
     List.iter notify made;
     leftover
   in
-  let sweep = match sweep with Some f -> f | None -> Ktree.sweep tree in
+  let sweep =
+    match sweep with
+    | Some f -> f
+    | None -> Ktree.sweep_slots tree occupied ~empty:Pairing.empty
+  in
   let root_pool =
     sweep
       ~at_leaf:(fun ~slot ~depth ->

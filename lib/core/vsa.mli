@@ -57,13 +57,6 @@ type result = {
 val default_threshold : int
 (** 30, the rendezvous threshold the paper suggests. *)
 
-val pool_of_records : Types.vsa_record list -> Pairing.pool
-(** Builds a leaf pool from records in arrival order, exactly as the
-    original list-based rendezvous did.  Retained as the reference
-    implementation the array-backed hot path is property-tested
-    against (test_prop); {!run} itself feeds {!Pairing.of_slices} from
-    reusable scratch buffers instead. *)
-
 val run :
   ?threshold:int ->
   ?epsilon:float ->
@@ -86,8 +79,9 @@ val run :
     doomed transfers; failed landmarks degrade the proximity signal
     of the affected axes only.
 
-    The rendezvous is one bottom-up sweep, [sweep] (default
-    [Ktree.sweep tree]): a leaf's pool is its fresh records, and a KT
-    node at depth [d] pairs its pool when it holds at least
-    [threshold] entries, or when [d = 0].  A test may pass a full walk
-    of a reference tree instead. *)
+    The rendezvous is one bottom-up sweep, [sweep]: a leaf's pool is
+    its fresh records, and a KT node at depth [d] pairs its pool when
+    it holds at least [threshold] entries, or when [d = 0].  By
+    default it is {!Ktree.sweep_slots} over the leaves that received a
+    report, a leaf without one holding the empty pool; a test may pass
+    a full walk of a reference tree instead. *)

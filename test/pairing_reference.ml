@@ -127,3 +127,20 @@ let pair ?(depth = 0) ~l_min p =
       !unpaired_shed
   in
   (List.rev !assignments, leftover)
+
+(* The original list path from records to a leaf pool of the
+   array-backed {!P2plb.Pairing}: a fold over the reverse-arrival
+   record list splitting sheds from lights, each category reversed
+   back to arrival order, then [of_entries].  The VSA hot path feeds
+   [Pairing.of_slices] from scratch buffers instead; test_prop pins
+   their agreement. *)
+let pool_of_records records =
+  let sheds, lights =
+    List.fold_left
+      (fun (ss, ls) r ->
+        match r with
+        | Types.Shed s -> (s :: ss, ls)
+        | Types.Light l -> (ss, l :: ls))
+      ([], []) records
+  in
+  P2plb.Pairing.of_entries sheds lights

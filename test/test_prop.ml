@@ -337,8 +337,9 @@ let prop_merge_empty_agrees (loads, deficits) =
 
 (* The VSA hot path partitions each leaf's arrival-ordered record slice
    into shed/light scratch buffers and calls Pairing.of_slices; the
-   retained list path (Vsa.pool_of_records) folds the same records
-   through of_entries.  Both must build identical pools. *)
+   retained list path (Pairing_reference.pool_of_records) folds the
+   same records through of_entries.  Both must build identical
+   pools. *)
 let vsa_record_case =
   Prop.list_of ~max_len:14 (Prop.pair (Prop.int_in 0 1) discrete_load)
 
@@ -353,7 +354,7 @@ let prop_vsa_grouping_agrees tagged =
       tagged
   in
   (* Reference: reverse-arrival list, as the per-leaf Hashtbl held it. *)
-  let ref_pool = P2plb.Vsa.pool_of_records (List.rev records) in
+  let ref_pool = Pairing_reference.pool_of_records (List.rev records) in
   (* Production: arrival-ordered scratch-buffer prefixes. *)
   let sheds =
     Array.of_list
@@ -397,6 +398,61 @@ let test_merge_empty_agrees () =
 let test_vsa_grouping_agrees () =
   Prop.run ~seed:0x5eed08 ~name:"VSA slice grouping = list reference"
     vsa_record_case prop_vsa_grouping_agrees
+
+(* Re-pairing a leftover: [pair] marks its leftover settled and pairs a
+   settled pool by reversing its equal-load runs, without the loop.
+   Sheds and lights share a few nodes, so a shed can be left unpaired
+   with a fitting slot of its own node in the pool, and loads sit on the
+   discrete grid, so equal-load runs are common.  Three passes against
+   the Set reference, only the first of which may pair anything; then
+   the leftover merged with fresh lights, on either side, which must
+   pair again as the reference does. *)
+let ref_repair_case =
+  Prop.triple
+    (Prop.list_of ~max_len:12 (Prop.pair (Prop.int_in 0 3) discrete_load))
+    (Prop.list_of ~max_len:8 (Prop.pair (Prop.int_in 0 5) discrete_load))
+    (Prop.list_of ~min_len:1 ~max_len:4 discrete_load)
+
+let prop_repair_agrees_with_reference (sheds, lights, fresh) =
+  let sheds =
+    List.mapi
+      (fun i (heavy_node, vs_load) ->
+        { Types.vs_load; vs_id = Id.of_int (100 + i); heavy_node })
+      sheds
+  in
+  let lights =
+    List.map
+      (fun (light_node, d) -> { Types.deficit = 2.0 *. d; light_node })
+      lights
+  in
+  let fresh = mk_lights 50 fresh in
+  let pair_agrees pass prod ref_ =
+    let pa, pl = Pairing.pair ~depth:pass ~l_min:0.125 prod in
+    let ra, rl = Pairing_reference.pair ~depth:pass ~l_min:0.125 ref_ in
+    (assignments_equal pa ra && pools_agree pl rl, pa, pl, rl)
+  in
+  let rec passes pass prod ref_ =
+    if pass > 3 then
+      let fp = Pairing.of_entries [] fresh in
+      let fr = Pairing_reference.of_entries [] fresh in
+      let ok_a, _, _, _ =
+        pair_agrees 4 (Pairing.merge prod fp) (Pairing_reference.merge ref_ fr)
+      in
+      let ok_b, _, _, _ =
+        pair_agrees 4 (Pairing.merge fp prod) (Pairing_reference.merge fr ref_)
+      in
+      ok_a && ok_b
+    else
+      let ok, pa, pl, rl = pair_agrees pass prod ref_ in
+      ok && (pass = 1 || List.is_empty pa) && passes (pass + 1) pl rl
+  in
+  passes 1
+    (Pairing.of_entries sheds lights)
+    (Pairing_reference.of_entries sheds lights)
+
+let test_repair_agrees_with_reference () =
+  Prop.run ~seed:0x5eed0e ~name:"re-pairing a leftover = Set reference"
+    ref_repair_case prop_repair_agrees_with_reference
 
 (* ---- Ktree: the ring-version contract ----------------------------------- *)
 
@@ -1217,6 +1273,9 @@ module Lbi = P2plb.Lbi
 module Vsa = P2plb.Vsa
 module Faults = P2plb_sim.Faults
 module Prng = P2plb_prng.Prng
+module Graph = P2plb_topology.Graph
+module Landmark = P2plb_landmark.Landmark
+module Hilbert = P2plb_hilbert.Hilbert
 
 (* ((physical nodes, VSs per node, K = 2 / 3 / 8),
     (fault plan off / on, threshold 1 / 2 / 5 / 30, operations)). *)
@@ -1238,13 +1297,29 @@ let full_walk ~k dht ~empty ~at_leaf ~merge ~lift =
     ~empty ~merge
     ~at_node:(fun n v -> lift ~hi:n.Kref.depth ~lo:n.Kref.depth v)
 
-(* One LBI round then one ignorant VSA round on a loaded ring whose
+(* A small landmark space for the aware rounds: 256 underlay vertices
+   (every node's vertex; joins use vertex 0) on a weighted ring with
+   chords, three landmarks. *)
+let skeleton_space =
+  lazy
+    (let n = 256 in
+     let b = Graph.create_builder ~n in
+     for v = 0 to n - 1 do
+       Graph.add_edge b v ((v + 1) mod n) ~weight:(1 + (v mod 3));
+       let w = v * 37 mod n in
+       if w <> v then Graph.add_edge b v w ~weight:(2 + (v mod 5))
+     done;
+     Landmark.make_space (Graph.freeze b) ~landmarks:[| 0; 85; 170 |])
+
+(* One LBI round then one VSA round (ignorant, or [aware] with one
+   failed landmark under a fault plan) on a loaded ring whose
    tree was built before the churn, through the skeleton sweeps or,
    with [reference], through the reference full walks (dissemination:
    one send per leaf of a reference [sweep_down]).  Returns the root
    LBI, the VSA result less its rounds (not charged by the reference),
    the fault plan's counters and its next sends. *)
-let skeleton_world ~reference ((n_nodes, vs, k_sel), (faulty, thr_sel, ops)) =
+let skeleton_world ~aware ~reference
+    ((n_nodes, vs, k_sel), (faulty, thr_sel, ops)) =
   let k = [| 2; 3; 8 |].(k_sel) and threshold = [| 1; 2; 5; 30 |].(thr_sel) in
   let seed = (n_nodes * 8) + vs in
   let dht : Types.vsa_record Dht.t = Dht.create ~seed in
@@ -1264,8 +1339,22 @@ let skeleton_world ~reference ((n_nodes, vs, k_sel), (faulty, thr_sel, ops)) =
   List.iter (apply_ring_op_with ~item dht) ops;
   let faults =
     if faulty = 1 then
-      Some (Faults.create ~seed (Faults.churn ~message_loss:0.3 ()))
+      let landmark_failures = if aware then 1 else 0 in
+      Some
+        (Faults.create ~seed
+           (Faults.churn ~message_loss:0.3 ~landmark_failures ()))
     else None
+  in
+  let mode =
+    if aware then
+      Vsa.Aware
+        {
+          space = Lazy.force skeleton_space;
+          order = 2;
+          curve = Hilbert.Hilbert;
+          binning = Landmark.Equal_width;
+        }
+    else Vsa.Ignorant
   in
   let rng = Prng.create ~seed:(seed + 1) in
   let lbi =
@@ -1288,7 +1377,7 @@ let skeleton_world ~reference ((n_nodes, vs, k_sel), (faulty, thr_sel, ops)) =
     if reference then Some (full_walk ~k dht ~empty:Pairing.empty) else None
   in
   let v =
-    Vsa.run ~threshold ?faults ?sweep ~mode:Vsa.Ignorant ~rng ~lbi tree dht
+    Vsa.run ~threshold ?faults ?sweep ~mode ~rng ~lbi tree dht
   in
   let bits x = Int64.bits_of_float x in
   ( (bits lbi.Types.l, bits lbi.Types.c, bits lbi.Types.l_min),
@@ -1310,7 +1399,87 @@ let test_skeleton_matches_full_walk () =
   Prop.run ~count:40 ~seed:0x5eed0d
     ~name:"skeleton sweeps = reference full walks (LBI, VSA, faults)"
     skeleton_case (fun case ->
-      skeleton_world ~reference:false case = skeleton_world ~reference:true case)
+      skeleton_world ~aware:false ~reference:false case
+      = skeleton_world ~aware:false ~reference:true case)
+
+(* The same in proximity-aware mode: once-per-node keys, DHT publishes
+   and the drain (items [Put] by the ring operations included) feed
+   the occupied-slot sweep. *)
+let test_skeleton_matches_full_walk_aware () =
+  Prop.run ~count:40 ~seed:0x5eed10
+    ~name:"skeleton sweeps = reference full walks (aware VSA, faults)"
+    skeleton_case (fun case ->
+      skeleton_world ~aware:true ~reference:false case
+      = skeleton_world ~aware:true ~reference:true case)
+
+(* ---- Ktree: occupied-slot sweep = full sweep ---------------------------- *)
+
+(* A sweep value that keeps {!Ktree.sweep}'s laws and shows every call:
+   [E] is empty, a lift wraps one [Lift] per level (so lifting level by
+   level is one lift over the range), merging with [E] is the
+   identity. *)
+type swept = E | Leaf of int * int | Merge of swept * swept | Lift of int * swept
+
+let swept_merge a b =
+  match (a, b) with E, v | v, E -> v | a, b -> Merge (a, b)
+
+let swept_lift ~hi ~lo v =
+  match v with
+  | E -> E
+  | v ->
+    let v = ref v in
+    for d = lo downto hi do
+      v := Lift (d, !v)
+    done;
+    !v
+
+(* ((physical nodes, VSs per node, K = 2 / 3 / 8), (subset seed, in how
+   many slots one is listed)). *)
+let slots_case =
+  Prop.pair
+    (Prop.triple (Prop.int_in 1 200) (Prop.int_in 1 5) (Prop.int_in 0 2))
+    (Prop.pair (Prop.int_in 0 1000) (Prop.int_in 1 8))
+
+let prop_sweep_slots_matches ((n_nodes, vs, k_sel), (seed, every)) =
+  let k = [| 2; 3; 8 |].(k_sel) in
+  let dht : unit Dht.t = Dht.create ~seed in
+  for i = 0 to n_nodes - 1 do
+    ignore (Dht.join dht ~capacity:1.0 ~underlay:i ~n_vs:vs)
+  done;
+  let tree = Ktree.build ~k dht in
+  let pick = Prng.create ~seed in
+  let listed =
+    Array.init (Ktree.n_leaf_slots tree) (fun _ -> Prng.int pick every = 0)
+  in
+  let slots =
+    Array.of_list
+      (List.filter (Array.get listed)
+         (List.init (Ktree.n_leaf_slots tree) Fun.id))
+  in
+  let calls = ref [] in
+  let full =
+    Ktree.sweep tree
+      ~at_leaf:(fun ~slot ~depth ->
+        if listed.(slot) then Leaf (slot, depth) else E)
+      ~merge:swept_merge ~lift:swept_lift
+  in
+  let m = Ktree.messages tree and r = Ktree.rounds_last_sweep tree in
+  let sub =
+    Ktree.sweep_slots tree slots ~empty:E
+      ~at_leaf:(fun ~slot ~depth ->
+        calls := slot :: !calls;
+        Leaf (slot, depth))
+      ~merge:swept_merge ~lift:swept_lift
+  in
+  full = sub
+  && Array.to_list slots = List.rev !calls
+  && Ktree.messages tree - m = Ktree.n_nodes tree - 1
+  && Ktree.rounds_last_sweep tree = r
+
+let test_sweep_slots_matches () =
+  Prop.run ~count:100 ~seed:0x5eed0f
+    ~name:"occupied-slot sweep = full sweep with empty leaves" slots_case
+    prop_sweep_slots_matches
 
 let () =
   Alcotest.run "prop"
@@ -1340,6 +1509,8 @@ let () =
             test_merge_empty_agrees;
           Alcotest.test_case "VSA grouping agrees with list path" `Quick
             test_vsa_grouping_agrees;
+          Alcotest.test_case "agrees with Set reference: re-pair leftover"
+            `Quick test_repair_agrees_with_reference;
         ] );
       ( "chord",
         [
@@ -1368,5 +1539,9 @@ let () =
             test_ktree_stays_canonical;
           Alcotest.test_case "skeleton sweeps = reference full walks" `Quick
             test_skeleton_matches_full_walk;
+          Alcotest.test_case "skeleton sweeps = reference full walks (aware)"
+            `Quick test_skeleton_matches_full_walk_aware;
+          Alcotest.test_case "occupied-slot sweep = full sweep" `Quick
+            test_sweep_slots_matches;
         ] );
     ]
