@@ -236,13 +236,18 @@ type phase_row = {
 }
 
 (* How a span's numeric attr folds into its name's total: counts add
-   up, a tree depth is a high-water mark, and a round's index is its
-   key, not a figure. *)
+   up, a round's index is its key, not a figure, and a snapshot — a
+   tree depth, or the heavy/light/neutral census of one round — is a
+   high-water mark: summed over rounds it would count node-rounds. *)
+let snapshot_attrs = [ "depth"; "heavy"; "light"; "neutral" ]
+
 let add_attr totals (k, v) =
   match (k, attr_float v) with
   | "index", _ | _, None -> totals
   | _, Some x -> (
-    let combine = if String.equal k "depth" then Float.max else ( +. ) in
+    let combine =
+      if List.mem k snapshot_attrs then Float.max else ( +. )
+    in
     match List.assoc_opt k totals with
     | Some cur -> (k, combine cur x) :: List.remove_assoc k totals
     | None -> (k, x) :: totals)
@@ -397,7 +402,7 @@ let render ?phase ?round t =
   | rows ->
     Buffer.add_char buf '\n';
     Buffer.add_string buf
-      (Report.table ~title:"whole trace (attrs summed; depth is the max)"
+      (Report.table ~title:"whole trace (attrs summed; depth, heavy, light, neutral: the max)"
          ~header:[ "span"; "count"; "time"; "self"; "totals" ]
          (List.map
             (fun p ->

@@ -82,8 +82,10 @@ type phase_row = {
   p_time : float;  (** total extent *)
   p_self : float;  (** total self-time *)
   p_totals : (string * float) list;
-      (** numeric attrs by key, sorted: summed, except ["depth"], which
-          is the max, and ["index"] (the round key), which is dropped *)
+      (** numeric attrs by key, sorted: summed, except the per-round
+          snapshots ["depth"], ["heavy"], ["light"] and ["neutral"],
+          which are the max, and ["index"] (the round key), which is
+          dropped *)
 }
 
 val phase_rows : node list -> phase_row list

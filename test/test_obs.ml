@@ -617,7 +617,9 @@ let test_spantree_render_mentions_everything () =
     [ "phase/vst"; "vst/transfer"; "aware"; "ignorant" ]
 
 (* Three Multiround-shaped rounds: a round span keyed by its index, a
-   KT build reporting its depth, and a VST phase counting transfers. *)
+   KT build reporting its depth, a classify census of that round's
+   heavy, light and neutral nodes, and a VST phase counting
+   transfers. *)
 let three_round_trace () =
   let t = Trace.create () in
   for i = 0 to 2 do
@@ -627,6 +629,14 @@ let three_round_trace () =
     Trace.set_time t (float_of_int i +. 0.5);
     Trace.end_span t kt
       ~attrs:[ ("depth", Trace.Int (30 + i)); ("messages", Trace.Int 10) ];
+    let cl = Trace.begin_span t "phase/classify" in
+    Trace.end_span t cl
+      ~attrs:
+        [
+          ("heavy", Trace.Int (4 - i));
+          ("light", Trace.Int (2 + i));
+          ("neutral", Trace.Int (1 + (i mod 2)));
+        ];
     let vst = Trace.begin_span t "phase/vst" in
     Trace.point t "vst/transfer"
       ~attrs:[ ("hops", Trace.Int i); ("load", Trace.Float 1.0) ];
@@ -654,9 +664,16 @@ let test_spantree_totals_fold_attrs () =
     "depth is the deepest build, messages are summed"
     [ ("depth", 32.0); ("messages", 30.0) ]
     (totals "phase/kt_build");
+  check
+    Alcotest.(list (pair string feq))
+    "a census is the largest round's, not node-rounds"
+    [ ("heavy", 4.0); ("light", 4.0); ("neutral", 2.0) ]
+    (totals "phase/classify");
   let out = Spantree.render t in
   check Alcotest.bool "whole-trace table shows the max depth" true
     (str_contains out "depth=32 messages=30");
+  check Alcotest.bool "whole-trace table shows the max census" true
+    (str_contains out "heavy=4 light=4 neutral=2");
   check Alcotest.bool "no summed index" false (str_contains out "index=")
 
 let test_spantree_jsonl_points_and_hops () =
