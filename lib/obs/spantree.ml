@@ -237,9 +237,10 @@ type phase_row = {
 
 (* How a span's numeric attr folds into its name's total: counts add
    up, a round's index is its key, not a figure, and a snapshot — a
-   tree depth, or the heavy/light/neutral census of one round — is a
-   high-water mark: summed over rounds it would count node-rounds. *)
-let snapshot_attrs = [ "depth"; "heavy"; "light"; "neutral" ]
+   tree's depth or size, or the heavy/light/neutral census of one
+   round — is a high-water mark: summed over rounds it would count
+   node-rounds. *)
+let snapshot_attrs = [ "depth"; "heavy"; "light"; "neutral"; "nodes" ]
 
 let add_attr totals (k, v) =
   match (k, attr_float v) with

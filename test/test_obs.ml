@@ -617,7 +617,7 @@ let test_spantree_render_mentions_everything () =
     [ "phase/vst"; "vst/transfer"; "aware"; "ignorant" ]
 
 (* Three Multiround-shaped rounds: a round span keyed by its index, a
-   KT build reporting its depth, a classify census of that round's
+   KT build reporting its depth and size, a classify census of that round's
    heavy, light and neutral nodes, and a VST phase counting
    transfers. *)
 let three_round_trace () =
@@ -628,7 +628,12 @@ let three_round_trace () =
     let kt = Trace.begin_span t "phase/kt_build" in
     Trace.set_time t (float_of_int i +. 0.5);
     Trace.end_span t kt
-      ~attrs:[ ("depth", Trace.Int (30 + i)); ("messages", Trace.Int 10) ];
+      ~attrs:
+        [
+          ("depth", Trace.Int (30 + i));
+          ("messages", Trace.Int 10);
+          ("nodes", Trace.Int (20 - i));
+        ];
     let cl = Trace.begin_span t "phase/classify" in
     Trace.end_span t cl
       ~attrs:
@@ -661,8 +666,8 @@ let test_spantree_totals_fold_attrs () =
     (totals "round");
   check
     Alcotest.(list (pair string feq))
-    "depth is the deepest build, messages are summed"
-    [ ("depth", 32.0); ("messages", 30.0) ]
+    "depth and size are the largest build's, messages are summed"
+    [ ("depth", 32.0); ("messages", 30.0); ("nodes", 20.0) ]
     (totals "phase/kt_build");
   check
     Alcotest.(list (pair string feq))
@@ -671,7 +676,7 @@ let test_spantree_totals_fold_attrs () =
     (totals "phase/classify");
   let out = Spantree.render t in
   check Alcotest.bool "whole-trace table shows the max depth" true
-    (str_contains out "depth=32 messages=30");
+    (str_contains out "depth=32 messages=30 nodes=20");
   check Alcotest.bool "whole-trace table shows the max census" true
     (str_contains out "heavy=4 light=4 neutral=2");
   check Alcotest.bool "no summed index" false (str_contains out "index=")
