@@ -33,19 +33,19 @@ let compare = Int.compare
 let equal = Int.equal
 
 let hash_key salt s =
-  (* 64-bit FNV-1a over the salt bytes then the string, folded to 32. *)
-  let fnv_prime = 0x100000001B3L in
+  (* 64-bit FNV-1a over the salt's four low bytes then the string,
+     folded to 32 bits.  The state is a local ref no closure captures,
+     so the compiler keeps it an unboxed register across both loops. *)
   let h = ref 0xCBF29CE484222325L in
-  let step byte =
-    h := Int64.logxor !h (Int64.of_int (byte land 0xff));
-    h := Int64.mul !h fnv_prime
-  in
-  step salt;
-  step (salt lsr 8);
-  step (salt lsr 16);
-  step (salt lsr 24);
-  String.iter (fun c -> step (Char.code c)) s;
-  let folded = Int64.logxor !h (Int64.shift_right_logical !h 32) in
-  Int64.to_int folded land mask
+  for i = 0 to 3 do
+    let byte = (salt lsr (8 * i)) land 0xff in
+    h := Int64.mul (Int64.logxor !h (Int64.of_int byte)) 0x100000001B3L
+  done;
+  for i = 0 to String.length s - 1 do
+    let byte = Char.code s.[i] in
+    h := Int64.mul (Int64.logxor !h (Int64.of_int byte)) 0x100000001B3L
+  done;
+  let h = !h in
+  Int64.to_int (Int64.logxor h (Int64.shift_right_logical h 32)) land mask
 
 let pp fmt x = Format.fprintf fmt "0x%08x" x

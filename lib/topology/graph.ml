@@ -2,19 +2,31 @@
    weight [wt.(i)], for [off.(v) <= i < off.(v + 1)].  Each undirected
    edge appears once in the row of each endpoint.  [dst] and [wt] are
    sized for every edge added, so a tail past [off.(n)] is unused: the
-   dropped duplicates. *)
+   dropped duplicates.  Graphs frozen from one builder share [off] and
+   [dst]; each has its own [wt]. *)
 type t = {
   n : int;
   m : int;
   off : int array;
   dst : int array;
   wt : int array;
+  zero : zero option;
 }
 
-(* Edge records in insertion order, duplicates included: (u, v, weight)
-   triples packed into chunks, so growing never copies and leaves no
-   garbage behind.  [cur] is filled up to [fill]; [full] holds the
-   earlier chunks, newest first. *)
+(* The zero-weight quotient.  Vertices joined by a path of weight-0
+   edges form one component, and with non-negative weights every
+   vertex of a component is at the same distance from any source.
+   [comp.(v)] is [v]'s component, numbered in order of its lowest
+   vertex, and [q] is the graph over the components: one edge per
+   pair of components joined by an edge, at the least weight of those
+   edges.  [None] when no edge has weight 0: the quotient is then the
+   graph itself. *)
+and zero = { comp : int array; q : t }
+
+(* Edge records in insertion order, duplicates included: (u, v, weight,
+   weight2) quadruples packed into chunks, so growing never copies and
+   leaves no garbage behind.  [cur] is filled up to [fill]; [full]
+   holds the earlier chunks, newest first. *)
 type builder = {
   bn : int;
   mutable full : int array list;
@@ -28,60 +40,153 @@ let chunk_edges = 4096
 let create_builder ~n =
   if n < 0 then invalid_arg "Graph.create_builder: n < 0";
   let first = Int.min chunk_edges (Int.max 16 n) in
-  { bn = n; full = []; cur = Array.make (3 * first) 0; fill = 0; k = 0 }
+  { bn = n; full = []; cur = Array.make (4 * first) 0; fill = 0; k = 0 }
 
-let add_edge b u v ~weight =
+let add_edge2 b u v ~weight ~weight2 =
   if u < 0 || u >= b.bn || v < 0 || v >= b.bn then
     invalid_arg "Graph.add_edge: vertex out of range";
   if u = v then invalid_arg "Graph.add_edge: self loop";
-  if weight < 0 then invalid_arg "Graph.add_edge: negative weight";
+  if weight < 0 || weight2 < 0 then invalid_arg "Graph.add_edge: negative weight";
   if b.fill = Array.length b.cur then begin
     b.full <- b.cur :: b.full;
-    b.cur <- Array.make (3 * chunk_edges) 0;
+    b.cur <- Array.make (4 * chunk_edges) 0;
     b.fill <- 0
   end;
   b.cur.(b.fill) <- u;
   b.cur.(b.fill + 1) <- v;
   b.cur.(b.fill + 2) <- weight;
-  b.fill <- b.fill + 3;
+  b.cur.(b.fill + 3) <- weight2;
+  b.fill <- b.fill + 4;
   b.k <- b.k + 1
 
-(* [f u v weight] for every edge added, in insertion order. *)
-let iter_edges b f =
-  let scan chunk len =
-    for e = 0 to (len / 3) - 1 do
-      f chunk.(3 * e) chunk.((3 * e) + 1) chunk.((3 * e) + 2)
-    done
-  in
-  List.iter (fun chunk -> scan chunk (Array.length chunk)) (List.rev b.full);
-  scan b.cur b.fill
+let add_edge b u v ~weight = add_edge2 b u v ~weight ~weight2:weight
 
-let freeze b =
+(* [f chunk len] for every chunk, oldest first: the chunk's first [len]
+   ints are [len / 4] edge records, in insertion order. *)
+let iter_chunks b f =
+  List.iter (fun chunk -> f chunk (Array.length chunk)) (List.rev b.full);
+  f b.cur b.fill
+
+(* The zero-weight quotient of the CSR rows [off], [dst], [wt] over [n]
+   vertices (see [zero]), in O(n + m). *)
+let quotient ~n ~off ~dst ~wt =
+  let len = off.(n) in
+  let i = ref 0 in
+  while !i < len && wt.(!i) > 0 do
+    incr i
+  done;
+  if !i = len then None
+  else begin
+    (* Label components by a breadth-first walk over weight-0 edges,
+       [queue] holding each component's vertices in turn.  Only a
+       vertex with a positive-weight edge can have an edge that leaves
+       its component: the walk lists those in [border], grouped by
+       component ([bstart.(c)] is the first of component [c]), and
+       counts their positive entries in [positive]. *)
+    let comp = Array.make n (-1) and queue = Array.make n 0 in
+    let border = Array.make n 0 and bstart = Array.make (n + 1) 0 in
+    let nc = ref 0 and tail = ref 0 and n_border = ref 0 in
+    let positive = ref 0 in
+    for s = 0 to n - 1 do
+      if comp.(s) < 0 then begin
+        let c = !nc in
+        incr nc;
+        bstart.(c) <- !n_border;
+        comp.(s) <- c;
+        queue.(!tail) <- s;
+        let head = ref !tail in
+        incr tail;
+        while !head < !tail do
+          let u = queue.(!head) in
+          incr head;
+          let before = !positive in
+          for i = off.(u) to off.(u + 1) - 1 do
+            let v = dst.(i) in
+            if wt.(i) > 0 then incr positive
+            else if comp.(v) < 0 then begin
+              comp.(v) <- c;
+              queue.(!tail) <- v;
+              incr tail
+            end
+          done;
+          if !positive > before then begin
+            border.(!n_border) <- u;
+            incr n_border
+          end
+        done
+      end
+    done;
+    let nc = !nc in
+    bstart.(nc) <- !n_border;
+    (* Row [c] gets one entry per neighbouring component, at the least
+       weight: [at.(c')] is the slot of [c'] in row [c] when
+       [mark.(c') = c]. *)
+    let qoff = Array.make (nc + 1) 0 in
+    let qdst = Array.make !positive 0 and qwt = Array.make !positive 0 in
+    let mark = Array.make nc (-1) and at = Array.make nc 0 and j = ref 0 in
+    for c = 0 to nc - 1 do
+      qoff.(c) <- !j;
+      for k = bstart.(c) to bstart.(c + 1) - 1 do
+        let u = border.(k) in
+        for i = off.(u) to off.(u + 1) - 1 do
+          let c' = comp.(dst.(i)) in
+          if c' <> c then
+            if mark.(c') = c then begin
+              let s = at.(c') in
+              if wt.(i) < qwt.(s) then qwt.(s) <- wt.(i)
+            end
+            else begin
+              mark.(c') <- c;
+              at.(c') <- !j;
+              qdst.(!j) <- c';
+              qwt.(!j) <- wt.(i);
+              incr j
+            end
+        done
+      done
+    done;
+    qoff.(nc) <- !j;
+    let q = { n = nc; m = !j / 2; off = qoff; dst = qdst; wt = qwt; zero = None } in
+    Some { comp; q }
+  end
+
+(* The compacted rows of every edge added: [(m, off, dst, wt, wt2)]. *)
+let rows b =
   let n = b.bn and k = b.k in
   (* Count each edge into the row of both endpoints, then place them in
      insertion order: every row lists its edges in the order they were
      added, repeats included. *)
   let off = Array.make (n + 1) 0 in
-  iter_edges b (fun u v _ ->
-      off.(u + 1) <- off.(u + 1) + 1;
-      off.(v + 1) <- off.(v + 1) + 1);
+  iter_chunks b (fun chunk len ->
+      for r = 0 to (len / 4) - 1 do
+        let u = chunk.(4 * r) and v = chunk.((4 * r) + 1) in
+        off.(u + 1) <- off.(u + 1) + 1;
+        off.(v + 1) <- off.(v + 1) + 1
+      done);
   for v = 1 to n do
     off.(v) <- off.(v) + off.(v - 1)
   done;
   let next = Array.sub off 0 n in
-  let dst = Array.make (2 * k) 0 and wt = Array.make (2 * k) 0 in
-  let place u v w =
-    let i = next.(u) in
-    dst.(i) <- v;
-    wt.(i) <- w;
-    next.(u) <- i + 1
-  in
-  iter_edges b (fun u v w ->
-      place u v w;
-      place v u w);
+  let dst = Array.make (2 * k) 0 in
+  let wt = Array.make (2 * k) 0 and wt2 = Array.make (2 * k) 0 in
+  iter_chunks b (fun chunk len ->
+      for r = 0 to (len / 4) - 1 do
+        let u = chunk.(4 * r) and v = chunk.((4 * r) + 1) in
+        let w = chunk.((4 * r) + 2) and w2 = chunk.((4 * r) + 3) in
+        let i = next.(u) in
+        dst.(i) <- v;
+        wt.(i) <- w;
+        wt2.(i) <- w2;
+        next.(u) <- i + 1;
+        let i = next.(v) in
+        dst.(i) <- u;
+        wt.(i) <- w;
+        wt2.(i) <- w2;
+        next.(v) <- i + 1
+      done);
   (* Compact each row in place, keeping a neighbour's first entry only.
      Row [u] and row [v] both meet the pair's first-added edge first,
-     so both directions keep its weight.  [seen.(v) = u] marks [v]
+     so both directions keep its weights.  [seen.(v) = u] marks [v]
      already kept in row [u]. *)
   let seen = next in
   Array.fill seen 0 n (-1);
@@ -95,13 +200,25 @@ let freeze b =
         seen.(v) <- u;
         dst.(!j) <- v;
         wt.(!j) <- wt.(i);
+        wt2.(!j) <- wt2.(i);
         incr j
       end
     done;
     lo := hi
   done;
   off.(n) <- !j;
-  { n; m = !j / 2; off; dst; wt }
+  (!j / 2, off, dst, wt, wt2)
+
+let graph b ~m ~off ~dst wt =
+  { n = b.bn; m; off; dst; wt; zero = quotient ~n:b.bn ~off ~dst ~wt }
+
+let freeze b =
+  let m, off, dst, wt, _ = rows b in
+  graph b ~m ~off ~dst wt
+
+let freeze2 b =
+  let m, off, dst, wt, wt2 = rows b in
+  (graph b ~m ~off ~dst wt, graph b ~m ~off ~dst wt2)
 
 let n_vertices g = g.n
 let n_edges g = g.m
@@ -179,12 +296,11 @@ module Heap = struct
     top
 end
 
-(* Dijkstra from [src] over the vertices [v] with [comp.(v) = c] only;
-   the result is indexed by [local.(v)] and has [size] entries.
-   [dijkstra] below does not delegate to it: on a whole ts5k-large
-   graph the membership test and index indirection double the cost of
-   a run (1.6 ms -> 3.2 ms), and landmark vectors pay one whole-graph
-   run per landmark. *)
+(* Dijkstra from [src] over the vertices [v] with [comp.(v) = c] only
+   (one bridge comp of the Oracle below); the result is indexed by
+   [local.(v)] and has [size] entries.  It runs on the graph itself,
+   not on the zero-weight quotient: the Oracle prices the hop graph,
+   where no edge has weight 0, so the quotient would be the graph. *)
 let dijkstra_within g ~comp ~c ~local ~size ~src =
   let dist = Array.make size max_int in
   dist.(local.(src)) <- 0;
@@ -207,8 +323,8 @@ let dijkstra_within g ~comp ~c ~local ~size ~src =
   done;
   dist
 
-let dijkstra g ~src =
-  if src < 0 || src >= g.n then invalid_arg "Graph.dijkstra: bad src";
+(* Dijkstra over all of [g] from [src]. *)
+let shortest_paths g src =
   let dist = Array.make g.n max_int in
   dist.(src) <- 0;
   let heap = Heap.create () in
@@ -227,6 +343,22 @@ let dijkstra g ~src =
       done
   done;
   dist
+
+(* The heap loop runs on the zero-weight quotient, and each vertex
+   takes its component's distance.  A ts5k-large latency graph has
+   thousands of vertices but only 90 components: one per stub domain
+   and one per transit vertex. *)
+let dijkstra g ~src =
+  if src < 0 || src >= g.n then invalid_arg "Graph.dijkstra: bad src";
+  match g.zero with
+  | None -> shortest_paths g src
+  | Some { comp; q } ->
+    let dq = shortest_paths q comp.(src) in
+    let dist = Array.make g.n 0 in
+    for v = 0 to g.n - 1 do
+      dist.(v) <- dq.(comp.(v))
+    done;
+    dist
 
 let distance g ~src ~dst = (dijkstra g ~src).(dst)
 

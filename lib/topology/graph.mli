@@ -8,14 +8,22 @@ type t
 (** Compressed sparse rows: one offset array over the vertices and two
     flat int arrays (neighbour, weight) holding each undirected edge
     once in the row of each endpoint.  No pair is boxed, so a traversal
-    reads three int arrays and allocates nothing. *)
+    reads three int arrays and allocates nothing.
+
+    A graph with weight-0 edges also holds its zero-weight quotient,
+    built once by {!freeze} and immutable after: the components joined
+    by weight-0 edges, and the graph over them that keeps, for each
+    pair of components joined by an edge, the least weight of those
+    edges.  {!dijkstra} runs there. *)
 
 type builder
 
 val create_builder : n:int -> builder
 (** A mutable builder for a graph on vertices [0 .. n-1]: flat
-    [(u, v, weight)] records in insertion order, packed into
-    fixed-size int-array chunks, so growing it never copies. *)
+    [(u, v, weight, weight2)] records in insertion order, packed into
+    fixed-size int-array chunks, so growing it never copies.  The
+    second weight is a second metric over the same edges (see
+    {!freeze2}). *)
 
 val add_edge : builder -> int -> int -> weight:int -> unit
 (** Adds an undirected edge ([weight >= 0]; zero-latency links are
@@ -23,15 +31,28 @@ val add_edge : builder -> int -> int -> weight:int -> unit
     check.  Self-loops, negative weights and vertices out of range are
     rejected.  Duplicates — the same pair in either orientation — are
     dropped by {!freeze}, which keeps the first one added: its weight
-    wins. *)
+    wins.  The edge's second weight is [weight] too. *)
+
+val add_edge2 : builder -> int -> int -> weight:int -> weight2:int -> unit
+(** {!add_edge} with a distinct second weight ([weight2 >= 0]).  A
+    dropped duplicate drops both weights: the first copy's pair wins. *)
 
 val freeze : builder -> t
 (** The immutable CSR form, in O(n + m) where [m] counts every edge
     added, duplicates included: edges are bucketed into the rows of
     both endpoints, then each row is compacted keeping a neighbour's
     first entry (a per-vertex mark array, no hashing).  Row [v] lists
-    [v]'s neighbours in the order their edges were first added.  The
-    builder is left unchanged; the graph shares no array with it. *)
+    [v]'s neighbours in the order their edges were first added, at
+    their first weight.  When some edge weighs 0, the zero-weight
+    quotient is built too, in O(n + m).  The builder is left unchanged;
+    the graph shares no array with it. *)
+
+val freeze2 : builder -> t * t
+(** The two metrics of the builder's edges, from one pass of
+    {!freeze}: the first graph weighs the edges by their first weight,
+    the second by their second weight.  The two share their rows
+    (offsets and neighbours); each has its own weights and its own
+    zero-weight quotient. *)
 
 val n_vertices : t -> int
 
@@ -46,9 +67,14 @@ val degree : t -> int -> int
 
 val dijkstra : t -> src:int -> int array
 (** Single-source shortest path distances in latency units.
-    Unreachable vertices get [max_int].  Besides the result, a run
-    allocates only its binary heap: two parallel int arrays (key,
-    vertex) that double when full, so a push allocates nothing. *)
+    Unreachable vertices get [max_int].  On a graph with weight-0
+    edges the heap loop runs on the zero-weight quotient, and each
+    vertex takes its component's distance: exact, since with
+    non-negative weights a component's vertices are all at one
+    distance from any source.  Besides the result, a run allocates
+    only its binary heap (two parallel int arrays, key and vertex,
+    that double when full, so a push allocates nothing) and, with a
+    quotient, one distance per component. *)
 
 val distance : t -> src:int -> dst:int -> int
 (** Convenience single-pair distance (runs a full Dijkstra). *)

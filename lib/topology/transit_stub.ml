@@ -84,30 +84,29 @@ type t = {
 let interdomain_weight = 3
 let intradomain_weight = 1
 
-(* Adds one edge to the builders of both metrics, so the two graphs
-   stay structurally equal: each keeps the first copy of a pair. *)
-let add_edge (hop, lat) u v ~hop_w ~lat_w =
-  Graph.add_edge hop u v ~weight:hop_w;
-  Graph.add_edge lat u v ~weight:lat_w
+(* One edge carries both metrics, so the two graphs share their rows:
+   the first copy of a pair wins in both. *)
+let add_edge builder u v ~hop_w ~lat_w =
+  Graph.add_edge2 builder u v ~weight:hop_w ~weight2:lat_w
 
 (* GT-ITM-style flat random graph over [vertices]: each pair with
    probability [edge_prob], plus a random spanning tree for
    connectivity.  All edges are intradomain (weight 1 in both
    metrics). *)
-let connect_random rng builders vertices ~edge_prob ~intra_lat =
+let connect_random rng builder vertices ~edge_prob ~intra_lat =
   let k = Array.length vertices in
   if k > 1 then begin
     let order = Array.copy vertices in
     Prng.shuffle rng order;
     for i = 1 to k - 1 do
       let j = Prng.int rng i in
-      add_edge builders order.(i) order.(j) ~hop_w:intradomain_weight
+      add_edge builder order.(i) order.(j) ~hop_w:intradomain_weight
         ~lat_w:intra_lat
     done;
     for i = 0 to k - 2 do
       for j = i + 1 to k - 1 do
         if Prng.unit_float rng < edge_prob then
-          add_edge builders vertices.(i) vertices.(j) ~hop_w:intradomain_weight
+          add_edge builder vertices.(i) vertices.(j) ~hop_w:intradomain_weight
             ~lat_w:intra_lat
       done
     done
@@ -128,7 +127,7 @@ let generate rng p =
   let stub_sizes = Array.init n_stub_domains stub_size in
   let n_stub = Array.fold_left ( + ) 0 stub_sizes in
   let n = n_transit + n_stub in
-  let builders = (Graph.create_builder ~n, Graph.create_builder ~n) in
+  let builder = Graph.create_builder ~n in
   let roles = Array.make n (Transit { domain = 0 }) in
 
   (* Latency weight of one interdomain edge: base hop weight plus
@@ -162,13 +161,13 @@ let generate rng p =
       Prng.shuffle rng order;
       for i = 1 to k - 1 do
         let j = Prng.int rng i in
-        add_edge builders order.(i) order.(j) ~hop_w:intradomain_weight
+        add_edge builder order.(i) order.(j) ~hop_w:intradomain_weight
           ~lat_w:(interdomain_lat ~hop_w:intradomain_weight)
       done;
       for i = 0 to k - 2 do
         for j = i + 1 to k - 1 do
           if Prng.unit_float rng < p.transit_edge_prob then
-            add_edge builders vs.(i) vs.(j) ~hop_w:intradomain_weight
+            add_edge builder vs.(i) vs.(j) ~hop_w:intradomain_weight
               ~lat_w:(interdomain_lat ~hop_w:intradomain_weight)
         done
       done
@@ -182,7 +181,7 @@ let generate rng p =
     transit_vertex ~domain ~i:(Prng.int rng p.transit_nodes_per_domain)
   in
   let add_interdomain u v =
-    add_edge builders u v ~hop_w:interdomain_weight
+    add_edge builder u v ~hop_w:interdomain_weight
       ~lat_w:(interdomain_lat ~hop_w:interdomain_weight)
   in
   if p.transit_domains > 1 then begin
@@ -212,18 +211,16 @@ let generate rng p =
         (fun v -> roles.(v) <- Stub { domain = !stub_domain; transit_of = tv })
         vs;
       next := !next + size;
-      connect_random rng builders vs ~edge_prob:p.stub_edge_prob
+      connect_random rng builder vs ~edge_prob:p.stub_edge_prob
         ~intra_lat:p.intra_latency;
-      add_edge builders (Prng.choose rng vs) tv ~hop_w:p.attachment_weight
+      add_edge builder (Prng.choose rng vs) tv ~hop_w:p.attachment_weight
         ~lat_w:(interdomain_lat ~hop_w:p.attachment_weight);
       incr stub_domain
     done
   done;
   assert (!next = n);
 
-  let hop, lat = builders in
-  let graph = Graph.freeze hop in
-  let latency_graph = Graph.freeze lat in
+  let graph, latency_graph = Graph.freeze2 builder in
   let transit_vertices = Array.init n_transit (fun i -> i) in
   let stub_vertices = Array.init n_stub (fun i -> n_transit + i) in
   { graph; latency_graph; roles; params = p; transit_vertices; stub_vertices }

@@ -85,9 +85,12 @@ type t = {
           interdomain edge = 3 units.  Transfer costs (Figs. 7–8) are
           measured here. *)
   latency_graph : Graph.t;
-      (** same edges, RTT-like weights: intradomain 1, interdomain
-          [(3 + jitter) * rtt_scale].  Landmark vectors are measured
-          here, as a real deployment would measure RTTs. *)
+      (** same edges, RTT-like weights: a stub-domain edge weighs
+          [intra_latency] (0 in every preset), any other edge its hop
+          weight times [rtt_scale] plus jitter.  Landmark vectors are
+          measured here, as a real deployment would measure RTTs.  Both
+          graphs come from one {!Graph.freeze2}, so they share their
+          rows and differ only in weights. *)
   roles : role array;
   params : params;
   transit_vertices : int array;

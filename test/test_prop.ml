@@ -1481,6 +1481,103 @@ let test_sweep_slots_matches () =
     ~name:"occupied-slot sweep = full sweep with empty leaves" slots_case
     prop_sweep_slots_matches
 
+(* ---- Set-up kernels = their plain references ---------------------------- *)
+
+module Transit_stub = P2plb_topology.Transit_stub
+module Sref = Setup_reference
+
+(* FNV-1a in two plain loops against the closure form: salts over the
+   whole int range (negative ones included) and strings of every
+   length up to 12, besides the production salts and tags. *)
+let test_hash_key_matches_reference () =
+  let rng = Prng.create ~seed:0x5eed28 in
+  let tags = [| ""; "vs"; "home"; "obj"; "stress"; "trace-obj"; "file" |] in
+  for i = 0 to 99_999 do
+    let salt =
+      if i < 50_000 then (i * 131) + (i mod 5) + (i * 1_000_003)
+      else Int64.to_int (Prng.bits64 rng)
+    in
+    let s =
+      if i mod 2 = 0 then tags.(i mod Array.length tags)
+      else String.init (Prng.int rng 13) (fun _ -> Char.chr (Prng.int rng 256))
+    in
+    let got = Id.hash_key salt s and want = Sref.hash_key salt s in
+    if got <> want then
+      Alcotest.failf "hash_key %d %S = %d, reference %d" salt s got want
+  done
+
+let same_graph g g' =
+  let row g v =
+    let r = ref [] in
+    Graph.iter_neighbors g v (fun u w -> r := (u, w) :: !r);
+    List.rev !r
+  in
+  Graph.n_vertices g = Graph.n_vertices g'
+  && Graph.n_edges g = Graph.n_edges g'
+  && List.for_all
+       (fun v -> row g v = row g' v)
+       (List.init (Graph.n_vertices g) Fun.id)
+
+(* (vertices, weight mode, edges): mode 0 draws weights in 0..9 (a few
+   weight-0 edges), mode 1 in 0..3 (many: weight-0 cycles and bridges
+   both), mode 2 in 1..10 (none).  Sparse edge lists on up to 40
+   vertices leave parts disconnected. *)
+let weighted_graph =
+  Prop.triple (Prop.int_in 1 40) (Prop.int_in 0 2)
+    (Prop.list_of ~max_len:80
+       (Prop.triple (Prop.int_in 0 39) (Prop.int_in 0 39) (Prop.int_in 0 9)))
+
+(* Both metrics of one builder (the second weight is a different
+   function of the draw) against one single-weight builder each, and
+   [dijkstra] from every source of both against the reference. *)
+let prop_dijkstra_matches_reference (n, mode, edges) =
+  let weight w = match mode with 0 -> w | 1 -> w / 3 | _ -> w + 1 in
+  let weight2 w = (9 - w) / 2 in
+  let both = Graph.create_builder ~n in
+  let one = Graph.create_builder ~n and two = Graph.create_builder ~n in
+  List.iter
+    (fun (u, v, w) ->
+      let u = u mod n and v = v mod n in
+      if u <> v then begin
+        Graph.add_edge2 both u v ~weight:(weight w) ~weight2:(weight2 w);
+        Graph.add_edge one u v ~weight:(weight w);
+        Graph.add_edge two u v ~weight:(weight2 w)
+      end)
+    edges;
+  let g, g2 = Graph.freeze2 both in
+  let agrees g =
+    List.for_all
+      (fun src -> Graph.dijkstra g ~src = Sref.dijkstra g ~src)
+      (List.init n Fun.id)
+  in
+  same_graph g (Graph.freeze one)
+  && same_graph g2 (Graph.freeze two)
+  && agrees g && agrees g2
+
+let test_dijkstra_matches_reference () =
+  Prop.run ~count:300 ~seed:0x5eed29 ~name:"dijkstra = Set reference"
+    weighted_graph prop_dijkstra_matches_reference
+
+(* [generate]'s shared-row graphs against the two-builder reference, on
+   each preset the experiments use. *)
+let test_generate_matches_reference () =
+  List.iter
+    (fun (name, params) ->
+      List.iter
+        (fun seed ->
+          let topo = Transit_stub.generate (Prng.create ~seed) params in
+          let hop, lat = Sref.generate_graphs (Prng.create ~seed) params in
+          if not (same_graph topo.Transit_stub.graph hop) then
+            Alcotest.failf "%s seed %d: hop graph differs" name seed;
+          if not (same_graph topo.Transit_stub.latency_graph lat) then
+            Alcotest.failf "%s seed %d: latency graph differs" name seed)
+        [ 1; 2; 3 ])
+    [
+      ("ts5k_large", Transit_stub.ts5k_large);
+      ("ts5k_small", Transit_stub.ts5k_small);
+      ("scaled 4096", Transit_stub.scaled ~n:4096);
+    ]
+
 let () =
   Alcotest.run "prop"
     [
@@ -1543,5 +1640,14 @@ let () =
             `Quick test_skeleton_matches_full_walk_aware;
           Alcotest.test_case "occupied-slot sweep = full sweep" `Quick
             test_sweep_slots_matches;
+        ] );
+      ( "setup",
+        [
+          Alcotest.test_case "hash_key = closure FNV-1a" `Quick
+            test_hash_key_matches_reference;
+          Alcotest.test_case "dijkstra = Set reference" `Quick
+            test_dijkstra_matches_reference;
+          Alcotest.test_case "generate = two-builder reference" `Quick
+            test_generate_matches_reference;
         ] );
     ]
