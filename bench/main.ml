@@ -321,6 +321,14 @@ let tests =
               ~m:Scenario.default.Scenario.landmark_m
           in
           fun () -> ignore (Landmark.make_space g ~landmarks)));
+    Test.make ~name:"kernel/join_all_4096x5"
+      (Staged.stage
+         (let nodes =
+            Array.init 4096 (fun i -> (float_of_int (1 + (i mod 3)), i))
+          in
+          fun () ->
+            let dht : unit Dht.t = Dht.create ~seed:1 in
+            Dht.join_all dht nodes ~n_vs:5));
   ]
 
 let run_bechamel () =

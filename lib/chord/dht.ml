@@ -214,13 +214,15 @@ let report_vs t rng n =
   | [] -> owner_of_key t (Id.hash_key n.node_id "home")
   | _ :: _ -> random_vs_of_node t rng n
 
+(* The id a node's [index]-th VS draws at [salt]. *)
+let vs_hash ~node_id ~index ~salt =
+  Id.hash_key ((node_id * 131) + index + (salt * 1_000_003)) "vs"
+
 (* Pseudo-random id of a node's [index]-th VS: the first salt whose
    hash is not [taken]. *)
 let fresh_vs_id ~taken ~node_id ~index =
   let rec go salt =
-    let id =
-      Id.hash_key ((node_id * 131) + index + (salt * 1_000_003)) "vs"
-    in
+    let id = vs_hash ~node_id ~index ~salt in
     if taken id then go (salt + 1) else id
   in
   go 0
@@ -266,33 +268,49 @@ let join t ~capacity ~underlay ~n_vs =
   done;
   n.node_id
 
-(* The ring [join] would build node by node, with one sort.  Ids are
-   drawn in the same node and VS order, each checked against those
-   drawn before it.  No load moves: every VS starts at 0.0, so each
-   join's proportional steal would move exactly 0.0. *)
+(* The ring [join] would build node by node, with one radix sort.
+   Draw [node * n_vs + index] is a node's [index]-th VS, so
+   [Vs_draw.sorted_keys] re-draws colliding ids in the order [join]
+   draws them.  No load moves: every VS starts at 0.0, so each join's
+   proportional steal would move exactly 0.0. *)
 let join_all t nodes ~n_vs =
   if t.ring_n > 0 then invalid_arg "Dht.join_all: non-empty ring";
   if n_vs < 1 then invalid_arg "Dht.join_all: n_vs < 1";
   if Array.exists (fun (capacity, _) -> capacity <= 0.0) nodes then
     invalid_arg "Dht.join_all: capacity <= 0";
-  let drawn = Hashtbl.create (Array.length nodes * n_vs) in
-  let taken = Hashtbl.mem drawn in
-  let all = ref [] in
-  Array.iter
-    (fun (capacity, underlay) ->
+  let n_nodes = Array.length nodes in
+  if n_nodes > 0 && n_vs > (Vs_draw.max_draws - 1) / n_nodes then
+    invalid_arg "Dht.join_all: more than 2^30 - 1 VSs";
+  let first = t.next_node_id in
+  let keys =
+    Vs_draw.sorted_keys (n_nodes * n_vs) ~hash:(fun ~draw ~salt ->
+        vs_hash ~node_id:(first + (draw / n_vs)) ~index:(draw mod n_vs) ~salt)
+  in
+  let vss =
+    Array.map
+      (fun k ->
+        {
+          vs_id = Vs_draw.key_id k;
+          owner = first + (Vs_draw.key_draw k / n_vs);
+          load = 0.0;
+        })
+      keys
+  in
+  (* The ring slot of each draw; [keys] becomes the ring's ids. *)
+  let slot = Array.make (Array.length keys) 0 in
+  for i = 0 to Array.length keys - 1 do
+    slot.(Vs_draw.key_draw keys.(i)) <- i;
+    keys.(i) <- Vs_draw.key_id keys.(i)
+  done;
+  Array.iteri
+    (fun i (capacity, underlay) ->
       let n = add_node t ~capacity ~underlay in
       for index = 0 to n_vs - 1 do
-        let vs_id = fresh_vs_id ~taken ~node_id:n.node_id ~index in
-        Hashtbl.add drawn vs_id ();
-        let v = { vs_id; owner = n.node_id; load = 0.0 } in
-        n.vss <- v :: n.vss;
-        all := v :: !all
+        n.vss <- vss.(slot.((i * n_vs) + index)) :: n.vss
       done)
     nodes;
-  let vss = Array.of_list !all in
-  Array.sort (fun a b -> Int.compare a.vs_id b.vs_id) vss;
   t.ring_vss <- vss;
-  t.ring_ids <- Array.map (fun v -> v.vs_id) vss;
+  t.ring_ids <- keys;
   t.ring_n <- Array.length vss;
   t.ring_version <- t.ring_version + t.ring_n
 

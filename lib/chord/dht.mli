@@ -22,7 +22,7 @@ module Prng = P2plb_prng.Prng
     parallel array, always current.  Reads ({!vs_of_id}, {!owner_of_key},
     {!region_of_vs}, each {!lookup} hop) are binary searches, {!n_vs} is
     O(1), and inserting or deleting one VS shifts the arrays: O(#VS).
-    A fresh ring is built with one sort by {!join_all}. *)
+    A fresh ring is built with one radix sort by {!join_all}. *)
 
 type node_id = int
 
@@ -59,9 +59,21 @@ val join_all : 'a t -> (float * int) array -> n_vs:int -> unit
 (** [join_all t nodes ~n_vs] joins every [(capacity, underlay)] of
     [nodes] to an empty ring, in array order, each hosting [n_vs]
     virtual servers: the same node ids, VS ids, per-node VS order,
-    loads and {!ring_version} as calling {!join} on each in turn, in
-    O(#VS log #VS) instead of O(#VS²).  Raises [Invalid_argument] on a
-    non-empty ring, any [capacity <= 0] or [n_vs < 1], before changing
+    loads and {!ring_version} as calling {!join} on each in turn.
+
+    It costs one radix sort over packed [(id lsl 30) lor draw] ints,
+    O(#VS), instead of O(#VS²): draw [node * n_vs + index] is a node's
+    [index]-th VS.  Collisions are found after the sort, as equal
+    neighbours, and follow {!join}'s rule: of the draws that hit one
+    id, the first keeps it and each later one re-draws with the next
+    salt, in draw order.  A re-drawn id that an earlier draw holds is
+    drawn again; one that is the salt-0 id of a later draw is kept,
+    and that later draw re-draws instead (see {!Vs_draw.sorted_keys}).
+    The keys are sorted again only if some id moved.
+
+    Raises [Invalid_argument] on a non-empty ring, any
+    [capacity <= 0], [n_vs < 1] or [Array.length nodes * n_vs >= 2{^30}]
+    (too many draws to pack), before allocating or changing
     anything. *)
 
 val leave : 'a t -> node_id -> unit

@@ -1,28 +1,37 @@
-type t = { mutable state : int64 }
+(* The state lives in an 8-byte cell, not a mutable [int64] field:
+   storing a new [int64] into a field boxes it, so every draw would
+   allocate.  [step] reads and writes the cell unboxed. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   (* SplitMix64 finaliser: two xor-shift-multiply rounds. *)
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let create ~seed = { state = mix64 (Int64.of_int seed) }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 s;
+  t
 
-let copy t = { state = t.state }
+let create ~seed = of_state (mix64 (Int64.of_int seed))
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let copy = Bytes.copy
 
-let split t =
-  let s = bits64 t in
-  { state = s }
+let[@inline] step t =
+  let s = Int64.add (Bytes.get_int64_le t 0) golden_gamma in
+  Bytes.set_int64_le t 0 s;
+  mix64 s
+
+let bits64 t = step t
+
+let split t = of_state (step t)
 
 let unit_float t =
   (* 53 high bits of the raw output, scaled to [0, 1). *)
-  let bits = Int64.shift_right_logical (bits64 t) 11 in
+  let bits = Int64.shift_right_logical (step t) 11 in
   Int64.to_float bits *. 0x1p-53
 
 let float t bound = unit_float t *. bound
@@ -31,7 +40,7 @@ let int64 t bound =
   if Int64.compare bound 0L <= 0 then invalid_arg "Prng.int64: bound <= 0";
   (* Rejection sampling on the top range multiple of [bound]. *)
   let rec go () =
-    let raw = Int64.shift_right_logical (bits64 t) 1 in
+    let raw = Int64.shift_right_logical (step t) 1 in
     let v = Int64.rem raw bound in
     if Int64.(compare (sub raw v) (sub (sub max_int bound) 1L)) > 0 then go ()
     else v
@@ -46,7 +55,7 @@ let int_in t ~lo ~hi =
   if lo > hi then invalid_arg "Prng.int_in: lo > hi";
   lo + int t (hi - lo + 1)
 
-let bool t = Int64.compare (Int64.logand (bits64 t) 1L) 0L <> 0
+let bool t = Int64.compare (Int64.logand (step t) 1L) 0L <> 0
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

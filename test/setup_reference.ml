@@ -8,7 +8,11 @@
      [Graph.dijkstra] runs on;
    - [generate_graphs]: [Transit_stub.generate]'s edges added to one
      single-weight builder per metric and frozen twice, as it did
-     before both metrics shared one builder.
+     before both metrics shared one builder;
+   - [draw_ids] and [join_all]: [Dht.join_all]'s ids drawn one at a
+     time against a [Hashtbl] of the ids drawn before, and the ring
+     sorted as records through a closure, as it did before the radix
+     sort.
 
    test_prop checks that each production kernel agrees with its
    reference exactly. *)
@@ -55,6 +59,41 @@ let dijkstra g ~src =
         end)
   done;
   dist
+
+(* Each draw's id, one draw at a time in draw order: the first
+   [hash ~draw ~salt], salt = 0, 1, ..., that misses every id drawn
+   before it. *)
+let draw_ids ~hash n =
+  let drawn = Hashtbl.create n in
+  let ids = Array.make n 0 in
+  for draw = 0 to n - 1 do
+    let rec go salt =
+      let id = hash ~draw ~salt in
+      if Hashtbl.mem drawn id then go (salt + 1) else id
+    in
+    ids.(draw) <- go 0;
+    Hashtbl.add drawn ids.(draw) ()
+  done;
+  ids
+
+(* The ring [Dht.join_all] builds for nodes [0 .. n_nodes - 1] of
+   [n_vs] VSs each, draw [node * n_vs + index] being the node's
+   [index]-th VS: the (id, owner) pairs in ring order, and each node's
+   VS ids in its [vss] order (latest joined first). *)
+let join_all ~n_nodes ~n_vs =
+  let hash ~draw ~salt =
+    P2plb_idspace.Id.hash_key
+      (((draw / n_vs) * 131) + (draw mod n_vs) + (salt * 1_000_003))
+      "vs"
+  in
+  let ids = draw_ids ~hash (n_nodes * n_vs) in
+  let ring = Array.mapi (fun draw id -> (id, draw / n_vs)) ids in
+  Array.sort (fun (a, _) (b, _) -> Int.compare a b) ring;
+  let vss =
+    Array.init n_nodes (fun node ->
+        List.init n_vs (fun i -> ids.((node * n_vs) + n_vs - 1 - i)))
+  in
+  (ring, vss)
 
 (* [Transit_stub.generate]'s draws and edges, verbatim but for the
    vertex roles, which draw nothing; returns the hop graph and the

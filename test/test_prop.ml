@@ -13,6 +13,7 @@ module Excess = P2plb.Excess
 module Pairing = P2plb.Pairing
 module Types = P2plb.Types
 module Dht = P2plb_chord.Dht
+module Vs_draw = P2plb_chord.Vs_draw
 module Ktree = P2plb_ktree.Ktree
 module Obs = P2plb_obs.Obs
 module Registry = P2plb_obs.Registry
@@ -1127,6 +1128,9 @@ let test_bulk_rejects () =
   raises "negative capacity" (fun () ->
       Dht.join_all empty [| (-1.0, 0) |] ~n_vs:2);
   raises "n_vs 0" (fun () -> Dht.join_all empty [| (1.0, 0) |] ~n_vs:0);
+  (* Rejected before anything is allocated for the 2^30 VSs. *)
+  raises "2^30 VSs, too many to pack" (fun () ->
+      Dht.join_all empty [| (1.0, 0) |] ~n_vs:(1 lsl 30));
   Alcotest.(check int) "a rejected call joins nothing" 0 (Dht.n_nodes empty);
   Alcotest.(check int) "and inserts no VS" 0 (Dht.n_vs empty);
   let joined = fresh () in
@@ -1578,6 +1582,85 @@ let test_generate_matches_reference () =
       ("scaled 4096", Transit_stub.scaled ~n:4096);
     ]
 
+(* [Dht.join_all] at 131072 nodes × 5 VSs, where salt-0 ids collide,
+   against the one-draw-at-a-time [Hashtbl] build. *)
+let test_join_all_matches_reference () =
+  let n_nodes = 131_072 and n_vs = 5 in
+  let dht : unit Dht.t = Dht.create ~seed:1 in
+  Dht.join_all dht
+    (Array.init n_nodes (fun i -> (float_of_int (1 + (i mod 3)), 7 * i)))
+    ~n_vs;
+  let ring, vss = Sref.join_all ~n_nodes ~n_vs in
+  let i = ref 0 and ring_diff = ref 0 in
+  Dht.fold_vs dht ~init:() ~f:(fun () v ->
+      let id, owner = ring.(!i) in
+      if v.Dht.vs_id <> id || v.Dht.owner <> owner || v.Dht.load <> 0.0 then
+        incr ring_diff;
+      incr i);
+  Alcotest.(check int) "ring size" (n_nodes * n_vs) !i;
+  Alcotest.(check int) "ids and owners" 0 !ring_diff;
+  let node_diff = ref 0 and salted = ref 0 in
+  List.iteri
+    (fun i (n : Dht.node) ->
+      let ids = List.map (fun v -> v.Dht.vs_id) n.Dht.vss in
+      if
+        n.Dht.node_id <> i
+        || n.Dht.underlay <> 7 * i
+        || n.Dht.capacity <> float_of_int (1 + (i mod 3))
+        || not (List.equal Int.equal vss.(i) ids)
+      then incr node_diff;
+      List.iteri
+        (fun j id ->
+          if id <> Id.hash_key ((i * 131) + (n_vs - 1 - j)) "vs" then
+            incr salted)
+        ids)
+    (Dht.alive_nodes dht);
+  Alcotest.(check int) "alive nodes" n_nodes (Dht.n_nodes dht);
+  Alcotest.(check int) "alive_nodes and each node's vss" 0 !node_diff;
+  Alcotest.(check int) "ring_version" (n_nodes * n_vs) (Dht.ring_version dht);
+  Alcotest.(check bool) "some VS took the salt path" true (!salted > 0)
+
+(* [Vs_draw.sorted_keys] under hashes narrowed to 8 bits, against the
+   one-draw-at-a-time build.  Ids that narrow collide often, so a
+   re-drawn id often lands on the salt-0 id of a later draw, which
+   must then move too: the chain case, which 32-bit ids almost never
+   reach.  The group asserts that some case reached it. *)
+let narrow_case = Prop.pair (Prop.int_in 1 250) (Prop.int_in 0 1_000_000)
+
+let chains = ref 0
+
+let prop_draws_match (n, tag) =
+  let tag = string_of_int tag in
+  let hash ~draw ~salt =
+    Id.hash_key (draw + (salt * 1_000_003)) tag land 0xff
+  in
+  let keys = Vs_draw.sorted_keys ~hash n in
+  let ids = Array.make n (-1) in
+  Array.iter (fun k -> ids.(Vs_draw.key_draw k) <- Vs_draw.key_id k) keys;
+  let expected = Sref.draw_ids ~hash n in
+  (* A chain: a draw moved that is the first to draw its salt-0 id. *)
+  for d = 0 to n - 1 do
+    let s0 = hash ~draw:d ~salt:0 in
+    let first = ref true in
+    for e = 0 to d - 1 do
+      if hash ~draw:e ~salt:0 = s0 then first := false
+    done;
+    if !first && expected.(d) <> s0 then incr chains
+  done;
+  let ascending = ref true in
+  for i = 1 to n - 1 do
+    if keys.(i) <= keys.(i - 1) then ascending := false
+  done;
+  !ascending && Array.for_all2 Int.equal ids expected
+
+let test_draws_match_reference () =
+  chains := 0;
+  Prop.run ~count:300 ~seed:0x5eed29
+    ~name:"sorted_keys = one draw at a time (8-bit ids)" narrow_case
+    prop_draws_match;
+  Alcotest.(check bool) "some case re-drew onto a later salt-0 id" true
+    (!chains > 0)
+
 let () =
   Alcotest.run "prop"
     [
@@ -1649,5 +1732,9 @@ let () =
             test_dijkstra_matches_reference;
           Alcotest.test_case "generate = two-builder reference" `Quick
             test_generate_matches_reference;
+          Alcotest.test_case "join_all = Hashtbl reference (131072 x 5)"
+            `Quick test_join_all_matches_reference;
+          Alcotest.test_case "VS draws = one at a time (8-bit ids)" `Quick
+            test_draws_match_reference;
         ] );
     ]
