@@ -11,7 +11,6 @@ type t = {
   mutable objects : obj list Ring_map.t; (* key -> versions *)
   mutable count : int;
   mutable bytes : float;
-  mutable lost_total : int;
 }
 
 let create ~replication () =
@@ -21,13 +20,11 @@ let create ~replication () =
     objects = Ring_map.empty;
     count = 0;
     bytes = 0.0;
-    lost_total = 0;
   }
 
 let replication t = t.r
 let n_objects t = t.count
 let total_bytes t = t.bytes
-let lost_objects t = t.lost_total
 
 (* The [r] distinct physical nodes holding key [k]: the owner's node,
    then the owners of successive ring regions. *)
@@ -120,7 +117,6 @@ let repair t dht =
       t.objects Ring_map.empty
   in
   t.objects <- repaired;
-  t.lost_total <- t.lost_total + !lost;
   {
     objects_checked = !checked;
     re_replicated = !re_replicated;

@@ -22,8 +22,6 @@ val create : replication:int -> unit -> t
 val replication : t -> int
 val n_objects : t -> int
 val total_bytes : t -> float
-val lost_objects : t -> int
-(** Cumulative count of objects detected unrecoverable by {!repair}. *)
 
 val insert : t -> 'a Dht.t -> key:Id.t -> size:float -> unit
 (** Places a fresh object.  [size >= 0].  Re-inserting a key adds a

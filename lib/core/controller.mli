@@ -17,11 +17,11 @@ module Faults = P2plb_sim.Faults
     rendezvous, and unapplicable transfers are skipped per cause —
     the round always completes on whatever nodes remain alive.
 
-    Plans carrying transfer-path faults (partitions, duplication,
-    mid-transfer crash windows) additionally run phase 4 as the
-    transactional protocol of {!Vst}: transfers abort per cause rather
-    than half-applying, and the ["phase/vst"] span gains [aborted] and
-    [deduped] attributes. *)
+    Every round runs phase 4 as the transactional protocol of {!Vst},
+    with or without a plan: under transfer-path faults (partitions,
+    duplication, mid-transfer crash windows) transfers abort per cause
+    rather than half-applying.  The ["phase/vst"] span always carries
+    [aborted] and [deduped] attributes, 0 without such faults. *)
 
 type config = {
   k : int;  (** K-nary tree degree; paper evaluates 2 and 8 *)

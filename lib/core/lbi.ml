@@ -30,64 +30,20 @@ let aggregate ~rng ?faults ?(route_messages = false) ?sweep tree dht =
   (* Each node reports through one randomly chosen VS (to avoid
      redundant per-node reports); the VS hands the report to its
      designated KT leaf. *)
-  (* Arrival-ordered (leaf slot, report) pairs, grouped per leaf slot
-     by a stable counting sort — replaces the per-leaf Hashtbl of
-     reverse-arrival report lists. *)
-  let cap = ref 0 and n_reports = ref 0 in
-  let rep_slot = ref [||] in
-  let rep_lbi = ref ([||] : Types.lbi array) in
+  let reports = Ktree.Reports.create tree in
   Dht.fold_nodes dht ~init:() ~f:(fun () n ->
       let v = Dht.report_vs dht rng n in
-      if reliable faults then begin
-        (* -1 cannot happen: every VS hosts a leaf. *)
-        let slot = Ktree.vs_slot tree v.Dht.vs_id in
-        if slot >= 0 then begin
-          let r = node_lbi n in
-          if !n_reports = !cap then begin
-            let c = if !cap = 0 then 1024 else 2 * !cap in
-            let slots = Array.make c 0 and lbis = Array.make c r in
-            Array.blit !rep_slot 0 slots 0 !n_reports;
-            Array.blit !rep_lbi 0 lbis 0 !n_reports;
-            cap := c;
-            rep_slot := slots;
-            rep_lbi := lbis
-          end;
-          !rep_slot.(!n_reports) <- slot;
-          !rep_lbi.(!n_reports) <- r;
-          incr n_reports
-        end
-      end);
-  let n_slots = Ktree.n_leaf_slots tree in
-  let starts = Array.make (n_slots + 1) 0 in
-  for i = 0 to !n_reports - 1 do
-    let s = !rep_slot.(i) in
-    starts.(s + 1) <- starts.(s + 1) + 1
-  done;
-  for s = 1 to n_slots do
-    starts.(s) <- starts.(s) + starts.(s - 1)
-  done;
-  let grouped =
-    if !n_reports = 0 then [||]
-    else begin
-      let g = Array.make !n_reports !rep_lbi.(0) in
-      let cursor = Array.copy starts in
-      for i = 0 to !n_reports - 1 do
-        let s = !rep_slot.(i) in
-        g.(cursor.(s)) <- !rep_lbi.(i);
-        cursor.(s) <- cursor.(s) + 1
-      done;
-      g
-    end
-  in
-  let sweep = match sweep with Some f -> f | None -> Ktree.sweep tree in
-  (* Combining is all the KT nodes do: the lift is the identity. *)
-  sweep
-    ~at_leaf:(fun ~slot ~depth:_ ->
+      if reliable faults then Ktree.Reports.add reports v.Dht.vs_id (node_lbi n));
+  (* Combining is all the KT nodes do: the lift is the identity, and
+     [zero_lbi], the value of a leaf without reports, is an exact
+     identity of the combine for non-negative loads. *)
+  Ktree.Reports.sweep ?sweep reports ~empty:zero_lbi
+    ~at_leaf:(fun ~depth:_ grouped ~lo ~hi ->
       (* The Hashtbl path folded the reverse-arrival report list, so
          the float sums ran newest-first; iterate the arrival-ordered
          slice backwards to keep the exact summation order. *)
       let acc = ref zero_lbi in
-      for i = starts.(slot + 1) - 1 downto starts.(slot) do
+      for i = hi - 1 downto lo do
         acc := Types.lbi_combine !acc grouped.(i)
       done;
       !acc)

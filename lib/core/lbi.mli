@@ -29,9 +29,13 @@ val aggregate :
   ?sweep:Types.lbi Ktree.sweep -> Ktree.t -> 'a Dht.t -> Types.lbi
 (** Bottom-up aggregation over the current tree; returns the root's
     view.  Raises [Invalid_argument] if the DHT has no alive nodes.
-    The sweep is [sweep] (default [Ktree.sweep tree]), whose lift is
-    the identity; a test may pass a full walk of a reference tree
-    instead. *)
+    The reports go through a {!Ktree.Reports} log, swept with [sweep]
+    (default: the skeleton of the leaves that received a report),
+    whose lift is the identity; a test may pass a full walk of a
+    reference tree instead.  A leaf without reports holds [<0, 0,
+    infinity>], an exact identity of the combine for non-negative
+    loads, so sweeping only the reporting leaves leaves every bit of
+    the root unchanged. *)
 
 val disseminate :
   ?faults:Faults.t -> ?route_messages:bool ->

@@ -105,9 +105,6 @@ let crash_nodes t n =
     end
   done
 
-let reassign_loads t =
-  Workload.assign_loads (Prng.split t.rng) t.config.workload t.dht
-
 let unit_loads t =
   Array.of_list
     (List.map Dht.node_unit_load (Dht.alive_nodes t.dht))

@@ -57,10 +57,6 @@ val crash_nodes : t -> int -> unit
 (** Churn: fail-stop [n] random alive nodes.  A victim that fails
     {!Dht.can_depart} is spared, so the ring never empties. *)
 
-val reassign_loads : t -> unit
-(** Redraws all VS loads from the workload config (fresh experiment on
-    the same network). *)
-
 val unit_loads : t -> float array
 (** Load per capacity for each alive node, in node-id order — the
     y-values of the paper's Figure 4. *)

@@ -12,9 +12,6 @@ type lbi = { l : float; c : float; l_min : float }
 let lbi_combine a b =
   { l = a.l +. b.l; c = a.c +. b.c; l_min = Float.min a.l_min b.l_min }
 
-let pp_lbi fmt { l; c; l_min } =
-  Format.fprintf fmt "<L=%.4g, C=%.4g, Lmin=%.4g>" l c l_min
-
 (** A virtual server a heavy node offers to shed:
     [<L_{i,k}, v_{i,k}, ip_addr(i)>] (§3.4). *)
 type shed_vs = { vs_load : float; vs_id : Id.t; heavy_node : node_id }
@@ -39,7 +36,3 @@ type assignment = {
 }
 
 type node_class = Heavy | Light | Neutral
-
-let pp_node_class fmt c =
-  Format.pp_print_string fmt
-    (match c with Heavy -> "heavy" | Light -> "light" | Neutral -> "neutral")

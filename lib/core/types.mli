@@ -10,7 +10,6 @@ type node_id = int
 type lbi = { l : float; c : float; l_min : float }
 
 val lbi_combine : lbi -> lbi -> lbi
-val pp_lbi : Format.formatter -> lbi -> unit
 
 (** A virtual server a heavy node offers to shed:
     [<L_{i,k}, v_{i,k}, ip_addr(i)>] (§3.4). *)
@@ -36,5 +35,3 @@ type assignment = {
 }
 
 type node_class = Heavy | Light | Neutral
-
-val pp_node_class : Format.formatter -> node_class -> unit

@@ -64,27 +64,8 @@ let run ?(threshold = default_threshold) ?(epsilon = 0.0) ?faults
   let n_heavy = ref 0 and n_light = ref 0 and n_neutral = ref 0 in
   let publish_hops = ref 0 in
   let shed_offered = ref 0 and load_offered = ref 0.0 in
-  (* Arrival-ordered (leaf slot, record) reports, grouped per leaf by a
-     single stable counting sort below — replaces the per-leaf
-     Hashtbl of reverse-arrival lists. *)
-  let rep_cap = ref 0 in
-  let n_reports = ref 0 in
-  let rep_slot = ref [||] in
-  let rep_rec = ref ([||] : Types.vsa_record array) in
-  let push_report slot r =
-    if !n_reports = !rep_cap then begin
-      let cap = if !rep_cap = 0 then 1024 else 2 * !rep_cap in
-      let slots = Array.make cap 0 and recs = Array.make cap r in
-      Array.blit !rep_slot 0 slots 0 !n_reports;
-      Array.blit !rep_rec 0 recs 0 !n_reports;
-      rep_cap := cap;
-      rep_slot := slots;
-      rep_rec := recs
-    end;
-    !rep_slot.(!n_reports) <- slot;
-    !rep_rec.(!n_reports) <- r;
-    incr n_reports
-  in
+  (* Records handed to KT leaves, in arrival order. *)
+  let reports : Types.vsa_record Ktree.Reports.t = Ktree.Reports.create tree in
   (* Classify every node once, collect its records and route each to a
      KT leaf according to the mode — one fused pass in alive-node order
      (classification draws no randomness, so collection and routing
@@ -108,9 +89,7 @@ let run ?(threshold = default_threshold) ?(epsilon = 0.0) ?faults
           let v = Dht.report_vs dht rng n in
           match send () with
           | None -> incr records_lost
-          | Some _ ->
-            let slot = Ktree.vs_slot tree v.Dht.vs_id in
-            if slot >= 0 then push_report slot r)
+          | Some _ -> Ktree.Reports.add reports v.Dht.vs_id r)
         records
     | Aware { space; order; curve; binning }, _ ->
       (* The key depends only on the node's underlay vertex, the space
@@ -160,42 +139,7 @@ let run ?(threshold = default_threshold) ?(epsilon = 0.0) ?faults
   (match mode with
   | Ignorant -> ()
   | Aware _ ->
-    Dht.drain_items dht ~f:(fun v _ r ->
-        let slot = Ktree.vs_slot tree v.Dht.vs_id in
-        if slot >= 0 then push_report slot r));
-  (* Group the reports per leaf slot: counts, prefix sums, then a stable
-     scatter, so each slot's slice keeps arrival order.  The sweep
-     visits only the [occupied] slots, those that received a report. *)
-  let n_slots = Ktree.n_leaf_slots tree in
-  let starts = Array.make (n_slots + 1) 0 in
-  let n_occupied = ref 0 in
-  for i = 0 to !n_reports - 1 do
-    let s = !rep_slot.(i) in
-    if starts.(s + 1) = 0 then incr n_occupied;
-    starts.(s + 1) <- starts.(s + 1) + 1
-  done;
-  let occupied = Array.make !n_occupied 0 in
-  n_occupied := 0;
-  for s = 1 to n_slots do
-    if starts.(s) > 0 then begin
-      occupied.(!n_occupied) <- s - 1;
-      incr n_occupied
-    end;
-    starts.(s) <- starts.(s) + starts.(s - 1)
-  done;
-  let grouped =
-    if !n_reports = 0 then [||]
-    else begin
-      let g = Array.make !n_reports !rep_rec.(0) in
-      let cursor = Array.copy starts in
-      for i = 0 to !n_reports - 1 do
-        let s = !rep_slot.(i) in
-        g.(cursor.(s)) <- !rep_rec.(i);
-        cursor.(s) <- cursor.(s) + 1
-      done;
-      g
-    end
-  in
+    Dht.drain_items dht ~f:(fun v _ r -> Ktree.Reports.add reports v.Dht.vs_id r));
   (* Scratch buffers for the per-leaf freshness partition, reused by
      every leaf of the sweep (grown on demand, filled with the pushed
      element so no dummy values are needed). *)
@@ -223,7 +167,7 @@ let run ?(threshold = default_threshold) ?(epsilon = 0.0) ?faults
     !light_scratch.(!light_n) <- l;
     incr light_n
   in
-  let fresh_pool_slice lo hi =
+  let fresh_pool_slice grouped lo hi =
     shed_n := 0;
     light_n := 0;
     for i = lo to hi - 1 do
@@ -254,21 +198,11 @@ let run ?(threshold = default_threshold) ?(epsilon = 0.0) ?faults
     List.iter notify made;
     leftover
   in
-  let sweep =
-    match sweep with
-    | Some f -> f
-    | None -> Ktree.sweep_slots tree occupied ~empty:Pairing.empty
-  in
   let root_pool =
-    sweep
-      ~at_leaf:(fun ~slot ~depth ->
-        let lo = starts.(slot) and hi = starts.(slot + 1) in
-        if lo = hi then Pairing.empty
-        else begin
-          let pool = fresh_pool_slice lo hi in
-          if Pairing.size pool >= threshold then pair_here depth pool
-          else pool
-        end)
+    Ktree.Reports.sweep ?sweep reports ~empty:Pairing.empty
+      ~at_leaf:(fun ~depth grouped ~lo ~hi ->
+        let pool = fresh_pool_slice grouped lo hi in
+        if Pairing.size pool >= threshold then pair_here depth pool else pool)
       ~merge:Pairing.merge
       ~lift:(fun ~hi ~lo pool ->
         (* A KT node pairs its pool once it reaches [threshold], the

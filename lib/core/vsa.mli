@@ -81,7 +81,8 @@ val run :
 
     The rendezvous is one bottom-up sweep, [sweep]: a leaf's pool is
     its fresh records, and a KT node at depth [d] pairs its pool when
-    it holds at least [threshold] entries, or when [d = 0].  By
-    default it is {!Ktree.sweep_slots} over the leaves that received a
-    report, a leaf without one holding the empty pool; a test may pass
-    a full walk of a reference tree instead. *)
+    it holds at least [threshold] entries, or when [d = 0].  The
+    records go through a {!Ktree.Reports} log; by default the sweep
+    visits the leaves that received one, a leaf without one holding
+    the empty pool; a test may pass a full walk of a reference tree
+    instead. *)

@@ -27,8 +27,6 @@ let of_fraction f =
   if f < 0.0 || f > 1.0 then invalid_arg "Id.of_fraction: out of [0,1]";
   of_int (int_of_float (f *. float_of_int space_size))
 
-let to_fraction x = float_of_int x /. float_of_int space_size
-
 let compare = Int.compare
 let equal = Int.equal
 

@@ -46,9 +46,6 @@ val of_fraction : float -> t
 (** [of_fraction f] maps [f] in [\[0, 1\]] to a ring point by scaling;
     [1.0] wraps to [zero]. *)
 
-val to_fraction : t -> float
-(** Position of the identifier as a fraction of the ring. *)
-
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val hash_key : t -> string -> t

@@ -34,8 +34,7 @@ let base_lens ~k =
 
 (* The tree is a function of the sorted VS ids (DESIGN.md §2), so it
    stores them and the figures of one summary walk over them, indexed
-   by ring position; [fold_up] and [fold_down] derive every node on the
-   fly. *)
+   by ring position; [fold_down] derives every node on the fly. *)
 type snap = {
   ids : int array;
   per_host : int array;  (* KT nodes hosted by ids.(h) *)
@@ -148,72 +147,24 @@ let[@inline] node_of ~lens win start len depth h =
   let p = pack ~lens start depth len and w = win.(h) in
   if w land pos_mask = p then w else p
 
-(* The two walks that derive every node of [t].  Below a node, a
+(* The walk that derives every node of [t], in preorder, pushing a
+   value down: the root holds [v0], an internal child [c] holds [down
+   c v] of its parent's [v], and a leaf [c] is visited as [at_leaf c
+   v] with its parent's [v] ([v0] for a root leaf).  Below a node, a
    part's slice is cut off by a search for the part's end, except in a
    chain (a slice of one id x): there the parts left of x's part are
    leaves hosted by x, those right of it leaves hosted by x's
    successor, and x's part is a leaf exactly when x is its last point,
    so nothing is searched below the last fork.  A leaf's slice is
    empty or holds only its last point, so its host is the id at the
-   slice's start.  They serve [check_consistent], [fold_nodes],
+   slice's start.  It serves [check_consistent], [fold_nodes],
    [leaves] and the routed build; the sweeps visit only the skeleton
    ([sweep]). *)
-
-(* Postorder: [at_leaf c] at a leaf; at an internal node [at_node c
-   acc], [acc] being [merge] folded left from [empty] over its
-   children's results in child order. *)
-let fold_up t ~at_leaf ~empty ~merge ~at_node =
-  let k = t.k and lens = t.lens and ids = t.snap.ids and win = t.snap.win in
-  let n = Array.length ids in
-  let[@inline] leaf start len depth lo =
-    at_leaf (node_of ~lens win start len depth (if lo = n then 0 else lo))
-  in
-  let rec inner start len depth lo hi =
-    let d = depth + 1 in
-    let base = part_base ~k ~lens len d and extra = part_extra ~k ~lens len d in
-    let acc = ref empty and pos = ref start in
-    if hi = lo + 1 then begin
-      let x = ids.(lo) in
-      for i = 0 to k - 1 do
-        let cs = !pos and cl = if i < extra then base + 1 else base in
-        if cl > 0 then
-          acc :=
-            merge !acc
-              (if cs + cl - 1 <= x then leaf cs cl d lo
-               else if cs > x then leaf cs cl d hi
-               else inner cs cl d lo hi);
-        pos := cs + cl
-      done
-    end
-    else begin
-      let clo = ref lo in
-      for i = 0 to k - 1 do
-        let cs = !pos and cl = if i < extra then base + 1 else base in
-        if cl > 0 then begin
-          let lo = !clo in
-          let hi = lower_bound ids (cs + cl) lo hi in
-          acc :=
-            merge !acc
-              (if is_leaf_slice ids d cs cl lo hi then leaf cs cl d lo
-               else inner cs cl d lo hi);
-          clo := hi
-        end;
-        pos := cs + cl
-      done
-    end;
-    at_node (pack ~lens start depth len) !acc
-  in
-  if n = 1 then leaf 0 Id.space_size 0 0 else inner 0 Id.space_size 0 0 n
-
-(* Preorder, pushing a value down: the root holds [v0], a child [c]
-   holds [down c v] of its parent's [v], and [at_leaf c v] is called
-   at every leaf with the leaf's value. *)
 let fold_down t ~down ~at_leaf v0 =
   let k = t.k and lens = t.lens and ids = t.snap.ids and win = t.snap.win in
   let n = Array.length ids in
   let[@inline] leaf start len depth lo v =
-    let c = node_of ~lens win start len depth (if lo = n then 0 else lo) in
-    at_leaf c (down c v)
+    at_leaf (node_of ~lens win start len depth (if lo = n then 0 else lo)) v
   in
   let rec inner start len depth lo hi v =
     let d = depth + 1 in
@@ -373,12 +324,13 @@ let build ?(route_messages = false) ~k dht =
     (* Each child's plant is a lookup from its parent's host, in
        preorder; the root is located deterministically (§3.1.1). *)
     let ids = s.ids in
-    fold_down t
-      ~down:(fun c from ->
-        let v, hops = Dht.lookup dht ~from ~key:(key t c) in
-        t.msg <- t.msg + hops;
-        v.Dht.vs_id)
-      ~at_leaf:(fun _ _ -> ())
+    let plant c from =
+      let v, hops = Dht.lookup dht ~from ~key:(key t c) in
+      t.msg <- t.msg + hops;
+      v.Dht.vs_id
+    in
+    fold_down t ~down:plant
+      ~at_leaf:(fun c from -> ignore (plant c from))
       ids.(host_index ids 0 Id.space_size 0 (Array.length ids))
   end;
   t
@@ -448,8 +400,10 @@ let children t n =
 (* ---- whole-tree walks ----------------------------------------------------- *)
 
 let fold_nodes t ~init ~f =
-  let acc = ref (f init (root t)) in
-  fold_down t ~down:(fun c () -> acc := f !acc c) ~at_leaf:(fun _ () -> ()) ();
+  let acc = ref init in
+  let visit c () = acc := f !acc c in
+  if Array.length t.snap.ids > 1 then visit (root t) ();
+  fold_down t ~down:visit ~at_leaf:visit ();
   !acc
 
 (* Preorder meets the leaves in identifier order: below the root no
@@ -483,11 +437,11 @@ let check_consistent t dht =
         fail "covered node at %a still has children" Id.pp key;
       if leaf then Hashtbl.replace seen_leaf_vs host ()
   in
-  fold_up t
-    ~at_leaf:(fun c -> check ~leaf:true c)
-    ~empty:()
-    ~merge:(fun () () -> ())
-    ~at_node:(fun c () -> check ~leaf:false c);
+  if Array.length t.snap.ids > 1 then check ~leaf:false (root t);
+  fold_down t
+    ~down:(fun c () -> check ~leaf:false c)
+    ~at_leaf:(fun c () -> check ~leaf:true c)
+    ();
   (* Every VS must host at least one leaf (§3.1). *)
   Dht.fold_vs dht ~init:() ~f:(fun () v ->
       if not (Hashtbl.mem seen_leaf_vs v.Dht.vs_id) then
@@ -654,9 +608,9 @@ type 'a sweep =
   lift:(hi:int -> lo:int -> 'a -> 'a) ->
   'a
 
-(* The skeleton of the assigned leaves of slots [slot 0], ...,
-   [slot (m - 1)], an increasing run of m >= 1 slots: slot [s] is the
-   leaf of ids.((first + s) mod n) ([summarize]).  Consecutive leaves
+(* The skeleton of the assigned leaves of [slots], a strictly
+   increasing run of m >= 1 slots: slot [s] is the leaf of
+   ids.((first + s) mod n) ([summarize]).  Consecutive leaves
    of the run fork at their deepest common ancestor: regions nest and
    the earlier leaf lies before the later one's start [x], so it is
    the deepest ancestor of the earlier leaf whose region ends past
@@ -666,7 +620,7 @@ type 'a sweep =
    form a stack of strictly increasing depths: for each, [sd] is its
    depth, [slo] the deepest level not yet lifted (a leaf's parent's, a
    fork's own) and [sv] its value so far. *)
-let walk t ~m ~slot ~at_leaf ~merge ~lift =
+let walk t slots ~at_leaf ~merge ~lift =
   let k = t.k and lens = t.lens and ids = t.snap.ids and win = t.snap.win in
   let n = Array.length ids and depth = t.snap.depth in
   let first = if leaf_slot t win.(0) = 0 then 0 else 1 in
@@ -697,8 +651,8 @@ let walk t ~m ~slot ~at_leaf ~merge ~lift =
     done
   in
   let prev = ref 0 in
-  for i = 0 to m - 1 do
-    let s = slot i in
+  for i = 0 to Array.length slots - 1 do
+    let s = slots.(i) in
     let leaf = win.((first + s) mod n) in
     let d = depth_of leaf and x = start_of leaf in
     let a = ref (if i = 0 then 0 else !prev - 1) in
@@ -730,18 +684,88 @@ let walk t ~m ~slot ~at_leaf ~merge ~lift =
   close (-1);
   !sv.(0)
 
-let sweep t ~at_leaf ~merge ~lift =
-  let v = walk t ~m:(n_leaf_slots t) ~slot:Fun.id ~at_leaf ~merge ~lift in
-  swept t;
-  v
-
-let sweep_slots t slots ~empty ~at_leaf ~merge ~lift =
-  let m = Array.length slots in
+let sweep t slots ~empty ~at_leaf ~merge ~lift =
   let v =
-    if m = 0 then empty
-    else walk t ~m ~slot:(Array.get slots) ~at_leaf ~merge ~lift
+    if Array.length slots = 0 then empty
+    else walk t slots ~at_leaf ~merge ~lift
   in
   swept t;
   v
 
 let broadcast t = swept t
+
+(* ---- leaf reports --------------------------------------------------------- *)
+
+module Reports = struct
+  type tree = t
+
+  (* Arrival-ordered (leaf slot, report) pairs. *)
+  type 'r t = {
+    tree : tree;
+    mutable slots : int array;
+    mutable items : 'r array;
+    mutable n : int;
+  }
+
+  let create tree = { tree; slots = [||]; items = [||]; n = 0 }
+
+  let add log id r =
+    let slot = vs_slot log.tree id in
+    if slot >= 0 then begin
+      if log.n = Array.length log.slots then begin
+        let cap = if log.n = 0 then 1024 else 2 * log.n in
+        let slots = Array.make cap 0 and items = Array.make cap r in
+        Array.blit log.slots 0 slots 0 log.n;
+        Array.blit log.items 0 items 0 log.n;
+        log.slots <- slots;
+        log.items <- items
+      end;
+      log.slots.(log.n) <- slot;
+      log.items.(log.n) <- r;
+      log.n <- log.n + 1
+    end
+
+  (* Group the reports per slot: counts, prefix sums, then a stable
+     scatter, so slot [s]'s reports are [grouped.(starts.(s))] up to
+     [starts.(s + 1)] in arrival order; the slots with a report are
+     listed in increasing order as they are counted. *)
+  let sweep ?sweep:walk log ~empty ~at_leaf ~merge ~lift =
+    let n_slots = n_leaf_slots log.tree in
+    let starts = Array.make (n_slots + 1) 0 in
+    let n_occupied = ref 0 in
+    for i = 0 to log.n - 1 do
+      let s = log.slots.(i) in
+      if starts.(s + 1) = 0 then incr n_occupied;
+      starts.(s + 1) <- starts.(s + 1) + 1
+    done;
+    let occupied = Array.make !n_occupied 0 in
+    n_occupied := 0;
+    for s = 1 to n_slots do
+      if starts.(s) > 0 then begin
+        occupied.(!n_occupied) <- s - 1;
+        incr n_occupied
+      end;
+      starts.(s) <- starts.(s) + starts.(s - 1)
+    done;
+    let grouped =
+      if log.n = 0 then [||]
+      else begin
+        let g = Array.make log.n log.items.(0) in
+        let cursor = Array.copy starts in
+        for i = 0 to log.n - 1 do
+          let s = log.slots.(i) in
+          g.(cursor.(s)) <- log.items.(i);
+          cursor.(s) <- cursor.(s) + 1
+        done;
+        g
+      end
+    in
+    let walk =
+      match walk with Some f -> f | None -> sweep log.tree occupied ~empty
+    in
+    walk
+      ~at_leaf:(fun ~slot ~depth ->
+        let lo = starts.(slot) and hi = starts.(slot + 1) in
+        if lo = hi then empty else at_leaf ~depth grouped ~lo ~hi)
+      ~merge ~lift
+end

@@ -52,14 +52,12 @@ module Dht = P2plb_chord.Dht
     Costs: {!build} is one O(#VS) copy of the ids plus one summary
     walk, which steps down each chain a level at a time without
     visiting its leaves: O(#VS · depth · K) with searches only at the
-    forks.  A sweep visits only the skeleton of the assigned leaves
-    (see {!section-sweeps}): O(#VS · (depth − fork depth)) arithmetic
-    steps with O(depth) scratch, one callback per assigned leaf, fork
-    merge and lifted run, whatever the node count; {!sweep_slots}
-    walks the skeleton of a subset of those leaves at the same cost
-    per listed leaf.  {!refresh} and {!repair} on a moved ring walk the
-    old and the new tree together, O(nodes), then redo the
-    summary. *)
+    forks.  A sweep visits only the skeleton of the assigned leaves it
+    lists (see {!section-sweeps}): O(depth − fork depth) arithmetic
+    steps per listed leaf with O(depth) scratch, one callback per
+    listed leaf, fork merge and lifted run, whatever the node count.
+    {!refresh} and {!repair} on a moved ring walk the old and the new
+    tree together, O(nodes), then redo the summary. *)
 
 type node = private int
 (** A KT node of one tree, as that tree stood when the node was
@@ -177,9 +175,8 @@ val vs_slot : t -> Id.t -> int
 val leaf_slot : t -> node -> int
 (** The node's slot ordinal in the current {!leaf_assignment}: assigned
     leaves are numbered [0 .. n_leaf_slots - 1] in preorder; any other
-    node answers -1.  O(1): the slot is part of the node.  Backs the
-    array-indexed (counting-sort) rendezvous in the VSA/LBI hot
-    paths. *)
+    node answers -1.  O(1): the slot is part of the node.  Backs
+    {!Reports}' counting sort and the slot lists of {!val-sweep}. *)
 
 val n_leaf_slots : t -> int
 (** Number of assigned leaves: one per VS. *)
@@ -192,14 +189,14 @@ val n_leaf_slots : t -> int
     rounds, one per level: the protocol's cost, whatever the simulator
     walks.
 
-    The bottom-up sweep is the full postorder walk in which an
-    assigned leaf's value is [at_leaf], any other leaf's is [empty],
-    an internal node at depth [d] gives [lift ~hi:d ~lo:d] of its
-    children's values [merge]d left to right from [empty].  It walks
-    only the {e skeleton}: the assigned leaves, and the forks where
-    two subtrees holding assigned leaves meet.  It skips the calls on
-    subtrees without an assigned leaf and the merges of their values,
-    and gives the same value when these laws hold:
+    The bottom-up sweep of a list of assigned leaves is the full
+    postorder walk in which a listed leaf's value is [at_leaf], any
+    other leaf's is [empty], an internal node at depth [d] gives [lift
+    ~hi:d ~lo:d] of its children's values [merge]d left to right from
+    [empty].  It walks only the {e skeleton}: the listed leaves, and
+    the forks where two subtrees holding listed leaves meet.  It skips
+    the calls on subtrees without a listed leaf and the merges of
+    their values, and gives the same value when these laws hold:
     - [merge] has [empty] as a bitwise identity on both sides;
     - [lift] of [empty] is [empty] ([at_node n empty = empty]);
     - lifting level by level is one lift over the levels' range.
@@ -212,35 +209,30 @@ type 'a sweep =
   lift:(hi:int -> lo:int -> 'a -> 'a) ->
   'a
 (** A bottom-up sweep run with its callbacks; returns the root's value.
-    {!sweep} is the tree's; a test may drive the same callbacks through
-    a full walk of a reference tree. *)
+    [sweep t slots ~empty] is the tree's; a test may drive the same
+    callbacks through a full walk of a reference tree. *)
 
-val sweep : t -> 'a sweep
-(** The skeleton sweep.  [at_leaf ~slot ~depth] is called once per
-    assigned leaf, in slot order ([0 .. n_leaf_slots - 1], identifier
-    order).  Consecutive leaves are merged at their deepest common
-    ancestor, earlier operand first, in the full postorder's order.  A
-    skeleton node at depth [c] whose skeleton parent is at depth [p]
-    is lifted once, [lift ~hi:(p + 1) ~lo v], over the levels in
-    between: [lo = c - 1] for a leaf, [c] for a fork (its own level
-    comes first), and [hi = 0] for the topmost fork, the root being
-    above it.  Empty ranges are skipped, so with one VS (the root a
-    leaf) nothing is lifted.  Callbacks run in the postorder's order:
-    each lift right after the value it lifts is complete, each merge
-    as soon as its right operand is lifted. *)
+val sweep : t -> int array -> empty:'a -> 'a sweep
+(** [sweep t slots ~empty] is the skeleton sweep of the assigned
+    leaves of [slots], a strictly increasing array within [0 ..
+    n_leaf_slots - 1]; every other assigned leaf's value is [empty].
+    Under the laws above those leaves change nothing, so the walk
+    skips them: [at_leaf ~slot ~depth] is called once per listed slot,
+    in slot order (identifier order), and never on an unlisted one.
+    With no slot it returns [empty] and calls nothing.  Consecutive
+    listed leaves are merged at their deepest common ancestor, earlier
+    operand first, in the full postorder's order.  A skeleton node at
+    depth [c] whose skeleton parent is at depth [p] is lifted once,
+    [lift ~hi:(p + 1) ~lo v], over the levels in between: [lo = c - 1]
+    for a leaf, [c] for a fork (its own level comes first), and [hi =
+    0] for the topmost fork, the root being above it.  Empty ranges
+    are skipped, so with one listed leaf nothing is lifted below the
+    root's level.  Callbacks run in the postorder's order: each lift
+    right after the value it lifts is complete, each merge as soon as
+    its right operand is lifted.
 
-val sweep_slots : t -> int array -> empty:'a -> 'a sweep
-(** [sweep_slots t slots ~empty] is the skeleton sweep of the assigned
-    leaves of [slots] alone, an increasing array of slots: {!sweep}
-    where every other assigned leaf's value is [empty].  Under the
-    laws above those leaves change nothing, so the walk skips them and
-    visits the skeleton of [slots] only: one callback per listed leaf,
-    fork of two of them and lifted run, [at_leaf] never called on an
-    unlisted slot.  With no slot it returns [empty] and calls nothing.
-    {!sweep} is this walk over every slot.  It charges what {!sweep}
-    charges: messages and rounds count the protocol, every edge of the
-    tree, not the walk.  [slots] must be strictly increasing within
-    [0 .. n_leaf_slots - 1]. *)
+    It charges the protocol, not the walk: one message per edge of the
+    tree and [depth + 1] rounds, whatever [slots] lists. *)
 
 val broadcast : t -> unit
 (** Top-down dissemination of one value, unchanged, from the root to
@@ -248,14 +240,52 @@ val broadcast : t -> unit
     walked: it charges the sweep's messages and rounds.  A caller that
     acts once per leaf loops over {!n_leaves}. *)
 
+(** {1:reports Leaf reports}
+
+    The rendezvous of LBI aggregation (§3.2) and VSA (§3.4): each
+    report is handed to a VS's designated leaf, and one bottom-up
+    {!val-sweep} combines them, starting from the leaves that received
+    one. *)
+
+module Reports : sig
+  type tree := t
+
+  type 'r t
+  (** A growable log of reports bound for one tree's leaves.  Valid
+      until that tree's next {!refresh} or {!repair}. *)
+
+  val create : tree -> 'r t
+
+  val add : 'r t -> Id.t -> 'r -> unit
+  (** [add log vs_id r] hands [r] to the designated leaf of the VS
+      [vs_id]; dropped when that VS is not on the tree's ring.
+      Amortised O(log #VS). *)
+
+  val sweep :
+    ?sweep:'a sweep ->
+    'r t ->
+    empty:'a ->
+    at_leaf:(depth:int -> 'r array -> lo:int -> hi:int -> 'a) ->
+    merge:('a -> 'a -> 'a) ->
+    lift:(hi:int -> lo:int -> 'a -> 'a) ->
+    'a
+  (** Groups the log per leaf slot by one stable counting sort and
+      runs [sweep] (default: [Ktree.sweep] over the slots that
+      received a report) with it.  A leaf with reports gets [at_leaf
+      ~depth a ~lo ~hi], its reports being [a.(lo) .. a.(hi - 1)] in
+      arrival order ([lo < hi]); a leaf without one is [empty].
+      O(#VS + reports) besides the sweep.  A test may pass a full walk
+      of a reference tree as [sweep]. *)
+end
+
 (** {1 Cost accounting} *)
 
 val messages : t -> int
 (** Messages spent so far on building, refreshing and sweeping. *)
 
 val rounds_last_sweep : t -> int
-(** Rounds of the most recent sweep, {!sweep} or {!broadcast}: one per
-    level, [depth + 1]. *)
+(** Rounds of the most recent sweep, {!val-sweep} or {!broadcast}: one
+    per level, [depth + 1]. *)
 
 val repairs : t -> int
 (** KT nodes re-planted by {!repair} so far. *)

@@ -44,9 +44,3 @@ let of_histogram h =
       (Histogram.bins h)
   in
   to_string ~header:[ "bin"; "weight"; "fraction"; "cdf" ] rows
-
-let of_series ~x_label ~y_label pts =
-  to_string ~header:[ x_label; y_label ]
-    (List.map
-       (fun (x, y) -> [ Printf.sprintf "%.6g" x; Printf.sprintf "%.6g" y ])
-       pts)

@@ -19,5 +19,3 @@ val write_file : path:string -> header:string list -> string list list -> unit
 
 val of_histogram : Histogram.t -> string
 (** Columns: bin, weight, fraction, cdf. *)
-
-val of_series : x_label:string -> y_label:string -> (float * float) list -> string

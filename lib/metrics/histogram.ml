@@ -70,8 +70,6 @@ let bins t =
   done;
   !out
 
-let to_fractions t = List.map (fun (b, w) -> (b, w /. t.sum)) (bins t)
-
 let to_cdf t =
   let acc = ref 0.0 in
   List.map

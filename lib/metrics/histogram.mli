@@ -39,7 +39,6 @@ val percentile_bin : t -> float -> int
 val bins : t -> (int * float) list
 (** Non-empty bins in increasing order with their weights. *)
 
-val to_fractions : t -> (int * float) list
 val to_cdf : t -> (int * float) list
 (** CDF sampled at each non-empty bin. *)
 

@@ -91,8 +91,3 @@ let lorenz xs =
   :: List.init n (fun i ->
          acc := !acc +. sorted.(i);
          (float_of_int (i + 1) /. float_of_int n, !acc /. s))
-
-let pp_summary fmt s =
-  Format.fprintf fmt
-    "n=%d mean=%.4g stddev=%.4g min=%.4g max=%.4g total=%.4g" s.n s.mean
-    s.stddev s.min s.max s.total

@@ -42,5 +42,3 @@ val lorenz : float array -> (float * float) list
     fraction), one per sample plus the origin — what the Gini
     coefficient integrates.  Requires non-negative samples with
     positive sum. *)
-
-val pp_summary : Format.formatter -> summary -> unit

@@ -27,7 +27,6 @@ type t = { mutable rev_samples : sample list; mutable cum : float }
 
 let create () = { rev_samples = []; cum = 0.0 }
 let samples t = List.rev t.rev_samples
-let n_samples t = List.length t.rev_samples
 
 (* ---- pure statistics --------------------------------------------------- *)
 

@@ -31,7 +31,6 @@ type t
 
 val create : unit -> t
 val samples : t -> sample list
-val n_samples : t -> int
 
 val record :
   t ->

@@ -306,14 +306,3 @@ let duplicates t = t.duplicates
 let transfer_crashes t = t.transfer_crashes
 let partition_drops t = t.partition_drops
 let partitions_formed t = t.partitions_formed
-
-let reset_counters t =
-  t.retries <- 0;
-  t.timeouts <- 0;
-  t.drops <- 0;
-  t.crashes <- 0;
-  t.backoff_time <- 0.0;
-  t.duplicates <- 0;
-  t.transfer_crashes <- 0;
-  t.partition_drops <- 0;
-  t.partitions_formed <- 0

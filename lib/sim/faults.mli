@@ -195,7 +195,3 @@ val partition_drops : t -> int
 
 val partitions_formed : t -> int
 (** Partition episodes that have started so far. *)
-
-val reset_counters : t -> unit
-(** Zeroes the counters; does not rewind the random streams and does
-    not heal active partitions. *)

@@ -14,8 +14,6 @@ let create ~jobs =
 let sequential = { jobs = 1 }
 let jobs t = t.jobs
 
-let split_streams rng n = Array.init n (fun _ -> Prng.split rng)
-
 (* [Array.init]'s evaluation order is unspecified, so result collection
    uses explicit index loops throughout. *)
 

@@ -30,8 +30,8 @@ module Prng = P2plb_prng.Prng
       and unknowable up front — so the preset only has to be right
       for [Trace.now] reads the task itself performs.
     - Randomness: tasks must derive their streams from per-task seeds
-      or from {!split_streams} {e before} the fan-out, never by drawing
-      from a stream another task also draws from.
+      or from streams split off ({!Prng.split}) {e before} the fan-out,
+      never by drawing from a stream another task also draws from.
 
     Scheduling order across workers is arbitrary; only the merge order
     is fixed, and it is what the sinks observe.  See DESIGN.md §12. *)
@@ -71,9 +71,3 @@ val run :
     If any task raises, the remaining tasks still complete and the
     exception of the lowest-index failing task is re-raised after the
     pool joins (no obs merge happens in that case). *)
-
-val split_streams : Prng.t -> int -> Prng.t array
-(** [split_streams rng n] pre-splits [n] independent streams off [rng]
-    (advancing it), for handing one stream to each task before the
-    fan-out.  Splitting up front keeps the streams identical regardless
-    of worker scheduling. *)

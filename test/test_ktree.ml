@@ -14,6 +14,8 @@ let build_dht ~seed ~nodes ~vs =
   done;
   dht
 
+let every_slot tree = Array.init (Ktree.n_leaf_slots tree) Fun.id
+
 let expect_consistent tree dht =
   match Ktree.check_consistent tree dht with
   | Ok () -> ()
@@ -158,7 +160,7 @@ let test_sweep_up_counts_leaves () =
     (Ktree.leaf_assignment tree);
   let visited = ref [] in
   let total =
-    Ktree.sweep tree
+    Ktree.sweep tree (every_slot tree) ~empty:0
       ~at_leaf:(fun ~slot ~depth ->
         visited := (slot, depth) :: !visited;
         1)
@@ -188,7 +190,7 @@ let test_sweep_messages_counted () =
   let dht = build_dht ~seed:10 ~nodes:10 ~vs:2 in
   let tree = Ktree.build ~k:2 dht in
   Ktree.reset_counters tree;
-  Ktree.sweep tree
+  Ktree.sweep tree (every_slot tree) ~empty:()
     ~at_leaf:(fun ~slot:_ ~depth:_ -> ())
     ~merge:(fun () () -> ())
     ~lift:(fun ~hi:_ ~lo:_ () -> ());
@@ -274,7 +276,7 @@ let record_skeleton tree =
   let log = ref [] and ok = ref true in
   let push c = log := c :: !log in
   let v =
-    Ktree.sweep tree
+    Ktree.sweep tree (every_slot tree) ~empty:[]
       ~at_leaf:(fun ~slot ~depth ->
         push (Leaf (depth, slot));
         [ slot ])
@@ -403,6 +405,29 @@ let test_storage_linear_in_vs () =
     Alcotest.failf "tree over %d VSs holds %d words (bound %d)" n_vs words
       (4 * n_vs)
 
+(* A tree that missed the ring's churn is caught: after a crash its
+   nodes hosted by the dead VSs are planted in missing ones, after a
+   join the new VSs host no leaf. *)
+let test_stale_tree_inconsistent () =
+  List.iter
+    (fun k ->
+      let expect_error what tree dht =
+        match Ktree.check_consistent tree dht with
+        | Ok () -> Alcotest.failf "k=%d: stale tree after %s passed" k what
+        | Error _ -> ()
+      in
+      let dht = build_dht ~seed:20 ~nodes:20 ~vs:3 in
+      let tree = Ktree.build ~k dht in
+      Dht.crash dht 7;
+      expect_error "a crash" tree dht;
+      let dht = build_dht ~seed:21 ~nodes:20 ~vs:3 in
+      let tree = Ktree.build ~k dht in
+      ignore (Dht.join dht ~capacity:1.0 ~underlay:99 ~n_vs:3);
+      expect_error "a join" tree dht;
+      Ktree.refresh tree dht;
+      expect_consistent tree dht)
+    [ 2; 8 ]
+
 let prop_tree_consistent_for_any_ring =
   QCheck.Test.make ~name:"tree consistent on random rings" ~count:25
     QCheck.(triple small_int (int_range 1 25) (int_range 1 5))
@@ -434,6 +459,8 @@ let () =
           Alcotest.test_case "depth exact" `Quick test_depth_exact;
           Alcotest.test_case "routed = unrouted" `Quick
             test_routed_build_matches;
+          Alcotest.test_case "stale tree fails the check" `Quick
+            test_stale_tree_inconsistent;
         ] );
       ( "sweeps",
         [

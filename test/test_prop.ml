@@ -1416,6 +1416,45 @@ let test_skeleton_matches_full_walk_aware () =
       skeleton_world ~aware:true ~reference:false case
       = skeleton_world ~aware:true ~reference:true case)
 
+(* ---- LBI root = the ring's totals ---------------------------------------- *)
+
+(* Fault-free, the LBI root describes the whole ring, whatever K and
+   the churn since the tree was built: [l_min] is exactly the least VS
+   load over live nodes (a min does not round), [l] and [c] are the
+   ring's totals up to summation order.  Loads are fractional, so the
+   sums do round. *)
+let prop_lbi_root_is_ring_total ((n_nodes, vs, k_sel), (_, _, ops)) =
+  let k = [| 2; 3; 8 |].(k_sel) in
+  let seed = (n_nodes * 8) + vs in
+  let dht : unit Dht.t = Dht.create ~seed in
+  for i = 0 to n_nodes - 1 do
+    ignore
+      (Dht.join dht
+         ~capacity:(float_of_int (1 + (i mod 4)))
+         ~underlay:i ~n_vs:vs)
+  done;
+  let loads = Prng.create ~seed in
+  Dht.fold_vs dht ~init:() ~f:(fun () v ->
+      Dht.set_vs_load dht v (Prng.float loads 10.0));
+  let tree = Ktree.build ~k dht in
+  List.iter (apply_ring_op dht) ops;
+  let lbi = Lbi.run ~rng:(Prng.create ~seed:(seed + 1)) tree dht in
+  let l_min =
+    List.fold_left
+      (fun m (n : Dht.node) ->
+        List.fold_left (fun m v -> Float.min m v.Dht.load) m n.Dht.vss)
+      infinity (Dht.alive_nodes dht)
+  in
+  let close a b = Float.abs (a -. b) <= 1e-12 *. Float.abs b in
+  Float.equal lbi.Types.l_min l_min
+  && close lbi.Types.l (Dht.total_load dht)
+  && close lbi.Types.c (Dht.total_capacity dht)
+
+let test_lbi_root_is_ring_total () =
+  Prop.run ~count:60 ~seed:0x5eed30
+    ~name:"LBI root = brute-force min and ring totals" skeleton_case
+    prop_lbi_root_is_ring_total
+
 (* ---- Ktree: occupied-slot sweep = full sweep ---------------------------- *)
 
 (* A sweep value that keeps {!Ktree.sweep}'s laws and shows every call:
@@ -1444,7 +1483,7 @@ let slots_case =
     (Prop.triple (Prop.int_in 1 200) (Prop.int_in 1 5) (Prop.int_in 0 2))
     (Prop.pair (Prop.int_in 0 1000) (Prop.int_in 1 8))
 
-let prop_sweep_slots_matches ((n_nodes, vs, k_sel), (seed, every)) =
+let prop_sweep_subset_matches ((n_nodes, vs, k_sel), (seed, every)) =
   let k = [| 2; 3; 8 |].(k_sel) in
   let dht : unit Dht.t = Dht.create ~seed in
   for i = 0 to n_nodes - 1 do
@@ -1463,13 +1502,15 @@ let prop_sweep_slots_matches ((n_nodes, vs, k_sel), (seed, every)) =
   let calls = ref [] in
   let full =
     Ktree.sweep tree
+      (Array.init (Ktree.n_leaf_slots tree) Fun.id)
+      ~empty:E
       ~at_leaf:(fun ~slot ~depth ->
         if listed.(slot) then Leaf (slot, depth) else E)
       ~merge:swept_merge ~lift:swept_lift
   in
   let m = Ktree.messages tree and r = Ktree.rounds_last_sweep tree in
   let sub =
-    Ktree.sweep_slots tree slots ~empty:E
+    Ktree.sweep tree slots ~empty:E
       ~at_leaf:(fun ~slot ~depth ->
         calls := slot :: !calls;
         Leaf (slot, depth))
@@ -1480,10 +1521,10 @@ let prop_sweep_slots_matches ((n_nodes, vs, k_sel), (seed, every)) =
   && Ktree.messages tree - m = Ktree.n_nodes tree - 1
   && Ktree.rounds_last_sweep tree = r
 
-let test_sweep_slots_matches () =
+let test_sweep_subset_matches () =
   Prop.run ~count:100 ~seed:0x5eed0f
     ~name:"occupied-slot sweep = full sweep with empty leaves" slots_case
-    prop_sweep_slots_matches
+    prop_sweep_subset_matches
 
 (* ---- Set-up kernels = their plain references ---------------------------- *)
 
@@ -1722,7 +1763,9 @@ let () =
           Alcotest.test_case "skeleton sweeps = reference full walks (aware)"
             `Quick test_skeleton_matches_full_walk_aware;
           Alcotest.test_case "occupied-slot sweep = full sweep" `Quick
-            test_sweep_slots_matches;
+            test_sweep_subset_matches;
+          Alcotest.test_case "LBI root = ring totals" `Quick
+            test_lbi_root_is_ring_total;
         ] );
       ( "setup",
         [
