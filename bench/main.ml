@@ -305,6 +305,16 @@ let tests =
             (* Sources as well as keys spread over the whole ring. *)
             let from = (Dht.owner_of_key dht (point ())).Dht.vs_id in
             ignore (Dht.lookup dht ~from ~key:(point ()))));
+    (* The same at scale_pareto's ring size: 4096 nodes x 5 VSs. *)
+    Test.make ~name:"kernel/chord_lookup_4096x5"
+      (Staged.stage
+         (let dht : unit Dht.t = Dht.create ~seed:10 in
+          Dht.join_all dht (Array.init 4096 (fun i -> (1.0, i))) ~n_vs:5;
+          let rng = Prng.create ~seed:7 in
+          let point () = Prng.int rng P2plb_idspace.Id.space_size in
+          fun () ->
+            let from = (Dht.owner_of_key dht (point ())).Dht.vs_id in
+            ignore (Dht.lookup dht ~from ~key:(point ()))));
     Test.make ~name:"kernel/dijkstra_ts5k"
       (Staged.stage
          (let s = Lazy.force fixture in

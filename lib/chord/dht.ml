@@ -18,6 +18,8 @@ type node = {
   mutable vss : vs list;
 }
 
+module Itbl = Hashtbl.Make (Int)
+
 type 'a t = {
   rng : Prng.t;
   (* Every node ever joined, indexed by its id: ids are dense,
@@ -30,7 +32,11 @@ type 'a t = {
   mutable ring_ids : int array;
   mutable ring_vss : vs array;
   mutable ring_n : int;
-  mutable items : 'a list Ring_map.t;
+  (* Bucket index over [ring_ids], rebuilt lazily by the readers that
+     use it when [ring_version] has moved. *)
+  index : Ring_index.t;
+  (* Stored payloads by key, newest first. *)
+  items : 'a list Itbl.t;
   mutable lookup_count : int;
   mutable hop_count : int;
   (* Alive-node cache: nodes in join (= increasing node_id) order.
@@ -52,7 +58,8 @@ let create ~seed =
     ring_ids = [||];
     ring_vss = [||];
     ring_n = 0;
-    items = Ring_map.empty;
+    index = Ring_index.create ();
+    items = Itbl.create 256;
     lookup_count = 0;
     hop_count = 0;
     live = [||];
@@ -134,27 +141,23 @@ let alive_nth t i =
 
 (* --- The ring --------------------------------------------------------- *)
 
-(* Index of the first id >= k in [lo, hi) of the sorted [ids], or hi
-   if none. *)
-let lower_bound_in (ids : int array) k lo hi =
-  let lo = ref lo and hi = ref hi in
-  while !lo < !hi do
-    let mid = (!lo + !hi) lsr 1 in
-    if ids.(mid) >= k then hi := mid else lo := mid + 1
-  done;
-  !lo
+(* Index of the first ring id >= k, or ring_n if none: a plain binary
+   search, for membership changes and the reads they make. *)
+let lower_bound t k = Ring_index.lower_bound_in t.ring_ids k 0 t.ring_n
 
-(* Index of the first ring id >= k, or ring_n if none. *)
-let lower_bound t k = lower_bound_in t.ring_ids k 0 t.ring_n
+(* The same through the bucket index, for the routing and storage
+   reads; the first one after a membership change rebuilds it. *)
+let indexed_lower_bound t k =
+  Ring_index.lower_bound t.index ~version:t.ring_version t.ring_ids t.ring_n k
 
 (* successor(k): first id >= k, wrapping to the smallest. *)
 let successor_idx t k =
-  let i = lower_bound t k in
+  let i = indexed_lower_bound t k in
   if i = t.ring_n then 0 else i
 
 (* predecessor_strict(k): last id < k, wrapping to the largest. *)
 let predecessor_strict_idx t k =
-  let i = lower_bound t k in
+  let i = indexed_lower_bound t k in
   if i = 0 then t.ring_n - 1 else i - 1
 
 let fold_vs t ~init ~f =
@@ -173,9 +176,9 @@ let vs_of_id t id =
 let region_of_vs t v =
   if t.ring_n = 0 then Region.whole
   else
-    Region.between_excl_incl
-      ~lo:t.ring_ids.(predecessor_strict_idx t v.vs_id)
-      ~hi:v.vs_id
+    let i = lower_bound t v.vs_id in
+    let pred = if i = 0 then t.ring_n - 1 else i - 1 in
+    Region.between_excl_incl ~lo:t.ring_ids.(pred) ~hi:v.vs_id
 
 let owner_of_key t k =
   if t.ring_n = 0 then invalid_arg "Dht.owner_of_key: empty ring"
@@ -384,13 +387,16 @@ let top_bit d =
    finger of the largest k with 2^k <= dist_cw(cur, p): every smaller
    target lies in (cur, p], so its successor does too, and every larger
    one lies past p, where no id precedes the key.  So each hop is one
-   binary search, over the indices (ci, pi] alone: below 2^32 when the
-   target did not wrap, from 0 when it did. *)
+   search, over the indices (ci, pi] alone: below 2^32 when the target
+   did not wrap, from 0 when it did.  The bucket index finds the first
+   id >= target anywhere on the ring, and clamping it to the hop's
+   range gives that range's search: the ids are sorted, and the first
+   id >= target lies past ci because ids.(ci) = cur < target. *)
 let lookup t ~from ~key =
   let n = t.ring_n in
   if n = 0 then invalid_arg "Dht.lookup: empty ring";
   let ids = t.ring_ids in
-  let fi = lower_bound t from in
+  let fi = indexed_lower_bound t from in
   if fi = n || ids.(fi) <> from then
     invalid_arg "Dht.lookup: unknown source VS";
   t.lookup_count <- t.lookup_count + 1;
@@ -403,11 +409,11 @@ let lookup t ~from ~key =
     while !ci <> pi do
       let cur = ids.(!ci) in
       let target = Id.add cur (top_bit (Id.distance_cw cur p)) in
+      let i = indexed_lower_bound t target in
       (ci :=
-         if target < cur then lower_bound_in ids target 0 (pi + 1)
+         if target < cur then Int.min i (pi + 1)
          else
-           let hi = if pi > !ci then pi + 1 else n in
-           let i = lower_bound_in ids target (!ci + 1) hi in
+           let i = Int.min i (if pi > !ci then pi + 1 else n) in
            if i = n then 0 else i);
       incr hops;
       (* Every hop moves clockwise without passing p, so the hops
@@ -418,44 +424,52 @@ let lookup t ~from ~key =
     (t.ring_vss.(oi), !hops)
   end
 
+let stored t key = Option.value (Itbl.find_opt t.items key) ~default:[]
+
 let put t ~from ~key payload =
   let _, hops = lookup t ~from ~key in
-  let existing =
-    match Ring_map.find_opt key t.items with Some l -> l | None -> []
-  in
-  t.items <- Ring_map.add key (payload :: existing) t.items;
+  Itbl.replace t.items key (payload :: stored t key);
   hops
 
 let get t ~from ~key =
   let _, hops = lookup t ~from ~key in
-  let payloads =
-    match Ring_map.find_opt key t.items with Some l -> l | None -> []
-  in
-  (payloads, hops)
+  (stored t key, hops)
 
+(* Keys counter-clockwise from the region's last point, payloads in
+   put order. *)
 let items_in_region t region =
   if Region.is_empty region then []
   else
-    Ring_map.fold_range ~lo_incl:(Region.start region) ~len:(Region.len region)
+    let last = Region.last region in
+    Itbl.fold
       (fun k payloads acc ->
-        List.fold_left (fun acc p -> (k, p) :: acc) acc payloads)
+        if Region.contains region k then
+          (Id.distance_cw k last, k, payloads) :: acc
+        else acc)
       t.items []
+    |> List.sort (fun (d1, _, _) (d2, _, _) -> Int.compare d1 d2)
+    |> List.concat_map (fun (_, k, payloads) ->
+           List.rev_map (fun p -> (k, p)) payloads)
 
-(* One pass over the store: each key meets its owner by one binary
+(* One pass over the store: each key meets its owner by one indexed
    search.  [items_in_region] lists a region's keys counter-clockwise
-   from its last point, so sorting by (owner index, distance to the
-   last point of the owner's region) reproduces it per owner. *)
+   from its last point — the owner's id, or the top of the ring when
+   one VS owns all of it — so sorting by (owner index, distance to that
+   point) reproduces it per owner.  The pair is unique per key, so the
+   table's order does not matter. *)
 let drain_items t ~f =
-  if not (Ring_map.is_empty t.items) then begin
+  if Itbl.length t.items > 0 then begin
     let keyed =
-      Ring_map.fold
+      Itbl.fold
         (fun k payloads acc ->
           let oi = successor_idx t k in
-          let last = Region.last (region_of_vs t t.ring_vss.(oi)) in
+          let last =
+            if t.ring_n = 1 then Id.space_size - 1 else t.ring_ids.(oi)
+          in
           (oi, Id.distance_cw k last, k, payloads) :: acc)
         t.items []
     in
-    t.items <- Ring_map.empty;
+    Itbl.clear t.items;
     List.iter
       (fun (oi, _, k, payloads) ->
         let v = t.ring_vss.(oi) in

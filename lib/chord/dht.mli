@@ -19,10 +19,27 @@ module Prng = P2plb_prng.Prng
     support the cost accounting in the experiments.
 
     The ring is one sorted array of VS ids with the VS records in a
-    parallel array, always current.  Reads ({!vs_of_id}, {!owner_of_key},
-    {!region_of_vs}, each {!lookup} hop) are binary searches, {!n_vs} is
-    O(1), and inserting or deleting one VS shifts the arrays: O(#VS).
-    A fresh ring is built with one radix sort by {!join_all}. *)
+    parallel array, always current.  {!n_vs} is O(1), and inserting or
+    deleting one VS shifts the arrays: O(#VS).  A fresh ring is built
+    with one radix sort by {!join_all}.
+
+    {b Searches.}  The routing and storage reads — {!lookup} (its
+    source, the key's predecessor and every hop), {!owner_of_key} and
+    {!drain_items} — go through a bucket index over the top [b] id
+    bits ({!Ring_index}), the largest [b] with [2{^b} <= n_vs]: one
+    table read and a search over about one id, since VS ids are
+    hashes.  The index is rebuilt, in O(#VS), by the first of those
+    reads after {!ring_version} moves, never by a membership change
+    itself: a burst of joins or departures costs one rebuild, at the
+    next read.  {!vs_of_id} and {!region_of_vs} stay plain binary
+    searches, O(log #VS), so that {!join}, which checks each new VS id
+    with [vs_of_id], never rebuilds the index.
+
+    {b Storage.}  {!put} stores payloads in a hash table keyed by id,
+    newest first under each key: O(1) per record besides its lookup.
+    A VSA round puts thousands of records on a few hundred keys, so
+    the order the simulator needs — ring order — is made once per
+    {!drain_items}, by sorting the keys. *)
 
 type node_id = int
 
@@ -182,20 +199,24 @@ val lookup : 'a t -> from:Id.t -> key:Id.t -> vs * int
     that of Chord's greedy finger routing: every hop goes to the
     closest finger [successor(cur + 2^k)] strictly preceding the key,
     and the last hop to the owner.  The simulator finds that finger
-    with one binary search per hop, over the ring positions between
-    the hop and the key's predecessor, so a lookup costs
-    O(hops · log #VS).  Raises [Invalid_argument] on an empty ring or
-    when [from] is not a VS id. *)
+    with one indexed search per hop, clamped to the ring positions
+    between the hop and the key's predecessor, so a lookup costs
+    O(hops) once the index is current.  Raises [Invalid_argument] on
+    an empty ring or when [from] is not a VS id. *)
 
 val put : 'a t -> from:Id.t -> key:Id.t -> 'a -> int
-(** Stores a payload under a key (appending to any existing ones);
+(** Stores a payload under a key, beside any stored there before;
     returns the overlay hops used. *)
 
 val get : 'a t -> from:Id.t -> key:Id.t -> 'a list * int
+(** The payloads stored under a key, newest first, and the overlay
+    hops used. *)
 
 val items_in_region : 'a t -> Region.t -> (Id.t * 'a) list
 (** All stored payloads whose key lies in the region — what the VS
-    owning that region can see locally. *)
+    owning that region can see locally: keys counter-clockwise from
+    the region's last point, payloads under one key in put order.  It
+    scans the whole store. *)
 
 val drain_items : 'a t -> f:(vs -> Id.t -> 'a -> unit) -> unit
 (** Hands every stored payload to the VS that owns its key, then
@@ -203,8 +224,8 @@ val drain_items : 'a t -> f:(vs -> Id.t -> 'a -> unit) -> unit
     and each owner [v] receives exactly the sequence
     [items_in_region t (region_of_vs t v)]: keys counter-clockwise
     from the end of its region (its id, wrapping past 0), payloads
-    under one key in put order.  One pass over the stored keys, not
-    one range query per VS. *)
+    under one key in put order.  One indexed search per stored key and
+    one sort of the keys, not one range query per VS. *)
 
 (** {1 Cost accounting} *)
 

@@ -4,7 +4,6 @@ module M = Map.Make (Int)
 type 'a t = 'a M.t
 
 let empty = M.empty
-let is_empty = M.is_empty
 let add = M.add
 let find_opt = M.find_opt
 let fold = M.fold

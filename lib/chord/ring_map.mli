@@ -1,12 +1,11 @@
 module Id = P2plb_idspace.Id
 
 (** Ordered map over ring identifiers with wrap-around range folds —
-    the key store behind {!Dht}'s items and {!Store}. *)
+    the key store behind {!Store}. *)
 
 type 'a t
 
 val empty : 'a t
-val is_empty : 'a t -> bool
 val add : Id.t -> 'a -> 'a t -> 'a t
 val find_opt : Id.t -> 'a t -> 'a option
 val fold : (Id.t -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc

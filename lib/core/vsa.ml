@@ -70,20 +70,26 @@ let run ?(threshold = default_threshold) ?(epsilon = 0.0) ?faults
      KT leaf according to the mode — one fused pass in alive-node order
      (classification draws no randomness, so collection and routing
      interleave without perturbing the per-record PRNG/fault stream). *)
-  let failed =
+  (* Keys depend only on a node's underlay vertex, the space, the
+     curve parameters and the failed landmarks: one table read per
+     node, the space's table shared by every round. *)
+  let keys =
     match mode with
-    | Ignorant -> []
-    | Aware { space; _ } -> (
-      match faults with
-      | None -> []
-      | Some f -> Faults.failed_landmarks f ~m:(Landmark.m space))
+    | Ignorant -> None
+    | Aware { space; order; curve; binning } ->
+      let failed =
+        match faults with
+        | None -> []
+        | Some f -> Faults.failed_landmarks f ~m:(Landmark.m space)
+      in
+      Some (Landmark.keys ~curve ~binning ~failed space ~order)
   in
   (* One node's records, in order, each through its own report_vs
      draw and send. *)
   let route (n : Dht.node) records =
-    match (mode, records) with
+    match (keys, records) with
     | _, [] -> ()
-    | Ignorant, _ ->
+    | None, _ ->
       List.iter
         (fun r ->
           let v = Dht.report_vs dht rng n in
@@ -91,12 +97,8 @@ let run ?(threshold = default_threshold) ?(epsilon = 0.0) ?faults
           | None -> incr records_lost
           | Some _ -> Ktree.Reports.add reports v.Dht.vs_id r)
         records
-    | Aware { space; order; curve; binning }, _ ->
-      (* The key depends only on the node's underlay vertex, the space
-         and the failed landmarks: one per node. *)
-      let key =
-        Landmark.dht_key ~curve ~binning ~failed space ~order n.Dht.underlay
-      in
+    | Some keys, _ ->
+      let key = Landmark.key keys n.Dht.underlay in
       List.iter
         (fun r ->
           let from = (Dht.report_vs dht rng n).Dht.vs_id in
@@ -136,9 +138,9 @@ let run ?(threshold = default_threshold) ?(epsilon = 0.0) ?faults
              shed));
   (* Aware mode published into the DHT: every VS now reports what
      landed in its region to its designated leaf. *)
-  (match mode with
-  | Ignorant -> ()
-  | Aware _ ->
+  (match keys with
+  | None -> ()
+  | Some _ ->
     Dht.drain_items dht ~f:(fun v _ r -> Ktree.Reports.add reports v.Dht.vs_id r));
   (* Scratch buffers for the per-leaf freshness partition, reused by
      every leaf of the sweep (grown on demand, filled with the pushed

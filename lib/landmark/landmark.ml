@@ -3,14 +3,25 @@ module Id = P2plb_idspace.Id
 module Graph = P2plb_topology.Graph
 module Hilbert = P2plb_hilbert.Hilbert
 
+type binning = Equal_width | Quantile
+
 type space = {
   landmark_vertices : int array;
   dists : int array array; (* dists.(l).(v): landmark l -> vertex v *)
   d_max : int;
   sorted_dists : int array array; (* per landmark, distances sorted asc *)
+  (* The key table of the last [keys] call. *)
+  mutable key_table : keys option;
 }
 
-type binning = Equal_width | Quantile
+and keys = {
+  space : space;
+  curve : Hilbert.curve;
+  binning : binning;
+  order : int;
+  failed : int list;
+  ids : int array; (* ids.(v): vertex v's key, or -1 before its first read *)
+}
 
 let select_random rng g ~m =
   if m < 1 then invalid_arg "Landmark.select_random: m < 1";
@@ -80,7 +91,13 @@ let make_space g ~landmarks =
           s)
         dists
   in
-  { landmark_vertices = Array.copy landmarks; dists; d_max; sorted_dists }
+  {
+    landmark_vertices = Array.copy landmarks;
+    dists;
+    d_max;
+    sorted_dists;
+    key_table = None;
+  }
 
 let m s = Array.length s.landmark_vertices
 let landmarks s = Array.copy s.landmark_vertices
@@ -136,3 +153,28 @@ let dht_key ?(curve = Hilbert.Hilbert) ?binning ?failed s ~order v =
   let bits = m s * order in
   if bits >= Id.bits then Id.of_int (idx lsr (bits - Id.bits))
   else Id.of_int (idx lsl (Id.bits - bits))
+
+let keys ?(curve = Hilbert.Hilbert) ?(binning = Equal_width) ?(failed = []) s
+    ~order =
+  match s.key_table with
+  | Some k
+    when k.curve = curve && k.binning = binning && k.order = order
+         && List.equal Int.equal k.failed failed ->
+    k
+  | Some _ | None ->
+    let ids = Array.make (Array.length s.dists.(0)) (-1) in
+    let k = { space = s; curve; binning; order; failed; ids } in
+    s.key_table <- Some k;
+    k
+
+let key k v =
+  let id = k.ids.(v) in
+  if id >= 0 then id
+  else begin
+    let id =
+      dht_key ~curve:k.curve ~binning:k.binning ~failed:k.failed k.space
+        ~order:k.order v
+    in
+    k.ids.(v) <- id;
+    id
+  end

@@ -75,3 +75,33 @@ val dht_key :
   space -> order:int -> int -> Id.t
 (** The Hilbert number scaled onto the 32-bit ring: close Hilbert
     numbers map to close identifiers. *)
+
+(** {1 Key table}
+
+    A node's key depends only on its underlay vertex, the space,
+    [curve], [order], [binning] and the failed landmarks, so a caller
+    that keys many nodes — VSA, every round — reads it from a table
+    instead of recomputing it. *)
+
+type keys
+(** One vertex-indexed table of {!dht_key}s for fixed [curve],
+    [binning], [order] and failed set, filled on first read. *)
+
+val keys :
+  ?curve:Hilbert.curve -> ?binning:binning -> ?failed:int list ->
+  space -> order:int -> keys
+(** The space's table for these parameters (defaults as in
+    {!dht_key}).  The space keeps the table of its last call and hands
+    it out again while the parameters, the [failed] list included, are
+    equal.  Other parameters start a fresh, empty table that replaces
+    it, so a failed list that changes and then changes back refills
+    the table once more.  Computing a key draws no randomness.
+
+    A table and its space are not domain-safe: {!key} writes the
+    table, and [keys] writes the space.  No two [Par] tasks share a
+    space — [Scenario.build ~base] shares one between builds within a
+    task. *)
+
+val key : keys -> int -> Id.t
+(** [key k v] = [dht_key ~curve ~binning ~failed space ~order v] for
+    [k]'s parameters: one array read once [v] has been read before. *)

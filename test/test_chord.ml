@@ -270,6 +270,67 @@ let test_items_in_region () =
   let values, _ = Dht.get dht ~from ~key:100 in
   check Alcotest.(list int) "drained" [] values
 
+(* Puts to one key come back newest first.  [drain_items] visits the
+   owners in ring order; an owner's keys counter-clockwise from its id
+   (from the top of the ring when one VS owns it all); one key's
+   payloads in put order.  Keys are put out of that order, repeated
+   and interleaved. *)
+let test_store_order () =
+  List.iter
+    (fun (nodes, vs) ->
+      let dht : (int * int) Dht.t = Dht.create ~seed:17 in
+      for i = 0 to nodes - 1 do
+        ignore (Dht.join dht ~capacity:1.0 ~underlay:i ~n_vs:vs)
+      done;
+      let ids = Dht.vs_ids dht in
+      let n = Array.length ids in
+      (* Per VS: its id, one below, its predecessor + 1 and the top and
+         bottom of the id space, each wherever it lands. *)
+      let keys =
+        List.sort_uniq Int.compare
+          (0 :: (Id.space_size - 1)
+           :: List.concat
+                (List.init n (fun i ->
+                     [ ids.(i); Id.sub ids.(i) 1;
+                       Id.add ids.((i + n - 1) mod n) 1 ])))
+      in
+      let from = ids.(0) in
+      let puts =
+        List.concat_map (fun r -> List.map (fun k -> (k, r)) (List.rev keys)) [ 0; 1; 2 ]
+      in
+      List.iter (fun (k, r) -> ignore (Dht.put dht ~from ~key:k (k, r))) puts;
+      List.iter
+        (fun k ->
+          check Alcotest.(list (pair int int)) "newest first"
+            [ (k, 2); (k, 1); (k, 0) ] (fst (Dht.get dht ~from ~key:k)))
+        keys;
+      let last i = if n = 1 then Id.space_size - 1 else ids.(i) in
+      let vss = Array.of_list (List.rev (Dht.fold_vs dht ~init:[] ~f:(fun acc v -> v :: acc))) in
+      let owner k =
+        List.find
+          (fun i -> Region.contains (Dht.region_of_vs dht vss.(i)) k)
+          (List.init n Fun.id)
+      in
+      let expected =
+        List.concat_map
+          (fun i ->
+            List.filter (fun k -> owner k = i) keys
+            |> List.sort (fun a b ->
+                   Int.compare (Id.distance_cw a (last i)) (Id.distance_cw b (last i)))
+            |> List.concat_map (fun k ->
+                   List.map (fun r -> (ids.(i), k, r)) [ 0; 1; 2 ]))
+          (List.init n Fun.id)
+      in
+      let drained = ref [] in
+      Dht.drain_items dht ~f:(fun v k (k', r) ->
+          check Alcotest.int "payload under its key" k k';
+          drained := (v.Dht.vs_id, k, r) :: !drained);
+      check
+        Alcotest.(list (triple int int int))
+        (Printf.sprintf "%d x %d drain order" nodes vs)
+        expected (List.rev !drained))
+    [ (1, 1); (1, 3); (4, 2); (12, 3) ]
+
 let test_counters () =
   let dht = build_dht ~seed:16 ~nodes:20 ~vs:3 in
   Dht.reset_counters dht;
@@ -346,6 +407,8 @@ let () =
           Alcotest.test_case "hop bound" `Quick test_lookup_hop_bound;
           Alcotest.test_case "put/get" `Quick test_put_get;
           Alcotest.test_case "items_in_region" `Quick test_items_in_region;
+          Alcotest.test_case "store order: get and drain" `Quick
+            test_store_order;
           Alcotest.test_case "counters" `Quick test_counters;
         ] );
       ("properties", [ qtest prop_join_leave_partition ]);

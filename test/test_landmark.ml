@@ -170,6 +170,77 @@ let test_curve_options () =
       check Alcotest.bool "in index range" true (x >= 0 && x < 1 lsl 6))
     [ h; m; r ]
 
+(* [Landmark.key] through [keys sp] against a fresh [dht_key] for
+   every vertex, read twice so the second read comes from the table. *)
+let table_matches ~curve ~binning ~failed sp ~order vertices =
+  let keys = Landmark.keys ~curve ~binning ~failed sp ~order in
+  List.for_all
+    (fun _ ->
+      List.for_all
+        (fun v ->
+          Id.equal (Landmark.key keys v)
+            (Landmark.dht_key ~curve ~binning ~failed sp ~order v))
+        vertices)
+    [ 1; 2 ]
+
+(* Every curve, binning and order 1-3, while the failed set changes
+   between calls and then changes back (also as a list in another
+   order, with repeats and with an index past the space). *)
+let test_key_table_matches_dht_key () =
+  let g = (TS.generate (Prng.create ~seed:5) TS.ts5k_small).TS.latency_graph in
+  let sp =
+    Landmark.make_space g
+      ~landmarks:(Landmark.select_random (Prng.create ~seed:6) g ~m:4)
+  in
+  let vertices = List.init (Graph.n_vertices g) Fun.id in
+  let failed_sets = [ []; [ 1 ]; [ 1; 3 ]; [ 3; 1; 1 ]; [ 9; 3; 1 ]; [ 1 ]; [] ] in
+  List.iter
+    (fun curve ->
+      List.iter
+        (fun binning ->
+          for order = 1 to 3 do
+            List.iter
+              (fun failed ->
+                check Alcotest.bool
+                  (Printf.sprintf "order %d, %d failed" order (List.length failed))
+                  true
+                  (table_matches ~curve ~binning ~failed sp ~order vertices))
+              failed_sets
+          done)
+        [ Landmark.Equal_width; Landmark.Quantile ])
+    [ Hilbert.Hilbert; Hilbert.Morton; Hilbert.Row_major ];
+  let k = Landmark.keys ~failed:[ 1; 3 ] sp ~order:2 in
+  check Alcotest.bool "same parameters, same table" true
+    (k == Landmark.keys ~failed:[ 1; 3 ] sp ~order:2);
+  check Alcotest.bool "other failed set, fresh table" false
+    (k == Landmark.keys ~failed:[ 1 ] sp ~order:2)
+
+(* [Scenario.build ~base] hands the base's space, and so its table, to
+   the second build, as the proximity experiments' ignorant pass does:
+   keys read for one scenario's nodes stay right for the other's. *)
+let test_key_table_shared_by_base () =
+  let config =
+    {
+      P2plb.Scenario.default with
+      n_nodes = 64;
+      topology = TS.ts5k_small;
+    }
+  in
+  let a = P2plb.Scenario.build ~seed:7 config in
+  let b = P2plb.Scenario.build ~base:a ~seed:7 config in
+  check Alcotest.bool "one space" true (a.P2plb.Scenario.space == b.P2plb.Scenario.space);
+  let underlays (s : P2plb.Scenario.t) =
+    List.map
+      (fun n -> n.P2plb_chord.Dht.underlay)
+      (P2plb_chord.Dht.alive_nodes s.P2plb.Scenario.dht)
+  in
+  List.iter
+    (fun (s : P2plb.Scenario.t) ->
+      check Alcotest.bool "table = dht_key" true
+        (table_matches ~curve:Hilbert.Hilbert ~binning:Landmark.Quantile
+           ~failed:[] s.P2plb.Scenario.space ~order:2 (underlays s)))
+    [ a; b; a ]
+
 let () =
   Alcotest.run "landmark"
     [
@@ -197,5 +268,9 @@ let () =
           Alcotest.test_case "transit-stub proximity" `Slow
             test_proximity_on_transit_stub;
           Alcotest.test_case "curves" `Quick test_curve_options;
+          Alcotest.test_case "key table = dht_key" `Quick
+            test_key_table_matches_dht_key;
+          Alcotest.test_case "key table shared by ~base" `Quick
+            test_key_table_shared_by_base;
         ] );
     ]

@@ -987,6 +987,144 @@ let test_lookup_small_rings () =
     done
   done
 
+(* ---- Chord: bucket-indexed search = binary search ----------------------- *)
+
+module Ring_index = P2plb_chord.Ring_index
+
+(* The first of the ascending [ids.(0 .. n-1)] that is >= k, by a
+   linear scan. *)
+let scan_lower_bound ids n k =
+  let rec go i = if i < n && ids.(i) < k then go (i + 1) else i in
+  go 0
+
+(* Bucket edges for every bucket width — k lsl s for k = 1, 3 and the
+   largest k, s = 0 .. 31 — one either side, and both ends of the id
+   space; [queries] drops the points past either end. *)
+let edge_queries =
+  List.sort_uniq Int.compare
+    (0 :: (Id.space_size - 1)
+    :: List.concat_map
+         (fun s ->
+           List.concat_map
+             (fun k -> let e = k lsl s in [ e - 1; e; e + 1 ])
+             [ 1; 3; (Id.space_size - 1) lsr s ])
+         (List.init Id.bits Fun.id))
+
+(* Every id, one either side of it, and the edges. *)
+let queries ids =
+  List.concat_map (fun i -> [ i - 1; i; i + 1 ]) (Array.to_list ids)
+  @ edge_queries
+  |> List.filter (fun k -> k >= 0 && k < Id.space_size)
+
+(* The index against the scan at [queries ids] and [extra].  Dht's
+   successor and strict predecessor are this lower bound, wrapped. *)
+let index_agrees idx ~version ids extra =
+  let n = Array.length ids in
+  List.for_all
+    (fun k ->
+      Int.equal
+        (Ring_index.lower_bound idx ~version ids n k)
+        (scan_lower_bound ids n k))
+    (extra @ queries ids)
+
+(* A ring point: [a] rounded down to a multiple of 2^s for s <= 31 — a
+   bucket edge for any width up to 2^s — else [a] itself; moved into
+   the lowest or highest 2^16 ids when the ring is clustered, leaving
+   most buckets empty. *)
+let ring_point ~cluster (s, a) =
+  let p = if s <= 31 then (a lsr s) lsl s else a in
+  match cluster with
+  | 1 -> p land 0xffff
+  | 2 -> Id.space_size - 1 - (p land 0xffff)
+  | _ -> p
+
+let point = Prop.pair (Prop.int_in 0 40) (Prop.int_in 0 (Id.space_size - 1))
+
+(* ((cluster: 0 spread, 1 low, 2 high; keep: the first 1-3 points, or
+   all for 0, 4 and 5), points, inserts (0) and deletes (1)): one
+   index over the whole run, checked after every change, so every
+   check after the first meets a stale index. *)
+let index_case =
+  Prop.triple
+    (Prop.pair (Prop.int_in 0 2) (Prop.int_in 0 5))
+    (Prop.list_of ~min_len:1 ~max_len:300 point)
+    (Prop.list_of ~max_len:12 (Prop.pair (Prop.int_in 0 1) point))
+
+let prop_index_matches_scan ((cluster, keep), points, ops) =
+  let sorted l = Array.of_list (List.sort_uniq Int.compare l) in
+  let points = List.map (ring_point ~cluster) points in
+  let points =
+    if keep > 3 then points else List.filteri (fun i _ -> i < keep) points
+  in
+  let idx = Ring_index.create () in
+  let ids = ref (sorted points) and version = ref 0 in
+  index_agrees idx ~version:!version !ids []
+  && List.for_all
+       (fun (op, p) ->
+         let p = ring_point ~cluster p in
+         let n = Array.length !ids in
+         (if op = 0 then ids := sorted (p :: Array.to_list !ids)
+          else if n > 1 then
+            ids :=
+              Array.of_list
+                (List.filteri (fun i _ -> i <> p mod n) (Array.to_list !ids)));
+         incr version;
+         index_agrees idx ~version:!version !ids [ p ])
+       ops
+
+let test_index_matches_scan () =
+  Prop.run ~count:150 ~seed:0x5eed10 ~name:"indexed lower bound = scan"
+    index_case prop_index_matches_scan
+
+(* An index built over 512 ids, then asked about the same ring cut to
+   1-3 ids in one step: its buckets far outnumber the ids left. *)
+let test_index_after_shrink () =
+  for seed = 0 to 19 do
+    let rng = P2plb_prng.Prng.create ~seed in
+    let big =
+      Array.of_list
+        (List.sort_uniq Int.compare
+           (List.init 512 (fun _ -> P2plb_prng.Prng.int rng Id.space_size)))
+    in
+    let idx = Ring_index.create () in
+    Alcotest.(check bool) "512 ids" true (index_agrees idx ~version:1 big []);
+    for n = 1 to 3 do
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d, cut to %d" seed n)
+        true
+        (index_agrees idx ~version:(1 + n) (Array.sub big 0 n) [])
+    done
+  done
+
+(* ((physical nodes, VSs per node), operations): [owner_of_key] — the
+   ring's indexed successor — against the scan over [vs_ids], as built
+   and after every churn step. *)
+let prop_owner_matches_scan ((n_nodes, vs), ops) =
+  let dht = Dht.create ~seed:((n_nodes * 8) + vs) in
+  for i = 0 to n_nodes - 1 do
+    ignore (Dht.join dht ~capacity:1.0 ~underlay:i ~n_vs:vs)
+  done;
+  let agrees () =
+    let ids = Dht.vs_ids dht in
+    let n = Array.length ids in
+    List.for_all
+      (fun k ->
+        let i = scan_lower_bound ids n k in
+        Id.equal (Dht.owner_of_key dht k).Dht.vs_id
+          ids.(if i = n then 0 else i))
+      (queries ids)
+  in
+  agrees ()
+  && List.for_all
+       (fun op ->
+         apply_ring_op dht op;
+         agrees ())
+       ops
+
+let test_owner_matches_scan () =
+  Prop.run ~count:60 ~seed:0x5eed11 ~name:"indexed owner_of_key = scan"
+    lookup_case prop_owner_matches_scan
+
 (* ---- Chord: one-pass handoff = per-VS region queries --------------------- *)
 
 (* ((physical nodes, VSs per node, ring cut to 1-3 VSs, else kept),
@@ -1739,6 +1877,12 @@ let () =
             test_lookup_matches_reference;
           Alcotest.test_case "lookup on 1-3 VS rings" `Quick
             test_lookup_small_rings;
+          Alcotest.test_case "indexed lower bound = scan" `Quick
+            test_index_matches_scan;
+          Alcotest.test_case "index rebuilt after a shrink" `Quick
+            test_index_after_shrink;
+          Alcotest.test_case "indexed owner_of_key = scan" `Quick
+            test_owner_matches_scan;
           Alcotest.test_case "handoff = per-VS region queries" `Quick
             test_handoff_matches_regions;
           Alcotest.test_case "join_all = join node by node" `Quick
