@@ -12,7 +12,6 @@ module Dht = P2plb_chord.Dht
 module Faults = P2plb_sim.Faults
 module Scenario = P2plb.Scenario
 module Multiround = P2plb.Multiround
-module Invariants = P2plb.Invariants
 
 let () =
   let seed = 17 in
@@ -35,17 +34,9 @@ let () =
   (* Assert VS conservation after every round: every virtual server is
      still owned exactly once, and none vanished beyond what the
      round's crashes can absorb. *)
-  let snapshot = ref (Invariants.vs_snapshot dht) in
-  let crashes_seen = ref 0 in
+  let invariants = Multiround.invariant_check ~faults ~expected_total:total dht in
   let check (r : Multiround.round) =
-    let fired = Faults.crashes faults + Faults.transfer_crashes faults in
-    let delta = fired - !crashes_seen in
-    let res =
-      Invariants.all ~expected_total:total ~vs_before:!snapshot ~crashes:delta
-        dht
-    in
-    crashes_seen := fired;
-    snapshot := Invariants.vs_snapshot dht;
+    let res = invariants r in
     Printf.printf
       "round %d: heavy %3d -> %3d  live %3d  %3d transfers, %2d aborted, %2d \
        deduped  [%s]\n"

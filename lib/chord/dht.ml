@@ -204,18 +204,13 @@ let total_load t = fold_vs t ~init:0.0 ~f:(fun acc v -> acc +. v.load)
 let total_capacity t =
   fold_nodes t ~init:0.0 ~f:(fun acc n -> acc +. n.capacity)
 
-let random_vs_of_node _t rng n =
+let report_vs t rng n =
   match n.vss with
-  | [] -> invalid_arg "Dht.random_vs_of_node: node hosts no VS"
+  | [] -> owner_of_key t (Id.hash_key n.node_id "home")
   | vss ->
     (* Same single bounded draw as Prng.choose on an array copy, without
        materialising the array. *)
     List.nth vss (Prng.int rng (List.length vss))
-
-let report_vs t rng n =
-  match n.vss with
-  | [] -> owner_of_key t (Id.hash_key n.node_id "home")
-  | _ :: _ -> random_vs_of_node t rng n
 
 (* The id a node's [index]-th VS draws at [salt]. *)
 let vs_hash ~node_id ~index ~salt =

@@ -172,13 +172,10 @@ val node_unit_load : node -> float
 val total_load : 'a t -> float
 val total_capacity : 'a t -> float
 
-val random_vs_of_node : 'a t -> Prng.t -> node -> vs
-(** A node reports LBI through one randomly chosen VS (§3.2). *)
-
 val report_vs : 'a t -> Prng.t -> node -> vs
-(** Like {!random_vs_of_node}, but a node that currently hosts no VS
-    (it shed everything in a previous round) reports through the VS
-    owning its home key instead. *)
+(** A node reports LBI through one randomly chosen VS (§3.2); a node
+    that currently hosts no VS (it shed everything in a previous
+    round) reports through the VS owning its home key instead. *)
 
 val transfer_vs : 'a t -> vs_id:Id.t -> to_node:node_id -> unit
 (** Re-hosts a VS (with its load and region) on another physical node:

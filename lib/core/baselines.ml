@@ -27,7 +27,7 @@ let absolute_epsilon ~epsilon_rel (lbi : Types.lbi) =
 
 let heavy_nodes ~lbi ~epsilon dht =
   List.filter
-    (fun n -> Classify.classify_node ~lbi ~epsilon dht n = Types.Heavy)
+    (fun n -> Classify.classify_node ~lbi ~epsilon n = Types.Heavy)
     (Dht.alive_nodes dht)
 
 let count_heavy ~lbi ~epsilon dht = List.length (heavy_nodes ~lbi ~epsilon dht)
@@ -157,8 +157,8 @@ let rao_one_to_one ?(epsilon_rel = 0.05) ?max_probes ~rng ~oracle dht =
     let light = Prng.choose rng nodes in
     let peer = Prng.choose rng nodes in
     if light.Dht.node_id <> peer.Dht.node_id then begin
-      let light_class = Classify.classify_node ~lbi ~epsilon dht light in
-      let peer_class = Classify.classify_node ~lbi ~epsilon dht peer in
+      let light_class = Classify.classify_node ~lbi ~epsilon light in
+      let peer_class = Classify.classify_node ~lbi ~epsilon peer in
       if light_class = Types.Light && peer_class = Types.Heavy then begin
         let deficit = deficit_of ~lbi ~epsilon light in
         match best_fitting_vs peer ~deficit with
@@ -206,7 +206,7 @@ let rao_one_to_many ?(epsilon_rel = 0.05) ?(directory_size = 16) ~rng ~oracle
             (Array.init directory_size (fun _ -> Prng.choose rng all))
           |> List.filter (fun n ->
                  n.Dht.node_id <> h.Dht.node_id
-                 && Classify.classify_node ~lbi ~epsilon dht n = Types.Light)
+                 && Classify.classify_node ~lbi ~epsilon n = Types.Light)
         in
         let deficits =
           List.map (fun n -> (n, ref (deficit_of ~lbi ~epsilon n))) directory
@@ -251,7 +251,7 @@ let rao_many_to_many ?(epsilon_rel = 0.05) ~rng ~oracle dht =
      point, proximity-blind. *)
   let sheds, lights =
     Dht.fold_nodes dht ~init:([], []) ~f:(fun (ss, ls) n ->
-        match Classify.classify_node ~lbi ~epsilon dht n with
+        match Classify.classify_node ~lbi ~epsilon n with
         | Types.Neutral -> (ss, ls)
         | Types.Light ->
           ( ss,

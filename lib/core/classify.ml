@@ -11,13 +11,12 @@ let classify ~lbi ~epsilon ~load ~capacity : Types.node_class =
   else if target -. load >= lbi.l_min then Light
   else Neutral
 
-let classify_node ~lbi ~epsilon dht n =
-  ignore dht;
+let classify_node ~lbi ~epsilon n =
   classify ~lbi ~epsilon ~load:(Dht.node_load n) ~capacity:n.Dht.capacity
 
 let census ~lbi ~epsilon dht =
   Dht.fold_nodes dht ~init:(0, 0, 0) ~f:(fun (h, l, u) n ->
-      match classify_node ~lbi ~epsilon dht n with
+      match classify_node ~lbi ~epsilon n with
       | Types.Heavy -> (h + 1, l, u)
       | Types.Light -> (h, l + 1, u)
       | Types.Neutral -> (h, l, u + 1))

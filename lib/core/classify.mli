@@ -20,7 +20,8 @@ val classify :
   Types.node_class
 
 val classify_node :
-  lbi:Types.lbi -> epsilon:float -> 'a Dht.t -> Dht.node -> Types.node_class
+  lbi:Types.lbi -> epsilon:float -> Dht.node -> Types.node_class
+(** {!classify} on the node's current load and capacity. *)
 
 val census :
   lbi:Types.lbi -> epsilon:float -> 'a Dht.t -> int * int * int

@@ -46,8 +46,6 @@ let balance_run ?obs ~seed ~n_nodes ~workload () =
 let fig4 ?obs ?(seed = 1) ?(n_nodes = 4096) () =
   balance_run ?obs ~seed ~n_nodes ~workload:Workload.default_gaussian ()
 
-let fig5 = fig4
-
 let fig6 ?obs ?(seed = 1) ?(n_nodes = 4096) () =
   balance_run ?obs ~seed ~n_nodes ~workload:Workload.default_pareto ()
 
@@ -226,20 +224,11 @@ let proximity_run ?(pool = Par.sequential) ?obs ~seed ~graphs ~n_nodes ~topology
       aware := Histogram.merge !aware ah;
       ignorant := Histogram.merge !ignorant ih)
     results;
-  let mean h =
-    let t = Histogram.total_weight h in
-    if t <= 0.0 then 0.0
-    else
-      List.fold_left
-        (fun acc (b, w) -> acc +. (float_of_int b *. w))
-        0.0 (Histogram.bins h)
-      /. t
-  in
   {
     aware = !aware;
     ignorant = !ignorant;
-    aware_mean = mean !aware;
-    ignorant_mean = mean !ignorant;
+    aware_mean = Histogram.mean !aware;
+    ignorant_mean = Histogram.mean !ignorant;
     locality_ceiling = !ceilings /. float_of_int graphs;
     graphs;
   }
@@ -355,15 +344,6 @@ type baseline_row = {
 let baselines ?(pool = Par.sequential) ?obs ?(seed = 1) ?(n_nodes = 4096) () =
   let config = { Scenario.default with n_nodes } in
   let fresh () = Scenario.build ~seed config in
-  let hist_mean h =
-    let t = Histogram.total_weight h in
-    if t <= 0.0 then 0.0
-    else
-      List.fold_left
-        (fun acc (b, w) -> acc +. (float_of_int b *. w))
-        0.0 (Histogram.bins h)
-      /. t
-  in
   let ours proximity name obs =
     let s = fresh () in
     let total = Dht.total_load s.Scenario.dht in
@@ -376,7 +356,7 @@ let baselines ?(pool = Par.sequential) ?obs ?(seed = 1) ?(n_nodes = 4096) () =
       b_heavy_before = hb;
       b_heavy_after = ha;
       b_moved = o.Controller.vst.Vst.moved_load /. total;
-      b_mean_distance = hist_mean o.Controller.vst.Vst.hist;
+      b_mean_distance = Histogram.mean o.Controller.vst.Vst.hist;
       b_cdf10 = Histogram.cumulative_fraction o.Controller.vst.Vst.hist 10;
     }
   in
@@ -391,7 +371,7 @@ let baselines ?(pool = Par.sequential) ?obs ?(seed = 1) ?(n_nodes = 4096) () =
       b_heavy_before = r.Baselines.heavy_before;
       b_heavy_after = r.Baselines.heavy_after;
       b_moved = r.Baselines.moved_load /. total;
-      b_mean_distance = hist_mean r.Baselines.hist;
+      b_mean_distance = Histogram.mean r.Baselines.hist;
       b_cdf10 = Histogram.cumulative_fraction r.Baselines.hist 10;
     }
   in
@@ -490,18 +470,10 @@ type resilience_row = {
   z_duplicate_prob : float;
   z_transfer_crash : float;
   z_partitions : int;
-  z_crashes : int;
-  z_final_live : int;
-  z_heavy_fraction : float;
-  z_moved_factor : float;
-  z_repairs : int;
-  z_repair_messages : int;
-  z_retries : int;
-  z_timeouts : int;
-  z_aborted : int;
-  z_deduped : int;
-  z_rounds : int;
+  z_result : Multiround.result;
+  z_moved_factor : float;  (* total moved load / initial total load *)
   z_invariants_ok : bool;
+      (* the per-round checks plus a final whole-battery pass *)
 }
 
 let resilience ?(pool = Par.sequential) ?obs ?(seed = 1) ?(n_nodes = 1024)
@@ -538,32 +510,11 @@ let resilience ?(pool = Par.sequential) ?obs ?(seed = 1) ?(n_nodes = 1024)
           (P2plb_sim.Faults.churn ~crash_fraction ~message_loss
              ~duplicate_prob ~transfer_crash ~partitions ())
       in
-      (* VS conservation is asserted per round: the snapshot advances
-         each round and the crash budget is the round's fired crashes
-         (scheduled + mid-transfer). *)
-      let snapshot = ref (Invariants.vs_snapshot dht) in
-      let crashes_seen = ref 0 in
-      let check (_ : Multiround.round) =
-        let fired =
-          P2plb_sim.Faults.crashes faults
-          + P2plb_sim.Faults.transfer_crashes faults
-        in
-        let delta = fired - !crashes_seen in
-        let res =
-          Invariants.all ~expected_total:total ~vs_before:!snapshot
-            ~crashes:delta dht
-        in
-        crashes_seen := fired;
-        snapshot := Invariants.vs_snapshot dht;
-        res
-      in
+      let check = Multiround.invariant_check ~faults ~expected_total:total dht in
       let r = Multiround.run ~faults ?obs ~max_rounds ~check s in
       let ok =
-        (match r.Multiround.violation with Some _ -> false | None -> true)
-        &&
-        match Invariants.all ~expected_total:total dht with
-        | Ok () -> true
-        | Error _ -> false
+        Option.is_none r.Multiround.violation
+        && Result.is_ok (Invariants.all ~expected_total:total dht)
       in
       {
         z_crash_fraction = crash_fraction;
@@ -571,19 +522,8 @@ let resilience ?(pool = Par.sequential) ?obs ?(seed = 1) ?(n_nodes = 1024)
         z_duplicate_prob = duplicate_prob;
         z_transfer_crash = transfer_crash;
         z_partitions = partitions;
-        z_crashes = r.Multiround.crashes;
-        z_final_live = r.Multiround.final_live;
-        z_heavy_fraction =
-          float_of_int r.Multiround.final_heavy
-          /. float_of_int (Int.max 1 r.Multiround.final_live);
+        z_result = r;
         z_moved_factor = r.Multiround.total_moved /. total;
-        z_repairs = r.Multiround.total_repairs;
-        z_repair_messages = r.Multiround.total_repair_messages;
-        z_retries = r.Multiround.total_retries;
-        z_timeouts = r.Multiround.total_timeouts;
-        z_aborted = r.Multiround.total_aborted;
-        z_deduped = r.Multiround.total_deduped;
-        z_rounds = List.length r.Multiround.rounds;
         z_invariants_ok = ok;
       })
 
@@ -602,21 +542,24 @@ let render_resilience rows =
         "dedup"; "invariants" ]
     (List.map
        (fun z ->
+         let r = z.z_result in
          [
            Report.percent_cell z.z_crash_fraction;
            Report.percent_cell z.z_message_loss;
            Report.percent_cell z.z_duplicate_prob;
            Report.percent_cell z.z_transfer_crash;
            string_of_int z.z_partitions;
-           string_of_int z.z_crashes;
-           string_of_int z.z_final_live;
-           Report.percent_cell z.z_heavy_fraction;
+           string_of_int r.Multiround.crashes;
+           string_of_int r.Multiround.final_live;
+           Report.percent_cell
+             (float_of_int r.Multiround.final_heavy
+             /. float_of_int (Int.max 1 r.Multiround.final_live));
            Report.percent_cell z.z_moved_factor;
-           string_of_int z.z_repairs;
-           string_of_int z.z_retries;
-           string_of_int z.z_timeouts;
-           string_of_int z.z_aborted;
-           string_of_int z.z_deduped;
+           string_of_int r.Multiround.total_repairs;
+           string_of_int r.Multiround.total_retries;
+           string_of_int r.Multiround.total_timeouts;
+           string_of_int r.Multiround.total_aborted;
+           string_of_int r.Multiround.total_deduped;
            (if z.z_invariants_ok then "ok" else "VIOLATED");
          ])
        rows)
@@ -903,48 +846,43 @@ let scale_run ?(pool = Par.sequential) ?obs ?(seed = 1)
           }
         in
         let s = Scenario.build ~seed:(seed + (17 * i)) config in
-        let heavy_before = ref 0 in
-        let heavy_after = ref 0 in
-        let depth = ref 0 in
-        let moved = ref 0.0 in
-        let moved_load = ref 0.0 and hop_load = ref 0.0 in
-        let n_rounds = ref 0 in
-        let converged = ref false in
-        let fixed_point = ref false in
         (* Rounds repeat on the mutated DHT until no node is heavy
            (converged), a round moves nothing (fixed point: the
            residual heavies hold a single VS already exceeding their
            near-zero fair target, which VS transfer alone cannot fix),
-           or the round budget runs out. *)
-        while (not !converged) && (not !fixed_point) && !n_rounds < rounds do
-          let o = Controller.run ?obs s in
-          let hb, _, _ = o.Controller.census_before in
-          let ha, _, _ = o.Controller.census_after in
-          if !n_rounds = 0 then heavy_before := hb;
-          heavy_after := ha;
-          depth := o.Controller.tree_depth;
-          let moved_round = Controller.moved_fraction o in
-          moved := !moved +. moved_round;
-          let v = o.Controller.vst in
-          moved_load := !moved_load +. v.Vst.moved_load;
-          hop_load :=
-            !hop_load +. (Vst.mean_transfer_distance v *. v.Vst.moved_load);
-          incr n_rounds;
-          if ha = 0 then converged := true
-          else if moved_round = 0.0 then fixed_point := true
-        done;
+           or the round budget runs out.  Every VS load is positive, so
+           a round moves nothing exactly when it commits no transfer:
+           Multiround's stop rule. *)
+        let r = Multiround.run ?obs ~max_rounds:rounds s in
+        let outcomes =
+          List.map (fun (m : Multiround.round) -> m.outcome) r.Multiround.rounds
+        in
+        let first = List.hd outcomes
+        and last = List.nth outcomes (List.length outcomes - 1) in
+        let moved, moved_load, hop_load =
+          List.fold_left
+            (fun (moved, moved_load, hop_load) o ->
+              let v = o.Controller.vst in
+              ( moved +. Controller.moved_fraction o,
+                moved_load +. v.Vst.moved_load,
+                hop_load +. (Vst.mean_transfer_distance v *. v.Vst.moved_load)
+              ))
+            (0.0, 0.0, 0.0) outcomes
+        in
+        let heavy_before, _, _ = first.Controller.census_before in
+        let converged = r.Multiround.final_heavy = 0 in
         {
           sc_nodes = n;
           sc_workload = wname;
-          sc_heavy_before = !heavy_before;
-          sc_heavy_after = !heavy_after;
-          sc_rounds = !n_rounds;
-          sc_converged = !converged;
-          sc_fixed_point = !fixed_point;
-          sc_moved_fraction = !moved;
+          sc_heavy_before = heavy_before;
+          sc_heavy_after = r.Multiround.final_heavy;
+          sc_rounds = List.length outcomes;
+          sc_converged = converged;
+          sc_fixed_point = r.Multiround.converged && not converged;
+          sc_moved_fraction = moved;
           sc_mean_hops =
-            (if !moved_load > 0.0 then !hop_load /. !moved_load else 0.0);
-          sc_tree_depth = !depth;
+            (if moved_load > 0.0 then hop_load /. moved_load else 0.0);
+          sc_tree_depth = last.Controller.tree_depth;
         })
   in
   Array.to_list results
@@ -1042,7 +980,7 @@ let registry =
           text
             (render_capacity_alignment
                ~title:"Figure 5 — load vs capacity after LB (Gaussian loads)"
-               (fig5 ?obs ~seed:p.p_seed ~n_nodes:p.p_nodes ())));
+               (fig4 ?obs ~seed:p.p_seed ~n_nodes:p.p_nodes ())));
     };
     {
       name = "fig6";

@@ -4,16 +4,18 @@ module Transit_stub = P2plb_topology.Transit_stub
 
 (** The paper's evaluation (§5.2) and the registry that runs it.
 
-    Each experiment function ([fig4] … [scale_run]) runs at the paper's
-    parameters by default (4096 nodes x 5 VSs, K = 2, Gnutella
-    capacities, 15 landmarks) and returns structured results; each
-    [render_*] formats them as the table or plot the paper shows.
-
     {!registry} lists every experiment once: its name, a one-line doc,
     its size knobs and a [run] that returns the rendered report.  The
     [lb_sim] subcommands, [lb_sim all], the bench figure rows and the
     seq-vs-pool parity tests all iterate it, so a title, a default size
-    or a table layout exists in one place.
+    or a table layout exists in one place.  Each experiment runs at
+    the paper's parameters by default (4096 nodes x 5 VSs, K = 2,
+    Gnutella capacities, 15 landmarks).
+
+    The experiment functions exported below ([fig4], [fig7], [tvsa],
+    [baselines], [churn]) return structured results, and each [render_*]
+    formats them as the table or plot the paper shows; the others are
+    reached through {!registry} only.
 
     Every experiment that drives load-balancing rounds accepts
     [?obs:P2plb_obs.Obs.t] and threads it into each round (see
@@ -25,9 +27,9 @@ module Transit_stub = P2plb_topology.Transit_stub
     [?pool:P2plb_sim.Par.t] and fan their tasks out over its domains
     with {!P2plb_sim.Par.run}; results and sink contents are merged in
     task-index order, so every return value and digest is byte-identical
-    to the default sequential pool (DESIGN.md §12).  [fig4]–[fig6],
-    [churn] and [load_drift] are single runs or inherently sequential
-    epoch chains and take no pool. *)
+    to the default sequential pool (DESIGN.md §12).  Figs. 4–6, [churn]
+    and [drift] are single runs or inherently sequential epoch chains
+    and take no pool. *)
 
 type balance_result = {
   unit_before : float array;  (** load/capacity per node, node order *)
@@ -46,13 +48,6 @@ val fig4 : ?obs:P2plb_obs.Obs.t -> ?seed:int -> ?n_nodes:int -> unit -> balance_
     loads.  Paper: ~75% of nodes heavy before; none after. *)
 
 val render_fig4 : balance_result -> string
-
-val fig5 : ?obs:P2plb_obs.Obs.t -> ?seed:int -> ?n_nodes:int -> unit -> balance_result
-(** Figure 5: load vs node capacity after LB, Gaussian loads.
-    Paper: higher-capacity nodes carry proportionally more load. *)
-
-val fig6 : ?obs:P2plb_obs.Obs.t -> ?seed:int -> ?n_nodes:int -> unit -> balance_result
-(** Figure 6: same as Fig. 5 with Pareto(1.5) loads. *)
 
 type proximity_result = {
   aware : Histogram.t;   (** moved load by underlay hop distance *)
@@ -73,12 +68,6 @@ val fig7 :
 (** Figure 7: moved-load distance distribution and CDF on ts5k-large.
     Paper: aware ≈67% of moved load within 2 hops, ≈86% within 10;
     ignorant ≈13% within 10. *)
-
-val fig8 :
-  ?pool:P2plb_sim.Par.t ->
-  ?obs:P2plb_obs.Obs.t ->
-  ?seed:int -> ?graphs:int -> ?n_nodes:int -> unit -> proximity_result
-(** Figure 8: same on ts5k-small (nodes scattered Internet-wide). *)
 
 val render_proximity : title:string -> proximity_result -> string
 (** Distribution table, CDF table and an ASCII CDF plot. *)
@@ -129,120 +118,6 @@ val churn :
 (** Self-repair (§3.1.1): crash a fraction of nodes, join fresh ones,
     refresh the KT tree, check structural consistency, then run one
     LB round on the churned network. *)
-
-type resilience_row = {
-  z_crash_fraction : float;  (** fault-plan crash fraction *)
-  z_message_loss : float;    (** per-send loss probability *)
-  z_duplicate_prob : float;  (** per-message duplication probability *)
-  z_transfer_crash : float;  (** mid-transfer crash-window probability *)
-  z_partitions : int;        (** partition episodes in the fault plan *)
-  z_crashes : int;           (** crashes that actually fired *)
-  z_final_live : int;
-  z_heavy_fraction : float;  (** heavy after / live after *)
-  z_moved_factor : float;    (** total moved load / initial total load *)
-  z_repairs : int;           (** KT nodes re-planted across rounds *)
-  z_repair_messages : int;
-  z_retries : int;
-  z_timeouts : int;
-  z_aborted : int;           (** transfers rolled back by the VST protocol *)
-  z_deduped : int;           (** duplicated TRANSFERs suppressed by seq *)
-  z_rounds : int;
-  z_invariants_ok : bool;
-      (** per-round {!Invariants.all} (incl. VS conservation) plus a
-          final whole-battery pass *)
-}
-
-val resilience :
-  ?pool:P2plb_sim.Par.t ->
-  ?obs:P2plb_obs.Obs.t ->
-  ?seed:int -> ?n_nodes:int -> ?max_rounds:int -> unit -> resilience_row list
-(** The fault-injection experiment: multiround balancing with node
-    crashes firing {e at the phase barriers inside} each round plus
-    per-message loss, swept over churn rates (0%..30% crashes,
-    0%..5% loss), then over transfer-path faults (duplication,
-    mid-transfer crash windows, partition episodes) that engage the
-    transactional VST protocol.  The all-zero row doubles as the
-    zero-perturbation control: it must match the fault-free numbers
-    exactly. *)
-
-type overhead_row = {
-  o_nodes : int;
-  o_tree_messages : int;      (** build + sweeps + refresh *)
-  o_publish_hops : int;       (** aware-mode record publication *)
-  o_direct_messages : int;    (** rendezvous -> endpoint notifications *)
-  o_restructure_messages : int;  (** lazy KT migration after VST *)
-  o_transfers : int;
-}
-
-val overhead :
-  ?pool:P2plb_sim.Par.t ->
-  ?obs:P2plb_obs.Obs.t -> ?seed:int -> unit -> overhead_row list
-(** The load-balancing {e cost} the paper argues about: message counts
-    of each phase as the network grows (N in 512..4096). *)
-
-type durability_row = {
-  d_replication : int;
-  d_crashed_fraction : float;
-  d_availability_before_repair : float;
-  d_lost_fraction : float;       (** objects unrecoverable after repair *)
-  d_bytes_copied : float;        (** re-replication traffic, fraction of store *)
-}
-
-val durability :
-  ?pool:P2plb_sim.Par.t ->
-  ?seed:int -> ?n_nodes:int -> ?n_objects:int -> unit -> durability_row list
-(** The replicated-store substrate under churn: availability and loss
-    for replication factors 1..4 when 20% of nodes crash at once. *)
-
-type drift_row = {
-  t_epoch : int;
-  t_heavy_before : int;
-  t_heavy_after : int;
-  t_moved_fraction : float;
-}
-
-val load_drift :
-  ?obs:P2plb_obs.Obs.t ->
-  ?seed:int -> ?n_nodes:int -> ?epochs:int -> unit -> drift_row list
-(** Periodic balancing under load drift: each epoch redraws 20% of the
-    virtual servers' loads (object churn), then runs one LB round.
-    After the initial alignment, per-epoch moved load stays small —
-    the steady-state cost of keeping a live system balanced. *)
-
-(** {1 The scale tier} *)
-
-type scale_row = {
-  sc_nodes : int;
-  sc_workload : string;  (** ["gaussian"] or ["pareto"] *)
-  sc_heavy_before : int;  (** heavy census before the first round *)
-  sc_heavy_after : int;   (** heavy census after the last round run *)
-  sc_rounds : int;        (** rounds actually run *)
-  sc_converged : bool;    (** no heavy node remained *)
-  sc_fixed_point : bool;
-      (** a round moved no load while heavies remained: each residual
-          heavy holds a single VS whose load already exceeds the
-          node's (near-zero) fair target, so VS transfer alone cannot
-          fix it — the known granularity limit of the paper's scheme *)
-  sc_moved_fraction : float;
-      (** cumulative per-round moved-load fractions *)
-  sc_mean_hops : float;
-      (** load-weighted mean underlay hops of every transfer across
-          the rounds run; 0 when nothing moved *)
-  sc_tree_depth : int;
-}
-
-val scale_run :
-  ?pool:P2plb_sim.Par.t ->
-  ?obs:P2plb_obs.Obs.t ->
-  ?seed:int -> ?sizes:int list -> ?rounds:int -> unit -> scale_row list
-(** The scale tier: for each size (on a {!Transit_stub.scaled}
-    underlay) and each of the Gaussian and Pareto workloads, repeat
-    full LB rounds on the mutating DHT until convergence (no heavy
-    node remains), a fixed point (a round moves nothing — see
-    [sc_fixed_point]), or [rounds] (default 8) rounds have run.
-    Transfers are priced in underlay hops, as at paper scale.  Tasks
-    fan out over [pool]; results are in task order (sizes major,
-    workloads minor). *)
 
 (** {1 The experiment registry} *)
 

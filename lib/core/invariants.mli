@@ -12,8 +12,6 @@ val ownership : 'a Dht.t -> (unit, string) result
 (** Every VS is listed by exactly its owner node; every listed VS is
     on the ring; owners are alive. *)
 
-val loads_nonnegative : 'a Dht.t -> (unit, string) result
-
 val load_conservation :
   expected_total:float -> ?tolerance:float -> 'a Dht.t -> (unit, string) result
 (** Total system load equals [expected_total] within [tolerance]
@@ -23,10 +21,6 @@ val dead_detached : 'a Dht.t -> (unit, string) result
 (** No departed/crashed node still lists a virtual server, and
     everything in {!Dht.dead_nodes} is in fact dead — the live-node
     scope of the other checks is trustworthy under churn. *)
-
-val live_load_accounted : ?tolerance:float -> 'a Dht.t -> (unit, string) result
-(** The load reachable through alive nodes' VS lists equals the ring
-    total: churn strands no load on dead nodes. *)
 
 val vs_snapshot : 'a Dht.t -> (P2plb_idspace.Id.t * int) list
 (** The current [(vs id, owner)] pairs, sorted by vs id — the
@@ -56,5 +50,8 @@ val all :
   ?crashes:int ->
   'a Dht.t ->
   (unit, string) result
-(** Runs every applicable check; first failure wins.  [vs_before]
-    (with [crashes]) enables {!vs_conservation}. *)
+(** Runs every applicable check; first failure wins.  Besides the
+    checks above it asserts that no VS load is negative and that the
+    load reachable through alive nodes' VS lists equals the ring total
+    (churn strands no load on dead nodes).  [vs_before] (with
+    [crashes]) enables {!vs_conservation}. *)

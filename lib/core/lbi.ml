@@ -50,7 +50,7 @@ let aggregate ~rng ?faults ?(route_messages = false) ?sweep tree dht =
     ~merge:Types.lbi_combine
     ~lift:(fun ~hi:_ ~lo:_ lbi -> lbi)
 
-let disseminate ?faults ?(route_messages = false) tree dht (_ : Types.lbi) =
+let disseminate ?faults ?(route_messages = false) tree dht =
   (* Nodes may have died during aggregation; re-plant before pushing
      the root value back down. *)
   ignore (Ktree.repair ~route_messages tree dht);
@@ -68,5 +68,5 @@ let disseminate ?faults ?(route_messages = false) tree dht (_ : Types.lbi) =
 
 let run ~rng ?faults ?route_messages tree dht =
   let lbi = aggregate ~rng ?faults ?route_messages tree dht in
-  disseminate ?faults ?route_messages tree dht lbi;
+  disseminate ?faults ?route_messages tree dht;
   lbi

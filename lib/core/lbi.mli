@@ -37,15 +37,11 @@ val aggregate :
     loads, so sweeping only the reporting leaves leaves every bit of
     the root unchanged. *)
 
-val disseminate :
-  ?faults:Faults.t -> ?route_messages:bool ->
-  Ktree.t -> 'a Dht.t -> Types.lbi -> unit
-(** Top-down push of the root LBI: {!Ktree.broadcast} charges its
-    messages and rounds, and under a fault plan each of the
-    [Ktree.n_leaves] leaves makes one reliable send to its reporting
-    VS, in a loop; without a plan nothing is sent. *)
-
 val run :
   rng:Prng.t -> ?faults:Faults.t -> ?route_messages:bool ->
   Ktree.t -> 'a Dht.t -> Types.lbi
-(** {!aggregate} followed by {!disseminate}. *)
+(** {!aggregate} followed by the top-down push of the root LBI:
+    {!Ktree.broadcast} charges its messages and rounds, and under a
+    fault plan each of the [Ktree.n_leaves] leaves makes one reliable
+    send to its reporting VS, in a loop; without a plan nothing is
+    sent. *)

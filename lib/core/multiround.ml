@@ -3,6 +3,7 @@ module Engine = P2plb_sim.Engine
 module Faults = P2plb_sim.Faults
 
 type round = {
+  outcome : Controller.outcome;
   index : int;
   heavy_before : int;
   heavy_after : int;
@@ -109,6 +110,7 @@ let run ?(config = Controller.default) ?faults ?obs ?(max_rounds = 10) ?check
     let ha, _, _ = o.Controller.census_after in
     let r =
       {
+        outcome = o;
         index;
         heavy_before = hb;
         heavy_after = ha;
@@ -173,6 +175,20 @@ let run ?(config = Controller.default) ?faults ?obs ?(max_rounds = 10) ?check
     else go (index + 1) acc total
   in
   go 0 [] 0.0
+
+let invariant_check ~faults ~expected_total dht =
+  let snapshot = ref (Invariants.vs_snapshot dht) in
+  let fired () = Faults.crashes faults + Faults.transfer_crashes faults in
+  let crashes_seen = ref (fired ()) in
+  fun (_ : round) ->
+    let now = fired () in
+    let res =
+      Invariants.all ~expected_total ~vs_before:!snapshot
+        ~crashes:(now - !crashes_seen) dht
+    in
+    crashes_seen := now;
+    snapshot := Invariants.vs_snapshot dht;
+    res
 
 let pp fmt r =
   Format.fprintf fmt "%d round(s), converged=%b, final heavy=%d/%d live@\n"

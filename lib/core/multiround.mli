@@ -19,9 +19,17 @@ module Faults = P2plb_sim.Faults
     A per-round [check] hook turns the iteration into a soak: the
     first failing check stops the run and is reported as a
     [violation], so a chaos harness can assert whole-system invariants
-    after every round and name the exact round that broke them. *)
+    after every round and name the exact round that broke them.
+    {!invariant_check} is that check; the chaos soak, the resilience
+    experiment and the partition example all pass it.
+
+    Every run to convergence in the library goes through here; the
+    scale tier derives its rows from each round's [outcome]. *)
 
 type round = {
+  outcome : Controller.outcome;
+      (** the round's whole {!Controller.run} result; the fields below
+          are read from it (and from the DHT after the round) *)
   index : int;  (** 0-based *)
   heavy_before : int;
   heavy_after : int;
@@ -78,5 +86,20 @@ val run :
     [check] runs after every round (after the round's remaining fault
     events have been drained); the first [Error] stops the iteration
     and is recorded as [violation]. *)
+
+val invariant_check :
+  faults:Faults.t ->
+  expected_total:float ->
+  'a P2plb_chord.Dht.t ->
+  round ->
+  (unit, string) Stdlib.result
+(** [invariant_check ~faults ~expected_total dht] is the soak's
+    per-round [check]: after each round, {!Invariants.all} with load
+    conservation against [expected_total] and VS conservation against
+    a snapshot of the ring taken at the previous check (at the partial
+    application for the first round).  Each round's crash budget is
+    the crashes [faults] fired since that snapshot, scheduled plus
+    mid-transfer: each kills exactly one node.  Apply it once per run,
+    after the scenario is built and before {!run}. *)
 
 val pp : Format.formatter -> result -> unit

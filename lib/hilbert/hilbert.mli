@@ -15,9 +15,6 @@
 
 type curve = Hilbert | Morton | Row_major
 
-val max_index_bits : int
-(** 62: indices are native non-negative ints. *)
-
 val index_bits : dims:int -> order:int -> int
 (** [dims * order], validating the bounds. *)
 
@@ -36,7 +33,6 @@ val encode_curve : curve -> dims:int -> order:int -> int array -> int
 val decode_curve : curve -> dims:int -> order:int -> int -> int array
 
 val morton_encode : dims:int -> order:int -> int array -> int
-val morton_decode : dims:int -> order:int -> int -> int array
 
 val curve_of_string : string -> curve option
 val curve_to_string : curve -> string

@@ -21,7 +21,7 @@ module Dht = P2plb_chord.Dht
     O(1).
 
     Whole-tree figures ({!depth}, {!n_nodes}, {!n_leaves},
-    {!host_nodes}, {!vs_slot}) are computed by the walk that makes the
+    {!host_nodes}) are computed by the walk that makes the
     tree consistent with a ring and read in O(1) after it (O(log #VS)
     for the per-VS ones).
 
@@ -166,11 +166,7 @@ val leaf_assignment : t -> (Id.t, node) Hashtbl.t
     through — the deepest-first leaf planted in it.  A VS hosting
     several leaves reports through exactly one to avoid redundant
     information (§3.2, §4.3).  A fresh table, built in O(#VS) from the
-    summary; {!vs_slot} answers for one VS without it. *)
-
-val vs_slot : t -> Id.t -> int
-(** The {!leaf_slot} of the VS's designated leaf; -1 for an id that
-    is not on the tree's ring.  O(log #VS). *)
+    summary. *)
 
 val leaf_slot : t -> node -> int
 (** The node's slot ordinal in the current {!leaf_assignment}: assigned

@@ -70,6 +70,12 @@ let bins t =
   done;
   !out
 
+let mean t =
+  if t.sum <= 0.0 then 0.0
+  else
+    List.fold_left (fun acc (b, w) -> acc +. (float_of_int b *. w)) 0.0 (bins t)
+    /. t.sum
+
 let to_cdf t =
   let acc = ref 0.0 in
   List.map

@@ -39,6 +39,12 @@ val percentile_bin : t -> float -> int
 val bins : t -> (int * float) list
 (** Non-empty bins in increasing order with their weights. *)
 
+val mean : t -> float
+(** The weighted mean bin (for Figs. 7–8, the load-weighted mean
+    transfer distance): [bin * weight] summed over the non-empty bins
+    in increasing order, over {!total_weight}.  0 if the histogram is
+    empty. *)
+
 val to_cdf : t -> (int * float) list
 (** CDF sampled at each non-empty bin. *)
 

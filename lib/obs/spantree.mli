@@ -74,7 +74,6 @@ val rounds : node list -> round list
     layout. *)
 
 val round_extent : round -> float
-val round_critical_path : round -> node list
 
 type phase_row = {
   p_name : string;

@@ -53,15 +53,11 @@ val merge : into:t -> t -> unit
 
 (** {1 Pure statistics} (usable without a collector, e.g. by Chaos) *)
 
-val max_load : float array -> float
 val ratio : unit_loads:float array -> fair:float -> float
 
 val gini : float array -> float
 (** Gini coefficient of a non-negative distribution; 0 for empty or
     all-zero input. *)
-
-val overloaded_fraction :
-  unit_loads:float array -> fair:float -> epsilon:float -> float
 
 (** {1 Convergence detector} *)
 
@@ -78,7 +74,6 @@ type verdict =
     }
 
 val convergence : sample list -> verdict
-val render_verdict : verdict -> string
 
 (** {1 JSONL sink} *)
 

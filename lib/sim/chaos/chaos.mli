@@ -22,30 +22,15 @@ val derive_config : seed:int -> Faults.config
     and a randomized (capped) backoff policy.  Deterministic in
     [seed]; every transfer-path fault class is always enabled. *)
 
-val render_config : Faults.config -> string
-(** One-line rendering of a fault mix, as embedded in failure
-    reports. *)
-
 type seed_outcome = {
   o_seed : int;
   o_config : Faults.config;
-  o_rounds : int;
-  o_converged : bool;
-  o_final_heavy : int;
-  o_final_live : int;
-  o_crashes : int;
-  o_transfer_crashes : int;
-  o_partitions : int;
-  o_aborted : int;
-  o_deduped : int;
-  o_retries : int;
-  o_timeouts : int;
-  o_moved : float;  (** total moved load as a fraction of system load *)
+  o_result : Multiround.result;
+      (** the seed's rounds, fault counts and first failing per-round
+          invariant check ([violation]), if any *)
   o_final_ratio : float;
       (** final max/avg utilization over the surviving nodes — the
           paper's convergence criterion ({!Timeseries.ratio}) *)
-  o_violation : (int * string) option;
-      (** first failing per-round invariant check, if any *)
 }
 
 type report = {
@@ -64,13 +49,13 @@ val run_seed :
   max_rounds:int ->
   seed:int ->
   unit ->
-  seed_outcome * Multiround.result
+  seed_outcome
 (** One soak iteration: builds the scenario and fault plan from
     [seed], derives the fault mix with {!derive_config}, and drives
-    {!Multiround.run} with a per-round check asserting
-    {!P2plb.Invariants.all} (load conservation against the initial
-    total, plus VS conservation against a per-round snapshot with the
-    round's crash budget). *)
+    {!Multiround.run} with {!Multiround.invariant_check} after every
+    round (load conservation against the initial total, plus VS
+    conservation against a per-round snapshot with the round's crash
+    budget). *)
 
 val soak :
   ?pool:P2plb_sim.Par.t ->
@@ -82,15 +67,15 @@ val soak :
   unit ->
   report
 (** [soak ()] runs seeds [base_seed .. base_seed + seeds - 1]
-    (defaults: 64 seeds from 1, 256 nodes, up to 3 rounds each),
-    stopping at the first invariant violation.
+    (defaults: 64 seeds from 1, 256 nodes, up to 3 rounds each), one
+    {!P2plb_sim.Par} task per seed on [?pool] (default sequential),
+    each recording into its own child of [?obs].
 
-    With a multi-domain [?pool] the seeds run in parallel, one per
-    task ({!P2plb_sim.Par}); per-seed outcomes are buffered and the
-    report — and any [?obs] sinks — keep only the seeds up to and
-    including the first failure, in seed order, byte-identical to the
-    sequential early exit (seeds past a failure are computed and
-    discarded). *)
+    Every seed runs, at any job count, including the seeds after an
+    invariant violation.  The report — and the children merged into
+    [?obs] — then keep only the seeds up to and including the first
+    failure, in seed order, so the result does not depend on the
+    pool. *)
 
 val render : report -> string
 (** The soak table (one row per seed) plus aggregate fault counts and,

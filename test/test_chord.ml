@@ -1,7 +1,6 @@
 module Id = P2plb_idspace.Id
 module Region = P2plb_idspace.Region
 module Dht = P2plb_chord.Dht
-module Ring_map = P2plb_chord.Ring_map
 module Prng = P2plb_prng.Prng
 
 let check = Alcotest.check
@@ -13,26 +12,6 @@ let build_dht ~seed ~nodes ~vs =
     ignore (Dht.join dht ~capacity:(float_of_int (1 + (i mod 3))) ~underlay:i ~n_vs:vs)
   done;
   dht
-
-(* ---- Ring_map ---------------------------------------------------------- *)
-
-let test_ring_map_fold_range () =
-  let m =
-    List.fold_left
-      (fun m k -> Ring_map.add k k m)
-      Ring_map.empty [ 5; 10; 15; Id.space_size - 3 ]
-  in
-  let collect ~lo ~len =
-    List.rev (Ring_map.fold_range ~lo_incl:lo ~len (fun k _ acc -> k :: acc) m [])
-  in
-  check Alcotest.(list int) "plain" [ 5; 10 ] (collect ~lo:5 ~len:6);
-  check Alcotest.(list int) "wrap"
-    [ Id.space_size - 3; 5 ]
-    (collect ~lo:(Id.space_size - 3) ~len:10);
-  check Alcotest.(list int) "whole"
-    [ 5; 10; 15; Id.space_size - 3 ]
-    (collect ~lo:0 ~len:Id.space_size);
-  check Alcotest.(list int) "empty" [] (collect ~lo:0 ~len:0)
 
 (* ---- membership -------------------------------------------------------- *)
 
@@ -365,10 +344,6 @@ let prop_join_leave_partition =
 let () =
   Alcotest.run "chord"
     [
-      ( "ring_map",
-        [
-          Alcotest.test_case "fold_range" `Quick test_ring_map_fold_range;
-        ] );
       ( "membership",
         [
           Alcotest.test_case "join counts" `Quick test_join_counts;
