@@ -320,6 +320,31 @@ let tests =
          (let s = Lazy.force fixture in
           let g = s.Scenario.topo.TS.graph in
           fun () -> ignore (Graph.dijkstra g ~src:0)));
+    (* Transfer pricing as VST does it: a fresh oracle on the paper's
+       underlay, its bridge decomposition, then 350 queries between two
+       vertices of one stub domain, which fill about as many memoised
+       rows as one paper_fig7 iteration does. *)
+    Test.make ~name:"kernel/oracle_ts5k"
+      (Staged.stage
+         (let topo = Lazy.force ts5k_large in
+          let stubs = topo.TS.stub_vertices in
+          let domain = TS.stub_domain_of topo in
+          let rng = Prng.create ~seed:11 in
+          let queries =
+            Array.init 350 (fun _ ->
+                let src = stubs.(Prng.int rng (Array.length stubs)) in
+                let peers =
+                  List.filter
+                    (fun v -> Option.equal Int.equal (domain v) (domain src))
+                    (Array.to_list stubs)
+                in
+                (src, List.nth peers (Prng.int rng (List.length peers))))
+          in
+          fun () ->
+            let o = Graph.Oracle.create topo.TS.graph in
+            Array.iter
+              (fun (src, dst) -> ignore (Graph.Oracle.distance o ~src ~dst))
+              queries));
     (* Scenario build: the paper's underlay and its landmark space. *)
     Test.make ~name:"kernel/ts5k_generate"
       (Staged.stage (fun () ->

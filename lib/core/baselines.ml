@@ -56,8 +56,7 @@ let transfer acc ~oracle dht ~vs_id ~from_node ~to_node ~load =
 
 (* ---- CFS-style shedding ---------------------------------------------- *)
 
-let cfs_shed ?(epsilon_rel = 0.05) ?(max_rounds = 50) ~rng ~oracle dht =
-  ignore rng;
+let cfs_shed ?(epsilon_rel = 0.05) ?(max_rounds = 50) ~oracle dht =
   let lbi = global_lbi dht in
   let epsilon = absolute_epsilon ~epsilon_rel lbi in
   let heavy_before = count_heavy ~lbi ~epsilon dht in
@@ -242,8 +241,7 @@ let rao_one_to_many ?(epsilon_rel = 0.05) ?(directory_size = 16) ~rng ~oracle
     rounds = 1;
   }
 
-let rao_many_to_many ?(epsilon_rel = 0.05) ~rng ~oracle dht =
-  ignore rng;
+let rao_many_to_many ?(epsilon_rel = 0.05) ~oracle dht =
   let lbi = global_lbi dht in
   let epsilon = absolute_epsilon ~epsilon_rel lbi in
   let heavy_before = count_heavy ~lbi ~epsilon dht in

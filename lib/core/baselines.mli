@@ -38,7 +38,6 @@ type result = {
 val cfs_shed :
   ?epsilon_rel:float ->
   ?max_rounds:int ->
-  rng:Prng.t ->
   oracle:Graph.Oracle.t ->
   'a Dht.t ->
   result
@@ -68,7 +67,6 @@ val rao_one_to_many :
 
 val rao_many_to_many :
   ?epsilon_rel:float ->
-  rng:Prng.t ->
   oracle:Graph.Oracle.t ->
   'a Dht.t ->
   result

@@ -383,8 +383,8 @@ let baselines ?(pool = Par.sequential) ?obs ?(seed = 1) ?(n_nodes = 4096) () =
       (fun obs -> ours true "ours (proximity-aware)" obs);
       (fun obs -> ours false "ours (proximity-ignorant)" obs);
       (fun _ ->
-        baseline "CFS shedding" (fun ~rng ~oracle dht ->
-            Baselines.cfs_shed ~rng ~oracle dht));
+        baseline "CFS shedding" (fun ~rng:_ ~oracle dht ->
+            Baselines.cfs_shed ~oracle dht));
       (fun _ ->
         baseline "Rao one-to-one" (fun ~rng ~oracle dht ->
             Baselines.rao_one_to_one ~rng ~oracle dht));
@@ -392,8 +392,8 @@ let baselines ?(pool = Par.sequential) ?obs ?(seed = 1) ?(n_nodes = 4096) () =
         baseline "Rao one-to-many" (fun ~rng ~oracle dht ->
             Baselines.rao_one_to_many ~rng ~oracle dht));
       (fun _ ->
-        baseline "Rao many-to-many" (fun ~rng ~oracle dht ->
-            Baselines.rao_many_to_many ~rng ~oracle dht));
+        baseline "Rao many-to-many" (fun ~rng:_ ~oracle dht ->
+            Baselines.rao_many_to_many ~oracle dht));
     |]
   in
   let task_time i = if i < 2 then 1.0 else 0.0 in

@@ -105,12 +105,17 @@ let crash_nodes t n =
     end
   done
 
-let unit_loads t =
-  Array.of_list
-    (List.map Dht.node_unit_load (Dht.alive_nodes t.dht))
+(* [f] of each alive node, in node-id order, written straight into an
+   array of [Dht.n_nodes] entries, which [pad] fills until then. *)
+let per_node t ~pad f =
+  let a = Array.make (Dht.n_nodes t.dht) pad in
+  ignore
+    (Dht.fold_nodes t.dht ~init:0 ~f:(fun i n ->
+         a.(i) <- f n;
+         i + 1));
+  a
+
+let unit_loads t = per_node t ~pad:0.0 Dht.node_unit_load
 
 let loads_by_capacity t =
-  Array.of_list
-    (List.map
-       (fun n -> (n.Dht.capacity, Dht.node_load n))
-       (Dht.alive_nodes t.dht))
+  per_node t ~pad:(0.0, 0.0) (fun n -> (n.Dht.capacity, Dht.node_load n))

@@ -323,6 +323,69 @@ let dijkstra_within g ~comp ~c ~local ~size ~src =
   done;
   dist
 
+(* Adjacency bitsets hold 63 vertices per word, one OCaml int: vertex
+   [j] is bit [j mod 63] of word [j / 63]. *)
+let word_bits = 63
+
+(* Words in a bitset row of [size] vertices. *)
+let row_words size = (size + word_bits - 1) / word_bits
+
+(* [bit_index.(b mod 67)] is [k] for [b = 1 lsl k], [k < 62]: 2 has
+   order 66 modulo the prime 67, so those residues are distinct.  Bit
+   62 is the sign bit. *)
+let bit_index =
+  let t = Array.make 67 0 in
+  for k = 0 to 61 do
+    t.((1 lsl k) mod 67) <- k
+  done;
+  t
+
+(* The index of the lowest set bit of [x <> 0]. *)
+let lowest_bit x =
+  let b = x land -x in
+  if b < 0 then 62 else bit_index.(b mod 67)
+
+(* Breadth-first search from local vertex [src] over a comp (see
+   [dijkstra_within]) whose internal arcs all weigh [weight], held as
+   adjacency bitsets: [size] rows of [row_words size] words, bit [j]
+   of row [i] set when local vertices [i] and [j] are adjacent.  Each
+   level ORs the rows of the vertices it reaches into the next level's
+   candidates, so a run reads each row once, and a vertex reached at
+   level [l] is [l * weight] away.  The result is indexed by local
+   vertex and has [size] entries. *)
+let bfs_within bits ~size ~weight ~src =
+  let words = row_words size in
+  let dist = Array.make size max_int in
+  let seen = Array.make words 0 in
+  let next = ref (Array.make words 0) and spare = ref (Array.make words 0) in
+  dist.(src) <- 0;
+  seen.(src / word_bits) <- 1 lsl (src mod word_bits);
+  Array.blit bits (src * words) !next 0 words;
+  let d = ref weight and live = ref true in
+  while !live do
+    live := false;
+    let cand = !next and acc = !spare in
+    Array.fill acc 0 words 0;
+    for k = 0 to words - 1 do
+      let fresh = ref (cand.(k) land lnot seen.(k)) in
+      seen.(k) <- seen.(k) lor !fresh;
+      while !fresh <> 0 do
+        live := true;
+        let j = (k * word_bits) + lowest_bit !fresh in
+        fresh := !fresh land (!fresh - 1);
+        dist.(j) <- !d;
+        let row = j * words in
+        for l = 0 to words - 1 do
+          acc.(l) <- acc.(l) lor bits.(row + l)
+        done
+      done
+    done;
+    next := acc;
+    spare := cand;
+    d := !d + weight
+  done;
+  dist
+
 (* Dijkstra over all of [g] from [src]. *)
 let shortest_paths g src =
   let dist = Array.make g.n max_int in
@@ -393,9 +456,16 @@ module Oracle = struct
      numbered in the order Tarjan's pass closes them, so a comp's
      parent in the bridge forest always has a higher id than the comp
      itself.  Vertex [v] sits in comp [comp.(v)] at local index
-     [local.(v)], which indexes restricted-Dijkstra results.  Comp
+     [local.(v)], which indexes restricted-search results.  Comp
      [c]'s parent bridge lands on vertex [att.(c)] of comp
-     [parent.(c)]; both are [-1] for the root comp of a tree. *)
+     [parent.(c)]; both are [-1] for the root comp of a tree.
+
+     A comp whose adjacency bitsets (see [bfs_within]) take no more
+     words than its internal arcs, and whose internal arcs all weigh
+     one [weight.(c)], holds those bitsets in [bits.(c)]: breadth-first
+     search answers it.  [bits.(c)] is empty for every other comp,
+     which restricted Dijkstra answers.  The bitsets are bounded by
+     the arcs, so by the CSR. *)
   type decomposition = {
     comp : int array;
     local : int array;
@@ -404,6 +474,8 @@ module Oracle = struct
     att : int array;
     parent : int array;
     depth : int array;
+    weight : int array;
+    bits : int array array;
   }
 
   type t = {
@@ -414,6 +486,15 @@ module Oracle = struct
             by local index within the comp of [x_u] *)
     mutable probes : int;
   }
+
+  (* Distances from [x] to every vertex of its comp, by local index. *)
+  let within g d x =
+    let c = d.comp.(x) in
+    if Array.length d.bits.(c) = 0 then
+      dijkstra_within g ~comp:d.comp ~c ~local:d.local ~size:d.size.(c) ~src:x
+    else
+      bfs_within d.bits.(c) ~size:d.size.(c) ~weight:d.weight.(c)
+        ~src:d.local.(x)
 
   let decompose g =
     let n = g.n in
@@ -487,27 +568,76 @@ module Oracle = struct
         done
       end
     done;
-    (* Parents first: fill depth and [up] from each comp's parent
-       bridge, one Dijkstra restricted to each non-root comp. *)
     let nc = !n_comps in
-    let att = Array.init nc (fun c -> tree_parent.(down.(c))) in
-    let parent = Array.make nc (-1) and depth = Array.make nc 0 in
-    let up = Array.make n 0 in
-    for c = nc - 1 downto 0 do
-      if att.(c) >= 0 then begin
-        let p = comp.(att.(c)) in
-        parent.(c) <- p;
-        depth.(c) <- depth.(p) + 1;
-        let base = tree_w.(down.(c)) + up.(att.(c)) in
-        let d =
-          dijkstra_within g ~comp ~c ~local ~size:size.(c) ~src:down.(c)
-        in
+    let d =
+      {
+        comp;
+        local;
+        up = Array.make n 0;
+        size;
+        att = Array.init nc (fun c -> tree_parent.(down.(c)));
+        parent = Array.make nc (-1);
+        depth = Array.make nc 0;
+        weight = Array.make nc (-1);
+        bits = Array.make nc [||];
+      }
+    in
+    (* A comp's internal arcs are its vertices' arcs less one per
+       bridge end in it: its parent bridge's and its children's. *)
+    let arcs = Array.make nc 0 in
+    for v = 0 to n - 1 do
+      arcs.(comp.(v)) <- arcs.(comp.(v)) + degree g v
+    done;
+    Array.iteri
+      (fun c a ->
+        if a >= 0 then begin
+          arcs.(c) <- arcs.(c) - 1;
+          arcs.(comp.(a)) <- arcs.(comp.(a)) - 1
+        end)
+      d.att;
+    (* Comp [c]'s bitsets, when they fit in its internal arcs, kept
+       when those arcs share one weight. *)
+    let fill_bits c =
+      let words = row_words size.(c) in
+      if size.(c) * words <= arcs.(c) then begin
+        let bits = Array.make (size.(c) * words) 0 in
+        let w = ref (-1) and uniform = ref true in
         for i = 0 to size.(c) - 1 do
-          up.(order.(start.(c) + i)) <- base + d.(i)
+          let u = order.(start.(c) + i) in
+          for a = g.off.(u) to g.off.(u + 1) - 1 do
+            let v = g.dst.(a) in
+            if comp.(v) = c then begin
+              if !w < 0 then w := g.wt.(a)
+              else if g.wt.(a) <> !w then uniform := false;
+              let j = local.(v) in
+              let k = (i * words) + (j / word_bits) in
+              bits.(k) <- bits.(k) lor (1 lsl (j mod word_bits))
+            end
+          done
+        done;
+        if !uniform then begin
+          d.weight.(c) <- !w;
+          d.bits.(c) <- bits
+        end
+      end
+    in
+    (* Parents first: each comp's bitsets, then, below a bridge, its
+       depth and [up], one search within the comp. *)
+    for c = nc - 1 downto 0 do
+      fill_bits c;
+      let a = d.att.(c) in
+      if a >= 0 then begin
+        let p = comp.(a) in
+        d.parent.(c) <- p;
+        d.depth.(c) <- d.depth.(p) + 1;
+        let base = tree_w.(down.(c)) + d.up.(a) in
+        let dist = within g d down.(c) in
+        for i = 0 to size.(c) - 1 do
+          d.up.(order.(start.(c) + i)) <- base + dist.(i)
         done
       end
     done;
-    { comp; local; up; size; att; parent; depth }
+    d
 
   let create g =
     {
@@ -522,10 +652,7 @@ module Oracle = struct
     | Some r -> r
     | None ->
       o.probes <- o.probes + 1;
-      let r =
-        dijkstra_within o.g ~comp:d.comp ~c:d.comp.(x) ~local:d.local
-          ~size:d.size.(d.comp.(x)) ~src:x
-      in
+      let r = within o.g d x in
       o.rows.(x) <- Some r;
       r
 

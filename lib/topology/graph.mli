@@ -103,14 +103,28 @@ val is_connected : t -> bool
 
     {!create} does no work; the first {!distance} call builds the
     decomposition: an iterative Tarjan pass (stack depth independent of
-    the vertex count) finds the bridges and comps, then one Dijkstra
+    the vertex count) finds the bridges and comps, then one search
     restricted to each non-root comp fills [up].  [d_L] rows are
-    computed on demand, one Dijkstra restricted to [L] per distinct
+    computed on demand, one search restricted to [L] per distinct
     entry vertex [x_u], and memoised.  A bridgeless connected graph is
-    a single comp, where [x_u = u] and the oracle runs one Dijkstra per
+    a single comp, where [x_u = u] and the oracle runs one search per
     distinct source as a plain per-source cache would.  [Transit_stub]
     underlays attach every stub domain by one bridge, so cross-domain
-    queries price against rows over comps of the transit core only. *)
+    queries price against rows over comps of the transit core only.
+
+    The search depends on the comp.  The build records, per comp,
+    whether all its internal edges share one weight [w] and whether
+    its adjacency bitsets — one row of [ceil (size / 63)] words per
+    vertex, bit [j] of row [i] set when local vertices [i] and [j] are
+    adjacent — take no more words than its internal arcs (each edge
+    counted from both ends).  A comp with both properties is searched
+    breadth-first over those bitsets, a whole word of neighbours per
+    operation, with distance = level × [w]: on [Transit_stub] underlays
+    that is each dense stub domain.  Every other comp (mixed weights,
+    or too sparse for its bitsets to pay) gets a restricted Dijkstra.
+    Both give the same exact distances.  Since the bitsets of a comp
+    fit in its arcs, all of them together take at most [2m] words, and
+    the oracle's memory stays O(n + m) besides its memoised rows. *)
 module Oracle : sig
   type graph := t
   type t
@@ -125,8 +139,9 @@ module Oracle : sig
       far.  On a bridgeless graph, the distinct sources queried. *)
 
   val probes : t -> int
-  (** Restricted Dijkstra runs made to answer queries — one per
-      memoised row, so repeated queries that enter [L] at one vertex
-      cost exactly one probe.  The build's per-comp runs for [up] are
-      not counted.  On a bridgeless graph, one per distinct source. *)
+  (** Restricted searches (breadth-first or Dijkstra) made to answer
+      queries — one per memoised row, so repeated queries that enter
+      [L] at one vertex cost exactly one probe.  The build's per-comp
+      runs for [up] are not counted.  On a bridgeless graph, one per
+      distinct source. *)
 end

@@ -31,7 +31,7 @@ let test_cfs_thrashing_documented () =
   (* The paper cites CFS shedding's load-thrashing risk (§1.1): the
      shed load lands on ring successors, re-overloading them, so the
      heavy count does NOT converge to zero even after many rounds. *)
-  let _, _, r = run_baseline 1 (fun ~rng ~oracle dht -> Baselines.cfs_shed ~rng ~oracle dht) in
+  let _, _, r = run_baseline 1 (fun ~rng:_ ~oracle dht -> Baselines.cfs_shed ~oracle dht) in
   check Alcotest.bool "starts heavy" true (r.Baselines.heavy_before > 50);
   check Alcotest.bool "terminates" true (r.Baselines.rounds <= 50);
   check Alcotest.bool "cannot fully balance" true (r.Baselines.heavy_after > 0);
@@ -39,20 +39,20 @@ let test_cfs_thrashing_documented () =
     (r.Baselines.moved_load > 0.0)
 
 let test_cfs_conserves_load () =
-  let s, before, _ = run_baseline 2 (fun ~rng ~oracle dht -> Baselines.cfs_shed ~rng ~oracle dht) in
+  let s, before, _ = run_baseline 2 (fun ~rng:_ ~oracle dht -> Baselines.cfs_shed ~oracle dht) in
   check Alcotest.bool "load conserved" true
     (abs_float (before -. Dht.total_load s.Scenario.dht) < 1e-6)
 
 let test_cfs_keeps_nodes_in_ring () =
-  let s, _, _ = run_baseline 3 (fun ~rng ~oracle dht -> Baselines.cfs_shed ~rng ~oracle dht) in
+  let s, _, _ = run_baseline 3 (fun ~rng:_ ~oracle dht -> Baselines.cfs_shed ~oracle dht) in
   Dht.fold_nodes s.Scenario.dht ~init:() ~f:(fun () n ->
       check Alcotest.bool "every node keeps >= 1 VS" true
         (List.length n.Dht.vss >= 1))
 
 let test_cfs_bounded_rounds () =
   let _, _, r =
-    run_baseline 4 (fun ~rng ~oracle dht ->
-        Baselines.cfs_shed ~max_rounds:5 ~rng ~oracle dht)
+    run_baseline 4 (fun ~rng:_ ~oracle dht ->
+        Baselines.cfs_shed ~max_rounds:5 ~oracle dht)
   in
   check Alcotest.bool "round cap respected" true (r.Baselines.rounds <= 5)
 
@@ -77,7 +77,7 @@ let test_one_to_many () =
 
 let test_many_to_many () =
   let s, before, r =
-    run_baseline 7 (fun ~rng ~oracle dht -> Baselines.rao_many_to_many ~rng ~oracle dht)
+    run_baseline 7 (fun ~rng:_ ~oracle dht -> Baselines.rao_many_to_many ~oracle dht)
   in
   check Alcotest.bool "big reduction" true
     (r.Baselines.heavy_after < r.Baselines.heavy_before / 4);
@@ -92,10 +92,10 @@ let test_histograms_total_moved () =
         r.Baselines.moved_load
         (P2plb_metrics.Histogram.total_weight r.Baselines.hist))
     [
-      (fun ~rng ~oracle dht -> Baselines.cfs_shed ~rng ~oracle dht);
+      (fun ~rng:_ ~oracle dht -> Baselines.cfs_shed ~oracle dht);
       (fun ~rng ~oracle dht -> Baselines.rao_one_to_one ~rng ~oracle dht);
       (fun ~rng ~oracle dht -> Baselines.rao_one_to_many ~rng ~oracle dht);
-      (fun ~rng ~oracle dht -> Baselines.rao_many_to_many ~rng ~oracle dht);
+      (fun ~rng:_ ~oracle dht -> Baselines.rao_many_to_many ~oracle dht);
     ]
 
 let test_many_to_many_close_to_ours_in_balance () =
@@ -104,7 +104,7 @@ let test_many_to_many_close_to_ours_in_balance () =
   let s1 = build 20 in
   let o = P2plb.Controller.run s1 in
   let _, _, r =
-    run_baseline 20 (fun ~rng ~oracle dht -> Baselines.rao_many_to_many ~rng ~oracle dht)
+    run_baseline 20 (fun ~rng:_ ~oracle dht -> Baselines.rao_many_to_many ~oracle dht)
   in
   let _, _, ours_after = o.P2plb.Controller.census_after in
   ignore ours_after;

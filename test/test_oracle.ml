@@ -191,6 +191,125 @@ let test_bridged_all_pairs () =
     done
   done
 
+(* Blocks for [dense_graph]: every edge of a [Clique] or a [Random]
+   block (edge probability 1/2) weighs [w]. *)
+type block = Clique of int * int | Random of int * int | Cycle of int | Mixed of int
+
+(* Comps where the oracle answers by breadth-first search over
+   adjacency bitsets: cliques and dense random blocks of one weight
+   [w] in 0–3, sized on both sides of the 63-vertex word (1, 62, 63,
+   64, 125, 126, 127).  [variant] decides each size's kind and weight,
+   so four variants give every size both kinds and every weight.
+   Beside them sit a unit-weight 127-cycle, uniform but too sparse for
+   bitsets, and a clique of weights 1–3.  Blocks come in a shuffled
+   order; each is joined to an earlier one by a bridge that weighs
+   neither block's [w], and vertex labels are shuffled. *)
+let dense_graph rng ~variant =
+  let sized =
+    List.mapi
+      (fun i size ->
+        let w = (i + variant) mod 4 in
+        if (i + variant) mod 2 = 0 then Clique (size, w) else Random (size, w))
+      [ 1; 62; 63; 64; 125; 126; 127 ]
+  in
+  let blocks = Array.of_list (Cycle 127 :: Mixed 40 :: sized) in
+  Prng.shuffle rng blocks;
+  let size_of = function
+    | Clique (size, _) | Random (size, _) -> size
+    | Cycle size | Mixed size -> size
+  in
+  let weight_of = function
+    | Clique (_, w) | Random (_, w) -> w
+    | Cycle _ -> 1
+    | Mixed _ -> -1
+  in
+  let first = Array.make (Array.length blocks) 0 in
+  for k = 1 to Array.length blocks - 1 do
+    first.(k) <- first.(k - 1) + size_of blocks.(k - 1)
+  done;
+  let n = Array.fold_left (fun acc blk -> acc + size_of blk) 0 blocks in
+  let label = Array.init n Fun.id in
+  Prng.shuffle rng label;
+  let b = Graph.create_builder ~n in
+  let edge u v ~weight = Graph.add_edge b label.(u) label.(v) ~weight in
+  Array.iteri
+    (fun k blk ->
+      let v i = first.(k) + i in
+      let size = size_of blk in
+      let pairs f =
+        for i = 0 to size - 1 do
+          for j = i + 1 to size - 1 do
+            f (v i) (v j)
+          done
+        done
+      in
+      match blk with
+      | Cycle _ ->
+        for i = 0 to size - 1 do
+          edge (v i) (v ((i + 1) mod size)) ~weight:1
+        done
+      | Clique (_, w) -> pairs (fun a c -> edge a c ~weight:w)
+      | Random (_, w) ->
+        pairs (fun a c -> if Prng.int rng 2 = 0 then edge a c ~weight:w)
+      | Mixed _ -> pairs (fun a c -> edge a c ~weight:(1 + Prng.int rng 3)))
+    blocks;
+  for k = 1 to Array.length blocks - 1 do
+    let j = Prng.int rng k in
+    let wk = weight_of blocks.(k) and wj = weight_of blocks.(j) in
+    let weight =
+      List.find (fun w -> w <> wk && w <> wj) [ Prng.int rng 4; 0; 1; 2; 3 ]
+    in
+    edge
+      (first.(k) + Prng.int rng (size_of blocks.(k)))
+      (first.(j) + Prng.int rng (size_of blocks.(j)))
+      ~weight
+  done;
+  Graph.freeze b
+
+let test_dense_all_pairs () =
+  let rng = Prng.create ~seed:0x0d5e in
+  for variant = 0 to 3 do
+    let g = dense_graph rng ~variant in
+    let n = Graph.n_vertices g in
+    let o = Graph.Oracle.create g in
+    for src = 0 to n - 1 do
+      let expect = Graph.dijkstra g ~src in
+      for dst = 0 to n - 1 do
+        let got = Graph.Oracle.distance o ~src ~dst in
+        if got <> expect.(dst) then
+          Alcotest.failf "variant %d: distance %d -> %d is %d, expected %d"
+            variant src dst got expect.(dst)
+      done
+    done;
+    (* Every vertex is the entry vertex of its own comp's pairs. *)
+    check Alcotest.int
+      (Printf.sprintf "variant %d: one probe per vertex" variant)
+      n (Graph.Oracle.probes o)
+  done;
+  (* One bridgeless dense block: a random query mix costs one probe per
+     distinct source. *)
+  let n = 127 in
+  let b = Graph.create_builder ~n in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      if j = i + 1 || Prng.int rng 2 = 0 then Graph.add_edge b i j ~weight:2
+    done
+  done;
+  Graph.add_edge b 0 (n - 1) ~weight:2;
+  let g = Graph.freeze b in
+  let o = Graph.Oracle.create g in
+  let seen = Hashtbl.create 16 in
+  for _ = 1 to 300 do
+    let src = Prng.int rng n and dst = Prng.int rng n in
+    Hashtbl.replace seen src ();
+    check Alcotest.int
+      (Printf.sprintf "clique-like block: distance %d -> %d" src dst)
+      (Graph.distance g ~src ~dst)
+      (Graph.Oracle.distance o ~src ~dst)
+  done;
+  check Alcotest.int "probes = distinct sources" (Hashtbl.length seen)
+    (Graph.Oracle.probes o)
+
 (* The underlays the experiments price transfers on: both weightings
    of each transit-stub family, 40 sources x 200 destinations. *)
 let test_transit_stub_pairs () =
@@ -239,6 +358,8 @@ let () =
             test_shared_base_probe_bound;
           Alcotest.test_case "bridged graphs: all pairs" `Quick
             test_bridged_all_pairs;
+          Alcotest.test_case "dense uniform comps: all pairs" `Quick
+            test_dense_all_pairs;
           Alcotest.test_case "transit-stub underlays" `Quick
             test_transit_stub_pairs;
         ] );
