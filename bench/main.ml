@@ -79,6 +79,36 @@ let arg_value names =
   in
   go 1
 
+let usage =
+  "usage: bench/main.exe [FLAG]...\n\
+   \  --smoke           one small multi-round run only\n\
+   \  --scale           the scale-tier rows only\n\
+   \  --bench-only      skip the figure regeneration\n\
+   \  --figures-only    skip the bechamel micro-benchmarks\n\
+   \  --no-json         write no bench record\n\
+   \  --json-out FILE   bench record path (default BENCH_<rev>.json)\n\
+   \  --jobs N, -j N    domains for Par-parallel experiments\n\
+   \  --help            print this list and exit\n"
+
+(* Every argument must be a known flag or a value after one: [--help]
+   prints them and exits 0, anything else exits 2. *)
+let () =
+  let rec go i =
+    if i < Array.length Sys.argv then
+      match Sys.argv.(i) with
+      | "--help" ->
+        print_string usage;
+        exit 0
+      | "--smoke" | "--scale" | "--bench-only" | "--figures-only" | "--no-json"
+        ->
+        go (i + 1)
+      | "--json-out" | "--jobs" | "-j" -> go (i + 2)
+      | a ->
+        prerr_string ("bench: unknown argument " ^ a ^ "\n" ^ usage);
+        exit 2
+  in
+  go 1
+
 (* --jobs N / -j N: domain count for the experiments that fan their
    independent tasks out over Par.run.  Every table and the sim digest
    are byte-identical for any job count; only wall clock changes. *)
@@ -315,6 +345,22 @@ let tests =
           fun () ->
             let from = (Dht.owner_of_key dht (point ())).Dht.vs_id in
             ignore (Dht.lookup dht ~from ~key:(point ()))));
+    (* KT upkeep after churn: 8% of 256 nodes x 5 VSs crash, then
+       repair and refresh walk a copy of the tree built before. *)
+    Test.make ~name:"kernel/kt_upkeep_1280"
+      (Staged.stage
+         (let dht : unit Dht.t = Dht.create ~seed:12 in
+          Dht.join_all dht (Array.init 256 (fun i -> (1.0, i))) ~n_vs:5;
+          let tree = Ktree.build ~k:2 dht in
+          let order = Array.init 256 Fun.id in
+          Prng.shuffle (Prng.create ~seed:13) order;
+          for i = 0 to (256 * 8 / 100) - 1 do
+            Dht.crash dht order.(i)
+          done;
+          fun () ->
+            let t = Ktree.copy tree in
+            ignore (Ktree.repair t dht);
+            Ktree.refresh t dht));
     Test.make ~name:"kernel/dijkstra_ts5k"
       (Staged.stage
          (let s = Lazy.force fixture in
@@ -511,7 +557,7 @@ let emit_json ~smoke path =
     jobs wall_s speedup
     (Benchgate.sim_digest file)
 
-(* Flags: --smoke, --scale, --no-json, --bench-only, --figures-only. *)
+(* Flags: see [usage]. *)
 let () =
   let flag name = Array.exists (String.equal name) Sys.argv in
   let skip_figures = flag "--bench-only" in

@@ -253,18 +253,39 @@ let insert_vs t v =
   t.ring_n <- n + 1;
   t.ring_version <- t.ring_version + 1
 
+let join_ids t ~capacity ~underlay ids =
+  if capacity <= 0.0 then invalid_arg "Dht.join_ids: capacity <= 0";
+  if Array.length ids = 0 then invalid_arg "Dht.join_ids: no ids";
+  Array.iteri
+    (fun i id ->
+      if
+        id < 0 || id >= Id.space_size
+        || Option.is_some (vs_of_id t id)
+        || Array.exists (Int.equal id) (Array.sub ids 0 i)
+      then invalid_arg "Dht.join_ids: id out of range, repeated or taken")
+    ids;
+  let n = add_node t ~capacity ~underlay in
+  Array.iter
+    (fun vs_id ->
+      let v = { vs_id; owner = n.node_id; load = 0.0 } in
+      insert_vs t v;
+      n.vss <- v :: n.vss)
+    ids;
+  n.node_id
+
+(* Each draw skips the ids on the ring and the node's earlier draws. *)
 let join t ~capacity ~underlay ~n_vs =
   if capacity <= 0.0 then invalid_arg "Dht.join: capacity <= 0";
   if n_vs < 1 then invalid_arg "Dht.join: n_vs < 1";
-  let n = add_node t ~capacity ~underlay in
-  let taken id = Option.is_some (vs_of_id t id) in
+  let node_id = t.next_node_id and ids = Array.make n_vs 0 in
   for index = 0 to n_vs - 1 do
-    let vs_id = fresh_vs_id ~taken ~node_id:n.node_id ~index in
-    let v = { vs_id; owner = n.node_id; load = 0.0 } in
-    insert_vs t v;
-    n.vss <- v :: n.vss
+    let taken id =
+      Option.is_some (vs_of_id t id)
+      || Array.exists (Int.equal id) (Array.sub ids 0 index)
+    in
+    ids.(index) <- fresh_vs_id ~taken ~node_id ~index
   done;
-  n.node_id
+  join_ids t ~capacity ~underlay ids
 
 (* The ring [join] would build node by node, with one radix sort.
    Draw [node * n_vs + index] is a node's [index]-th VS, so
@@ -329,12 +350,44 @@ let delete_vs_absorb t v =
 
 let can_depart t id = is_alive t id && List.length t.nodes.(id).vss < t.ring_n
 
+(* [delete_vs_absorb] of each of [n]'s VSs, in [n.vss] order, with the
+   ring arrays compacted once: each VS's load goes to its successor at
+   that moment, past the VSs already removed, so every float is the
+   same as one at a time. *)
+let delete_node_vss t n =
+  let ring_n = t.ring_n in
+  let removed = Bytes.make ring_n '\000' in
+  let first = ref ring_n in
+  List.iter
+    (fun v ->
+      let i = lower_bound t v.vs_id in
+      assert (i < ring_n && t.ring_ids.(i) = v.vs_id);
+      Bytes.set removed i '\001';
+      first := Int.min !first i;
+      let j = ref (if i = ring_n - 1 then 0 else i + 1) in
+      while Bytes.get removed !j = '\001' do
+        j := if !j = ring_n - 1 then 0 else !j + 1
+      done;
+      let succ = t.ring_vss.(!j) in
+      succ.load <- succ.load +. v.load)
+    n.vss;
+  let j = ref !first in
+  for i = !first to ring_n - 1 do
+    if Bytes.get removed i = '\000' then begin
+      t.ring_ids.(!j) <- t.ring_ids.(i);
+      t.ring_vss.(!j) <- t.ring_vss.(i);
+      incr j
+    end
+  done;
+  t.ring_version <- t.ring_version + ring_n - !j;
+  t.ring_n <- !j
+
 let depart t id =
   let n = node t id in
   if n.alive then begin
     if not (can_depart t id) then
       invalid_arg "Dht.depart: the node hosts every VS; the ring would empty";
-    List.iter (fun v -> delete_vs_absorb t v) n.vss;
+    delete_node_vss t n;
     n.vss <- [];
     n.alive <- false;
     t.live_dead <- t.live_dead + 1;

@@ -21,7 +21,8 @@ module Prng = P2plb_prng.Prng
     The ring is one sorted array of VS ids with the VS records in a
     parallel array, always current.  {!n_vs} is O(1), and inserting or
     deleting one VS shifts the arrays: O(#VS).  A fresh ring is built
-    with one radix sort by {!join_all}.
+    with one radix sort by {!join_all}, and a departing node's VSs all
+    leave in one O(#VS) pass.
 
     {b Searches.}  The routing and storage reads — {!lookup} (its
     source, the key's predecessor and every hop), {!owner_of_key} and
@@ -72,6 +73,12 @@ val join : 'a t -> capacity:float -> underlay:int -> n_vs:int -> node_id
     is the churn path; build a fresh ring with {!join_all}.  Raises
     [Invalid_argument] if [capacity <= 0] or [n_vs < 1]. *)
 
+val join_ids : 'a t -> capacity:float -> underlay:int -> Id.t array -> node_id
+(** Like {!join}, with the VSs at the given ids, inserted in array
+    order.  Raises [Invalid_argument], before changing anything, if
+    [capacity <= 0], [ids] is empty, or an id is outside the id space,
+    repeated or already on the ring. *)
+
 val join_all : 'a t -> (float * int) array -> n_vs:int -> unit
 (** [join_all t nodes ~n_vs] joins every [(capacity, underlay)] of
     [nodes] to an empty ring, in array order, each hosting [n_vs]
@@ -95,7 +102,9 @@ val join_all : 'a t -> (float * int) array -> n_vs:int -> unit
 
 val leave : 'a t -> node_id -> unit
 (** Graceful departure: each VS's region and load are absorbed by its
-    successor VS, as a Chord leave hands off its keys.  A no-op on a
+    successor VS, as a Chord leave hands off its keys: in the node's
+    [vss] order, each to its successor at that moment, so a load can
+    pass through a later VS of the same node.  A no-op on a
     departed node.  Raises [Invalid_argument], before changing
     anything, when the node hosts every VS (see {!can_depart}). *)
 

@@ -61,6 +61,7 @@ type t = {
 }
 
 let set_obs t obs = t.obs <- Some obs
+let copy t = { t with msg = t.msg }
 
 let obs_event t name depth =
   match t.obs with
@@ -457,7 +458,16 @@ let check_consistent t dht =
    there; its old slice is [olo, ohi), and [olo] is -1 for a node
    planted by this walk.  An old node's old host is the successor of
    its centre among [oids]; a planted node is planted at the current
-   owner. *)
+   owner.
+
+   A walk skips the subtrees the ring change did not touch.  A node's
+   host and leafness, and so its children's, depend only on the ids in
+   its region and the first id past it (the host when no id in the
+   region follows the centre).  So a child of an old internal node
+   whose region holds the same ids in both rings, and whose first id
+   past the region, wrapping to the smallest, is the same in both,
+   roots a subtree that is identical in both trees: nothing in it is
+   re-hosted, pruned or planted. *)
 
 let old_host oids start len olo ohi host =
   if olo < 0 then host else oids.(host_index oids start len olo ohi)
@@ -465,16 +475,31 @@ let old_host oids start len olo ohi host =
 let old_internal oids depth start len olo ohi =
   olo >= 0 && not (is_leaf_slice oids depth start len olo ohi)
 
-(* Each non-empty part's new slice, and its old slice when the node
-   was internal in the old tree (else -1, -1): [f start len lo hi olo
-   ohi]. *)
-let iter_children ~k ~lens ids oids ~was_internal start len depth lo hi olo ohi f =
+(* Whether [ids.(lo .. hi - 1)] and [oids.(olo .. ohi - 1)] hold the
+   same ids.  A scan stops at the first id that differs, and a slice
+   that matches is scanned once, then skipped. *)
+let same_ids ids lo hi oids olo ohi =
+  let rec from i = i = hi || (ids.(i) = oids.(olo + i - lo) && from (i + 1)) in
+  hi - lo = ohi - olo && from lo
+
+(* Each non-empty part not [skip]ped, with its new slice, and its old
+   slice when the node was internal in the old tree (else -1, -1):
+   [f start len lo hi olo ohi]. *)
+let iter_children ~k ~lens ~skip ids oids ~was_internal start len depth lo hi
+    olo ohi f =
+  let n = Array.length ids and on = Array.length oids in
   let clo = ref lo and colo = ref olo in
   iter_parts ~k ~lens start len (depth + 1) (fun cs cl ->
       let chi = lower_bound ids (cs + cl) !clo hi in
       if was_internal then begin
         let cohi = lower_bound oids (cs + cl) !colo ohi in
-        f cs cl !clo chi !colo cohi;
+        if
+          not
+            (skip
+            && ids.(if chi = n then 0 else chi)
+               = oids.(if cohi = on then 0 else cohi)
+            && same_ids ids !clo chi oids !colo cohi)
+        then f cs cl !clo chi !colo cohi;
         colo := cohi
       end
       else f cs cl !clo chi (-1) (-1);
@@ -483,8 +508,8 @@ let iter_children ~k ~lens ids oids ~was_internal start len depth lo hi olo ohi 
 (* [refresh]'s walk: each node re-resolves its host (a lookup from its
    current host when routed) and is re-hosted if that moved; a node
    that became a leaf prunes its old children; one that is internal
-   plants all its missing children before visiting any, with one
-   heartbeat per child visited. *)
+   plants all its missing children before visiting any.  [refresh]
+   charges the heartbeats. *)
 let refresh_walk ~route_messages t dht ids =
   let k = t.k and oids = t.snap.ids in
   let lookup ~from ~key =
@@ -508,10 +533,9 @@ let refresh_walk ~route_messages t dht ids =
         iter_parts ~k ~lens:t.lens start len (depth + 1) (fun cs cl ->
             lookup ~from:host ~key:(cs + (cl / 2));
             t.msg <- t.msg + 1);
-      iter_children ~k ~lens:t.lens ids oids ~was_internal start len depth lo hi
-        olo ohi
+      iter_children ~k ~lens:t.lens ~skip:(not route_messages) ids oids
+        ~was_internal start len depth lo hi olo ohi
         (fun cs cl clo chi colo cohi ->
-          t.msg <- t.msg + 1 (* heartbeat *);
           visit cs cl (depth + 1) clo chi colo cohi)
     end
   in
@@ -522,7 +546,8 @@ let refresh_walk ~route_messages t dht ids =
    if that VS is gone, locally by the key's new owner); a node that
    became a leaf prunes its old children; one that is internal plants
    each missing child just before visiting it.  Everything is charged
-   to the repair budget too. *)
+   to the repair budget too.  Its lookups are made only at re-planted
+   and planted nodes, so it always skips. *)
 let repair_walk ~route_messages t dht ids =
   let k = t.k and oids = t.snap.ids in
   let repaired_now = ref 0 in
@@ -549,9 +574,8 @@ let repair_walk ~route_messages t dht ids =
       if was_internal then charge (n_parts ~k len)
     end
     else
-      iter_children ~k ~lens:t.lens ids oids ~was_internal start len depth lo hi
-        olo ohi
-        (fun cs cl clo chi colo cohi ->
+      iter_children ~k ~lens:t.lens ~skip:true ids oids ~was_internal start
+        len depth lo hi olo ohi (fun cs cl clo chi colo cohi ->
           if not was_internal then begin
             if route_messages then
               charge (snd (Dht.lookup dht ~from:host ~key:(cs + (cl / 2))));
@@ -566,20 +590,21 @@ let repair_walk ~route_messages t dht ids =
 
 let refresh ?(route_messages = false) t dht =
   let version = Dht.ring_version dht in
-  if t.stamp = version then begin
-    (* The tree is this very ring's: the walk would re-resolve every
-       host to itself, grow and prune nothing, and only exchange its
-       heartbeats, one per parent-child edge.  (With [route_messages]
-       the walk's lookups are charged, so it runs.) *)
-    if route_messages then refresh_walk ~route_messages t dht t.snap.ids
-    else t.msg <- t.msg + t.snap.nodes - 1
-  end
-  else begin
+  (* On the tree's own ring an unrouted walk would re-resolve every
+     host to itself and grow and prune nothing; a routed one is charged
+     its lookups, so it runs, and looks up every node, so it cannot
+     skip. *)
+  if t.stamp <> version then begin
     let ids = Dht.vs_ids dht in
+    let s = summarize ~k:t.k ~lens:t.lens ids in
     refresh_walk ~route_messages t dht ids;
-    t.snap <- summarize ~k:t.k ~lens:t.lens ids;
+    t.snap <- s;
     t.stamp <- version
   end
+  else if route_messages then
+    refresh_walk ~route_messages t dht t.snap.ids;
+  (* One heartbeat per parent-child edge of the refreshed tree. *)
+  t.msg <- t.msg + t.snap.nodes - 1
 
 let repair ?(route_messages = false) t dht =
   let version = Dht.ring_version dht in

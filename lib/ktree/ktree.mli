@@ -16,9 +16,10 @@ module Dht = P2plb_chord.Dht
     prune / re-plant checks against the current ring, which is how the
     tree self-repairs after joins, leaves, crashes and VS transfers.
     The tree remembers the {!Dht.ring_version} at which it was last
-    made consistent with the ring ({!build}, or a full {!repair} /
-    {!refresh} walk); while the ring keeps that version, upkeep is
-    O(1).
+    made consistent with the ring ({!build}, {!repair} or {!refresh});
+    while the ring keeps that version, upkeep is O(1).  After churn,
+    upkeep walks only the paths the ring change touched: the ids added
+    or removed and their successors, not the whole tree.
 
     Whole-tree figures ({!depth}, {!n_nodes}, {!n_leaves},
     {!host_nodes}) are computed by the walk that makes the
@@ -57,7 +58,10 @@ module Dht = P2plb_chord.Dht
     steps per listed leaf with O(depth) scratch, one callback per
     listed leaf, fork merge and lifted run, whatever the node count.
     {!refresh} and {!repair} on a moved ring walk the old and the new
-    tree together, O(nodes), then redo the summary. *)
+    tree together, skipping every subtree that is the same in both,
+    then redo the summary: O(#VS) for the summary and for comparing
+    the two rings' id slices, plus O(depth · K) visits per added or
+    removed id. *)
 
 type node = private int
 (** A KT node of one tree, as that tree stood when the node was
@@ -83,6 +87,11 @@ val build : ?route_messages:bool -> k:int -> 'a Dht.t -> t
     Cost: one O(#VS) copy of the sorted VS ids and one summary walk
     (see {!section-layout}); no DHT query unless [route_messages],
     which adds one walk over every node. *)
+
+val copy : t -> t
+(** A tree equal to [t] that upkeep, sweeps and counters on one leave
+    unchanged in the other; an attached {!set_obs} bundle is shared.
+    O(1): the stored ids are never mutated. *)
 
 val k : t -> int
 val root : t -> node
@@ -126,17 +135,20 @@ val refresh : ?route_messages:bool -> t -> 'a Dht.t -> unit
     VS, prune children of nodes that became leaves, grow children that
     became necessary.  Idempotent once the ring is stable.
 
-    Messages: one heartbeat per parent–child edge the walk descends,
+    Messages: one heartbeat per parent–child edge of the refreshed tree,
     [K + 1] per re-hosted node, one per planted child and one per
     pruned child, plus the lookup hops with [route_messages].  A node
     that becomes a leaf only prunes: nothing is planted below it
     first.
 
-    Costs O(nodes) when the ring version moved since the tree was last
-    consistent (or with [route_messages], whose lookups are charged):
-    one walk over the old tree and the new one together, in the new
-    one's preorder.  Otherwise O(1): it charges the walk's heartbeats,
-    [n_nodes - 1] messages, and changes nothing else. *)
+    The heartbeats, [n_nodes - 1] messages of the refreshed tree, are
+    charged at once.  On an unchanged ring that is all it does, in
+    O(1).  When the ring version moved since the tree was last
+    consistent, one walk over the old tree and the new one together,
+    in the new one's preorder, visits only the paths the change
+    touched (see {!section-layout}).  With [route_messages] every
+    node's lookup is charged, so the walk visits every node, O(nodes),
+    whether the ring changed or not. *)
 
 val repair : ?route_messages:bool -> t -> 'a Dht.t -> int
 (** Reactive self-repair, run before a sweep traverses the tree under
@@ -148,7 +160,9 @@ val repair : ?route_messages:bool -> t -> 'a Dht.t -> int
     Returns the number of KT nodes re-planted this pass; cumulative
     costs are exposed by {!repairs} / {!repair_messages}.
 
-    Walks the old tree and the new one together, O(nodes), when the
+    Walks the old tree and the new one together, visiting only the
+    paths the change touched (with or without [route_messages]: a
+    skipped subtree holds no broken node and plants nothing), when the
     ring version moved since the tree was last consistent; otherwise
     returns 0 in O(1). *)
 

@@ -762,22 +762,16 @@ let routed dht f =
   let x = f () in
   (x, (Dht.lookups_performed dht - l0, Dht.hops_used dht - h0))
 
-(* One long-lived tree of each kind on the same ring.  Each op is
-   followed by refresh then repair, repair then refresh, or nothing
-   (so the next walks meet two ops of churn).  A routed refresh issues
-   its lookups from each node's current host, so it only runs after a
-   repair has re-planted the nodes of departed VSs.  After every step the
-   trees, their summaries, message / repair counters, [repair]'s
-   return values and the ordered kt events must agree, and each build,
-   refresh and repair must issue as many routed lookups, over as many
-   hops, as its reference counterpart. *)
-let prop_ktree_upkeep_matches_reference ((n_nodes, vs, k_sel), (routed_sel, ops))
-    =
-  let k = [| 2; 3; 8 |].(k_sel) and route_messages = routed_sel = 1 in
-  let dht = Dht.create ~seed:((n_nodes * 8) + vs) in
-  for i = 0 to n_nodes - 1 do
-    ignore (Dht.join dht ~capacity:1.0 ~underlay:i ~n_vs:vs)
-  done;
+(* One long-lived tree of each kind on [dht].  Each op, applied by
+   [apply tree dht op], is followed by refresh then repair, repair then
+   refresh, or nothing (so the next walks meet two ops of churn).  A
+   routed refresh issues its lookups from each node's current host, so
+   it only runs after a repair has re-planted the nodes of departed
+   VSs.  After every step the trees, their summaries, message / repair
+   counters, [repair]'s return values and the ordered kt events must
+   agree, and each build, refresh and repair must issue as many routed
+   lookups, over as many hops, as its reference counterpart. *)
+let upkeep_matches_reference ~k ~route_messages dht ~apply ops =
   let r, r_built = routed dht (fun () -> Kref.build ~route_messages ~k dht) in
   let t, t_built = routed dht (fun () -> Ktree.build ~route_messages ~k dht) in
   let obs = Obs.create () in
@@ -807,17 +801,99 @@ let prop_ktree_upkeep_matches_reference ((n_nodes, vs, k_sel), (routed_sel, ops)
   t_built = r_built && agree ()
   && List.for_all
        (fun (i, op) ->
-         apply_ring_op dht op;
+         apply t dht op;
          match i mod 3 with
          | 0 when not route_messages -> refresh () && repair ()
          | 0 | 1 -> repair () && refresh ()
          | _ -> true)
        (List.mapi (fun i op -> (i, op)) ops)
 
+let prop_ktree_upkeep_matches_reference ((n_nodes, vs, k_sel), (routed_sel, ops))
+    =
+  let k = [| 2; 3; 8 |].(k_sel) and route_messages = routed_sel = 1 in
+  let dht = Dht.create ~seed:((n_nodes * 8) + vs) in
+  for i = 0 to n_nodes - 1 do
+    ignore (Dht.join dht ~capacity:1.0 ~underlay:i ~n_vs:vs)
+  done;
+  upkeep_matches_reference ~k ~route_messages dht
+    ~apply:(fun _ dht op -> apply_ring_op dht op)
+    ops
+
 let test_ktree_upkeep_matches_reference () =
   Prop.run ~count:30 ~seed:0x5eed0b
     ~name:"derived KT upkeep = pointer reference walks"
     ktree_upkeep_case prop_ktree_upkeep_matches_reference
+
+(* Single-VS churn at the places where a walk decides to skip a
+   subtree: remove the VS at, or crash the owner of, ring position 0,
+   the last position or any; add one VS at id 0, at the last id of the
+   id space, at the last point of a node of the tree as it stands, or
+   at a hashed id.  [a mod 4] picks the place. *)
+type edge_op = Remove_at of int | Crash_at of int | Add_at of int
+
+let edge_op_name = function
+  | Remove_at a -> Printf.sprintf "Remove_at %d" a
+  | Crash_at a -> Printf.sprintf "Crash_at %d" a
+  | Add_at a -> Printf.sprintf "Add_at %d" a
+
+let edge_op =
+  let of_pair (kind, a) =
+    match kind with 0 -> Remove_at a | 1 -> Crash_at a | _ -> Add_at a
+  in
+  let to_pair = function
+    | Remove_at a -> (0, a)
+    | Crash_at a -> (1, a)
+    | Add_at a -> (2, a)
+  in
+  let p = Prop.pair (Prop.int_in 0 2) (Prop.int_in 0 1_000_000) in
+  Prop.make ~print:edge_op_name
+    ~shrink:(fun op -> List.map of_pair (p.Prop.shrink (to_pair op)))
+    (fun rng -> of_pair (p.Prop.gen rng))
+
+let apply_edge_op tree dht op =
+  let ids = Dht.vs_ids dht in
+  let n = Array.length ids in
+  let position a =
+    match a mod 4 with 0 -> 0 | 1 -> n - 1 | _ -> a / 4 mod n
+  in
+  match op with
+  | Remove_at a -> if n > 1 then Dht.remove_vs dht ~vs_id:ids.(position a)
+  | Crash_at a ->
+    let owner = (Option.get (Dht.vs_of_id dht ids.(position a))).Dht.owner in
+    if Dht.can_depart dht owner then Dht.crash dht owner
+  | Add_at a ->
+    let id =
+      match a mod 4 with
+      | 0 -> 0
+      | 1 -> Id.space_size - 1
+      | 2 ->
+        let m = a / 4 mod Ktree.n_nodes tree in
+        snd
+          (Ktree.fold_nodes tree ~init:(0, 0) ~f:(fun (i, last) c ->
+               ( i + 1,
+                 if i = m then Region.last (Ktree.region tree c) else last )))
+      | _ -> Id.hash_key a "edge"
+    in
+    if Option.is_none (Dht.vs_of_id dht id) then
+      ignore (Dht.join_ids dht ~capacity:1.0 ~underlay:0 [| id |])
+
+(* ((physical nodes of 5 VSs, K = 2 / 3, route_messages off / on),
+   single-VS ops). *)
+let ktree_edge_case =
+  Prop.pair
+    (Prop.triple (Prop.int_in 256 512) (Prop.int_in 0 1) (Prop.int_in 0 1))
+    (Prop.list_of ~min_len:1 ~max_len:6 edge_op)
+
+let prop_ktree_upkeep_edges ((n_nodes, k_sel, routed_sel), ops) =
+  let dht = Dht.create ~seed:n_nodes in
+  Dht.join_all dht (Array.init n_nodes (fun i -> (1.0, i))) ~n_vs:5;
+  upkeep_matches_reference ~k:[| 2; 3 |].(k_sel)
+    ~route_messages:(routed_sel = 1) dht ~apply:apply_edge_op ops
+
+let test_ktree_upkeep_edges () =
+  Prop.run ~count:10 ~seed:0x5eed13
+    ~name:"derived KT upkeep = reference walks at skip edges"
+    ktree_edge_case prop_ktree_upkeep_edges
 
 (* ---- Ktree: upkeep leaves the canonical tree ---------------------------- *)
 
@@ -1278,7 +1354,87 @@ let test_bulk_rejects () =
   raises "join: capacity 0" (fun () ->
       ignore (Dht.join joined ~capacity:0.0 ~underlay:0 ~n_vs:1));
   raises "join: n_vs 0" (fun () ->
-      ignore (Dht.join joined ~capacity:1.0 ~underlay:0 ~n_vs:0))
+      ignore (Dht.join joined ~capacity:1.0 ~underlay:0 ~n_vs:0));
+  let taken = (Dht.vs_ids joined).(0) in
+  List.iter
+    (fun (name, ids) ->
+      raises ("join_ids: " ^ name) (fun () ->
+          ignore (Dht.join_ids joined ~capacity:1.0 ~underlay:0 ids)))
+    [
+      ("no ids", [||]);
+      ("negative id", [| 5; -1 |]);
+      ("id past the space", [| Id.space_size |]);
+      ("repeated id", [| 7; 7 |]);
+      ("taken id", [| 9; taken |]);
+    ];
+  raises "join_ids: capacity 0" (fun () ->
+      ignore (Dht.join_ids joined ~capacity:0.0 ~underlay:0 [| 3 |]));
+  Alcotest.(check (pair int int))
+    "rejected joins change nothing" (1, 1)
+    (Dht.n_nodes joined, Dht.n_vs joined)
+
+(* ---- Chord: a departure = its VSs removed one at a time ---------------- *)
+
+(* ((physical nodes, VSs per node, shape), (load seed, run length)).
+   Before the departure the departing node is also handed the VSs at
+   some ring positions, in a shuffled order: shape 0 none, 1 a run of
+   adjacent positions, 2 positions 0 and n - 1, 3 a run across the
+   wrap past the last id. *)
+let depart_case =
+  Prop.pair
+    (Prop.triple (Prop.int_in 2 96) (Prop.int_in 1 5) (Prop.int_in 0 3))
+    (Prop.pair (Prop.int_in 0 1_000_000) (Prop.int_in 1 6))
+
+(* Ring ids, then (id, owner, load bits) in ring order, then the ring
+   version. *)
+let ring_bits (dht : unit Dht.t) =
+  ( Dht.vs_ids dht,
+    List.rev
+      (Dht.fold_vs dht ~init:[] ~f:(fun acc v ->
+           (v.Dht.vs_id, v.Dht.owner, Int64.bits_of_float v.Dht.load) :: acc)),
+    Dht.ring_version dht )
+
+let prop_depart_matches_removals ((n_nodes, vs, shape), (seed, run)) =
+  let make () =
+    let dht : unit Dht.t = Dht.create ~seed:n_nodes in
+    Dht.join_all dht (Array.init n_nodes (fun i -> (1.0, i))) ~n_vs:vs;
+    let rng = P2plb_prng.Prng.create ~seed in
+    Dht.fold_vs dht ~init:() ~f:(fun () v ->
+        Dht.set_vs_load dht v (10.0 *. P2plb_prng.Prng.unit_float rng));
+    let n = Dht.n_vs dht in
+    let goner = P2plb_prng.Prng.int rng n_nodes in
+    let run = Int.min run (n / 2) in
+    let start = P2plb_prng.Prng.int rng n in
+    let positions =
+      match shape with
+      | 0 -> []
+      | 1 -> List.init run (fun i -> (start + i) mod n)
+      | 2 -> [ 0; n - 1 ]
+      | _ -> List.init (Int.max 2 run) (fun i -> (n - 1 + i) mod n)
+    in
+    let ids = Dht.vs_ids dht in
+    let order = Array.of_list (List.sort_uniq Int.compare positions) in
+    P2plb_prng.Prng.shuffle rng order;
+    Array.iter
+      (fun i -> Dht.transfer_vs dht ~vs_id:ids.(i) ~to_node:goner)
+      order;
+    (dht, goner)
+  in
+  let batch, goner = make () and one_by_one, _ = make () in
+  if not (Dht.can_depart batch goner) then true
+  else begin
+    let vss = (Dht.node one_by_one goner).Dht.vss in
+    Dht.crash batch goner;
+    List.iter (fun v -> Dht.remove_vs one_by_one ~vs_id:v.Dht.vs_id) vss;
+    ring_bits batch = ring_bits one_by_one
+    && (Dht.node batch goner).Dht.vss = []
+    && not (Dht.is_alive batch goner)
+  end
+
+let test_depart_matches_removals () =
+  Prop.run ~count:150 ~seed:0x5eed12
+    ~name:"depart = sequential remove_vs" depart_case
+    prop_depart_matches_removals
 
 (* ---- Chord: the ring against a sorted-list model ------------------------ *)
 
@@ -1891,6 +2047,8 @@ let () =
             test_bulk_rejects;
           Alcotest.test_case "ring = sorted-list model" `Quick
             test_ring_matches_model;
+          Alcotest.test_case "depart = sequential remove_vs" `Quick
+            test_depart_matches_removals;
         ] );
       ( "ktree",
         [
@@ -1900,6 +2058,8 @@ let () =
             test_ktree_matches_reference;
           Alcotest.test_case "upkeep = reference walks" `Quick
             test_ktree_upkeep_matches_reference;
+          Alcotest.test_case "upkeep = reference walks at skip edges" `Quick
+            test_ktree_upkeep_edges;
           Alcotest.test_case "upkeep leaves the canonical tree" `Quick
             test_ktree_stays_canonical;
           Alcotest.test_case "skeleton sweeps = reference full walks" `Quick
