@@ -7,8 +7,13 @@
    fields (rounds, transfers, messages, convergence round, final
    ratio, series digest) are deterministic for a given seed — the
    @bench-smoke alias checks they are byte-identical across two runs —
-   while cpu/alloc figures are the only wall-clock-tainted values in
-   the repo and never feed back into a simulation (DESIGN.md §11). *)
+   while cpu/alloc figures are host costs that never feed back into a
+   simulation (DESIGN.md §11). *)
+
+module Obs = P2plb_obs.Obs
+module Registry = P2plb_obs.Registry
+module Timeseries = P2plb_obs.Timeseries
+module Trace = P2plb_obs.Trace
 
 let schema_version = 1
 
@@ -32,7 +37,6 @@ type experiment = {
 type bench = { b_name : string; b_ns : float }
 
 type meta = {
-  m_schema : int;
   m_rev : string;
   m_nodes : int;
   m_graphs : int;
@@ -49,7 +53,7 @@ type file = {
   f_benches : bench list;
 }
 
-(* ---- deriving sim figures from a finished run -------------------------- *)
+(* ---- building a record -------------------------------------------------- *)
 
 let sim_of_obs obs =
   let metrics = Obs.metrics obs in
@@ -81,6 +85,39 @@ let sim_of_obs obs =
     sm_series_digest = Timeseries.digest series;
   }
 
+let observe name obs run =
+  let a0 = Gc.allocated_bytes () in
+  (* p2plint: allow-impure — bench harness CPU timing, confined to BENCH_<rev>.json *)
+  let t0 = Sys.time () in
+  run ();
+  (* p2plint: allow-impure — bench harness CPU timing, confined to BENCH_<rev>.json *)
+  let cpu = Sys.time () -. t0 in
+  let alloc = Gc.allocated_bytes () -. a0 in
+  { e_name = name; e_cpu_s = cpu; e_alloc_bytes = alloc; e_sim = sim_of_obs obs }
+
+let record ~rev ~nodes ~graphs ~seed ~smoke ~jobs ~wall_s experiments benches =
+  let cpu_total =
+    List.fold_left (fun acc e -> acc +. e.e_cpu_s) 0.0 experiments
+  in
+  let speedup =
+    if Float.compare wall_s 1e-9 > 0 then cpu_total /. wall_s else 1.0
+  in
+  {
+    f_meta =
+      {
+        m_rev = rev;
+        m_nodes = nodes;
+        m_graphs = graphs;
+        m_seed = seed;
+        m_smoke = smoke;
+        m_jobs = jobs;
+        m_wall_s = wall_s;
+        m_speedup = speedup;
+      };
+    f_experiments = experiments;
+    f_benches = benches;
+  }
+
 (* ---- encoding ---------------------------------------------------------- *)
 
 let fts = Trace.float_to_string
@@ -91,7 +128,7 @@ let to_json f =
   Buffer.add_string buf
     (Printf.sprintf
        "{\"k\":\"meta\",\"schema\":%d,\"rev\":\"%s\",\"nodes\":%d,\"graphs\":%d,\"seed\":%d,\"smoke\":%b,\"jobs\":%d,\"wall_s\":%s,\"speedup\":%s}\n"
-       m.m_schema m.m_rev m.m_nodes m.m_graphs m.m_seed m.m_smoke m.m_jobs
+       schema_version m.m_rev m.m_nodes m.m_graphs m.m_seed m.m_smoke m.m_jobs
        (fts m.m_wall_s) (fts m.m_speedup));
   List.iter
     (fun e ->
@@ -112,79 +149,51 @@ let to_json f =
   Buffer.contents buf
 
 let write f ~path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (to_json f))
+  Out_channel.with_open_bin path (fun oc -> output_string oc (to_json f))
 
 (* ---- decoding ---------------------------------------------------------- *)
 
 let ( let* ) = Result.bind
 
-let scalar fields k =
+(* [k]'s value in [fields], through [conv]; [kind] names what [conv]
+   accepts. *)
+let field kind conv fields k =
   match List.assoc_opt k fields with
-  | Some (Trace.Scalar v) -> Ok v
-  | Some (Trace.Nested _) -> Error (Printf.sprintf "field %S is nested" k)
   | None -> Error (Printf.sprintf "missing field %S" k)
+  | Some (Trace.Nested _) -> Error (Printf.sprintf "field %S is nested" k)
+  | Some (Trace.Scalar v) -> (
+    match conv v with
+    | Some x -> Ok x
+    | None -> Error (Printf.sprintf "field %S is not a %s" k kind))
 
-let num fields k =
-  let* v = scalar fields k in
-  match v with
-  | Trace.Int i -> Ok (float_of_int i)
-  | Trace.Float f -> Ok f
-  | Trace.Bool _ | Trace.Str _ ->
-    Error (Printf.sprintf "field %S is not a number" k)
+let num =
+  field "number" (function
+    | Trace.Int i -> Some (float_of_int i)
+    | Trace.Float f -> Some f
+    | _ -> None)
 
 let int_field fields k = Result.map int_of_float (num fields k)
-
-let str fields k =
-  let* v = scalar fields k in
-  match v with
-  | Trace.Str s -> Ok s
-  | Trace.Int _ | Trace.Float _ | Trace.Bool _ ->
-    Error (Printf.sprintf "field %S is not a string" k)
-
-let bool_field fields k =
-  let* v = scalar fields k in
-  match v with
-  | Trace.Bool b -> Ok b
-  | Trace.Int _ | Trace.Float _ | Trace.Str _ ->
-    Error (Printf.sprintf "field %S is not a boolean" k)
-
-(* Parallel-execution meta fields postdate some committed records;
-   absent fields read as a sequential run, so schema 1 stays valid. *)
-let int_or fields k default =
-  match List.assoc_opt k fields with
-  | None -> Ok default
-  | Some _ -> int_field fields k
-
-let num_or fields k default =
-  match List.assoc_opt k fields with
-  | None -> Ok default
-  | Some _ -> num fields k
+let str = field "string" (function Trace.Str s -> Some s | _ -> None)
+let bool_field = field "boolean" (function Trace.Bool b -> Some b | _ -> None)
 
 let meta_of_fields fields =
-  let* m_schema = int_field fields "schema" in
+  let* schema = int_field fields "schema" in
+  let* () =
+    if schema = schema_version then Ok ()
+    else
+      Error
+        (Printf.sprintf "schema version %d (this tool speaks %d)" schema
+           schema_version)
+  in
   let* m_rev = str fields "rev" in
   let* m_nodes = int_field fields "nodes" in
   let* m_graphs = int_field fields "graphs" in
   let* m_seed = int_field fields "seed" in
   let* m_smoke = bool_field fields "smoke" in
-  let* m_jobs = int_or fields "jobs" 1 in
-  let* m_wall_s = num_or fields "wall_s" 0.0 in
-  let* m_speedup = num_or fields "speedup" 1.0 in
-  Ok
-    {
-      m_schema;
-      m_rev;
-      m_nodes;
-      m_graphs;
-      m_seed;
-      m_smoke;
-      m_jobs;
-      m_wall_s;
-      m_speedup;
-    }
+  let* m_jobs = int_field fields "jobs" in
+  let* m_wall_s = num fields "wall_s" in
+  let* m_speedup = num fields "speedup" in
+  Ok { m_rev; m_nodes; m_graphs; m_seed; m_smoke; m_jobs; m_wall_s; m_speedup }
 
 let experiment_of_fields fields =
   let* e_name = str fields "name" in
@@ -223,11 +232,12 @@ let parse source =
   let lines = String.split_on_char '\n' source in
   let rec go lineno meta exps benches = function
     | [] -> (
-      match meta with
-      | Some m ->
+      match (meta, exps) with
+      | None, _ -> Error "no \"meta\" record"
+      | Some _, [] -> Error "no experiment records"
+      | Some m, _ ->
         Ok
-          { f_meta = m; f_experiments = List.rev exps; f_benches = List.rev benches }
-      | None -> Error "no \"meta\" record")
+          { f_meta = m; f_experiments = List.rev exps; f_benches = List.rev benches })
     | "" :: rest -> go (lineno + 1) meta exps benches rest
     | line :: rest -> (
       let result =
@@ -251,25 +261,6 @@ let parse source =
   in
   go 1 None [] [] lines
 
-let load path =
-  match open_in_bin path with
-  | ic ->
-    let source =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    parse source
-  | exception Sys_error msg -> Error msg
-
-let validate f =
-  if f.f_meta.m_schema <> schema_version then
-    Error
-      (Printf.sprintf "schema version %d (this tool speaks %d)"
-         f.f_meta.m_schema schema_version)
-  else if List.length f.f_experiments = 0 then Error "no experiment records"
-  else Ok ()
-
 (* Digest over the deterministic (simulation-derived) fields only, so
    two runs of the same revision agree byte-for-byte even though
    cpu/alloc differ. *)
@@ -285,20 +276,10 @@ let sim_digest f =
 
 (* ---- the gate ---------------------------------------------------------- *)
 
-type gate = {
-  g_max_regress_pct : float;
-  g_cpu_floor_s : float; (* ignore cpu comparisons below this baseline *)
-  g_alloc_floor_bytes : float;
-  g_ns_floor : float;
-}
-
-let default_gate =
-  {
-    g_max_regress_pct = 30.0;
-    g_cpu_floor_s = 0.02;
-    g_alloc_floor_bytes = 1_000_000.0;
-    g_ns_floor = 100.0;
-  }
+(* Baselines below these floors are timer noise and are not compared. *)
+let cpu_floor_s = 0.02
+let alloc_floor_bytes = 1_000_000.0
+let ns_floor = 100.0
 
 type report = { rp_checked : int; rp_regressions : string list }
 
@@ -306,11 +287,19 @@ let pct_over ~base ~cur =
   if Float.compare base 0.0 <= 0 then 0.0
   else ((cur /. base) -. 1.0) *. 100.0
 
-let diff gate ~baseline ~current =
+let diff ~max_regress_pct ~baseline ~current =
   let regress = ref [] in
   let checked = ref 0 in
   let flag fmt = Printf.ksprintf (fun s -> regress := s :: !regress) fmt in
-  let over base cur = Float.compare (pct_over ~base ~cur) gate.g_max_regress_pct > 0 in
+  (* "<name>: <what><base><unit> -> <cur><unit>" when [cur] grew past
+     the threshold over a baseline of at least [floor]. *)
+  let grew ?(floor = 0.0) ?(unit = "") name what base cur =
+    let pct = pct_over ~base ~cur in
+    if Float.compare base floor >= 0 && Float.compare pct max_regress_pct > 0
+    then
+      flag "%s: %s%s%s -> %s%s (+%.1f%% > %.0f%%)" name what (fts base) unit
+        (fts cur) unit pct max_regress_pct
+  in
   (* cpu/alloc comparisons are only like-with-like at equal domain
      counts: a 4-domain run burns more total cpu per experiment than
      the sequential baseline even when it is strictly faster. *)
@@ -327,20 +316,9 @@ let diff gate ~baseline ~current =
       | None -> flag "experiment '%s' missing from current run" b.e_name
       | Some c ->
         incr checked;
-        if Float.compare b.e_cpu_s gate.g_cpu_floor_s >= 0 && over b.e_cpu_s c.e_cpu_s
-        then
-          flag "%s: cpu %ss -> %ss (+%.1f%% > %.0f%%)" b.e_name
-            (fts b.e_cpu_s) (fts c.e_cpu_s)
-            (pct_over ~base:b.e_cpu_s ~cur:c.e_cpu_s)
-            gate.g_max_regress_pct;
-        if
-          Float.compare b.e_alloc_bytes gate.g_alloc_floor_bytes >= 0
-          && over b.e_alloc_bytes c.e_alloc_bytes
-        then
-          flag "%s: alloc %s -> %s bytes (+%.1f%% > %.0f%%)" b.e_name
-            (fts b.e_alloc_bytes) (fts c.e_alloc_bytes)
-            (pct_over ~base:b.e_alloc_bytes ~cur:c.e_alloc_bytes)
-            gate.g_max_regress_pct;
+        grew ~floor:cpu_floor_s ~unit:"s" b.e_name "cpu " b.e_cpu_s c.e_cpu_s;
+        grew ~floor:alloc_floor_bytes ~unit:" bytes" b.e_name "alloc "
+          b.e_alloc_bytes c.e_alloc_bytes;
         let bs = b.e_sim and cs = c.e_sim in
         if bs.sm_conv_round >= 0 && cs.sm_conv_round < 0 then
           flag "%s: no longer converges (baseline round %d)" b.e_name
@@ -349,26 +327,12 @@ let diff gate ~baseline ~current =
         then
           flag "%s: converges later (round %d -> %d)" b.e_name
             bs.sm_conv_round cs.sm_conv_round;
-        if
-          over
-            (float_of_int bs.sm_transfers)
-            (float_of_int cs.sm_transfers)
-        then
-          flag "%s: transfers %d -> %d (+%.1f%% > %.0f%%)" b.e_name
-            bs.sm_transfers cs.sm_transfers
-            (pct_over
-               ~base:(float_of_int bs.sm_transfers)
-               ~cur:(float_of_int cs.sm_transfers))
-            gate.g_max_regress_pct;
-        if
-          over (float_of_int bs.sm_messages) (float_of_int cs.sm_messages)
-        then
-          flag "%s: messages %d -> %d (+%.1f%% > %.0f%%)" b.e_name
-            bs.sm_messages cs.sm_messages
-            (pct_over
-               ~base:(float_of_int bs.sm_messages)
-               ~cur:(float_of_int cs.sm_messages))
-            gate.g_max_regress_pct)
+        grew b.e_name "transfers "
+          (float_of_int bs.sm_transfers)
+          (float_of_int cs.sm_transfers);
+        grew b.e_name "messages "
+          (float_of_int bs.sm_messages)
+          (float_of_int cs.sm_messages))
     baseline.f_experiments;
   List.iter
     (fun (b : bench) ->
@@ -380,10 +344,6 @@ let diff gate ~baseline ~current =
       | None -> () (* bench sets may shrink in smoke runs *)
       | Some c ->
         incr checked;
-        if Float.compare b.b_ns gate.g_ns_floor >= 0 && over b.b_ns c.b_ns then
-          flag "%s: %sns -> %sns (+%.1f%% > %.0f%%)" b.b_name (fts b.b_ns)
-            (fts c.b_ns)
-            (pct_over ~base:b.b_ns ~cur:c.b_ns)
-            gate.g_max_regress_pct)
+        grew ~floor:ns_floor ~unit:"ns" b.b_name "" b.b_ns c.b_ns)
     baseline.f_benches;
   { rp_checked = !checked; rp_regressions = List.rev !regress }

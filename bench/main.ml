@@ -38,7 +38,7 @@ module Faults = P2plb_sim.Faults
 module Mclock = Monotonic_clock
 module Obs = P2plb_obs.Obs
 module Registry = P2plb_obs.Registry
-module Benchgate = P2plb_obs.Benchgate
+module Benchgate = P2plb_benchkit.Benchgate
 module Multiround = P2plb.Multiround
 module Histogram = P2plb_metrics.Histogram
 module Report = P2plb_metrics.Report
@@ -115,7 +115,7 @@ let () =
 let jobs =
   match arg_value [ "--jobs"; "-j" ] with
   | Some v -> int_of ~positive:true "--jobs" v
-  | None -> env_int "P2PLB_JOBS" 1
+  | None -> 1
 
 let pool = Par.create ~jobs
 
@@ -128,9 +128,7 @@ let section title =
 (* Every figure run gets its own observability bundle; the registries
    are summarised in one per-experiment table after the figures, and
    each run's cpu/alloc figures plus the simulation-derived convergence
-   metrics land in BENCH_<rev>.json (Benchgate).  The Sys.time reads
-   below are the repo's only wall-clock taint: they never feed back
-   into a simulation, only into the bench record. *)
+   metrics land in BENCH_<rev>.json (Benchgate.observe). *)
 let metrics_acc : (string * Obs.t) list ref = ref []
 let experiments_acc : Benchgate.experiment list ref = ref []
 let bench_acc : Benchgate.bench list ref = ref []
@@ -138,22 +136,8 @@ let bench_acc : Benchgate.bench list ref = ref []
 let observed name f =
   let obs = Obs.create () in
   metrics_acc := (name, obs) :: !metrics_acc;
-  let a0 = Gc.allocated_bytes () in
-  (* p2plint: allow-impure — bench harness CPU timing, confined to BENCH_<rev>.json *)
-  let t0 = Sys.time () in
-  let r = f obs in
-  (* p2plint: allow-impure — bench harness CPU timing, confined to BENCH_<rev>.json *)
-  let cpu = Sys.time () -. t0 in
-  let alloc = Gc.allocated_bytes () -. a0 in
   experiments_acc :=
-    {
-      Benchgate.e_name = name;
-      e_cpu_s = cpu;
-      e_alloc_bytes = alloc;
-      e_sim = Benchgate.sim_of_obs obs;
-    }
-    :: !experiments_acc;
-  r
+    Benchgate.observe name obs (fun () -> f obs) :: !experiments_acc
 
 let metrics_table () =
   let row (name, obs) =
@@ -521,31 +505,10 @@ let walled f =
 
 let emit_json ~smoke path =
   let wall_s = Int64.to_float !wall_ns /. 1e9 in
-  let cpu_total =
-    List.fold_left
-      (fun acc e -> acc +. e.Benchgate.e_cpu_s)
-      0.0 !experiments_acc
-  in
-  let speedup =
-    if Float.compare wall_s 1e-9 > 0 then cpu_total /. wall_s else 1.0
-  in
   let file =
-    {
-      Benchgate.f_meta =
-        {
-          Benchgate.m_schema = Benchgate.schema_version;
-          m_rev = rev;
-          m_nodes = (if smoke then smoke_nodes else n_nodes);
-          m_graphs = graphs;
-          m_seed = seed;
-          m_smoke = smoke;
-          m_jobs = jobs;
-          m_wall_s = wall_s;
-          m_speedup = speedup;
-        };
-      f_experiments = List.rev !experiments_acc;
-      f_benches = !bench_acc;
-    }
+    Benchgate.record ~rev
+      ~nodes:(if smoke then smoke_nodes else n_nodes)
+      ~graphs ~seed ~smoke ~jobs ~wall_s (List.rev !experiments_acc) !bench_acc
   in
   Benchgate.write file ~path;
   Printf.printf
@@ -554,7 +517,7 @@ let emit_json ~smoke path =
     path
     (List.length file.Benchgate.f_experiments)
     (List.length file.Benchgate.f_benches)
-    jobs wall_s speedup
+    jobs wall_s file.Benchgate.f_meta.Benchgate.m_speedup
     (Benchgate.sim_digest file)
 
 (* Flags: see [usage]. *)

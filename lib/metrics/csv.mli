@@ -8,9 +8,6 @@
 val escape_field : string -> string
 (** Quotes the field if needed. *)
 
-val line : string list -> string
-(** One CSV record, newline-terminated. *)
-
 val to_string : header:string list -> string list list -> string
 (** Header plus rows.  All rows must match the header's arity. *)
 

@@ -4,9 +4,10 @@ module Histogram = P2plb_metrics.Histogram
 
     Handles are get-or-create by name, so independently instrumented
     subsystems (faults, KT repair, VST) share series without plumbing.
-    The {!dump} is sorted by name and rendered with canonical number
-    formats, so it is digest-stable across runs regardless of hash
-    layout or creation order — the metrics twin of [Trace.digest].
+    The dump ({!rows}) is sorted by name and rendered with canonical
+    number formats, so it is digest-stable across runs regardless of
+    hash layout or creation order — the metrics twin of
+    [Trace.digest].
 
     Histograms are {!P2plb_metrics.Histogram} values, so everything
     that already consumes them (CSV export, CDF rendering, percentile
@@ -83,10 +84,7 @@ val rows : t -> (string * string) list
 (** All series, sorted by name, values rendered canonically
     (histograms as [total/max_bin/p50/p99]). *)
 
-val dump : t -> string
-(** [rows] as ["name = value"] lines. *)
-
 val digest : t -> string
-(** Hex digest of {!dump}. *)
+(** Hex digest of {!rows} as ["name = value"] lines. *)
 
 val write : t -> path:string -> unit

@@ -345,7 +345,7 @@ let num_of_json name = function
 (* ---- generic flat-line view --------------------------------------------- *)
 
 (* The same one-object-per-line subset, exposed for the other JSONL
-   sinks built on this format (Timeseries samples, Benchgate records):
+   sinks built on this format (Timeseries samples, bench records):
    each field is a scalar or one level of nested object. *)
 
 type flat = Scalar of value | Nested of (string * value) list

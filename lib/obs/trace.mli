@@ -128,8 +128,8 @@ val load_jsonl : string -> (ev list, string) result
 (** {1 Flat-line JSON view}
 
     The sink's one-object-per-line subset, exposed for the sibling
-    JSONL formats built on it ({!Timeseries} samples, {!Benchgate}
-    records): each field is a scalar or one level of nested object. *)
+    JSONL formats built on it ({!Timeseries} samples, bench records):
+    each field is a scalar or one level of nested object. *)
 
 type flat = Scalar of value | Nested of (string * value) list
 

@@ -1,7 +1,3 @@
-let uniform t ~lo ~hi =
-  if hi < lo then invalid_arg "Dist.uniform: hi < lo";
-  lo +. Prng.float t (hi -. lo)
-
 let normal t ~mean ~stddev =
   if stddev < 0.0 then invalid_arg "Dist.normal: stddev < 0";
   (* Box–Muller; we only need one of the pair, simplicity over speed. *)

@@ -8,7 +8,6 @@ module Registry = P2plb_obs.Registry
 module Obs = P2plb_obs.Obs
 module Spantree = P2plb_obs.Spantree
 module Timeseries = P2plb_obs.Timeseries
-module Benchgate = P2plb_obs.Benchgate
 module Histogram = P2plb_metrics.Histogram
 
 let check = Alcotest.check
@@ -364,129 +363,6 @@ let test_timeseries_jsonl_round_trip () =
     check Alcotest.string "emit -> parse -> re-emit is byte-identical" s
       (Timeseries.jsonl_of_samples samples)
 
-(* ---- bench records & the gate ------------------------------------------- *)
-
-let mk_sim ?(conv = 1) () =
-  {
-    Benchgate.sm_rounds = 3;
-    sm_conv_round = conv;
-    sm_final_ratio = 1.02;
-    sm_moved_frac = 0.4;
-    sm_transfers = 42;
-    sm_messages = 420;
-    sm_series_digest = "0123456789abcdef";
-  }
-
-let mk_record ?(cpu = 1.0) ?(conv = 1) () =
-  {
-    Benchgate.f_meta =
-      {
-        Benchgate.m_schema = Benchgate.schema_version;
-        m_rev = "test";
-        m_nodes = 256;
-        m_graphs = 1;
-        m_seed = 7;
-        m_smoke = true;
-        m_jobs = 1;
-        m_wall_s = 0.0;
-        m_speedup = 1.0;
-      };
-    f_experiments =
-      [
-        {
-          Benchgate.e_name = "smoke/convergence";
-          e_cpu_s = cpu;
-          e_alloc_bytes = 1e8;
-          e_sim = mk_sim ~conv ();
-        };
-      ];
-    f_benches = [ { Benchgate.b_name = "vst/round"; b_ns = 1000.0 } ];
-  }
-
-let test_benchgate_round_trip () =
-  let f = mk_record () in
-  (match Benchgate.validate f with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail ("validate rejected a good record: " ^ e));
-  match Benchgate.parse (Benchgate.to_json f) with
-  | Error e -> Alcotest.fail ("parse failed: " ^ e)
-  | Ok f' ->
-    check Alcotest.string "emit -> parse -> re-emit is byte-identical"
-      (Benchgate.to_json f) (Benchgate.to_json f');
-    check Alcotest.string "sim digest survives the trip"
-      (Benchgate.sim_digest f) (Benchgate.sim_digest f')
-
-let test_benchgate_validate_rejects () =
-  let f = mk_record () in
-  (match
-     Benchgate.validate
-       { f with Benchgate.f_meta = { f.Benchgate.f_meta with Benchgate.m_schema = 99 } }
-   with
-  | Ok () -> Alcotest.fail "wrong schema version accepted"
-  | Error _ -> ());
-  (match Benchgate.validate { f with Benchgate.f_experiments = [] } with
-  | Ok () -> Alcotest.fail "experiment-free record accepted"
-  | Error _ -> ());
-  match Benchgate.parse "{\"k\":\"mystery\"}\n" with
-  | Ok _ -> Alcotest.fail "unknown kind accepted"
-  | Error _ -> ()
-
-let test_benchgate_sim_digest_ignores_wall_clock () =
-  (* cpu/alloc are wall-clock-tainted; the determinism digest must not
-     see them, and must see every sim-derived field *)
-  check Alcotest.string "cpu change is invisible"
-    (Benchgate.sim_digest (mk_record ()))
-    (Benchgate.sim_digest (mk_record ~cpu:9.9 ()));
-  check Alcotest.bool "conv-round change is visible" false
-    (String.equal
-       (Benchgate.sim_digest (mk_record ()))
-       (Benchgate.sim_digest (mk_record ~conv:2 ())))
-
-let regressions report = report.Benchgate.rp_regressions
-
-let test_benchgate_diff () =
-  let base = mk_record () in
-  let diff current =
-    Benchgate.diff Benchgate.default_gate ~baseline:base ~current
-  in
-  check Alcotest.int "identical records pass" 0
-    (List.length (regressions (diff (mk_record ()))));
-  check Alcotest.int "50% cpu slowdown trips the 30% gate" 1
-    (List.length (regressions (diff (mk_record ~cpu:1.5 ()))));
-  check Alcotest.int "20% cpu slowdown passes" 0
-    (List.length (regressions (diff (mk_record ~cpu:1.2 ()))));
-  check Alcotest.bool "later convergence round flagged" true
-    (List.length (regressions (diff (mk_record ~conv:2 ()))) >= 1);
-  check Alcotest.bool "lost convergence flagged" true
-    (List.length (regressions (diff (mk_record ~conv:(-1) ()))) >= 1);
-  let gone = { (mk_record ()) with Benchgate.f_experiments = [] } in
-  check Alcotest.bool "missing experiment flagged" true
-    (List.length (regressions (diff gone)) >= 1);
-  let cur = mk_record () in
-  let jobs4 =
-    { cur with
-      Benchgate.f_meta = { cur.Benchgate.f_meta with Benchgate.m_jobs = 4 } }
-  in
-  check Alcotest.bool "job-count mismatch flagged (not like-with-like)" true
-    (List.exists
-       (fun r -> String.length r >= 10 && String.sub r 0 10 = "job counts")
-       (regressions (diff jobs4)))
-
-let test_benchgate_legacy_meta_defaults () =
-  (* records written before the parallel layer carry no jobs/wall_s/
-     speedup fields; they must parse as a sequential run so the
-     committed baseline stays valid without a schema bump *)
-  let legacy =
-    "{\"k\":\"meta\",\"schema\":1,\"rev\":\"old\",\"nodes\":256,\"graphs\":1,\"seed\":7,\"smoke\":true}\n\
-     {\"k\":\"experiment\",\"name\":\"smoke\",\"cpu_s\":1,\"alloc_bytes\":1,\"rounds\":1,\"conv_round\":1,\"final_ratio\":1,\"moved_frac\":0,\"transfers\":0,\"messages\":0,\"series_digest\":\"d\"}\n"
-  in
-  match Benchgate.parse legacy with
-  | Error e -> Alcotest.fail ("legacy record rejected: " ^ e)
-  | Ok f ->
-    check Alcotest.int "jobs defaults to 1" 1 f.Benchgate.f_meta.Benchgate.m_jobs;
-    check feq "wall_s defaults to 0" 0.0 f.Benchgate.f_meta.Benchgate.m_wall_s;
-    check feq "speedup defaults to 1" 1.0 f.Benchgate.f_meta.Benchgate.m_speedup
-
 (* ---- registry ----------------------------------------------------------- *)
 
 let test_registry_counters_gauges () =
@@ -761,19 +637,6 @@ let () =
             test_timeseries_convergence;
           Alcotest.test_case "jsonl round trip & digest" `Quick
             test_timeseries_jsonl_round_trip;
-        ] );
-      ( "benchgate",
-        [
-          Alcotest.test_case "record round trip" `Quick
-            test_benchgate_round_trip;
-          Alcotest.test_case "validate rejects bad records" `Quick
-            test_benchgate_validate_rejects;
-          Alcotest.test_case "sim digest ignores wall clock" `Quick
-            test_benchgate_sim_digest_ignores_wall_clock;
-          Alcotest.test_case "gate flags regressions" `Quick
-            test_benchgate_diff;
-          Alcotest.test_case "legacy meta parses with defaults" `Quick
-            test_benchgate_legacy_meta_defaults;
         ] );
       ( "registry",
         [

@@ -9,15 +9,15 @@
    one experiment).  [same-sim] asserts the simulation-derived digests
    of two records match — the determinism half of @bench-smoke.
    [diff] is the @bench-gate comparator: exits non-zero when the
-   current record regresses more than PCT (default 30%) against the
-   committed baseline on cpu, allocation, transfer/message counts, a
-   micro-benchmark, or convergence round.
+   current record regresses more than PCT (default 30%, a finite
+   positive number) against the committed baseline on cpu, allocation,
+   transfer/message counts, a micro-benchmark, or convergence round.
 
    Exit codes follow the p2plint contract: 0 = clean, 1 = gate
    failure (regression / digest mismatch / invalid record),
    2 = usage or unreadable input. *)
 
-module Benchgate = P2plb_obs.Benchgate
+module Benchgate = P2plb_benchkit.Benchgate
 
 let usage () =
   prerr_string
@@ -26,28 +26,24 @@ let usage () =
     \       benchdiff diff BASELINE CURRENT [--max-regress PCT]\n";
   exit 2
 
-let load path =
-  match Benchgate.load path with
-  | Ok f -> f
-  | Error msg ->
-    Printf.eprintf "benchdiff: %s: %s\n" path msg;
-    exit 2
-
 let validated path =
-  let f = load path in
-  (match Benchgate.validate f with
-  | Ok () -> ()
-  | Error msg ->
-    Printf.eprintf "benchdiff: %s: invalid: %s\n" path msg;
-    exit 1);
-  f
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error msg ->
+    Printf.eprintf "benchdiff: %s\n" msg;
+    exit 2
+  | source -> (
+    match Benchgate.parse source with
+    | Ok f -> f
+    | Error msg ->
+      Printf.eprintf "benchdiff: %s: invalid: %s\n" path msg;
+      exit 1)
 
 let do_validate path =
   let f = validated path in
   Printf.printf
     "%s: ok (schema %d, rev %s, %d experiment(s), %d bench(es), sim digest \
      %s)\n"
-    path f.Benchgate.f_meta.Benchgate.m_schema f.Benchgate.f_meta.Benchgate.m_rev
+    path Benchgate.schema_version f.Benchgate.f_meta.Benchgate.m_rev
     (List.length f.Benchgate.f_experiments)
     (List.length f.Benchgate.f_benches)
     (Benchgate.sim_digest f);
@@ -70,10 +66,9 @@ let do_same_sim a_path b_path =
 
 let do_diff base_path cur_path max_regress =
   let baseline = validated base_path and current = validated cur_path in
-  let gate =
-    { Benchgate.default_gate with Benchgate.g_max_regress_pct = max_regress }
+  let report =
+    Benchgate.diff ~max_regress_pct:max_regress ~baseline ~current
   in
-  let report = Benchgate.diff gate ~baseline ~current in
   match report.Benchgate.rp_regressions with
   | [] ->
     Printf.printf
@@ -94,10 +89,10 @@ let () =
   | _ :: "diff" :: base :: cur :: rest ->
     let max_regress =
       match rest with
-      | [] -> Benchgate.default_gate.Benchgate.g_max_regress_pct
+      | [] -> 30.0
       | [ "--max-regress"; pct ] -> (
         match float_of_string_opt pct with
-        | Some p when Float.compare p 0.0 > 0 -> p
+        | Some p when Float.is_finite p && Float.compare p 0.0 > 0 -> p
         | Some _ | None ->
           Printf.eprintf "benchdiff: bad --max-regress value %S\n" pct;
           exit 2)
