@@ -127,24 +127,25 @@ let to_json f =
   let m = f.f_meta in
   Buffer.add_string buf
     (Printf.sprintf
-       "{\"k\":\"meta\",\"schema\":%d,\"rev\":\"%s\",\"nodes\":%d,\"graphs\":%d,\"seed\":%d,\"smoke\":%b,\"jobs\":%d,\"wall_s\":%s,\"speedup\":%s}\n"
-       schema_version m.m_rev m.m_nodes m.m_graphs m.m_seed m.m_smoke m.m_jobs
-       (fts m.m_wall_s) (fts m.m_speedup));
+       "{\"k\":\"meta\",\"schema\":%d,\"rev\":%s,\"nodes\":%d,\"graphs\":%d,\"seed\":%d,\"smoke\":%b,\"jobs\":%d,\"wall_s\":%s,\"speedup\":%s}\n"
+       schema_version (Trace.json_string m.m_rev) m.m_nodes m.m_graphs
+       m.m_seed m.m_smoke m.m_jobs (fts m.m_wall_s) (fts m.m_speedup));
   List.iter
     (fun e ->
       let s = e.e_sim in
       Buffer.add_string buf
         (Printf.sprintf
-           "{\"k\":\"experiment\",\"name\":\"%s\",\"cpu_s\":%s,\"alloc_bytes\":%s,\"rounds\":%d,\"conv_round\":%d,\"final_ratio\":%s,\"moved_frac\":%s,\"transfers\":%d,\"messages\":%d,\"series_digest\":\"%s\"}\n"
-           e.e_name (fts e.e_cpu_s) (fts e.e_alloc_bytes) s.sm_rounds
-           s.sm_conv_round (fts s.sm_final_ratio) (fts s.sm_moved_frac)
-           s.sm_transfers s.sm_messages s.sm_series_digest))
+           "{\"k\":\"experiment\",\"name\":%s,\"cpu_s\":%s,\"alloc_bytes\":%s,\"rounds\":%d,\"conv_round\":%d,\"final_ratio\":%s,\"moved_frac\":%s,\"transfers\":%d,\"messages\":%d,\"series_digest\":%s}\n"
+           (Trace.json_string e.e_name) (fts e.e_cpu_s) (fts e.e_alloc_bytes)
+           s.sm_rounds s.sm_conv_round (fts s.sm_final_ratio) (fts s.sm_moved_frac)
+           s.sm_transfers s.sm_messages
+           (Trace.json_string s.sm_series_digest)))
     f.f_experiments;
   List.iter
     (fun b ->
       Buffer.add_string buf
-        (Printf.sprintf "{\"k\":\"bench\",\"name\":\"%s\",\"ns\":%s}\n" b.b_name
-           (fts b.b_ns)))
+        (Printf.sprintf "{\"k\":\"bench\",\"name\":%s,\"ns\":%s}\n"
+           (Trace.json_string b.b_name) (fts b.b_ns)))
     f.f_benches;
   Buffer.contents buf
 

@@ -51,6 +51,36 @@ let test_round_trip () =
     check Alcotest.string "sim digest survives the trip"
       (Benchgate.sim_digest f) (Benchgate.sim_digest f')
 
+(* Strings with JSON's special characters come back unchanged: the
+   emitter escapes them. *)
+let test_round_trip_escapes () =
+  let f = mk_record () in
+  let rev = "v1\"x\\y" and name = "smoke/\"q\"\n\t\001" in
+  let f =
+    {
+      Benchgate.f_meta = { f.Benchgate.f_meta with Benchgate.m_rev = rev };
+      f_experiments =
+        List.map
+          (fun e -> { e with Benchgate.e_name = name })
+          f.Benchgate.f_experiments;
+      f_benches = [ { Benchgate.b_name = "a\\b\"c"; b_ns = 1.0 } ];
+    }
+  in
+  match Benchgate.parse (Benchgate.to_json f) with
+  | Error e -> Alcotest.fail ("parse failed: " ^ e)
+  | Ok f' ->
+    check Alcotest.string "rev" rev f'.Benchgate.f_meta.Benchgate.m_rev;
+    check
+      Alcotest.(list string)
+      "experiment name" [ name ]
+      (List.map (fun e -> e.Benchgate.e_name) f'.Benchgate.f_experiments);
+    check
+      Alcotest.(list string)
+      "bench name" [ "a\\b\"c" ]
+      (List.map (fun b -> b.Benchgate.b_name) f'.Benchgate.f_benches);
+    check Alcotest.string "re-emit is byte-identical" (Benchgate.to_json f)
+      (Benchgate.to_json f')
+
 (* [f]'s JSON with its meta line's schema version replaced by [n]. *)
 let json_with_schema n f =
   let json = Benchgate.to_json f in
@@ -157,6 +187,8 @@ let () =
       ( "benchgate",
         [
           Alcotest.test_case "record round trip" `Quick test_round_trip;
+          Alcotest.test_case "strings round trip escaped" `Quick
+            test_round_trip_escapes;
           Alcotest.test_case "validate rejects bad records" `Quick
             test_validate_rejects;
           Alcotest.test_case "sim digest ignores wall clock" `Quick

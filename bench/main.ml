@@ -444,9 +444,8 @@ let run_bechamel () =
    4096-node ring) — enough to populate every field of the bench
    record so @bench-smoke can validate the schema and pin the sim
    digest across two runs without paying for the full figure sweep.
-   The size keeps the row's CPU (about 0.15 s, within 25% across runs
-   on a 2-vCPU host) well above @bench-gate's 0.02 s floor, so the gate
-   compares it. *)
+   The size keeps the row's CPU (about 0.05-0.08 s on a 2-vCPU host)
+   above @bench-gate's 0.02 s floor, so the gate compares it. *)
 let smoke_nodes = 4096
 
 (* Scale-tier rows (--scale): one observed row per size of each entry

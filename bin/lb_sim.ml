@@ -26,6 +26,18 @@ let positive =
   in
   Arg.conv' (parse, Format.pp_print_int)
 
+(* Likewise a relative slack: a negative, infinite or NaN one is a
+   usage error, not a run that dies or judges every round alike. *)
+let slack =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when Float.is_finite x && x >= 0.0 -> Ok x
+    | Some _ | None ->
+      Error
+        (Printf.sprintf "expected a finite, non-negative number, got %S" s)
+  in
+  Arg.conv' (parse, Format.pp_print_float)
+
 let seed_arg =
   let doc = "Random seed (experiments are deterministic in the seed)." in
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc)
@@ -285,7 +297,7 @@ let convergence =
   let epsilon_arg =
     let doc = "Relative balance slack: converged once max/avg <= 1+$(docv)." in
     Arg.(
-      value & opt float 0.05 & info [ "epsilon-rel" ] ~docv:"EPS" ~doc)
+      value & opt slack 0.05 & info [ "epsilon-rel" ] ~docv:"EPS" ~doc)
   in
   let chaos_arg =
     let doc =

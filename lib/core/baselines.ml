@@ -22,8 +22,8 @@ let global_lbi dht : Types.lbi =
   in
   { l; c; l_min }
 
-let absolute_epsilon ~epsilon_rel (lbi : Types.lbi) =
-  epsilon_rel *. lbi.l /. lbi.c
+let absolute_epsilon (lbi : Types.lbi) =
+  Controller.default.Controller.epsilon_rel *. lbi.l /. lbi.c
 
 let heavy_nodes ~lbi ~epsilon dht =
   List.filter
@@ -56,9 +56,9 @@ let transfer acc ~oracle dht ~vs_id ~from_node ~to_node ~load =
 
 (* ---- CFS-style shedding ---------------------------------------------- *)
 
-let cfs_shed ?(epsilon_rel = 0.05) ?(max_rounds = 50) ~oracle dht =
+let cfs_shed ?(max_rounds = 50) ~oracle dht =
   let lbi = global_lbi dht in
-  let epsilon = absolute_epsilon ~epsilon_rel lbi in
+  let epsilon = absolute_epsilon lbi in
   let heavy_before = count_heavy ~lbi ~epsilon dht in
   let acc = new_acc () in
   let rounds = ref 0 in
@@ -140,18 +140,16 @@ let deficit_of ~lbi ~epsilon (n : Dht.node) =
   Classify.target_load ~lbi ~epsilon ~capacity:n.Dht.capacity
   -. Dht.node_load n
 
-let rao_one_to_one ?(epsilon_rel = 0.05) ?max_probes ~rng ~oracle dht =
+let rao_one_to_one ~rng ~oracle dht =
   let lbi = global_lbi dht in
-  let epsilon = absolute_epsilon ~epsilon_rel lbi in
+  let epsilon = absolute_epsilon lbi in
   let heavy_before = count_heavy ~lbi ~epsilon dht in
   let nodes = Array.of_list (Dht.alive_nodes dht) in
-  let max_probes =
-    match max_probes with Some p -> p | None -> 64 * Array.length nodes
-  in
+  let probe_budget = 64 * Array.length nodes in
   let acc = new_acc () in
   let probes = ref 0 in
   (* Light nodes probe random nodes; a hit moves one best-fitting VS. *)
-  while !probes < max_probes do
+  while !probes < probe_budget do
     incr probes;
     let light = Prng.choose rng nodes in
     let peer = Prng.choose rng nodes in
@@ -178,10 +176,9 @@ let rao_one_to_one ?(epsilon_rel = 0.05) ?max_probes ~rng ~oracle dht =
     rounds = !probes;
   }
 
-let rao_one_to_many ?(epsilon_rel = 0.05) ?(directory_size = 16) ~rng ~oracle
-    dht =
+let rao_one_to_many ~rng ~oracle dht =
   let lbi = global_lbi dht in
-  let epsilon = absolute_epsilon ~epsilon_rel lbi in
+  let epsilon = absolute_epsilon lbi in
   let heavy_before = count_heavy ~lbi ~epsilon dht in
   let acc = new_acc () in
   let heavies = Array.of_list (heavy_nodes ~lbi ~epsilon dht) in
@@ -202,7 +199,7 @@ let rao_one_to_many ?(epsilon_rel = 0.05) ?(directory_size = 16) ~rng ~oracle
         (* A random directory of currently-light nodes. *)
         let directory =
           Array.to_list
-            (Array.init directory_size (fun _ -> Prng.choose rng all))
+            (Array.init 16 (fun _ -> Prng.choose rng all))
           |> List.filter (fun n ->
                  n.Dht.node_id <> h.Dht.node_id
                  && Classify.classify_node ~lbi ~epsilon n = Types.Light)
@@ -241,9 +238,9 @@ let rao_one_to_many ?(epsilon_rel = 0.05) ?(directory_size = 16) ~rng ~oracle
     rounds = 1;
   }
 
-let rao_many_to_many ?(epsilon_rel = 0.05) ~oracle dht =
+let rao_many_to_many ~oracle dht =
   let lbi = global_lbi dht in
-  let epsilon = absolute_epsilon ~epsilon_rel lbi in
+  let epsilon = absolute_epsilon lbi in
   let heavy_before = count_heavy ~lbi ~epsilon dht in
   (* One global pool: exactly the rendezvous pairing run at a single
      point, proximity-blind. *)

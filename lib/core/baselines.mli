@@ -7,7 +7,9 @@ module Histogram = P2plb_metrics.Histogram
 
     All operate on the same scenario state as {!Controller.run} and
     report the same moved-load-versus-distance histogram, so the bench
-    harness can put them side by side with the paper's scheme.
+    harness can put them side by side with the paper's scheme.  All
+    classify nodes with that scheme's default slack,
+    [Controller.default.epsilon_rel].
 
     - {b CFS shedding} [3]: an overloaded node simply deletes virtual
       servers until it is below target; each deleted VS's region and
@@ -36,7 +38,6 @@ type result = {
 }
 
 val cfs_shed :
-  ?epsilon_rel:float ->
   ?max_rounds:int ->
   oracle:Graph.Oracle.t ->
   'a Dht.t ->
@@ -47,26 +48,21 @@ val cfs_shed :
     ring). *)
 
 val rao_one_to_one :
-  ?epsilon_rel:float ->
-  ?max_probes:int ->
   rng:Prng.t ->
   oracle:Graph.Oracle.t ->
   'a Dht.t ->
   result
-(** [max_probes] bounds total random probes (default [64 * n]). *)
+(** Stops after [64 * n] random probes. *)
 
 val rao_one_to_many :
-  ?epsilon_rel:float ->
-  ?directory_size:int ->
   rng:Prng.t ->
   oracle:Graph.Oracle.t ->
   'a Dht.t ->
   result
-(** Each heavy node sees a random sample of light nodes
-    ([directory_size], default 16) and greedily places its shed VSs. *)
+(** Each heavy node sees a random directory of 16 nodes, keeps the
+    light ones and greedily places its shed VSs on them. *)
 
 val rao_many_to_many :
-  ?epsilon_rel:float ->
   oracle:Graph.Oracle.t ->
   'a Dht.t ->
   result

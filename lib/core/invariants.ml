@@ -47,7 +47,11 @@ let loads_nonnegative dht =
           Error (Printf.sprintf "VS %#x has negative load %g" v.Dht.vs_id v.Dht.load)
         else acc)
 
-let load_conservation ~expected_total ?(tolerance = 1e-6) dht =
+(* Relative slack of the load-sum checks: the same loads summed in
+   another order round differently. *)
+let tolerance = 1e-6
+
+let load_conservation ~expected_total dht =
   let total = Dht.total_load dht in
   let bound = tolerance *. Float.max 1.0 (abs_float expected_total) in
   if abs_float (total -. expected_total) <= bound then Ok ()
@@ -69,7 +73,7 @@ let dead_detached dht =
     (Dht.dead_nodes dht);
   match !err with None -> Ok () | Some e -> Error e
 
-let live_load_accounted ?(tolerance = 1e-6) dht =
+let live_load_accounted dht =
   (* Under churn, total load is conserved but must all be reachable
      through *alive* nodes' VS lists — nothing stranded on the dead. *)
   let live =

@@ -13,9 +13,8 @@ val ownership : 'a Dht.t -> (unit, string) result
     on the ring; owners are alive. *)
 
 val load_conservation :
-  expected_total:float -> ?tolerance:float -> 'a Dht.t -> (unit, string) result
-(** Total system load equals [expected_total] within [tolerance]
-    (default 1e-6 relative). *)
+  expected_total:float -> 'a Dht.t -> (unit, string) result
+(** Total system load equals [expected_total] within 1e-6 relative. *)
 
 val dead_detached : 'a Dht.t -> (unit, string) result
 (** No departed/crashed node still lists a virtual server, and

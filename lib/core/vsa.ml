@@ -70,19 +70,14 @@ let run ?(threshold = default_threshold) ?(epsilon = 0.0) ?faults
      KT leaf according to the mode — one fused pass in alive-node order
      (classification draws no randomness, so collection and routing
      interleave without perturbing the per-record PRNG/fault stream). *)
-  (* Keys depend only on a node's underlay vertex, the space, the
-     curve parameters and the failed landmarks: one table read per
-     node, the space's table shared by every round. *)
+  (* Keys depend only on a node's underlay vertex, the space and the
+     curve parameters: one table read per node, the space's table
+     shared by every round. *)
   let keys =
     match mode with
     | Ignorant -> None
     | Aware { space; order; curve; binning } ->
-      let failed =
-        match faults with
-        | None -> []
-        | Some f -> Faults.failed_landmarks f ~m:(Landmark.m space)
-      in
-      Some (Landmark.keys ~curve ~binning ~failed space ~order)
+      Some (Landmark.keys ~curve ~binning space ~order)
   in
   (* One node's records, in order, each through its own report_vs
      draw and send. *)

@@ -76,13 +76,12 @@ val run :
     publications and rendezvous→endpoint notifications go through the
     fault plan's retry/timeout wrapper; stale records from dead
     reporters are dropped at the rendezvous instead of producing
-    doomed transfers; failed landmarks degrade the proximity signal
-    of the affected axes only.
+    doomed transfers.
 
     In [Aware] mode a node's key is one read of the space's
-    {!Landmark.keys} table for this run's curve parameters and failed
-    landmarks: computed on the node's first record in any round, and
-    reused by every later round while those stay the same.
+    {!Landmark.keys} table for this run's curve parameters: computed
+    on the node's first record in any round, and reused by every
+    later round while those stay the same.
 
     The rendezvous is one bottom-up sweep, [sweep]: a leaf's pool is
     its fresh records, and a KT node at depth [d] pairs its pool when

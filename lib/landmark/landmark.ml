@@ -19,7 +19,6 @@ and keys = {
   curve : Hilbert.curve;
   binning : binning;
   order : int;
-  failed : int list;
   ids : int array; (* ids.(v): vertex v's key, or -1 before its first read *)
 }
 
@@ -120,50 +119,37 @@ let quantile_cell sorted_row cells d =
   let rank = lower 0 n in
   Int.min (cells - 1) (rank * cells / n)
 
-let grid_coords ?(binning = Equal_width) ?(failed = []) s ~order v =
+let grid_coords ?(binning = Equal_width) s ~order v =
   if order < 1 then invalid_arg "Landmark.grid_coords: order < 1";
   let cells = 1 lsl order in
-  let coords =
-    match binning with
-    | Equal_width ->
-      let scale d =
-        let d = if d = max_int then s.d_max else d in
-        Int.min (cells - 1) (d * cells / (s.d_max + 1))
-      in
-      Array.map (fun row -> scale row.(v)) s.dists
-    | Quantile ->
-      Array.mapi
-        (fun l row -> quantile_cell s.sorted_dists.(l) cells row.(v))
-        s.dists
-  in
-  (* A failed landmark answers no probes: every node reads the axis as
-     maximal distance, collapsing it to a constant (it carries no
-     proximity information but perturbs no other axis). *)
-  List.iter
-    (fun l -> if l >= 0 && l < Array.length coords then coords.(l) <- cells - 1)
-    failed;
-  coords
+  match binning with
+  | Equal_width ->
+    let scale d =
+      let d = if d = max_int then s.d_max else d in
+      Int.min (cells - 1) (d * cells / (s.d_max + 1))
+    in
+    Array.map (fun row -> scale row.(v)) s.dists
+  | Quantile ->
+    Array.mapi
+      (fun l row -> quantile_cell s.sorted_dists.(l) cells row.(v))
+      s.dists
 
-let hilbert_number ?(curve = Hilbert.Hilbert) ?binning ?failed s ~order v =
-  let coords = grid_coords ?binning ?failed s ~order v in
+let hilbert_number ?(curve = Hilbert.Hilbert) ?binning s ~order v =
+  let coords = grid_coords ?binning s ~order v in
   Hilbert.encode_curve curve ~dims:(m s) ~order coords
 
-let dht_key ?(curve = Hilbert.Hilbert) ?binning ?failed s ~order v =
-  let idx = hilbert_number ~curve ?binning ?failed s ~order v in
+let dht_key ?(curve = Hilbert.Hilbert) ?binning s ~order v =
+  let idx = hilbert_number ~curve ?binning s ~order v in
   let bits = m s * order in
   if bits >= Id.bits then Id.of_int (idx lsr (bits - Id.bits))
   else Id.of_int (idx lsl (Id.bits - bits))
 
-let keys ?(curve = Hilbert.Hilbert) ?(binning = Equal_width) ?(failed = []) s
-    ~order =
+let keys ?(curve = Hilbert.Hilbert) ?(binning = Equal_width) s ~order =
   match s.key_table with
-  | Some k
-    when k.curve = curve && k.binning = binning && k.order = order
-         && List.equal Int.equal k.failed failed ->
-    k
+  | Some k when k.curve = curve && k.binning = binning && k.order = order -> k
   | Some _ | None ->
     let ids = Array.make (Array.length s.dists.(0)) (-1) in
-    let k = { space = s; curve; binning; order; failed; ids } in
+    let k = { space = s; curve; binning; order; ids } in
     s.key_table <- Some k;
     k
 
@@ -172,8 +158,7 @@ let key k v =
   if id >= 0 then id
   else begin
     let id =
-      dht_key ~curve:k.curve ~binning:k.binning ~failed:k.failed k.space
-        ~order:k.order v
+      dht_key ~curve:k.curve ~binning:k.binning k.space ~order:k.order v
     in
     k.ids.(v) <- id;
     id

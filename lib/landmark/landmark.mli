@@ -13,7 +13,9 @@ module Hilbert = P2plb_hilbert.Hilbert
     curve index of its cell, and physically close nodes — having
     similar landmark vectors — get close Hilbert numbers.  Scaled into
     the 32-bit identifier space, the Hilbert number becomes the DHT
-    key under which the node publishes its VSA information. *)
+    key under which the node publishes its VSA information.  As in
+    the paper, every landmark answers its probes: no fault plan makes
+    one fail. *)
 
 type space
 (** Landmark positions plus precomputed distances from every landmark
@@ -56,46 +58,39 @@ type binning =
           vertices, so resolution concentrates where nodes actually
           differ *)
 
-val grid_coords :
-  ?binning:binning -> ?failed:int list -> space -> order:int -> int -> int array
+val grid_coords : ?binning:binning -> space -> order:int -> int -> int array
 (** Landmark vector quantised to [order]-bit grid coordinates per
-    axis (default {!Equal_width}).  [failed] lists landmark indices
-    whose probes time out (fault injection): those axes read as
-    maximal distance for every node, degrading — but not corrupting —
-    the proximity signal. *)
+    axis (default {!Equal_width}). *)
 
 val hilbert_number :
-  ?curve:Hilbert.curve -> ?binning:binning -> ?failed:int list ->
-  space -> order:int -> int -> int
+  ?curve:Hilbert.curve -> ?binning:binning -> space -> order:int -> int -> int
 (** The curve index of the vertex's grid cell (default curve:
     {!Hilbert.Hilbert}).  Requires [m * order <= 62]. *)
 
 val dht_key :
-  ?curve:Hilbert.curve -> ?binning:binning -> ?failed:int list ->
-  space -> order:int -> int -> Id.t
+  ?curve:Hilbert.curve -> ?binning:binning -> space -> order:int -> int -> Id.t
 (** The Hilbert number scaled onto the 32-bit ring: close Hilbert
     numbers map to close identifiers. *)
 
 (** {1 Key table}
 
     A node's key depends only on its underlay vertex, the space,
-    [curve], [order], [binning] and the failed landmarks, so a caller
+    [curve], [order] and [binning], so a caller
     that keys many nodes — VSA, every round — reads it from a table
     instead of recomputing it. *)
 
 type keys
 (** One vertex-indexed table of {!dht_key}s for fixed [curve],
-    [binning], [order] and failed set, filled on first read. *)
+    [binning] and [order], filled on first read. *)
 
 val keys :
-  ?curve:Hilbert.curve -> ?binning:binning -> ?failed:int list ->
-  space -> order:int -> keys
+  ?curve:Hilbert.curve -> ?binning:binning -> space -> order:int -> keys
 (** The space's table for these parameters (defaults as in
     {!dht_key}).  The space keeps the table of its last call and hands
-    it out again while the parameters, the [failed] list included, are
-    equal.  Other parameters start a fresh, empty table that replaces
-    it, so a failed list that changes and then changes back refills
-    the table once more.  Computing a key draws no randomness.
+    it out again while the parameters are equal.  Other parameters
+    start a fresh, empty table that replaces it, so parameters that
+    change and then change back refill the table once more.
+    Computing a key draws no randomness.
 
     A table and its space are not domain-safe: {!key} writes the
     table, and [keys] writes the space.  No two [Par] tasks share a
@@ -103,5 +98,5 @@ val keys :
     task. *)
 
 val key : keys -> int -> Id.t
-(** [key k v] = [dht_key ~curve ~binning ~failed space ~order v] for
+(** [key k v] = [dht_key ~curve ~binning space ~order v] for
     [k]'s parameters: one array read once [v] has been read before. *)

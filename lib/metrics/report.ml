@@ -39,8 +39,11 @@ let table ?title ~header rows =
 
 let glyphs = [| '*'; '+'; 'o'; 'x'; '#'; '@'; '%'; '&' |]
 
-let ascii_plot ?(width = 72) ?(height = 20) ?title ?(x_label = "x")
-    ?(y_label = "y") ~series () =
+(* Plot grid, in characters. *)
+let width = 72
+let height = 20
+
+let ascii_plot ?title ?(x_label = "x") ?(y_label = "y") ~series () =
   let points = List.concat_map snd series in
   match points with
   | [] -> "(empty plot)\n"

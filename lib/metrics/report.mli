@@ -14,15 +14,13 @@ val percent_cell : float -> string
 (** Renders a fraction as a percentage with one decimal ("67.2%"). *)
 
 val ascii_plot :
-  ?width:int ->
-  ?height:int ->
   ?title:string ->
   ?x_label:string ->
   ?y_label:string ->
   series:(string * (float * float) list) list ->
   unit ->
   string
-(** Multi-series scatter plot on a character grid.  Each series gets a
-    distinct glyph; a legend, axis ranges and labels are included.
-    Intended for eyeballing the shape of the paper's figures in a
-    terminal. *)
+(** Multi-series scatter plot on a 72 × 20 character grid.  Each
+    series gets a distinct glyph; a legend, axis ranges and labels are
+    included.  Intended for eyeballing the shape of the paper's
+    figures in a terminal. *)

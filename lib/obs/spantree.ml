@@ -449,17 +449,17 @@ let to_jsonl ?phase ?round t =
       in
       Buffer.add_string buf
         (Printf.sprintf
-           "{\"k\":\"round\",\"round\":%d,\"time\":%s,\"crit\":\"%s\",\"crit_time\":%s}\n"
+           "{\"k\":\"round\",\"round\":%d,\"time\":%s,\"crit\":%s,\"crit_time\":%s}\n"
            r.r_index
            (Trace.float_to_string (round_extent r))
-           crit
+           (Trace.json_string crit)
            (Trace.float_to_string crit_time));
       List.iter
         (fun p ->
           Buffer.add_string buf
             (Printf.sprintf
-               "{\"k\":\"phase\",\"round\":%d,\"name\":\"%s\",\"count\":%d,\"time\":%s,\"self\":%s}\n"
-               r.r_index p.p_name p.p_count
+               "{\"k\":\"phase\",\"round\":%d,\"name\":%s,\"count\":%d,\"time\":%s,\"self\":%s}\n"
+               r.r_index (Trace.json_string p.p_name) p.p_count
                (Trace.float_to_string p.p_time)
                (Trace.float_to_string p.p_self)))
         (List.filter (matches_phase phase) (phase_rows r.r_roots)))
@@ -467,8 +467,8 @@ let to_jsonl ?phase ?round t =
   List.iter
     (fun (name, n) ->
       Buffer.add_string buf
-        (Printf.sprintf "{\"k\":\"point\",\"name\":\"%s\",\"count\":%d}\n"
-           name n))
+        (Printf.sprintf "{\"k\":\"point\",\"name\":%s,\"count\":%d}\n"
+           (Trace.json_string name) n))
     t.point_counts;
   List.iter
     (fun (mode, h) ->
@@ -476,8 +476,8 @@ let to_jsonl ?phase ?round t =
         (fun (bin, load) ->
           Buffer.add_string buf
             (Printf.sprintf
-               "{\"k\":\"hops\",\"mode\":\"%s\",\"bin\":%d,\"load\":%s}\n"
-               mode bin
+               "{\"k\":\"hops\",\"mode\":%s,\"bin\":%d,\"load\":%s}\n"
+               (Trace.json_string mode) bin
                (Trace.float_to_string load)))
         (Histogram.bins h))
     t.hop_histograms;

@@ -1,4 +1,5 @@
 module Report = P2plb_metrics.Report
+module Stats = P2plb_metrics.Stats
 
 (* Per-round load snapshots and the convergence detector.
 
@@ -35,27 +36,6 @@ let max_load loads = Array.fold_left Float.max 0.0 loads
 let ratio ~unit_loads ~fair =
   if Float.compare fair 0.0 > 0 then max_load unit_loads /. fair else 0.0
 
-(* Gini coefficient of a non-negative distribution:
-   G = sum_i (2(i+1) - n - 1) x_(i) / (n * sum x), x sorted ascending.
-   0 for empty or all-zero input. *)
-let gini loads =
-  let n = Array.length loads in
-  if n = 0 then 0.0
-  else begin
-    let xs = Array.copy loads in
-    Array.sort Float.compare xs;
-    let sum = Array.fold_left ( +. ) 0.0 xs in
-    if Float.compare sum 0.0 <= 0 then 0.0
-    else begin
-      let acc = ref 0.0 in
-      Array.iteri
-        (fun i x ->
-          acc := !acc +. (float_of_int ((2 * (i + 1)) - n - 1) *. x))
-        xs;
-      !acc /. (float_of_int n *. sum)
-    end
-  end
-
 let overloaded_fraction ~unit_loads ~fair ~epsilon =
   let n = Array.length unit_loads in
   if n = 0 || Float.compare fair 0.0 <= 0 then 0.0
@@ -79,7 +59,7 @@ let record t ~round ~time ~epsilon ~unit_loads ~fair ~moved ~total_load =
       ts_max = max_load unit_loads;
       ts_fair = fair;
       ts_ratio = ratio ~unit_loads ~fair;
-      ts_gini = gini unit_loads;
+      ts_gini = Stats.gini unit_loads;
       ts_over = overloaded_fraction ~unit_loads ~fair ~epsilon;
       ts_eps = epsilon;
       ts_moved = moved;

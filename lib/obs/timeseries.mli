@@ -55,10 +55,6 @@ val merge : into:t -> t -> unit
 
 val ratio : unit_loads:float array -> fair:float -> float
 
-val gini : float array -> float
-(** Gini coefficient of a non-negative distribution; 0 for empty or
-    all-zero input. *)
-
 (** {1 Convergence detector} *)
 
 type verdict =

@@ -145,6 +145,11 @@ let add_json_string buf s =
     s;
   Buffer.add_char buf '"'
 
+let json_string s =
+  let buf = Buffer.create (String.length s + 2) in
+  add_json_string buf s;
+  Buffer.contents buf
+
 let add_value buf v =
   match v with
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")

@@ -97,6 +97,12 @@ val float_to_string : float -> string
     canonical float format shared by the trace sink and the registry
     dump. *)
 
+val json_string : string -> string
+(** [s] as a quoted JSON string, escaped as the trace sink escapes
+    names and attribute values: double quotes, backslashes and control
+    characters.  Every hand-written JSON emitter quotes its strings
+    with it. *)
+
 val to_jsonl : t -> string
 (** The [{"v":2}] schema header line, then one JSON object per event:
     [{"t":0.2,"seq":5,"kind":"point","name":"vst/transfer","span":3,

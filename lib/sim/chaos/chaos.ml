@@ -26,7 +26,6 @@ let derive_config ~seed =
     backoff_base;
     backoff_factor = 2.0;
     max_backoff;
-    landmark_failures = 0;
     duplicate_prob;
     transfer_crash;
     partitions;

@@ -7,7 +7,6 @@ type config = {
   backoff_base : float;
   backoff_factor : float;
   max_backoff : float;
-  landmark_failures : int;
   duplicate_prob : float;
   transfer_crash : float;
   partitions : int;
@@ -23,7 +22,6 @@ let none =
     backoff_base = 0.0;
     backoff_factor = 1.0;
     max_backoff = infinity;
-    landmark_failures = 0;
     duplicate_prob = 0.0;
     transfer_crash = 0.0;
     partitions = 0;
@@ -31,9 +29,9 @@ let none =
     partition_duration = 0.0;
   }
 
-let churn ?(crash_fraction = 0.1) ?(message_loss = 0.01)
-    ?(landmark_failures = 0) ?(duplicate_prob = 0.0) ?(transfer_crash = 0.0)
-    ?(partitions = 0) ?(partition_groups = 2) ?(partition_duration = 1.0) () =
+let churn ?(crash_fraction = 0.1) ?(message_loss = 0.01) ?(duplicate_prob = 0.0)
+    ?(transfer_crash = 0.0) ?(partitions = 0) ?(partition_groups = 2)
+    ?(partition_duration = 1.0) () =
   {
     crash_fraction;
     message_loss;
@@ -43,7 +41,6 @@ let churn ?(crash_fraction = 0.1) ?(message_loss = 0.01)
     (* non-binding for the default 4 attempts (waits 0.01/0.02/0.04) —
        the cap only engages for configs that raise max_attempts *)
     max_backoff = 1.0;
-    landmark_failures;
     duplicate_prob;
     transfer_crash;
     partitions;
@@ -59,7 +56,6 @@ type t = {
   config : config;
   loss_rng : Prng.t;  (* per-message drop decisions *)
   plan_rng : Prng.t;  (* crash times, victim ranks, partition times *)
-  landmark_seed : int;
   xfer_rng : Prng.t;  (* duplication and mid-transfer-crash draws *)
   partition_salt : int;  (* group assignment hash key *)
   mutable active_partitions : partition list;
@@ -82,8 +78,6 @@ let create ~seed config =
     invalid_arg "Faults.create: message_loss outside [0, 1)";
   if config.max_attempts < 1 then invalid_arg "Faults.create: max_attempts < 1";
   if config.max_backoff < 0.0 then invalid_arg "Faults.create: max_backoff < 0";
-  if config.landmark_failures < 0 then
-    invalid_arg "Faults.create: landmark_failures < 0";
   if config.duplicate_prob < 0.0 || config.duplicate_prob >= 1.0 then
     invalid_arg "Faults.create: duplicate_prob outside [0, 1)";
   if config.transfer_crash < 0.0 || config.transfer_crash >= 1.0 then
@@ -96,17 +90,17 @@ let create ~seed config =
   let master = Prng.create ~seed in
   let loss_rng = Prng.split master in
   let plan_rng = Prng.split master in
-  let landmark_seed = Int64.to_int (Prng.bits64 master) in
+  (* Discarded; keeps xfer_rng and partition_salt where chaos pins them. *)
+  ignore (Prng.bits64 master : int64);
   (* New streams are drawn after every pre-existing one, so plans built
-     from configs with the new fields at zero keep loss_rng, plan_rng
-     and landmark_seed byte-identical to older releases. *)
+     from configs with the new fields at zero keep loss_rng and
+     plan_rng byte-identical to older releases. *)
   let xfer_rng = Prng.split master in
   let partition_salt = Int64.to_int (Prng.bits64 master) in
   {
     config;
     loss_rng;
     plan_rng;
-    landmark_seed;
     xfer_rng;
     partition_salt;
     active_partitions = [];
@@ -138,7 +132,6 @@ let config t = t.config
 let enabled t =
   t.config.crash_fraction > 0.0
   || t.config.message_loss > 0.0
-  || t.config.landmark_failures > 0
   || t.config.duplicate_prob > 0.0
   || t.config.transfer_crash > 0.0
   || t.config.partitions > 0
@@ -287,15 +280,6 @@ let arm t engine ~horizon ~population ~crash =
                   obs_event t "fault/heal"
                     [ ("epoch", P2plb_obs.Trace.Int epoch) ]))))
   done
-
-let failed_landmarks t ~m =
-  let k = Int.min t.config.landmark_failures m in
-  if k = 0 then []
-  else begin
-    let rng = Prng.create ~seed:t.landmark_seed in
-    let picks = Prng.sample_distinct rng ~n:k ~universe:m in
-    List.sort Int.compare (Array.to_list picks)
-  end
 
 let retries t = t.retries
 let timeouts t = t.timeouts

@@ -4,11 +4,12 @@ module Prng = P2plb_prng.Prng
 
     A fault plan is derived entirely from a seed: node-crash schedules
     (armed as {!Engine} events), a per-message loss stream consumed by
-    the reliable-send wrapper, optional landmark failures, network
-    partition episodes, per-message duplication, and mid-transfer crash
-    windows.  Every draw flows through private SplitMix64 streams, so a
-    plan replayed with the same seed injects byte-identical faults —
-    experiments stay reproducible under churn.
+    the reliable-send wrapper, network partition episodes, per-message
+    duplication, and mid-transfer crash windows.  Landmarks always
+    answer, as the landmark clustering of paper §4.2 assumes.  Every
+    draw flows through private SplitMix64 streams, so a plan replayed
+    with the same seed injects byte-identical faults — experiments
+    stay reproducible under churn.
 
     The layer is strictly pay-for-what-you-use: with [message_loss = 0]
     {!send} consumes no randomness and always delivers on the first
@@ -33,9 +34,6 @@ type config = {
       (** cap on a single retransmission wait, bounding the otherwise
           exponential growth for large [max_attempts]; [infinity]
           leaves the backoff uncapped (pre-cap behaviour) *)
-  landmark_failures : int;
-      (** landmark nodes that stop answering probes; their axes read
-          as maximal distance *)
   duplicate_prob : float;
       (** per-TRANSFER probability in [0, 1) that the message is
           delivered twice — replays must be deduplicated by the
@@ -53,13 +51,12 @@ type config = {
 }
 
 val none : config
-(** All-zero plan: no crashes, no loss, no landmark failures, no
-    partitions, no duplication, no transfer-window crashes. *)
+(** All-zero plan: no crashes, no loss, no partitions, no
+    duplication, no transfer-window crashes. *)
 
 val churn :
   ?crash_fraction:float ->
   ?message_loss:float ->
-  ?landmark_failures:int ->
   ?duplicate_prob:float ->
   ?transfer_crash:float ->
   ?partitions:int ->
@@ -160,12 +157,6 @@ val arm :
     drop cross-group traffic.  Partition draws happen after all crash
     draws, so plans with [partitions = 0] consume exactly the
     pre-existing stream. *)
-
-(** {1 Landmark failures} *)
-
-val failed_landmarks : t -> m:int -> int list
-(** The (stable, plan-deterministic) indices of failed landmark axes
-    out of [m]; empty when [landmark_failures = 0]. *)
 
 (** {1 Counters} *)
 

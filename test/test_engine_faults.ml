@@ -60,9 +60,9 @@ let test_pop_releases_closure () =
   ignore (Sys.opaque_identity e)
 
 (* Same seed + same config => the plan injects byte-identical faults:
-   send outcomes, crash schedule (times and ranks), failed landmarks. *)
+   send outcomes, crash schedule (times and ranks). *)
 let test_replay_determinism () =
-  let mk () = Faults.create ~seed:42 (Faults.churn ~landmark_failures:3 ()) in
+  let mk () = Faults.create ~seed:42 (Faults.churn ()) in
   let a = mk () and b = mk () in
   let outcomes f =
     List.init 200 (fun _ ->
@@ -83,14 +83,7 @@ let test_replay_determinism () =
   check Alcotest.int "10% of 100 crashes armed" 10 (List.length sa);
   check Alcotest.bool "crash schedules replay" true (sa = sb);
   check Alcotest.bool "times strictly within horizon" true
-    (List.for_all (fun (t, _) -> t > 0.0 && t <= 10.0) sa);
-  check
-    Alcotest.(list int)
-    "failed landmarks replay"
-    (Faults.failed_landmarks a ~m:15)
-    (Faults.failed_landmarks b ~m:15);
-  check Alcotest.int "landmark failure count" 3
-    (List.length (Faults.failed_landmarks a ~m:15))
+    (List.for_all (fun (t, _) -> t > 0.0 && t <= 10.0) sa)
 
 (* With zero loss the reliable send must not touch the random stream:
    the loss decisions that follow are unaffected by how many sends

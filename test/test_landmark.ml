@@ -172,20 +172,20 @@ let test_curve_options () =
 
 (* [Landmark.key] through [keys sp] against a fresh [dht_key] for
    every vertex, read twice so the second read comes from the table. *)
-let table_matches ~curve ~binning ~failed sp ~order vertices =
-  let keys = Landmark.keys ~curve ~binning ~failed sp ~order in
+let table_matches ~curve ~binning sp ~order vertices =
+  let keys = Landmark.keys ~curve ~binning sp ~order in
   List.for_all
     (fun _ ->
       List.for_all
         (fun v ->
           Id.equal (Landmark.key keys v)
-            (Landmark.dht_key ~curve ~binning ~failed sp ~order v))
+            (Landmark.dht_key ~curve ~binning sp ~order v))
         vertices)
     [ 1; 2 ]
 
-(* Every curve, binning and order 1-3, while the failed set changes
-   between calls and then changes back (also as a list in another
-   order, with repeats and with an index past the space). *)
+(* Every curve, binning and order 1-3.  A call with other parameters
+   replaces the table the space keeps; the orders then run down again,
+   so parameters served before get a refilled table. *)
 let test_key_table_matches_dht_key () =
   let g = (TS.generate (Prng.create ~seed:5) TS.ts5k_small).TS.latency_graph in
   let sp =
@@ -193,27 +193,27 @@ let test_key_table_matches_dht_key () =
       ~landmarks:(Landmark.select_random (Prng.create ~seed:6) g ~m:4)
   in
   let vertices = List.init (Graph.n_vertices g) Fun.id in
-  let failed_sets = [ []; [ 1 ]; [ 1; 3 ]; [ 3; 1; 1 ]; [ 9; 3; 1 ]; [ 1 ]; [] ] in
   List.iter
     (fun curve ->
       List.iter
         (fun binning ->
-          for order = 1 to 3 do
-            List.iter
-              (fun failed ->
-                check Alcotest.bool
-                  (Printf.sprintf "order %d, %d failed" order (List.length failed))
-                  true
-                  (table_matches ~curve ~binning ~failed sp ~order vertices))
-              failed_sets
-          done)
+          List.iter
+            (fun order ->
+              check Alcotest.bool
+                (Printf.sprintf "order %d" order)
+                true
+                (table_matches ~curve ~binning sp ~order vertices))
+            [ 1; 2; 3; 2; 1 ])
         [ Landmark.Equal_width; Landmark.Quantile ])
     [ Hilbert.Hilbert; Hilbert.Morton; Hilbert.Row_major ];
-  let k = Landmark.keys ~failed:[ 1; 3 ] sp ~order:2 in
+  let k = Landmark.keys sp ~order:2 in
   check Alcotest.bool "same parameters, same table" true
-    (k == Landmark.keys ~failed:[ 1; 3 ] sp ~order:2);
-  check Alcotest.bool "other failed set, fresh table" false
-    (k == Landmark.keys ~failed:[ 1 ] sp ~order:2)
+    (k == Landmark.keys sp ~order:2);
+  check Alcotest.bool "other curve, fresh table" false
+    (k == Landmark.keys ~curve:Hilbert.Morton sp ~order:2);
+  check Alcotest.bool "other order, fresh table" false
+    (Landmark.keys ~curve:Hilbert.Morton sp ~order:2
+    == Landmark.keys ~curve:Hilbert.Morton sp ~order:3)
 
 (* [Scenario.build ~base] hands the base's space, and so its table, to
    the second build, as the proximity experiments' ignorant pass does:
@@ -238,7 +238,7 @@ let test_key_table_shared_by_base () =
     (fun (s : P2plb.Scenario.t) ->
       check Alcotest.bool "table = dht_key" true
         (table_matches ~curve:Hilbert.Hilbert ~binning:Landmark.Quantile
-           ~failed:[] s.P2plb.Scenario.space ~order:2 (underlays s)))
+           s.P2plb.Scenario.space ~order:2 (underlays s)))
     [ a; b; a ]
 
 let () =

@@ -6,14 +6,6 @@ let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
 let feq = Alcotest.float 1e-9
 
-let test_summary () =
-  let s = Stats.summarize [| 1.0; 2.0; 3.0; 4.0 |] in
-  check feq "mean" 2.5 s.Stats.mean;
-  check feq "min" 1.0 s.Stats.min;
-  check feq "max" 4.0 s.Stats.max;
-  check feq "total" 10.0 s.Stats.total;
-  check Alcotest.int "n" 4 s.Stats.n
-
 let test_stddev () =
   check feq "constant" 0.0 (Stats.stddev [| 5.0; 5.0; 5.0 |]);
   (* population stddev of 1..5 is sqrt(2) *)
@@ -33,37 +25,14 @@ let test_percentile () =
 
 let test_gini () =
   check feq "perfect equality" 0.0 (Stats.gini [| 4.0; 4.0; 4.0; 4.0 |]);
+  check feq "one sample" 0.0 (Stats.gini [| 3.0 |]);
   (* all wealth in one hand of n: G = (n-1)/n *)
   check feq "total concentration" 0.75 (Stats.gini [| 0.0; 0.0; 0.0; 8.0 |]);
+  check feq "zero sum" 0.0 (Stats.gini [| 0.0; 0.0; 0.0 |]);
+  check feq "empty" 0.0 (Stats.gini [||]);
   Alcotest.check_raises "negative rejected"
     (Invalid_argument "Stats.gini: negative") (fun () ->
       ignore (Stats.gini [| 1.0; -1.0 |]))
-
-let test_max_over_mean () =
-  check feq "balanced" 1.0 (Stats.max_over_mean [| 2.0; 2.0 |]);
-  check feq "imbalance" 1.5 (Stats.max_over_mean [| 1.0; 3.0 |])
-
-let test_jain_index () =
-  check feq "fair" 1.0 (Stats.jain_index [| 3.0; 3.0; 3.0 |]);
-  check feq "one holds all" 0.25 (Stats.jain_index [| 0.0; 0.0; 0.0; 8.0 |]);
-  Alcotest.check_raises "negative"
-    (Invalid_argument "Stats.jain_index: negative") (fun () ->
-      ignore (Stats.jain_index [| -1.0; 1.0 |]))
-
-let test_lorenz () =
-  let pts = Stats.lorenz [| 1.0; 3.0 |] in
-  check
-    Alcotest.(list (pair (float 1e-9) (float 1e-9)))
-    "curve" [ (0.0, 0.0); (0.5, 0.25); (1.0, 1.0) ] pts;
-  (* Lorenz curve is below the diagonal and non-decreasing *)
-  let pts = Stats.lorenz [| 5.0; 1.0; 2.0; 9.0 |] in
-  List.iter (fun (p, l) -> check Alcotest.bool "below diagonal" true (l <= p +. 1e-9)) pts;
-  ignore
-    (List.fold_left
-       (fun prev (_, l) ->
-         check Alcotest.bool "non-decreasing" true (l >= prev);
-         l)
-       (-1.0) pts)
 
 let test_empty_rejected () =
   Alcotest.check_raises "empty mean" (Invalid_argument "Stats.mean: empty")
@@ -242,6 +211,27 @@ let prop_gini_range =
       let g = Stats.gini xs in
       g >= -1e-9 && g < 1.0)
 
+(* The definition itself: half the mean absolute difference over all
+   ordered pairs, divided by the mean. *)
+let gini_by_pairs xs =
+  let n = Array.length xs in
+  let sum = Array.fold_left ( +. ) 0.0 xs in
+  let diffs = ref 0.0 in
+  Array.iter
+    (fun x -> Array.iter (fun y -> diffs := !diffs +. abs_float (x -. y)) xs)
+    xs;
+  !diffs /. (2.0 *. float_of_int n *. sum)
+
+let prop_gini_by_pairs =
+  QCheck.Test.make ~name:"gini = pairwise definition" ~count:300
+    QCheck.(
+      list_of_size (QCheck.Gen.int_range 1 40)
+        (oneof [ float_range 0.0 1000.0; map float_of_int (int_range 0 4) ]))
+    (fun l ->
+      let xs = Array.of_list l in
+      QCheck.assume (Array.fold_left ( +. ) 0.0 xs > 0.0);
+      abs_float (Stats.gini xs -. gini_by_pairs xs) <= 1e-12)
+
 let prop_cdf_monotone =
   QCheck.Test.make ~name:"histogram CDF is monotone" ~count:200
     QCheck.(list (pair (int_range 0 50) (float_range 0.0 10.0)))
@@ -262,13 +252,9 @@ let () =
     [
       ( "stats",
         [
-          Alcotest.test_case "summary" `Quick test_summary;
           Alcotest.test_case "stddev" `Quick test_stddev;
           Alcotest.test_case "percentile" `Quick test_percentile;
           Alcotest.test_case "gini" `Quick test_gini;
-          Alcotest.test_case "max_over_mean" `Quick test_max_over_mean;
-          Alcotest.test_case "jain index" `Quick test_jain_index;
-          Alcotest.test_case "lorenz" `Quick test_lorenz;
           Alcotest.test_case "empty rejected" `Quick test_empty_rejected;
         ] );
       ( "histogram",
@@ -293,6 +279,11 @@ let () =
           Alcotest.test_case "flat y" `Quick test_ascii_plot_flat_y;
         ] );
       ( "properties",
-        [ qtest prop_percentile_monotone; qtest prop_gini_range; qtest prop_cdf_monotone ]
+        [
+          qtest prop_percentile_monotone;
+          qtest prop_gini_range;
+          qtest prop_gini_by_pairs;
+          qtest prop_cdf_monotone;
+        ]
       );
     ]

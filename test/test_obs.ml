@@ -569,6 +569,45 @@ let test_spantree_jsonl_points_and_hops () =
       "{\"k\":\"hops\",\"mode\":\"all\",\"bin\":2,\"load\":1}";
     ]
 
+(* Span, point and mode names with JSON's special characters: every
+   line of the report parses, and the names read back unchanged. *)
+let test_spantree_jsonl_escapes () =
+  let odd = "ph\"x\\y" and mode = "m\"q\n" and pt = "pt\"\t" in
+  let t = Trace.create () in
+  Trace.set_time t 0.0;
+  let round = Trace.begin_span t "round" ~attrs:[ ("index", Trace.Int 0) ] in
+  let ph = Trace.begin_span t odd in
+  Trace.point t pt;
+  Trace.set_time t 0.5;
+  Trace.end_span t ph;
+  let vst =
+    Trace.begin_span t "phase/vst" ~attrs:[ ("mode", Trace.Str mode) ]
+  in
+  Trace.point t "vst/transfer"
+    ~attrs:[ ("hops", Trace.Int 1); ("load", Trace.Float 1.0) ];
+  Trace.end_span t vst;
+  Trace.end_span t round;
+  let out = Spantree.to_jsonl (read (Trace.events t)) in
+  let strings =
+    List.concat_map
+      (fun line ->
+        match Trace.parse_flat_line line with
+        | Error e -> Alcotest.fail (Printf.sprintf "%s in %s" e line)
+        | Ok fields ->
+          List.filter_map
+            (function
+              | k, Trace.Scalar (Trace.Str v) when not (String.equal k "k") ->
+                Some v
+              | _ -> None)
+            fields)
+      (List.filter (fun l -> l <> "") (String.split_on_char '\n' out))
+  in
+  List.iter
+    (fun name ->
+      check Alcotest.bool (Printf.sprintf "%S read back" name) true
+        (List.mem name strings))
+    [ odd; pt; mode; "round>" ^ odd ]
+
 (* ---- bundle ------------------------------------------------------------- *)
 
 let test_obs_bundle () =
@@ -628,6 +667,8 @@ let () =
             `Quick test_spantree_totals_fold_attrs;
           Alcotest.test_case "jsonl point and hops lines" `Quick
             test_spantree_jsonl_points_and_hops;
+          Alcotest.test_case "jsonl names escaped" `Quick
+            test_spantree_jsonl_escapes;
         ] );
       ( "timeseries",
         [

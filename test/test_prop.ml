@@ -1609,11 +1609,11 @@ let skeleton_space =
      done;
      Landmark.make_space (Graph.freeze b) ~landmarks:[| 0; 85; 170 |])
 
-(* One LBI round then one VSA round (ignorant, or [aware] with one
-   failed landmark under a fault plan) on a loaded ring whose
-   tree was built before the churn, through the skeleton sweeps or,
-   with [reference], through the reference full walks (dissemination:
-   one send per leaf of a reference [sweep_down]).  Returns the root
+(* One LBI round then one VSA round (ignorant or [aware], with or
+   without a fault plan) on a loaded ring whose tree was built before
+   the churn, through the skeleton sweeps or, with [reference],
+   through the reference full walks (dissemination: one send per leaf
+   of a reference [sweep_down]).  Returns the root
    LBI, the VSA result less its rounds (not charged by the reference),
    the fault plan's counters and its next sends. *)
 let skeleton_world ~aware ~reference
@@ -1637,10 +1637,7 @@ let skeleton_world ~aware ~reference
   List.iter (apply_ring_op_with ~item dht) ops;
   let faults =
     if faulty = 1 then
-      let landmark_failures = if aware then 1 else 0 in
-      Some
-        (Faults.create ~seed
-           (Faults.churn ~message_loss:0.3 ~landmark_failures ()))
+      Some (Faults.create ~seed (Faults.churn ~message_loss:0.3 ()))
     else None
   in
   let mode =
