@@ -143,10 +143,7 @@ let metrics_table () =
   let row (name, obs) =
     let m = Obs.metrics obs in
     let c k = Option.value ~default:0 (Registry.find_counter m k) in
-    let events =
-      int_of_float
-        (Option.value ~default:0.0 (Registry.find_gauge m "engine/processed"))
-    in
+    let events = c "fault/crash" + c "fault/partition" + c "fault/heal" in
     let pct p =
       match Registry.find_histogram m "vst/hop_cost" with
       | None -> "-"
@@ -167,8 +164,8 @@ let metrics_table () =
   in
   Report.table
     ~title:
-      "Per-experiment registry metrics (events = engine events processed, \
-       fault-driven runs only; hop-cost percentiles in underlay hops)"
+      "Per-experiment registry metrics (events = fault-plan crashes, \
+       partitions and heals fired; hop-cost percentiles in underlay hops)"
     ~header:
       [
         "experiment"; "events"; "messages"; "retries"; "transfers"; "hop p50";

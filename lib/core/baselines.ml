@@ -56,14 +56,14 @@ let transfer acc ~oracle dht ~vs_id ~from_node ~to_node ~load =
 
 (* ---- CFS-style shedding ---------------------------------------------- *)
 
-let cfs_shed ?(max_rounds = 50) ~oracle dht =
+let cfs_shed ~oracle dht =
   let lbi = global_lbi dht in
   let epsilon = absolute_epsilon lbi in
   let heavy_before = count_heavy ~lbi ~epsilon dht in
   let acc = new_acc () in
   let rounds = ref 0 in
   let continue = ref true in
-  while !continue && !rounds < max_rounds do
+  while !continue && !rounds < 50 do
     incr rounds;
     let heavies = heavy_nodes ~lbi ~epsilon dht in
     if heavies = [] then continue := false

@@ -38,14 +38,12 @@ type result = {
 }
 
 val cfs_shed :
-  ?max_rounds:int ->
   oracle:Graph.Oracle.t ->
   'a Dht.t ->
   result
-(** Iterates shedding sweeps until no node is heavy or [max_rounds]
-    (default 50) is hit — non-convergence is the documented thrashing
-    behaviour.  A node never sheds its last VS (CFS nodes stay in the
-    ring). *)
+(** Iterates shedding sweeps until no node is heavy or 50 sweeps have
+    run — non-convergence is the documented thrashing behaviour.  A
+    node never sheds its last VS (CFS nodes stay in the ring). *)
 
 val rao_one_to_one :
   rng:Prng.t ->

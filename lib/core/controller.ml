@@ -2,7 +2,6 @@ module Dht = P2plb_chord.Dht
 module Ktree = P2plb_ktree.Ktree
 module Hilbert = P2plb_hilbert.Hilbert
 module Histogram = P2plb_metrics.Histogram
-module Engine = P2plb_sim.Engine
 module Faults = P2plb_sim.Faults
 
 type config = {
@@ -48,86 +47,76 @@ type outcome = {
   timeouts : int;
   kt_repairs : int;
   kt_repair_messages : int;
-  crashes_mid_round : int;
 }
 
-let run ?(config = default) ?faults ?engine ?obs (s : Scenario.t) =
+let run ?(config = default) ?faults ?obs (s : Scenario.t) =
   let dht = s.Scenario.dht in
-  (* Observability wiring: the trace follows the engine clock when one
-     is attached (simulated time, never wall clock); engine-less runs
-     advance a manual logical clock at the phase barriers.  Faults and
-     the tree report through the same bundle. *)
-  (match (obs, engine) with
-  | Some o, Some e ->
-    P2plb_obs.Trace.set_clock (P2plb_obs.Obs.trace o) (fun () -> Engine.now e)
-  | _ -> ());
+  (* Faults and the tree report through the observability bundle. *)
   (match (obs, faults) with
   | Some o, Some f -> Faults.attach_obs f o
   | _ -> ());
   (* Fault-plan counters are cumulative; report this round's share. *)
-  let retries0, timeouts0, crashes0 =
+  let retries0, timeouts0 =
     match faults with
-    | None -> (0, 0, 0)
-    | Some f -> (Faults.retries f, Faults.timeouts f, Faults.crashes f)
+    | None -> (0, 0)
+    | Some f -> (Faults.retries f, Faults.timeouts f)
   in
-  (* With a clock attached, the round occupies one unit of simulated
-     time and each phase ends at a barrier; armed fault events (node
-     crashes) fire between phases, exercising mid-round churn. *)
+  (* The round occupies one unit of simulated time, from the armed
+     fault plan's clock (the trace's when no plan is armed), and each
+     phase ends at a barrier.  The plan's crash, partition and heal
+     events fire at the barriers, between phases: mid-round churn and
+     mid-round cuts.  Trace timestamps are this simulated time, never
+     the wall clock. *)
   let round_start =
-    match engine with
-    | Some e -> Engine.now e
+    match Option.bind faults Faults.clock with
+    | Some c -> c
     | None -> (
       match obs with
       | Some o -> P2plb_obs.Trace.now (P2plb_obs.Obs.trace o)
       | None -> 0.0)
   in
+  (* Returns the number of plan events it fired. *)
   let barrier frac =
-    match engine with
-    | Some e -> Engine.run_until e ~time:(round_start +. frac)
-    | None -> (
-      match obs with
-      | Some o ->
-        P2plb_obs.Trace.set_time (P2plb_obs.Obs.trace o) (round_start +. frac)
-      | None -> ())
+    let time = round_start +. frac in
+    let fired =
+      match faults with Some f -> Faults.fire_until f ~time | None -> 0
+    in
+    (match obs with
+    | Some o -> P2plb_obs.Trace.set_time (P2plb_obs.Obs.trace o) time
+    | None -> ());
+    fired
   in
   (* Phase spans: begun at a phase's start, closed after the barrier
      that ends it, so the span's extent is the phase's slice of the
      round's unit of simulated time.  End attributes carry per-phase
-     message counts, sweep depths and engine-event deltas. *)
+     message counts, sweep depths and the plan events fired. *)
   let begin_phase name attrs =
     match obs with
     | None -> None
     | Some o ->
       Some (P2plb_obs.Trace.begin_span (P2plb_obs.Obs.trace o) ~attrs name)
   in
-  let engine_processed () =
-    match engine with Some e -> (Engine.stats e).Engine.processed | None -> 0
-  in
-  let end_phase sp ~events0 attrs =
+  let end_phase sp ~events attrs =
     match (obs, sp) with
     | Some o, Some sp ->
-      let attrs =
-        attrs
-        @ [ ("events", P2plb_obs.Trace.Int (engine_processed () - events0)) ]
-      in
-      P2plb_obs.Trace.end_span (P2plb_obs.Obs.trace o) ~attrs sp
+      P2plb_obs.Trace.end_span (P2plb_obs.Obs.trace o)
+        ~attrs:(attrs @ [ ("events", P2plb_obs.Trace.Int events) ])
+        sp
     | _ -> ()
   in
   let unit_loads_before = Scenario.unit_loads s in
   (* Phase 0: the aggregation infrastructure. *)
-  let ev0 = engine_processed () in
   let sp = begin_phase "phase/kt_build" [] in
   let tree = Ktree.build ~route_messages:config.route_messages ~k:config.k dht in
   (match obs with Some o -> Ktree.set_obs tree o | None -> ());
-  barrier 0.2;
-  end_phase sp ~events0:ev0
+  let events = barrier 0.2 in
+  end_phase sp ~events
     [
       ("messages", P2plb_obs.Trace.Int (Ktree.messages tree));
       ("depth", P2plb_obs.Trace.Int (Ktree.depth tree));
       ("nodes", P2plb_obs.Trace.Int (Ktree.n_nodes tree));
     ];
   (* Phase 1: LBI aggregation + dissemination. *)
-  let ev0 = engine_processed () in
   let msg0 = Ktree.messages tree in
   let sp = begin_phase "phase/lbi" [] in
   let lbi =
@@ -136,18 +125,17 @@ let run ?(config = default) ?faults ?engine ?obs (s : Scenario.t) =
   in
   let lbi_rounds = Ktree.rounds_last_sweep tree in
   let epsilon = config.epsilon_rel *. lbi.Types.l /. lbi.Types.c in
-  barrier 0.4;
-  end_phase sp ~events0:ev0
+  let events = barrier 0.4 in
+  end_phase sp ~events
     [
       ("messages", P2plb_obs.Trace.Int (Ktree.messages tree - msg0));
       ("rounds", P2plb_obs.Trace.Int lbi_rounds);
     ];
   (* Phase 2: classification (recorded; the VSA re-derives it per node). *)
-  let ev0 = engine_processed () in
   let sp = begin_phase "phase/classify" [] in
   let census_before = Classify.census ~lbi ~epsilon dht in
   let heavy, light, neutral = census_before in
-  end_phase sp ~events0:ev0
+  end_phase sp ~events:0
     [
       ("heavy", P2plb_obs.Trace.Int heavy);
       ("light", P2plb_obs.Trace.Int light);
@@ -165,7 +153,6 @@ let run ?(config = default) ?faults ?engine ?obs (s : Scenario.t) =
         }
     else Vsa.Ignorant
   in
-  let ev0 = engine_processed () in
   let msg0 = Ktree.messages tree in
   let sp = begin_phase "phase/vsa" [] in
   let vsa =
@@ -173,8 +160,8 @@ let run ?(config = default) ?faults ?engine ?obs (s : Scenario.t) =
       ~route_messages:config.route_messages ~mode ~rng:s.Scenario.rng ~lbi tree
       dht
   in
-  barrier 0.7;
-  end_phase sp ~events0:ev0
+  let events = barrier 0.7 in
+  end_phase sp ~events
     [
       ("messages", P2plb_obs.Trace.Int (Ktree.messages tree - msg0));
       ("rounds", P2plb_obs.Trace.Int vsa.Vsa.rounds);
@@ -183,7 +170,6 @@ let run ?(config = default) ?faults ?engine ?obs (s : Scenario.t) =
   (* Phase 4: virtual-server transferring.  The span's [mode] is what
      lets a trace reader group per-transfer hop costs into the paper's
      aware / ignorant series (Figures 7-8) without re-running. *)
-  let ev0 = engine_processed () in
   let msg0 = Ktree.messages tree in
   let sp =
     begin_phase "phase/vst"
@@ -200,14 +186,11 @@ let run ?(config = default) ?faults ?engine ?obs (s : Scenario.t) =
       vsa.Vsa.assignments
   in
   let census_after = Classify.census ~lbi ~epsilon dht in
-  (* The round occupies one unit of logical time in engine-less traced
-     runs; engine-driven runs are advanced between rounds by their
-     caller, so the engine path is left untouched here. *)
-  (match (engine, obs) with
-  | None, Some o ->
-    P2plb_obs.Trace.set_time (P2plb_obs.Obs.trace o) (round_start +. 1.0)
-  | _ -> ());
-  end_phase sp ~events0:ev0
+  let unit_loads_after = Scenario.unit_loads s in
+  (* The round's last barrier: plan events in (0.7, 1.0] fire after the
+     round's results are taken. *)
+  let events = barrier 1.0 in
+  end_phase sp ~events
     [
       ("messages", P2plb_obs.Trace.Int (Ktree.messages tree - msg0));
       ("transfers", P2plb_obs.Trace.Int vst.Vst.transfers);
@@ -216,11 +199,10 @@ let run ?(config = default) ?faults ?engine ?obs (s : Scenario.t) =
       ("aborted", P2plb_obs.Trace.Int vst.Vst.aborted);
       ("deduped", P2plb_obs.Trace.Int vst.Vst.deduped);
     ];
-  let unit_loads_after = Scenario.unit_loads s in
-  (* Round-level registry series, the per-round load snapshot for the
-     convergence time-series, and the engine profiling snapshot.  The
-     snapshot goes to the bundle's series sink (not the trace), so
-     trace/metrics digest pins are unaffected. *)
+  (* Round-level registry series and the per-round load snapshot for
+     the convergence time-series.  The snapshot goes to the bundle's
+     series sink (not the trace), so trace/metrics digest pins are
+     unaffected. *)
   (match obs with
   | None -> ()
   | Some o ->
@@ -238,21 +220,11 @@ let run ?(config = default) ?faults ?engine ?obs (s : Scenario.t) =
     P2plb_obs.Registry.add (P2plb_obs.Registry.counter m "round/rounds") 1;
     P2plb_obs.Registry.add
       (P2plb_obs.Registry.counter m "round/messages")
-      (Ktree.messages tree);
-    (match engine with
-    | None -> ()
-    | Some e ->
-      let st = Engine.stats e in
-      P2plb_obs.Registry.set
-        (P2plb_obs.Registry.gauge m "engine/processed")
-        (float_of_int st.Engine.processed);
-      P2plb_obs.Registry.peak
-        (P2plb_obs.Registry.gauge m "engine/peak_pending")
-        (float_of_int st.Engine.peak_pending)));
-  let retries1, timeouts1, crashes1 =
+      (Ktree.messages tree));
+  let retries1, timeouts1 =
     match faults with
-    | None -> (0, 0, 0)
-    | Some f -> (Faults.retries f, Faults.timeouts f, Faults.crashes f)
+    | None -> (0, 0)
+    | Some f -> (Faults.retries f, Faults.timeouts f)
   in
   {
     lbi;
@@ -272,7 +244,6 @@ let run ?(config = default) ?faults ?engine ?obs (s : Scenario.t) =
     timeouts = timeouts1 - timeouts0;
     kt_repairs = Ktree.repairs tree;
     kt_repair_messages = Ktree.repair_messages tree;
-    crashes_mid_round = crashes1 - crashes0;
   }
 
 let moved_fraction o =

@@ -2,7 +2,6 @@ module Dht = P2plb_chord.Dht
 module Ktree = P2plb_ktree.Ktree
 module Hilbert = P2plb_hilbert.Hilbert
 module Histogram = P2plb_metrics.Histogram
-module Engine = P2plb_sim.Engine
 module Faults = P2plb_sim.Faults
 
 (** The complete four-phase load-balancing round (paper §1.2):
@@ -10,8 +9,8 @@ module Faults = P2plb_sim.Faults
     → virtual-server transferring, with or without the
     proximity-aware mechanism.
 
-    The round tolerates churn: with a fault plan (and optionally a
-    clock whose armed crash events fire at the inter-phase barriers),
+    The round tolerates churn: with a fault plan (whose armed crash,
+    partition and heal events fire at the inter-phase barriers),
     lost messages are retried with bounded backoff, orphaned KT nodes
     are re-planted before each sweep, stale records are dropped at
     rendezvous, and unapplicable transfers are skipped per cause —
@@ -65,29 +64,32 @@ type outcome = {
   timeouts : int;  (** sends abandoned after all retries *)
   kt_repairs : int;  (** KT nodes re-planted by in-round repair *)
   kt_repair_messages : int;
-  crashes_mid_round : int;  (** fault-plan crashes fired inside the round *)
 }
 
 val run :
-  ?config:config -> ?faults:Faults.t -> ?engine:Engine.t ->
-  ?obs:P2plb_obs.Obs.t -> Scenario.t -> outcome
+  ?config:config -> ?faults:Faults.t -> ?obs:P2plb_obs.Obs.t -> Scenario.t ->
+  outcome
 (** One load-balancing round over the scenario's current loads.
     Mutates the scenario's DHT (virtual servers move).  [faults]
-    injects message loss (and supplies retry policy); [engine], when
-    given, is advanced to the round's phase barriers so armed fault
-    events fire mid-round.  Without them the round is byte-identical
-    to the fault-free code path.
+    injects message loss (and supplies retry policy).  The round spans
+    one unit of simulated time with barriers at 0.2, 0.4, 0.7 and 1.0;
+    when [faults] is armed ({!Faults.arm}) the round starts at the
+    plan's clock and each barrier fires the plan's events due by then
+    ({!Faults.fire_until}), so crashes, partitions and heals land
+    mid-round.  The 1.0 barrier comes after [census_after] and
+    [unit_loads_after] are taken.  Without a plan the round is
+    byte-identical to the fault-free code path.
 
     [obs] records the round as five spans — ["phase/kt_build"],
     ["phase/lbi"], ["phase/classify"], ["phase/vsa"], ["phase/vst"]
     (tagged with the round's aware/ignorant [mode]) — each carrying
-    per-phase message counts, sweep depths and engine-event deltas,
-    plus the point events of every instrumented subsystem (faults, KT
-    repair, VST transfers).  Trace timestamps follow the engine clock
-    when [engine] is given and a logical clock advanced at the phase
-    barriers otherwise; wall clocks are never read, so same-seed
-    traces are byte-identical.  Passing [obs] does not perturb the
-    round itself. *)
+    per-phase message counts, sweep depths and the number of plan
+    events fired ([events]), plus the point events of every
+    instrumented subsystem (faults, KT repair, VST transfers).  Trace
+    timestamps are simulated time: without an armed plan the round
+    starts at the trace's clock; wall clocks are never read, so
+    same-seed traces are byte-identical.  Passing [obs] does not
+    perturb the round itself. *)
 
 val moved_fraction : outcome -> float
 (** Moved load as a fraction of total system load. *)

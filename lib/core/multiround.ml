@@ -1,5 +1,4 @@
 module Dht = P2plb_chord.Dht
-module Engine = P2plb_sim.Engine
 module Faults = P2plb_sim.Faults
 
 type round = {
@@ -57,18 +56,18 @@ let run ?(config = Controller.default) ?faults ?obs ?(max_rounds = 10) ?check
   (* A round occupies one unit of simulated time; the fault plan's
      crashes and partition episodes are spread over the whole horizon
      and fire at the phase barriers inside Controller.run (mid-round
-     churn and mid-round cuts). *)
-  let engine =
-    match faults with
-    | Some f when Faults.enabled f ->
-      let e = Engine.create () in
-      Faults.arm f e
-        ~horizon:(float_of_int max_rounds)
-        ~population:(Dht.n_nodes dht)
-        ~crash:(fun ~rank -> crash_by_rank dht ~rank);
-      Some e
-    | _ -> None
-  in
+     churn and mid-round cuts).  An armed run is its own timeline: its
+     traced clock restarts at the plan's 0. *)
+  (match faults with
+  | Some f when Faults.enabled f ->
+    Faults.arm f
+      ~horizon:(float_of_int max_rounds)
+      ~population:(Dht.n_nodes dht)
+      ~crash:(fun ~rank -> crash_by_rank dht ~rank);
+    Option.iter
+      (fun o -> P2plb_obs.Trace.set_time (P2plb_obs.Obs.trace o) 0.0)
+      obs
+  | _ -> ());
   let counters0 =
     match faults with
     | Some f ->
@@ -100,12 +99,7 @@ let run ?(config = Controller.default) ?faults ?obs ?(max_rounds = 10) ?check
   in
   let rec go index acc total =
     let round_sp = begin_round index in
-    let o = Controller.run ~config ?faults ?engine ?obs scenario in
-    (* Drain this round's remaining fault events (e.g. crashes armed
-       in the last 30% of the round's time slice). *)
-    (match engine with
-    | Some e -> Engine.run_until e ~time:(float_of_int (index + 1))
-    | None -> ());
+    let o = Controller.run ~config ?faults ?obs scenario in
     let hb, _, _ = o.Controller.census_before in
     let ha, _, _ = o.Controller.census_after in
     let r =

@@ -81,11 +81,13 @@ val run :
     round is driven with the fault plan attached; without it,
     behaviour is byte-identical to the fault-free path.  [obs] is
     threaded into every round (see {!Controller.run}); successive
-    rounds occupy successive units of simulated time.
+    rounds occupy successive units of simulated time.  An armed run
+    sets the trace's clock to 0 when it arms, before round 0 begins;
+    events past the last round run never fire.
 
-    [check] runs after every round (after the round's remaining fault
-    events have been drained); the first [Error] stops the iteration
-    and is recorded as [violation]. *)
+    [check] runs after every round (after the round's last barrier has
+    fired its fault events); the first [Error] stops the iteration and
+    is recorded as [violation]. *)
 
 val invariant_check :
   faults:Faults.t ->

@@ -9,9 +9,7 @@ and gauge = { g_name : string; g_owner : t; mutable g : float }
 
 and op =
   | Op_add of string * int
-  | Op_set of string * float
   | Op_accum of string * float
-  | Op_peak of string * float
   | Op_hist of string * int * float
 
 and t = {
@@ -55,17 +53,9 @@ let gauge t name =
     Hashtbl.replace t.gauges name g;
     g
 
-let set g v =
-  g.g <- v;
-  log g.g_owner (Op_set (g.g_name, v))
-
 let accum g v =
   g.g <- g.g +. v;
   log g.g_owner (Op_accum (g.g_name, v))
-
-let peak g v =
-  if v > g.g then g.g <- v;
-  log g.g_owner (Op_peak (g.g_name, v))
 
 let value g = g.g
 
@@ -86,9 +76,7 @@ let merge ~into child =
     (fun op ->
       match op with
       | Op_add (name, n) -> add (counter into name) n
-      | Op_set (name, v) -> set (gauge into name) v
       | Op_accum (name, v) -> accum (gauge into name) v
-      | Op_peak (name, v) -> peak (gauge into name) v
       | Op_hist (name, bin, weight) -> hist_add into name ~bin ~weight)
     (List.rev child.journal)
 

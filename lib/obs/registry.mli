@@ -37,15 +37,12 @@ val counter : t -> string -> counter
 val add : counter -> int -> unit
 val count : counter -> int
 
-(** {1 Gauges} — floats with set / accumulate / running-max updates *)
+(** {1 Gauges} — accumulated floats *)
 
 val gauge : t -> string -> gauge
 (** Get-or-create; initial value 0. *)
 
-val set : gauge -> float -> unit
 val accum : gauge -> float -> unit
-val peak : gauge -> float -> unit
-(** [peak g v] keeps the running maximum of [v] seen so far. *)
 
 val value : gauge -> float
 
@@ -65,10 +62,11 @@ val hist_add : t -> string -> bin:int -> weight:float -> unit
 
 val merge : into:t -> t -> unit
 (** Replays [child]'s op journal into [into], in the order the child
-    executed the updates.  Because replay re-performs each add/set/
-    accum/peak rather than combining totals, merging journaled task
-    registries in task-index order leaves [into] bit-identical —
-    digest included — to having run the tasks sequentially against it.
+    executed the updates.  Because replay re-performs each counter
+    add, gauge accum and histogram add rather than combining totals,
+    merging journaled task registries in task-index order leaves
+    [into] bit-identical — digest included — to having run the tasks
+    sequentially against it.
     A child created without [~journal:true] has an empty journal, so
     merging it is a no-op. *)
 

@@ -15,19 +15,17 @@ type ev = {
 type span = { sp_id : int; sp_name : string }
 
 type t = {
-  mutable clock : (unit -> float) option;
   mutable manual : float;
   mutable events : ev list; (* newest first *)
   mutable n : int;
   mutable next_span : int;
   mutable stack : span list; (* innermost open span first *)
-  mutable touched : bool; (* any set_clock/set_time since creation *)
+  mutable touched : bool; (* any set_time since creation *)
   mutable n_preset : int; (* events recorded before the first touch *)
 }
 
 let create () =
   {
-    clock = None;
     manual = 0.0;
     events = [];
     n = 0;
@@ -37,18 +35,13 @@ let create () =
     n_preset = 0;
   }
 
-let set_clock t f =
-  t.touched <- true;
-  t.clock <- Some f
-
 let set_time t time =
   t.touched <- true;
-  t.clock <- None;
   t.manual <- time
 
 let preset_time t time = t.manual <- time
 
-let now t = match t.clock with Some f -> f () | None -> t.manual
+let now t = t.manual
 
 let record t kind name span parent attrs =
   let ev = { time = now t; seq = t.n; kind; name; span; parent; attrs } in
@@ -97,9 +90,9 @@ let merge ~into:parent child =
      before the task ran.  A sequential run would have stamped them
      with the shared clock as the previous task left it, which at
      merge time is exactly the parent's clock: re-stamp them.  Typical
-     case: a task's opening span, recorded before the task installs
-     its engine clock, whose sequential timestamp depends on how many
-     rounds the previous task happened to run. *)
+     case: a task's opening span, recorded before the task restarts
+     its clock, whose sequential timestamp depends on how many rounds
+     the previous task happened to run. *)
   let pnow = now parent in
   let shift ev =
     let span = if ev.span >= 0 then ev.span + span_off else ev.span in
@@ -115,8 +108,7 @@ let merge ~into:parent child =
      never touched its clock leaves the parent's clock alone, as a
      task that never touched the shared clock would have. *)
   if child.touched then begin
-    parent.clock <- None;
-    parent.manual <- now child;
+    parent.manual <- child.manual;
     parent.touched <- true
   end
 

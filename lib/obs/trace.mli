@@ -1,9 +1,10 @@
 (** Deterministic structured tracing for load-balancing rounds.
 
     A trace is an append-only sequence of {e spans} (begin/end pairs)
-    and {e point events}, each stamped with {b simulated} time — the
-    engine clock when one is attached, or a manually advanced logical
-    clock otherwise — never the wall clock (p2plint rule R3).  Events
+    and {e point events}, each stamped with {b simulated} time — a
+    logical clock the controller advances at its phase barriers and the
+    fault plan sets while it fires an event — never the wall clock
+    (p2plint rule R3).  Events
     carry a sequence number, so the in-memory form is totally ordered
     and the JSONL sink is byte-identical across runs with the same
     seed: [digest] is a replay check in one call.
@@ -42,17 +43,13 @@ type t
 val create : unit -> t
 (** A fresh trace with a manual clock at time 0. *)
 
-val set_clock : t -> (unit -> float) -> unit
-(** Installs a clock — always the simulation engine's [Engine.now],
-    never a wall-clock read.  Replaces manual time. *)
-
 val set_time : t -> float -> unit
-(** Advances the manual logical clock (engine-less runs advance it at
-    the controller's phase barriers).  Uninstalls any clock. *)
+(** Sets the logical clock: the controller at its phase barriers, an
+    armed fault plan while it fires an event. *)
 
 val preset_time : t -> float -> unit
 (** Sets the manual clock {e without} counting as a clock touch: events
-    recorded before the first {!set_clock}/{!set_time} are treated as
+    recorded before the first {!set_time} are treated as
     preset-stamped and re-stamped onto the parent's running clock by
     {!merge}.  Used by task bundles ({!Obs.create_task}), whose true
     start time is only known once the preceding tasks have run. *)

@@ -86,7 +86,7 @@ let soak ?(pool = P2plb_sim.Par.sequential) ?obs ?(n_nodes = 256)
     ?(max_rounds = 3) ?(seeds = 64) ?(base_seed = 1) () =
   if seeds < 1 then invalid_arg "Chaos.soak: seeds < 1";
   (* Every chaos mix has transfer-path faults enabled, so each seed
-     runs on its own fault engine and restarts simulated time: the
+     arms its own fault plan and restarts simulated time: the
      private bundles' preset start time is just the parent clock.  All
      seeds run; the report and the merged sinks keep only the seeds up
      to and including the first failure. *)

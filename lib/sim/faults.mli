@@ -2,10 +2,11 @@ module Prng = P2plb_prng.Prng
 
 (** Deterministic fault injection.
 
-    A fault plan is derived entirely from a seed: node-crash schedules
-    (armed as {!Engine} events), a per-message loss stream consumed by
-    the reliable-send wrapper, network partition episodes, per-message
-    duplication, and mid-transfer crash windows.  Landmarks always
+    A fault plan is derived entirely from a seed: a schedule of node
+    crashes and network partition episodes (drawn by {!arm}, fired by
+    {!fire_until}), a per-message loss stream consumed by the
+    reliable-send wrapper, per-message duplication, and mid-transfer
+    crash windows.  Landmarks always
     answer, as the landmark clustering of paper §4.2 assumes.  Every
     draw flows through private SplitMix64 streams, so a plan replayed
     with the same seed injects byte-identical faults — experiments
@@ -140,23 +141,39 @@ val crash_in_window : t -> window_crash
 
 val arm :
   t ->
-  Engine.t ->
   horizon:float ->
   population:int ->
   crash:(rank:float -> unit) ->
   unit
-(** Schedules [round (crash_fraction * population)] crash events at
-    plan-deterministic times uniform over [(now, now + horizon)].
-    Each fires [crash ~rank] with [rank] uniform in [0, 1): the victim
-    is the rank-th of whatever nodes are alive at fire time, keeping
-    the schedule meaningful as the population shrinks.
+(** Draws [round (crash_fraction * population)] crash events at
+    plan-deterministic times uniform over [\[0, horizon)] and starts the
+    plan's clock at 0.  Each fires [crash ~rank] with [rank] uniform in
+    [\[0, 1)]: the victim is the rank-th of whatever nodes are alive at
+    fire time, keeping the schedule meaningful as the population
+    shrinks.
 
-    Also schedules [partitions] partition episodes, each starting at a
-    plan-deterministic time uniform over the horizon and healing after
-    [partition_duration]; while active, {!cut} and {!send_between}
-    drop cross-group traffic.  Partition draws happen after all crash
-    draws, so plans with [partitions = 0] consume exactly the
-    pre-existing stream. *)
+    Also draws [partitions] partition episodes, each starting at a
+    plan-deterministic time uniform over the horizon and healing
+    exactly [partition_duration] later; while active, {!cut} and
+    {!send_between} drop cross-group traffic.  Partition draws happen
+    after all crash draws, so plans with [partitions = 0] consume
+    exactly the crash stream.
+
+    The draws are stored as one schedule sorted by time; equal times
+    fire arm-time events in draw order, then heals in the order their
+    partitions fired.  Re-arming replaces the schedule and restarts the
+    clock; partitions already active stay active. *)
+
+val clock : t -> float option
+(** The armed plan's simulated time: [None] before {!arm}, then 0, the
+    time of the event being fired, or the last {!fire_until} time. *)
+
+val fire_until : t -> time:float -> int
+(** Fires, in schedule order, every unfired event at or before [time]
+    (inclusive), then advances the clock to [time]; returns how many
+    fired.  While an event fires, the clock and an attached trace
+    ({!attach_obs}) read its time, so its ["fault/*"] point carries
+    that timestamp.  Without {!arm} it fires nothing and returns 0. *)
 
 (** {1 Counters} *)
 

@@ -64,9 +64,9 @@ val run :
     [task_time i] is the amount of {e simulated} time task [i] advances
     the manual trace clock by (default: [fun _ -> 1.0], one balancing
     round per task); it is used to preset each private bundle's clock
-    so absolute timestamps match the sequential run.  Tasks that attach
-    an engine clock reset simulated time themselves and are unaffected
-    by the preset.
+    so absolute timestamps match the sequential run.  Tasks that arm a
+    fault plan restart simulated time at 0 themselves and are
+    unaffected by the preset.
 
     If any task raises, the remaining tasks still complete and the
     exception of the lowest-index failing task is re-raised after the

@@ -52,9 +52,9 @@ let test_cfs_keeps_nodes_in_ring () =
 let test_cfs_bounded_rounds () =
   let _, _, r =
     run_baseline 4 (fun ~rng:_ ~oracle dht ->
-        Baselines.cfs_shed ~max_rounds:5 ~oracle dht)
+        Baselines.cfs_shed ~oracle dht)
   in
-  check Alcotest.bool "round cap respected" true (r.Baselines.rounds <= 5)
+  check Alcotest.bool "round cap respected" true (r.Baselines.rounds <= 50)
 
 let test_one_to_one () =
   let s, before, r =

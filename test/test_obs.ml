@@ -92,15 +92,11 @@ let test_clocks () =
   Trace.set_time t 2.5;
   check feq "set_time advances" 2.5 (Trace.now t);
   Trace.point t "p1";
-  let cur = ref 7.0 in
-  Trace.set_clock t (fun () -> !cur);
-  check feq "installed clock wins" 7.0 (Trace.now t);
-  cur := 8.25;
-  Trace.point t "p2";
   Trace.set_time t 1.0;
-  check feq "set_time uninstalls the clock" 1.0 (Trace.now t);
+  check feq "set_time moves back too" 1.0 (Trace.now t);
+  Trace.point t "p2";
   let times = List.map (fun ev -> ev.Trace.time) (Trace.events t) in
-  check Alcotest.(list (float 1e-12)) "stamps" [ 2.5; 8.25 ] times
+  check Alcotest.(list (float 1e-12)) "stamps" [ 2.5; 1.0 ] times
 
 (* ---- JSONL sink --------------------------------------------------------- *)
 
@@ -376,14 +372,11 @@ let test_registry_counters_gauges () =
     "find_counter" (Some 5)
     (Registry.find_counter r "fault/drop");
   check Alcotest.(option int) "absent" None (Registry.find_counter r "nope");
-  let g = Registry.gauge r "engine/peak_pending" in
-  Registry.set g 2.0;
-  Registry.accum g 1.5;
-  check feq "set then accum" 3.5 (Registry.value g);
-  Registry.peak g 1.0;
-  check feq "peak keeps the max" 3.5 (Registry.value g);
-  Registry.peak g 9.0;
-  check feq "peak raises" 9.0 (Registry.value g);
+  let g = Registry.gauge r "vst/moved_load" in
+  check feq "gauge starts at 0" 0.0 (Registry.value g);
+  Registry.accum g 2.0;
+  Registry.accum (Registry.gauge r "vst/moved_load") 1.5;
+  check feq "accum shares the series" 3.5 (Registry.value g);
   let h = Registry.histogram r "vst/hop_cost" in
   Histogram.add h ~bin:2 ~weight:1.5;
   match Registry.find_histogram r "vst/hop_cost" with
@@ -414,7 +407,7 @@ let test_registry_dump_sorted_and_stable () =
   let build flip =
     let r = Registry.create () in
     let fill_a () = Registry.add (Registry.counter r "z/c") 3 in
-    let fill_b () = Registry.set (Registry.gauge r "a/g") 1.5 in
+    let fill_b () = Registry.accum (Registry.gauge r "a/g") 1.5 in
     if flip then (fill_a (); fill_b ()) else (fill_b (); fill_a ());
     Histogram.add (Registry.histogram r "m/h") ~bin:4 ~weight:2.0;
     r

@@ -173,7 +173,7 @@ let explain rule =
       "R3 — no ambient nondeterminism (per-file).  Stdlib.Random, \
        Sys.time, Unix.gettimeofday/time and the Hashtbl.hash family \
        break bit-for-bit replay; only lib/prng/ and lib/sim/ may own \
-       them.  Thread a seeded Prng.t or the engine clock instead.  \
+       them.  Thread a seeded Prng.t or the simulated clock instead.  \
        Suppress: (* p2plint: allow-impure — <reason> *)."
   | "R4" ->
     Some

@@ -87,7 +87,7 @@ let analyze ?(entries = default_entries) (prog : Callgraph.t) =
                   v_msg =
                     Printf.sprintf
                       "ambient '%s' taints the balancing path: %s; thread a \
-                       seeded Prng.t / the engine clock, or suppress at \
+                       seeded Prng.t / the simulated clock, or suppress at \
                        source with (* p2plint: allow-impure — <reason> *)"
                       name
                       (String.concat " -> " path);
