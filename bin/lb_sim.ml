@@ -124,15 +124,21 @@ let flush_sinks obs (trace_out, metrics_out, series_out) =
   flush (Timeseries.write (Obs.series obs)) series_out
 
 (* Runs [f] with an observability bundle when any sink is requested
-   and flushes the sinks afterwards, even if [f] raises. *)
+   and flushes the sinks afterwards, even if [f] raises.  [f] returns
+   the exit status, and a failing one exits only once the sinks are
+   written: [exit] inside [f] would skip the flush, since [Stdlib.exit]
+   raises nothing for [Fun.protect] to see. *)
 let sinked f sinks =
-  match sinks with
-  | None, None, None -> f None
-  | _ ->
-    let obs = Obs.create () in
-    Fun.protect
-      ~finally:(fun () -> flush_sinks obs sinks)
-      (fun () -> f (Some obs))
+  let status =
+    match sinks with
+    | None, None, None -> f None
+    | _ ->
+      let obs = Obs.create () in
+      Fun.protect
+        ~finally:(fun () -> flush_sinks obs sinks)
+        (fun () -> f (Some obs))
+  in
+  if status <> 0 then exit status
 
 (* ---- the registry's subcommands ----------------------------------------- *)
 
@@ -189,7 +195,8 @@ let entry_cmd (e : E.entry) =
                     Out_channel.with_open_text path (fun oc ->
                         output_string oc contents)))
               r.E.csv)
-          csv)
+          csv;
+        0)
       sinks
   in
   Cmd.v
@@ -205,7 +212,8 @@ let all =
           (fun i e ->
             if i > 0 then print_newline ();
             print_string (e.E.run ~pool ?obs (E.suite_params p e)).E.text)
-          E.suite)
+          E.suite;
+        0)
       sinks
   in
   Cmd.v
@@ -227,28 +235,32 @@ let verify =
         let s = Scenario.build ~seed { Scenario.default with n_nodes } in
         let total = Dht.total_load s.Scenario.dht in
         let tree = Ktree.build ~k:2 s.Scenario.dht in
+        let exception Check_failed in
         let step name result =
           match result with
           | Ok () -> Printf.printf "%-40s ok\n" name
           | Error e ->
             Printf.printf "%-40s FAILED: %s\n" name e;
-            exit 1
+            raise Check_failed
         in
-        step "fresh network invariants"
-          (P2plb.Invariants.all ~tree ~expected_total:total s.Scenario.dht);
-        let r = P2plb.Multiround.run ?obs s in
-        Printf.printf "%-40s %d round(s), final heavy=%d\n" "load balancing"
-          (List.length r.P2plb.Multiround.rounds)
-          r.P2plb.Multiround.final_heavy;
-        Ktree.refresh tree s.Scenario.dht;
-        step "post-balance invariants"
-          (P2plb.Invariants.all ~tree ~expected_total:total s.Scenario.dht);
-        Scenario.crash_nodes s (n_nodes / 10);
-        Scenario.join_nodes s (n_nodes / 10);
-        Ktree.refresh tree s.Scenario.dht;
-        step "post-churn invariants"
-          (P2plb.Invariants.all ~tree ~expected_total:total s.Scenario.dht);
-        print_endline "all checks passed")
+        let checks () =
+          step "fresh network invariants"
+            (P2plb.Invariants.all ~tree ~expected_total:total s.Scenario.dht);
+          let r = P2plb.Multiround.run ?obs s in
+          Printf.printf "%-40s %d round(s), final heavy=%d\n" "load balancing"
+            (List.length r.P2plb.Multiround.rounds)
+            r.P2plb.Multiround.final_heavy;
+          Ktree.refresh tree s.Scenario.dht;
+          step "post-balance invariants"
+            (P2plb.Invariants.all ~tree ~expected_total:total s.Scenario.dht);
+          Scenario.crash_nodes s (n_nodes / 10);
+          Scenario.join_nodes s (n_nodes / 10);
+          Ktree.refresh tree s.Scenario.dht;
+          step "post-churn invariants"
+            (P2plb.Invariants.all ~tree ~expected_total:total s.Scenario.dht);
+          print_endline "all checks passed"
+        in
+        match checks () with () -> 0 | exception Check_failed -> 1)
       sinks
   in
   Cmd.v
@@ -273,13 +285,14 @@ let chaos =
       (fun obs ->
         match replay with
         | Some seed ->
-          print_string (Chaos.replay ?obs ~n_nodes ~max_rounds ~seed ())
+          print_string (Chaos.replay ?obs ~n_nodes ~max_rounds ~seed ());
+          0
         | None ->
           let r =
             Chaos.soak ~pool ?obs ~n_nodes ~max_rounds ~seeds ~base_seed ()
           in
           print_string (Chaos.render r);
-          if Chaos.failed r then exit 1)
+          if Chaos.failed r then 1 else 0)
       sinks
   in
   Cmd.v

@@ -197,8 +197,7 @@ let proximity_run ?(pool = Par.sequential) ?obs ~seed ~graphs ~n_nodes ~topology
      merges and the ceiling sum accumulate exactly as the sequential
      loop did. *)
   let results =
-    (* Each task runs two rounds, so it advances a traced clock by 2.0. *)
-    Par.run pool ?obs ~task_time:(fun _ -> 2.0) ~n:graphs (fun g obs ->
+    Par.run pool ?obs ~n:graphs (fun g obs ->
         let config = { Scenario.default with n_nodes; topology } in
         let seed = seed + (1000 * g) in
         let s = Scenario.build ~seed config in
@@ -375,9 +374,8 @@ let baselines ?(pool = Par.sequential) ?obs ?(seed = 1) ?(n_nodes = 4096) () =
       b_cdf10 = Histogram.cumulative_fraction r.Baselines.hist 10;
     }
   in
-  (* Rows 0–1 run a balancing round (one simulated-time unit each when
-     traced); the baseline schemes never touch the obs bundle, so their
-     task time is 0. *)
+  (* Rows 0–1 run a balancing round; the baseline schemes never touch
+     the obs bundle. *)
   let rows : (P2plb_obs.Obs.t option -> baseline_row) array =
     [|
       (fun obs -> ours true "ours (proximity-aware)" obs);
@@ -396,10 +394,8 @@ let baselines ?(pool = Par.sequential) ?obs ?(seed = 1) ?(n_nodes = 4096) () =
             Baselines.rao_many_to_many ~oracle dht));
     |]
   in
-  let task_time i = if i < 2 then 1.0 else 0.0 in
   Array.to_list
-    (Par.run pool ?obs ~task_time ~n:(Array.length rows) (fun i obs ->
-         rows.(i) obs))
+    (Par.run pool ?obs ~n:(Array.length rows) (fun i obs -> rows.(i) obs))
 
 let render_baselines rows =
   Report.table
@@ -824,18 +820,8 @@ let scale_run ?(pool = Par.sequential) ?obs ?(seed = 1)
          (fun n -> List.map (fun w -> (n, w)) scale_workloads)
          sizes)
   in
-  (* A task stops as soon as it converges, so the simulated time it
-     takes is not known before it runs.  Each task is therefore its own
-     simulation: it restarts a traced clock at the time the sweep
-     started, and a pooled run records exactly what a sequential run
-     does. *)
-  let clock o = P2plb_obs.Obs.trace o in
-  let t0 =
-    match obs with Some o -> P2plb_obs.Trace.now (clock o) | None -> 0.0
-  in
   let results =
     Par.run pool ?obs ~n:(Array.length tasks) (fun i obs ->
-        Option.iter (fun o -> P2plb_obs.Trace.set_time (clock o) t0) obs;
         let n, (wname, workload) = tasks.(i) in
         let config =
           {

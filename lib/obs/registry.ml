@@ -1,62 +1,41 @@
 module Histogram = P2plb_metrics.Histogram
 
-(* Handles carry their name and owner so journaled registries can log
-   every update as it happens; the journal is replayed in order by
-   [merge], which keeps float accumulation bit-exact across the
-   sequential/parallel boundary (see DESIGN.md §12). *)
-type counter = { c_name : string; c_owner : t; mutable c : int }
-and gauge = { g_name : string; g_owner : t; mutable g : float }
+type counter = { mutable c : int }
+type gauge = { mutable g : float }
 
-and op =
-  | Op_add of string * int
-  | Op_accum of string * float
-  | Op_hist of string * int * float
-
-and t = {
+type t = {
   counters : (string, counter) Hashtbl.t;
   gauges : (string, gauge) Hashtbl.t;
   hists : (string, Histogram.t) Hashtbl.t;
-  journaling : bool;
-  mutable journal : op list; (* newest first; empty unless journaling *)
 }
 
-let create ?(journal = false) () =
+let create () =
   {
     counters = Hashtbl.create 32;
     gauges = Hashtbl.create 32;
     hists = Hashtbl.create 8;
-    journaling = journal;
-    journal = [];
   }
-
-let log t op = if t.journaling then t.journal <- op :: t.journal
 
 let counter t name =
   match Hashtbl.find_opt t.counters name with
   | Some c -> c
   | None ->
-    let c = { c_name = name; c_owner = t; c = 0 } in
+    let c = { c = 0 } in
     Hashtbl.replace t.counters name c;
     c
 
-let add c n =
-  c.c <- c.c + n;
-  log c.c_owner (Op_add (c.c_name, n))
-
+let add c n = c.c <- c.c + n
 let count c = c.c
 
 let gauge t name =
   match Hashtbl.find_opt t.gauges name with
   | Some g -> g
   | None ->
-    let g = { g_name = name; g_owner = t; g = 0.0 } in
+    let g = { g = 0.0 } in
     Hashtbl.replace t.gauges name g;
     g
 
-let accum g v =
-  g.g <- g.g +. v;
-  log g.g_owner (Op_accum (g.g_name, v))
-
+let accum g v = g.g <- g.g +. v
 let value g = g.g
 
 let histogram t name =
@@ -67,18 +46,21 @@ let histogram t name =
     Hashtbl.replace t.hists name h;
     h
 
-let hist_add t name ~bin ~weight =
-  Histogram.add (histogram t name) ~bin ~weight;
-  log t (Op_hist (name, bin, weight))
+let hist_add t name ~bin ~weight = Histogram.add (histogram t name) ~bin ~weight
 
 let merge ~into child =
-  List.iter
-    (fun op ->
-      match op with
-      | Op_add (name, n) -> add (counter into name) n
-      | Op_accum (name, v) -> accum (gauge into name) v
-      | Op_hist (name, bin, weight) -> hist_add into name ~bin ~weight)
-    (List.rev child.journal)
+  (* p2plint: allow-unordered — each name merges on its own *)
+  Hashtbl.iter (fun name c -> add (counter into name) c.c) child.counters;
+  (* p2plint: allow-unordered — each name merges on its own *)
+  Hashtbl.iter (fun name g -> accum (gauge into name) g.g) child.gauges;
+  (* p2plint: allow-unordered — each name merges on its own *)
+  Hashtbl.iter
+    (fun name h ->
+      let into_h = histogram into name in
+      List.iter
+        (fun (bin, weight) -> Histogram.add into_h ~bin ~weight)
+        (Histogram.bins h))
+    child.hists
 
 let find_counter t name = Option.map count (Hashtbl.find_opt t.counters name)
 let find_gauge t name = Option.map value (Hashtbl.find_opt t.gauges name)

@@ -23,11 +23,7 @@ type t
 type counter
 type gauge
 
-val create : ?journal:bool -> unit -> t
-(** [~journal:true] records every update in an ordered op journal so
-    the registry can later be {!merge}d into another one with
-    bit-exact float accumulation.  Off by default (sequential runs
-    never pay for it). *)
+val create : unit -> t
 
 (** {1 Counters} — monotonic integers *)
 
@@ -49,26 +45,18 @@ val value : gauge -> float
 (** {1 Histograms} *)
 
 val histogram : t -> string -> Histogram.t
-(** Get-or-create.  Read-only access for reports; {e updates} must go
-    through {!hist_add} so journaled registries see them (a direct
-    [Histogram.add] on the returned value bypasses the journal and
-    would be lost by {!merge}). *)
+(** Get-or-create. *)
 
 val hist_add : t -> string -> bin:int -> weight:float -> unit
-(** [Histogram.add] on the named series, journaled when the registry
-    is. *)
+(** [Histogram.add] on the named series. *)
 
 (** {1 Task merge} — parallel execution support (DESIGN.md §12) *)
 
 val merge : into:t -> t -> unit
-(** Replays [child]'s op journal into [into], in the order the child
-    executed the updates.  Because replay re-performs each counter
-    add, gauge accum and histogram add rather than combining totals,
-    merging journaled task registries in task-index order leaves
-    [into] bit-identical — digest included — to having run the tasks
-    sequentially against it.
-    A child created without [~journal:true] has an empty journal, so
-    merging it is a no-op. *)
+(** Adds [child]'s totals to [into], name by name: each counter's
+    count, each gauge's value and each histogram's bin weights.  A
+    series the child created but never updated is created in [into]
+    too, as it would have been had the child recorded on [into]. *)
 
 (** {1 Lookup} — for reports over a finished run *)
 

@@ -70,16 +70,24 @@ let record t ~round ~time ~epsilon ~unit_loads ~fair ~moved ~total_load =
   t.rev_samples <- s :: t.rev_samples;
   s
 
-(* Append a child series, recomputing the cumulative column as the
-   sequential left-fold would have: each child sample's moved load is
-   added to the parent's running [cum] in order, so the merged series
-   is bit-identical to recording the same samples on the parent
-   directly. *)
-let merge ~into:parent child =
+(* Append a child series as if it had been recorded next on the
+   parent: times shift by [offset] (the parent trace's clock), round
+   indices by the whole rounds in it (a round is one unit of simulated
+   time, and Controller.run reads its index off the clock), and the
+   cumulative column is re-folded over the parent's running total. *)
+let merge ~into:parent ~offset child =
+  let rounds = int_of_float offset in
   List.iter
     (fun s ->
       parent.cum <- parent.cum +. s.ts_moved;
-      parent.rev_samples <- { s with ts_cum = parent.cum } :: parent.rev_samples)
+      parent.rev_samples <-
+        {
+          s with
+          ts_round = rounds + s.ts_round;
+          ts_time = offset +. s.ts_time;
+          ts_cum = parent.cum;
+        }
+        :: parent.rev_samples)
     (samples child)
 
 (* ---- convergence detector ---------------------------------------------- *)

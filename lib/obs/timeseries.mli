@@ -45,11 +45,12 @@ val record :
 (** Computes the derived statistics, accumulates the cumulative moved
     load, appends and returns the sample. *)
 
-val merge : into:t -> t -> unit
-(** Appends the child's samples to [into], re-deriving each [ts_cum]
-    from [into]'s running cumulative total (bit-exact float left-fold),
-    so merging task series in task-index order matches a sequential
-    recording byte-for-byte (DESIGN.md §12). *)
+val merge : into:t -> offset:float -> t -> unit
+(** Appends the child's samples to [into] as if they had been recorded
+    next on it (DESIGN.md §12): each [ts_time] shifted by [offset] (the
+    clock of [into]'s trace, see {!Obs.merge}), each [ts_round] by the
+    whole rounds in [offset], and each [ts_cum] re-derived from
+    [into]'s running cumulative total. *)
 
 (** {1 Pure statistics} (usable without a collector, e.g. by Chaos) *)
 

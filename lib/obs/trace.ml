@@ -20,34 +20,16 @@ type t = {
   mutable n : int;
   mutable next_span : int;
   mutable stack : span list; (* innermost open span first *)
-  mutable touched : bool; (* any set_time since creation *)
-  mutable n_preset : int; (* events recorded before the first touch *)
 }
 
-let create () =
-  {
-    manual = 0.0;
-    events = [];
-    n = 0;
-    next_span = 0;
-    stack = [];
-    touched = false;
-    n_preset = 0;
-  }
-
-let set_time t time =
-  t.touched <- true;
-  t.manual <- time
-
-let preset_time t time = t.manual <- time
-
+let create () = { manual = 0.0; events = []; n = 0; next_span = 0; stack = [] }
+let set_time t time = t.manual <- time
 let now t = t.manual
 
 let record t kind name span parent attrs =
   let ev = { time = now t; seq = t.n; kind; name; span; parent; attrs } in
   t.events <- ev :: t.events;
-  t.n <- t.n + 1;
-  if not t.touched then t.n_preset <- t.n_preset + 1
+  t.n <- t.n + 1
 
 let innermost t = match t.stack with [] -> -1 | s :: _ -> s.sp_id
 
@@ -72,45 +54,29 @@ let with_span t ?attrs name f =
 let events t = List.rev t.events
 let n_events t = t.n
 
-(* Append a finished child trace: sequence numbers are offset by the
-   parent's event count and span ids (own, enclosing-parent, and point
-   attribution alike) by the parent's span count, so the combined trace
-   is indistinguishable from having recorded the child's events on the
-   parent directly.  [-1] sentinels (point outside any span, root-span
-   parent) are preserved.  The child must have no open spans — an open
-   span could still attribute future parent events and has no
-   sequential equivalent. *)
+(* Append a finished child trace as if its events had been recorded
+   next on the parent: times are shifted by the parent's clock,
+   sequence numbers by the parent's event count and span ids (own,
+   enclosing-parent, and point attribution alike) by the parent's span
+   count.  [-1] sentinels (point outside any span, root-span parent)
+   are preserved.  The child must have no open spans: an open span
+   could still attribute future parent events. *)
 let merge ~into:parent child =
   (match child.stack with
   | [] -> ()
   | _ :: _ -> invalid_arg "Trace.merge: child trace has open spans");
-  let seq_off = parent.n and span_off = parent.next_span in
-  (* Events the child recorded before it first touched its own clock
-     were stamped with whatever its clock was preset to — a guess made
-     before the task ran.  A sequential run would have stamped them
-     with the shared clock as the previous task left it, which at
-     merge time is exactly the parent's clock: re-stamp them.  Typical
-     case: a task's opening span, recorded before the task restarts
-     its clock, whose sequential timestamp depends on how many rounds
-     the previous task happened to run. *)
-  let pnow = now parent in
+  let p = parent.manual
+  and seq_off = parent.n
+  and span_off = parent.next_span in
   let shift ev =
     let span = if ev.span >= 0 then ev.span + span_off else ev.span in
     let par = if ev.parent >= 0 then ev.parent + span_off else ev.parent in
-    let time = if ev.seq < child.n_preset then pnow else ev.time in
-    { ev with time; seq = ev.seq + seq_off; span; parent = par }
+    { ev with time = p +. ev.time; seq = ev.seq + seq_off; span; parent = par }
   in
   parent.events <- List.map shift child.events @ parent.events;
   parent.n <- parent.n + child.n;
   parent.next_span <- parent.next_span + child.next_span;
-  (* The merged trace's clock reads as the child left it, exactly as a
-     sequential run would have left the shared clock; a child that
-     never touched its clock leaves the parent's clock alone, as a
-     task that never touched the shared clock would have. *)
-  if child.touched then begin
-    parent.manual <- child.manual;
-    parent.touched <- true
-  end
+  parent.manual <- p +. child.manual
 
 (* ---- JSONL encoding ---------------------------------------------------- *)
 

@@ -47,13 +47,6 @@ val set_time : t -> float -> unit
 (** Sets the logical clock: the controller at its phase barriers, an
     armed fault plan while it fires an event. *)
 
-val preset_time : t -> float -> unit
-(** Sets the manual clock {e without} counting as a clock touch: events
-    recorded before the first {!set_time} are treated as
-    preset-stamped and re-stamped onto the parent's running clock by
-    {!merge}.  Used by task bundles ({!Obs.create_task}), whose true
-    start time is only known once the preceding tasks have run. *)
-
 val now : t -> float
 
 val point : t -> ?attrs:(string * value) list -> string -> unit
@@ -74,18 +67,16 @@ val events : t -> ev list
 val n_events : t -> int
 
 val merge : into:t -> t -> unit
-(** [merge ~into child] appends the child's events to [into], offsetting
-    sequence numbers by [into]'s event count and span ids by [into]'s
-    span count ([-1] sentinels preserved), and leaves [into]'s manual
-    clock at the child's final time (an untouched child leaves [into]'s
-    clock alone).  Events the child recorded before it first touched
-    its own clock are re-stamped with [into]'s clock at merge time —
-    the value the shared clock would have held when a sequential run
-    recorded them.  Merging finished task traces in task-index order
-    therefore yields a trace byte-identical — digest included — to
-    recording the same events sequentially on [into] (DESIGN.md §12).
-    Raises [Invalid_argument] if the child still has open spans.  The
-    child should be discarded afterwards. *)
+(** [merge ~into child] appends the child's events to [into] as if
+    they had been recorded next on it.  With [p] the clock of [into]
+    at the call, each event's time becomes [p +. t], sequence numbers
+    are offset by [into]'s event count and span ids by [into]'s span
+    count ([-1] sentinels preserved), and [into]'s clock ends at [p]
+    plus the child's clock.  A child that starts at 0 and never moves
+    its clock backwards therefore lands on [into]'s timeline without
+    running it backwards (DESIGN.md §12).  Raises [Invalid_argument]
+    if the child still has open spans.  The child should be discarded
+    afterwards. *)
 
 (** {1 JSONL sink} *)
 

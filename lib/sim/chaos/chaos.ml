@@ -85,17 +85,14 @@ let run_seed ?obs ~n_nodes ~max_rounds ~seed () =
 let soak ?(pool = P2plb_sim.Par.sequential) ?obs ?(n_nodes = 256)
     ?(max_rounds = 3) ?(seeds = 64) ?(base_seed = 1) () =
   if seeds < 1 then invalid_arg "Chaos.soak: seeds < 1";
-  (* Every chaos mix has transfer-path faults enabled, so each seed
-     arms its own fault plan and restarts simulated time: the
-     private bundles' preset start time is just the parent clock.  All
-     seeds run; the report and the merged sinks keep only the seeds up
-     to and including the first failure. *)
+  (* All seeds run, each into its own fresh bundle; the report and the
+     merged sinks keep only the seeds up to and including the first
+     failure.  The merge is [Par.run]'s, cut short: each kept bundle is
+     laid after the one before it on the parent's clock. *)
   let children =
     match obs with
     | None -> [||]
-    | Some parent ->
-      let t0 = P2plb_obs.Trace.now (P2plb_obs.Obs.trace parent) in
-      Array.init seeds (fun _ -> P2plb_obs.Obs.create_task ~start_time:t0)
+    | Some _ -> Array.init seeds (fun _ -> P2plb_obs.Obs.create ())
   in
   let task_obs i =
     if Array.length children = 0 then None else Some children.(i)

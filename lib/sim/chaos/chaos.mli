@@ -75,7 +75,8 @@ val soak :
     invariant violation.  The report — and the children merged into
     [?obs] — then keep only the seeds up to and including the first
     failure, in seed order, so the result does not depend on the
-    pool. *)
+    pool.  Each kept child is laid after the one before it on
+    [?obs]'s clock by {!P2plb_obs.Obs.merge}. *)
 
 val render : report -> string
 (** The soak table (one row per seed) plus aggregate fault counts and,

@@ -1,5 +1,4 @@
 module Obs = P2plb_obs.Obs
-module Trace = P2plb_obs.Trace
 module Prng = P2plb_prng.Prng
 
 (* Deterministic domain pool — see par.mli for the contract and
@@ -19,31 +18,14 @@ let jobs t = t.jobs
 
 let get = function Some v -> v | None -> assert false
 
-let run_sequential ?obs ~n f =
-  let results = Array.make n None in
-  for i = 0 to n - 1 do
-    results.(i) <- Some (f i obs)
-  done;
-  Array.map get results
-
-let run_parallel pool ?obs ~task_time ~n f =
-  (* Private bundles, clocks preset by the sequential-time left-fold:
-     task i starts where tasks 0..i-1 would have left the shared clock.
-     The fold uses the same [+.] association a sequential run performs,
-     so the preset floats are bit-identical to the times the tasks
-     would have observed. *)
+let run pool ?obs ~n f =
+  (* One path for every job count: each task records into a fresh
+     bundle, and the bundles are laid end to end on the parent in
+     task-index order once every task has finished. *)
   let children =
-    match obs with
-    | None -> [||]
-    | Some parent ->
-      let starts = Array.make n 0.0 in
-      starts.(0) <- Trace.now (Obs.trace parent);
-      for i = 1 to n - 1 do
-        starts.(i) <- starts.(i - 1) +. task_time (i - 1)
-      done;
-      Array.init n (fun i -> Obs.create_task ~start_time:starts.(i))
+    match obs with None -> [||] | Some _ -> Array.init n (fun _ -> Obs.create ())
   in
-  let task_obs i = if Array.length children = 0 then None else Some children.(i) in
+  let task_obs i = Option.map (fun _ -> children.(i)) obs in
   let results = Array.make n None in
   let errors = Array.make n None in
   let next = Atomic.make 0 in
@@ -60,20 +42,16 @@ let run_parallel pool ?obs ~task_time ~n f =
     go ()
   in
   let helpers =
-    Array.init (Int.min pool.jobs n - 1) (fun _ -> Domain.spawn worker)
+    Array.init (Int.max 0 (Int.min pool.jobs n - 1)) (fun _ ->
+        Domain.spawn worker)
   in
   worker ();
   Array.iter Domain.join helpers;
   Array.iter (function Some e -> raise e | None -> ()) errors;
-  (match obs with
-  | None -> ()
-  | Some parent ->
-    for i = 0 to n - 1 do
-      Obs.merge ~into:parent children.(i)
-    done);
+  Option.iter
+    (fun parent ->
+      for i = 0 to n - 1 do
+        Obs.merge ~into:parent children.(i)
+      done)
+    obs;
   Array.map get results
-
-let run pool ?obs ?(task_time = fun _ -> 1.0) ~n f =
-  if n = 0 then [||]
-  else if pool.jobs <= 1 || n <= 1 then run_sequential ?obs ~n f
-  else run_parallel pool ?obs ~task_time ~n f

@@ -613,6 +613,78 @@ let test_obs_bundle () =
     "registry reachable" (Some 1)
     (Registry.find_counter (Obs.metrics o) "c")
 
+(* Obs.merge appends a child bundle as if the child had recorded next
+   on the parent: times, sequence numbers and span ids are offset, the
+   parent's clock advances by the child's, totals add, and the series
+   continues from the parent's time and cumulative load. *)
+let test_obs_merge () =
+  let record_sample series ~round ~time ~moved =
+    ignore
+      (Timeseries.record series ~round ~time ~epsilon:0.05
+         ~unit_loads:[| 1.0; 2.0 |] ~fair:1.5 ~moved ~total_load:3.0)
+  in
+  let parent = Obs.create () in
+  let pt = Obs.trace parent and pm = Obs.metrics parent in
+  Trace.set_time pt 1.0;
+  Trace.with_span pt "parent/round" (fun () -> Trace.set_time pt 2.0);
+  Registry.add (Registry.counter pm "c") 2;
+  Registry.accum (Registry.gauge pm "g") 0.5;
+  Registry.hist_add pm "h" ~bin:1 ~weight:1.0;
+  record_sample (Obs.series parent) ~round:1 ~time:2.0 ~moved:1.5;
+  let child = Obs.create () in
+  let ct = Obs.trace child and cm = Obs.metrics child in
+  let sp = Trace.begin_span ct "child/round" in
+  let phase = Trace.begin_span ct "child/phase" in
+  Trace.set_time ct 0.5;
+  Trace.point ct "child/point";
+  Trace.set_time ct 1.0;
+  Trace.end_span ct phase;
+  Trace.end_span ct sp;
+  Registry.add (Registry.counter cm "c") 3;
+  Registry.add (Registry.counter cm "only_child") 4;
+  Registry.accum (Registry.gauge cm "g") 0.25;
+  Registry.hist_add cm "h" ~bin:1 ~weight:2.0;
+  Registry.hist_add cm "h" ~bin:3 ~weight:0.5;
+  record_sample (Obs.series child) ~round:0 ~time:1.0 ~moved:0.5;
+  Obs.merge ~into:parent child;
+  let row (e : Trace.ev) =
+    Printf.sprintf "t=%g seq=%d %s span=%d parent=%d" e.Trace.time e.Trace.seq
+      e.Trace.name e.Trace.span e.Trace.parent
+  in
+  check
+    Alcotest.(list string)
+    "child events shifted by the parent's clock, seq and span count"
+    [
+      "t=1 seq=0 parent/round span=0 parent=-1";
+      "t=2 seq=1 parent/round span=0 parent=-1";
+      "t=2 seq=2 child/round span=1 parent=-1";
+      "t=2 seq=3 child/phase span=2 parent=1";
+      "t=2.5 seq=4 child/point span=2 parent=-1";
+      "t=3 seq=5 child/phase span=2 parent=-1";
+      "t=3 seq=6 child/round span=1 parent=-1";
+    ]
+    (List.map row (Trace.events pt));
+  check feq "clock = 2.0 + the child's clock" 3.0 (Trace.now pt);
+  check Alcotest.(option int) "counters add" (Some 5) (Registry.find_counter pm "c");
+  check Alcotest.(option int) "a child-only counter arrives" (Some 4)
+    (Registry.find_counter pm "only_child");
+  check Alcotest.(option (float 0.0)) "gauges add" (Some 0.75)
+    (Registry.find_gauge pm "g");
+  check
+    Alcotest.(list (pair int (float 0.0)))
+    "histogram bins add"
+    [ (1, 3.0); (3, 0.5) ]
+    (Histogram.bins (Registry.histogram pm "h"));
+  check
+    Alcotest.(list string)
+    "samples continue from the parent's round, time and cumulative load"
+    [ "round=1 t=2 cum=1.5"; "round=2 t=3 cum=2" ]
+    (List.map
+       (fun s ->
+         Printf.sprintf "round=%d t=%g cum=%g" s.Timeseries.ts_round
+           s.Timeseries.ts_time s.Timeseries.ts_cum)
+       (Timeseries.samples (Obs.series parent)))
+
 let () =
   Alcotest.run "obs"
     [
@@ -681,5 +753,9 @@ let () =
           Alcotest.test_case "dump sorted and stable" `Quick
             test_registry_dump_sorted_and_stable;
         ] );
-      ("bundle", [ Alcotest.test_case "obs bundle" `Quick test_obs_bundle ]);
+      ( "bundle",
+        [
+          Alcotest.test_case "obs bundle" `Quick test_obs_bundle;
+          Alcotest.test_case "merge appends the child" `Quick test_obs_merge;
+        ] );
     ]
