@@ -402,18 +402,23 @@ let remove_vs t ~vs_id =
   | None -> invalid_arg "Dht.remove_vs: no such VS"
   | Some v -> delete_vs_absorb t v
 
-let transfer_vs t ~vs_id ~to_node =
-  match vs_of_id t vs_id with
-  | None -> invalid_arg "Dht.transfer_vs: no such VS"
-  | Some v ->
-    let dst = node t to_node in
-    if not dst.alive then invalid_arg "Dht.transfer_vs: dead target";
-    if v.owner <> to_node then begin
-      let src = node t v.owner in
-      src.vss <- List.filter (fun x -> x.vs_id <> vs_id) src.vss;
-      dst.vss <- v :: dst.vss;
-      v.owner <- to_node
-    end
+(* A VS is on the ring exactly when its owner lists it: every delete
+   takes it off that list, so finding it there is the existence check,
+   and the same pass cuts it out. *)
+let transfer_vs t v ~to_node =
+  let src = node t v.owner in
+  let rec cut = function
+    | [] -> invalid_arg "Dht.transfer_vs: no such VS"
+    | x :: rest -> if x == v then rest else x :: cut rest
+  in
+  let rest = cut src.vss in
+  let dst = node t to_node in
+  if not dst.alive then invalid_arg "Dht.transfer_vs: dead target";
+  if v.owner <> to_node then begin
+    src.vss <- rest;
+    dst.vss <- v :: dst.vss;
+    v.owner <- to_node
+  end
 
 (* --- Routing ---------------------------------------------------------- *)
 

@@ -136,7 +136,15 @@ val ring_version : 'a t -> int
     {!transfer_vs} (the VS keeps its id and region), load changes
     ({!set_vs_load}, {!add_vs_load}) or storage ({!put},
     {!drain_items}).  Structures keyed by VS ids and regions — the
-    K-nary tree — stay valid while it is unchanged. *)
+    K-nary tree — stay valid while it is unchanged.
+
+    So do VS handles: a [vs] record read off the ring at version [r]
+    is still on the ring, and is still the record {!vs_of_id} returns
+    for its id, while the version reads [r].  Its [owner] and [load]
+    are then current, and a caller may read them, or pass the record
+    to {!transfer_vs}, without searching.  Once the version has moved,
+    the record may have left the ring (a departed VS keeps its last
+    [owner]), so the caller finds the VS again by its [vs_id]. *)
 
 val fold_nodes : 'a t -> init:'acc -> f:('acc -> node -> 'acc) -> 'acc
 (** Over alive nodes, in increasing [node_id] order (deterministic). *)
@@ -186,10 +194,14 @@ val report_vs : 'a t -> Prng.t -> node -> vs
     that currently hosts no VS (it shed everything in a previous
     round) reports through the VS owning its home key instead. *)
 
-val transfer_vs : 'a t -> vs_id:Id.t -> to_node:node_id -> unit
-(** Re-hosts a VS (with its load and region) on another physical node:
-    the VST operation.  Raises [Invalid_argument] if the VS does not
-    exist or the target is dead. *)
+val transfer_vs : 'a t -> vs -> to_node:node_id -> unit
+(** [transfer_vs t v ~to_node] re-hosts the VS [v] (with its load and
+    region) on another physical node: the VST operation.  [v] is the
+    record the ring holds, a handle; it is checked against its owner's
+    VS list, not searched for on the ring, so a caller that holds only
+    an id finds the record with {!vs_of_id} first.  Raises
+    [Invalid_argument] if [v] is no longer on the ring (its owner
+    departed, or it was removed) or the target is dead. *)
 
 val remove_vs : 'a t -> vs_id:Id.t -> unit
 (** Deletes a VS; its region and load are absorbed by the successor —

@@ -1,5 +1,3 @@
-module Id = P2plb_idspace.Id
-
 let exact_threshold = 16
 
 let shed_total l = List.fold_left (fun acc (_, x) -> acc +. x) 0.0 l

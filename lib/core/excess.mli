@@ -1,5 +1,3 @@
-module Id = P2plb_idspace.Id
-
 (** Choosing which virtual servers a heavy node sheds (paper §3.4).
 
     A heavy node [i] with load [L_i] and target [T_i] picks a subset of
@@ -18,11 +16,10 @@ val exact_threshold : int
 (** 16: exact enumeration below, greedy at or above. *)
 
 val choose_shed :
-  ?keep_at_least:int ->
-  loads:(Id.t * float) array ->
-  float ->
-  (Id.t * float) list
-(** [choose_shed ~loads need] returns the virtual servers to shed.
+  ?keep_at_least:int -> loads:('a * float) array -> float -> ('a * float) list
+(** [choose_shed ~loads need] returns the virtual servers to shed.  A
+    server is any payload paired with its load: the choice reads only
+    the loads and carries the payloads through.
 
     - If [need <= 0], returns [].
     - Never sheds more than [Array.length loads - keep_at_least]
@@ -32,4 +29,4 @@ val choose_shed :
       the largest allowed subset (best effort).
     - Loads must be non-negative. *)
 
-val shed_total : (Id.t * float) list -> float
+val shed_total : ('a * float) list -> float

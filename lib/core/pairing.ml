@@ -197,7 +197,7 @@ let reverse_ties p =
    that pass makes no assignment, keeps the lights and re-adds the
    sheds in reverse, as the leftover below does: its equal-load runs
    come back reversed, which [reverse_ties] does without the pass. *)
-let pair ?(depth = 0) ~l_min p =
+let pair ?(depth = 0) ~stamp ~l_min p =
   let sn = n_shed p in
   if sn = 0 then ([], p)
   else if p.settled then ([], reverse_ties p)
@@ -263,11 +263,12 @@ let pair ?(depth = 0) ~l_min p =
         assignments :=
           Types.
             {
-              a_vs_id = s.vs_id;
+              a_vs = s.vs;
               a_load = s.vs_load;
               a_from = s.heavy_node;
               a_to = light_node;
               a_depth = depth;
+              a_stamp = stamp;
             }
           :: !assignments;
         remove_at !i;

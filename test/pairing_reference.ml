@@ -9,6 +9,18 @@
    equal-deficit ties) and checks agreement. *)
 
 module Types = P2plb.Types
+module Dht = P2plb_chord.Dht
+
+(* Test fixtures' shed records carry handles on a real ring: [vs i] is
+   the only VS of node [i] of one fixed ring of 2048 nodes, so distinct
+   [i] in [0, 2048) give distinct VSs. *)
+let fixture_ring =
+  lazy
+    (let dht : unit Dht.t = Dht.create ~seed:1 in
+     Dht.join_all dht (Array.init 2048 (fun i -> (1.0, i))) ~n_vs:1;
+     dht)
+
+let vs i = List.hd (Dht.node (Lazy.force fixture_ring) i).Dht.vss
 
 (* Light slots, ordered by (deficit, tie-break id) so we can query the
    smallest deficit >= a given load in O(log n). *)
@@ -67,7 +79,7 @@ let light_entries p =
     (fun (deficit, _, light_node) -> Types.{ deficit; light_node })
     (Light_set.elements p.lights)
 
-let pair ?(depth = 0) ~l_min p =
+let pair ?(depth = 0) ~stamp ~l_min p =
   let assignments = ref [] in
   let unpaired_shed = ref [] in
   let lights = ref p.lights in
@@ -107,11 +119,12 @@ let pair ?(depth = 0) ~l_min p =
         assignments :=
           Types.
             {
-              a_vs_id = s.vs_id;
+              a_vs = s.vs;
               a_load = s.vs_load;
               a_from = s.heavy_node;
               a_to = light_node;
               a_depth = depth;
+              a_stamp = stamp;
             }
           :: !assignments;
         let residual = deficit -. load in

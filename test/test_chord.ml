@@ -114,7 +114,7 @@ let test_transfer_vs () =
   let v = List.hd n0.Dht.vss in
   Dht.set_vs_load dht v 7.5;
   let region_before = Dht.region_of_vs dht v in
-  Dht.transfer_vs dht ~vs_id:v.Dht.vs_id ~to_node:3;
+  Dht.transfer_vs dht v ~to_node:3;
   check Alcotest.int "owner changed" 3 v.Dht.owner;
   check Alcotest.int "source sheds it" 1 (List.length (Dht.node dht 0).Dht.vss);
   check Alcotest.int "target gains it" 3 (List.length (Dht.node dht 3).Dht.vss);
@@ -129,7 +129,22 @@ let test_transfer_to_dead_fails () =
   Dht.leave dht 4;
   Alcotest.check_raises "dead target"
     (Invalid_argument "Dht.transfer_vs: dead target") (fun () ->
-      Dht.transfer_vs dht ~vs_id:v.Dht.vs_id ~to_node:4)
+      Dht.transfer_vs dht v ~to_node:4)
+
+(* A handle whose VS left the ring (its owner departed, or it was
+   removed) is rejected, though the record still names an owner. *)
+let test_transfer_departed_vs_fails () =
+  let dht = build_dht ~seed:8 ~nodes:5 ~vs:2 in
+  let gone = List.hd (Dht.node dht 0).Dht.vss in
+  let removed = List.hd (Dht.node dht 1).Dht.vss in
+  Dht.crash dht 0;
+  Dht.remove_vs dht ~vs_id:removed.Dht.vs_id;
+  List.iter
+    (fun v ->
+      Alcotest.check_raises "no such VS"
+        (Invalid_argument "Dht.transfer_vs: no such VS") (fun () ->
+          Dht.transfer_vs dht v ~to_node:2))
+    [ gone; removed ]
 
 let test_remove_vs_absorbs () =
   let dht = build_dht ~seed:9 ~nodes:5 ~vs:2 in
@@ -147,7 +162,7 @@ let test_remove_vs_absorbs () =
 let test_depart_refuses_to_empty_ring () =
   let dht = build_dht ~seed:10 ~nodes:2 ~vs:3 in
   List.iter
-    (fun v -> Dht.transfer_vs dht ~vs_id:v.Dht.vs_id ~to_node:0)
+    (fun v -> Dht.transfer_vs dht v ~to_node:0)
     (Dht.node dht 1).Dht.vss;
   let version = Dht.ring_version dht in
   check Alcotest.bool "the host of every VS cannot depart" false
@@ -176,7 +191,7 @@ let test_report_vs_fallback () =
   let n = Dht.node dht 1 in
   (* shed everything from node 1 *)
   List.iter
-    (fun v -> Dht.transfer_vs dht ~vs_id:v.Dht.vs_id ~to_node:0)
+    (fun v -> Dht.transfer_vs dht v ~to_node:0)
     n.Dht.vss;
   check Alcotest.int "empty node" 0 (List.length (Dht.node dht 1).Dht.vss);
   (* report_vs still works *)
@@ -365,6 +380,8 @@ let () =
       ( "transfer",
         [
           Alcotest.test_case "transfer_vs" `Quick test_transfer_vs;
+          Alcotest.test_case "transfer of a departed VS fails" `Quick
+            test_transfer_departed_vs_fails;
           Alcotest.test_case "transfer to dead" `Quick
             test_transfer_to_dead_fails;
           Alcotest.test_case "remove_vs absorbs" `Quick test_remove_vs_absorbs;

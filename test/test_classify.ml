@@ -55,7 +55,7 @@ let test_census () =
   (* shift load: move node 0's VSs to node 1 -> node 1 heavy, node 0 light *)
   let n0 = Dht.node dht 0 in
   List.iter
-    (fun v -> Dht.transfer_vs dht ~vs_id:v.Dht.vs_id ~to_node:1)
+    (fun v -> Dht.transfer_vs dht v ~to_node:1)
     n0.Dht.vss;
   let h, l, n = Classify.census ~lbi ~epsilon:0.0 dht in
   check Alcotest.(triple int int int) "one heavy one light" (1, 1, 8) (h, l, n)

@@ -302,11 +302,12 @@ let test_duplicate_transfer_applied_once () =
          (fun i id ->
            let v = List.hd (Dht.node dht id).Dht.vss in
            {
-             Types.a_vs_id = v.Dht.vs_id;
+             Types.a_vs = v;
              a_load = v.Dht.load;
              a_from = id;
              a_to = ids.((i + 1) mod Array.length ids);
              a_depth = 0;
+             a_stamp = Dht.ring_version dht;
            })
          ids)
   in
@@ -327,7 +328,7 @@ let test_duplicate_transfer_applied_once () =
     r.Vst.moved_load;
   List.iter
     (fun (a : Types.assignment) ->
-      match Dht.vs_of_id dht a.a_vs_id with
+      match Dht.vs_of_id dht a.a_vs.Dht.vs_id with
       | Some v -> check Alcotest.int "VS at its target" a.a_to v.Dht.owner
       | None -> Alcotest.fail "VS lost")
     assignments
@@ -399,26 +400,31 @@ let test_every_vst_cause () =
     in
     (dht, ids)
   in
-  let first_vs dht id = (List.hd (Dht.node dht id).Dht.vss).Dht.vs_id in
-  let assign vs_id ~from ~to_ =
+  let first_vs dht id = List.hd (Dht.node dht id).Dht.vss in
+  (* [stamp]: the ring version the handle [v] was read at. *)
+  let assign ~stamp v ~from ~to_ =
     {
-      Types.a_vs_id = vs_id;
+      Types.a_vs = v;
       a_load = 0.0;
       a_from = from;
       a_to = to_;
       a_depth = 0;
+      a_stamp = stamp;
     }
   in
+  (* The handles are read before the churn, so VST searches for each. *)
   let skips obs =
     let dht, ids = ring () in
+    let stamp = Dht.ring_version dht in
     let gone = first_vs dht ids.(0) in
-    Dht.remove_vs dht ~vs_id:gone;
+    let v1 = first_vs dht ids.(1) and v2 = first_vs dht ids.(2) in
+    Dht.remove_vs dht ~vs_id:gone.Dht.vs_id;
     Dht.crash dht ids.(3);
     Vst.apply ~obs dht
       [
-        assign gone ~from:ids.(0) ~to_:ids.(1);
-        assign (first_vs dht ids.(1)) ~from:ids.(2) ~to_:ids.(0);
-        assign (first_vs dht ids.(2)) ~from:ids.(2) ~to_:ids.(3);
+        assign ~stamp gone ~from:ids.(0) ~to_:ids.(1);
+        assign ~stamp v1 ~from:ids.(2) ~to_:ids.(0);
+        assign ~stamp v2 ~from:ids.(2) ~to_:ids.(3);
       ]
   in
   (* each node's first VS to the next node, under [config] *)
@@ -434,10 +440,10 @@ let test_every_vst_cause () =
         ignore (Faults.fire_until f ~time:!t)
       done
     end;
-    let n = Array.length ids in
+    let n = Array.length ids and stamp = Dht.ring_version dht in
     Vst.apply ~obs ~faults:f dht
       (List.init n (fun i ->
-           assign (first_vs dht ids.(i)) ~from:ids.(i)
+           assign ~stamp (first_vs dht ids.(i)) ~from:ids.(i)
              ~to_:ids.((i + 1) mod n)))
   in
   let quiet = Faults.churn ~crash_fraction:0.0 ~message_loss:0.0 in

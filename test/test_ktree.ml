@@ -248,7 +248,7 @@ let test_refresh_after_vs_transfer () =
   let dht = build_dht ~seed:15 ~nodes:10 ~vs:3 in
   let tree = Ktree.build ~k:2 dht in
   let v = List.hd (Dht.node dht 0).Dht.vss in
-  Dht.transfer_vs dht ~vs_id:v.Dht.vs_id ~to_node:5;
+  Dht.transfer_vs dht v ~to_node:5;
   Ktree.refresh tree dht;
   expect_consistent tree dht
 

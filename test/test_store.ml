@@ -150,7 +150,7 @@ let test_loads_move_with_vs_transfer () =
   in
   let load_before = v.Dht.load in
   let target = if v.Dht.owner = 0 then 1 else 0 in
-  Dht.transfer_vs dht ~vs_id:v.Dht.vs_id ~to_node:target;
+  Dht.transfer_vs dht v ~to_node:target;
   check (Alcotest.float 1e-9) "stored bytes travel with the VS" load_before
     v.Dht.load;
   check Alcotest.int "new owner" target v.Dht.owner
