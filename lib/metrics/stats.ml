@@ -1,14 +1,5 @@
 let total xs = Array.fold_left ( +. ) 0.0 xs
 
-let mean xs =
-  if Array.length xs = 0 then invalid_arg "Stats.mean: empty";
-  total xs /. float_of_int (Array.length xs)
-
-let stddev xs =
-  let m = mean xs in
-  let sq = Array.fold_left (fun acc x -> acc +. ((x -. m) ** 2.0)) 0.0 xs in
-  sqrt (sq /. float_of_int (Array.length xs))
-
 let percentile xs p =
   if Array.length xs = 0 then invalid_arg "Stats.percentile: empty";
   if p < 0.0 || p > 100.0 then invalid_arg "Stats.percentile: p out of range";
@@ -21,8 +12,6 @@ let percentile xs p =
   else
     let frac = rank -. float_of_int lo in
     (sorted.(lo) *. (1.0 -. frac)) +. (sorted.(hi) *. frac)
-
-let median xs = percentile xs 50.0
 
 (* G = sum_i (2(i+1) - n - 1) x_(i) / (n * sum x), x sorted ascending:
    the mean absolute difference over all pairs, halved and divided by

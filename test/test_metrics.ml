@@ -6,18 +6,11 @@ let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
 let feq = Alcotest.float 1e-9
 
-let test_stddev () =
-  check feq "constant" 0.0 (Stats.stddev [| 5.0; 5.0; 5.0 |]);
-  (* population stddev of 1..5 is sqrt(2) *)
-  check (Alcotest.float 1e-6) "1..5" (sqrt 2.0)
-    (Stats.stddev [| 1.0; 2.0; 3.0; 4.0; 5.0 |])
-
 let test_percentile () =
   let xs = [| 10.0; 20.0; 30.0; 40.0 |] in
   check feq "p0" 10.0 (Stats.percentile xs 0.0);
   check feq "p100" 40.0 (Stats.percentile xs 100.0);
   check feq "p50 interpolates" 25.0 (Stats.percentile xs 50.0);
-  check feq "median" 25.0 (Stats.median xs);
   (* does not sort the caller's array *)
   let ys = [| 3.0; 1.0; 2.0 |] in
   ignore (Stats.percentile ys 50.0);
@@ -35,8 +28,9 @@ let test_gini () =
       ignore (Stats.gini [| 1.0; -1.0 |]))
 
 let test_empty_rejected () =
-  Alcotest.check_raises "empty mean" (Invalid_argument "Stats.mean: empty")
-    (fun () -> ignore (Stats.mean [||]))
+  Alcotest.check_raises "empty percentile"
+    (Invalid_argument "Stats.percentile: empty") (fun () ->
+      ignore (Stats.percentile [||] 50.0))
 
 (* ---- histogram ---------------------------------------------------------- *)
 
@@ -252,7 +246,6 @@ let () =
     [
       ( "stats",
         [
-          Alcotest.test_case "stddev" `Quick test_stddev;
           Alcotest.test_case "percentile" `Quick test_percentile;
           Alcotest.test_case "gini" `Quick test_gini;
           Alcotest.test_case "empty rejected" `Quick test_empty_rejected;

@@ -72,8 +72,8 @@ let test_pareto_loads_heavy_tailed () =
     Array.init 20000 (fun _ ->
         W.vs_load rng W.default_pareto ~fraction:0.001)
   in
-  let mean = P2plb_metrics.Stats.mean xs in
-  let p50 = P2plb_metrics.Stats.median xs in
+  let mean = P2plb_metrics.Stats.total xs /. 20000.0 in
+  let p50 = P2plb_metrics.Stats.percentile xs 50.0 in
   (* Pareto(1.5): median well below the mean *)
   check Alcotest.bool "median < mean" true (p50 < mean)
 
