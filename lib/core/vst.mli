@@ -84,7 +84,16 @@ val apply :
   'a Dht.t ->
   Types.assignment list ->
   result
-(** [tree] enables KT-migration message accounting (and is refreshed
+(** Each assignment is checked before its transaction: the VS must
+    still be on the ring ([vs_gone]), owned by the pairing's heavy node
+    ([owner_changed]), and the light node alive ([dest_dead]).  While
+    {!Dht.ring_version} equals the assignment's [a_stamp], its handle
+    [a_vs] is the ring's record, so the check reads it and the
+    transfer goes through it, with no ring search.  Once the version
+    has moved (churn since VSA, or a crash earlier in this call), the
+    VS is found by its id, as the ring holds it now.
+
+    [tree] enables KT-migration message accounting (and is refreshed
     afterwards under the lazy-migration protocol).
 
     [oracle] prices each committed transfer in underlay hops for the
