@@ -304,7 +304,7 @@ let tests =
     Test.make ~name:"kernel/pairing_500x500"
       (Staged.stage (fun () ->
            ignore
-             (Pairing.pair ~stamp:0 ~l_min:0.001
+             (Pairing.pair ~l_min:0.001
                 (Lazy.force pairing_fixture))));
     Test.make ~name:"kernel/hilbert_encode_15d"
       (Staged.stage (fun () ->

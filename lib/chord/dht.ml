@@ -77,6 +77,9 @@ let n_nodes t = t.n_alive
 let n_vs t = t.ring_n
 let ring_version t = t.ring_version
 
+(* A VS leaves the ring with its [owner] set to -1, an id no node has. *)
+let on_ring v = v.owner >= 0
+
 (* --- Nodes ------------------------------------------------------------ *)
 
 (* [a] with room for index [i], doubled (padded with [x]) when full. *)
@@ -333,7 +336,8 @@ let join_all t nodes ~n_vs =
   t.ring_n <- Array.length vss;
   t.ring_version <- t.ring_version + t.ring_n
 
-(* Remove a VS from the ring; its successor absorbs region and load. *)
+(* Remove a VS from the ring; its successor absorbs region and load,
+   and [v] is marked off the ring. *)
 let delete_vs_absorb t v =
   let n = t.ring_n in
   if n <= 1 then invalid_arg "Dht.remove_vs: cannot remove the last VS";
@@ -346,7 +350,8 @@ let delete_vs_absorb t v =
   let succ = t.ring_vss.(if i = n - 1 then 0 else i) in
   succ.load <- succ.load +. v.load;
   let owner = node t v.owner in
-  owner.vss <- List.filter (fun x -> x.vs_id <> v.vs_id) owner.vss
+  owner.vss <- List.filter (fun x -> x != v) owner.vss;
+  v.owner <- -1
 
 let can_depart t id = is_alive t id && List.length t.nodes.(id).vss < t.ring_n
 
@@ -369,7 +374,8 @@ let delete_node_vss t n =
         j := if !j = ring_n - 1 then 0 else !j + 1
       done;
       let succ = t.ring_vss.(!j) in
-      succ.load <- succ.load +. v.load)
+      succ.load <- succ.load +. v.load;
+      v.owner <- -1)
     n.vss;
   let j = ref !first in
   for i = !first to ring_n - 1 do
@@ -397,15 +403,14 @@ let depart t id =
 let leave = depart
 let crash = depart
 
-let remove_vs t ~vs_id =
-  match vs_of_id t vs_id with
-  | None -> invalid_arg "Dht.remove_vs: no such VS"
-  | Some v -> delete_vs_absorb t v
+let remove_vs t v =
+  if not (on_ring v) then invalid_arg "Dht.remove_vs: no such VS";
+  delete_vs_absorb t v
 
-(* A VS is on the ring exactly when its owner lists it: every delete
-   takes it off that list, so finding it there is the existence check,
-   and the same pass cuts it out. *)
+(* An on-ring VS is in its owner's list, so the pass that finds it
+   there cuts it out. *)
 let transfer_vs t v ~to_node =
+  if not (on_ring v) then invalid_arg "Dht.transfer_vs: no such VS";
   let src = node t v.owner in
   let rec cut = function
     | [] -> invalid_arg "Dht.transfer_vs: no such VS"

@@ -136,15 +136,7 @@ val ring_version : 'a t -> int
     {!transfer_vs} (the VS keeps its id and region), load changes
     ({!set_vs_load}, {!add_vs_load}) or storage ({!put},
     {!drain_items}).  Structures keyed by VS ids and regions — the
-    K-nary tree — stay valid while it is unchanged.
-
-    So do VS handles: a [vs] record read off the ring at version [r]
-    is still on the ring, and is still the record {!vs_of_id} returns
-    for its id, while the version reads [r].  Its [owner] and [load]
-    are then current, and a caller may read them, or pass the record
-    to {!transfer_vs}, without searching.  Once the version has moved,
-    the record may have left the ring (a departed VS keeps its last
-    [owner]), so the caller finds the VS again by its [vs_id]. *)
+    K-nary tree — stay valid while it is unchanged. *)
 
 val fold_nodes : 'a t -> init:'acc -> f:('acc -> node -> 'acc) -> 'acc
 (** Over alive nodes, in increasing [node_id] order (deterministic). *)
@@ -176,6 +168,15 @@ val dead_nodes : 'a t -> node list
 val vs_of_id : 'a t -> Id.t -> vs option
 val region_of_vs : 'a t -> vs -> Region.t
 
+val on_ring : vs -> bool
+(** Whether the VS is still on the ring.  A [vs] record is a handle:
+    while it is on the ring it is the record {!vs_of_id} returns for
+    its id, and its [owner] and [load] are current, at any
+    {!ring_version}.  A VS that leaves ({!leave}, {!crash},
+    {!remove_vs}) has its [owner] set to [-1], which no node has
+    ({!is_alive} is false for it), and never comes back: a later VS
+    that draws the same id is a new record. *)
+
 val owner_of_key : 'a t -> Id.t -> vs
 (** The VS responsible for a key ([successor(k)]).  Raises
     [Invalid_argument] on an empty ring. *)
@@ -197,16 +198,18 @@ val report_vs : 'a t -> Prng.t -> node -> vs
 val transfer_vs : 'a t -> vs -> to_node:node_id -> unit
 (** [transfer_vs t v ~to_node] re-hosts the VS [v] (with its load and
     region) on another physical node: the VST operation.  [v] is the
-    record the ring holds, a handle; it is checked against its owner's
-    VS list, not searched for on the ring, so a caller that holds only
-    an id finds the record with {!vs_of_id} first.  Raises
-    [Invalid_argument] if [v] is no longer on the ring (its owner
-    departed, or it was removed) or the target is dead. *)
+    record the ring holds, a handle (see {!on_ring}), not searched for
+    on the ring, so a caller that holds only an id finds the record
+    with {!vs_of_id} first.  Raises [Invalid_argument] if [v] is no
+    longer on the ring (its owner departed, or it was removed) or the
+    target is dead. *)
 
-val remove_vs : 'a t -> vs_id:Id.t -> unit
-(** Deletes a VS; its region and load are absorbed by the successor —
-    CFS-style shedding (used by the CFS baseline).  The last VS on the
-    ring cannot be removed. *)
+val remove_vs : 'a t -> vs -> unit
+(** [remove_vs t v] deletes the VS [v], a handle like {!transfer_vs}'s;
+    its region and load are absorbed by the successor — CFS-style
+    shedding (used by the CFS baseline) — and [v] is marked off the
+    ring.  Raises [Invalid_argument] if [v] is no longer on the ring,
+    or is the last VS on it. *)
 
 (** {1 Routing and storage} *)
 

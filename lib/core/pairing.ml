@@ -197,7 +197,7 @@ let reverse_ties p =
    that pass makes no assignment, keeps the lights and re-adds the
    sheds in reverse, as the leftover below does: its equal-load runs
    come back reversed, which [reverse_ties] does without the pass. *)
-let pair ?(depth = 0) ~stamp ~l_min p =
+let pair ?(depth = 0) ~l_min p =
   let sn = n_shed p in
   if sn = 0 then ([], p)
   else if p.settled then ([], reverse_ties p)
@@ -268,7 +268,6 @@ let pair ?(depth = 0) ~stamp ~l_min p =
               a_from = s.heavy_node;
               a_to = light_node;
               a_depth = depth;
-              a_stamp = stamp;
             }
           :: !assignments;
         remove_at !i;

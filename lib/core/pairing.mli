@@ -41,18 +41,11 @@ val shed_entries : pool -> Types.shed_vs list
 val light_entries : pool -> Types.light_slot list
 (** In increasing deficit order. *)
 
-val pair :
-  ?depth:int ->
-  stamp:int ->
-  l_min:float ->
-  pool ->
-  Types.assignment list * pool
+val pair : ?depth:int -> l_min:float -> pool -> Types.assignment list * pool
 (** Runs the pairing loop to exhaustion; returns the assignments made
     and the pool of unmatched entries.  [l_min] is the system-wide
     minimum VS load from the LBI phase; [depth] (default 0) stamps the
-    assignments with the rendezvous KT depth, and [stamp] with the
-    ring version at which the pool's shed handles were read
-    ({!Types.assignment}).
+    assignments with the rendezvous KT depth.
 
     The leftover is {e settled} until it is merged with a non-empty
     pool: pairing it again cannot match anything, because every light

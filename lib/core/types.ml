@@ -14,10 +14,9 @@ let lbi_combine a b =
 
 (** A virtual server a heavy node offers to shed:
     [<L_{i,k}, v_{i,k}, ip_addr(i)>] (§3.4).  [vs] is the ring's own
-    record of [v_{i,k}], a handle (see {!Dht.ring_version}): the run
-    that made the record knows the ring version it was made at, and
-    while that version holds, the handle's [owner] is current and no
-    ring search finds the VS again. *)
+    record of [v_{i,k}], a handle (see {!Dht.on_ring}): while the VS
+    is on the ring, its [owner] is current, and no ring search finds
+    it again. *)
 type shed_vs = { vs_load : float; vs : Dht.vs; heavy_node : node_id }
 
 (** A light node's spare capacity: [<ΔL_j, ip_addr(j)>] (§3.4). *)
@@ -31,17 +30,13 @@ type vsa_record = Shed of shed_vs | Light of light_slot
     endpoints for virtual-server transferring.  [a_depth] records the
     KT depth of the rendezvous that made the pair (root = 0, leaves
     deepest) — the deeper, the more identifier-space-local the match.
-    [a_vs] is the shed VS's handle and [a_stamp] the
-    {!Dht.ring_version} at which it was read off the ring: while the
-    ring's version equals [a_stamp], [a_vs] is the VS the ring holds;
-    after that, the VS is found again by [a_vs.vs_id]. *)
+    [a_vs] is the shed VS's handle. *)
 type assignment = {
   a_vs : Dht.vs;
   a_load : float;
   a_from : node_id;
   a_to : node_id;
   a_depth : int;
-  a_stamp : int;
 }
 
 type node_class = Heavy | Light | Neutral

@@ -35,18 +35,11 @@ let default_threshold = 30
 
 (* A record is stale when its reporter died (or a shed VS was absorbed
    or re-owned) between reporting and rendezvous; pairing it would only
-   produce a doomed transfer, so the rendezvous drops it.  [stamp] is
-   the ring version the shed handles were read at: while it holds, the
-   handle is the ring's record; after churn, the VS is searched for. *)
-let record_fresh dht ~stamp = function
-  | Types.Shed { vs; heavy_node; _ } -> (
-    Dht.is_alive dht heavy_node
-    &&
-    if Dht.ring_version dht = stamp then vs.Dht.owner = heavy_node
-    else
-      match Dht.vs_of_id dht vs.Dht.vs_id with
-      | Some v -> v.Dht.owner = heavy_node
-      | None -> false)
+   produce a doomed transfer, so the rendezvous drops it.  A VS off
+   the ring has owner -1, so the owner test covers it too. *)
+let record_fresh dht = function
+  | Types.Shed { vs; heavy_node; _ } ->
+    Dht.is_alive dht heavy_node && vs.Dht.owner = heavy_node
   | Types.Light l -> Dht.is_alive dht l.Types.light_node
 
 let run ?(threshold = default_threshold) ?(epsilon = 0.0) ?faults
@@ -54,9 +47,6 @@ let run ?(threshold = default_threshold) ?(epsilon = 0.0) ?faults
   (* Heal KT nodes orphaned by churn since the last sweep, so record
      injection and the rendezvous sweep run against live hosts. *)
   ignore (Ktree.repair ~route_messages tree dht);
-  (* The ring cannot change inside the run but through [sweep], so one
-     stamp covers every shed handle collected below. *)
-  let stamp = Dht.ring_version dht in
   let send () =
     match faults with
     | None -> Some 1
@@ -175,7 +165,7 @@ let run ?(threshold = default_threshold) ?(epsilon = 0.0) ?faults
     light_n := 0;
     for i = lo to hi - 1 do
       let r = grouped.(i) in
-      if record_fresh dht ~stamp r then
+      if record_fresh dht r then
         match r with
         | Types.Shed s -> push_shed s
         | Types.Light l -> push_light l
@@ -198,7 +188,7 @@ let run ?(threshold = default_threshold) ?(epsilon = 0.0) ?faults
   in
   let pair_here depth pool =
     let made, leftover =
-      Pairing.pair ~depth ~stamp ~l_min:lbi.Types.l_min pool
+      Pairing.pair ~depth ~l_min:lbi.Types.l_min pool
     in
     List.iter notify made;
     leftover

@@ -78,13 +78,8 @@ val run :
     reporters are dropped at the rendezvous instead of producing
     doomed transfers.
 
-    A shed record holds its VS's handle.  The run reads
-    {!Dht.ring_version} once, after the repair: the ring cannot change
-    inside the run except through [sweep].  While the version still
-    reads the same, a leaf's freshness check reads the handle's owner;
-    after a change it finds the VS by id.  Every assignment is stamped
-    with that version ({!Types.assignment}), so VST trusts its handle
-    only if nothing has changed the ring since.
+    A shed record holds its VS's handle, so a leaf's freshness check
+    reads the handle's owner with no ring search ({!Dht.on_ring}).
 
     In [Aware] mode a node's key is one read of the space's
     {!Landmark.keys} table for this run's curve parameters: computed

@@ -162,16 +162,16 @@ let apply ?tree ?obs ?faults ?oracle dht assignments =
     type prepared
     type transferred
 
-    val prepare : Types.assignment -> Dht.vs -> prepared option
+    val prepare : Types.assignment -> prepared option
     val transfer : prepared -> transferred option
     val commit : transferred -> unit
   end = struct
-    type prepared = { a : Types.assignment; v : Dht.vs; hops : int }
+    type prepared = { a : Types.assignment; hops : int }
     type transferred = prepared
 
     (* PREPARE: the heavy owner proposes (vs, seq) to the light node;
        nothing has moved yet, so a drop aborts cleanly. *)
-    let prepare (a : Types.assignment) v =
+    let prepare (a : Types.assignment) =
       let hops =
         match oracle with
         | Some o ->
@@ -181,7 +181,7 @@ let apply ?tree ?obs ?faults ?oracle dht assignments =
         | None -> 0
       in
       incr seq;
-      if send ~src:a.a_from ~dst:a.a_to Prepare_lost then Some { a; v; hops }
+      if send ~src:a.a_from ~dst:a.a_to Prepare_lost then Some { a; hops }
       else None
 
     (* The crash window, then TRANSFER.  A fail-stop between PREPARE
@@ -205,15 +205,16 @@ let apply ?tree ?obs ?faults ?oracle dht assignments =
         let duplicated =
           match faults with None -> false | Some f -> Faults.duplicated f
         in
-        receive_transfer p.v ~dst:p.a.a_to;
-        if duplicated then receive_transfer p.v ~dst:p.a.a_to;
+        receive_transfer p.a.a_vs ~dst:p.a.a_to;
+        if duplicated then receive_transfer p.a.a_vs ~dst:p.a.a_to;
         Some p
       end
 
     (* COMMIT: the light node acknowledges the TRANSFER it installed;
        until the ack lands the heavy owner keeps the right to reclaim,
        so a lost ack rolls the VS back instead of stranding it. *)
-    let commit { a; v; hops } =
+    let commit { a; hops } =
+      let v = a.a_vs in
       if send ~src:a.a_to ~dst:a.a_from Commit_lost then begin
         let load = v.Dht.load in
         Histogram.add hist ~bin:hops ~weight:load;
@@ -239,23 +240,13 @@ let apply ?tree ?obs ?faults ?oracle dht assignments =
       end
       else Dht.transfer_vs dht v ~to_node:a.a_from
   end in
-  (* The skip checks, then the transaction; [v] is the ring's record of
-     the assignment's VS. *)
-  let check_and_apply (a : Types.assignment) v =
-    if v.Dht.owner <> a.a_from then skip Owner_changed
-    else if not (Dht.is_alive dht a.a_to) then skip Dest_dead
-    else Option.iter Txn.commit (Option.bind (Txn.prepare a v) Txn.transfer)
-  in
+  (* The skip checks, then the transaction. *)
   List.iter
     (fun (a : Types.assignment) ->
-      (* Transfers keep the ring's ids, so in a fault-free round every
-         handle is current; a crash moves the version, and the VS is
-         then searched for by its id. *)
-      if a.a_stamp = Dht.ring_version dht then check_and_apply a a.a_vs
-      else
-        match Dht.vs_of_id dht a.a_vs.Dht.vs_id with
-        | None -> skip Vs_gone
-        | Some v -> check_and_apply a v)
+      if not (Dht.on_ring a.a_vs) then skip Vs_gone
+      else if a.a_vs.Dht.owner <> a.a_from then skip Owner_changed
+      else if not (Dht.is_alive dht a.a_to) then skip Dest_dead
+      else Option.iter Txn.commit (Option.bind (Txn.prepare a) Txn.transfer))
     assignments;
   (* Lazy migration: the tree re-checks its planting after the whole
      VSA/VST round (hosts are VS ids, so structure is unchanged; this

@@ -86,12 +86,9 @@ val apply :
   result
 (** Each assignment is checked before its transaction: the VS must
     still be on the ring ([vs_gone]), owned by the pairing's heavy node
-    ([owner_changed]), and the light node alive ([dest_dead]).  While
-    {!Dht.ring_version} equals the assignment's [a_stamp], its handle
-    [a_vs] is the ring's record, so the check reads it and the
-    transfer goes through it, with no ring search.  Once the version
-    has moved (churn since VSA, or a crash earlier in this call), the
-    VS is found by its id, as the ring holds it now.
+    ([owner_changed]), and the light node alive ([dest_dead]).  The
+    check reads the assignment's handle [a_vs] ({!Dht.on_ring}), and
+    the transfer goes through it, with no ring search.
 
     [tree] enables KT-migration message accounting (and is refreshed
     afterwards under the lazy-migration protocol).

@@ -79,7 +79,7 @@ let light_entries p =
     (fun (deficit, _, light_node) -> Types.{ deficit; light_node })
     (Light_set.elements p.lights)
 
-let pair ?(depth = 0) ~stamp ~l_min p =
+let pair ?(depth = 0) ~l_min p =
   let assignments = ref [] in
   let unpaired_shed = ref [] in
   let lights = ref p.lights in
@@ -124,7 +124,6 @@ let pair ?(depth = 0) ~stamp ~l_min p =
               a_from = s.heavy_node;
               a_to = light_node;
               a_depth = depth;
-              a_stamp = stamp;
             }
           :: !assignments;
         let residual = deficit -. load in

@@ -1,8 +1,8 @@
 (* Search-based references for the VS handles of VSA and VST.
 
-   Shed records and assignments carry the ring's own VS record and VSA
-   and VST trust it while the ring version they were stamped at holds.
-   These references never trust a handle: like the code before
+   Shed records and assignments carry the ring's own VS record, and
+   VSA and VST read its owner, which the ring sets to -1 when the VS
+   leaves.  These references never trust a handle: like the code before
    handles, every check finds the VS again by its id with
    [Dht.vs_of_id].  [vsa] is one proximity-ignorant round written from
    the protocol (§3.4) with that freshness test, and [vst_skips]
@@ -42,7 +42,6 @@ let fresh dht : Types.vsa_record -> bool = function
    [sweep] drives the rendezvous, as [Vsa.run]'s hook does. *)
 let vsa ~threshold ~epsilon ?faults ~sweep ~rng ~(lbi : Types.lbi) tree dht =
   ignore (Ktree.repair tree dht);
-  let stamp = Dht.ring_version dht in
   let reports = Ktree.Reports.create tree in
   (* A node hands each record to a random one of its VSs. *)
   let report n (r : Types.vsa_record) =
@@ -68,7 +67,7 @@ let vsa ~threshold ~epsilon ?faults ~sweep ~rng ~(lbi : Types.lbi) tree dht =
   let stale = ref 0 and made = ref [] in
   (* Pair a pool at [depth]; both endpoints must hear of a pairing. *)
   let pair depth pool =
-    let pairs, left = Pairing.pair ~depth ~stamp ~l_min:lbi.l_min pool in
+    let pairs, left = Pairing.pair ~depth ~l_min:lbi.l_min pool in
     List.iter
       (fun a ->
         let to_heavy = delivered faults in

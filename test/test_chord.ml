@@ -132,13 +132,13 @@ let test_transfer_to_dead_fails () =
       Dht.transfer_vs dht v ~to_node:4)
 
 (* A handle whose VS left the ring (its owner departed, or it was
-   removed) is rejected, though the record still names an owner. *)
+   removed) is rejected. *)
 let test_transfer_departed_vs_fails () =
   let dht = build_dht ~seed:8 ~nodes:5 ~vs:2 in
   let gone = List.hd (Dht.node dht 0).Dht.vss in
   let removed = List.hd (Dht.node dht 1).Dht.vss in
   Dht.crash dht 0;
-  Dht.remove_vs dht ~vs_id:removed.Dht.vs_id;
+  Dht.remove_vs dht removed;
   List.iter
     (fun v ->
       Alcotest.check_raises "no such VS"
@@ -146,12 +146,45 @@ let test_transfer_departed_vs_fails () =
           Dht.transfer_vs dht v ~to_node:2))
     [ gone; removed ]
 
+(* [crash], [leave] and [remove_vs] mark exactly the records they take
+   off the ring, and neither handle operation accepts one of them. *)
+let test_departed_vs_off_ring () =
+  let dht = build_dht ~seed:8 ~nodes:6 ~vs:3 in
+  let all = Dht.fold_vs dht ~init:[] ~f:(fun acc v -> v :: acc) in
+  let removed_vs = List.hd (Dht.node dht 2).Dht.vss in
+  let removed =
+    (removed_vs :: (Dht.node dht 0).Dht.vss) @ (Dht.node dht 1).Dht.vss
+  in
+  Dht.crash dht 0;
+  Dht.leave dht 1;
+  Dht.remove_vs dht removed_vs;
+  check Alcotest.int "ring size" 11 (Dht.n_vs dht);
+  List.iter
+    (fun v ->
+      check Alcotest.bool "on_ring = not removed"
+        (not (List.memq v removed))
+        (Dht.on_ring v))
+    all;
+  Dht.fold_vs dht ~init:() ~f:(fun () v ->
+      check Alcotest.bool "every ring record is on the ring" true
+        (Dht.on_ring v));
+  List.iter
+    (fun v ->
+      Alcotest.check_raises "transfer: no such VS"
+        (Invalid_argument "Dht.transfer_vs: no such VS") (fun () ->
+          Dht.transfer_vs dht v ~to_node:3);
+      Alcotest.check_raises "remove: no such VS"
+        (Invalid_argument "Dht.remove_vs: no such VS") (fun () ->
+          Dht.remove_vs dht v))
+    removed;
+  check Alcotest.int "ring untouched by the refusals" 11 (Dht.n_vs dht)
+
 let test_remove_vs_absorbs () =
   let dht = build_dht ~seed:9 ~nodes:5 ~vs:2 in
   Dht.fold_vs dht ~init:() ~f:(fun () v -> Dht.set_vs_load dht v 1.0);
   let before = Dht.total_load dht in
   let v = List.hd (Dht.node dht 2).Dht.vss in
-  Dht.remove_vs dht ~vs_id:v.Dht.vs_id;
+  Dht.remove_vs dht v;
   check Alcotest.int "one fewer vs" 9 (Dht.n_vs dht);
   check Alcotest.bool "load conserved" true
     (abs_float (before -. Dht.total_load dht) < 1e-9)
@@ -382,6 +415,8 @@ let () =
           Alcotest.test_case "transfer_vs" `Quick test_transfer_vs;
           Alcotest.test_case "transfer of a departed VS fails" `Quick
             test_transfer_departed_vs_fails;
+          Alcotest.test_case "a departed VS is off the ring" `Quick
+            test_departed_vs_off_ring;
           Alcotest.test_case "transfer to dead" `Quick
             test_transfer_to_dead_fails;
           Alcotest.test_case "remove_vs absorbs" `Quick test_remove_vs_absorbs;

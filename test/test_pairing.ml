@@ -23,13 +23,13 @@ let light ?(node = 200) deficit : Types.light_slot =
 let test_empty_pool () =
   check Alcotest.bool "empty" true (Pairing.is_empty Pairing.empty);
   check Alcotest.int "size 0" 0 (Pairing.size Pairing.empty);
-  let assignments, leftover = Pairing.pair ~stamp:0 ~l_min:0.1 Pairing.empty in
+  let assignments, leftover = Pairing.pair ~l_min:0.1 Pairing.empty in
   check Alcotest.int "nothing assigned" 0 (List.length assignments);
   check Alcotest.bool "leftover empty" true (Pairing.is_empty leftover)
 
 let test_simple_pair () =
   let pool = Pairing.of_entries [ shed 5.0 ] [ light 7.0 ] in
-  let assignments, leftover = Pairing.pair ~stamp:0 ~l_min:0.1 pool in
+  let assignments, leftover = Pairing.pair ~l_min:0.1 pool in
   (match assignments with
   | [ a ] ->
     check (Alcotest.float 1e-9) "load" 5.0 a.Types.a_load;
@@ -42,7 +42,7 @@ let test_simple_pair () =
 
 let test_residual_dropped_below_lmin () =
   let pool = Pairing.of_entries [ shed 5.0 ] [ light 5.05 ] in
-  let _, leftover = Pairing.pair ~stamp:0 ~l_min:0.1 pool in
+  let _, leftover = Pairing.pair ~l_min:0.1 pool in
   check Alcotest.int "residual below l_min dropped" 0
     (Pairing.n_lights leftover)
 
@@ -55,7 +55,7 @@ let test_heaviest_first_smallest_sufficient () =
       [ shed 5.0; shed 3.0 ]
       [ light ~node:201 5.0; light ~node:202 9.0 ]
   in
-  let assignments, leftover = Pairing.pair ~stamp:0 ~l_min:0.1 pool in
+  let assignments, leftover = Pairing.pair ~l_min:0.1 pool in
   check Alcotest.int "two assignments" 2 (List.length assignments);
   let a1 = List.nth assignments 0 and a2 = List.nth assignments 1 in
   check (Alcotest.float 1e-9) "heaviest first" 5.0 a1.Types.a_load;
@@ -65,7 +65,7 @@ let test_heaviest_first_smallest_sufficient () =
 
 let test_unpairable_shed_left_over () =
   let pool = Pairing.of_entries [ shed 10.0 ] [ light 5.0 ] in
-  let assignments, leftover = Pairing.pair ~stamp:0 ~l_min:0.1 pool in
+  let assignments, leftover = Pairing.pair ~l_min:0.1 pool in
   check Alcotest.int "nothing pairs" 0 (List.length assignments);
   check Alcotest.int "shed kept" 1 (Pairing.n_shed leftover);
   check Alcotest.int "light kept" 1 (Pairing.n_lights leftover)
@@ -73,7 +73,7 @@ let test_unpairable_shed_left_over () =
 let test_smaller_shed_still_pairs_after_big_fails () =
   let pool =
     Pairing.of_entries [ shed 10.0; shed 2.0 ] [ light 5.0 ] in
-  let assignments, leftover = Pairing.pair ~stamp:0 ~l_min:0.1 pool in
+  let assignments, leftover = Pairing.pair ~l_min:0.1 pool in
   check Alcotest.int "small one pairs" 1 (List.length assignments);
   check (Alcotest.float 1e-9) "the 2.0" 2.0
     (List.hd assignments).Types.a_load;
@@ -82,7 +82,7 @@ let test_smaller_shed_still_pairs_after_big_fails () =
 let test_never_pairs_with_own_node () =
   let pool =
     Pairing.of_entries [ shed ~node:7 4.0 ] [ light ~node:7 10.0 ] in
-  let assignments, leftover = Pairing.pair ~stamp:0 ~l_min:0.1 pool in
+  let assignments, leftover = Pairing.pair ~l_min:0.1 pool in
   check Alcotest.int "no self-transfer" 0 (List.length assignments);
   check Alcotest.int "both kept" 2 (Pairing.size leftover)
 
@@ -92,7 +92,7 @@ let test_self_skip_finds_other () =
       [ shed ~node:7 4.0 ]
       [ light ~node:7 5.0; light ~node:8 6.0 ]
   in
-  let assignments, _ = Pairing.pair ~stamp:0 ~l_min:0.1 pool in
+  let assignments, _ = Pairing.pair ~l_min:0.1 pool in
   check Alcotest.int "one assignment" 1 (List.length assignments);
   check Alcotest.int "to the other node" 8 (List.hd assignments).Types.a_to
 
@@ -102,7 +102,7 @@ let test_one_light_absorbs_many () =
       [ shed 3.0; shed ~node:101 2.0; shed ~node:102 1.0 ]
       [ light 10.0 ]
   in
-  let assignments, leftover = Pairing.pair ~stamp:0 ~l_min:0.1 pool in
+  let assignments, leftover = Pairing.pair ~l_min:0.1 pool in
   check Alcotest.int "all three" 3 (List.length assignments);
   check Alcotest.int "no shed left" 0 (Pairing.n_shed leftover);
   (* residual 10-6=4 kept *)
@@ -154,7 +154,7 @@ let prop_assignments_fit =
     ~count:500 pool_arb
     (fun (sheds, lights) ->
       let pool = Pairing.of_entries sheds lights in
-      let assignments, _ = Pairing.pair ~stamp:0 ~l_min:0.05 pool in
+      let assignments, _ = Pairing.pair ~l_min:0.05 pool in
       (* replay: per light node, total assigned <= original deficit *)
       let budget = Hashtbl.create 16 in
       List.iter
@@ -177,7 +177,7 @@ let prop_no_duplicate_vs =
   QCheck.Test.make ~name:"no VS assigned twice" ~count:500 pool_arb
     (fun (sheds, lights) ->
       let pool = Pairing.of_entries sheds lights in
-      let assignments, _ = Pairing.pair ~stamp:0 ~l_min:0.05 pool in
+      let assignments, _ = Pairing.pair ~l_min:0.05 pool in
       let ids = List.map (fun a -> a.Types.a_vs.Dht.vs_id) assignments in
       List.length ids = List.length (List.sort_uniq Int.compare ids))
 
@@ -186,7 +186,7 @@ let prop_conservation =
     pool_arb
     (fun (sheds, lights) ->
       let pool = Pairing.of_entries sheds lights in
-      let assignments, leftover = Pairing.pair ~stamp:0 ~l_min:0.05 pool in
+      let assignments, leftover = Pairing.pair ~l_min:0.05 pool in
       List.length assignments + Pairing.n_shed leftover = List.length sheds)
 
 let prop_no_self_pairs =
@@ -204,7 +204,7 @@ let prop_no_self_pairs =
          return (s, l)))
     (fun (sheds, lights) ->
       let pool = Pairing.of_entries sheds lights in
-      let assignments, _ = Pairing.pair ~stamp:0 ~l_min:0.05 pool in
+      let assignments, _ = Pairing.pair ~l_min:0.05 pool in
       List.for_all (fun a -> a.Types.a_from <> a.Types.a_to) assignments)
 
 let () =

@@ -144,8 +144,6 @@ let test_assignments_reference_real_vss () =
           v.Dht.owner;
         check Alcotest.bool "handle is the ring's record" true
           (v == a.Types.a_vs);
-        check Alcotest.int "stamped at the current ring" (Dht.ring_version dht)
-          a.Types.a_stamp;
         check Alcotest.bool "target alive" true (Dht.is_alive dht a.Types.a_to))
     r.Vsa.assignments
 
