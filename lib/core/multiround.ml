@@ -56,17 +56,18 @@ let run ?(config = Controller.default) ?faults ?obs ?(max_rounds = 10) ?check
   (* A round occupies one unit of simulated time; the fault plan's
      crashes and partition episodes are spread over the whole horizon
      and fire at the phase barriers inside Controller.run (mid-round
-     churn and mid-round cuts).  An armed run is its own timeline: its
-     traced clock restarts at the plan's 0. *)
+     churn and mid-round cuts).  The plan starts at the trace's clock,
+     so the trace's time never runs backwards. *)
   (match faults with
   | Some f when Faults.enabled f ->
     Faults.arm f
+      ~start:
+        (match obs with
+        | Some o -> P2plb_obs.Trace.now (P2plb_obs.Obs.trace o)
+        | None -> 0.0)
       ~horizon:(float_of_int max_rounds)
       ~population:(Dht.n_nodes dht)
-      ~crash:(fun ~rank -> crash_by_rank dht ~rank);
-    Option.iter
-      (fun o -> P2plb_obs.Trace.set_time (P2plb_obs.Obs.trace o) 0.0)
-      obs
+      ~crash:(fun ~rank -> crash_by_rank dht ~rank)
   | _ -> ());
   let counters0 =
     match faults with

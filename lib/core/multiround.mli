@@ -82,8 +82,9 @@ val run :
     behaviour is byte-identical to the fault-free path.  [obs] is
     threaded into every round (see {!Controller.run}); successive
     rounds occupy successive units of simulated time.  An armed run
-    sets the trace's clock to 0 when it arms, before round 0 begins;
-    events past the last round run never fire.
+    arms its plan at the trace's clock (0 without [obs]), so the
+    trace's time never decreases; events past the last round run
+    never fire.
 
     [check] runs after every round (after the round's last barrier has
     fired its fault events); the first [Error] stops the iteration and

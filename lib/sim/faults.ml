@@ -254,7 +254,7 @@ let crash_in_window t =
    [partitions = 0] consume exactly the crash stream).  Equal times
    fire arm-time events in draw order, then heals in the order their
    partitions fire: both sorts are stable. *)
-let arm t ~horizon ~population ~crash =
+let arm t ~start ~horizon ~population ~crash =
   if horizon <= 0.0 then invalid_arg "Faults.arm: horizon <= 0";
   if population < 0 then invalid_arg "Faults.arm: population < 0";
   let n_crashes =
@@ -262,12 +262,12 @@ let arm t ~horizon ~population ~crash =
   in
   let crashes =
     Array.init n_crashes (fun _ ->
-        let at = Prng.float t.plan_rng horizon in
+        let at = start +. Prng.float t.plan_rng horizon in
         (at, Crash (Prng.unit_float t.plan_rng)))
   in
   let partitions =
     Array.init t.config.partitions (fun i ->
-        let at = Prng.float t.plan_rng horizon in
+        let at = start +. Prng.float t.plan_rng horizon in
         (at, { epoch = i + 1; groups = t.config.partition_groups }))
   in
   let by_time (a, _) (b, _) = Float.compare a b in
@@ -286,7 +286,7 @@ let arm t ~horizon ~population ~crash =
   Array.stable_sort by_time schedule;
   t.schedule <- schedule;
   t.next <- 0;
-  t.clock <- Some 0.0;
+  t.clock <- Some start;
   t.crash <- crash
 
 let clock t = t.clock

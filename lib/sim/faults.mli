@@ -141,19 +141,21 @@ val crash_in_window : t -> window_crash
 
 val arm :
   t ->
+  start:float ->
   horizon:float ->
   population:int ->
   crash:(rank:float -> unit) ->
   unit
 (** Draws [round (crash_fraction * population)] crash events at
-    plan-deterministic times uniform over [\[0, horizon)] and starts the
-    plan's clock at 0.  Each fires [crash ~rank] with [rank] uniform in
-    [\[0, 1)]: the victim is the rank-th of whatever nodes are alive at
-    fire time, keeping the schedule meaningful as the population
-    shrinks.
+    plan-deterministic times uniform over [\[start, start + horizon)]
+    and starts the plan's clock at [start], so a plan armed on a trace
+    whose clock is past 0 keeps it running forwards.  Each fires
+    [crash ~rank] with [rank] uniform in [\[0, 1)]: the victim is the
+    rank-th of whatever nodes are alive at fire time, keeping the
+    schedule meaningful as the population shrinks.
 
     Also draws [partitions] partition episodes, each starting at a
-    plan-deterministic time uniform over the horizon and healing
+    plan-deterministic time uniform over the same span and healing
     exactly [partition_duration] later; while active, {!cut} and
     {!send_between} drop cross-group traffic.  Partition draws happen
     after all crash draws, so plans with [partitions = 0] consume
@@ -165,8 +167,9 @@ val arm :
     clock; partitions already active stay active. *)
 
 val clock : t -> float option
-(** The armed plan's simulated time: [None] before {!arm}, then 0, the
-    time of the event being fired, or the last {!fire_until} time. *)
+(** The armed plan's simulated time: [None] before {!arm}, then its
+    [start], the time of the event being fired, or the last
+    {!fire_until} time. *)
 
 val fire_until : t -> time:float -> int
 (** Fires, in schedule order, every unfired event at or before [time]

@@ -16,8 +16,8 @@ let test_replay_determinism () =
     (Faults.retries b);
   let schedule f =
     let log = ref [] in
-    Faults.arm f ~horizon:10.0 ~population:100 ~crash:(fun ~rank ->
-        log := (Option.get (Faults.clock f), rank) :: !log);
+    Faults.arm f ~start:0.0 ~horizon:10.0 ~population:100
+      ~crash:(fun ~rank -> log := (Option.get (Faults.clock f), rank) :: !log);
     ignore (Faults.fire_until f ~time:infinity);
     List.rev !log
   in

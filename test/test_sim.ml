@@ -59,13 +59,13 @@ let fired obs =
     (Trace.events (Obs.trace obs))
 
 let arm f ~horizon =
-  Faults.arm f ~horizon ~population ~crash:(fun ~rank:_ -> ())
+  Faults.arm f ~start:0.0 ~horizon ~population ~crash:(fun ~rank:_ -> ())
 
 (* The plan's draws, replayed from its plan stream ([Faults.create]
    splits the loss stream, then the plan stream, off the seed): each
-   crash's time and rank, then each partition's time. *)
+   crash's time and rank, then each partition's time, from [start]. *)
 let draws ?(seed = seed) ?(n_crashes = 10) ?(partitions = 3) ?(skip = 0)
-    ~horizon () =
+    ?(start = 0.0) ~horizon () =
   let master = Prng.create ~seed in
   ignore (Prng.split master : Prng.t);
   let rng = Prng.split master in
@@ -75,13 +75,13 @@ let draws ?(seed = seed) ?(n_crashes = 10) ?(partitions = 3) ?(skip = 0)
   let crashes =
     Array.to_list
       (Array.init n_crashes (fun _ ->
-           let at = Prng.float rng horizon in
+           let at = start +. Prng.float rng horizon in
            (at, Crash (Prng.unit_float rng))))
   in
   let partitions =
     Array.to_list
       (Array.init partitions (fun i ->
-           (Prng.float rng horizon, Partition (i + 1))))
+           (start +. Prng.float rng horizon, Partition (i + 1))))
   in
   crashes @ partitions
 
@@ -130,7 +130,7 @@ let test_clock_advances () =
   ignore (Faults.fire_until f ~time:0.2);
   check clock "at the barrier" (Some 0.2) (Faults.clock f);
   let seen = ref [] in
-  Faults.arm f ~horizon ~population ~crash:(fun ~rank:_ ->
+  Faults.arm f ~start:0.0 ~horizon ~population ~crash:(fun ~rank:_ ->
       seen := Option.get (Faults.clock f) :: !seen);
   ignore (Faults.fire_until f ~time:horizon);
   check Alcotest.bool "crashes fired" true (!seen <> []);
@@ -247,12 +247,15 @@ let test_past_last_round () =
 let test_rearm () =
   let f, obs = plan ~duration in
   let first = ref 0 in
-  Faults.arm f ~horizon:10.0 ~population ~crash:(fun ~rank:_ -> incr first);
+  Faults.arm f ~start:0.0 ~horizon:10.0 ~population ~crash:(fun ~rank:_ ->
+      incr first);
   ignore (Faults.fire_until f ~time:2.0);
   let first_fired = !first and n_before = List.length (fired obs) in
   let second = ref 0 in
-  Faults.arm f ~horizon ~population ~crash:(fun ~rank:_ -> incr second);
-  check Alcotest.(option (float 0.0)) "clock restarts" (Some 0.0)
+  (* armed at the clock's time: the new schedule starts there *)
+  Faults.arm f ~start:2.0 ~horizon ~population ~crash:(fun ~rank:_ ->
+      incr second);
+  check Alcotest.(option (float 0.0)) "clock restarts at start" (Some 2.0)
     (Faults.clock f);
   ignore (Faults.fire_until f ~time:infinity);
   check Alcotest.int "old callback never called again" first_fired !first;
@@ -260,7 +263,7 @@ let test_rearm () =
   (* the second arm draws on from where the first one stopped *)
   let skip = (2 * 10) + 3 in
   check fired_list "only the new schedule fires"
-    (model ~duration (draws ~skip ~horizon ()))
+    (model ~duration (draws ~skip ~start:2.0 ~horizon ()))
     (List.filteri (fun i _ -> i >= n_before) (fired obs))
 
 let test_replay () =
