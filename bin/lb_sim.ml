@@ -377,7 +377,11 @@ let trace_analyze =
       value & opt (some string) None & info [ "phase" ] ~docv:"NAME" ~doc)
   in
   let round_arg =
-    let doc = "Keep only balancing round $(docv)." in
+    let doc =
+      "Keep only balancing round $(docv), the round whose simulated start \
+       time, rounded down, is $(docv).  On a trace of several runs \
+       laid end to end, rounds are numbered across all of them."
+    in
     Arg.(value & opt (some int) None & info [ "round" ] ~docv:"R" ~doc)
   in
   let json_arg =

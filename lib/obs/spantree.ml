@@ -203,23 +203,17 @@ let critical_path root =
   in
   go root []
 
-(* Round grouping: a root span named "round" carries its index as the
-   "index" attr; any other root (the bare phase spans of a single
-   controller round run outside {!Multiround}) is attributed to the
-   round containing its start time — phases occupy one unit of
-   simulated time per round, so [int_of_float t0] is the round index. *)
-let round_of_root n =
-  match List.assoc_opt "index" n.nd_attrs with
-  | Some (Trace.Int i) when String.equal n.nd_name "round" -> i
-  | _ -> int_of_float n.nd_t0
-
 type round = { r_index : int; r_roots : node list }
 
+(* Every root — a ["round"] span or the bare phase spans of a
+   controller round run alone — goes to the round containing its start
+   time: a round occupies one unit of simulated time, and runs laid end
+   to end on one trace never share one. *)
 let rounds forest =
   let tbl = ref [] in
   List.iter
     (fun n ->
-      let i = round_of_root n in
+      let i = int_of_float n.nd_t0 in
       match List.assoc_opt i !tbl with
       | Some acc -> acc := n :: !acc
       | None -> tbl := (i, ref [ n ]) :: !tbl)

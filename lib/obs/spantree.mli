@@ -66,12 +66,13 @@ val critical_path : node -> node list
 type round = { r_index : int; r_roots : node list }
 
 val rounds : node list -> round list
-(** Roots grouped into balancing rounds, sorted by index.  A root span
-    named ["round"] is placed by its ["index"] attr; any other root
-    (the bare phase spans of a single controller round) by
-    [int_of_float t0],
-    which matches the controller's one-unit-of-simulated-time-per-round
-    layout. *)
+(** Roots grouped into balancing rounds, sorted by index: every root
+    (a ["round"] span, or the bare phase spans of a single controller
+    round) by [int_of_float t0], the unit of simulated time it starts
+    in, which matches the controller's one-unit-per-round layout.  So
+    on a trace with several runs laid end to end, each round of each
+    run has its own index; a ["round"] span's run-local ["index"] attr
+    is not read. *)
 
 val round_extent : round -> float
 

@@ -242,7 +242,8 @@ let test_spantree_forest () =
         (Printf.sprintf "critical path has %d nodes" (List.length p)));
     (match Spantree.rounds roots with
     | [ r ] ->
-      check Alcotest.int "round index from the attr" 0 r.Spantree.r_index;
+      check Alcotest.int "round index from its start time" 0
+        r.Spantree.r_index;
       check feq9 "round extent via grouping" 1.0 (Spantree.round_extent r)
     | rs -> Alcotest.fail (Printf.sprintf "%d rounds" (List.length rs)));
     let rows = Spantree.phase_rows roots in
@@ -550,6 +551,29 @@ let test_spantree_totals_fold_attrs () =
     (str_contains out "heavy=4 light=4 neutral=2");
   check Alcotest.bool "no summed index" false (str_contains out "index=")
 
+(* Two Multiround runs laid end to end on one bundle: both number their
+   rounds from 0 in the ["index"] attr, yet each round of each run gets
+   its own row, in trace order. *)
+let test_spantree_runs_end_to_end () =
+  let obs = Obs.create () in
+  let run seed =
+    let config = { P2plb.Scenario.default with P2plb.Scenario.n_nodes = 128 } in
+    List.length
+      (P2plb.Multiround.run ~obs ~max_rounds:3
+         (P2plb.Scenario.build ~seed config))
+        .P2plb.Multiround.rounds
+  in
+  let n = run 3 + run 4 in
+  let rs = Spantree.rounds (read (Trace.events (Obs.trace obs))).roots in
+  check Alcotest.(list int) "one row per round of either run"
+    (List.init n Fun.id)
+    (List.map (fun r -> r.Spantree.r_index) rs);
+  List.iter
+    (fun r ->
+      check Alcotest.(list string) "one round span per row" [ "round" ]
+        (List.map (fun n -> n.Spantree.nd_name) r.Spantree.r_roots))
+    rs
+
 let test_spantree_jsonl_points_and_hops () =
   let out = Spantree.to_jsonl (read (three_round_trace ())) in
   List.iter
@@ -730,6 +754,8 @@ let () =
             test_spantree_render_mentions_everything;
           Alcotest.test_case "totals drop index, max depth"
             `Quick test_spantree_totals_fold_attrs;
+          Alcotest.test_case "runs laid end to end: one row per round"
+            `Quick test_spantree_runs_end_to_end;
           Alcotest.test_case "jsonl point and hops lines" `Quick
             test_spantree_jsonl_points_and_hops;
           Alcotest.test_case "jsonl names escaped" `Quick
