@@ -140,6 +140,18 @@ let sinked f sinks =
   in
   if status <> 0 then exit status
 
+(* A size the topology cannot hold is a usage error too, though only
+   a drawn topology knows its stub-vertex count: [f]'s build reports
+   it, and the command prints one line and exits 124. *)
+let fits_topology name f =
+  match f () with
+  | status -> status
+  | exception P2plb.Scenario.Too_few_stubs { stubs; n_nodes } ->
+    Printf.eprintf
+      "lb_sim %s: --nodes %d is more than the topology's %d stub vertices\n"
+      name n_nodes stubs;
+    Cmd.Exit.cli_error
+
 (* ---- the registry's subcommands ----------------------------------------- *)
 
 (* The flags of an entry are exactly its size knobs: --nodes, --graphs
@@ -183,6 +195,7 @@ let entry_cmd (e : E.entry) =
   let run params pool csv sinks =
     sinked
       (fun obs ->
+        fits_topology e.E.name @@ fun () ->
         let r = e.E.run ~pool ?obs params in
         print_string r.E.text;
         Option.iter
@@ -208,6 +221,7 @@ let all =
     let p = { E.defaults with p_seed; p_graphs; p_nodes } in
     sinked
       (fun obs ->
+        fits_topology "all" @@ fun () ->
         List.iteri
           (fun i e ->
             if i > 0 then print_newline ();
@@ -229,6 +243,7 @@ let verify =
   let run seed n_nodes sinks =
     sinked
       (fun obs ->
+        fits_topology "verify" @@ fun () ->
         let module Scenario = P2plb.Scenario in
         let module Ktree = P2plb_ktree.Ktree in
         let module Dht = P2plb_chord.Dht in
@@ -283,6 +298,7 @@ let chaos =
   let run base_seed seeds n_nodes max_rounds replay pool sinks =
     sinked
       (fun obs ->
+        fits_topology "chaos" @@ fun () ->
         match replay with
         | Some seed ->
           print_string (Chaos.replay ?obs ~n_nodes ~max_rounds ~seed ());

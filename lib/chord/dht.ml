@@ -48,6 +48,25 @@ type 'a t = {
   mutable n_alive : int;
   (* Bumped whenever the set of ring ids changes (insert/delete). *)
   mutable ring_version : int;
+  (* The puts staged for the next [publish], in put order: put [r]'s
+     entry is [fi lsl 31 lor (next + 1)], with [fi] its source's ring
+     index and [next] the group's previous put, or -1.  [st_version]
+     is the ring version the batch was staged at. *)
+  mutable st_src : int array;
+  mutable st_n : int;
+  mutable st_version : int;
+  (* The batch's groups, one per key predecessor, stamped [st_base],
+     [st_base + 1], ... in first-seen order: each group's last put and
+     its predecessor's ring index. *)
+  mutable st_base : int;
+  mutable g_last : int array;
+  mutable g_pred : int array;
+  (* By ring index, [stamp lsl 6 lor hops]: the hop count towards the
+     predecessor of the group stamped [stamp].  While a batch is
+     staged, a predecessor's entry holds its own group's stamp.  Each
+     group takes a new stamp, so the memo is never cleared. *)
+  mutable memo : int array;
+  mutable stamp : int;
 }
 
 let create ~seed =
@@ -67,6 +86,14 @@ let create ~seed =
     live_dead = 0;
     n_alive = 0;
     ring_version = 0;
+    st_src = [||];
+    st_n = 0;
+    st_version = 0;
+    st_base = 0;
+    g_last = [||];
+    g_pred = [||];
+    memo = [||];
+    stamp = 0;
   }
 
 let node t id =
@@ -437,46 +464,56 @@ let top_bit d =
   let d = d lor (d lsr 16) in
   d - (d lsr 1)
 
-(* Greedy Chord routing on the ring, tracking the current hop by its
-   index [ci].  Let [pi] be the index of p, the last id strictly before
-   [key]; its successor owns the key, so routing ends with the hop
-   from p.  Otherwise Chord's closest preceding finger — the
-   largest successor(cur + 2^k) strictly inside (cur, key) — is the
-   finger of the largest k with 2^k <= dist_cw(cur, p): every smaller
-   target lies in (cur, p], so its successor does too, and every larger
-   one lies past p, where no id precedes the key.  So each hop is one
-   search, over the indices (ci, pi] alone: below 2^32 when the target
-   did not wrap, from 0 when it did.  The bucket index finds the first
-   id >= target anywhere on the ring, and clamping it to the hop's
-   range gives that range's search: the ids are sorted, and the first
-   id >= target lies past ci because ids.(ci) = cur < target. *)
-let lookup t ~from ~key =
-  let n = t.ring_n in
-  if n = 0 then invalid_arg "Dht.lookup: empty ring";
-  let ids = t.ring_ids in
+(* The ring index of the source VS [from], for the function [fn]. *)
+let lookup_source t fn ~from =
+  if t.ring_n = 0 then invalid_arg (fn ^ ": empty ring");
   let fi = indexed_lower_bound t from in
-  if fi = n || ids.(fi) <> from then
-    invalid_arg "Dht.lookup: unknown source VS";
+  if fi = t.ring_n || t.ring_ids.(fi) <> from then
+    invalid_arg (fn ^ ": unknown source VS");
+  fi
+
+(* The owner's ring index for a key whose predecessor is at [pi]. *)
+let owner_idx t pi = if pi = t.ring_n - 1 then 0 else pi + 1
+
+(* The next hop from ring index [ci] <> [pi] towards the owner of a
+   key whose predecessor p is at [pi]: greedy Chord routing on the
+   ring, tracking the current hop by its index.  p is the last id
+   strictly before the key; its successor owns the key, so routing
+   ends with the hop from p.  Before that, Chord's closest preceding
+   finger — the largest successor(cur + 2^k) strictly inside
+   (cur, key) — is the finger of the largest k with
+   2^k <= dist_cw(cur, p): every smaller target lies in (cur, p], so
+   its successor does too, and every larger one lies past p, where no
+   id precedes the key.  So each hop is one search, over the indices
+   (ci, pi] alone: below 2^32 when the target did not wrap, from 0
+   when it did.  The bucket index finds the first id >= target
+   anywhere on the ring, and clamping it to the hop's range gives that
+   range's search: the ids are sorted, and the first id >= target lies
+   past ci because ids.(ci) = cur < target. *)
+let next_hop t ~pi ci =
+  let ids = t.ring_ids and n = t.ring_n in
+  let cur = ids.(ci) in
+  let target = Id.add cur (top_bit (Id.distance_cw cur ids.(pi))) in
+  let i = indexed_lower_bound t target in
+  if target < cur then Int.min i (pi + 1)
+  else
+    let i = Int.min i (if pi > ci then pi + 1 else n) in
+    if i = n then 0 else i
+
+let lookup t ~from ~key =
+  let fi = lookup_source t "Dht.lookup" ~from in
   t.lookup_count <- t.lookup_count + 1;
   let pi = predecessor_strict_idx t key in
-  let oi = if pi = n - 1 then 0 else pi + 1 in
+  let oi = owner_idx t pi in
   if oi = fi then (t.ring_vss.(fi), 0)
   else begin
-    let p = ids.(pi) in
     let ci = ref fi and hops = ref 1 in
     while !ci <> pi do
-      let cur = ids.(!ci) in
-      let target = Id.add cur (top_bit (Id.distance_cw cur p)) in
-      let i = indexed_lower_bound t target in
-      (ci :=
-         if target < cur then Int.min i (pi + 1)
-         else
-           let i = Int.min i (if pi > !ci then pi + 1 else n) in
-           if i = n then 0 else i);
+      ci := next_hop t ~pi !ci;
       incr hops;
       (* Every hop moves clockwise without passing p, so the hops
          visit distinct VSs. *)
-      assert (!hops <= n)
+      assert (!hops <= t.ring_n)
     done;
     t.hop_count <- t.hop_count + !hops;
     (t.ring_vss.(oi), !hops)
@@ -484,10 +521,92 @@ let lookup t ~from ~key =
 
 let stored t key = Option.value (Itbl.find_opt t.items key) ~default:[]
 
-let put t ~from ~key payload =
-  let _, hops = lookup t ~from ~key in
+(* The first put of a batch fixes its ring version and stamps; each put
+   finds its source and key predecessor, joins its predecessor's group
+   (a new group takes the next stamp) and is stored at once, so the
+   store takes the puts in put order.  Ring indices and batch positions
+   each fit the entry's 31 bits ([join_all] caps a ring below 2^30
+   VSs). *)
+let stage t ~from ~key payload =
+  let fi = lookup_source t "Dht.stage" ~from in
+  let r = t.st_n in
+  if r > 0 && t.ring_version <> t.st_version then
+    invalid_arg "Dht.stage: the ring changed since the batch's first put";
+  if r = 0 then begin
+    if Array.length t.memo < t.ring_n then
+      t.memo <- Array.make (Int.max t.ring_n (2 * Array.length t.memo)) 0;
+    t.st_version <- t.ring_version;
+    t.st_base <- t.stamp + 1
+  end;
+  let pi = predecessor_strict_idx t key in
+  let s = t.memo.(pi) lsr 6 in
+  let g =
+    if s >= t.st_base then s - t.st_base
+    else begin
+      t.stamp <- t.stamp + 1;
+      let g = t.stamp - t.st_base in
+      t.g_last <- reserve t.g_last g 0;
+      t.g_pred <- reserve t.g_pred g 0;
+      t.memo.(pi) <- (t.stamp lsl 6) lor 1;
+      t.g_last.(g) <- -1;
+      t.g_pred.(g) <- pi;
+      g
+    end
+  in
+  t.st_src <- reserve t.st_src r 0;
+  t.st_src.(r) <- (fi lsl 31) lor (t.g_last.(g) + 1);
+  t.g_last.(g) <- r;
   Itbl.replace t.items key (payload :: stored t key);
-  hops
+  t.st_n <- r + 1
+
+(* Hops from ring index [ci] towards the predecessor at [pi], through
+   the memo stamped [s]: greedy routing towards a fixed predecessor is
+   a tree, hops(ci) = 1 + hops(next ci), so a walk stops at the first
+   index this group has already routed from.  Each hop at least halves
+   the distance to the predecessor, so a walk is at most 33 hops, and
+   the hop count fits the memo's 6 bits. *)
+let rec memo_hops t ~pi s ci =
+  let e = t.memo.(ci) in
+  if e lsr 6 = s then e land 63
+  else if ci = pi then 1
+  else begin
+    let h = 1 + memo_hops t ~pi s (next_hop t ~pi ci) in
+    t.memo.(ci) <- (s lsl 6) lor h;
+    h
+  end
+
+(* Each group routes its puts through the memo under its own stamp. *)
+let publish ?hops t =
+  let m = t.st_n in
+  t.st_n <- 0;
+  if m = 0 then 0
+  else begin
+    if t.ring_version <> t.st_version then
+      invalid_arg "Dht.publish: the ring changed since the batch's first put";
+    let total = ref 0 in
+    for g = 0 to t.stamp - t.st_base do
+      let pi = t.g_pred.(g) in
+      let oi = owner_idx t pi in
+      let r = ref t.g_last.(g) in
+      while !r >= 0 do
+        let e = t.st_src.(!r) in
+        let fi = e lsr 31 in
+        let h =
+          if fi = oi then 0 else memo_hops t ~pi (t.st_base + g) fi
+        in
+        total := !total + h;
+        (match hops with Some a -> a.(!r) <- h | None -> ());
+        r := (e land 0x7fffffff) - 1
+      done
+    done;
+    t.lookup_count <- t.lookup_count + m;
+    t.hop_count <- t.hop_count + !total;
+    !total
+  end
+
+let put t ~from ~key payload =
+  stage t ~from ~key payload;
+  publish t
 
 let get t ~from ~key =
   let _, hops = lookup t ~from ~key in

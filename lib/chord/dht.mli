@@ -24,9 +24,9 @@ module Prng = P2plb_prng.Prng
     with one radix sort by {!join_all}, and a departing node's VSs all
     leave in one O(#VS) pass.
 
-    {b Searches.}  The routing and storage reads — {!lookup} (its
-    source, the key's predecessor and every hop), {!owner_of_key} and
-    {!drain_items} — go through a bucket index over the top [b] id
+    {b Searches.}  The routing and storage reads — {!lookup} and
+    {!publish} (the source, the key's predecessor and every hop),
+    {!owner_of_key} and {!drain_items} — go through a bucket index over the top [b] id
     bits ({!Ring_index}), the largest [b] with [2{^b} <= n_vs]: one
     table read and a search over about one id, since VS ids are
     hashes.  The index is rebuilt, in O(#VS), by the first of those
@@ -36,11 +36,11 @@ module Prng = P2plb_prng.Prng
     searches, O(log #VS), so that {!join}, which checks each new VS id
     with [vs_of_id], never rebuilds the index.
 
-    {b Storage.}  {!put} stores payloads in a hash table keyed by id,
-    newest first under each key: O(1) per record besides its lookup.
-    A VSA round puts thousands of records on a few hundred keys, so
-    the order the simulator needs — ring order — is made once per
-    {!drain_items}, by sorting the keys. *)
+    {b Storage.}  {!stage} (and {!put}) stores payloads in a hash
+    table keyed by id, newest first under each key: O(1) per record
+    besides its routing.  A VSA round puts thousands of records on a
+    few hundred keys, so the order the simulator needs — ring order —
+    is made once per {!drain_items}, by sorting the keys. *)
 
 type node_id = int
 
@@ -225,9 +225,38 @@ val lookup : 'a t -> from:Id.t -> key:Id.t -> vs * int
     O(hops) once the index is current.  Raises [Invalid_argument] on
     an empty ring or when [from] is not a VS id. *)
 
+val stage : 'a t -> from:Id.t -> key:Id.t -> 'a -> unit
+(** [stage t ~from ~key payload] stores [payload] under [key], beside
+    any stored there before, and queues its routing from the VS [from]
+    for the next {!publish}: {!get} and {!drain_items} see it at once,
+    and the store holds a batch's payloads in put order.  Raises
+    [Invalid_argument], storing nothing, on an empty ring, when [from]
+    is not a VS id, or when the ring changed since the batch's first
+    stage. *)
+
+val publish : ?hops:int array -> 'a t -> int
+(** Routes every put staged since the last publish as one batch, and
+    returns the overlay hops used: the same hops and counters as a
+    {!lookup} of each, in put order.  [hops.(i)], when given, receives
+    the batch's [i]-th put's hop count.  Raises [Invalid_argument],
+    counting nothing, when the ring changed since the batch's first
+    stage; the batch is dropped either way.
+
+    Staging groups the puts by the ring index of the key's
+    predecessor, in first-seen order, with no sort: a group stamp on
+    the predecessor's ring position, and a chain through the group's
+    puts.  Greedy routing towards a fixed predecessor is a tree,
+    hops(i) = 1 + hops(next(i)), so each group routes through a memo
+    over ring positions, stamped per group: a walk stops at the first
+    position its group has already routed from.  Each hop is
+    {!lookup}'s own step.  The memo and the chains are arrays on [t],
+    grown to the ring's size and the batch's and reused by every later
+    batch; a new stamp per group leaves nothing to clear. *)
+
 val put : 'a t -> from:Id.t -> key:Id.t -> 'a -> int
 (** Stores a payload under a key, beside any stored there before;
-    returns the overlay hops used. *)
+    returns the overlay hops used.  A {!stage} then a {!publish}: it
+    also routes any puts staged before it. *)
 
 val get : 'a t -> from:Id.t -> key:Id.t -> 'a list * int
 (** The payloads stored under a key, newest first, and the overlay

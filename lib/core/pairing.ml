@@ -3,7 +3,11 @@
    Sheds are kept sorted by load descending and light slots by deficit
    ascending; equal keys stay in insertion order, so array position is
    the tie-break the original Set.Make pools drew from a per-pool
-   sequence number.  Every observable order (iteration heaviest-first,
+   sequence number.  A pool is built by one stable merge sort of its
+   keys, unboxed in a floatarray, that carries an index permutation
+   along: stability gives the insertion-index tie-break, so keys are
+   the only comparison.  [pair]'s leftover needs no sort at all (see
+   there).  Every observable order (iteration heaviest-first,
    smallest-sufficient-deficit probing, merges, leftover re-adds)
    reproduces the Set semantics exactly — test/pairing_reference.ml
    retains a port of the original implementation and test_prop checks
@@ -35,64 +39,80 @@ let n_lights p = Array.length p.l_node
 let size p = n_shed p + n_lights p
 let is_empty p = n_shed p = 0 && n_lights p = 0
 
-(* Sort a fresh index permutation of [0, n) with [cmp], used to order
-   entries by (key, insertion index) — a total order, so Array.sort
-   suffices. *)
-let sorted_perm n cmp =
-  let perm = Array.init n (fun i -> i) in
-  Array.sort cmp perm;
-  perm
+(* Sort [k] stably, ascending when [sign] is 1 and descending when it
+   is -1, moving [v] alongside: insertion sort up to [cutoff] entries,
+   otherwise two sorted halves merged through the scratch [tk]/[tv],
+   which hold the left half.  Keys compare by [Float.compare] alone;
+   stability keeps equal keys in insertion order, which is the
+   (key, insertion index) order the pools are defined by. *)
+let cutoff = 8
 
-(* Build the shed side from [n] entries in insertion order. *)
-let build_sheds n ~load ~entry =
-  if n = 0 then (Float.Array.create 0, [||])
+let rec sort_run sign k (v : int array) tk (tv : int array) lo hi =
+  if hi - lo <= cutoff then
+    for i = lo + 1 to hi - 1 do
+      let x = Float.Array.get k i and y = v.(i) in
+      let j = ref (i - 1) in
+      while !j >= lo && sign * Float.compare (Float.Array.get k !j) x > 0 do
+        Float.Array.set k (!j + 1) (Float.Array.get k !j);
+        v.(!j + 1) <- v.(!j);
+        decr j
+      done;
+      Float.Array.set k (!j + 1) x;
+      v.(!j + 1) <- y
+    done
   else begin
-    let perm =
-      sorted_perm n (fun i j ->
-          match Float.compare (load j) (load i) with
-          | 0 -> Int.compare i j
-          | c -> c)
-    in
-    let s_load = Float.Array.create n in
-    let s_rec = Array.make n (entry perm.(0)) in
-    for k = 0 to n - 1 do
-      let i = perm.(k) in
-      Float.Array.set s_load k (load i);
-      s_rec.(k) <- entry i
-    done;
-    (s_load, s_rec)
+    let mid = (lo + hi) lsr 1 in
+    sort_run sign k v tk tv lo mid;
+    sort_run sign k v tk tv mid hi;
+    (* Halves already in order need no merge. *)
+    if
+      sign * Float.compare (Float.Array.get k (mid - 1)) (Float.Array.get k mid)
+      > 0
+    then begin
+      let nl = mid - lo in
+      Float.Array.blit k lo tk 0 nl;
+      Array.blit v lo tv 0 nl;
+      (* Take from the left half unless the right key sorts strictly
+         first; the right half's tail is already in place. *)
+      let i = ref 0 and j = ref mid and o = ref lo in
+      while !i < nl do
+        if
+          !j < hi
+          && sign * Float.compare (Float.Array.get tk !i) (Float.Array.get k !j)
+             > 0
+        then begin
+          Float.Array.set k !o (Float.Array.get k !j);
+          v.(!o) <- v.(!j);
+          incr j
+        end
+        else begin
+          Float.Array.set k !o (Float.Array.get tk !i);
+          v.(!o) <- tv.(!i);
+          incr i
+        end;
+        incr o
+      done
+    end
   end
 
-let build_lights n ~deficit ~node =
-  if n = 0 then (Float.Array.create 0, [||])
-  else begin
-    let perm =
-      sorted_perm n (fun i j ->
-          match Float.compare (deficit i) (deficit j) with
-          | 0 -> Int.compare i j
-          | c -> c)
-    in
-    let l_def = Float.Array.create n in
-    let l_node = Array.make n 0 in
-    for k = 0 to n - 1 do
-      let i = perm.(k) in
-      Float.Array.set l_def k (deficit i);
-      l_node.(k) <- node i
-    done;
-    (l_def, l_node)
-  end
+(* The keys [key 0 .. key (n - 1)] in sorted order (see [sort_run]),
+   and the insertion index of each. *)
+let sorted_perm sign n key =
+  let k = Float.Array.init n key and v = Array.init n (fun i -> i) in
+  let half = if n > cutoff then n / 2 else 0 in
+  sort_run sign k v (Float.Array.create half) (Array.make half 0) 0 n;
+  (k, v)
 
+(* Sheds by load descending, lights by deficit ascending. *)
 let of_slices sheds ns lights nl =
-  let s_load, s_rec =
-    build_sheds ns
-      ~load:(fun i -> sheds.(i).Types.vs_load)
-      ~entry:(fun i -> sheds.(i))
+  let s_load, s_perm =
+    sorted_perm (-1) ns (fun i -> sheds.(i).Types.vs_load)
   in
-  let l_def, l_node =
-    build_lights nl
-      ~deficit:(fun i -> lights.(i).Types.deficit)
-      ~node:(fun i -> lights.(i).Types.light_node)
-  in
+  let l_def, l_node = sorted_perm 1 nl (fun i -> lights.(i).Types.deficit) in
+  for k = 0 to nl - 1 do
+    l_node.(k) <- lights.(l_node.(k)).Types.light_node
+  done;
+  let s_rec = Array.map (fun i -> sheds.(i)) s_perm in
   { s_load; s_rec; l_def; l_node; settled = false }
 
 let of_entries sheds lights =
@@ -166,10 +186,9 @@ let light_entries p =
       Types.
         { deficit = Float.Array.get p.l_def i; light_node = p.l_node.(i) })
 
-(* [p] with each run of equal-load sheds reversed. *)
-let reverse_ties p =
-  let n = n_shed p in
-  let s_load = Float.Array.copy p.s_load and s_rec = Array.copy p.s_rec in
+(* Reverse, in place, each run of equal loads in the first [n] sheds
+   of [s_load] and [s_rec]. *)
+let reverse_ties_in s_load s_rec n =
   let i = ref 0 in
   while !i < n do
     let l = Float.Array.get s_load !i in
@@ -186,7 +205,12 @@ let reverse_ties p =
       s_rec.(y) <- rx
     done;
     i := !j
-  done;
+  done
+
+(* [p] with each run of equal-load sheds reversed. *)
+let reverse_ties p =
+  let s_load = Float.Array.copy p.s_load and s_rec = Array.copy p.s_rec in
+  reverse_ties_in s_load s_rec (n_shed p);
   { p with s_load; s_rec }
 
 (* A settled pool pairs nothing.  Each shed [s] left unpaired found
@@ -284,13 +308,13 @@ let pair ?(depth = 0) ~l_min p =
     done;
     (* Leftover pool: surviving lights plus the unpaired sheds re-added
        in reverse encounter order (the Set implementation folds over the
-       prepend-accumulated list), which reverses equal-load ties. *)
+       prepend-accumulated list).  Heaviest-first, the unpaired sheds
+       are non-increasing in load, so sorting their reverse is
+       reversing each equal-load run in place. *)
     let u = !n_unpaired in
-    let s_load, s_rec =
-      build_sheds u
-        ~load:(fun i -> unpaired.(u - 1 - i).Types.vs_load)
-        ~entry:(fun i -> unpaired.(u - 1 - i))
-    in
+    let s_load = Float.Array.init u (fun i -> unpaired.(i).Types.vs_load) in
+    let s_rec = Array.sub unpaired 0 u in
+    reverse_ties_in s_load s_rec u;
     let l_def = Float.Array.create !ln in
     Float.Array.blit w_def 0 l_def 0 !ln;
     let leftover =

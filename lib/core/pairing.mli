@@ -47,6 +47,14 @@ val pair : ?depth:int -> l_min:float -> pool -> Types.assignment list * pool
     minimum VS load from the LBI phase; [depth] (default 0) stamps the
     assignments with the rendezvous KT depth.
 
+    The leftover keeps the light slots that survive, in deficit order,
+    and the unpaired sheds heaviest-first with each run of equal loads
+    in reverse encounter order: the order the Set implementation's
+    re-adds of its prepend-accumulated list leave.  The loop meets the
+    sheds heaviest-first, so the unpaired ones are already
+    non-increasing in load, and reversing each equal-load run in place
+    gives that order in O(#unpaired), with no sort.
+
     The leftover is {e settled} until it is merged with a non-empty
     pool: pairing it again cannot match anything, because every light
     slot that fits one of its sheds belongs to the shed's own node.

@@ -33,6 +33,8 @@ type t = {
   config : config;
 }
 
+exception Too_few_stubs of { stubs : int; n_nodes : int }
+
 let build ?base ~seed config =
   if config.n_nodes < 1 then invalid_arg "Scenario.build: n_nodes < 1";
   let master = Prng.create ~seed in
@@ -56,8 +58,9 @@ let build ?base ~seed config =
       (topo, Graph.Oracle.create topo.Transit_stub.graph, None)
   in
   let stubs = topo.Transit_stub.stub_vertices in
-  if Array.length stubs < config.n_nodes then
-    invalid_arg "Scenario.build: topology has fewer stub vertices than n_nodes";
+  let n_nodes = config.n_nodes in
+  if Array.length stubs < n_nodes then
+    raise (Too_few_stubs { stubs = Array.length stubs; n_nodes });
   (* Overlay nodes are end hosts: distinct random stub vertices. *)
   let picks =
     Prng.sample_distinct member_rng ~n:config.n_nodes

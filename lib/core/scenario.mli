@@ -32,11 +32,16 @@ type t = {
   config : config;
 }
 
+exception Too_few_stubs of { stubs : int; n_nodes : int }
+(** The topology drawn for a build has [stubs] stub vertices, fewer
+    than the [n_nodes] overlay nodes asked for.  Stub-domain sizes are
+    random, so the count is known only once the topology is drawn. *)
+
 val build : ?base:t -> seed:int -> config -> t
 (** Deterministic in [seed].  Overlay nodes attach to distinct stub
     vertices (end hosts); capacities follow the Gnutella profile;
-    loads are drawn per the workload config.  Requires the topology to
-    provide at least [n_nodes] stub vertices.
+    loads are drawn per the workload config.  Raises {!Too_few_stubs}
+    when the topology provides fewer than [n_nodes] stub vertices.
 
     [base] donates the underlay topology, distance oracle and landmark
     space of a previous build — valid only when that build used the

@@ -59,16 +59,17 @@ let run ?(threshold = default_threshold) ?(epsilon = 0.0) ?faults
   let stale_dropped = ref 0 in
   let assignments_lost = ref 0 in
   let n_heavy = ref 0 and n_light = ref 0 and n_neutral = ref 0 in
-  let publish_hops = ref 0 in
   let shed_offered = ref 0 and load_offered = ref 0.0 in
   (* Records handed to KT leaves, in arrival order. *)
   let reports : Types.vsa_record Ktree.Reports.t = Ktree.Reports.create tree in
-  (* Classify every node once, collect its records and route each to a
-     KT leaf according to the mode — one fused pass in alive-node order
-     (classification draws no randomness, so collection and routing
-     interleave without perturbing the per-record PRNG/fault stream). *)
+  (* Classify every node once and route each of its records, in one
+     pass in alive-node order: classification draws no randomness, so
+     each record's report_vs draw and send come in record order.  In
+     aware mode the pass stores and stages the publishes; they are
+     routed after it as one batch, which the pass cannot perturb:
+     nothing in it changes the ring. *)
   (* Keys depend only on a node's underlay vertex, the space and the
-     curve parameters: one table read per node, the space's table
+     curve parameters: one table read per record, the space's table
      shared by every round. *)
   let keys =
     match mode with
@@ -76,28 +77,20 @@ let run ?(threshold = default_threshold) ?(epsilon = 0.0) ?faults
     | Aware { space; order; curve; binning } ->
       Some (Landmark.keys ~curve ~binning space ~order)
   in
-  (* One node's records, in order, each through its own report_vs
-     draw and send. *)
-  let route (n : Dht.node) records =
-    match (keys, records) with
-    | _, [] -> ()
-    | None, _ ->
-      List.iter
-        (fun r ->
-          let v = Dht.report_vs dht rng n in
-          match send () with
-          | None -> incr records_lost
-          | Some _ -> Ktree.Reports.add reports v.Dht.vs_id r)
-        records
-    | Some keys, _ ->
-      let key = Landmark.key keys n.Dht.underlay in
-      List.iter
-        (fun r ->
-          let from = (Dht.report_vs dht rng n).Dht.vs_id in
-          match send () with
-          | None -> incr records_lost
-          | Some _ -> publish_hops := !publish_hops + Dht.put dht ~from ~key r)
-        records
+  (* A record of node [n], through its own report_vs draw and send:
+     handed to the reporting VS's leaf, or published under the node's
+     key and staged for routing. *)
+  let route (n : Dht.node) r =
+    let v = Dht.report_vs dht rng n in
+    match send () with
+    | None -> incr records_lost
+    | Some _ -> (
+      match keys with
+      | None -> Ktree.Reports.add reports v.Dht.vs_id r
+      | Some keys ->
+        Dht.stage dht ~from:v.Dht.vs_id
+          ~key:(Landmark.key keys n.Dht.underlay)
+          r)
   in
   Dht.fold_nodes dht ~init:() ~f:(fun () n ->
       let load = Dht.node_load n and capacity = n.Dht.capacity in
@@ -107,7 +100,7 @@ let run ?(threshold = default_threshold) ?(epsilon = 0.0) ?faults
         incr n_light;
         let target = Classify.target_load ~lbi ~epsilon ~capacity in
         let deficit = target -. load in
-        route n [ Types.Light { deficit; light_node = n.Dht.node_id } ]
+        route n (Types.Light { deficit; light_node = n.Dht.node_id })
       | Types.Heavy ->
         incr n_heavy;
         let target = Classify.target_load ~lbi ~epsilon ~capacity in
@@ -118,21 +111,22 @@ let run ?(threshold = default_threshold) ?(epsilon = 0.0) ?faults
           Excess.choose_shed ~keep_at_least:0 ~loads (load -. target)
         in
         List.iter
-          (fun (_, vs_load) ->
+          (fun (vs, vs_load) ->
             incr shed_offered;
-            load_offered := !load_offered +. vs_load)
-          shed;
-        route n
-          (List.map
-             (fun (vs, vs_load) ->
-               Types.Shed { vs_load; vs; heavy_node = n.Dht.node_id })
-             shed));
-  (* Aware mode published into the DHT: every VS now reports what
-     landed in its region to its designated leaf. *)
-  (match keys with
-  | None -> ()
-  | Some _ ->
-    Dht.drain_items dht ~f:(fun v _ r -> Ktree.Reports.add reports v.Dht.vs_id r));
+            load_offered := !load_offered +. vs_load;
+            route n (Types.Shed { vs_load; vs; heavy_node = n.Dht.node_id }))
+          shed);
+  (* Aware mode routes the staged publishes as one batch; every VS then
+     reports what landed in its region to its designated leaf. *)
+  let publish_hops =
+    match keys with
+    | None -> 0
+    | Some _ ->
+      let hops = Dht.publish dht in
+      Dht.drain_items dht ~f:(fun v _ r ->
+          Ktree.Reports.add reports v.Dht.vs_id r);
+      hops
+  in
   (* Scratch buffers for the per-leaf freshness partition, reused by
      every leaf of the sweep (grown on demand, filled with the pushed
      element so no dummy values are needed). *)
@@ -218,7 +212,7 @@ let run ?(threshold = default_threshold) ?(epsilon = 0.0) ?faults
     n_neutral = !n_neutral;
     shed_offered = !shed_offered;
     load_offered = !load_offered;
-    publish_hops = !publish_hops;
+    publish_hops;
     direct_messages = !direct_messages;
     rounds = Ktree.rounds_last_sweep tree;
     stale_dropped = !stale_dropped;

@@ -81,6 +81,16 @@ val run :
     A shed record holds its VS's handle, so a leaf's freshness check
     reads the handle's owner with no ring search ({!Dht.on_ring}).
 
+    Records are collected in one pass over the alive nodes, in
+    [node_id] order, each record with its own {!Dht.report_vs} draw and
+    fault-plan send, in that order.  In [Aware] mode a delivered
+    record is stored under the node's key and staged for routing
+    ({!Dht.stage}); after the pass, one {!Dht.publish} routes the whole
+    batch, then {!Dht.drain_items} hands each record to its owner's
+    leaf.  The pass changes no ring, so the batch costs the same hops
+    and lookups, and leaves the same store, as a put per record in the
+    pass, and the PRNG and fault streams draw exactly as they would.
+
     In [Aware] mode a node's key is one read of the space's
     {!Landmark.keys} table for this run's curve parameters: computed
     on the node's first record in any round, and reused by every

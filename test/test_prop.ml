@@ -469,6 +469,32 @@ let test_repair_agrees_with_reference () =
   Prop.run ~seed:0x5eed0e ~name:"re-pairing a leftover = Set reference"
     ref_repair_case prop_repair_agrees_with_reference
 
+(* The same two properties on pools of up to 400 entries per side, on
+   the same grid: every size the pool sort meets, from one insertion
+   run to several merge levels, with runs of hundreds of equal keys.
+   The re-pairing case leaves long unpaired runs, so its later passes
+   take the settled path on them. *)
+let ref_pair_large_case =
+  Prop.pair
+    (Prop.list_of ~max_len:400 discrete_load)
+    (Prop.list_of ~max_len:400 discrete_load)
+
+let ref_repair_large_case =
+  Prop.triple
+    (Prop.list_of ~max_len:400 (Prop.pair (Prop.int_in 0 3) discrete_load))
+    (Prop.list_of ~max_len:200 (Prop.pair (Prop.int_in 0 5) discrete_load))
+    (Prop.list_of ~min_len:1 ~max_len:40 discrete_load)
+
+let test_pair_agrees_large () =
+  Prop.run ~count:60 ~seed:0x5eed32
+    ~name:"array pairing = Set reference (pair, up to 400)"
+    ref_pair_large_case prop_pair_agrees_with_reference
+
+let test_repair_agrees_large () =
+  Prop.run ~count:60 ~seed:0x5eed33
+    ~name:"re-pairing a leftover = Set reference (up to 400)"
+    ref_repair_large_case prop_repair_agrees_with_reference
+
 (* ---- Ktree: the ring-version contract ----------------------------------- *)
 
 (* Ring mutations and ring-neutral updates; [arg] picks the node, VS,
@@ -1270,6 +1296,119 @@ let test_handoff_matches_regions () =
   Prop.run ~count:150 ~seed:0x5eed0e
     ~name:"drain_items = items_in_region per owner, then empty"
     handoff_case prop_handoff_matches_regions
+
+(* ---- Chord: a publish batch = one put at a time -------------------------- *)
+
+(* ((physical nodes, VSs per node, ring cut to 1-3 VSs, else kept),
+   (churn before the first batch, first batch), (churn between the
+   batches, second batch)).  A put is (key kind, source kind, a, b):
+   its key is drawn as in [handoff_case], so keys repeat, and its
+   source is any VS, the VS just before the key (its predecessor) or
+   the VS owning the key (0 hops). *)
+let batch_put =
+  Prop.pair
+    (Prop.pair (Prop.int_in 0 4) (Prop.int_in 0 2))
+    (Prop.pair (Prop.int_in 0 (Id.space_size - 1)) (Prop.int_in 0 1_000_000))
+
+let batch_case =
+  Prop.triple
+    (Prop.triple (Prop.int_in 1 48) (Prop.int_in 1 4) (Prop.int_in 0 5))
+    (Prop.pair
+       (Prop.list_of ~max_len:8 ring_op)
+       (Prop.list_of ~max_len:60 batch_put))
+    (Prop.pair
+       (Prop.list_of ~max_len:8 ring_op)
+       (Prop.list_of ~max_len:60 batch_put))
+
+(* Both rings take the same churn and the same puts: [batched] stages
+   each batch and publishes it once, [single] routes each put by
+   [Dht.lookup] (the per-put hops and counters) and stores it by
+   [Dht.put].  Hops per put, the batch's total, both counters and the
+   drained order must agree. *)
+let prop_batch_matches_single ((n_nodes, vs, cut), (ops1, puts1), (ops2, puts2))
+    =
+  let build () =
+    let dht : int Dht.t = Dht.create ~seed:((n_nodes * 8) + vs) in
+    for i = 0 to n_nodes - 1 do
+      ignore (Dht.join dht ~capacity:1.0 ~underlay:i ~n_vs:vs)
+    done;
+    if cut >= 1 && cut <= 3 then
+      while Dht.n_vs dht > cut do
+        Dht.remove_vs dht (nth_vs dht n_nodes)
+      done;
+    dht
+  in
+  let batched = build () and single = build () in
+  let counters dht = (Dht.lookups_performed dht, Dht.hops_used dht) in
+  let batch_agrees first puts =
+    let ids = Array.of_list (List.rev (ring_ids single)) in
+    let n = Array.length ids in
+    let lo = ids.(0) and hi = ids.(n - 1) in
+    let key kind a =
+      match kind with
+      | 0 -> ids.(a mod n)
+      | 1 -> Id.add ids.(a mod n) 1
+      | 2 -> Id.add hi (1 + (a mod Int.max 1 (Id.distance_cw hi lo)))
+      | 3 -> [| 0; 12345; Id.space_size - 1 |].(a mod 3)
+      | _ -> a
+    in
+    let puts =
+      List.mapi
+        (fun i ((kind, src), (a, b)) ->
+          let key = key kind a in
+          let owner = (Dht.owner_of_key single key).Dht.vs_id in
+          let from =
+            match src with
+            | 0 -> ids.(b mod n)
+            | 1 ->
+              let oi = ref 0 in
+              Array.iteri (fun j id -> if Id.equal id owner then oi := j) ids;
+              ids.((!oi + n - 1) mod n)
+            | _ -> owner
+          in
+          (from, key, first + i))
+        puts
+    in
+    let l0, h0 = counters batched in
+    List.iter (fun (from, key, p) -> Dht.stage batched ~from ~key p) puts;
+    let hops = Array.make (List.length puts) (-1) in
+    let total = Dht.publish ~hops batched in
+    let l1, h1 = counters batched in
+    List.for_all2
+      (fun h (from, key, p) ->
+        let before = counters single in
+        let _, expected = Dht.lookup single ~from ~key in
+        let after = counters single in
+        ignore (Dht.put single ~from ~key p);
+        h = expected && fst after - fst before = 1
+        && snd after - snd before = h)
+      (Array.to_list hops) puts
+    && total = Array.fold_left ( + ) 0 hops
+    && l1 - l0 = List.length puts
+    && h1 - h0 = total
+  in
+  let drained dht =
+    let acc = ref [] in
+    Dht.drain_items dht ~f:(fun v k p -> acc := (v.Dht.vs_id, k, p) :: !acc);
+    List.rev !acc
+  in
+  let churn ops =
+    List.iter
+      (fun op ->
+        apply_ring_op_with ~item:(-1) batched op;
+        apply_ring_op_with ~item:(-1) single op)
+      ops
+  in
+  churn ops1;
+  let ok1 = batch_agrees 0 puts1 in
+  churn ops2;
+  let ok2 = batch_agrees 1000 puts2 in
+  ok1 && ok2 && drained batched = drained single
+
+let test_batch_matches_single () =
+  Prop.run ~count:150 ~seed:0x5eed31
+    ~name:"publish batch = one put at a time"
+    batch_case prop_batch_matches_single
 
 (* ---- Chord: bulk join = join by join ------------------------------------ *)
 
@@ -2231,6 +2370,11 @@ let () =
             test_vsa_grouping_agrees;
           Alcotest.test_case "agrees with Set reference: re-pair leftover"
             `Quick test_repair_agrees_with_reference;
+          Alcotest.test_case "agrees with Set reference: pair, up to 400"
+            `Quick test_pair_agrees_large;
+          Alcotest.test_case
+            "agrees with Set reference: re-pair leftover, up to 400" `Quick
+            test_repair_agrees_large;
         ] );
       ( "chord",
         [
@@ -2246,6 +2390,8 @@ let () =
             test_owner_matches_scan;
           Alcotest.test_case "handoff = per-VS region queries" `Quick
             test_handoff_matches_regions;
+          Alcotest.test_case "publish batch = one put at a time" `Quick
+            test_batch_matches_single;
           Alcotest.test_case "join_all = join node by node" `Quick
             test_bulk_matches_joins;
           Alcotest.test_case "join_all rejects what join rejects" `Quick

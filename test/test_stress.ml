@@ -32,7 +32,7 @@ let rec build seed n_nodes =
       { Scenario.default with n_nodes; topology = tiny_topology }
   with
   | s -> s
-  | exception Invalid_argument _ -> build (seed + 1009) n_nodes
+  | exception Scenario.Too_few_stubs _ -> build (seed + 1009) n_nodes
 
 (* One random action against the system. *)
 type action = Crash | Join | Balance | Refresh_tree
