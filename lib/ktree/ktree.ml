@@ -1,6 +1,7 @@
 module Id = P2plb_idspace.Id
 module Region = P2plb_idspace.Region
 module Dht = P2plb_chord.Dht
+module Ring_index = P2plb_chord.Ring_index
 
 (* A KT node packed into one int: its region start (bits 0-31), its
    depth (bits 32-37), whether its region is one point longer than the
@@ -53,6 +54,8 @@ type t = {
      keeps that version, both walks are no-ops. *)
   mutable snap : snap;
   mutable stamp : int;
+  (* Bucket index over [snap.ids], versioned by [stamp]. *)
+  index : Ring_index.t;
   mutable msg : int;
   mutable last_rounds : int;
   mutable repaired : int;
@@ -61,7 +64,8 @@ type t = {
 }
 
 let set_obs t obs = t.obs <- Some obs
-let copy t = { t with msg = t.msg }
+(* The index is mutable: each copy builds its own. *)
+let copy t = { t with index = Ring_index.create () }
 
 let obs_event t name depth =
   match t.obs with
@@ -200,17 +204,26 @@ let fold_down t ~down ~at_leaf v0 =
   if n = 1 then at_leaf (node_of ~lens win 0 Id.space_size 0 0) v0
   else inner 0 Id.space_size 0 0 n v0
 
+(* Set bits of [x], for 0 <= x < 2^62. *)
+let popcount x =
+  let x = x - ((x lsr 1) land 0x1555_5555_5555_5555) in
+  let x = (x land 0x3333_3333_3333_3333) + ((x lsr 2) land 0x3333_3333_3333_3333) in
+  let x = (x + (x lsr 4)) land 0x0F0F_0F0F_0F0F_0F0F in
+  let x = x + (x lsr 8) in
+  let x = x + (x lsr 16) in
+  (x + (x lsr 32)) land 0x7F
+
 (* The summary in one walk over the forks, with each chain taken a
-   level at a time: per ring position the KT nodes planted there and
-   the deepest-first leaf, then the slots.  A leaf replaces its host's
-   current one only when strictly deeper, so a chain may count its
-   right-hand leaves on the way down: they are all hosted by x's
-   successor, one level each, and nothing before them in preorder is.
-   Slots number the assigned leaves in preorder, which is identifier
-   order.  Every VS hosts a leaf (§3.1), and a leaf hosted by ids.(h)
-   lies in its arc (ids.(h-1), ids.(h)]; so the order is ring order,
-   except that ids.(0)'s leaf comes last when it lies past the last
-   id. *)
+   level at a time, or at K = 2 read off its id's bits: per ring
+   position the KT nodes planted there and the deepest-first leaf, then
+   the slots.  A leaf replaces its host's current one only when
+   strictly deeper, so a chain may count its right-hand leaves on the
+   way down: they are all hosted by x's successor, one level each, and
+   nothing before them in preorder is.  Slots number the assigned
+   leaves in preorder, which is identifier order.  Every VS hosts a
+   leaf (§3.1), and a leaf hosted by ids.(h) lies in its arc
+   (ids.(h-1), ids.(h)]; so the order is ring order, except that
+   ids.(0)'s leaf comes last when it lies past the last id. *)
 let summarize ~k ~lens ids =
   let n = Array.length ids in
   let per_host = Array.make n 0 and win = Array.make n (-1) in
@@ -276,9 +289,44 @@ let summarize ~k ~lens ids =
     offer lo (if depth_of !x_win = !d then !x_win else pack ~lens !start !d !len);
     if !right_win >= 0 then offer right !right_win
   in
+  (* [chain] at K = 2, where the region of depth [d] is the aligned
+     2^m points [start, start + 2^m), m = 32 - d, and each level halves
+     it: the level's bit of [off = x - start], from bit m - 1 down, says
+     whether x lies in the right half (the node and its left leaf are
+     hosted by x) or the left one (the node and its right leaf by the
+     successor).  The chain stops when x is its region's last point,
+     i.e. after the bits above [off]'s t trailing ones; bit t is 0, so
+     the deepest level puts x's leaf [x - 2^t + 1, x] on the left and
+     the successor's, its sibling, on the right. *)
+  let chain2 start len d lo =
+    let x = ids.(lo) and right = if lo + 1 = n then 0 else lo + 1 in
+    let m = Id.bits - d and off = x - start in
+    let t = popcount (off lxor (off + 1)) - 1 in
+    if t >= m then leaf start len d lo
+    else begin
+      let levels = m - t and ones = popcount off - t in
+      plant lo (1 + (2 * ones));
+      plant right (2 * (levels - ones));
+      leaves := !leaves + 1 + levels;
+      let fd = d + levels and size = 1 lsl t in
+      depth := Int.max !depth fd;
+      offer lo (pack ~lens (x - size + 1) fd size);
+      offer right (pack ~lens (x + 1) fd size)
+    end
+  in
   let rec visit start len d lo hi =
     if hi = lo then leaf start len d lo
-    else if hi = lo + 1 then chain start len d lo
+    else if hi = lo + 1 then
+      if k = 2 then chain2 start len d lo else chain start len d lo
+    else if k = 2 then begin
+      (* The centre splits the region: one search finds both the host
+         and the halves' slices. *)
+      let half = len / 2 in
+      let mid = lower_bound ids (start + half) lo hi in
+      plant (if mid = n then 0 else mid) 1;
+      visit start half (d + 1) lo mid;
+      visit (start + half) half (d + 1) mid hi
+    end
     else begin
       plant (host_index ids start len lo hi) 1;
       let clo = ref lo in
@@ -313,6 +361,7 @@ let build ?(route_messages = false) ~k dht =
       lens;
       snap = s;
       stamp = Dht.ring_version dht;
+      index = Ring_index.create ();
       (* the root's plant, then one message per created child *)
       msg = s.nodes;
       last_rounds = 0;
@@ -349,10 +398,10 @@ let leaf_assignment t =
 let n_leaf_slots t = Array.length t.snap.ids
 
 (* Ring position of the VS [id], or -1 when it is not on the tree's
-   ring. *)
+   ring: one indexed search. *)
 let position t id =
   let ids = t.snap.ids in
-  let j = lower_bound ids id 0 (Array.length ids) in
+  let j = Ring_index.lower_bound t.index ~version:t.stamp ids (Array.length ids) id in
   if j < Array.length ids && ids.(j) = id then j else -1
 
 let vs_slot t id =
@@ -641,7 +690,9 @@ type 'a sweep =
    the deepest ancestor of the earlier leaf whose region ends past
    [x].  [starts] and [ends] hold the regions of the previous leaf's
    ancestors, by depth; below the fork, the new leaf's are found by
-   descending towards [x] one part at a time.  The open skeleton nodes
+   descending towards [x] one part at a time, or at K = 2, where a
+   region of depth c is aligned to its [lens.(c)] points, by masking
+   [x]'s low bits.  The open skeleton nodes
    form a stack of strictly increasing depths: for each, [sd] is its
    depth, [slo] the deepest level not yet lifted (a leaf's parent's, a
    fork's own) and [sv] its value so far. *)
@@ -687,20 +738,27 @@ let walk t slots ~at_leaf ~merge ~lift =
       done;
       close !a
     end;
-    for c = !a + 1 to d - 1 do
-      let start = starts.(c - 1) in
-      let len = ends.(c - 1) - start in
-      let base = part_base ~k ~lens len c and extra = part_extra ~k ~lens len c in
-      (* The first [extra] parts are one point longer. *)
-      let big = extra * (base + 1) and off = x - start in
-      let part = if off < big then base + 1 else base in
-      let cs =
-        if off < big then start + (off / part * part)
-        else start + big + ((off - big) / part * part)
-      in
-      starts.(c) <- cs;
-      ends.(c) <- cs + part
-    done;
+    if k = 2 then
+      for c = !a + 1 to d - 1 do
+        let cs = x land lnot (lens.(c) - 1) in
+        starts.(c) <- cs;
+        ends.(c) <- cs + lens.(c)
+      done
+    else
+      for c = !a + 1 to d - 1 do
+        let start = starts.(c - 1) in
+        let len = ends.(c - 1) - start in
+        let base = part_base ~k ~lens len c and extra = part_extra ~k ~lens len c in
+        (* The first [extra] parts are one point longer. *)
+        let big = extra * (base + 1) and off = x - start in
+        let part = if off < big then base + 1 else base in
+        let cs =
+          if off < big then start + (off / part * part)
+          else start + big + ((off - big) / part * part)
+        in
+        starts.(c) <- cs;
+        ends.(c) <- cs + part
+      done;
     let v = at_leaf ~slot:s ~depth:d in
     if i = 0 then sv := Array.make (depth + 2) v;
     push d (d - 1) v;

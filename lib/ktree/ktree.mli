@@ -23,8 +23,8 @@ module Dht = P2plb_chord.Dht
 
     Whole-tree figures ({!depth}, {!n_nodes}, {!n_leaves},
     {!host_nodes}) are computed by the walk that makes the
-    tree consistent with a ring and read in O(1) after it (O(log #VS)
-    for the per-VS ones).
+    tree consistent with a ring and read in O(1) after it (one search
+    of a bucket index over the ids for the per-VS ones).
 
     Message accounting: child-creation plants cost a DHT lookup
     (counted in overlay hops when [route_messages] is on) plus one
@@ -51,12 +51,17 @@ module Dht = P2plb_chord.Dht
     them plus its array.
 
     Costs: {!build} is one O(#VS) copy of the ids plus one summary
-    walk, which steps down each chain a level at a time without
-    visiting its leaves: O(#VS · depth · K) with searches only at the
-    forks.  A sweep visits only the skeleton of the assigned leaves it
-    lists (see {!section-sweeps}): O(depth − fork depth) arithmetic
-    steps per listed leaf with O(depth) scratch, one callback per
-    listed leaf, fork merge and lifted run, whatever the node count.
+    walk with searches only at the forks.  At K = 2 a region of depth
+    [d] is an aligned run of 2{^32 − d} points, so its centre is the
+    split point: one search per fork finds the host and both halves,
+    and each chain is read off its id's bits in O(1), O(#VS · fork
+    depth) in all.  At any other K the walk steps down each chain a
+    level at a time without visiting its leaves: O(#VS · depth · K).
+    A sweep visits only the skeleton of the assigned leaves it lists
+    (see {!section-sweeps}): O(depth − fork depth) arithmetic steps
+    per listed leaf (at K = 2 a mask each) with O(depth) scratch, one
+    callback per listed leaf, fork merge and lifted run, whatever the
+    node count.
     {!refresh} and {!repair} on a moved ring walk the old and the new
     tree together, skipping every subtree that is the same in both,
     then redo the summary: O(#VS) for the summary and for comparing
@@ -269,7 +274,9 @@ module Reports : sig
   val add : 'r t -> Id.t -> 'r -> unit
   (** [add log vs_id r] hands [r] to the designated leaf of the VS
       [vs_id]; dropped when that VS is not on the tree's ring.
-      Amortised O(log #VS). *)
+      One search of the tree's bucket index over its ids, O(1) on
+      evenly spread ids; the first search after {!build}, {!copy} or
+      an upkeep that moved the tree rebuilds the index in O(#VS). *)
 
   val sweep :
     ?sweep:'a sweep ->
