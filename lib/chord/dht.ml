@@ -631,30 +631,31 @@ let items_in_region t region =
 (* One pass over the store: each key meets its owner by one indexed
    search.  [items_in_region] lists a region's keys counter-clockwise
    from its last point — the owner's id, or the top of the ring when
-   one VS owns all of it — so sorting by (owner index, distance to that
-   point) reproduces it per owner.  The pair is unique per key, so the
-   table's order does not matter. *)
+   one VS owns all of it — so ordering by (owner index, distance to
+   that point) reproduces it per owner.  The pair is unique per key and
+   packs into one int, the owner index above the distance's 32 bits,
+   from which the key reads back; so one sort of ints orders the store,
+   whatever the table's order. *)
 let drain_items t ~f =
-  if Itbl.length t.items > 0 then begin
-    let keyed =
-      Itbl.fold
-        (fun k payloads acc ->
-          let oi = successor_idx t k in
-          let last =
-            if t.ring_n = 1 then Id.space_size - 1 else t.ring_ids.(oi)
-          in
-          (oi, Id.distance_cw k last, k, payloads) :: acc)
-        t.items []
-    in
+  let n = Itbl.length t.items in
+  if n > 0 then begin
+    let last oi = if t.ring_n = 1 then Id.space_size - 1 else t.ring_ids.(oi) in
+    let codes = Array.make n 0 and i = ref 0 in
+    Itbl.iter
+      (fun k _ ->
+        let oi = successor_idx t k in
+        codes.(!i) <- (oi lsl Id.bits) lor Id.distance_cw k (last oi);
+        incr i)
+      t.items;
+    Array.sort Int.compare codes;
+    let key c = Id.sub (last (c lsr Id.bits)) (Id.of_int c) in
+    let payloads = Array.map (fun c -> Itbl.find t.items (key c)) codes in
     Itbl.clear t.items;
-    List.iter
-      (fun (oi, _, k, payloads) ->
-        let v = t.ring_vss.(oi) in
-        List.iter (fun p -> f v k p) (List.rev payloads))
-      (List.sort
-         (fun (o1, d1, _, _) (o2, d2, _, _) ->
-           match Int.compare o1 o2 with 0 -> Int.compare d1 d2 | c -> c)
-         keyed)
+    Array.iteri
+      (fun j c ->
+        let v = t.ring_vss.(c lsr Id.bits) and k = key c in
+        List.iter (fun p -> f v k p) (List.rev payloads.(j)))
+      codes
   end
 
 let lookups_performed t = t.lookup_count

@@ -275,7 +275,8 @@ val drain_items : 'a t -> f:(vs -> Id.t -> 'a -> unit) -> unit
     [items_in_region t (region_of_vs t v)]: keys counter-clockwise
     from the end of its region (its id, wrapping past 0), payloads
     under one key in put order.  One indexed search per stored key and
-    one sort of the keys, not one range query per VS. *)
+    one sort of the keys (as one int each), not one range query per
+    VS. *)
 
 (** {1 Cost accounting} *)
 
