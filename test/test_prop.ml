@@ -18,6 +18,7 @@ module Ktree = P2plb_ktree.Ktree
 module Obs = P2plb_obs.Obs
 module Registry = P2plb_obs.Registry
 module Trace = P2plb_obs.Trace
+module Prng = P2plb_prng.Prng
 
 (* ---- Region: wrap-around interval algebra ------------------------------- *)
 
@@ -758,6 +759,67 @@ let builders_agree ~k dht =
   let r = Kref.build ~k dht and t = Ktree.build ~k dht in
   trees_agree r t dht && Ktree.messages t = r.Kref.msg
 
+(* Ids at which a binary tree's chains and regions turn on single bits:
+   0 and 2^32 - 1, adjacent ids, pairs that differ only in bit 0, and,
+   for each r in 0 .. 32, an id whose low bits are a run of exactly r
+   ones.  High bits are drawn from [seed]; each candidate is kept with
+   probability [keep] / 8 (at least one is), so sparse rings put the
+   long runs at the end of deep chains. *)
+let edge_ids ~seed ~keep =
+  let rng = Prng.create ~seed in
+  let draw () = Prng.int rng Id.space_size in
+  let runs =
+    List.init (Id.bits + 1) (fun r ->
+        if r = Id.bits then Id.space_size - 1
+        else Id.of_int ((draw () lsl (r + 1)) lor ((1 lsl r) - 1)))
+  in
+  let pairs f =
+    List.concat
+      (List.init 4 (fun _ ->
+           let y = f () in
+           [ y; y + 1 ]))
+  in
+  let adjacent = pairs (fun () -> Prng.int rng (Id.space_size - 1)) in
+  let bit0 = pairs (fun () -> draw () land lnot 1) in
+  let all =
+    List.sort_uniq Int.compare
+      ((0 :: (Id.space_size - 1) :: runs) @ adjacent @ bit0)
+  in
+  match List.filter (fun _ -> Prng.int rng 8 < keep) all with
+  | [] -> [ List.hd all ]
+  | kept -> kept
+
+(* The edge ids of [(seed, keep, nodes)] dealt round-robin to up to
+   [nodes] physical nodes of capacity 1, 2, 3, 4, 1, ... placed by
+   [Dht.join_ids], node [i] on underlay vertex [i]. *)
+let join_edge_ring dht (seed, keep, nodes) =
+  let ids = edge_ids ~seed ~keep in
+  let nodes = Int.min nodes (List.length ids) in
+  for i = 0 to nodes - 1 do
+    let mine = List.filteri (fun j _ -> j mod nodes = i) ids in
+    ignore
+      (Dht.join_ids dht
+         ~capacity:(float_of_int (1 + (i mod 4)))
+         ~underlay:i (Array.of_list mine))
+  done
+
+(* (seed, keep / 8, physical nodes) of an edge-id ring. *)
+let edge_ring =
+  Prop.triple (Prop.int_in 0 1_000_000) (Prop.int_in 1 8) (Prop.int_in 1 8)
+
+(* (edge-id ring, (K = 2 / 3 / 8, operations)). *)
+let ktree_edge_ref_case =
+  Prop.pair edge_ring
+    (Prop.pair (Prop.int_in 0 2) (Prop.list_of ~max_len:6 ring_op))
+
+let prop_ktree_edge_matches_reference (ring, (k_sel, ops)) =
+  let k = [| 2; 3; 8 |].(k_sel) in
+  let dht = Dht.create ~seed:0 in
+  join_edge_ring dht ring;
+  let before = builders_agree ~k dht in
+  List.iter (apply_ring_op dht) ops;
+  before && builders_agree ~k dht
+
 let prop_ktree_matches_reference ((n_nodes, vs, k_sel), ops) =
   let k = [| 2; 3; 8 |].(k_sel) in
   let dht = Dht.create ~seed:((n_nodes * 8) + vs) in
@@ -771,7 +833,10 @@ let prop_ktree_matches_reference ((n_nodes, vs, k_sel), ops) =
 let test_ktree_matches_reference () =
   Prop.run ~count:40 ~seed:0x5eed0a
     ~name:"slice-built KT = DHT-driven reference builder"
-    ktree_ref_case prop_ktree_matches_reference
+    ktree_ref_case prop_ktree_matches_reference;
+  Prop.run ~count:60 ~seed:0x5eed14
+    ~name:"slice-built KT = DHT-driven reference builder (edge ids)"
+    ktree_edge_ref_case prop_ktree_edge_matches_reference
 
 (* ---- Ktree: derived upkeep = pointer reference walks -------------------- *)
 
@@ -1726,18 +1791,20 @@ let test_ring_matches_model () =
 module Lbi = P2plb.Lbi
 module Vsa = P2plb.Vsa
 module Faults = P2plb_sim.Faults
-module Prng = P2plb_prng.Prng
 module Graph = P2plb_topology.Graph
 module Landmark = P2plb_landmark.Landmark
 module Hilbert = P2plb_hilbert.Hilbert
 
-(* ((physical nodes, VSs per node, K = 2 / 3 / 8),
-    (fault plan off / on, threshold 1 / 2 / 5 / 30, operations)). *)
+(* (fault plan off / on, threshold 1 / 2 / 5 / 30, operations). *)
+let skeleton_round =
+  Prop.triple (Prop.int_in 0 1) (Prop.int_in 0 3)
+    (Prop.list_of ~max_len:10 ring_op)
+
+(* ((physical nodes, VSs per node, K = 2 / 3 / 8), round). *)
 let skeleton_case =
   Prop.pair
     (Prop.triple (Prop.int_in 1 256) (Prop.int_in 1 6) (Prop.int_in 0 2))
-    (Prop.triple (Prop.int_in 0 1) (Prop.int_in 0 3)
-       (Prop.list_of ~max_len:10 ring_op))
+    skeleton_round
 
 (* A full postorder walk of the reference tree of the current ring,
    driven by a skeleton sweep's callbacks: an unassigned leaf holds
@@ -1766,23 +1833,16 @@ let skeleton_space =
      Landmark.make_space (Graph.freeze b) ~landmarks:[| 0; 85; 170 |])
 
 (* One LBI round then one VSA round (ignorant or [aware], with or
-   without a fault plan) on a loaded ring whose tree was built before
-   the churn, through the skeleton sweeps or, with [reference],
+   without a fault plan) on the ring [join] places, loaded, whose
+   K-nary tree was built before the churn, through the skeleton sweeps or, with [reference],
    through the reference full walks (dissemination: one send per leaf
    of a reference [sweep_down]).  Returns the root
    LBI, the VSA result less its rounds (not charged by the reference),
    the fault plan's counters and its next sends. *)
-let skeleton_world ~aware ~reference
-    ((n_nodes, vs, k_sel), (faulty, thr_sel, ops)) =
-  let k = [| 2; 3; 8 |].(k_sel) and threshold = [| 1; 2; 5; 30 |].(thr_sel) in
-  let seed = (n_nodes * 8) + vs in
+let skeleton_world ~aware ~reference ~seed ~k ~join (faulty, thr_sel, ops) =
+  let threshold = [| 1; 2; 5; 30 |].(thr_sel) in
   let dht : Types.vsa_record Dht.t = Dht.create ~seed in
-  for i = 0 to n_nodes - 1 do
-    ignore
-      (Dht.join dht
-         ~capacity:(float_of_int (1 + (i mod 4)))
-         ~underlay:i ~n_vs:vs)
-  done;
+  join dht;
   (* Whole loads, so that sheds tie and the order of pairings and
      merges shows in the result. *)
   let loads = Prng.create ~seed in
@@ -1842,16 +1902,45 @@ let skeleton_world ~aware ~reference
           List.init 8 (fun _ -> Faults.send f) ))
       faults )
 
+(* [skeleton_world] on [n_nodes] nodes of [vs] hashed VSs each. *)
+let hashed_world ~aware ~reference ((n_nodes, vs, k_sel), rest) =
+  skeleton_world ~aware ~reference ~seed:((n_nodes * 8) + vs)
+    ~k:[| 2; 3; 8 |].(k_sel)
+    ~join:(fun dht ->
+      for i = 0 to n_nodes - 1 do
+        ignore
+          (Dht.join dht
+             ~capacity:(float_of_int (1 + (i mod 4)))
+             ~underlay:i ~n_vs:vs)
+      done)
+    rest
+
+(* [skeleton_world] on an edge-id ring ([join_edge_ring]). *)
+let edge_world ~aware ~reference (((seed, _, _) as ring), (k_sel, rest)) =
+  skeleton_world ~aware ~reference ~seed ~k:[| 2; 3; 8 |].(k_sel)
+    ~join:(fun dht -> join_edge_ring dht ring)
+    rest
+
+(* (edge-id ring, (K = 2 / 3 / 8, (fault plan off / on, threshold,
+   operations))). *)
+let skeleton_edge_case =
+  Prop.pair edge_ring (Prop.pair (Prop.int_in 0 2) skeleton_round)
+
 (* The skeleton sweeps against the full walks they replace: the LBI
    root bit for bit, VSA's assignments (in order), leftover pool and
    counters, and the fault stream's position, across K, churn, fault
-   plans and thresholds. *)
+   plans and thresholds, on hashed rings and on edge-id rings. *)
 let test_skeleton_matches_full_walk () =
   Prop.run ~count:40 ~seed:0x5eed0d
     ~name:"skeleton sweeps = reference full walks (LBI, VSA, faults)"
     skeleton_case (fun case ->
-      skeleton_world ~aware:false ~reference:false case
-      = skeleton_world ~aware:false ~reference:true case)
+      hashed_world ~aware:false ~reference:false case
+      = hashed_world ~aware:false ~reference:true case);
+  Prop.run ~count:40 ~seed:0x5eed15
+    ~name:"skeleton sweeps = reference full walks (edge ids)"
+    skeleton_edge_case (fun case ->
+      edge_world ~aware:false ~reference:false case
+      = edge_world ~aware:false ~reference:true case)
 
 (* The same in proximity-aware mode: once-per-node keys, DHT publishes
    and the drain (items [Put] by the ring operations included) feed
@@ -1860,8 +1949,8 @@ let test_skeleton_matches_full_walk_aware () =
   Prop.run ~count:40 ~seed:0x5eed10
     ~name:"skeleton sweeps = reference full walks (aware VSA, faults)"
     skeleton_case (fun case ->
-      skeleton_world ~aware:true ~reference:false case
-      = skeleton_world ~aware:true ~reference:true case)
+      hashed_world ~aware:true ~reference:false case
+      = hashed_world ~aware:true ~reference:true case)
 
 (* ---- LBI root = the ring's totals ---------------------------------------- *)
 
