@@ -2,16 +2,15 @@
 
    Sheds are kept sorted by load descending and light slots by deficit
    ascending; equal keys stay in insertion order, so array position is
-   the tie-break the original Set.Make pools drew from a per-pool
-   sequence number.  A pool is built by one stable merge sort of its
+   the tie-break.  A pool is built by one stable merge sort of its
    keys, unboxed in a floatarray, that carries an index permutation
    along: stability gives the insertion-index tie-break, so keys are
    the only comparison.  [pair]'s leftover needs no sort at all (see
-   there).  Every observable order (iteration heaviest-first,
-   smallest-sufficient-deficit probing, merges, leftover re-adds)
-   reproduces the Set semantics exactly — test/pairing_reference.ml
-   retains a port of the original implementation and test_prop checks
-   agreement. *)
+   there).  Every order is stable: iteration heaviest-first,
+   smallest-sufficient-deficit probing, merges ([a]'s entries before
+   [b]'s on equal keys) and the leftover (unpaired sheds in the order
+   the pass met them).  test/pairing_reference.ml keeps a Set-based
+   model of the same rule and test_prop checks agreement. *)
 
 type pool = {
   (* shed VSs, sorted by load desc; arrays are exact-size *)
@@ -186,45 +185,17 @@ let light_entries p =
       Types.
         { deficit = Float.Array.get p.l_def i; light_node = p.l_node.(i) })
 
-(* Reverse, in place, each run of equal loads in the first [n] sheds
-   of [s_load] and [s_rec]. *)
-let reverse_ties_in s_load s_rec n =
-  let i = ref 0 in
-  while !i < n do
-    let l = Float.Array.get s_load !i in
-    let j = ref (!i + 1) in
-    while !j < n && Float.compare (Float.Array.get s_load !j) l = 0 do
-      incr j
-    done;
-    for a = 0 to ((!j - !i) / 2) - 1 do
-      let x = !i + a and y = !j - 1 - a in
-      let lx = Float.Array.get s_load x and rx = s_rec.(x) in
-      Float.Array.set s_load x (Float.Array.get s_load y);
-      s_rec.(x) <- s_rec.(y);
-      Float.Array.set s_load y lx;
-      s_rec.(y) <- rx
-    done;
-    i := !j
-  done
-
-(* [p] with each run of equal-load sheds reversed. *)
-let reverse_ties p =
-  let s_load = Float.Array.copy p.s_load and s_rec = Array.copy p.s_rec in
-  reverse_ties_in s_load s_rec (n_shed p);
-  { p with s_load; s_rec }
-
 (* A settled pool pairs nothing.  Each shed [s] left unpaired found
    only slots of its own node [h] at deficit >= its load [L], and every
    later slot at deficit >= [L] is the residual of a slot at least as
    large (loads are >= 0), so also [h]'s: when the pass ends, every
    slot that fits [s] is [h]'s, and a second pass skips them all.  So
-   that pass makes no assignment, keeps the lights and re-adds the
-   sheds in reverse, as the leftover below does: its equal-load runs
-   come back reversed, which [reverse_ties] does without the pass. *)
+   that pass makes no assignment, keeps the lights and leaves the
+   sheds in the order it met them, the pool's own: it returns the pool
+   unchanged. *)
 let pair ?(depth = 0) ~l_min p =
   let sn = n_shed p in
-  if sn = 0 then ([], p)
-  else if p.settled then ([], reverse_ties p)
+  if sn = 0 || p.settled then ([], p)
   else begin
     (* Mutable working copy of the light side; each assignment removes
        one slot and re-inserts at most one residual, so capacity never
@@ -306,15 +277,12 @@ let pair ?(depth = 0) ~l_min p =
         incr n_unpaired
       end
     done;
-    (* Leftover pool: surviving lights plus the unpaired sheds re-added
-       in reverse encounter order (the Set implementation folds over the
-       prepend-accumulated list).  Heaviest-first, the unpaired sheds
-       are non-increasing in load, so sorting their reverse is
-       reversing each equal-load run in place. *)
+    (* Leftover pool: surviving lights plus the unpaired sheds in
+       encounter order.  The loop meets the sheds heaviest-first, so
+       they are already sorted, equal loads in pool order. *)
     let u = !n_unpaired in
     let s_load = Float.Array.init u (fun i -> unpaired.(i).Types.vs_load) in
     let s_rec = Array.sub unpaired 0 u in
-    reverse_ties_in s_load s_rec u;
     let l_def = Float.Array.create !ln in
     Float.Array.blit w_def 0 l_def 0 !ln;
     let leftover =

@@ -48,16 +48,11 @@ val pair : ?depth:int -> l_min:float -> pool -> Types.assignment list * pool
     assignments with the rendezvous KT depth.
 
     The leftover keeps the light slots that survive, in deficit order,
-    and the unpaired sheds heaviest-first with each run of equal loads
-    in reverse encounter order: the order the Set implementation's
-    re-adds of its prepend-accumulated list leave.  The loop meets the
-    sheds heaviest-first, so the unpaired ones are already
-    non-increasing in load, and reversing each equal-load run in place
-    gives that order in O(#unpaired), with no sort.
+    and the unpaired sheds in the order the loop met them: heaviest
+    first, equal loads in the pool's own order.  No sort is needed.
 
     The leftover is {e settled} until it is merged with a non-empty
     pool: pairing it again cannot match anything, because every light
     slot that fits one of its sheds belongs to the shed's own node.
-    Such a pass returns no assignment and the pool with each run of
-    equal-load sheds reversed, exactly what the full loop would leave,
-    in O(#sheds) without copying the light side. *)
+    Such a pass would leave every entry where it is, so [pair] of a
+    settled pool is [([], pool)], in O(1). *)

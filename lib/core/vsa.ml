@@ -130,30 +130,17 @@ let run ?(threshold = default_threshold) ?(epsilon = 0.0) ?faults
   (* Scratch buffers for the per-leaf freshness partition, reused by
      every leaf of the sweep (grown on demand, filled with the pushed
      element so no dummy values are needed). *)
-  let shed_scratch = ref ([||] : Types.shed_vs array) in
-  let shed_n = ref 0 in
-  let light_scratch = ref ([||] : Types.light_slot array) in
-  let light_n = ref 0 in
-  let push_shed s =
-    if !shed_n >= Array.length !shed_scratch then begin
-      let cap = Int.max 64 (2 * Array.length !shed_scratch) in
-      let a = Array.make cap s in
-      Array.blit !shed_scratch 0 a 0 !shed_n;
-      shed_scratch := a
+  let push scratch n x =
+    if !n >= Array.length !scratch then begin
+      let a = Array.make (Int.max 64 (2 * Array.length !scratch)) x in
+      Array.blit !scratch 0 a 0 !n;
+      scratch := a
     end;
-    !shed_scratch.(!shed_n) <- s;
-    incr shed_n
+    !scratch.(!n) <- x;
+    incr n
   in
-  let push_light l =
-    if !light_n >= Array.length !light_scratch then begin
-      let cap = Int.max 64 (2 * Array.length !light_scratch) in
-      let a = Array.make cap l in
-      Array.blit !light_scratch 0 a 0 !light_n;
-      light_scratch := a
-    end;
-    !light_scratch.(!light_n) <- l;
-    incr light_n
-  in
+  let shed_scratch = ref [||] and shed_n = ref 0 in
+  let light_scratch = ref [||] and light_n = ref 0 in
   let fresh_pool_slice grouped lo hi =
     shed_n := 0;
     light_n := 0;
@@ -161,8 +148,8 @@ let run ?(threshold = default_threshold) ?(epsilon = 0.0) ?faults
       let r = grouped.(i) in
       if record_fresh dht r then
         match r with
-        | Types.Shed s -> push_shed s
-        | Types.Light l -> push_light l
+        | Types.Shed s -> push shed_scratch shed_n s
+        | Types.Light l -> push light_scratch light_n l
       else incr stale_dropped
     done;
     Pairing.of_slices !shed_scratch !shed_n !light_scratch !light_n
@@ -195,14 +182,11 @@ let run ?(threshold = default_threshold) ?(epsilon = 0.0) ?faults
       ~merge:Pairing.merge
       ~lift:(fun ~hi ~lo pool ->
         (* A KT node pairs its pool once it reaches [threshold], the
-           root always.  Pairing never grows a pool, so once one is
-           below [threshold] no level above pairs it but the root. *)
-        let pool = ref pool and d = ref lo in
-        while !d >= hi && Pairing.size !pool >= threshold do
-          pool := pair_here !d !pool;
-          decr d
-        done;
-        if hi = 0 && !d >= 0 then pair_here 0 !pool else !pool)
+           root always.  A run pairs at most once: its leftover is
+           settled, so pairing it at a level above changes nothing. *)
+        if Pairing.size pool >= threshold then pair_here lo pool
+        else if hi = 0 then pair_here 0 pool
+        else pool)
   in
   {
     assignments = List.rev !assignments;

@@ -215,8 +215,10 @@ val n_leaf_slots : t -> int
     - [merge] has [empty] as a bitwise identity on both sides;
     - [lift] of [empty] is [empty] ([at_node n empty = empty]);
     - lifting level by level is one lift over the levels' range.
-    A caller's lift may also rely on its sizes being non-increasing up
-    a run (VSA: pairing never grows a pool) to stop early. *)
+    A caller's lift may do its work once per run and skip the levels
+    above when that work is idempotent: VSA pairs a run at its lowest
+    level or at the root, since pairing a pool's leftover again
+    returns it unchanged. *)
 
 type 'a sweep =
   at_leaf:(slot:int -> depth:int -> 'a) ->

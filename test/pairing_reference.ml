@@ -1,11 +1,11 @@
-(* The original Set-based rendezvous pairing, retained verbatim as the
-   reference implementation for the array-backed lib/core/pairing.ml.
+(* The Set-based reference of the stable rule, kept as the model for
+   the array-backed lib/core/pairing.ml.
 
-   The production pools were rewritten as flat sorted arrays with
-   scratch-buffer reuse; their contract is that every observable —
-   entry orders, pairing decisions, merge re-sequencing, leftover
-   tie-breaks — is EXACTLY what this implementation produces.
-   test_prop drives both on random cases (with deliberate equal-load /
+   The production pools are flat sorted arrays with scratch-buffer
+   reuse; their contract is that every observable — entry orders,
+   pairing decisions, merge re-sequencing, the leftover's encounter
+   order — is EXACTLY what this implementation produces.  test_prop
+   drives both on random cases (with deliberate equal-load /
    equal-deficit ties) and checks agreement. *)
 
 module Types = P2plb.Types
@@ -136,7 +136,7 @@ let pair ?(depth = 0) ~l_min p =
   let leftover =
     List.fold_left add_shed
       { shed = Shed_set.empty; lights = !lights; next_seq = !next_seq }
-      !unpaired_shed
+      (List.rev !unpaired_shed)
   in
   (List.rev !assignments, leftover)
 

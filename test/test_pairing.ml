@@ -207,6 +207,33 @@ let prop_no_self_pairs =
       let assignments, _ = Pairing.pair ~l_min:0.05 pool in
       List.for_all (fun a -> a.Types.a_from <> a.Types.a_to) assignments)
 
+(* Equal-load sheds left unpaired keep the order the pool gave them:
+   through the pass that leaves them, a second pass over the settled
+   leftover, and a merge with lights that fit none of them. *)
+let test_unpaired_ties_keep_pool_order () =
+  let ties = [ shed ~node:101 4.0; shed ~node:102 4.0; shed ~node:103 4.0 ] in
+  let vss = List.map (fun (s : Types.shed_vs) -> s.Types.vs) in
+  let in_pool_order what p =
+    check Alcotest.bool what true
+      (List.equal ( == ) (vss ties) (vss (Pairing.shed_entries p)))
+  in
+  let pool =
+    Pairing.of_entries (shed 5.0 :: ties) [ light 5.0; light ~node:201 1.0 ]
+  in
+  let made, left = Pairing.pair ~l_min:0.1 pool in
+  check Alcotest.int "the heavier shed pairs" 1 (List.length made);
+  in_pool_order "after the pass" left;
+  let made, left = Pairing.pair ~l_min:0.1 left in
+  check Alcotest.int "a re-pair makes none" 0 (List.length made);
+  in_pool_order "after a re-pair" left;
+  let merged =
+    Pairing.merge left (Pairing.of_entries [] [ light ~node:202 2.0 ])
+  in
+  in_pool_order "after a merge" merged;
+  let made, left = Pairing.pair ~l_min:0.1 merged in
+  check Alcotest.int "the merged pool makes none" 0 (List.length made);
+  in_pool_order "after pairing the merge" left
+
 let () =
   Alcotest.run "pairing"
     [
@@ -229,6 +256,8 @@ let () =
             test_one_light_absorbs_many;
           Alcotest.test_case "merge" `Quick test_merge;
           Alcotest.test_case "entries sorted" `Quick test_entries_sorted;
+          Alcotest.test_case "unpaired ties keep pool order" `Quick
+            test_unpaired_ties_keep_pool_order;
         ] );
       ( "properties",
         [
