@@ -363,30 +363,13 @@ let join_all t nodes ~n_vs =
   t.ring_n <- Array.length vss;
   t.ring_version <- t.ring_version + t.ring_n
 
-(* Remove a VS from the ring; its successor absorbs region and load,
-   and [v] is marked off the ring. *)
-let delete_vs_absorb t v =
-  let n = t.ring_n in
-  if n <= 1 then invalid_arg "Dht.remove_vs: cannot remove the last VS";
-  let i = lower_bound t v.vs_id in
-  assert (i < n && t.ring_ids.(i) = v.vs_id);
-  Array.blit t.ring_ids (i + 1) t.ring_ids i (n - i - 1);
-  Array.blit t.ring_vss (i + 1) t.ring_vss i (n - i - 1);
-  t.ring_n <- n - 1;
-  t.ring_version <- t.ring_version + 1;
-  let succ = t.ring_vss.(if i = n - 1 then 0 else i) in
-  succ.load <- succ.load +. v.load;
-  let owner = node t v.owner in
-  owner.vss <- List.filter (fun x -> x != v) owner.vss;
-  v.owner <- -1
-
 let can_depart t id = is_alive t id && List.length t.nodes.(id).vss < t.ring_n
 
-(* [delete_vs_absorb] of each of [n]'s VSs, in [n.vss] order, with the
-   ring arrays compacted once: each VS's load goes to its successor at
-   that moment, past the VSs already removed, so every float is the
-   same as one at a time. *)
-let delete_node_vss t n =
+(* Remove each VS of [vss] from the ring, in list order, and mark it
+   off the ring; its successor at that moment, past the VSs already
+   removed, absorbs its region and load, so every float is the same as
+   one at a time.  The ring arrays are compacted once. *)
+let delete_vss t vss =
   let ring_n = t.ring_n in
   let removed = Bytes.make ring_n '\000' in
   let first = ref ring_n in
@@ -403,7 +386,7 @@ let delete_node_vss t n =
       let succ = t.ring_vss.(!j) in
       succ.load <- succ.load +. v.load;
       v.owner <- -1)
-    n.vss;
+    vss;
   let j = ref !first in
   for i = !first to ring_n - 1 do
     if Bytes.get removed i = '\000' then begin
@@ -420,7 +403,7 @@ let depart t id =
   if n.alive then begin
     if not (can_depart t id) then
       invalid_arg "Dht.depart: the node hosts every VS; the ring would empty";
-    delete_node_vss t n;
+    delete_vss t n.vss;
     n.vss <- [];
     n.alive <- false;
     t.live_dead <- t.live_dead + 1;
@@ -432,7 +415,10 @@ let crash = depart
 
 let remove_vs t v =
   if not (on_ring v) then invalid_arg "Dht.remove_vs: no such VS";
-  delete_vs_absorb t v
+  if t.ring_n <= 1 then invalid_arg "Dht.remove_vs: cannot remove the last VS";
+  let owner = node t v.owner in
+  owner.vss <- List.filter (fun x -> x != v) owner.vss;
+  delete_vss t [ v ]
 
 (* An on-ring VS is in its owner's list, so the pass that finds it
    there cuts it out. *)
