@@ -1,4 +1,5 @@
 module Id = P2plb_idspace.Id
+module Id_map = Map.Make (Int)
 
 type obj = {
   key : Id.t;
@@ -8,7 +9,7 @@ type obj = {
 
 type t = {
   r : int;
-  mutable objects : obj list Ring_map.t; (* key -> versions *)
+  mutable objects : obj list Id_map.t; (* key -> versions *)
   mutable count : int;
   mutable bytes : float;
 }
@@ -17,7 +18,7 @@ let create ~replication () =
   if replication < 1 then invalid_arg "Store.create: replication < 1";
   {
     r = replication;
-    objects = Ring_map.empty;
+    objects = Id_map.empty;
     count = 0;
     bytes = 0.0;
   }
@@ -52,14 +53,14 @@ let insert t dht ~key ~size =
   if size < 0.0 then invalid_arg "Store.insert: negative size";
   let o = { key; size; holder_nodes = placement t dht key } in
   let existing =
-    match Ring_map.find_opt key t.objects with Some l -> l | None -> []
+    match Id_map.find_opt key t.objects with Some l -> l | None -> []
   in
-  t.objects <- Ring_map.add key (o :: existing) t.objects;
+  t.objects <- Id_map.add key (o :: existing) t.objects;
   t.count <- t.count + 1;
   t.bytes <- t.bytes +. size
 
 let holders t ~key =
-  match Ring_map.find_opt key t.objects with
+  match Id_map.find_opt key t.objects with
   | None -> []
   | Some versions -> List.map (fun o -> o.holder_nodes) versions
 
@@ -67,7 +68,7 @@ let alive_holders dht o =
   List.filter (fun n -> Dht.is_alive dht n) o.holder_nodes
 
 let is_available t dht ~key =
-  match Ring_map.find_opt key t.objects with
+  match Id_map.find_opt key t.objects with
   | None -> false
   | Some versions -> List.exists (fun o -> alive_holders dht o <> []) versions
 
@@ -84,7 +85,7 @@ let repair t dht =
   let bytes_copied = ref 0.0 in
   let lost = ref 0 in
   let repaired =
-    Ring_map.fold
+    Id_map.fold
       (fun key versions acc ->
         let survivors =
           List.filter_map
@@ -113,8 +114,8 @@ let repair t dht =
         in
         match survivors with
         | [] -> acc
-        | _ :: _ -> Ring_map.add key survivors acc)
-      t.objects Ring_map.empty
+        | _ :: _ -> Id_map.add key survivors acc)
+      t.objects Id_map.empty
   in
   t.objects <- repaired;
   {
@@ -128,7 +129,7 @@ let availability t dht =
   if t.count = 0 then 1.0
   else begin
     let alive = ref 0 and total = ref 0 in
-    Ring_map.iter
+    Id_map.iter
       (fun _ versions ->
         List.iter
           (fun o ->
@@ -141,7 +142,7 @@ let availability t dht =
 
 let apply_primary_loads t dht =
   Dht.fold_vs dht ~init:() ~f:(fun () v -> Dht.set_vs_load dht v 0.0);
-  Ring_map.iter
+  Id_map.iter
     (fun key versions ->
       let owner = Dht.owner_of_key dht key in
       let total = List.fold_left (fun acc o -> acc +. o.size) 0.0 versions in

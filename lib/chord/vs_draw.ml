@@ -34,13 +34,7 @@ let radix_sort keys =
   done
 
 (* Index of the first key >= k in the sorted [keys], or its length. *)
-let lower_bound keys k =
-  let lo = ref 0 and hi = ref (Array.length keys) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) lsr 1 in
-    if keys.(mid) >= k then hi := mid else lo := mid + 1
-  done;
-  !lo
+let lower_bound keys k = Ring_index.lower_bound_in keys k 0 (Array.length keys)
 
 module Int_set = Set.Make (Int)
 

@@ -98,7 +98,9 @@ let reset_counters t =
    [ids]. *)
 
 (* First index in [lo, hi) of the sorted [ids] whose id is >= [x];
-   [hi] when there is none. *)
+   [hi] when there is none.  [Ring_index.lower_bound_in] is the same
+   search, but this is the KT's hottest call and a call into another
+   library is never inlined under dune's dev profile (-opaque). *)
 let rec lower_bound (ids : int array) (x : int) lo hi =
   if lo >= hi then lo
   else

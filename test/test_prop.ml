@@ -414,7 +414,7 @@ let test_vsa_grouping_agrees () =
     vsa_record_case prop_vsa_grouping_agrees
 
 (* Re-pairing a leftover: [pair] marks its leftover settled and pairs a
-   settled pool by reversing its equal-load runs, without the loop.
+   settled pool to itself, without the loop.
    Sheds and lights share a few nodes, so a shed can be left unpaired
    with a fitting slot of its own node in the pool, and loads sit on the
    discrete grid, so equal-load runs are common.  Three passes against
@@ -1173,11 +1173,13 @@ let test_lookup_small_rings () =
 
 module Ring_index = P2plb_chord.Ring_index
 
-(* The first of the ascending [ids.(0 .. n-1)] that is >= k, by a
-   linear scan. *)
-let scan_lower_bound ids n k =
-  let rec go i = if i < n && ids.(i) < k then go (i + 1) else i in
-  go 0
+(* The first of the ascending [ids.(lo .. hi-1)] that is >= k, or
+   [hi], by a linear scan. *)
+let scan_in ids k lo hi =
+  let rec go i = if i < hi && ids.(i) < k then go (i + 1) else i in
+  go lo
+
+let scan_lower_bound ids n k = scan_in ids k 0 n
 
 (* Bucket edges for every bucket width — k lsl s for k = 1, 3 and the
    largest k, s = 0 .. 31 — one either side, and both ends of the id
@@ -1199,14 +1201,21 @@ let queries ids =
   |> List.filter (fun k -> k >= 0 && k < Id.space_size)
 
 (* The index against the scan at [queries ids] and [extra].  Dht's
-   successor and strict predecessor are this lower bound, wrapped. *)
+   successor and strict predecessor are this lower bound, wrapped.
+   Each query also checks [Ring_index.lower_bound_in], the search the
+   index runs in a bucket and Vs_draw runs on its keys, against the
+   scan of a random slice [lo, hi). *)
 let index_agrees idx ~version ids extra =
   let n = Array.length ids in
+  let rng = Prng.create ~seed:((n * 1000) + version) in
   List.for_all
     (fun k ->
+      let lo = Prng.int rng (n + 1) in
+      let hi = lo + Prng.int rng (n - lo + 1) in
       Int.equal
         (Ring_index.lower_bound idx ~version ids n k)
-        (scan_lower_bound ids n k))
+        (scan_lower_bound ids n k)
+      && Int.equal (Ring_index.lower_bound_in ids k lo hi) (scan_in ids k lo hi))
     (extra @ queries ids)
 
 (* A ring point: [a] rounded down to a multiple of 2^s for s <= 31 — a
