@@ -12,16 +12,6 @@ type result = {
   rounds : int;
 }
 
-(* Baselines have no aggregation tree: they are granted the global
-   <L, C, L_min> directly (a strictly optimistic assumption in their
-   favour). *)
-let global_lbi dht : Types.lbi =
-  let l = Dht.total_load dht and c = Dht.total_capacity dht in
-  let l_min =
-    Dht.fold_vs dht ~init:infinity ~f:(fun acc v -> Float.min acc v.Dht.load)
-  in
-  { l; c; l_min }
-
 let absolute_epsilon (lbi : Types.lbi) =
   Controller.default.Controller.epsilon_rel *. lbi.l /. lbi.c
 
@@ -57,7 +47,7 @@ let transfer acc ~oracle dht v ~from_node ~to_node ~load =
 (* ---- CFS-style shedding ---------------------------------------------- *)
 
 let cfs_shed ~oracle dht =
-  let lbi = global_lbi dht in
+  let lbi = Lbi.exact dht in
   let epsilon = absolute_epsilon lbi in
   let heavy_before = count_heavy ~lbi ~epsilon dht in
   let acc = new_acc () in
@@ -136,7 +126,7 @@ let deficit_of ~lbi ~epsilon (n : Dht.node) =
   -. Dht.node_load n
 
 let rao_one_to_one ~rng ~oracle dht =
-  let lbi = global_lbi dht in
+  let lbi = Lbi.exact dht in
   let epsilon = absolute_epsilon lbi in
   let heavy_before = count_heavy ~lbi ~epsilon dht in
   let nodes = Array.of_list (Dht.alive_nodes dht) in
@@ -171,7 +161,7 @@ let rao_one_to_one ~rng ~oracle dht =
   }
 
 let rao_one_to_many ~rng ~oracle dht =
-  let lbi = global_lbi dht in
+  let lbi = Lbi.exact dht in
   let epsilon = absolute_epsilon lbi in
   let heavy_before = count_heavy ~lbi ~epsilon dht in
   let acc = new_acc () in
@@ -232,7 +222,7 @@ let rao_one_to_many ~rng ~oracle dht =
   }
 
 let rao_many_to_many ~oracle dht =
-  let lbi = global_lbi dht in
+  let lbi = Lbi.exact dht in
   let epsilon = absolute_epsilon lbi in
   let heavy_before = count_heavy ~lbi ~epsilon dht in
   (* One global pool: exactly the rendezvous pairing run at a single

@@ -148,14 +148,7 @@ type proximity_result = {
    min(shed supply, light demand), summed, over total supply. *)
 let locality_ceiling (s : Scenario.t) =
   let dht = s.Scenario.dht in
-  let lbi : Types.lbi =
-    {
-      l = Dht.total_load dht;
-      c = Dht.total_capacity dht;
-      l_min =
-        Dht.fold_vs dht ~init:infinity ~f:(fun a v -> Float.min a v.Dht.load);
-    }
-  in
+  let lbi = Lbi.exact dht in
   let epsilon = Controller.default.Controller.epsilon_rel *. lbi.l /. lbi.c in
   let supply = Hashtbl.create 256 and demand = Hashtbl.create 256 in
   let bump tbl k v =

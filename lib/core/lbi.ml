@@ -10,6 +10,13 @@ let node_lbi (n : Dht.node) : Types.lbi =
   in
   { l; c = n.Dht.capacity; l_min }
 
+let exact dht : Types.lbi =
+  let l = Dht.total_load dht and c = Dht.total_capacity dht in
+  let l_min =
+    Dht.fold_vs dht ~init:infinity ~f:(fun acc v -> Float.min acc v.Dht.load)
+  in
+  { l; c; l_min }
+
 let zero_lbi : Types.lbi = { l = 0.0; c = 0.0; l_min = infinity }
 
 (* A report send under fault injection: retried with bounded backoff;
@@ -50,10 +57,7 @@ let aggregate ~rng ?faults ?(route_messages = false) ?sweep tree dht =
     ~merge:Types.lbi_combine
     ~lift:(fun ~hi:_ ~lo:_ lbi -> lbi)
 
-let disseminate ?faults ?(route_messages = false) tree dht =
-  (* Nodes may have died during aggregation; re-plant before pushing
-     the root value back down. *)
-  ignore (Ktree.repair ~route_messages tree dht);
+let disseminate ?faults tree =
   (* The value reaches every leaf unchanged.  The final hop, leaf ->
      reporting VS, rides the same lossy links as the reports: one
      reliable send per leaf, whose losses are retried and, at worst,
@@ -68,5 +72,5 @@ let disseminate ?faults ?(route_messages = false) tree dht =
 
 let run ~rng ?faults ?route_messages tree dht =
   let lbi = aggregate ~rng ?faults ?route_messages tree dht in
-  disseminate ?faults ?route_messages tree dht;
+  disseminate ?faults tree;
   lbi

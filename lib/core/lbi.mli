@@ -24,6 +24,11 @@ val node_lbi : Dht.node -> Types.lbi
 (** [<L_i, C_i, L_{i,min}>] of one physical node.  [l_min] is
     [infinity] for a node hosting no VS. *)
 
+val exact : 'a Dht.t -> Types.lbi
+(** The system-wide [<L, C, L_min>] read off the ring directly, with
+    no tree: what the baselines are granted (an optimistic assumption
+    in their favour) and what the locality ceiling classifies by. *)
+
 val aggregate :
   rng:Prng.t -> ?faults:Faults.t -> ?route_messages:bool ->
   ?sweep:Types.lbi Ktree.sweep -> Ktree.t -> 'a Dht.t -> Types.lbi
