@@ -136,8 +136,6 @@ let vs_conservation ~before ?(crashes = 0) dht =
       before;
   match !err with None -> Ok () | Some e -> Error e
 
-let tree t dht = Ktree.check_consistent t dht
-
 let all ?tree:kt ?expected_total ?vs_before ?(crashes = 0) dht =
   let ( let* ) r f = match r with Ok () -> f () | Error _ as e -> e in
   let* () = ring_partition dht in
@@ -155,4 +153,4 @@ let all ?tree:kt ?expected_total ?vs_before ?(crashes = 0) dht =
     | Some before -> vs_conservation ~before ~crashes dht
     | None -> Ok ()
   in
-  match kt with Some t -> tree t dht | None -> Ok ()
+  match kt with Some t -> Ktree.check_consistent t dht | None -> Ok ()

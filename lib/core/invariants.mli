@@ -39,9 +39,6 @@ val vs_conservation :
     VS to vanish (its region and load fold into the successor), so
     disappearances are tolerated only when [crashes > 0]. *)
 
-val tree : Ktree.t -> 'a Dht.t -> (unit, string) result
-(** Delegates to {!Ktree.check_consistent}. *)
-
 val all :
   ?tree:Ktree.t ->
   ?expected_total:float ->
@@ -53,4 +50,5 @@ val all :
     checks above it asserts that no VS load is negative and that the
     load reachable through alive nodes' VS lists equals the ring total
     (churn strands no load on dead nodes).  [vs_before] (with
-    [crashes]) enables {!vs_conservation}. *)
+    [crashes]) enables {!vs_conservation}, and [tree]
+    {!Ktree.check_consistent}. *)

@@ -71,8 +71,3 @@ let overlap_len a b =
 
 let equal a b =
   a.len = b.len && (a.len = 0 || a.len = Id.space_size || a.start = b.start)
-
-let pp fmt r =
-  if is_whole r then Format.fprintf fmt "[whole ring]"
-  else if is_empty r then Format.fprintf fmt "[empty@%a]" Id.pp r.start
-  else Format.fprintf fmt "[%a..%a]" Id.pp r.start Id.pp (last r)

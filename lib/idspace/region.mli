@@ -54,4 +54,3 @@ val overlap_len : t -> t -> int
 (** Number of identifiers in the intersection of two regions. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -11,7 +11,6 @@ let create ~jobs =
   { jobs }
 
 let sequential = { jobs = 1 }
-let jobs t = t.jobs
 
 (* [Array.init]'s evaluation order is unspecified, so result collection
    uses explicit index loops throughout. *)

@@ -41,8 +41,6 @@ val create : jobs:int -> t
 val sequential : t
 (** [create ~jobs:1]. *)
 
-val jobs : t -> int
-
 val run : t -> ?obs:Obs.t -> n:int -> (int -> Obs.t option -> 'a) -> 'a array
 (** [run pool ?obs ~n f] evaluates [f i obs_i] for each task index [i]
     in [\[0, n)] and returns the [n] results in index order.  [obs_i]
