@@ -49,18 +49,13 @@ type outcome = {
   kt_repair_messages : int;
 }
 
-let run ?(config = default) ?faults ?obs (s : Scenario.t) =
+let run ?(config = default) ?(faults = Faults.create ~seed:0 Faults.none) ?obs
+    (s : Scenario.t) =
   let dht = s.Scenario.dht in
   (* Faults and the tree report through the observability bundle. *)
-  (match (obs, faults) with
-  | Some o, Some f -> Faults.attach_obs f o
-  | _ -> ());
+  Option.iter (Faults.attach_obs faults) obs;
   (* Fault-plan counters are cumulative; report this round's share. *)
-  let retries0, timeouts0 =
-    match faults with
-    | None -> (0, 0)
-    | Some f -> (Faults.retries f, Faults.timeouts f)
-  in
+  let retries0 = Faults.retries faults and timeouts0 = Faults.timeouts faults in
   (* The round occupies one unit of simulated time, from the armed
      fault plan's clock (the trace's when no plan is armed), and each
      phase ends at a barrier.  The plan's crash, partition and heal
@@ -68,7 +63,7 @@ let run ?(config = default) ?faults ?obs (s : Scenario.t) =
      mid-round cuts.  Trace timestamps are this simulated time, never
      the wall clock. *)
   let round_start =
-    match Option.bind faults Faults.clock with
+    match Faults.clock faults with
     | Some c -> c
     | None -> (
       match obs with
@@ -78,9 +73,7 @@ let run ?(config = default) ?faults ?obs (s : Scenario.t) =
   (* Returns the number of plan events it fired. *)
   let barrier frac =
     let time = round_start +. frac in
-    let fired =
-      match faults with Some f -> Faults.fire_until f ~time | None -> 0
-    in
+    let fired = Faults.fire_until faults ~time in
     (match obs with
     | Some o -> P2plb_obs.Trace.set_time (P2plb_obs.Obs.trace o) time
     | None -> ());
@@ -120,7 +113,7 @@ let run ?(config = default) ?faults ?obs (s : Scenario.t) =
   let msg0 = Ktree.messages tree in
   let sp = begin_phase "phase/lbi" [] in
   let lbi =
-    Lbi.run ~rng:s.Scenario.rng ?faults ~route_messages:config.route_messages
+    Lbi.run ~rng:s.Scenario.rng ~faults ~route_messages:config.route_messages
       tree dht
   in
   let lbi_rounds = Ktree.rounds_last_sweep tree in
@@ -156,7 +149,7 @@ let run ?(config = default) ?faults ?obs (s : Scenario.t) =
   let msg0 = Ktree.messages tree in
   let sp = begin_phase "phase/vsa" [] in
   let vsa =
-    Vsa.run ~threshold:config.threshold ~epsilon ?faults
+    Vsa.run ~threshold:config.threshold ~epsilon ~faults
       ~route_messages:config.route_messages ~mode ~rng:s.Scenario.rng ~lbi tree
       dht
   in
@@ -180,7 +173,7 @@ let run ?(config = default) ?faults ?obs (s : Scenario.t) =
       ]
   in
   let vst =
-    Vst.apply ~tree ?obs ?faults
+    Vst.apply ~tree ?obs ~faults
       ?oracle:(if config.account_distance then Some s.Scenario.oracle else None)
       dht
       vsa.Vsa.assignments
@@ -221,11 +214,6 @@ let run ?(config = default) ?faults ?obs (s : Scenario.t) =
     P2plb_obs.Registry.add
       (P2plb_obs.Registry.counter m "round/messages")
       (Ktree.messages tree));
-  let retries1, timeouts1 =
-    match faults with
-    | None -> (0, 0)
-    | Some f -> (Faults.retries f, Faults.timeouts f)
-  in
   {
     lbi;
     epsilon;
@@ -240,8 +228,8 @@ let run ?(config = default) ?faults ?obs (s : Scenario.t) =
     tree_messages = Ktree.messages tree;
     unit_loads_before;
     unit_loads_after;
-    retries = retries1 - retries0;
-    timeouts = timeouts1 - timeouts0;
+    retries = Faults.retries faults - retries0;
+    timeouts = Faults.timeouts faults - timeouts0;
     kt_repairs = Ktree.repairs tree;
     kt_repair_messages = Ktree.repair_messages tree;
   }

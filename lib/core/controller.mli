@@ -9,18 +9,21 @@ module Faults = P2plb_sim.Faults
     → virtual-server transferring, with or without the
     proximity-aware mechanism.
 
-    The round tolerates churn: with a fault plan (whose armed crash,
-    partition and heal events fire at the inter-phase barriers),
-    lost messages are retried with bounded backoff, orphaned KT nodes
-    are re-planted before each sweep, stale records are dropped at
-    rendezvous, and unapplicable transfers are skipped per cause —
-    the round always completes on whatever nodes remain alive.
+    Every round runs under exactly one fault plan ({!Faults.t}),
+    threaded through all four phases; a caller that passes none gets
+    a quiet plan, which injects nothing and draws no randomness.  The
+    round tolerates churn: the plan's armed crash, partition and heal
+    events fire at the inter-phase barriers, lost messages are retried
+    up to the plan's attempt budget, orphaned KT nodes are re-planted
+    before each sweep, stale records are dropped at rendezvous, and
+    unapplicable transfers are skipped per cause — the round always
+    completes on whatever nodes remain alive.
 
-    Every round runs phase 4 as the transactional protocol of {!Vst},
-    with or without a plan: under transfer-path faults (partitions,
-    duplication, mid-transfer crash windows) transfers abort per cause
-    rather than half-applying.  The ["phase/vst"] span always carries
-    [aborted] and [deduped] attributes, 0 without such faults. *)
+    Phase 4 is the transactional protocol of {!Vst}: under
+    transfer-path faults (partitions, duplication, mid-transfer crash
+    windows) transfers abort per cause rather than half-applying.  The
+    ["phase/vst"] span always carries [aborted] and [deduped]
+    attributes, 0 without such faults. *)
 
 type config = {
   k : int;  (** K-nary tree degree; paper evaluates 2 and 8 *)
@@ -70,15 +73,16 @@ val run :
   ?config:config -> ?faults:Faults.t -> ?obs:P2plb_obs.Obs.t -> Scenario.t ->
   outcome
 (** One load-balancing round over the scenario's current loads.
-    Mutates the scenario's DHT (virtual servers move).  [faults]
-    injects message loss (and supplies retry policy).  The round spans
+    Mutates the scenario's DHT (virtual servers move).  [faults] is the
+    round's fault plan (default: a fresh quiet one,
+    [Faults.create ~seed:0 Faults.none]): it injects message loss and
+    sets the retry budget for LBI, VSA and VST alike.  The round spans
     one unit of simulated time with barriers at 0.2, 0.4, 0.7 and 1.0;
     when [faults] is armed ({!Faults.arm}) the round starts at the
     plan's clock and each barrier fires the plan's events due by then
     ({!Faults.fire_until}), so crashes, partitions and heals land
     mid-round.  The 1.0 barrier comes after [census_after] and
-    [unit_loads_after] are taken.  Without a plan the round is
-    byte-identical to the fault-free code path.
+    [unit_loads_after] are taken.
 
     [obs] records the round as five spans — ["phase/kt_build"],
     ["phase/lbi"], ["phase/classify"], ["phase/vsa"], ["phase/vst"]

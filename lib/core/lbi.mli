@@ -13,12 +13,13 @@ module Faults = P2plb_sim.Faults
     [<L, C, L_min>] at the root, which is then disseminated top-down
     to every node.  Both directions take O(log_K N) rounds.
 
-    Under a fault plan the phase is churn-resilient: the tree is
-    {!Ktree.repair}ed before each sweep so reports always find a live
-    leaf, and every report/disseminate send goes through the
-    retry-with-timeout wrapper — a report lost after all retries
-    simply leaves its node out of this round's aggregate (the round
-    degrades instead of stalling). *)
+    The phase is churn-resilient: the tree is {!Ktree.repair}ed before
+    each sweep so reports always find a live leaf, and every
+    report/disseminate send goes through the fault plan's
+    retry-with-timeout wrapper ([faults], default a quiet plan that
+    delivers every send at its first attempt) — a report lost after
+    all retries simply leaves its node out of this round's aggregate
+    (the round degrades instead of stalling). *)
 
 val node_lbi : Dht.node -> Types.lbi
 (** [<L_i, C_i, L_{i,min}>] of one physical node.  [l_min] is
@@ -46,7 +47,7 @@ val run :
   rng:Prng.t -> ?faults:Faults.t -> ?route_messages:bool ->
   Ktree.t -> 'a Dht.t -> Types.lbi
 (** {!aggregate} followed by the top-down push of the root LBI:
-    {!Ktree.broadcast} charges its messages and rounds, and under a
-    fault plan each of the [Ktree.n_leaves] leaves makes one reliable
-    send to its reporting VS, in a loop; without a plan nothing is
-    sent. *)
+    {!Ktree.broadcast} charges its messages and rounds, and each of
+    the [Ktree.n_leaves] leaves makes one reliable send to its
+    reporting VS through [faults], in a loop; under a quiet plan each
+    is delivered at its first attempt and draws nothing. *)

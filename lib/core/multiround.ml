@@ -49,7 +49,8 @@ let crash_by_rank dht ~rank =
     if Dht.can_depart dht victim then Dht.crash dht victim
   end
 
-let run ?(config = Controller.default) ?faults ?obs ?(max_rounds = 10) ?check
+let run ?(config = Controller.default)
+    ?(faults = Faults.create ~seed:0 Faults.none) ?obs ?(max_rounds = 10) ?check
     scenario =
   if max_rounds < 1 then invalid_arg "Multiround.run: max_rounds < 1";
   let dht = scenario.Scenario.dht in
@@ -58,23 +59,18 @@ let run ?(config = Controller.default) ?faults ?obs ?(max_rounds = 10) ?check
      and fire at the phase barriers inside Controller.run (mid-round
      churn and mid-round cuts).  The plan starts at the trace's clock,
      so the trace's time never runs backwards. *)
-  (match faults with
-  | Some f when Faults.enabled f ->
-    Faults.arm f
+  if Faults.enabled faults then
+    Faults.arm faults
       ~start:
         (match obs with
         | Some o -> P2plb_obs.Trace.now (P2plb_obs.Obs.trace o)
         | None -> 0.0)
       ~horizon:(float_of_int max_rounds)
       ~population:(Dht.n_nodes dht)
-      ~crash:(fun ~rank -> crash_by_rank dht ~rank)
-  | _ -> ());
-  let counters0 =
-    match faults with
-    | Some f ->
-      (Faults.crashes f, Faults.transfer_crashes f, Faults.partitions_formed f)
-    | None -> (0, 0, 0)
-  in
+      ~crash:(fun ~rank -> crash_by_rank dht ~rank);
+  let c0 = Faults.crashes faults
+  and tc0 = Faults.transfer_crashes faults
+  and p0 = Faults.partitions_formed faults in
   (* Round spans wrap each controller round so the span forest groups
      phases under their round. *)
   let begin_round index =
@@ -100,7 +96,7 @@ let run ?(config = Controller.default) ?faults ?obs ?(max_rounds = 10) ?check
   in
   let rec go index acc total =
     let round_sp = begin_round index in
-    let o = Controller.run ~config ?faults ?obs scenario in
+    let o = Controller.run ~config ~faults ?obs scenario in
     let hb, _, _ = o.Controller.census_before in
     let ha, _, _ = o.Controller.census_after in
     let r =
@@ -140,15 +136,6 @@ let run ?(config = Controller.default) ?faults ?obs ?(max_rounds = 10) ?check
       in
       let rounds = List.rev acc in
       let sum f = List.fold_left (fun s r -> s + f r) 0 rounds in
-      let c0, tc0, p0 = counters0 in
-      let crashes, transfer_crashes, partitions_formed =
-        match faults with
-        | Some f ->
-          ( Faults.crashes f - c0,
-            Faults.transfer_crashes f - tc0,
-            Faults.partitions_formed f - p0 )
-        | None -> (0, 0, 0)
-      in
       {
         rounds;
         converged;
@@ -161,9 +148,9 @@ let run ?(config = Controller.default) ?faults ?obs ?(max_rounds = 10) ?check
         total_timeouts = sum (fun r -> r.timeouts);
         total_aborted = sum (fun r -> r.aborted);
         total_deduped = sum (fun r -> r.deduped);
-        crashes;
-        transfer_crashes;
-        partitions_formed;
+        crashes = Faults.crashes faults - c0;
+        transfer_crashes = Faults.transfer_crashes faults - tc0;
+        partitions_formed = Faults.partitions_formed faults - p0;
         violation;
       }
     end

@@ -8,11 +8,12 @@ module Faults = P2plb_sim.Faults
     after every load drift.  This module iterates {!Controller.run}
     until quiescence and reports per-round statistics.
 
-    With a fault plan the iteration doubles as a churn experiment: the
-    plan's node crashes and partition episodes are armed on a
-    simulated clock spanning all rounds and fire at the phase barriers
-    inside each round, while message loss stresses the retry layer and
-    transfer-path faults exercise the transactional VST protocol.
+    Under an enabled fault plan the iteration doubles as a churn
+    experiment: the plan's node crashes and partition episodes are
+    armed on a simulated clock spanning all rounds and fire at the
+    phase barriers inside each round, while message loss stresses the
+    retry layer and transfer-path faults exercise the transactional
+    VST protocol.
     Rounds then run on whatever nodes remain, and convergence is
     judged against the live population.
 
@@ -75,13 +76,14 @@ val run :
   Scenario.t ->
   result
 (** Runs up to [max_rounds] (default 10) rounds, stopping early when
-    no heavy nodes remain or a round makes no transfer.  When [faults]
-    is enabled, its crash schedule and partition episodes are armed
-    over a horizon of [max_rounds] simulated time units and every
-    round is driven with the fault plan attached; without it,
-    behaviour is byte-identical to the fault-free path.  [obs] is
-    threaded into every round (see {!Controller.run}); successive
-    rounds occupy successive units of simulated time.  An armed run
+    no heavy nodes remain or a round makes no transfer.  Every round
+    runs under [faults] (default: one fresh quiet plan,
+    [Faults.create ~seed:0 Faults.none], shared by all rounds).  When
+    it is {!Faults.enabled}, its crash schedule and partition episodes
+    are armed over a horizon of [max_rounds] simulated time units;
+    otherwise nothing is armed.  [obs] is threaded into every round
+    (see {!Controller.run}); successive rounds occupy successive units
+    of simulated time.  An armed run
     arms its plan at the trace's clock (0 without [obs]), so the
     trace's time never decreases; events past the last round run
     never fire.

@@ -74,9 +74,10 @@ val run :
 
     Churn resilience: the tree is {!Ktree.repair}ed first; record
     publications and rendezvous→endpoint notifications go through the
-    fault plan's retry/timeout wrapper; stale records from dead
-    reporters are dropped at the rendezvous instead of producing
-    doomed transfers.
+    retry/timeout wrapper of [faults] (default: a quiet plan, which
+    delivers every send at its first attempt and draws nothing); stale
+    records from dead reporters are dropped at the rendezvous instead
+    of producing doomed transfers.
 
     A shed record holds its VS's handle, so a leaf's freshness check
     reads the handle's owner with no ring search ({!Dht.on_ring}).

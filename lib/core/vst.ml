@@ -75,7 +75,8 @@ let tally n = function
   | Dest_crashed -> n.dest_crashed <- n.dest_crashed + 1
   | Commit_lost -> n.commit_lost <- n.commit_lost + 1
 
-let apply ?tree ?obs ?faults ?oracle dht assignments =
+let apply ?tree ?obs ?(faults = Faults.create ~seed:0 Faults.none) ?oracle dht
+    assignments =
   let trace_point name attrs =
     match obs with
     | None -> ()
@@ -116,21 +117,17 @@ let apply ?tree ?obs ?faults ?oracle dht assignments =
         ("seq", P2plb_obs.Trace.Int !seq);
       ]
   in
-  (* The fault plan's hooks.  Without a plan every message is
-     delivered, no crash window fires and nothing is duplicated; a plan
-     whose rates are zero draws no randomness, so both run the protocol
-     below to the same result.  [send] is one protocol message: a loss
+  (* The fault plan's hooks.  Under a quiet plan every message is
+     delivered, no crash window fires and nothing is duplicated, and no
+     randomness is drawn.  [send] is one protocol message: a loss
      aborts the transaction, blamed on the partition cut when one
      separates the endpoints and on [cause] otherwise. *)
   let send ~src ~dst cause =
-    match faults with
-    | None -> true
-    | Some f -> (
-      match Faults.send_between f ~src ~dst with
-      | Faults.Delivered _ -> true
-      | Faults.Lost ->
-        abort (if Faults.cut f ~a:src ~b:dst then Partitioned else cause);
-        false)
+    match Faults.send_between faults ~src ~dst with
+    | Faults.Delivered _ -> true
+    | Faults.Lost ->
+      abort (if Faults.cut faults ~a:src ~b:dst then Partitioned else cause);
+      false
   in
   (* Mid-window fail-stop of one endpoint, shielded like every other
      crash (see {!Dht.can_depart}).  [false] when the victim was
@@ -192,19 +189,14 @@ let apply ?tree ?obs ?faults ?oracle dht assignments =
        handler, whose seq check drops it instead of re-applying. *)
     let transfer p =
       let crashed =
-        match faults with
-        | None -> false
-        | Some f -> (
-          match Faults.crash_in_window f with
-          | Faults.No_crash -> false
-          | Faults.Crash_dst -> crash_endpoint p.a.a_to Dest_crashed
-          | Faults.Crash_src -> crash_endpoint p.a.a_from Src_crashed)
+        match Faults.crash_in_window faults with
+        | Faults.No_crash -> false
+        | Faults.Crash_dst -> crash_endpoint p.a.a_to Dest_crashed
+        | Faults.Crash_src -> crash_endpoint p.a.a_from Src_crashed
       in
       if crashed then None
       else begin
-        let duplicated =
-          match faults with None -> false | Some f -> Faults.duplicated f
-        in
+        let duplicated = Faults.duplicated faults in
         receive_transfer p.a.a_vs ~dst:p.a.a_to;
         if duplicated then receive_transfer p.a.a_vs ~dst:p.a.a_to;
         Some p
