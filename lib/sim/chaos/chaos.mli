@@ -17,9 +17,9 @@ module Multiround = P2plb.Multiround
 
 val derive_config : seed:int -> Faults.config
 (** The randomized fault mix for one seed: crash fraction up to 25%,
-    message loss up to 4%, duplication and mid-transfer-crash
-    probabilities in [2%, 20%], 1–2 partition episodes of 2–3 groups,
-    and a randomized (capped) backoff policy.  Deterministic in
+    message loss up to 4% with 3–10 attempts per reliable send,
+    duplication and mid-transfer-crash probabilities in [2%, 20%], and
+    1–2 partition episodes of 2–3 groups.  Deterministic in
     [seed]; every transfer-path fault class is always enabled. *)
 
 type seed_outcome = {
