@@ -100,19 +100,15 @@ val join_all : 'a t -> (float * int) array -> n_vs:int -> unit
     (too many draws to pack), before allocating or changing
     anything. *)
 
-val leave : 'a t -> node_id -> unit
-(** Graceful departure: each VS's region and load are absorbed by its
-    successor VS, as a Chord leave hands off its keys: in the node's
-    [vss] order, each to its successor at that moment, so a load can
-    pass through a later VS of the same node.  A no-op on a
-    departed node.  Raises [Invalid_argument], before changing
-    anything, when the node hosts every VS (see {!can_depart}). *)
-
 val crash : 'a t -> node_id -> unit
-(** Fail-stop departure.  Ring-level effect equals {!leave} after
-    repair (successors take over regions; we model post-repair state,
-    assuming replication preserved the objects and hence the load).
-    Raises like {!leave}. *)
+(** A node's departure, fail-stop or graceful: the ring is modelled
+    after repair, assuming replication preserved the objects and hence
+    the load.  Each VS's region and load are absorbed by its successor
+    VS, as a Chord leave hands off its keys: in the node's [vss] order,
+    each to its successor at that moment, so a load can pass through a
+    later VS of the same node.  A no-op on a departed node.  Raises
+    [Invalid_argument], before changing anything, when the node hosts
+    every VS (see {!can_depart}). *)
 
 val can_depart : 'a t -> node_id -> bool
 (** Whether [id] is alive and some other node hosts a VS, so that its
@@ -131,8 +127,8 @@ val n_vs : 'a t -> int
 
 val ring_version : 'a t -> int
 (** A counter that moves exactly when the set of ring ids changes:
-    every VS inserted ({!join}, {!join_all}) or deleted ({!leave},
-    {!crash}, {!remove_vs}) bumps it by one.  It does not move for
+    every VS inserted ({!join}, {!join_all}) or deleted ({!crash},
+    {!remove_vs}) bumps it by one.  It does not move for
     {!transfer_vs} (the VS keeps its id and region), load changes
     ({!set_vs_load}, {!add_vs_load}) or storage ({!put},
     {!drain_items}).  Structures keyed by VS ids and regions — the
@@ -172,7 +168,7 @@ val on_ring : vs -> bool
 (** Whether the VS is still on the ring.  A [vs] record is a handle:
     while it is on the ring it is the record {!vs_of_id} returns for
     its id, and its [owner] and [load] are current, at any
-    {!ring_version}.  A VS that leaves ({!leave}, {!crash},
+    {!ring_version}.  A VS that leaves ({!crash},
     {!remove_vs}) has its [owner] set to [-1], which no node has
     ({!is_alive} is false for it), and never comes back: a later VS
     that draws the same id is a new record. *)

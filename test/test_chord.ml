@@ -52,7 +52,7 @@ let test_load_conserved_by_leave () =
   let dht = build_dht ~seed:5 ~nodes:10 ~vs:3 in
   Dht.fold_vs dht ~init:() ~f:(fun () v -> Dht.set_vs_load dht v 2.0);
   let before = Dht.total_load dht in
-  Dht.leave dht 3;
+  Dht.crash dht 3;
   check Alcotest.int "node count drops" 9 (Dht.n_nodes dht);
   check Alcotest.int "vs count drops" 27 (Dht.n_vs dht);
   check Alcotest.bool "leave conserves load" true
@@ -61,7 +61,7 @@ let test_load_conserved_by_leave () =
 
 let test_regions_partition_after_churn () =
   let dht = build_dht ~seed:6 ~nodes:15 ~vs:3 in
-  Dht.leave dht 2;
+  Dht.crash dht 2;
   Dht.crash dht 7;
   ignore (Dht.join dht ~capacity:5.0 ~underlay:1 ~n_vs:4);
   let total =
@@ -126,7 +126,7 @@ let test_transfer_vs () =
 let test_transfer_to_dead_fails () =
   let dht = build_dht ~seed:8 ~nodes:5 ~vs:2 in
   let v = List.hd (Dht.node dht 0).Dht.vss in
-  Dht.leave dht 4;
+  Dht.crash dht 4;
   Alcotest.check_raises "dead target"
     (Invalid_argument "Dht.transfer_vs: dead target") (fun () ->
       Dht.transfer_vs dht v ~to_node:4)
@@ -146,7 +146,7 @@ let test_transfer_departed_vs_fails () =
           Dht.transfer_vs dht v ~to_node:2))
     [ gone; removed ]
 
-(* [crash], [leave] and [remove_vs] mark exactly the records they take
+(* [crash] and [remove_vs] mark exactly the records they take
    off the ring, and neither handle operation accepts one of them. *)
 let test_departed_vs_off_ring () =
   let dht = build_dht ~seed:8 ~nodes:6 ~vs:3 in
@@ -156,7 +156,7 @@ let test_departed_vs_off_ring () =
     (removed_vs :: (Dht.node dht 0).Dht.vss) @ (Dht.node dht 1).Dht.vss
   in
   Dht.crash dht 0;
-  Dht.leave dht 1;
+  Dht.crash dht 1;
   Dht.remove_vs dht removed_vs;
   check Alcotest.int "ring size" 11 (Dht.n_vs dht);
   List.iter
@@ -201,19 +201,13 @@ let test_depart_refuses_to_empty_ring () =
   check Alcotest.bool "the host of every VS cannot depart" false
     (Dht.can_depart dht 0);
   check Alcotest.bool "an empty node can" true (Dht.can_depart dht 1);
-  List.iter
-    (fun depart ->
-      Alcotest.check_raises "refused"
-        (Invalid_argument
-           "Dht.depart: the node hosts every VS; the ring would empty")
-        (fun () -> depart dht 0);
-      check Alcotest.bool "still alive" true (Dht.is_alive dht 0);
-      check Alcotest.int "keeps every VS" 6
-        (List.length (Dht.node dht 0).Dht.vss);
-      check Alcotest.int "ring untouched" 6 (Dht.n_vs dht);
-      check Alcotest.int "ring version untouched" version
-        (Dht.ring_version dht))
-    [ Dht.crash; Dht.leave ];
+  Alcotest.check_raises "refused"
+    (Invalid_argument "Dht.crash: the node hosts every VS; the ring would empty")
+    (fun () -> Dht.crash dht 0);
+  check Alcotest.bool "still alive" true (Dht.is_alive dht 0);
+  check Alcotest.int "keeps every VS" 6 (List.length (Dht.node dht 0).Dht.vss);
+  check Alcotest.int "ring untouched" 6 (Dht.n_vs dht);
+  check Alcotest.int "ring version untouched" version (Dht.ring_version dht);
   Dht.crash dht 1;
   check Alcotest.int "the empty node departs" 1 (Dht.n_nodes dht);
   check Alcotest.bool "a dead node cannot depart" false (Dht.can_depart dht 1)
@@ -379,7 +373,7 @@ let prop_join_leave_partition =
       for _ = 1 to 5 do
         if Prng.bool rng && Dht.n_nodes dht > 1 then begin
           let alive = Array.of_list (Dht.alive_nodes dht) in
-          Dht.leave dht (Prng.choose rng alive).Dht.node_id
+          Dht.crash dht (Prng.choose rng alive).Dht.node_id
         end
         else ignore (Dht.join dht ~capacity:1.0 ~underlay:0 ~n_vs:2)
       done;

@@ -376,8 +376,7 @@ let test_storage_bounded_under_churn () =
     let alive = Dht.n_nodes dht in
     if alive > 20 && (alive > 60 || Prng.bool rng) then begin
       let n = Prng.choose rng (Array.of_list (Dht.alive_nodes dht)) in
-      if step mod 3 = 0 then Dht.leave dht n.Dht.node_id
-      else Dht.crash dht n.Dht.node_id
+      Dht.crash dht n.Dht.node_id
     end
     else ignore (Dht.join dht ~capacity:1.0 ~underlay:step ~n_vs:3);
     Ktree.refresh tree dht

@@ -503,7 +503,6 @@ let test_repair_agrees_large () =
 type ring_op =
   | Join of int
   | Crash of int
-  | Leave of int
   | Remove_vs of int
   | Transfer_vs of int
   | Set_vs_load of int
@@ -512,7 +511,6 @@ type ring_op =
 let ring_op_name = function
   | Join a -> Printf.sprintf "Join %d" a
   | Crash a -> Printf.sprintf "Crash %d" a
-  | Leave a -> Printf.sprintf "Leave %d" a
   | Remove_vs a -> Printf.sprintf "Remove_vs %d" a
   | Transfer_vs a -> Printf.sprintf "Transfer_vs %d" a
   | Set_vs_load a -> Printf.sprintf "Set_vs_load %d" a
@@ -524,27 +522,25 @@ let ring_op_in ~kinds =
     match kind with
     | 0 -> Join a
     | 1 -> Crash a
-    | 2 -> Leave a
-    | 3 -> Remove_vs a
-    | 4 -> Transfer_vs a
-    | 5 -> Set_vs_load a
+    | 2 -> Remove_vs a
+    | 3 -> Transfer_vs a
+    | 4 -> Set_vs_load a
     | _ -> Put a
   in
   let to_pair = function
     | Join a -> (0, a)
     | Crash a -> (1, a)
-    | Leave a -> (2, a)
-    | Remove_vs a -> (3, a)
-    | Transfer_vs a -> (4, a)
-    | Set_vs_load a -> (5, a)
-    | Put a -> (6, a)
+    | Remove_vs a -> (2, a)
+    | Transfer_vs a -> (3, a)
+    | Set_vs_load a -> (4, a)
+    | Put a -> (5, a)
   in
   let p = Prop.pair (Prop.int_in 0 (kinds - 1)) (Prop.int_in 0 1_000_000) in
   Prop.make ~print:ring_op_name
     ~shrink:(fun op -> List.map of_pair (p.Prop.shrink (to_pair op)))
     (fun rng -> of_pair (p.Prop.gen rng))
 
-let ring_op = ring_op_in ~kinds:7
+let ring_op = ring_op_in ~kinds:6
 
 (* (physical nodes, K = 2 or 8, operations). *)
 let ktree_case =
@@ -573,9 +569,6 @@ let apply_ring_op_with ~item dht op =
   | Crash a ->
     let n = node a in
     if Dht.n_nodes dht > 1 && can_depart n then Dht.crash dht n.Dht.node_id
-  | Leave a ->
-    let n = node a in
-    if Dht.n_nodes dht > 1 && can_depart n then Dht.leave dht n.Dht.node_id
   | Remove_vs a ->
     if Dht.n_vs dht > 1 then Dht.remove_vs dht (nth_vs dht a)
   | Transfer_vs a ->
@@ -1125,7 +1118,7 @@ let lookups_agree ~seed dht =
   ok && Dht.hops_used dht - hops0 = !total
 
 (* ((physical nodes, VSs per node), operations): the ring as built,
-   then after the churn (joins, crashes, leaves, VS removals and
+   then after the churn (joins, crashes, VS removals and
    transfers). *)
 let lookup_case =
   Prop.pair
@@ -1668,12 +1661,12 @@ let test_depart_matches_removals () =
 
 (* ---- Chord: the ring against a sorted-list model ------------------------ *)
 
-(* ((physical nodes, VSs per node), churn): joins, crashes, leaves, VS
-   removals and transfers. *)
+(* ((physical nodes, VSs per node), churn): joins, crashes, VS removals
+   and transfers. *)
 let model_case =
   Prop.pair
     (Prop.pair (Prop.int_in 1 64) (Prop.int_in 1 4))
-    (Prop.list_of ~max_len:24 (ring_op_in ~kinds:5))
+    (Prop.list_of ~max_len:24 (ring_op_in ~kinds:4))
 
 let by_id (a, _) (b, _) = Int.compare a b
 
@@ -1751,10 +1744,10 @@ let prop_ring_matches_model ((n_nodes, vs), ops) =
     model := List.filter (fun (id, _) -> not (List.mem id gone)) !model;
     version := !version + List.length gone
   in
-  let depart f (n : Dht.node) =
+  let crash (n : Dht.node) =
     if Dht.n_nodes dht > 1 && List.length n.Dht.vss < Dht.n_vs dht then begin
       let gone = List.map (fun v -> v.Dht.vs_id) n.Dht.vss in
-      f dht n.Dht.node_id;
+      Dht.crash dht n.Dht.node_id;
       drop gone
     end
   in
@@ -1769,8 +1762,7 @@ let prop_ring_matches_model ((n_nodes, vs), ops) =
       in
       model := List.sort by_id (added @ m);
       version := !version + List.length added
-    | Crash a -> depart Dht.crash (node a)
-    | Leave a -> depart Dht.leave (node a)
+    | Crash a -> crash (node a)
     | Remove_vs a ->
       if List.length m > 1 then begin
         let id = nth a in
