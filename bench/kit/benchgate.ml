@@ -11,7 +11,7 @@
    simulation (DESIGN.md §11). *)
 
 module Obs = P2plb_obs.Obs
-module Registry = P2plb_obs.Registry
+module Spantree = P2plb_obs.Spantree
 module Timeseries = P2plb_obs.Timeseries
 module Trace = P2plb_obs.Trace
 
@@ -55,12 +55,21 @@ type file = {
 
 (* ---- building a record -------------------------------------------------- *)
 
+(* Transfers are the vst/transfer points; messages are the phase spans'
+   [messages] totals, which tile each round's KT message count. *)
 let sim_of_obs obs =
-  let metrics = Obs.metrics obs in
+  let run = Spantree.of_run (Obs.trace obs) in
   let series = Obs.series obs in
   let samples = Timeseries.samples series in
-  let counter name =
-    match Registry.find_counter metrics name with Some n -> n | None -> 0
+  let messages =
+    List.fold_left
+      (fun acc (p : Spantree.phase_row) ->
+        match List.assoc_opt "messages" p.p_totals with
+        | Some m when String.starts_with ~prefix:"phase/" p.p_name ->
+          acc + int_of_float m
+        | Some _ | None -> acc)
+      0
+      (Spantree.phase_rows run.Spantree.roots)
   in
   let conv_round, final_ratio, moved_frac =
     match Timeseries.convergence samples with
@@ -80,8 +89,10 @@ let sim_of_obs obs =
     sm_conv_round = conv_round;
     sm_final_ratio = final_ratio;
     sm_moved_frac = moved_frac;
-    sm_transfers = counter "vst/transfers";
-    sm_messages = counter "round/messages";
+    sm_transfers =
+      Option.value ~default:0
+        (List.assoc_opt "vst/transfer" run.Spantree.point_counts);
+    sm_messages = messages;
     sm_series_digest = Timeseries.digest series;
   }
 

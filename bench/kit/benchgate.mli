@@ -58,7 +58,8 @@ val observe : string -> P2plb_obs.Obs.t -> (unit -> unit) -> experiment
 (** [observe name obs run] runs [run] and reads the cpu seconds and
     bytes it allocated, then derives the deterministic figures from
     [obs] once it is finished: timeseries rounds and convergence plus
-    the [vst/transfers] and [round/messages] counters. *)
+    the trace's [vst/transfer] point count and the phase spans'
+    [messages] totals ({!P2plb_obs.Spantree.of_run}). *)
 
 val record :
   rev:string ->

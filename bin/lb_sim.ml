@@ -9,7 +9,6 @@ module Chaos = P2plb_chaos.Chaos
 module Par = P2plb_sim.Par
 module Obs = P2plb_obs.Obs
 module Trace = P2plb_obs.Trace
-module Registry = P2plb_obs.Registry
 module Spantree = P2plb_obs.Spantree
 module Timeseries = P2plb_obs.Timeseries
 
@@ -86,8 +85,10 @@ let trace_out_arg =
 
 let metrics_out_arg =
   let doc =
-    "Write the run's metrics registry (sorted, digest-stable \
-     $(i,name = value) lines) to $(docv)."
+    "Write the run's totals, read off its trace, to $(docv): each span \
+     name's count and attribute totals, each point event's count and the \
+     transfer hop histograms, as sorted, digest-stable $(i,name = value) \
+     lines."
   in
   Arg.(
     value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc)
@@ -120,7 +121,7 @@ let write_out path write =
 let flush_sinks obs (trace_out, metrics_out, series_out) =
   let flush write = Option.iter (fun path -> write_out path write) in
   flush (Trace.write_jsonl (Obs.trace obs)) trace_out;
-  flush (Registry.write (Obs.metrics obs)) metrics_out;
+  flush (Spantree.write_totals (Obs.trace obs)) metrics_out;
   flush (Timeseries.write (Obs.series obs)) series_out
 
 (* Runs [f] with an observability bundle when any sink is requested

@@ -192,10 +192,9 @@ let run ?(config = default) ?(faults = Faults.create ~seed:0 Faults.none) ?obs
       ("aborted", P2plb_obs.Trace.Int vst.Vst.aborted);
       ("deduped", P2plb_obs.Trace.Int vst.Vst.deduped);
     ];
-  (* Round-level registry series and the per-round load snapshot for
-     the convergence time-series.  The snapshot goes to the bundle's
-     series sink (not the trace), so trace/metrics digest pins are
-     unaffected. *)
+  (* The per-round load snapshot for the convergence time-series.  It
+     goes to the bundle's series sink (not the trace), so trace digest
+     pins are unaffected. *)
   (match obs with
   | None -> ()
   | Some o ->
@@ -208,12 +207,7 @@ let run ?(config = default) ?(faults = Faults.create ~seed:0 Faults.none) ?obs
          ~round:(int_of_float round_start)
          ~time:(round_start +. 1.0)
          ~epsilon:config.epsilon_rel ~unit_loads:unit_loads_after ~fair
-         ~moved:vst.Vst.moved_load ~total_load:lbi.Types.l);
-    let m = P2plb_obs.Obs.metrics o in
-    P2plb_obs.Registry.add (P2plb_obs.Registry.counter m "round/rounds") 1;
-    P2plb_obs.Registry.add
-      (P2plb_obs.Registry.counter m "round/messages")
-      (Ktree.messages tree));
+         ~moved:vst.Vst.moved_load ~total_load:lbi.Types.l));
   {
     lbi;
     epsilon;

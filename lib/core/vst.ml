@@ -215,11 +215,6 @@ let apply ?tree ?obs ?(faults = Faults.create ~seed:0 Faults.none) ?oracle dht
             ("hops", P2plb_obs.Trace.Int hops);
             ("load", P2plb_obs.Trace.Float load);
           ];
-        (match obs with
-        | None -> ()
-        | Some o ->
-          P2plb_obs.Registry.hist_add (P2plb_obs.Obs.metrics o)
-            "vst/hop_cost" ~bin:hops ~weight:load);
         (* Lazy migration re-homes every KT node planted in the VS. *)
         let migrated =
           match tree with
@@ -244,42 +239,25 @@ let apply ?tree ?obs ?(faults = Faults.create ~seed:0 Faults.none) ?oracle dht
      VSA/VST round (hosts are VS ids, so structure is unchanged; this
      re-validates coverage after ring-state changes). *)
   (match tree with None -> () | Some t -> Ktree.refresh t dht);
-  let r =
-    {
-      hist;
-      moved_load = n.moved_load;
-      transfers = n.transfers;
-      skipped = n.vs_gone + n.owner_changed + n.dest_dead;
-      skipped_vs_gone = n.vs_gone;
-      skipped_owner_changed = n.owner_changed;
-      skipped_dest_dead = n.dest_dead;
-      aborted =
-        n.prepare_lost + n.partitioned + n.src_crashed + n.dest_crashed
-        + n.commit_lost;
-      aborted_prepare_lost = n.prepare_lost;
-      aborted_partitioned = n.partitioned;
-      aborted_src_crashed = n.src_crashed;
-      aborted_dest_crashed = n.dest_crashed;
-      aborted_commit_lost = n.commit_lost;
-      deduped = n.deduped;
-      restructure_messages = n.restructure_messages;
-    }
-  in
-  (match obs with
-  | None -> ()
-  | Some o ->
-    let m = P2plb_obs.Obs.metrics o in
-    P2plb_obs.Registry.add (P2plb_obs.Registry.counter m "vst/transfers")
-      r.transfers;
-    P2plb_obs.Registry.add (P2plb_obs.Registry.counter m "vst/skipped")
-      r.skipped;
-    P2plb_obs.Registry.accum (P2plb_obs.Registry.gauge m "vst/moved_load")
-      r.moved_load;
-    P2plb_obs.Registry.add (P2plb_obs.Registry.counter m "vst/aborted")
-      r.aborted;
-    P2plb_obs.Registry.add (P2plb_obs.Registry.counter m "vst/deduped")
-      r.deduped);
-  r
+  {
+    hist;
+    moved_load = n.moved_load;
+    transfers = n.transfers;
+    skipped = n.vs_gone + n.owner_changed + n.dest_dead;
+    skipped_vs_gone = n.vs_gone;
+    skipped_owner_changed = n.owner_changed;
+    skipped_dest_dead = n.dest_dead;
+    aborted =
+      n.prepare_lost + n.partitioned + n.src_crashed + n.dest_crashed
+      + n.commit_lost;
+    aborted_prepare_lost = n.prepare_lost;
+    aborted_partitioned = n.partitioned;
+    aborted_src_crashed = n.src_crashed;
+    aborted_dest_crashed = n.dest_crashed;
+    aborted_commit_lost = n.commit_lost;
+    deduped = n.deduped;
+    restructure_messages = n.restructure_messages;
+  }
 
 let mean_transfer_distance (r : result) =
   if r.moved_load <= 0.0 then 0.0

@@ -106,10 +106,9 @@ val apply :
     [obs] records one ["vst/transfer"] trace point per committed
     assignment (attributes [hops], [load] — Figures 7–8 are derivable
     from the trace alone), a cause-tagged ["vst/skip"] per dropped
-    one, cause-tagged ["vst/abort"] and ["vst/dedup"] points, and
-    registry series [vst/transfers],
-    [vst/skipped], [vst/moved_load], [vst/aborted], [vst/deduped] and
-    the [vst/hop_cost] histogram. *)
+    one, and cause-tagged ["vst/abort"] and ["vst/dedup"] points.  The
+    round's totals are the enclosing ["phase/vst"] span's End attrs
+    ({!Controller.run}). *)
 
 val mean_transfer_distance : result -> float
 (** Load-weighted mean hop distance; 0 when nothing moved. *)

@@ -72,10 +72,7 @@ let obs_event t name depth =
   | None -> ()
   | Some o ->
     P2plb_obs.Trace.point (P2plb_obs.Obs.trace o) name
-      ~attrs:[ ("depth", P2plb_obs.Trace.Int depth) ];
-    P2plb_obs.Registry.add
-      (P2plb_obs.Registry.counter (P2plb_obs.Obs.metrics o) name)
-      1
+      ~attrs:[ ("depth", P2plb_obs.Trace.Int depth) ]
 
 let k t = t.k
 let node_depth _ n = depth_of n

@@ -79,8 +79,7 @@ val set_obs : t -> P2plb_obs.Obs.t -> unit
 (** Routes tree-maintenance events to an observability bundle:
     {!refresh} host changes emit ["kt/rehost"] points and {!repair}
     re-plants emit ["kt/replant"] points (both with a [depth]
-    attribute), each also bumping the counter of the same name.
-    Without an attachment the tree stays silent. *)
+    attribute).  Without an attachment the tree stays silent. *)
 
 val build : ?route_messages:bool -> k:int -> 'a Dht.t -> t
 (** Constructs the tree against the current ring.  Requires a

@@ -1,18 +1,18 @@
 (** The observability bundle threaded through a load-balancing round.
 
-    One {!Trace.t} (ordered events in simulated time), one
-    {!Registry.t} (named aggregate series) and one {!Timeseries.t}
-    (per-round load snapshots).  Instrumented subsystems accept
-    [?obs:Obs.t]; [None] is the zero-overhead default and every
-    instrumentation site degrades to a no-op, so un-observed runs are
-    byte-identical to pre-instrumentation ones. *)
+    One {!Trace.t} (ordered events in simulated time) and one
+    {!Timeseries.t} (per-round load snapshots).  Run totals are a view
+    of the trace ({!Spantree.totals}), not a second recorder.
+    Instrumented subsystems accept [?obs:Obs.t]; [None] is the
+    zero-overhead default and every instrumentation site degrades to a
+    no-op, so un-observed runs are byte-identical to
+    pre-instrumentation ones. *)
 
-type t = { trace : Trace.t; metrics : Registry.t; series : Timeseries.t }
+type t = { trace : Trace.t; series : Timeseries.t }
 
 val create : unit -> t
 
 val trace : t -> Trace.t
-val metrics : t -> Registry.t
 val series : t -> Timeseries.t
 
 (** {1 Task bundles} — parallel execution support (DESIGN.md §12)
@@ -27,6 +27,6 @@ val merge : into:t -> t -> unit
     records had been made next on [into].  With [p] the clock of
     [into]'s trace at the call: {!Trace.merge} shifts the child's
     events by [p] and leaves the clock at [p] plus the child's clock,
-    {!Registry.merge} adds the child's totals, and {!Timeseries.merge}
-    appends the child's samples, their times and rounds shifted by [p].
+    and {!Timeseries.merge} appends the child's samples, their times
+    and rounds shifted by [p].
     Call in task-index order; discard the child afterwards. *)

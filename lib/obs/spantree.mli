@@ -46,6 +46,13 @@ val of_events : Trace.ev list -> (t, string) result
     twice, ends without beginning, never ends (unbalanced), or
     declares a parent id that is not an open span (orphan parent). *)
 
+val of_run : Trace.t -> t
+(** A run's own trace, read as {!of_events} reads a file, except that a
+    span still open (a run that raised mid-phase) ends at the trace's
+    clock with the attrs it has.  Raises [Invalid_argument] on the
+    other diagnostics, which only a misuse of {!Trace.end_span} (a span
+    ended twice) can record. *)
+
 (** {1 Per-span figures} *)
 
 val extent : node -> float
@@ -91,6 +98,27 @@ type phase_row = {
 val phase_rows : node list -> phase_row list
 (** Per-name aggregates over every span under the given roots, sorted
     by name. *)
+
+(** {1 Totals view} — the [--metrics-out] file
+
+    The whole-trace figures of {!render}'s span table, point counts
+    and hop-cost section, as sorted ["name = value"] rows in
+    {!Trace.float_to_string}'s spelling, so they are digest-stable and
+    the trace stays a run's one recorder. *)
+
+val totals : t -> (string * string) list
+(** Sorted by name: each span name's count ([phase/vst = 77]) and its
+    attr totals as {!phase_rows} folds them
+    ([phase/vst.messages = 6244591]), each point name's count
+    ([vst/transfer = 76488]), and each mode's hop histogram
+    ([vst/transfer.hops.aware = total=… max_bin=… p50=… p99=…],
+    ["empty"] when it holds no weight). *)
+
+val dump_totals : t -> string
+(** {!totals} as ["name = value"] lines. *)
+
+val write_totals : Trace.t -> path:string -> unit
+(** {!dump_totals} of {!of_run} to a file. *)
 
 (** {1 Reports} *)
 

@@ -119,10 +119,7 @@ let obs_event t name attrs =
   match t.obs with
   | None -> ()
   | Some o ->
-    P2plb_obs.Trace.point (P2plb_obs.Obs.trace o) name ~attrs;
-    P2plb_obs.Registry.add
-      (P2plb_obs.Registry.counter (P2plb_obs.Obs.metrics o) name)
-      1
+    P2plb_obs.Trace.point (P2plb_obs.Obs.trace o) name ~attrs
 
 let enabled t =
   t.config.crash_fraction > 0.0

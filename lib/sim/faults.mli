@@ -76,9 +76,9 @@ val attach_obs : t -> P2plb_obs.Obs.t -> unit
     retry, timeout, crash, duplication and partition event emits a
     cause-tagged trace point (["fault/drop"], ["fault/retry"],
     ["fault/timeout"], ["fault/crash"], ["fault/duplicate"],
-    ["fault/transfer_crash"], ["fault/partition"], ["fault/heal"]) and
-    bumps the counter of the same name.  Without an attachment the
-    plan stays silent (and allocation-free). *)
+    ["fault/transfer_crash"], ["fault/partition"], ["fault/heal"]);
+    the [--metrics-out] view counts them by name.  Without an
+    attachment the plan stays silent (and allocation-free). *)
 
 (** {1 Message loss and reliable send} *)
 

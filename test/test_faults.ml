@@ -10,7 +10,6 @@ module Types = P2plb.Types
 module Vst = P2plb.Vst
 module Obs = P2plb_obs.Obs
 module Trace = P2plb_obs.Trace
-module Registry = P2plb_obs.Registry
 module Spantree = P2plb_obs.Spantree
 
 let check = Alcotest.check
@@ -452,7 +451,7 @@ let test_every_vst_cause () =
 (* Observability digests of a balancing run: a run given no plan runs
    under a fresh quiet one, and a caller's zero-rate plan of another
    seed must produce exactly its bytes.  If a pin moves, the trace or
-   registry contract changed and the pins must be re-recorded
+   its totals view changed and the pins must be re-recorded
    deliberately. *)
 let pin label expected_trace expected_metrics f =
   let obs = Obs.create () in
@@ -460,20 +459,22 @@ let pin label expected_trace expected_metrics f =
   check Alcotest.string (label ^ ": trace digest pinned") expected_trace
     (Trace.digest (Obs.trace obs));
   check Alcotest.string (label ^ ": metrics digest pinned") expected_metrics
-    (Registry.digest (Obs.metrics obs))
+    (Digest.to_hex
+       (Digest.string
+          (Spantree.dump_totals (Spantree.of_run (Obs.trace obs)))))
 
 let test_no_perturbation_digest_pins () =
   pin "zero-fault" "310aa2f48374f573228194d2ce406933"
-    "efd113e67dc2fa32eb8e0129596d719b" (fun obs ->
+    "6697bd9c730dc3ad918aaeed50cd80d6" (fun obs ->
       let s = Scenario.build ~seed:3 (small_config 128) in
       ignore (Multiround.run ~obs ~max_rounds:3 s));
   pin "zero-config plan attached" "310aa2f48374f573228194d2ce406933"
-    "efd113e67dc2fa32eb8e0129596d719b" (fun obs ->
+    "6697bd9c730dc3ad918aaeed50cd80d6" (fun obs ->
       let s = Scenario.build ~seed:3 (small_config 128) in
       let faults = Faults.create ~seed:5 Faults.none in
       ignore (Multiround.run ~faults ~obs ~max_rounds:3 s));
   pin "churn plan" "175303918ec384317814c34e10e57ac6"
-    "a5cb7e9efd28521e6a89fa3694bc6b73" (fun obs ->
+    "8e5afd0b71084e0716d64b9160a38305" (fun obs ->
       let s = Scenario.build ~seed:11 (small_config 128) in
       let faults =
         Faults.create ~seed:11 (Faults.churn ~message_loss:0.02 ())
@@ -568,6 +569,18 @@ let test_zero_loss_draws_nothing () =
   done;
   check Alcotest.int "no retries without loss" 0 (Faults.retries lossless);
   check Alcotest.int "no drops without loss" 0 (Faults.drops lossless);
+  (* A draw boxes its float, so a quiet plan that touched its loss
+     stream would allocate: 10,000 rounds of the three sends must
+     allocate no minor words. *)
+  let quiet = Faults.create ~seed:7 Faults.none in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    ignore (Faults.send quiet);
+    ignore (Faults.deliver quiet);
+    ignore (Faults.send_between quiet ~src:0 ~dst:1)
+  done;
+  check (Alcotest.float 0.0) "quiet sends allocate nothing" 0.0
+    (Gc.minor_words () -. w0);
   (* interleave: a drains sends; b drains the same number; equal tails *)
   let drain f n = List.init n (fun _ -> Faults.deliver f) in
   check

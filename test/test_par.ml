@@ -11,7 +11,7 @@
 module Par = P2plb_sim.Par
 module Obs = P2plb_obs.Obs
 module Trace = P2plb_obs.Trace
-module Registry = P2plb_obs.Registry
+module Spantree = P2plb_obs.Spantree
 module Timeseries = P2plb_obs.Timeseries
 module E = P2plb.Experiments
 module Chaos = P2plb_chaos.Chaos
@@ -56,7 +56,7 @@ let test_exception_leaves_obs () =
       Trace.point (Obs.trace obs) "parent/before";
       let sinks () =
         ( Trace.to_jsonl (Obs.trace obs),
-          Registry.digest (Obs.metrics obs),
+          Spantree.dump_totals (Spantree.of_run (Obs.trace obs)),
           Timeseries.digest (Obs.series obs),
           Trace.now (Obs.trace obs) )
       in
@@ -69,8 +69,7 @@ let test_exception_leaves_obs () =
               Option.iter
                 (fun o ->
                   Trace.set_time (Obs.trace o) 1.0;
-                  Trace.point (Obs.trace o) "task";
-                  Registry.add (Registry.counter (Obs.metrics o) "task/n") 1)
+                  Trace.point (Obs.trace o) "task")
                 o;
               if i = 3 then raise (Boom i))
         with
@@ -103,9 +102,9 @@ let assert_obs_parity ~what seq par =
     (Trace.to_jsonl (Obs.trace seq))
     (Trace.to_jsonl (Obs.trace par));
   check Alcotest.string
-    (what ^ ": metrics digest identical")
-    (Registry.digest (Obs.metrics seq))
-    (Registry.digest (Obs.metrics par));
+    (what ^ ": metrics view identical")
+    (Spantree.dump_totals (Spantree.of_run (Obs.trace seq)))
+    (Spantree.dump_totals (Spantree.of_run (Obs.trace par)));
   check Alcotest.string
     (what ^ ": timeseries digest identical")
     (Timeseries.digest (Obs.series seq))

@@ -16,7 +16,6 @@ module Dht = P2plb_chord.Dht
 module Vs_draw = P2plb_chord.Vs_draw
 module Ktree = P2plb_ktree.Ktree
 module Obs = P2plb_obs.Obs
-module Registry = P2plb_obs.Registry
 module Trace = P2plb_obs.Trace
 module Prng = P2plb_prng.Prng
 
@@ -644,7 +643,10 @@ let prop_ktree_version_contract (n_nodes, k_sel, ops) =
   let obs = Obs.create () in
   Ktree.set_obs tree obs;
   let rehosts () =
-    Option.value ~default:0 (Registry.find_counter (Obs.metrics obs) "kt/rehost")
+    List.length
+      (List.filter
+         (fun (e : Trace.ev) -> String.equal e.name "kt/rehost")
+         (Trace.events (Obs.trace obs)))
   in
   let consistent () = Result.is_ok (Ktree.check_consistent tree dht) in
   (* At an unchanged ring version both walks are no-ops apart from
