@@ -521,8 +521,8 @@ let render_resilience rows =
     ~title:
       "Load balancing under mid-round churn, message loss and transfer-path \
        faults (up to 3 rounds):\n\
-       crashes fire at phase barriers; lost messages retried with bounded \
-       backoff; KT self-repairs;\n\
+       crashes fire at phase barriers; lost messages retried up to the \
+       plan's max_attempts; KT self-repairs;\n\
        duplicated/partitioned/crash-struck transfers handled by the \
        transactional VST protocol"
     ~header:
