@@ -82,8 +82,8 @@ val merge : into:t -> t -> unit
 
 val float_to_string : float -> string
 (** Shortest decimal spelling that round-trips the double — the
-    canonical float format shared by the trace sink and the registry
-    dump. *)
+    canonical float format shared by the trace sink, the series sink
+    and the metrics view ({!Spantree.totals}). *)
 
 val json_string : string -> string
 (** [s] as a quoted JSON string, escaped as the trace sink escapes
@@ -122,8 +122,8 @@ val load_jsonl : string -> (ev list, string) result
 (** {1 Flat-line JSON view}
 
     The sink's one-object-per-line subset, exposed for the sibling
-    JSONL formats built on it ({!Timeseries} samples, bench records):
-    each field is a scalar or one level of nested object. *)
+    JSONL format built on it (bench records): each field is a scalar
+    or one level of nested object. *)
 
 type flat = Scalar of value | Nested of (string * value) list
 
