@@ -743,7 +743,7 @@ let load_drift ?obs ?(seed = 1) ?(n_nodes = 1024) ?(epochs = 6) () =
          arrive and depart between balancing rounds. *)
       if epoch > 0 then
         Dht.fold_vs dht ~init:() ~f:(fun () v ->
-            if Prng.unit_float rng < 0.2 then begin
+            if Prng.bernoulli rng 0.2 then begin
               let region = Dht.region_of_vs dht v in
               let fraction =
                 float_of_int (P2plb_idspace.Region.len region)

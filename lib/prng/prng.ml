@@ -29,27 +29,26 @@ let bits64 t = step t
 
 let split t = of_state (step t)
 
-let unit_float t =
-  (* 53 high bits of the raw output, scaled to [0, 1). *)
+let[@inline] unit_float t =
+  (* 53 high bits of the raw output, scaled to [0, 1).  Inlined, so
+     [bernoulli] compares the draw unboxed. *)
   let bits = Int64.shift_right_logical (step t) 11 in
   Int64.to_float bits *. 0x1p-53
 
 let float t bound = unit_float t *. bound
 
-let int64 t bound =
-  if Int64.compare bound 0L <= 0 then invalid_arg "Prng.int64: bound <= 0";
-  (* Rejection sampling on the top range multiple of [bound]. *)
-  let rec go () =
-    let raw = Int64.shift_right_logical (step t) 1 in
-    let v = Int64.rem raw bound in
-    if Int64.(compare (sub raw v) (sub (sub max_int bound) 1L)) > 0 then go ()
-    else v
-  in
-  go ()
+let bernoulli t p = unit_float t < p
 
-let int t bound =
+(* Rejection sampling on the top range multiple of [bound], over the
+   draw's high 63 bits.  A top-level loop that returns an [int]: the
+   [int64] temporaries stay unboxed and no closure is made. *)
+let rec int t bound =
   if bound <= 0 then invalid_arg "Prng.int: bound <= 0";
-  Int64.to_int (int64 t (Int64.of_int bound))
+  let raw = Int64.shift_right_logical (step t) 1 in
+  let b = Int64.of_int bound in
+  let v = Int64.rem raw b in
+  if Int64.sub raw v > Int64.(sub (sub max_int b) 1L) then int t bound
+  else Int64.to_int v
 
 let int_in t ~lo ~hi =
   if lo > hi then invalid_arg "Prng.int_in: lo > hi";

@@ -27,14 +27,11 @@ val bits64 : t -> int64
 
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  [bound] must be
-    positive.  Unbiased (rejection sampling). *)
+    positive.  Unbiased (rejection sampling).  Allocates nothing. *)
 
 val int_in : t -> lo:int -> hi:int -> int
 (** [int_in t ~lo ~hi] is uniform in [\[lo, hi\]] inclusive.
-    Requires [lo <= hi]. *)
-
-val int64 : t -> int64 -> int64
-(** [int64 t bound] is uniform in [\[0L, bound)].  [bound > 0L]. *)
+    Requires [lo <= hi].  Allocates nothing. *)
 
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
@@ -42,11 +39,16 @@ val float : t -> float -> float
 val unit_float : t -> float
 (** [unit_float t] is uniform in [\[0, 1)] with 53-bit precision. *)
 
+val bernoulli : t -> float -> bool
+(** [bernoulli t p] is [unit_float t < p], from the same single draw,
+    but allocates nothing: dune's dev profile compiles this library
+    [-opaque], so a float it returns to a caller is boxed. *)
+
 val bool : t -> bool
 (** A fair coin flip. *)
 
 val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)
+(** In-place Fisher–Yates shuffle.  Allocates nothing. *)
 
 val sample_distinct : t -> n:int -> universe:int -> int array
 (** [sample_distinct t ~n ~universe] draws [n] distinct integers
@@ -55,4 +57,4 @@ val sample_distinct : t -> n:int -> universe:int -> int array
 
 val choose : t -> 'a array -> 'a
 (** [choose t a] is a uniformly random element of [a], which must be
-    non-empty. *)
+    non-empty.  Allocates nothing. *)

@@ -128,6 +128,8 @@ let enabled t =
   || t.config.transfer_crash > 0.0
   || t.config.partitions > 0
 
+let loss_stream t = Prng.copy t.loss_rng
+
 type send_outcome = Delivered of int | Lost
 
 let deliver t =

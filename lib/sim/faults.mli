@@ -105,6 +105,10 @@ val send_between : t -> src:int -> dst:int -> send_outcome
     randomness, counted as a partition drop) when an active partition
     separates [src] from [dst]; otherwise behaves as {!send}. *)
 
+val loss_stream : t -> Prng.t
+(** A copy of the plan's loss stream, for tests: the draws its next
+    loss decisions would take. *)
+
 (** {1 Partitions} *)
 
 val cut : t -> a:int -> b:int -> bool

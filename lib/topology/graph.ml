@@ -23,10 +23,10 @@ type t = {
    graph itself. *)
 and zero = { comp : int array; q : t }
 
-(* Edge records in insertion order, duplicates included: (u, v, weight,
-   weight2) quadruples packed into chunks, so growing never copies and
-   leaves no garbage behind.  [cur] is filled up to [fill]; [full]
-   holds the earlier chunks, newest first. *)
+(* Edge records in insertion order, duplicates included: two ints,
+   [(u lsl 31) lor v] and [(weight lsl 31) lor weight2], packed into
+   chunks, so growing never copies and leaves no garbage behind.  [cur]
+   is filled up to [fill]; [full] holds the earlier chunks, newest first. *)
 type builder = {
   bn : int;
   mutable full : int array list;
@@ -36,33 +36,35 @@ type builder = {
 }
 
 let chunk_edges = 4096
+let low31 = (1 lsl 31) - 1
 
 let create_builder ~n =
   if n < 0 then invalid_arg "Graph.create_builder: n < 0";
+  if n > low31 then invalid_arg "Graph.create_builder: n > 2^31 - 1";
   let first = Int.min chunk_edges (Int.max 16 n) in
-  { bn = n; full = []; cur = Array.make (4 * first) 0; fill = 0; k = 0 }
+  { bn = n; full = []; cur = Array.make (2 * first) 0; fill = 0; k = 0 }
 
 let add_edge2 b u v ~weight ~weight2 =
   if u < 0 || u >= b.bn || v < 0 || v >= b.bn then
     invalid_arg "Graph.add_edge: vertex out of range";
   if u = v then invalid_arg "Graph.add_edge: self loop";
   if weight < 0 || weight2 < 0 then invalid_arg "Graph.add_edge: negative weight";
+  if weight > low31 || weight2 > low31 then
+    invalid_arg "Graph.add_edge: weight > 2^31 - 1";
   if b.fill = Array.length b.cur then begin
     b.full <- b.cur :: b.full;
-    b.cur <- Array.make (4 * chunk_edges) 0;
+    b.cur <- Array.make (2 * chunk_edges) 0;
     b.fill <- 0
   end;
-  b.cur.(b.fill) <- u;
-  b.cur.(b.fill + 1) <- v;
-  b.cur.(b.fill + 2) <- weight;
-  b.cur.(b.fill + 3) <- weight2;
-  b.fill <- b.fill + 4;
+  b.cur.(b.fill) <- (u lsl 31) lor v;
+  b.cur.(b.fill + 1) <- (weight lsl 31) lor weight2;
+  b.fill <- b.fill + 2;
   b.k <- b.k + 1
 
 let add_edge b u v ~weight = add_edge2 b u v ~weight ~weight2:weight
 
 (* [f chunk len] for every chunk, oldest first: the chunk's first [len]
-   ints are [len / 4] edge records, in insertion order. *)
+   ints are [len / 2] edge records, in insertion order. *)
 let iter_chunks b f =
   List.iter (fun chunk -> f chunk (Array.length chunk)) (List.rev b.full);
   f b.cur b.fill
@@ -158,8 +160,9 @@ let rows b =
      added, repeats included. *)
   let off = Array.make (n + 1) 0 in
   iter_chunks b (fun chunk len ->
-      for r = 0 to (len / 4) - 1 do
-        let u = chunk.(4 * r) and v = chunk.((4 * r) + 1) in
+      for r = 0 to (len / 2) - 1 do
+        let uv = chunk.(2 * r) in
+        let u = uv lsr 31 and v = uv land low31 in
         off.(u + 1) <- off.(u + 1) + 1;
         off.(v + 1) <- off.(v + 1) + 1
       done);
@@ -170,9 +173,10 @@ let rows b =
   let dst = Array.make (2 * k) 0 in
   let wt = Array.make (2 * k) 0 and wt2 = Array.make (2 * k) 0 in
   iter_chunks b (fun chunk len ->
-      for r = 0 to (len / 4) - 1 do
-        let u = chunk.(4 * r) and v = chunk.((4 * r) + 1) in
-        let w = chunk.((4 * r) + 2) and w2 = chunk.((4 * r) + 3) in
+      for r = 0 to (len / 2) - 1 do
+        let uv = chunk.(2 * r) and ww = chunk.((2 * r) + 1) in
+        let u = uv lsr 31 and v = uv land low31 in
+        let w = ww lsr 31 and w2 = ww land low31 in
         let i = next.(u) in
         dst.(i) <- v;
         wt.(i) <- w;

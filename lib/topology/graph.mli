@@ -19,22 +19,23 @@ type t
 type builder
 
 val create_builder : n:int -> builder
-(** A mutable builder for a graph on vertices [0 .. n-1]: flat
-    [(u, v, weight, weight2)] records in insertion order, packed into
+(** A mutable builder for a graph on vertices [0 .. n-1]: one record
+    of two ints per edge, [(u lsl 31) lor v] and
+    [(weight lsl 31) lor weight2], in insertion order, packed into
     fixed-size int-array chunks, so growing it never copies.  The
     second weight is a second metric over the same edges (see
-    {!freeze2}). *)
+    {!freeze2}).  [n] must lie in [\[0, 2^31 - 1\]]. *)
 
 val add_edge : builder -> int -> int -> weight:int -> unit
-(** Adds an undirected edge ([weight >= 0]; zero-latency links are
-    allowed) in O(1), without hashing or any duplicate
-    check.  Self-loops, negative weights and vertices out of range are
-    rejected.  Duplicates — the same pair in either orientation — are
+(** Adds an undirected edge ([0 <= weight <= 2^31 - 1]; zero-latency
+    links are allowed) in O(1), without hashing or any duplicate
+    check.  Self-loops, weights out of range and vertices out of range
+    are rejected.  Duplicates — the same pair in either orientation — are
     dropped by {!freeze}, which keeps the first one added: its weight
     wins.  The edge's second weight is [weight] too. *)
 
 val add_edge2 : builder -> int -> int -> weight:int -> weight2:int -> unit
-(** {!add_edge} with a distinct second weight ([weight2 >= 0]).  A
+(** {!add_edge} with a distinct second weight, in the same range.  A
     dropped duplicate drops both weights: the first copy's pair wins. *)
 
 val freeze : builder -> t

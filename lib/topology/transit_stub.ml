@@ -105,7 +105,7 @@ let connect_random rng builder vertices ~edge_prob ~intra_lat =
     done;
     for i = 0 to k - 2 do
       for j = i + 1 to k - 1 do
-        if Prng.unit_float rng < edge_prob then
+        if Prng.bernoulli rng edge_prob then
           add_edge builder vertices.(i) vertices.(j) ~hop_w:intradomain_weight
             ~lat_w:intra_lat
       done
@@ -166,7 +166,7 @@ let generate rng p =
       done;
       for i = 0 to k - 2 do
         for j = i + 1 to k - 1 do
-          if Prng.unit_float rng < p.transit_edge_prob then
+          if Prng.bernoulli rng p.transit_edge_prob then
             add_edge builder vs.(i) vs.(j) ~hop_w:intradomain_weight
               ~lat_w:(interdomain_lat ~hop_w:intradomain_weight)
         done
@@ -193,7 +193,7 @@ let generate rng p =
     done;
     for a = 0 to p.transit_domains - 2 do
       for b = a + 1 to p.transit_domains - 1 do
-        if Prng.unit_float rng < p.top_edge_prob then
+        if Prng.bernoulli rng p.top_edge_prob then
           add_interdomain (random_transit_of a) (random_transit_of b)
       done
     done

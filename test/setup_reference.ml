@@ -6,9 +6,13 @@
    - [dijkstra]: a textbook Dijkstra over [Graph.iter_neighbors] with
      a [Set] as its priority queue, blind to the zero-weight quotient
      [Graph.dijkstra] runs on;
+   - [prng_int]: [Prng.int] as a closure-form rejection loop over a
+     boxed [int64] bound, as it was written before it became a
+     top-level loop that allocates nothing;
    - [generate_graphs]: [Transit_stub.generate]'s edges added to one
      single-weight builder per metric and frozen twice, as it did
-     before both metrics shared one builder;
+     before both metrics shared one builder, its coin flips written
+     [unit_float rng < p];
    - [draw_ids] and [join_all]: [Dht.join_all]'s ids drawn one at a
      time against a [Hashtbl] of the ids drawn before, and the ring
      sorted as records through a closure, as it did before the radix
@@ -35,6 +39,19 @@ let hash_key salt s =
   String.iter (fun c -> step (Char.code c)) s;
   let folded = Int64.logxor !h (Int64.shift_right_logical !h 32) in
   Int64.to_int folded land (P2plb_idspace.Id.space_size - 1)
+
+(* Rejection sampling on the top range multiple of [bound], over the
+   raw draw's high 63 bits. *)
+let prng_int t bound =
+  if bound <= 0 then invalid_arg "Prng.int: bound <= 0";
+  let bound = Int64.of_int bound in
+  let rec go () =
+    let raw = Int64.shift_right_logical (Prng.bits64 t) 1 in
+    let v = Int64.rem raw bound in
+    if Int64.(compare (sub raw v) (sub (sub max_int bound) 1L)) > 0 then go ()
+    else v
+  in
+  Int64.to_int (go ())
 
 module Frontier = Set.Make (struct
   type t = int * int

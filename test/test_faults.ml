@@ -569,9 +569,10 @@ let test_zero_loss_draws_nothing () =
   done;
   check Alcotest.int "no retries without loss" 0 (Faults.retries lossless);
   check Alcotest.int "no drops without loss" 0 (Faults.drops lossless);
-  (* A draw boxes its float, so a quiet plan that touched its loss
-     stream would allocate: 10,000 rounds of the three sends must
-     allocate no minor words. *)
+  (* 10,000 rounds of the three sends on a quiet plan allocate no minor
+     words and leave its loss stream where a fresh plan of the same seed
+     has it.  The allocation check alone misses a draw that allocates
+     nothing, such as [Prng.bernoulli]. *)
   let quiet = Faults.create ~seed:7 Faults.none in
   let w0 = Gc.minor_words () in
   for _ = 1 to 10_000 do
@@ -581,6 +582,10 @@ let test_zero_loss_draws_nothing () =
   done;
   check (Alcotest.float 0.0) "quiet sends allocate nothing" 0.0
     (Gc.minor_words () -. w0);
+  let next f = P2plb_prng.Prng.bits64 (Faults.loss_stream f) in
+  check Alcotest.int64 "quiet sends draw nothing"
+    (next (Faults.create ~seed:7 Faults.none))
+    (next quiet);
   (* interleave: a drains sends; b drains the same number; equal tails *)
   let drain f n = List.init n (fun _ -> Faults.deliver f) in
   check

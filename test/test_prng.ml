@@ -125,6 +125,43 @@ let test_choose_uniformish () =
     (fun c -> check Alcotest.bool "roughly uniform" true (c > 800 && c < 1200))
     counts
 
+(* ---- allocation -------------------------------------------------------- *)
+
+(* Minor words allocated by [f ()]. *)
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+(* The bounded draws and [bernoulli] return immediates and keep their
+   [int64] temporaries unboxed, so none of them allocates: 10,000 draws
+   of each, one with a bound that rejects about a quarter of its raw
+   draws, and a shuffle of 1,000 elements. *)
+let test_draws_allocate_nothing () =
+  let t = Prng.create ~seed:13 in
+  let a = Array.init 1000 Fun.id in
+  let cases =
+    [
+      ("int", fun () -> ignore (Prng.int t 7));
+      ("int, bound 2^61 + 1", fun () -> ignore (Prng.int t ((1 lsl 61) + 1)));
+      ("int_in", fun () -> ignore (Prng.int_in t ~lo:(-5) ~hi:5));
+      ("choose", fun () -> ignore (Prng.choose t a));
+      ("bernoulli", fun () -> ignore (Prng.bernoulli t 0.42));
+    ]
+  in
+  List.iter
+    (fun (name, draw) ->
+      let words =
+        minor_words (fun () ->
+            for _ = 1 to 10_000 do
+              draw ()
+            done)
+      in
+      check (Alcotest.float 0.0) (name ^ " allocates nothing") 0.0 words)
+    cases;
+  check (Alcotest.float 0.0) "shuffle allocates nothing" 0.0
+    (minor_words (fun () -> Prng.shuffle t a))
+
 (* ---- distributions ----------------------------------------------------- *)
 
 let sample_mean n f =
@@ -258,6 +295,11 @@ let () =
           Alcotest.test_case "sample_distinct full" `Quick
             test_sample_distinct_full;
           Alcotest.test_case "choose uniform-ish" `Quick test_choose_uniformish;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "draws allocate nothing" `Quick
+            test_draws_allocate_nothing;
         ] );
       ( "distributions",
         [

@@ -2281,6 +2281,117 @@ let test_hash_key_matches_reference () =
       Alcotest.failf "hash_key %d %S = %d, reference %d" salt s got want
   done
 
+(* [Prng.int]'s top-level loop against the closure form, over bounds
+   1, 2, 7, every power of two up to 2^61, 2^61 + 1 (which rejects about
+   a quarter of its raw draws) and [max_int]: the same values, and the
+   two streams left at the same point. *)
+let int_bounds =
+  [ 1; 2; 7; (1 lsl 61) + 1; max_int ] @ List.init 62 (fun k -> 1 lsl k)
+
+let prop_int_matches_reference seed =
+  List.for_all
+    (fun bound ->
+      let t = Prng.create ~seed in
+      let t' = Prng.copy t in
+      let same = ref true in
+      for _ = 1 to 200 do
+        if Prng.int t bound <> Sref.prng_int t' bound then same := false
+      done;
+      !same && Prng.bits64 t = Prng.bits64 t')
+    int_bounds
+
+let test_int_matches_reference () =
+  Prop.run ~count:100 ~seed:0x5eed2a ~name:"Prng.int = closure reference"
+    (Prop.int_in 0 1_000_000) prop_int_matches_reference
+
+(* The inverse of SplitMix64's finaliser (see [Prng]): each
+   xor-shift is undone by iterating it, each odd multiplier by its
+   inverse mod 2^64 (Newton's iteration from [c], which is its own
+   inverse mod 8, doubling the correct low bits each step). *)
+let unmix64 z =
+  let unshift z k =
+    let x = ref z in
+    for _ = 1 to 64 / k do
+      x := Int64.(logxor z (shift_right_logical !x k))
+    done;
+    !x
+  in
+  let inverse c =
+    let x = ref c in
+    for _ = 1 to 5 do
+      x := Int64.(mul !x (sub 2L (mul c !x)))
+    done;
+    !x
+  in
+  let z = Int64.mul (unshift z 31) (inverse 0x94D049BB133111EBL) in
+  let z = Int64.mul (unshift z 27) (inverse 0xBF58476D1CE4E5B9L) in
+  unshift z 30
+
+(* A seed whose stream's first [unit_float] is [k * 2^-53]: [create]
+   mixes the seed into the state and a draw adds the golden gamma and
+   mixes again, so unmixing a wanted output twice gives the seed.  Of
+   the 2048 outputs that share the draw's top 53 bits, the first whose
+   seed is an OCaml [int] (its top two bits agree) is taken. *)
+let seed_drawing k =
+  let rec go low =
+    if low = 2048 then Alcotest.failf "no int seed draws %d * 2^-53" k
+    else
+      let out = Int64.(logor (shift_left (of_int k) 11) (of_int low)) in
+      let state = Int64.sub (unmix64 out) 0x9E3779B97F4A7C15L in
+      let seed = unmix64 state in
+      if Int64.of_int (Int64.to_int seed) = seed then Int64.to_int seed
+      else go (low + 1)
+  in
+  let seed = go 0 in
+  let first = Prng.unit_float (Prng.create ~seed) in
+  if first <> Float.ldexp (float_of_int k) (-53) then
+    Alcotest.failf "seed %d draws %h, not %d * 2^-53" seed first k;
+  seed
+
+(* [Prng.bernoulli t p] against [Prng.unit_float t' < p] on a copy:
+   the same outcomes and the same draws, for probabilities at and
+   beyond both ends of [\[0, 1)] and [nan]. *)
+let probabilities =
+  [ 0.0; 0x1p-53; 0.42; 1.0 -. 0x1p-53; 1.0; -1.0; 2.0; Float.nan ]
+
+let prop_bernoulli_matches_unit_float seed =
+  List.for_all
+    (fun p ->
+      let t = Prng.create ~seed in
+      let t' = Prng.copy t in
+      let same = ref true in
+      for _ = 1 to 200 do
+        if Prng.bernoulli t p <> (Prng.unit_float t' < p) then same := false
+      done;
+      !same && Prng.bits64 t = Prng.bits64 t')
+    probabilities
+
+(* Random seeds almost never draw a probability exactly, which is where
+   [<] and [<=] part; so first the seeds whose first draw is each
+   probability a draw can equal, and the draws either side of it. *)
+let test_bernoulli_matches_unit_float () =
+  let edges =
+    List.concat_map
+      (fun p ->
+        let k = Float.ldexp p 53 in
+        if Float.is_integer k && k >= 0.0 && k < 0x1p53 then
+          let k = int_of_float k in
+          List.filter
+            (fun k -> k >= 0 && k < 1 lsl 53)
+            [ k - 1; k; k + 1 ]
+        else [])
+      probabilities
+  in
+  List.iter
+    (fun k ->
+      let seed = seed_drawing k in
+      if not (prop_bernoulli_matches_unit_float seed) then
+        Alcotest.failf "seed %d (first draw %d * 2^-53) disagrees" seed k)
+    edges;
+  Prop.run ~count:100 ~seed:0x5eed2b
+    ~name:"Prng.bernoulli = unit_float <" (Prop.int_in 0 1_000_000)
+    prop_bernoulli_matches_unit_float
+
 let same_graph g g' =
   let row g v =
     let r = ref [] in
@@ -2525,6 +2636,10 @@ let () =
             test_hash_key_matches_reference;
           Alcotest.test_case "dijkstra = Set reference" `Quick
             test_dijkstra_matches_reference;
+          Alcotest.test_case "Prng.int = closure reference" `Quick
+            test_int_matches_reference;
+          Alcotest.test_case "Prng.bernoulli = unit_float <" `Quick
+            test_bernoulli_matches_unit_float;
           Alcotest.test_case "generate = two-builder reference" `Quick
             test_generate_matches_reference;
           Alcotest.test_case "join_all = Hashtbl reference (131072 x 5)"

@@ -37,6 +37,36 @@ let test_add_edge_validation () =
     (Invalid_argument "Graph.add_edge: vertex out of range") (fun () ->
       Graph.add_edge b 0 3 ~weight:1)
 
+(* Each edge record is two ints, [(u lsl 31) lor v] and
+   [(weight lsl 31) lor weight2]: the builder takes vertex counts and
+   weights up to 2^31 - 1 and rejects the next value up, and the
+   largest weight comes back intact in both metrics. *)
+let test_builder_limits () =
+  let top = (1 lsl 31) - 1 in
+  Alcotest.check_raises "n = 2^31"
+    (Invalid_argument "Graph.create_builder: n > 2^31 - 1") (fun () ->
+      ignore (Graph.create_builder ~n:(1 lsl 31)));
+  let big = Graph.create_builder ~n:top in
+  Graph.add_edge big (top - 1) (top - 2) ~weight:top;
+  let b = Graph.create_builder ~n:3 in
+  Alcotest.check_raises "weight = 2^31"
+    (Invalid_argument "Graph.add_edge: weight > 2^31 - 1") (fun () ->
+      Graph.add_edge b 0 1 ~weight:(1 lsl 31));
+  Alcotest.check_raises "weight2 = 2^31"
+    (Invalid_argument "Graph.add_edge: weight > 2^31 - 1") (fun () ->
+      Graph.add_edge2 b 0 1 ~weight:1 ~weight2:(1 lsl 31));
+  Graph.add_edge2 b 2 1 ~weight:top ~weight2:0;
+  Graph.add_edge2 b 0 2 ~weight:0 ~weight2:top;
+  let g, g2 = Graph.freeze2 b in
+  let row g v =
+    let r = ref [] in
+    Graph.iter_neighbors g v (fun u w -> r := (u, w) :: !r);
+    List.rev !r
+  in
+  check Alcotest.(list (pair int int)) "row 2" [ (1, top); (0, 0) ] (row g 2);
+  check Alcotest.(list (pair int int)) "row 2, second metric"
+    [ (1, 0); (0, top) ] (row g2 2)
+
 let test_dijkstra_line () =
   let g = line_graph 6 in
   let d = Graph.dijkstra g ~src:0 in
@@ -329,6 +359,30 @@ let prop_ts_always_connected =
       let t = TS.generate rng small_params in
       Graph.is_connected t.TS.graph && Graph.is_connected t.TS.latency_graph)
 
+(* What [generate] allocates on ts5k-large, against the fewest words
+   its two graphs can take: the shared offsets and neighbours and one
+   weight array each, n + 1 + 6m.  Coin flips and bounded draws that
+   allocate nothing and two-int edge records in the builder keep it
+   near 1.5 times that; boxed draws or four-int records pass 1.75. *)
+let test_ts_allocation () =
+  List.iter
+    (fun seed ->
+      let rng = Prng.create ~seed in
+      (* The runtime adds the minor heap's words to the totals at a
+         minor collection, so one on each side makes the count exact. *)
+      Gc.minor ();
+      let before = Gc.allocated_bytes () in
+      let t = TS.generate rng TS.ts5k_large in
+      Gc.minor ();
+      let words = (Gc.allocated_bytes () -. before) /. 8.0 in
+      let n = Graph.n_vertices t.TS.graph and m = Graph.n_edges t.TS.graph in
+      let ratio = words /. float_of_int (n + 1 + (6 * m)) in
+      if ratio > 1.75 then
+        Alcotest.failf "seed %d: %.0f words, %.2f x the graphs' %d" seed words
+          ratio
+          (n + 1 + (6 * m)))
+    [ 1; 2; 3; 8 ]
+
 (* ---- Pins --------------------------------------------------------------- *)
 
 (* The sorted [(min, max, hop_w, lat_w)] edge list of a generated
@@ -419,6 +473,7 @@ let () =
         [
           Alcotest.test_case "build" `Quick test_build_basics;
           Alcotest.test_case "validation" `Quick test_add_edge_validation;
+          Alcotest.test_case "builder limits" `Quick test_builder_limits;
           Alcotest.test_case "dijkstra line" `Quick test_dijkstra_line;
           Alcotest.test_case "dijkstra weights" `Quick test_dijkstra_weights;
           Alcotest.test_case "unreachable" `Quick test_dijkstra_unreachable;
@@ -438,6 +493,8 @@ let () =
           Alcotest.test_case "same-domain distance" `Slow
             test_ts_same_domain_short_distance;
           Alcotest.test_case "determinism" `Quick test_ts_determinism;
+          Alcotest.test_case "generate allocates its graphs" `Quick
+            test_ts_allocation;
         ] );
       ("pins", [ Alcotest.test_case "topology pins" `Quick test_topology_pins ]);
       ( "properties",
