@@ -96,13 +96,18 @@ let sim_of_obs obs =
     sm_series_digest = Timeseries.digest series;
   }
 
+(* [Gc.allocated_bytes] counts minor words only at a minor collection,
+   so one on each side of the run, outside its CPU time, makes the
+   allocation count exact. *)
 let observe name obs run =
+  Gc.minor ();
   let a0 = Gc.allocated_bytes () in
   (* p2plint: allow-impure — bench harness CPU timing, confined to BENCH_<rev>.json *)
   let t0 = Sys.time () in
   run ();
   (* p2plint: allow-impure — bench harness CPU timing, confined to BENCH_<rev>.json *)
   let cpu = Sys.time () -. t0 in
+  Gc.minor ();
   let alloc = Gc.allocated_bytes () -. a0 in
   { e_name = name; e_cpu_s = cpu; e_alloc_bytes = alloc; e_sim = sim_of_obs obs }
 

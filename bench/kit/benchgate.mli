@@ -56,7 +56,9 @@ type file = {
 
 val observe : string -> P2plb_obs.Obs.t -> (unit -> unit) -> experiment
 (** [observe name obs run] runs [run] and reads the cpu seconds and
-    bytes it allocated, then derives the deterministic figures from
+    bytes it allocated (exactly: a minor collection on each side of the
+    run, outside its cpu time, brings the minor count up to date), then
+    derives the deterministic figures from
     [obs] once it is finished: timeseries rounds and convergence plus
     the trace's [vst/transfer] point count and the phase spans'
     [messages] totals ({!P2plb_obs.Spantree.of_run}). *)

@@ -48,6 +48,14 @@ type 'a t = {
   mutable n_alive : int;
   (* Bumped whenever the set of ring ids changes (insert/delete). *)
   mutable ring_version : int;
+  (* Bumped whenever a VS load, a node's VS list or the alive set
+     changes.  The node table holds, per alive node in [live] order,
+     its load and its smallest VS load, as of [table_version]; the
+     first read after [load_version] moves rebuilds it. *)
+  mutable load_version : int;
+  mutable table_version : int;
+  mutable table_load : floatarray;
+  mutable table_l_min : floatarray;
   (* The puts staged for the next [publish], in put order: put [r]'s
      entry is [fi lsl 31 lor (next + 1)], with [fi] its source's ring
      index and [next] the group's previous put, or -1.  [st_version]
@@ -86,6 +94,10 @@ let create ~seed =
     live_dead = 0;
     n_alive = 0;
     ring_version = 0;
+    load_version = 0;
+    table_version = -1;
+    table_load = Float.Array.create 0;
+    table_l_min = Float.Array.create 0;
     st_src = [||];
     st_n = 0;
     st_version = 0;
@@ -106,6 +118,10 @@ let ring_version t = t.ring_version
 
 (* A VS leaves the ring with its [owner] set to -1, an id no node has. *)
 let on_ring v = v.owner >= 0
+
+(* Every exported function that writes a VS load, a node's VS list or
+   the alive set ends with this. *)
+let touch_loads t = t.load_version <- t.load_version + 1
 
 (* --- Nodes ------------------------------------------------------------ *)
 
@@ -214,20 +230,71 @@ let owner_of_key t k =
   if t.ring_n = 0 then invalid_arg "Dht.owner_of_key: empty ring"
   else t.ring_vss.(successor_idx t k)
 
-let set_vs_load _t v load =
+let set_vs_load t v load =
   if load < 0.0 then invalid_arg "Dht.set_vs_load: negative load";
-  v.load <- load
+  v.load <- load;
+  touch_loads t
 
-let add_vs_load _t v delta =
+let add_vs_load t v delta =
   let nl = v.load +. delta in
   if nl < -1e-9 then invalid_arg "Dht.add_vs_load: load underflow";
-  v.load <- Float.max 0.0 nl
+  v.load <- Float.max 0.0 nl;
+  touch_loads t
 
-let node_load n = List.fold_left (fun acc v -> acc +. v.load) 0.0 n.vss
+(* The sum of the VS loads from 0.0 in list order, in a local float
+   ref: no boxed accumulator per VS. *)
+let node_load n =
+  let sum = ref 0.0 and rest = ref n.vss in
+  while
+    match !rest with
+    | [] -> false
+    | v :: tl ->
+      sum := !sum +. v.load;
+      rest := tl;
+      true
+  do
+    ()
+  done;
+  !sum
 
-let node_unit_load n =
-  if n.capacity <= 0.0 then invalid_arg "Dht.node_unit_load: capacity <= 0";
-  node_load n /. n.capacity
+(* One pass over the alive nodes: each load summed as [node_load] sums
+   it, each smallest VS load folded from [infinity] with [Float.min],
+   straight into the floatarrays. *)
+let refresh_table t =
+  if t.table_version <> t.load_version then begin
+    live_compact t;
+    let n = t.live_n in
+    if Float.Array.length t.table_load <> n then begin
+      t.table_load <- Float.Array.create n;
+      t.table_l_min <- Float.Array.create n
+    end;
+    for i = 0 to n - 1 do
+      let sum = ref 0.0 and l_min = ref infinity in
+      let rest = ref t.live.(i).vss in
+      while
+        match !rest with
+        | [] -> false
+        | v :: tl ->
+          sum := !sum +. v.load;
+          l_min := Float.min !l_min v.load;
+          rest := tl;
+          true
+      do
+        ()
+      done;
+      Float.Array.unsafe_set t.table_load i !sum;
+      Float.Array.unsafe_set t.table_l_min i !l_min
+    done;
+    t.table_version <- t.load_version
+  end
+
+let node_loads t =
+  refresh_table t;
+  t.table_load
+
+let node_l_mins t =
+  refresh_table t;
+  t.table_l_min
 
 let total_load t = fold_vs t ~init:0.0 ~f:(fun acc v -> acc +. v.load)
 
@@ -301,6 +368,7 @@ let join_ids t ~capacity ~underlay ids =
       insert_vs t v;
       n.vss <- v :: n.vss)
     ids;
+  touch_loads t;
   n.node_id
 
 (* Each draw skips the ids on the ring and the node's earlier draws. *)
@@ -361,7 +429,8 @@ let join_all t nodes ~n_vs =
   t.ring_vss <- vss;
   t.ring_ids <- keys;
   t.ring_n <- Array.length vss;
-  t.ring_version <- t.ring_version + t.ring_n
+  t.ring_version <- t.ring_version + t.ring_n;
+  touch_loads t
 
 let can_depart t id = is_alive t id && List.length t.nodes.(id).vss < t.ring_n
 
@@ -407,7 +476,8 @@ let crash t id =
     n.vss <- [];
     n.alive <- false;
     t.live_dead <- t.live_dead + 1;
-    t.n_alive <- t.n_alive - 1
+    t.n_alive <- t.n_alive - 1;
+    touch_loads t
   end
 
 let remove_vs t v =
@@ -415,7 +485,8 @@ let remove_vs t v =
   if t.ring_n <= 1 then invalid_arg "Dht.remove_vs: cannot remove the last VS";
   let owner = node t v.owner in
   owner.vss <- List.filter (fun x -> x != v) owner.vss;
-  delete_vss t [ v ]
+  delete_vss t [ v ];
+  touch_loads t
 
 (* An on-ring VS is in its owner's list, so the pass that finds it
    there cuts it out. *)
@@ -432,7 +503,8 @@ let transfer_vs t v ~to_node =
   if v.owner <> to_node then begin
     src.vss <- rest;
     dst.vss <- v :: dst.vss;
-    v.owner <- to_node
+    v.owner <- to_node;
+    touch_loads t
   end
 
 (* --- Routing ---------------------------------------------------------- *)

@@ -179,9 +179,35 @@ val owner_of_key : 'a t -> Id.t -> vs
 
 val set_vs_load : 'a t -> vs -> float -> unit
 val add_vs_load : 'a t -> vs -> float -> unit
+
 val node_load : node -> float
-val node_unit_load : node -> float
-(** Load per unit capacity — the y-axis of the paper's Figure 4. *)
+(** The sum of the node's VS loads, from [0.0] in [vss] order. *)
+
+(** {2 The node table}
+
+    One load and one smallest VS load per alive node: the state a node
+    classifies itself from (paper §3.3).  Entry [i] of both arrays is
+    the [i]-th alive node in increasing [node_id] order, the order of
+    {!fold_nodes} and {!alive_nth}, and each array has {!n_nodes}
+    entries.  Each load is summed from [0.0] in [vss] order, as
+    {!node_load} sums it, and each smallest VS load is folded from
+    [infinity] with [Float.min] in [vss] order ([infinity] for a node
+    hosting no VS), so every entry is bit-identical to those folds.
+
+    The table is rebuilt lazily, in one pass over the alive nodes, by
+    the first read after a change to a VS load, a node's VS list or the
+    alive set: {!set_vs_load}, {!add_vs_load}, {!join}, {!join_ids},
+    {!join_all}, {!crash}, {!remove_vs} and {!transfer_vs} invalidate
+    it.  Routing, storage ({!stage}, {!publish}, {!drain_items}) and
+    the counters do not.  The arrays are the table itself, not copies:
+    read them, never write them, and read them again after a change,
+    which may rebuild them in place. *)
+
+val node_loads : 'a t -> floatarray
+(** The node table's loads. *)
+
+val node_l_mins : 'a t -> floatarray
+(** The node table's smallest VS loads. *)
 
 val total_load : 'a t -> float
 val total_capacity : 'a t -> float

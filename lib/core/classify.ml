@@ -1,11 +1,11 @@
 module Dht = P2plb_chord.Dht
 
-let target_load ~(lbi : Types.lbi) ~epsilon ~capacity =
+let[@inline] target_load ~(lbi : Types.lbi) ~epsilon ~capacity =
   if lbi.c <= 0.0 then invalid_arg "Classify.target_load: total capacity <= 0";
   if epsilon < 0.0 then invalid_arg "Classify.target_load: epsilon < 0";
   ((lbi.l /. lbi.c) +. epsilon) *. capacity
 
-let classify ~lbi ~epsilon ~load ~capacity : Types.node_class =
+let[@inline] classify ~lbi ~epsilon ~load ~capacity : Types.node_class =
   let target = target_load ~lbi ~epsilon ~capacity in
   if load > target then Heavy
   else if target -. load >= lbi.l_min then Light
@@ -14,9 +14,18 @@ let classify ~lbi ~epsilon ~load ~capacity : Types.node_class =
 let classify_node ~lbi ~epsilon n =
   classify ~lbi ~epsilon ~load:(Dht.node_load n) ~capacity:n.Dht.capacity
 
+(* [classify] at each entry of the node table; both are inlined, so
+   no per-node float is boxed. *)
 let census ~lbi ~epsilon dht =
-  Dht.fold_nodes dht ~init:(0, 0, 0) ~f:(fun (h, l, u) n ->
-      match classify_node ~lbi ~epsilon n with
-      | Types.Heavy -> (h + 1, l, u)
-      | Types.Light -> (h, l + 1, u)
-      | Types.Neutral -> (h, l, u + 1))
+  let loads = Dht.node_loads dht in
+  let n = Float.Array.length loads in
+  let heavy = ref 0 and light = ref 0 in
+  for i = 0 to n - 1 do
+    let load = Float.Array.get loads i
+    and capacity = (Dht.alive_nth dht i).Dht.capacity in
+    match classify ~lbi ~epsilon ~load ~capacity with
+    | Types.Heavy -> incr heavy
+    | Types.Light -> incr light
+    | Types.Neutral -> ()
+  done;
+  (!heavy, !light, n - !heavy - !light)

@@ -3,13 +3,6 @@ module Dht = P2plb_chord.Dht
 module Ktree = P2plb_ktree.Ktree
 module Faults = P2plb_sim.Faults
 
-let node_lbi (n : Dht.node) : Types.lbi =
-  let l = Dht.node_load n in
-  let l_min =
-    List.fold_left (fun acc v -> Float.min acc v.Dht.load) infinity n.Dht.vss
-  in
-  { l; c = n.Dht.capacity; l_min }
-
 let exact dht : Types.lbi =
   let l = Dht.total_load dht and c = Dht.total_capacity dht in
   let l_min =
@@ -32,13 +25,23 @@ let aggregate ~rng ?(faults = Faults.create ~seed:0 Faults.none)
      lost its key) since the tree was built are re-planted, so reports
      always find a live leaf. *)
   ignore (Ktree.repair ~route_messages tree dht);
-  (* Each node reports through one randomly chosen VS (to avoid
-     redundant per-node reports); the VS hands the report to its
-     designated KT leaf. *)
+  (* Each node reports [<L_i, C_i, L_{i,min}>], its node-table entries
+     and capacity, through one randomly chosen VS (to avoid redundant
+     per-node reports); the VS hands the report to its designated KT
+     leaf. *)
   let reports = Ktree.Reports.create tree in
-  Dht.fold_nodes dht ~init:() ~f:(fun () n ->
-      let v = Dht.report_vs dht rng n in
-      if reliable faults then Ktree.Reports.add reports v.Dht.vs_id (node_lbi n));
+  let loads = Dht.node_loads dht and l_mins = Dht.node_l_mins dht in
+  for i = 0 to Float.Array.length loads - 1 do
+    let n = Dht.alive_nth dht i in
+    let v = Dht.report_vs dht rng n in
+    if reliable faults then
+      Ktree.Reports.add reports v.Dht.vs_id
+        {
+          Types.l = Float.Array.get loads i;
+          c = n.Dht.capacity;
+          l_min = Float.Array.get l_mins i;
+        }
+  done;
   (* Combining is all the KT nodes do: the lift is the identity, and
      [zero_lbi], the value of a leaf without reports, is an exact
      identity of the combine for non-negative loads. *)

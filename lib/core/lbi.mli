@@ -21,10 +21,6 @@ module Faults = P2plb_sim.Faults
     all retries simply leaves its node out of this round's aggregate
     (the round degrades instead of stalling). *)
 
-val node_lbi : Dht.node -> Types.lbi
-(** [<L_i, C_i, L_{i,min}>] of one physical node.  [l_min] is
-    [infinity] for a node hosting no VS. *)
-
 val exact : 'a Dht.t -> Types.lbi
 (** The system-wide [<L, C, L_min>] read off the ring directly, with
     no tree: what the baselines are granted (an optimistic assumption

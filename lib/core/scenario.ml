@@ -108,17 +108,16 @@ let crash_nodes t n =
     end
   done
 
-(* [f] of each alive node, in node-id order, written straight into an
-   array of [Dht.n_nodes] entries, which [pad] fills until then. *)
-let per_node t ~pad f =
-  let a = Array.make (Dht.n_nodes t.dht) pad in
-  ignore
-    (Dht.fold_nodes t.dht ~init:0 ~f:(fun i n ->
-         a.(i) <- f n;
-         i + 1));
+(* Both read the node table, whose entry [i] is the [i]-th alive node. *)
+let unit_loads t =
+  let loads = Dht.node_loads t.dht in
+  let a = Array.make (Float.Array.length loads) 0.0 in
+  for i = 0 to Array.length a - 1 do
+    a.(i) <- Float.Array.get loads i /. (Dht.alive_nth t.dht i).Dht.capacity
+  done;
   a
 
-let unit_loads t = per_node t ~pad:0.0 Dht.node_unit_load
-
 let loads_by_capacity t =
-  per_node t ~pad:(0.0, 0.0) (fun n -> (n.Dht.capacity, Dht.node_load n))
+  let loads = Dht.node_loads t.dht in
+  Array.init (Float.Array.length loads) (fun i ->
+      ((Dht.alive_nth t.dht i).Dht.capacity, Float.Array.get loads i))

@@ -90,30 +90,33 @@ let run ?(threshold = default_threshold) ?(epsilon = 0.0)
           ~key:(Landmark.key keys n.Dht.underlay)
           r
   in
-  Dht.fold_nodes dht ~init:() ~f:(fun () n ->
-      let load = Dht.node_load n and capacity = n.Dht.capacity in
-      match Classify.classify ~lbi ~epsilon ~load ~capacity with
-      | Types.Neutral -> incr n_neutral
-      | Types.Light ->
-        incr n_light;
-        let target = Classify.target_load ~lbi ~epsilon ~capacity in
-        let deficit = target -. load in
-        route n (Types.Light { deficit; light_node = n.Dht.node_id })
-      | Types.Heavy ->
-        incr n_heavy;
-        let target = Classify.target_load ~lbi ~epsilon ~capacity in
-        let loads =
-          Array.of_list (List.map (fun v -> (v, v.Dht.load)) n.Dht.vss)
-        in
-        let shed =
-          Excess.choose_shed ~keep_at_least:0 ~loads (load -. target)
-        in
-        List.iter
-          (fun (vs, vs_load) ->
-            incr shed_offered;
-            load_offered := !load_offered +. vs_load;
-            route n (Types.Shed { vs_load; vs; heavy_node = n.Dht.node_id }))
-          shed);
+  let node_loads = Dht.node_loads dht in
+  for i = 0 to Float.Array.length node_loads - 1 do
+    let n = Dht.alive_nth dht i in
+    let load = Float.Array.get node_loads i and capacity = n.Dht.capacity in
+    match Classify.classify ~lbi ~epsilon ~load ~capacity with
+    | Types.Neutral -> incr n_neutral
+    | Types.Light ->
+      incr n_light;
+      let target = Classify.target_load ~lbi ~epsilon ~capacity in
+      let deficit = target -. load in
+      route n (Types.Light { deficit; light_node = n.Dht.node_id })
+    | Types.Heavy ->
+      incr n_heavy;
+      let target = Classify.target_load ~lbi ~epsilon ~capacity in
+      let loads =
+        Array.of_list (List.map (fun v -> (v, v.Dht.load)) n.Dht.vss)
+      in
+      let shed =
+        Excess.choose_shed ~keep_at_least:0 ~loads (load -. target)
+      in
+      List.iter
+        (fun (vs, vs_load) ->
+          incr shed_offered;
+          load_offered := !load_offered +. vs_load;
+          route n (Types.Shed { vs_load; vs; heavy_node = n.Dht.node_id }))
+        shed
+  done;
   (* Aware mode routes the staged publishes as one batch; every VS then
      reports what landed in its region to its designated leaf. *)
   let publish_hops =

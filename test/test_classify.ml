@@ -1,6 +1,8 @@
 module Classify = P2plb.Classify
 module Types = P2plb.Types
 module Dht = P2plb_chord.Dht
+module Lbi = P2plb.Lbi
+module Scenario = P2plb.Scenario
 
 let check = Alcotest.check
 let feq = Alcotest.float 1e-9
@@ -60,6 +62,43 @@ let test_census () =
   let h, l, n = Classify.census ~lbi ~epsilon:0.0 dht in
   check Alcotest.(triple int int int) "one heavy one light" (1, 1, 8) (h, l, n)
 
+(* Words a call allocates, minor and major.  [Gc.allocated_bytes]
+   counts minor words only at a minor collection, so one on each side
+   makes the count exact; the words the reading itself allocates, those
+   of an empty call, are taken off. *)
+let words f =
+  let count f =
+    Gc.minor ();
+    let b0 = Gc.allocated_bytes () in
+    let r = f () in
+    Gc.minor ();
+    let b1 = Gc.allocated_bytes () in
+    ignore (Sys.opaque_identity r);
+    (b1 -. b0) /. float_of_int (Sys.word_size / 8)
+  in
+  count f -. count ignore
+
+(* Both read the node table, one load per alive node: with the table
+   current, the census allocates its result and a few words, not a
+   tuple per node, and [unit_loads] only its result, a float array of
+   one word per node and a header.  After a load change the first
+   census rebuilds the table in place, which allocates nothing more. *)
+let test_reads_allocate_no_per_node_words () =
+  let s = Scenario.build ~seed:1 Scenario.default in
+  let dht = s.Scenario.dht in
+  let n = Dht.n_nodes dht in
+  let lbi = Lbi.exact dht in
+  let census () = Classify.census ~lbi ~epsilon:0.0 dht in
+  check Alcotest.int "4096 nodes" 4096 n;
+  ignore (Dht.node_loads dht);
+  check Alcotest.bool "census: at most 64 words" true (words census <= 64.0);
+  Dht.add_vs_load dht (List.hd (Dht.alive_nth dht 0).Dht.vss) 1.0;
+  check Alcotest.bool "census after a load change: at most 64 words" true
+    (words census <= 64.0);
+  check (Alcotest.float 0.0) "unit_loads: its result array"
+    (float_of_int (n + 1))
+    (words (fun () -> Scenario.unit_loads s))
+
 let test_classes_partition =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name:"every (load, capacity) has exactly one class"
@@ -87,5 +126,11 @@ let () =
           Alcotest.test_case "neutral" `Quick test_neutral;
           Alcotest.test_case "census" `Quick test_census;
           test_classes_partition;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case
+            "census and unit loads allocate no per-node words" `Quick
+            test_reads_allocate_no_per_node_words;
         ] );
     ]

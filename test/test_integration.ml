@@ -46,12 +46,16 @@ let test_lbi_totals_exact () =
      the global minimum since every node reports. *)
   check (Alcotest.float 1e-9) "L_min" true_min lbi.Types.l_min
 
+(* A node's report: its load and smallest VS load from the node table. *)
 let test_node_lbi () =
   let s = build 2 in
-  let n = List.hd (Dht.alive_nodes s.Scenario.dht) in
-  let lbi = Lbi.node_lbi n in
-  check (Alcotest.float 1e-9) "node load" (Dht.node_load n) lbi.Types.l;
-  check (Alcotest.float 1e-9) "node capacity" n.Dht.capacity lbi.Types.c
+  let dht = s.Scenario.dht in
+  let n = Dht.alive_nth dht 0 in
+  check (Alcotest.float 1e-9) "node load" (Dht.node_load n)
+    (Float.Array.get (Dht.node_loads dht) 0);
+  check (Alcotest.float 1e-9) "node l_min"
+    (List.fold_left (fun acc v -> Float.min acc v.Dht.load) infinity n.Dht.vss)
+    (Float.Array.get (Dht.node_l_mins dht) 0)
 
 (* ---- full controller round --------------------------------------------- *)
 

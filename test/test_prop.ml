@@ -14,6 +14,7 @@ module Pairing = P2plb.Pairing
 module Types = P2plb.Types
 module Dht = P2plb_chord.Dht
 module Vs_draw = P2plb_chord.Vs_draw
+module Store = P2plb_chord.Store
 module Ktree = P2plb_ktree.Ktree
 module Obs = P2plb_obs.Obs
 module Trace = P2plb_obs.Trace
@@ -498,7 +499,10 @@ let test_repair_agrees_large () =
 (* ---- Ktree: the ring-version contract ----------------------------------- *)
 
 (* Ring mutations and ring-neutral updates; [arg] picks the node, VS,
-   load or key the operation touches. *)
+   load or key the operation touches.  The last three write loads too:
+   a join at chosen ids, a load increment, and a Store hand-off (a
+   fresh store of a few objects whose sizes become the primaries'
+   loads). *)
 type ring_op =
   | Join of int
   | Crash of int
@@ -506,6 +510,9 @@ type ring_op =
   | Transfer_vs of int
   | Set_vs_load of int
   | Put of int
+  | Join_ids of int
+  | Add_vs_load of int
+  | Store_handoff of int
 
 let ring_op_name = function
   | Join a -> Printf.sprintf "Join %d" a
@@ -514,6 +521,9 @@ let ring_op_name = function
   | Transfer_vs a -> Printf.sprintf "Transfer_vs %d" a
   | Set_vs_load a -> Printf.sprintf "Set_vs_load %d" a
   | Put a -> Printf.sprintf "Put %d" a
+  | Join_ids a -> Printf.sprintf "Join_ids %d" a
+  | Add_vs_load a -> Printf.sprintf "Add_vs_load %d" a
+  | Store_handoff a -> Printf.sprintf "Store_handoff %d" a
 
 (* Operations of the first [kinds] kinds, in the order above. *)
 let ring_op_in ~kinds =
@@ -524,7 +534,10 @@ let ring_op_in ~kinds =
     | 2 -> Remove_vs a
     | 3 -> Transfer_vs a
     | 4 -> Set_vs_load a
-    | _ -> Put a
+    | 5 -> Put a
+    | 6 -> Join_ids a
+    | 7 -> Add_vs_load a
+    | _ -> Store_handoff a
   in
   let to_pair = function
     | Join a -> (0, a)
@@ -533,6 +546,9 @@ let ring_op_in ~kinds =
     | Transfer_vs a -> (3, a)
     | Set_vs_load a -> (4, a)
     | Put a -> (5, a)
+    | Join_ids a -> (6, a)
+    | Add_vs_load a -> (7, a)
+    | Store_handoff a -> (8, a)
   in
   let p = Prop.pair (Prop.int_in 0 (kinds - 1)) (Prop.int_in 0 1_000_000) in
   Prop.make ~print:ring_op_name
@@ -577,6 +593,21 @@ let apply_ring_op_with ~item dht op =
   | Put a ->
     ignore
       (Dht.put dht ~from:(nth_vs dht a).Dht.vs_id ~key:(Id.of_int a) item)
+  | Join_ids a ->
+    let ids = [| a * 4241; ((a * 7919) + 13) mod Id.space_size |] in
+    if ids.(0) <> ids.(1)
+       && Array.for_all (fun id -> Dht.vs_of_id dht id = None) ids
+    then ignore (Dht.join_ids dht ~capacity:2.0 ~underlay:0 ids)
+  | Add_vs_load a ->
+    Dht.add_vs_load dht (nth_vs dht a) (float_of_int (a mod 1000) /. 300.0)
+  | Store_handoff a ->
+    let st = Store.create ~replication:2 () in
+    for j = 0 to a mod 5 do
+      Store.insert st dht
+        ~key:(Id.hash_key (a + j) "obj")
+        ~size:(float_of_int ((a + j) mod 37) /. 3.0)
+    done;
+    Store.apply_primary_loads st dht
 
 let apply_ring_op dht op = apply_ring_op_with ~item:() dht op
 
@@ -1775,7 +1806,8 @@ let prop_ring_matches_model ((n_nodes, vs), ops) =
       let id = nth a and dst = (node (a / 7)).Dht.node_id in
       Dht.transfer_vs dht (Option.get (Dht.vs_of_id dht id)) ~to_node:dst;
       model := List.map (fun (i, o) -> if i = id then (i, dst) else (i, o)) m
-    | Set_vs_load _ | Put _ -> ()
+    | Set_vs_load _ | Put _ | Join_ids _ | Add_vs_load _ | Store_handoff _ ->
+      ()
   in
   check ()
   && List.for_all
@@ -1788,6 +1820,64 @@ let test_ring_matches_model () =
   Prop.run ~count:80 ~seed:0x5eed11
     ~name:"ring = sorted-list model under churn" model_case
     prop_ring_matches_model
+
+(* ---- Chord: the node table against per-node folds ------------------- *)
+
+(* ((physical nodes, VSs per node, 1 for [join_all] or 0 for one
+   [join] each), operations). *)
+let table_case =
+  Prop.pair
+    (Prop.triple (Prop.int_in 1 48) (Prop.int_in 1 4) (Prop.int_in 0 1))
+    (Prop.list_of ~max_len:24 (ring_op_in ~kinds:9))
+
+(* Each alive node's table entries, bit for bit, against [node_load]
+   and against folds of its VS list: the load from 0.0, the smallest
+   VS load from [infinity] with [Float.min]. *)
+let table_matches_folds dht =
+  let loads = Dht.node_loads dht and l_mins = Dht.node_l_mins dht in
+  let bits = Int64.bits_of_float in
+  Float.Array.length loads = Dht.n_nodes dht
+  && Float.Array.length l_mins = Dht.n_nodes dht
+  && List.for_all
+       (fun i ->
+         let n = Dht.alive_nth dht i in
+         let sum =
+           List.fold_left (fun acc v -> acc +. v.Dht.load) 0.0 n.Dht.vss
+         and l_min =
+           List.fold_left
+             (fun acc v -> Float.min acc v.Dht.load)
+             infinity n.Dht.vss
+         in
+         bits (Float.Array.get loads i) = bits (Dht.node_load n)
+         && bits (Float.Array.get loads i) = bits sum
+         && bits (Float.Array.get l_mins i) = bits l_min)
+       (List.init (Dht.n_nodes dht) Fun.id)
+
+(* The table is read after every operation, so an operation that
+   changes a load without invalidating it leaves a stale entry. *)
+let prop_table_matches_folds ((n_nodes, vs, bulk), ops) =
+  let dht : unit Dht.t = Dht.create ~seed:n_nodes in
+  let empty = table_matches_folds dht in
+  if bulk = 1 then
+    Dht.join_all dht (Array.init n_nodes (fun i -> (1.0, i))) ~n_vs:vs
+  else
+    for i = 0 to n_nodes - 1 do
+      ignore (Dht.join dht ~capacity:1.0 ~underlay:i ~n_vs:vs)
+    done;
+  let joined = table_matches_folds dht in
+  Dht.fold_vs dht ~init:() ~f:(fun () v ->
+      Dht.set_vs_load dht v (float_of_int (1 + (v.Dht.vs_id mod 97)) /. 7.0));
+  empty && joined
+  && table_matches_folds dht
+  && List.for_all
+       (fun op ->
+         apply_ring_op dht op;
+         table_matches_folds dht)
+       ops
+
+let test_table_matches_folds () =
+  Prop.run ~count:200 ~seed:0x5eed13 ~name:"node table = per-node folds"
+    table_case prop_table_matches_folds
 
 (* ---- Ktree: skeleton sweeps = reference full walks ---------------------- *)
 
@@ -2603,6 +2693,8 @@ let () =
             test_ring_matches_model;
           Alcotest.test_case "depart = sequential remove_vs" `Quick
             test_depart_matches_removals;
+          Alcotest.test_case "node table = per-node folds" `Quick
+            test_table_matches_folds;
         ] );
       ( "ktree",
         [
