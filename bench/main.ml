@@ -215,7 +215,7 @@ let pairing_fixture =
   lazy
     (let rng = Prng.create ~seed:5 in
      (* Node i sheds its only VS, a handle from a real ring. *)
-     let dht : unit Dht.t = Dht.create ~seed:5 in
+     let dht : Dht.t = Dht.create ~seed:5 in
      Dht.join_all dht (Array.init 500 (fun i -> (1.0, i))) ~n_vs:1;
      let sheds =
        List.init 500 (fun i ->
@@ -311,7 +311,7 @@ let tests =
     (* The same at scale_pareto's ring size: 4096 nodes x 5 VSs. *)
     Test.make ~name:"kernel/chord_lookup_4096x5"
       (Staged.stage
-         (let dht : unit Dht.t = Dht.create ~seed:10 in
+         (let dht : Dht.t = Dht.create ~seed:10 in
           Dht.join_all dht (Array.init 4096 (fun i -> (1.0, i))) ~n_vs:5;
           let rng = Prng.create ~seed:7 in
           let point () = Prng.int rng P2plb_idspace.Id.space_size in
@@ -322,7 +322,7 @@ let tests =
        repair and refresh walk a copy of the tree built before. *)
     Test.make ~name:"kernel/kt_upkeep_1280"
       (Staged.stage
-         (let dht : unit Dht.t = Dht.create ~seed:12 in
+         (let dht : Dht.t = Dht.create ~seed:12 in
           Dht.join_all dht (Array.init 256 (fun i -> (1.0, i))) ~n_vs:5;
           let tree = Ktree.build ~k:2 dht in
           let order = Array.init 256 Fun.id in
@@ -382,7 +382,7 @@ let tests =
             Array.init 4096 (fun i -> (float_of_int (1 + (i mod 3)), i))
           in
           fun () ->
-            let dht : unit Dht.t = Dht.create ~seed:1 in
+            let dht : Dht.t = Dht.create ~seed:1 in
             Dht.join_all dht nodes ~n_vs:5));
   ]
 

@@ -18,9 +18,7 @@ type node = {
   mutable vss : vs list;
 }
 
-module Itbl = Hashtbl.Make (Int)
-
-type 'a t = {
+type t = {
   rng : Prng.t;
   (* Every node ever joined, indexed by its id: ids are dense,
      0 .. next_node_id - 1. *)
@@ -35,8 +33,6 @@ type 'a t = {
   (* Bucket index over [ring_ids], rebuilt lazily by the readers that
      use it when [ring_version] has moved. *)
   index : Ring_index.t;
-  (* Stored payloads by key, newest first. *)
-  items : 'a list Itbl.t;
   mutable lookup_count : int;
   mutable hop_count : int;
   (* Alive-node cache: nodes in join (= increasing node_id) order.
@@ -59,13 +55,17 @@ type 'a t = {
   (* The puts staged for the next [publish], in put order: put [r]'s
      entry is [fi lsl 31 lor (next + 1)], with [fi] its source's ring
      index and [next] the group's previous put, or -1.  [st_version]
-     is the ring version the batch was staged at. *)
+     is the ring version the batch was staged at.  [st_key.(r)] is
+     put [r]'s key. *)
   mutable st_src : int array;
+  mutable st_key : int array;
   mutable st_n : int;
   mutable st_version : int;
   (* The batch's groups, one per key predecessor, stamped [st_base],
      [st_base + 1], ... in first-seen order: each group's last put and
-     its predecessor's ring index. *)
+     its predecessor's ring index.  [publish] then sorts [g_pred] by
+     owner, and turns each routed put's [st_src] entry into its
+     owner's ring index. *)
   mutable st_base : int;
   mutable g_last : int array;
   mutable g_pred : int array;
@@ -75,6 +75,10 @@ type 'a t = {
      group takes a new stamp, so the memo is never cleared. *)
   mutable memo : int array;
   mutable stamp : int;
+  (* [publish]'s delivery order, one code per put, and the buffer that
+     sorts it and the groups. *)
+  mutable dl_code : int array;
+  mutable dl_buf : int array;
 }
 
 let create ~seed =
@@ -86,7 +90,6 @@ let create ~seed =
     ring_vss = [||];
     ring_n = 0;
     index = Ring_index.create ();
-    items = Itbl.create 256;
     lookup_count = 0;
     hop_count = 0;
     live = [||];
@@ -99,6 +102,7 @@ let create ~seed =
     table_load = Float.Array.create 0;
     table_l_min = Float.Array.create 0;
     st_src = [||];
+    st_key = [||];
     st_n = 0;
     st_version = 0;
     st_base = 0;
@@ -106,6 +110,8 @@ let create ~seed =
     g_pred = [||];
     memo = [||];
     stamp = 0;
+    dl_code = [||];
+    dl_buf = [||];
   }
 
 let node t id =
@@ -574,15 +580,13 @@ let lookup t ~from ~key =
     (t.ring_vss.(oi), !hops)
   end
 
-let stored t key = Option.value (Itbl.find_opt t.items key) ~default:[]
-
 (* The first put of a batch fixes its ring version and stamps; each put
-   finds its source and key predecessor, joins its predecessor's group
-   (a new group takes the next stamp) and is stored at once, so the
-   store takes the puts in put order.  Ring indices and batch positions
-   each fit the entry's 31 bits ([join_all] caps a ring below 2^30
-   VSs). *)
-let stage t ~from ~key payload =
+   finds its source and key predecessor and joins its predecessor's
+   group (a new group takes the next stamp).  Ring indices fit the
+   entry's 31 bits ([join_all] caps a ring below 2^30 VSs), and batch
+   positions fit the 30 bits [publish]'s delivery codes give them: a
+   batch of 2^30 puts would need 8 GB for [st_src] alone. *)
+let stage t ~from ~key =
   let fi = lookup_source t "Dht.stage" ~from in
   let r = t.st_n in
   if r > 0 && t.ring_version <> t.st_version then
@@ -609,9 +613,10 @@ let stage t ~from ~key payload =
     end
   in
   t.st_src <- reserve t.st_src r 0;
+  t.st_key <- reserve t.st_key r 0;
   t.st_src.(r) <- (fi lsl 31) lor (t.g_last.(g) + 1);
+  t.st_key.(r) <- key;
   t.g_last.(g) <- r;
-  Itbl.replace t.items key (payload :: stored t key);
   t.st_n <- r + 1
 
 (* Hops from ring index [ci] towards the predecessor at [pi], through
@@ -630,19 +635,67 @@ let rec memo_hops t ~pi s ci =
     h
   end
 
-(* Each group routes its puts through the memo under its own stamp. *)
-let publish ?hops t =
+(* Sorts [a.(lo) .. a.(hi - 1)] ascending through [buf], which holds at
+   least [(hi - lo) / 2] entries: a top-down merge sort that skips the
+   merge of two halves already in order. *)
+let rec sort_ints (a : int array) (buf : int array) lo hi =
+  if hi - lo > 1 then begin
+    let mid = (lo + hi) / 2 in
+    sort_ints a buf lo mid;
+    sort_ints a buf mid hi;
+    if a.(mid - 1) > a.(mid) then begin
+      let n = mid - lo in
+      Array.blit a lo buf 0 n;
+      let i = ref 0 and j = ref mid and k = ref lo in
+      while !i < n do
+        if !j < hi && a.(!j) < buf.(!i) then begin
+          a.(!k) <- a.(!j);
+          incr j
+        end
+        else begin
+          a.(!k) <- buf.(!i);
+          incr i
+        end;
+        incr k
+      done
+    end
+  end
+
+(* Each group routes its puts through the memo under its own stamp, in
+   any order; here, in its owners' ring order from the last, so each
+   owner's puts fill one slice of [dl_code], from the end, with
+   [(d lsl 30) lor r], for put [r] at distance [d] counter-clockwise
+   from the owner's last point — its id, or the top of the ring when
+   one VS owns all of it.  Sorting each slice orders the owner's keys
+   counter-clockwise from that point and the puts under one key in put
+   order.  A chain runs newest first, so a slice starts in put order,
+   and one under a single key is already sorted. *)
+let publish ?hops t ~f =
   let m = t.st_n in
   t.st_n <- 0;
   if m = 0 then 0
   else begin
     if t.ring_version <> t.st_version then
       invalid_arg "Dht.publish: the ring changed since the batch's first put";
-    let total = ref 0 in
-    for g = 0 to t.stamp - t.st_base do
-      let pi = t.g_pred.(g) in
-      let oi = owner_idx t pi in
-      let r = ref t.g_last.(g) in
+    if Array.length t.dl_code < m then begin
+      t.dl_code <- Array.make (Array.length t.st_src) 0;
+      t.dl_buf <- Array.make (Array.length t.st_src / 2) 0
+    end;
+    (* The groups in their owners' ring order: each owner index above
+       its group, sorted. *)
+    let n_groups = t.stamp - t.st_base + 1 in
+    for g = 0 to n_groups - 1 do
+      t.g_pred.(g) <- (owner_idx t t.g_pred.(g) lsl 31) lor g
+    done;
+    sort_ints t.g_pred t.dl_buf 0 n_groups;
+    let total = ref 0 and pos = ref m in
+    for j = n_groups - 1 downto 0 do
+      let g = t.g_pred.(j) land 0x7fffffff and oi = t.g_pred.(j) lsr 31 in
+      let pi = if oi = 0 then t.ring_n - 1 else oi - 1 in
+      let last =
+        if t.ring_n = 1 then Id.space_size - 1 else t.ring_ids.(oi)
+      in
+      let hi = !pos and r = ref t.g_last.(g) in
       while !r >= 0 do
         let e = t.st_src.(!r) in
         let fi = e lsr 31 in
@@ -651,71 +704,22 @@ let publish ?hops t =
         in
         total := !total + h;
         (match hops with Some a -> a.(!r) <- h | None -> ());
+        t.st_src.(!r) <- oi;
+        decr pos;
+        t.dl_code.(!pos) <-
+          (Id.distance_cw t.st_key.(!r) last lsl 30) lor !r;
         r := (e land 0x7fffffff) - 1
-      done
+      done;
+      sort_ints t.dl_code t.dl_buf !pos hi
     done;
     t.lookup_count <- t.lookup_count + m;
     t.hop_count <- t.hop_count + !total;
+    for j = 0 to m - 1 do
+      let r = t.dl_code.(j) land ((1 lsl 30) - 1) in
+      f r t.ring_vss.(t.st_src.(r))
+    done;
     !total
-  end
-
-let put t ~from ~key payload =
-  stage t ~from ~key payload;
-  publish t
-
-let get t ~from ~key =
-  let _, hops = lookup t ~from ~key in
-  (stored t key, hops)
-
-(* Keys counter-clockwise from the region's last point, payloads in
-   put order. *)
-let items_in_region t region =
-  if Region.is_empty region then []
-  else
-    let last = Region.last region in
-    Itbl.fold
-      (fun k payloads acc ->
-        if Region.contains region k then
-          (Id.distance_cw k last, k, payloads) :: acc
-        else acc)
-      t.items []
-    |> List.sort (fun (d1, _, _) (d2, _, _) -> Int.compare d1 d2)
-    |> List.concat_map (fun (_, k, payloads) ->
-           List.rev_map (fun p -> (k, p)) payloads)
-
-(* One pass over the store: each key meets its owner by one indexed
-   search.  [items_in_region] lists a region's keys counter-clockwise
-   from its last point — the owner's id, or the top of the ring when
-   one VS owns all of it — so ordering by (owner index, distance to
-   that point) reproduces it per owner.  The pair is unique per key and
-   packs into one int, the owner index above the distance's 32 bits,
-   from which the key reads back; so one sort of ints orders the store,
-   whatever the table's order. *)
-let drain_items t ~f =
-  let n = Itbl.length t.items in
-  if n > 0 then begin
-    let last oi = if t.ring_n = 1 then Id.space_size - 1 else t.ring_ids.(oi) in
-    let codes = Array.make n 0 and i = ref 0 in
-    Itbl.iter
-      (fun k _ ->
-        let oi = successor_idx t k in
-        codes.(!i) <- (oi lsl Id.bits) lor Id.distance_cw k (last oi);
-        incr i)
-      t.items;
-    Array.sort Int.compare codes;
-    let key c = Id.sub (last (c lsr Id.bits)) (Id.of_int c) in
-    let payloads = Array.map (fun c -> Itbl.find t.items (key c)) codes in
-    Itbl.clear t.items;
-    Array.iteri
-      (fun j c ->
-        let v = t.ring_vss.(c lsr Id.bits) and k = key c in
-        List.iter (fun p -> f v k p) (List.rev payloads.(j)))
-      codes
   end
 
 let lookups_performed t = t.lookup_count
 let hops_used t = t.hop_count
-
-let reset_counters t =
-  t.lookup_count <- 0;
-  t.hop_count <- 0

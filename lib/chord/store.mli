@@ -23,7 +23,7 @@ val replication : t -> int
 val n_objects : t -> int
 val total_bytes : t -> float
 
-val insert : t -> 'a Dht.t -> key:Id.t -> size:float -> unit
+val insert : t -> Dht.t -> key:Id.t -> size:float -> unit
 (** Places a fresh object.  [size >= 0].  Re-inserting a key adds a
     distinct object version under the same key. *)
 
@@ -31,7 +31,7 @@ val holders : t -> key:Id.t -> Dht.node_id list list
 (** Current holder sets of the object versions under [key] (possibly
     stale until {!repair}); [[]] if unknown. *)
 
-val is_available : t -> 'a Dht.t -> key:Id.t -> bool
+val is_available : t -> Dht.t -> key:Id.t -> bool
 (** At least one version under [key] has at least one alive holder. *)
 
 type repair_stats = {
@@ -41,15 +41,15 @@ type repair_stats = {
   lost : int;  (** objects dropped as unrecoverable in this pass *)
 }
 
-val repair : t -> 'a Dht.t -> repair_stats
+val repair : t -> Dht.t -> repair_stats
 (** Re-places every object on the current ring: primary = owner of
     the key, replicas = next distinct alive nodes.  Objects with no
     surviving holder are removed and counted as lost. *)
 
-val availability : t -> 'a Dht.t -> float
+val availability : t -> Dht.t -> float
 (** Fraction of objects currently having an alive holder (1.0 when
     the store is empty). *)
 
-val apply_primary_loads : t -> 'a Dht.t -> unit
+val apply_primary_loads : t -> Dht.t -> unit
 (** Sets every VS's load to the total bytes of objects whose key falls
     in its region (zero elsewhere). *)

@@ -39,7 +39,7 @@ type result = {
 
 val cfs_shed :
   oracle:Graph.Oracle.t ->
-  'a Dht.t ->
+  Dht.t ->
   result
 (** Iterates shedding sweeps until no node is heavy or 50 sweeps have
     run — non-convergence is the documented thrashing behaviour.  A
@@ -48,21 +48,21 @@ val cfs_shed :
 val rao_one_to_one :
   rng:Prng.t ->
   oracle:Graph.Oracle.t ->
-  'a Dht.t ->
+  Dht.t ->
   result
 (** Stops after [64 * n] random probes. *)
 
 val rao_one_to_many :
   rng:Prng.t ->
   oracle:Graph.Oracle.t ->
-  'a Dht.t ->
+  Dht.t ->
   result
 (** Each heavy node sees a random directory of 16 nodes, keeps the
     light ones and greedily places its shed VSs on them. *)
 
 val rao_many_to_many :
   oracle:Graph.Oracle.t ->
-  'a Dht.t ->
+  Dht.t ->
   result
 (** Global pool, best-fit matching — equivalent to running the
     paper's rendezvous pairing once at a single global point, without

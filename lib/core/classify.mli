@@ -24,5 +24,5 @@ val classify_node :
 (** {!classify} on the node's current load and capacity. *)
 
 val census :
-  lbi:Types.lbi -> epsilon:float -> 'a Dht.t -> int * int * int
+  lbi:Types.lbi -> epsilon:float -> Dht.t -> int * int * int
 (** [(heavy, light, neutral)] counts over alive nodes. *)

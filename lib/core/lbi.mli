@@ -21,14 +21,14 @@ module Faults = P2plb_sim.Faults
     all retries simply leaves its node out of this round's aggregate
     (the round degrades instead of stalling). *)
 
-val exact : 'a Dht.t -> Types.lbi
+val exact : Dht.t -> Types.lbi
 (** The system-wide [<L, C, L_min>] read off the ring directly, with
     no tree: what the baselines are granted (an optimistic assumption
     in their favour) and what the locality ceiling classifies by. *)
 
 val aggregate :
   rng:Prng.t -> ?faults:Faults.t -> ?route_messages:bool ->
-  ?sweep:Types.lbi Ktree.sweep -> Ktree.t -> 'a Dht.t -> Types.lbi
+  ?sweep:Types.lbi Ktree.sweep -> Ktree.t -> Dht.t -> Types.lbi
 (** Bottom-up aggregation over the current tree; returns the root's
     view.  Raises [Invalid_argument] if the DHT has no alive nodes.
     The reports go through a {!Ktree.Reports} log, swept with [sweep]
@@ -41,7 +41,7 @@ val aggregate :
 
 val run :
   rng:Prng.t -> ?faults:Faults.t -> ?route_messages:bool ->
-  Ktree.t -> 'a Dht.t -> Types.lbi
+  Ktree.t -> Dht.t -> Types.lbi
 (** {!aggregate} followed by the top-down push of the root LBI:
     {!Ktree.broadcast} charges its messages and rounds, and each of
     the [Ktree.n_leaves] leaves makes one reliable send to its

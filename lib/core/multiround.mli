@@ -95,7 +95,7 @@ val run :
 val invariant_check :
   faults:Faults.t ->
   expected_total:float ->
-  'a P2plb_chord.Dht.t ->
+  P2plb_chord.Dht.t ->
   round ->
   (unit, string) Stdlib.result
 (** [invariant_check ~faults ~expected_total dht] is the soak's

@@ -26,7 +26,7 @@ let default =
 
 type t = {
   rng : Prng.t;
-  dht : Types.vsa_record Dht.t;
+  dht : Dht.t;
   topo : Transit_stub.t;
   oracle : Graph.Oracle.t;
   space : Landmark.space;

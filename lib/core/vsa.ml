@@ -61,12 +61,25 @@ let run ?(threshold = default_threshold) ?(epsilon = 0.0)
   let shed_offered = ref 0 and load_offered = ref 0.0 in
   (* Records handed to KT leaves, in arrival order. *)
   let reports : Types.vsa_record Ktree.Reports.t = Ktree.Reports.create tree in
+  (* Scratch arrays, grown on demand: 64 copies of the first element
+     pushed, then doubled by appending the array to itself.  An
+     [Array.make] of over 256 words filled with a young value would
+     force a minor collection, which stops every domain. *)
+  let push scratch n x =
+    if !n >= Array.length !scratch then
+      scratch :=
+        if !n = 0 then Array.make 64 x else Array.append !scratch !scratch;
+    !scratch.(!n) <- x;
+    incr n
+  in
+  (* Aware mode's published records, in put order. *)
+  let recs = ref [||] and n_recs = ref 0 in
   (* Classify every node once and route each of its records, in one
      pass in alive-node order: classification draws no randomness, so
      each record's report_vs draw and send come in record order.  In
-     aware mode the pass stores and stages the publishes; they are
-     routed after it as one batch, which the pass cannot perturb:
-     nothing in it changes the ring. *)
+     aware mode the pass keeps the records and stages their publishes;
+     they are routed after it as one batch, which the pass cannot
+     perturb: nothing in it changes the ring. *)
   (* Keys depend only on a node's underlay vertex, the space and the
      curve parameters: one table read per record, the space's table
      shared by every round. *)
@@ -77,8 +90,8 @@ let run ?(threshold = default_threshold) ?(epsilon = 0.0)
       Some (Landmark.keys ~curve ~binning space ~order)
   in
   (* A record of node [n], through its own report_vs draw and send:
-     handed to the reporting VS's leaf, or published under the node's
-     key and staged for routing. *)
+     handed to the reporting VS's leaf, or kept and its publish under
+     the node's key staged for routing. *)
   let route (n : Dht.node) r =
     let v = Dht.report_vs dht rng n in
     if send () = 0 then incr records_lost
@@ -87,8 +100,8 @@ let run ?(threshold = default_threshold) ?(epsilon = 0.0)
       | None -> Ktree.Reports.add reports v.Dht.vs_id r
       | Some keys ->
         Dht.stage dht ~from:v.Dht.vs_id
-          ~key:(Landmark.key keys n.Dht.underlay)
-          r
+          ~key:(Landmark.key keys n.Dht.underlay);
+        push recs n_recs r
   in
   let node_loads = Dht.node_loads dht in
   for i = 0 to Float.Array.length node_loads - 1 do
@@ -117,29 +130,18 @@ let run ?(threshold = default_threshold) ?(epsilon = 0.0)
           route n (Types.Shed { vs_load; vs; heavy_node = n.Dht.node_id }))
         shed
   done;
-  (* Aware mode routes the staged publishes as one batch; every VS then
-     reports what landed in its region to its designated leaf. *)
+  (* Aware mode routes the staged publishes as one batch; each record
+     then reaches the leaf of the VS owning its key. *)
   let publish_hops =
     match keys with
     | None -> 0
     | Some _ ->
-      let hops = Dht.publish dht in
-      Dht.drain_items dht ~f:(fun v _ r ->
-          Ktree.Reports.add reports v.Dht.vs_id r);
-      hops
+      let recs = !recs in
+      Dht.publish dht ~f:(fun i v ->
+          Ktree.Reports.add reports v.Dht.vs_id recs.(i))
   in
   (* Scratch buffers for the per-leaf freshness partition, reused by
-     every leaf of the sweep (grown on demand, filled with the pushed
-     element so no dummy values are needed). *)
-  let push scratch n x =
-    if !n >= Array.length !scratch then begin
-      let a = Array.make (Int.max 64 (2 * Array.length !scratch)) x in
-      Array.blit !scratch 0 a 0 !n;
-      scratch := a
-    end;
-    !scratch.(!n) <- x;
-    incr n
-  in
+     every leaf of the sweep. *)
   let shed_scratch = ref [||] and shed_n = ref 0 in
   let light_scratch = ref [||] and light_n = ref 0 in
   let fresh_pool_slice grouped lo hi =

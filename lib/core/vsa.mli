@@ -67,7 +67,7 @@ val run :
   rng:Prng.t ->
   lbi:Types.lbi ->
   Ktree.t ->
-  Types.vsa_record Dht.t ->
+  Dht.t ->
   result
 (** One full VSA sweep against the current ring and tree.  In [Aware]
     mode, published records are cleared from DHT storage afterwards.
@@ -85,11 +85,11 @@ val run :
     Records are collected in one pass over the alive nodes, in
     [node_id] order, each record with its own {!Dht.report_vs} draw and
     fault-plan send, in that order.  In [Aware] mode a delivered
-    record is stored under the node's key and staged for routing
-    ({!Dht.stage}); after the pass, one {!Dht.publish} routes the whole
-    batch, then {!Dht.drain_items} hands each record to its owner's
-    leaf.  The pass changes no ring, so the batch costs the same hops
-    and lookups, and leaves the same store, as a put per record in the
+    record is kept, in put order, and its publish under the node's key
+    staged for routing ({!Dht.stage}); after the pass, one
+    {!Dht.publish} routes the whole batch and hands each record to the
+    leaf of the VS owning its key.  The pass changes no ring, so the
+    batch costs the same hops and lookups as a put per record in the
     pass, and the PRNG and fault streams draw exactly as they would.
 
     In [Aware] mode a node's key is one read of the space's

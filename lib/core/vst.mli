@@ -81,7 +81,7 @@ val apply :
   ?obs:P2plb_obs.Obs.t ->
   ?faults:Faults.t ->
   ?oracle:Graph.Oracle.t ->
-  'a Dht.t ->
+  Dht.t ->
   Types.assignment list ->
   result
 (** Each assignment is checked before its transaction: the VS must

@@ -81,7 +81,7 @@ val set_obs : t -> P2plb_obs.Obs.t -> unit
     re-plants emit ["kt/replant"] points (both with a [depth]
     attribute).  Without an attachment the tree stays silent. *)
 
-val build : ?route_messages:bool -> k:int -> 'a Dht.t -> t
+val build : ?route_messages:bool -> k:int -> Dht.t -> t
 (** Constructs the tree against the current ring.  Requires a
     non-empty ring.  [route_messages] (default false) additionally
     routes each planting lookup through Chord, from the parent's host
@@ -134,7 +134,7 @@ val host_nodes : t -> Id.t -> int
 val leaves : t -> node list
 (** In identifier-space order. *)
 
-val refresh : ?route_messages:bool -> t -> 'a Dht.t -> unit
+val refresh : ?route_messages:bool -> t -> Dht.t -> unit
 (** One periodic maintenance pass: re-resolve every KT node's hosting
     VS, prune children of nodes that became leaves, grow children that
     became necessary.  Idempotent once the ring is stable.
@@ -154,7 +154,7 @@ val refresh : ?route_messages:bool -> t -> 'a Dht.t -> unit
     node's lookup is charged, so the walk visits every node, O(nodes),
     whether the ring changed or not. *)
 
-val repair : ?route_messages:bool -> t -> 'a Dht.t -> int
+val repair : ?route_messages:bool -> t -> Dht.t -> int
 (** Reactive self-repair, run before a sweep traverses the tree under
     churn: detect KT nodes whose hosting VS is dead or no longer owns
     the node's centre key, re-plant each via a DHT lookup issued from
@@ -170,7 +170,7 @@ val repair : ?route_messages:bool -> t -> 'a Dht.t -> int
     ring version moved since the tree was last consistent; otherwise
     returns 0 in O(1). *)
 
-val check_consistent : t -> 'a Dht.t -> (unit, string) result
+val check_consistent : t -> Dht.t -> (unit, string) result
 (** Structural invariants: root covers the ring, children partition
     their parent's region, every KT node is planted at its region's
     centre in the correct VS, leaves are exactly the covered nodes,

@@ -16,7 +16,7 @@ module Dht = P2plb_chord.Dht
    [i] in [0, 2048) give distinct VSs. *)
 let fixture_ring =
   lazy
-    (let dht : unit Dht.t = Dht.create ~seed:1 in
+    (let dht : Dht.t = Dht.create ~seed:1 in
      Dht.join_all dht (Array.init 2048 (fun i -> (1.0, i))) ~n_vs:1;
      dht)
 

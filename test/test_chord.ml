@@ -7,7 +7,7 @@ let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
 
 let build_dht ~seed ~nodes ~vs =
-  let dht : unit Dht.t = Dht.create ~seed in
+  let dht : Dht.t = Dht.create ~seed in
   for i = 0 to nodes - 1 do
     ignore (Dht.join dht ~capacity:(float_of_int (1 + (i mod 3))) ~underlay:i ~n_vs:vs)
   done;
@@ -256,50 +256,56 @@ let test_lookup_hop_bound () =
   (* 500 VSs: greedy finger routing stays within ~2 log2(n) = 18 *)
   check Alcotest.bool "O(log n) hops" true (!max_hops <= 20)
 
-let test_put_get () =
-  let dht : string Dht.t = Dht.create ~seed:14 in
-  for i = 0 to 9 do
-    ignore (Dht.join dht ~capacity:1.0 ~underlay:i ~n_vs:2)
-  done;
-  let from = (Dht.owner_of_key dht 0).Dht.vs_id in
-  ignore (Dht.put dht ~from ~key:12345 "hello");
-  ignore (Dht.put dht ~from ~key:12345 "world");
-  let values, _ = Dht.get dht ~from ~key:12345 in
-  check Alcotest.(list string) "both stored" [ "world"; "hello" ] values;
-  let none, _ = Dht.get dht ~from ~key:777 in
-  check Alcotest.(list string) "missing key" [] none
-
+(* Every key lies in exactly one VS's region, and [publish] hands each
+   put to that VS, in the reference's order, then holds nothing. *)
 let test_items_in_region () =
-  let dht : int Dht.t = Dht.create ~seed:15 in
+  let dht : Dht.t = Dht.create ~seed:15 in
   for i = 0 to 9 do
     ignore (Dht.join dht ~capacity:1.0 ~underlay:i ~n_vs:2)
   done;
   let from = (Dht.owner_of_key dht 0).Dht.vs_id in
   let keys = [ 100; 5000; 1_000_000; Id.space_size - 1 ] in
-  List.iter (fun k -> ignore (Dht.put dht ~from ~key:k k)) keys;
-  (* every item is visible in exactly one VS's region *)
+  let puts = List.map (fun k -> (k, k)) keys in
   List.iter
     (fun k ->
       let owners =
         Dht.fold_vs dht ~init:0 ~f:(fun acc v ->
-            let items = Dht.items_in_region dht (Dht.region_of_vs dht v) in
+            let items =
+              Publish_reference.in_region (Dht.region_of_vs dht v) puts
+            in
             if List.exists (fun (key, _) -> key = k) items then acc + 1 else acc)
       in
       check Alcotest.int "exactly one region" 1 owners)
     keys;
-  Dht.drain_items dht ~f:(fun _ _ _ -> ());
-  let values, _ = Dht.get dht ~from ~key:100 in
-  check Alcotest.(list int) "drained" [] values
+  let _, got =
+    Publish_reference.publish dht (List.map (fun (k, p) -> (from, k, p)) puts)
+  in
+  List.iter
+    (fun (owner, k, _) ->
+      check Alcotest.bool "delivered to the key's region" true
+        (Region.contains
+           (Dht.region_of_vs dht (Option.get (Dht.vs_of_id dht owner)))
+           k))
+    got;
+  check
+    Alcotest.(list (triple int int int))
+    "reference order"
+    (Publish_reference.delivery dht puts)
+    got;
+  let again = ref 0 in
+  check Alcotest.int "drained: no hops" 0
+    (Dht.publish dht ~f:(fun _ _ -> incr again));
+  check Alcotest.int "drained: nothing delivered" 0 !again
 
-(* Puts to one key come back newest first.  [drain_items] visits the
-   owners in ring order; an owner's keys counter-clockwise from its id
-   (from the top of the ring when one VS owns it all); one key's
-   payloads in put order.  Keys are put out of that order, repeated
-   and interleaved. *)
+(* [publish] visits the owners in ring order; an owner's keys
+   counter-clockwise from its id (from the top of the ring when one VS
+   owns it all); one key's puts in put order.  Keys are put out of
+   that order, repeated and interleaved, on rings of one VS and more,
+   and include 0 and 2^32 - 1. *)
 let test_store_order () =
   List.iter
     (fun (nodes, vs) ->
-      let dht : (int * int) Dht.t = Dht.create ~seed:17 in
+      let dht : Dht.t = Dht.create ~seed:17 in
       for i = 0 to nodes - 1 do
         ignore (Dht.join dht ~capacity:1.0 ~underlay:i ~n_vs:vs)
       done;
@@ -319,12 +325,6 @@ let test_store_order () =
       let puts =
         List.concat_map (fun r -> List.map (fun k -> (k, r)) (List.rev keys)) [ 0; 1; 2 ]
       in
-      List.iter (fun (k, r) -> ignore (Dht.put dht ~from ~key:k (k, r))) puts;
-      List.iter
-        (fun k ->
-          check Alcotest.(list (pair int int)) "newest first"
-            [ (k, 2); (k, 1); (k, 0) ] (fst (Dht.get dht ~from ~key:k)))
-        keys;
       let last i = if n = 1 then Id.space_size - 1 else ids.(i) in
       let vss = Array.of_list (List.rev (Dht.fold_vs dht ~init:[] ~f:(fun acc v -> v :: acc))) in
       let owner k =
@@ -342,26 +342,28 @@ let test_store_order () =
                    List.map (fun r -> (ids.(i), k, r)) [ 0; 1; 2 ]))
           (List.init n Fun.id)
       in
-      let drained = ref [] in
-      Dht.drain_items dht ~f:(fun v k (k', r) ->
-          check Alcotest.int "payload under its key" k k';
-          drained := (v.Dht.vs_id, k, r) :: !drained);
+      let label = Printf.sprintf "%d x %d" nodes vs in
       check
         Alcotest.(list (triple int int int))
-        (Printf.sprintf "%d x %d drain order" nodes vs)
-        expected (List.rev !drained))
+        (label ^ " reference order") expected
+        (Publish_reference.delivery dht puts);
+      let _, got =
+        Publish_reference.publish dht
+          (List.map (fun (k, r) -> (from, k, r)) puts)
+      in
+      check
+        Alcotest.(list (triple int int int))
+        (label ^ " delivery order") expected got)
     [ (1, 1); (1, 3); (4, 2); (12, 3) ]
 
 let test_counters () =
   let dht = build_dht ~seed:16 ~nodes:20 ~vs:3 in
-  Dht.reset_counters dht;
+  let lookups0 = Dht.lookups_performed dht and hops0 = Dht.hops_used dht in
   let from = (Dht.owner_of_key dht 0).Dht.vs_id in
-  ignore (Dht.lookup dht ~from ~key:123);
-  ignore (Dht.lookup dht ~from ~key:456);
-  check Alcotest.int "lookups" 2 (Dht.lookups_performed dht);
-  check Alcotest.bool "hops recorded" true (Dht.hops_used dht >= 0);
-  Dht.reset_counters dht;
-  check Alcotest.int "reset" 0 (Dht.lookups_performed dht)
+  let _, h1 = Dht.lookup dht ~from ~key:123 in
+  let _, h2 = Dht.lookup dht ~from ~key:456 in
+  check Alcotest.int "lookups" 2 (Dht.lookups_performed dht - lookups0);
+  check Alcotest.int "hops" (h1 + h2) (Dht.hops_used dht - hops0)
 
 let prop_join_leave_partition =
   QCheck.Test.make ~name:"regions always partition the ring" ~count:50
@@ -426,7 +428,6 @@ let () =
           Alcotest.test_case "own key 0 hops" `Quick
             test_lookup_own_key_zero_hops;
           Alcotest.test_case "hop bound" `Quick test_lookup_hop_bound;
-          Alcotest.test_case "put/get" `Quick test_put_get;
           Alcotest.test_case "items_in_region" `Quick test_items_in_region;
           Alcotest.test_case "store order: get and drain" `Quick
             test_store_order;

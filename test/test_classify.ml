@@ -44,7 +44,7 @@ let test_neutral () =
   check Alcotest.bool "at target" true (classify 20.0 = Types.Neutral)
 
 let test_census () =
-  let dht : unit Dht.t = Dht.create ~seed:1 in
+  let dht : Dht.t = Dht.create ~seed:1 in
   for i = 0 to 9 do
     ignore (Dht.join dht ~capacity:1.0 ~underlay:i ~n_vs:2)
   done;

@@ -8,7 +8,7 @@ let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
 
 let build_dht ~seed ~nodes ~vs =
-  let dht : unit Dht.t = Dht.create ~seed in
+  let dht : Dht.t = Dht.create ~seed in
   for i = 0 to nodes - 1 do
     ignore (Dht.join dht ~capacity:1.0 ~underlay:i ~n_vs:vs)
   done;

@@ -572,8 +572,7 @@ let nth_vs dht a =
          ((if j = i then Some v else found), j + 1)))
   |> Option.get
 
-(* [item] is what a [Put] stores. *)
-let apply_ring_op_with ~item dht op =
+let apply_ring_op dht op =
   let node a = Dht.alive_nth dht (a mod Dht.n_nodes dht) in
   (* A departure that would empty the ring is skipped. *)
   let can_depart (n : Dht.node) = List.length n.Dht.vss < Dht.n_vs dht in
@@ -591,8 +590,8 @@ let apply_ring_op_with ~item dht op =
   | Set_vs_load a ->
     Dht.set_vs_load dht (nth_vs dht a) (float_of_int (a mod 1000) /. 100.0)
   | Put a ->
-    ignore
-      (Dht.put dht ~from:(nth_vs dht a).Dht.vs_id ~key:(Id.of_int a) item)
+    Dht.stage dht ~from:(nth_vs dht a).Dht.vs_id ~key:(Id.of_int a);
+    ignore (Dht.publish dht ~f:(fun _ _ -> ()))
   | Join_ids a ->
     let ids = [| a * 4241; ((a * 7919) + 13) mod Id.space_size |] in
     if ids.(0) <> ids.(1)
@@ -608,8 +607,6 @@ let apply_ring_op_with ~item dht op =
         ~size:(float_of_int ((a + j) mod 37) /. 3.0)
     done;
     Store.apply_primary_loads st dht
-
-let apply_ring_op dht op = apply_ring_op_with ~item:() dht op
 
 (* The cached whole-tree figures against a fresh preorder fold: sizes,
    per-host node counts, and the deepest-first leaf table numbered in
@@ -1177,9 +1174,9 @@ let test_lookup_matches_reference () =
 let test_lookup_small_rings () =
   for seed = 0 to 19 do
     for n_vs = 1 to 3 do
-      let direct : unit Dht.t = Dht.create ~seed in
+      let direct : Dht.t = Dht.create ~seed in
       ignore (Dht.join direct ~capacity:1.0 ~underlay:0 ~n_vs);
-      let shrunk : unit Dht.t = Dht.create ~seed in
+      let shrunk : Dht.t = Dht.create ~seed in
       for i = 0 to 3 do
         ignore (Dht.join shrunk ~capacity:1.0 ~underlay:i ~n_vs:2)
       done;
@@ -1355,7 +1352,7 @@ let handoff_case =
        (Prop.pair (Prop.int_in 0 4) (Prop.int_in 0 (Id.space_size - 1))))
 
 let prop_handoff_matches_regions ((n_nodes, vs, cut), puts) =
-  let dht : int Dht.t = Dht.create ~seed:((n_nodes * 8) + vs) in
+  let dht : Dht.t = Dht.create ~seed:((n_nodes * 8) + vs) in
   for i = 0 to n_nodes - 1 do
     ignore (Dht.join dht ~capacity:1.0 ~underlay:i ~n_vs:vs)
   done;
@@ -1374,27 +1371,20 @@ let prop_handoff_matches_regions ((n_nodes, vs, cut), puts) =
     | 3 -> [| 0; 12345; Id.space_size - 1 |].(a mod 3)
     | _ -> a
   in
-  List.iteri
-    (fun i p -> ignore (Dht.put dht ~from:lo ~key:(key p) i))
-    puts;
-  let expected =
-    List.concat_map
-      (fun (v : Dht.vs) ->
-        List.map
-          (fun (k, p) -> (v.Dht.vs_id, k, p))
-          (Dht.items_in_region dht (Dht.region_of_vs dht v)))
-      (List.rev (Dht.fold_vs dht ~init:[] ~f:(fun acc v -> v :: acc)))
+  let puts = List.mapi (fun i p -> (key p, i)) puts in
+  let expected = Publish_reference.delivery dht puts in
+  let _, got =
+    Publish_reference.publish dht (List.map (fun (k, p) -> (lo, k, p)) puts)
   in
-  let drained = ref [] in
-  Dht.drain_items dht ~f:(fun v k p ->
-      drained := (v.Dht.vs_id, k, p) :: !drained);
-  List.rev !drained = expected
+  let again = ref 0 in
+  got = expected
   && List.length expected = List.length puts
-  && Dht.items_in_region dht Region.whole = []
+  && Dht.publish dht ~f:(fun _ _ -> incr again) = 0
+  && !again = 0
 
 let test_handoff_matches_regions () =
   Prop.run ~count:150 ~seed:0x5eed0e
-    ~name:"drain_items = items_in_region per owner, then empty"
+    ~name:"publish = per-VS region reads, then empty"
     handoff_case prop_handoff_matches_regions
 
 (* ---- Chord: a publish batch = one put at a time -------------------------- *)
@@ -1422,13 +1412,13 @@ let batch_case =
 
 (* Both rings take the same churn and the same puts: [batched] stages
    each batch and publishes it once, [single] routes each put by
-   [Dht.lookup] (the per-put hops and counters) and stores it by
-   [Dht.put].  Hops per put, the batch's total, both counters and the
-   drained order must agree. *)
+   [Dht.lookup] (the per-put hops and counters).  Hops per put, the
+   batch's total and both counters must agree, and each batch's
+   delivery must follow the reference on the ring it was staged on. *)
 let prop_batch_matches_single ((n_nodes, vs, cut), (ops1, puts1), (ops2, puts2))
     =
   let build () =
-    let dht : int Dht.t = Dht.create ~seed:((n_nodes * 8) + vs) in
+    let dht : Dht.t = Dht.create ~seed:((n_nodes * 8) + vs) in
     for i = 0 to n_nodes - 1 do
       ignore (Dht.join dht ~capacity:1.0 ~underlay:i ~n_vs:vs)
     done;
@@ -1470,40 +1460,36 @@ let prop_batch_matches_single ((n_nodes, vs, cut), (ops1, puts1), (ops2, puts2))
         puts
     in
     let l0, h0 = counters batched in
-    List.iter (fun (from, key, p) -> Dht.stage batched ~from ~key p) puts;
     let hops = Array.make (List.length puts) (-1) in
-    let total = Dht.publish ~hops batched in
+    let total, got = Publish_reference.publish ~hops batched puts in
     let l1, h1 = counters batched in
     List.for_all2
-      (fun h (from, key, p) ->
+      (fun h (from, key, _) ->
         let before = counters single in
         let _, expected = Dht.lookup single ~from ~key in
         let after = counters single in
-        ignore (Dht.put single ~from ~key p);
         h = expected && fst after - fst before = 1
         && snd after - snd before = h)
       (Array.to_list hops) puts
     && total = Array.fold_left ( + ) 0 hops
     && l1 - l0 = List.length puts
     && h1 - h0 = total
-  in
-  let drained dht =
-    let acc = ref [] in
-    Dht.drain_items dht ~f:(fun v k p -> acc := (v.Dht.vs_id, k, p) :: !acc);
-    List.rev !acc
+    && got
+       = Publish_reference.delivery single
+           (List.map (fun (_, key, p) -> (key, p)) puts)
   in
   let churn ops =
     List.iter
       (fun op ->
-        apply_ring_op_with ~item:(-1) batched op;
-        apply_ring_op_with ~item:(-1) single op)
+        apply_ring_op batched op;
+        apply_ring_op single op)
       ops
   in
   churn ops1;
   let ok1 = batch_agrees 0 puts1 in
   churn ops2;
   let ok2 = batch_agrees 1000 puts2 in
-  ok1 && ok2 && drained batched = drained single
+  ok1 && ok2
 
 let test_batch_matches_single () =
   Prop.run ~count:150 ~seed:0x5eed31
@@ -1521,7 +1507,7 @@ let bulk_case =
     (Prop.triple (Prop.int_in 1 512) (Prop.int_in 1 8) (Prop.int_in 0 4))
     (Prop.list_of ~max_len:6 ring_op)
 
-let ring_state (dht : unit Dht.t) =
+let ring_state (dht : Dht.t) =
   ( Dht.vs_ids dht,
     List.rev
       (Dht.fold_vs dht ~init:[] ~f:(fun acc v ->
@@ -1536,7 +1522,7 @@ let ring_state (dht : unit Dht.t) =
     Dht.ring_version dht )
 
 (* Owner and hops of 64 lookups between random VSs and keys. *)
-let sample_lookups ~seed (dht : unit Dht.t) =
+let sample_lookups ~seed (dht : Dht.t) =
   let rng = P2plb_prng.Prng.create ~seed in
   let ids = Dht.vs_ids dht in
   Prop.init_in_order 64 (fun _ ->
@@ -1552,12 +1538,12 @@ let prop_bulk_matches_joins ((n_nodes, vs, salt_sel), ops) =
   let nodes =
     Array.init n_nodes (fun i -> (float_of_int (1 + (i mod 3)), 7 * i))
   in
-  let joined : unit Dht.t = Dht.create ~seed:n_nodes in
+  let joined : Dht.t = Dht.create ~seed:n_nodes in
   Array.iter
     (fun (capacity, underlay) ->
       ignore (Dht.join joined ~capacity ~underlay ~n_vs:vs))
     nodes;
-  let bulk : unit Dht.t = Dht.create ~seed:n_nodes in
+  let bulk : Dht.t = Dht.create ~seed:n_nodes in
   Dht.join_all bulk nodes ~n_vs:vs;
   (* A VS whose id is not its unsalted hash took the salt path; a
      node's [vss] runs from index [vs - 1] down to 0. *)
@@ -1589,7 +1575,7 @@ let test_bulk_rejects () =
     Alcotest.(check bool) name true
       (match f () with () -> false | exception Invalid_argument _ -> true)
   in
-  let fresh () : unit Dht.t = Dht.create ~seed:1 in
+  let fresh () : Dht.t = Dht.create ~seed:1 in
   let empty = fresh () in
   raises "capacity 0" (fun () ->
       Dht.join_all empty [| (1.0, 0); (0.0, 1) |] ~n_vs:2);
@@ -1641,7 +1627,7 @@ let depart_case =
 
 (* Ring ids, then (id, owner, load bits) in ring order, then the ring
    version. *)
-let ring_bits (dht : unit Dht.t) =
+let ring_bits (dht : Dht.t) =
   ( Dht.vs_ids dht,
     List.rev
       (Dht.fold_vs dht ~init:[] ~f:(fun acc v ->
@@ -1650,7 +1636,7 @@ let ring_bits (dht : unit Dht.t) =
 
 let prop_depart_matches_removals ((n_nodes, vs, shape), (seed, run)) =
   let make () =
-    let dht : unit Dht.t = Dht.create ~seed:n_nodes in
+    let dht : Dht.t = Dht.create ~seed:n_nodes in
     Dht.join_all dht (Array.init n_nodes (fun i -> (1.0, i))) ~n_vs:vs;
     let rng = P2plb_prng.Prng.create ~seed in
     Dht.fold_vs dht ~init:() ~f:(fun () v ->
@@ -1709,7 +1695,7 @@ let by_id (a, _) (b, _) = Int.compare a b
    model's predecessors, total load, the VS count, and one ring version
    per VS inserted or deleted. *)
 let prop_ring_matches_model ((n_nodes, vs), ops) =
-  let dht : unit Dht.t = Dht.create ~seed:n_nodes in
+  let dht : Dht.t = Dht.create ~seed:n_nodes in
   for i = 0 to n_nodes - 1 do
     ignore (Dht.join dht ~capacity:1.0 ~underlay:i ~n_vs:vs)
   done;
@@ -1856,7 +1842,7 @@ let table_matches_folds dht =
 (* The table is read after every operation, so an operation that
    changes a load without invalidating it leaves a stale entry. *)
 let prop_table_matches_folds ((n_nodes, vs, bulk), ops) =
-  let dht : unit Dht.t = Dht.create ~seed:n_nodes in
+  let dht : Dht.t = Dht.create ~seed:n_nodes in
   let empty = table_matches_folds dht in
   if bulk = 1 then
     Dht.join_all dht (Array.init n_nodes (fun i -> (1.0, i))) ~n_vs:vs
@@ -1934,7 +1920,7 @@ let skeleton_space =
    the fault plan's counters and its next sends. *)
 let skeleton_world ~aware ~reference ~seed ~k ~join (faulty, thr_sel, ops) =
   let threshold = [| 1; 2; 5; 30 |].(thr_sel) in
-  let dht : Types.vsa_record Dht.t = Dht.create ~seed in
+  let dht : Dht.t = Dht.create ~seed in
   join dht;
   (* Whole loads, so that sheds tie and the order of pairings and
      merges shows in the result. *)
@@ -1942,8 +1928,7 @@ let skeleton_world ~aware ~reference ~seed ~k ~join (faulty, thr_sel, ops) =
   Dht.fold_vs dht ~init:() ~f:(fun () v ->
       Dht.set_vs_load dht v (float_of_int (Prng.int loads 10)));
   let tree = Ktree.build ~k dht in
-  let item : Types.vsa_record = Light { deficit = 1.0; light_node = 0 } in
-  List.iter (apply_ring_op_with ~item dht) ops;
+  List.iter (apply_ring_op dht) ops;
   let faults =
     if faulty = 1 then
       Some (Faults.create ~seed (Faults.churn ~message_loss:0.3 ()))
@@ -2055,7 +2040,7 @@ let test_skeleton_matches_full_walk_aware () =
 let prop_lbi_root_is_ring_total ((n_nodes, vs, k_sel), (_, _, ops)) =
   let k = [| 2; 3; 8 |].(k_sel) in
   let seed = (n_nodes * 8) + vs in
-  let dht : unit Dht.t = Dht.create ~seed in
+  let dht : Dht.t = Dht.create ~seed in
   for i = 0 to n_nodes - 1 do
     ignore
       (Dht.join dht
@@ -2104,7 +2089,7 @@ let handle_case =
     (Prop.triple handle_churn_case handle_churn_case (Prop.int_in 0 1000))
 
 type handle_world = {
-  w_dht : Types.vsa_record Dht.t;
+  w_dht : Dht.t;
   w_tree : Ktree.t;
   w_lbi : Types.lbi;
   w_rng : Prng.t;
@@ -2115,7 +2100,7 @@ type handle_world = {
 (* A ring of Gnutella-profile capacities with Gaussian or Pareto loads,
    its tree and the global LBI; equal cases build equal worlds. *)
 let handle_world ((n_nodes, vs, k_sel), (pareto, faulty, _), (_, _, seed)) =
-  let dht : Types.vsa_record Dht.t = Dht.create ~seed in
+  let dht : Dht.t = Dht.create ~seed in
   let setup = Prng.create ~seed in
   Dht.join_all dht
     (Array.init n_nodes (fun i -> (Workload.sample_capacity setup, i)))
@@ -2305,7 +2290,7 @@ let slots_case =
 
 let prop_sweep_subset_matches ((n_nodes, vs, k_sel), (seed, every)) =
   let k = [| 2; 3; 8 |].(k_sel) in
-  let dht : unit Dht.t = Dht.create ~seed in
+  let dht : Dht.t = Dht.create ~seed in
   for i = 0 to n_nodes - 1 do
     ignore (Dht.join dht ~capacity:1.0 ~underlay:i ~n_vs:vs)
   done;
@@ -2558,7 +2543,7 @@ let test_generate_matches_reference () =
    against the one-draw-at-a-time [Hashtbl] build. *)
 let test_join_all_matches_reference () =
   let n_nodes = 131_072 and n_vs = 5 in
-  let dht : unit Dht.t = Dht.create ~seed:1 in
+  let dht : Dht.t = Dht.create ~seed:1 in
   Dht.join_all dht
     (Array.init n_nodes (fun i -> (float_of_int (1 + (i mod 3)), 7 * i)))
     ~n_vs;

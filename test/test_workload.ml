@@ -54,7 +54,7 @@ let test_vs_load_nonnegative () =
 
 let test_gaussian_total_near_mu () =
   (* With small sigma, the total assigned load tracks mu. *)
-  let dht : unit Dht.t = Dht.create ~seed:4 in
+  let dht : Dht.t = Dht.create ~seed:4 in
   for i = 0 to 199 do
     ignore (Dht.join dht ~capacity:1.0 ~underlay:i ~n_vs:5)
   done;
@@ -78,7 +78,7 @@ let test_pareto_loads_heavy_tailed () =
   check Alcotest.bool "median < mean" true (p50 < mean)
 
 let test_assign_loads_covers_all_vss () =
-  let dht : unit Dht.t = Dht.create ~seed:7 in
+  let dht : Dht.t = Dht.create ~seed:7 in
   for i = 0 to 19 do
     ignore (Dht.join dht ~capacity:1.0 ~underlay:i ~n_vs:3)
   done;
